@@ -46,6 +46,7 @@ from .frame import (
     ProtocolMismatch,
     SUPPORTED_FEATURES,
     codec_for_transport,
+    encode_buffers,
     encode_frame,
     encode_message,
     negotiate_features,
@@ -80,6 +81,7 @@ __all__ = [
     "ProtocolMismatch",
     "SUPPORTED_FEATURES",
     "codec_for_transport",
+    "encode_buffers",
     "encode_frame",
     "encode_message",
     "negotiate_features",

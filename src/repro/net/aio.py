@@ -57,7 +57,7 @@ from .frame import (
     PROTOCOL_VERSION,
     SUPPORTED_FEATURES,
     codec_for_transport,
-    encode_message,
+    encode_buffers,
     json_payload,
     parse_json,
     unpack_body,
@@ -144,8 +144,8 @@ class AsyncShardChannel:
         # no await between writes: the message's frames hit the transport
         # buffer contiguously, so concurrent requests cannot interleave
         # *requests* (responses interleave server-side, by design)
-        for frame_bytes in encode_message(msg_type, request_id, payload, codec):
-            self._writer.write(frame_bytes)
+        for buffers in encode_buffers(msg_type, request_id, (payload,), codec):
+            self._writer.writelines(buffers)
         try:
             await asyncio.wait_for(self._writer.drain(), bound)
             response_type, response_codec, body = await asyncio.wait_for(

@@ -40,6 +40,7 @@ negotiated features.
 from __future__ import annotations
 
 import itertools
+import select
 import socket
 import threading
 import time
@@ -72,11 +73,12 @@ from .frame import (
     PROTOCOL_VERSION,
     SUPPORTED_FEATURES,
     codec_for_transport,
-    encode_message,
+    encode_buffers,
     json_payload,
     pack_body,
     parse_json,
     payload_digest,
+    send_buffers,
     unpack_body,
 )
 from .retry import (
@@ -145,10 +147,12 @@ def raise_remote_error(info: Dict) -> None:
     )
 
 
-def gateway_response_from_body(meta: Dict, blob: bytes) -> GatewayResponse:
+def gateway_response_from_body(meta: Dict, blob) -> GatewayResponse:
     """Rebuild a :class:`GatewayResponse` from a ``SERVED`` body."""
     return GatewayResponse(
-        payload=blob,
+        # the one user-space copy of a received payload: out of the frame's
+        # receive buffer, into the immutable bytes the caller keeps
+        payload=bytes(blob),
         tasks=tuple(meta["tasks"]),
         transport=meta["transport"],
         payload_bytes=len(blob),
@@ -193,7 +197,11 @@ class _SyncChannel:
     ) -> None:
         self.sock = socket.create_connection(address, timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._timeout = timeout  # the value the socket is armed with
         self._decoder = FrameDecoder()
+        # one request in flight per channel, so one partial message max;
+        # the assembler still caps the reassembled response size
+        self._assembler = MessageAssembler(max_partial_messages=1)
         self.dirty = False
         # stamped by the pooling client: channels dialed before a replica
         # was replaced (respawn) must not be re-pooled afterwards
@@ -226,8 +234,10 @@ class _SyncChannel:
     ) -> Tuple[int, int, bytes]:
         """Send one message, block for its response message.
 
-        Returns ``(msg_type, codec, payload)``; an ``ERROR`` response is
-        raised through :func:`raise_remote_error`.  The channel carries one
+        Returns ``(msg_type, codec, payload)`` — ``payload`` is the response
+        frame's own receive buffer (``bytes`` when reassembled from chunks),
+        never reused by a later request; an ``ERROR`` response is raised
+        through :func:`raise_remote_error`.  The channel carries one
         request at a time, so every incoming frame belongs to it.
         ``self.dirty`` stays True until a complete response message was
         consumed off the stream — a channel that raised while dirty has
@@ -235,36 +245,36 @@ class _SyncChannel:
         ``timeout`` (when given) bounds this one request — the per-op
         deadline from the client's :class:`~repro.net.retry.RetryPolicy`.
         """
-        if timeout is not None:
+        if timeout is not None and timeout != self._timeout:
             self.sock.settimeout(timeout)
+            self._timeout = timeout
         self.dirty = True
         request_id = next(self._ids)
-        for frame_bytes in encode_message(msg_type, request_id, payload, codec):
-            self.sock.sendall(frame_bytes)
-        # one request in flight per channel, so one partial message max;
-        # the assembler still caps the reassembled response size
-        assembler = MessageAssembler(max_partial_messages=1)
+        sock, decoder = self.sock, self._decoder
+        for buffers in encode_buffers(msg_type, request_id, (payload,), codec):
+            send_buffers(sock, buffers)
         while True:
-            for frame in self._decoder.feed(self._recv()):
-                if frame.request_id != request_id:
-                    raise FrameError(
-                        f"response for request {frame.request_id} on a channel "
-                        f"awaiting request {request_id}"
-                    )
-                message = assembler.add(frame)
-                if message is None:
-                    continue
-                response_type, response_codec, _rid, body = message
-                self.dirty = False  # full message consumed: stream is clean
-                if response_type == MsgType.ERROR:
-                    raise_remote_error(parse_json(body))
-                return response_type, response_codec, body
-
-    def _recv(self) -> bytes:
-        data = self.sock.recv(1 << 16)
-        if not data:
-            raise ConnectionError("shard connection closed mid-response")
-        return data
+            # the kernel writes straight into the header / the payload's own
+            # buffer; nothing is buffered or copied on this side of recv
+            count = sock.recv_into(decoder.writable())
+            if not count:
+                raise ConnectionError("shard connection closed mid-response")
+            frame = decoder.received(count)
+            if frame is None:
+                continue
+            if frame.request_id != request_id:
+                raise FrameError(
+                    f"response for request {frame.request_id} on a channel "
+                    f"awaiting request {request_id}"
+                )
+            message = self._assembler.add(frame)
+            if message is None:
+                continue
+            response_type, response_codec, _rid, body = message
+            self.dirty = False  # full message consumed: stream is clean
+            if response_type == MsgType.ERROR:
+                raise_remote_error(parse_json(body))
+            return response_type, response_codec, body
 
     def close(self) -> None:
         try:
@@ -385,30 +395,24 @@ class RemoteShardClient:
     # ------------------------------------------------------------------
     # Connection pool (per replica endpoint)
     # ------------------------------------------------------------------
-    def _channel_alive(self, channel: _SyncChannel) -> bool:
+    @staticmethod
+    def _channel_alive(channel: _SyncChannel) -> bool:
         """Cheap liveness probe before reusing a pooled channel.
 
-        A healthy idle channel has nothing to read — a non-blocking peek
-        raises ``BlockingIOError``.  EOF (``b""``), unsolicited bytes, or
-        any other socket error mean the worker died or the stream is
-        corrupt: evict instead of poisoning the next request.  Mirrors
-        the corpse-eviction in ``aio.AsyncShardPool``.
+        A healthy idle channel has nothing to read.  A readable one holds
+        EOF or unsolicited bytes — the worker died or the stream is
+        corrupt: evict instead of poisoning the next request (any error
+        probing says the same).  Mirrors the corpse-eviction in
+        ``aio.AsyncShardPool``.  One zero-timeout ``select`` is the whole
+        probe, and it leaves the socket's timeout alone.  Not
+        ``recv(1, MSG_PEEK | MSG_DONTWAIT)``: on a socket with a
+        Python-level timeout CPython first polls for readability, so on a
+        healthy (silent) channel that probe blocks for the whole timeout.
         """
-        sock = channel.sock
         try:
-            sock.setblocking(False)
-            try:
-                sock.recv(1, socket.MSG_PEEK)
-            except (BlockingIOError, InterruptedError):
-                return True
+            return not select.select([channel.sock], [], [], 0)[0]
+        except (OSError, ValueError):  # closed socket (fileno() is -1): redial
             return False
-        except OSError:
-            return False
-        finally:
-            try:
-                sock.settimeout(self.timeout)
-            except OSError:
-                pass
 
     def _acquire(self, endpoint: _ReplicaEndpoint) -> _SyncChannel:
         while True:
@@ -660,7 +664,8 @@ class RemoteShardClient:
                     f"HEADS response advertised codec {codec}, expected "
                     f"{codec_for_transport(transport)} for transport {transport!r}"
                 )
-            return payload
+            # the one copy (a no-op for a chunked message, already joined)
+            return bytes(payload)
 
     def _trace_ctx(self) -> Optional[Dict[str, str]]:
         """Wire trace context, only when tracing is live AND negotiated.

@@ -73,7 +73,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from time import monotonic
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "MAGIC",
@@ -100,10 +101,13 @@ __all__ = [
     "codec_for_transport",
     "transport_for_codec",
     "encode_frame",
+    "encode_buffers",
     "encode_message",
+    "send_buffers",
     "json_payload",
     "parse_json",
     "pack_body",
+    "pack_body_parts",
     "unpack_body",
     "payload_digest",
 ]
@@ -194,12 +198,16 @@ _TRANSPORT_CODECS: Dict[str, int] = {
     "raw+zlib": 3,
     "zstd": 4,
 }
+_CODEC_TRANSPORTS: Dict[int, str] = {tag: name for name, tag in _TRANSPORT_CODECS.items()}
 CODEC_BINARY = 5
 CODEC_NAMES: Dict[int, str] = {
     CODEC_JSON: "json",
     CODEC_BINARY: "binary",
-    **{tag: name for name, tag in _TRANSPORT_CODECS.items()},
+    **_CODEC_TRANSPORTS,
 }
+
+#: Anything the buffer protocol exposes as contiguous bytes.
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 class FrameError(ValueError):
@@ -220,19 +228,24 @@ def codec_for_transport(transport: str) -> int:
 
 def transport_for_codec(codec: int) -> str:
     """Inverse of :func:`codec_for_transport`; raises on unknown tags."""
-    for transport, tag in _TRANSPORT_CODECS.items():
-        if tag == codec:
-            return transport
-    raise FrameError(f"unknown payload codec tag {codec}")
+    try:
+        return _CODEC_TRANSPORTS[codec]
+    except KeyError:
+        raise FrameError(f"unknown payload codec tag {codec}") from None
 
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame (header fields + payload slice)."""
+    """One decoded frame: header fields + the payload's own buffer.
+
+    A decoded ``payload`` is the ``bytearray`` the decoder allocated for
+    this frame alone and the kernel filled — it is never reused, so it
+    may be kept, sliced by memoryview, or copied to ``bytes`` at leisure.
+    """
 
     msg_type: int
     request_id: int
-    payload: bytes
+    payload: Buffer
     codec: int = CODEC_JSON
     flags: int = FLAG_END
 
@@ -240,6 +253,17 @@ class Frame:
     def last(self) -> bool:
         """Whether this frame ends its logical message."""
         return bool(self.flags & FLAG_END)
+
+
+def _pack_header(msg_type: int, request_id: int, length: int, codec: int, flags: int) -> bytes:
+    if length > MAX_PAYLOAD_BYTES:
+        raise FrameError(
+            f"frame payload of {length} bytes exceeds the "
+            f"{MAX_PAYLOAD_BYTES}-byte cap — chunk it (encode_message)"
+        )
+    if codec not in CODEC_NAMES:
+        raise FrameError(f"unknown payload codec tag {codec}")
+    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, msg_type, flags, codec, request_id, length)
 
 
 def encode_frame(
@@ -250,19 +274,49 @@ def encode_frame(
     flags: int = FLAG_END,
 ) -> bytes:
     """Pack one frame; validates the payload size and codec tag."""
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD_BYTES}-byte cap — chunk it (encode_message)"
-        )
-    if codec not in CODEC_NAMES:
-        raise FrameError(f"unknown payload codec tag {codec}")
-    return (
-        _HEADER.pack(
-            MAGIC, PROTOCOL_VERSION, msg_type, flags, codec, request_id, len(payload)
-        )
-        + payload
-    )
+    return _pack_header(msg_type, request_id, len(payload), codec, flags) + payload
+
+
+def encode_buffers(
+    msg_type: int,
+    request_id: int,
+    parts: Sequence[Buffer],
+    codec: int = CODEC_JSON,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+) -> Iterator[List[Buffer]]:
+    """Yield each frame of one message as a scatter-gather buffer list.
+
+    The message payload is the concatenation of ``parts`` (e.g. the
+    ``(meta prefix, blob)`` of :func:`pack_body_parts`), but nothing is
+    concatenated here: a frame is ``[header, piece, ...]`` where a piece
+    is a part object itself when the frame takes all of it, else a
+    memoryview slice of it — hand the list to ``sendmsg``/``writelines``.
+    Every frame but the last has ``FLAG_END`` clear; an empty payload
+    still yields exactly one (terminal) frame.  Writers should emit the
+    message frame-by-frame under their connection write lock so
+    concurrent responses interleave at chunk granularity.
+    """
+    if chunk_bytes < 1:
+        raise ValueError("chunk_bytes must be >= 1")
+    remaining = sum(map(len, parts))
+    pieces: List[Buffer] = []
+    room = min(chunk_bytes, remaining)  # payload bytes the open frame still takes
+    length = room
+    for part in parts:
+        offset, size = 0, len(part)
+        while offset < size:
+            take = min(room, size - offset)
+            pieces.append(
+                part if take == size else memoryview(part)[offset : offset + take]
+            )
+            offset += take
+            room -= take
+            remaining -= take
+            if room == 0 and remaining:
+                yield [_pack_header(msg_type, request_id, length, codec, 0), *pieces]
+                pieces = []
+                room = length = min(chunk_bytes, remaining)
+    yield [_pack_header(msg_type, request_id, length, codec, FLAG_END), *pieces]
 
 
 def encode_message(
@@ -272,80 +326,121 @@ def encode_message(
     codec: int = CODEC_JSON,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> Iterator[bytes]:
-    """Yield the frame(s) of one message, chunking large payloads.
+    """Yield the frame(s) of one message as ``bytes``, chunking large payloads.
 
-    Every frame but the last has ``FLAG_END`` clear; an empty payload
-    still yields exactly one (terminal) frame.  Writers should emit the
-    chunks frame-by-frame under their connection write lock so concurrent
-    responses interleave at chunk granularity.
+    The join of :func:`encode_buffers` — for writers that want one
+    contiguous object per frame.
     """
-    if chunk_bytes < 1:
-        raise ValueError("chunk_bytes must be >= 1")
-    if not payload:
-        yield encode_frame(msg_type, request_id, b"", codec, FLAG_END)
+    for buffers in encode_buffers(msg_type, request_id, (payload,), codec, chunk_bytes):
+        yield b"".join(buffers)
+
+
+def send_buffers(sock, buffers: Sequence[Buffer]) -> None:
+    """``sendall`` for one frame's buffer list: one ``sendmsg``, no join.
+
+    A socket with a timeout is non-blocking underneath, so ``sendmsg``
+    may take only part of a large frame; the rest is re-offered (sliced
+    by memoryview).  Each attempt waits for the peer at most the socket's
+    timeout, and none starts once that timeout, counted from the first,
+    has passed — a trickling peer cannot hold the sender for longer
+    than twice its per-op deadline.
+    """
+    timeout = sock.gettimeout()
+    deadline = None if timeout is None else monotonic() + timeout
+    sent = sock.sendmsg(buffers)
+    if sent == sum(map(len, buffers)):
         return
-    for start in range(0, len(payload), chunk_bytes):
-        chunk = payload[start : start + chunk_bytes]
-        last = start + chunk_bytes >= len(payload)
-        yield encode_frame(
-            msg_type, request_id, chunk, codec, FLAG_END if last else 0
-        )
+    views = [memoryview(buffer) for buffer in buffers]
+    while True:
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if not views:
+            return
+        views[0] = views[0][sent:]
+        if deadline is not None and monotonic() >= deadline:
+            raise TimeoutError("timed out completing a partial sendmsg")
+        sent = sock.sendmsg(views)
 
 
 class FrameDecoder:
-    """Incremental decoder: feed arbitrary byte slices, pop whole frames.
+    """Incremental fill-in-place decoder (the ``asyncio.BufferedProtocol`` shape).
 
-    Handles the stream side of the protocol — partial headers and split
-    payloads simply stay buffered until the rest arrives, so callers can
-    feed whatever ``recv`` returned.  Corrupt input (bad magic, wrong
-    version, oversized declared length) raises :class:`FrameError`
-    immediately: a framing error is unrecoverable on a byte stream, so
-    the connection must be dropped.
+    :meth:`writable` hands out a memoryview of what is still missing —
+    of the 20-byte header, or of the current payload's own buffer — for
+    ``recv_into`` to fill; :meth:`received` takes the byte count and
+    returns the frame it completed, if any.  The payload buffer is
+    allocated only after the header passed every check, so a corrupt or
+    hostile header (bad magic, wrong version, unknown codec, declared
+    length over the cap) raises :class:`FrameError` before anything of
+    the declared size exists: a framing error is unrecoverable on a byte
+    stream, so the connection must be dropped.  :meth:`feed` is the
+    copy-in driver of the same machine for callers that already hold
+    the bytes (the asyncio reader).
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._header = bytearray(HEADER_BYTES)
+        self._fields: Optional[Tuple[int, int, int, int]] = None  # None: in the header
+        self._expect(self._header)
 
-    def feed(self, data: bytes) -> List[Frame]:
-        """Append ``data`` and return every frame completed by it."""
-        self._buffer.extend(data)
+    def _expect(self, target: bytearray) -> None:
+        self._target, self._view, self._filled = target, memoryview(target), 0
+
+    def writable(self) -> memoryview:
+        """The (never empty) rest of the buffer the stream fills next."""
+        return self._view[self._filled :]
+
+    def received(self, count: int) -> Optional[Frame]:
+        """Account for ``count`` bytes written into :meth:`writable`."""
+        self._filled += count
+        if self._filled < len(self._target):
+            return None
+        payload = self._target
+        if self._fields is None:
+            magic, version, msg_type, flags, codec, request_id, length = _HEADER.unpack(
+                self._header
+            )
+            if magic != MAGIC:
+                raise FrameError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
+            if version != PROTOCOL_VERSION:
+                raise ProtocolMismatch(
+                    f"peer speaks protocol {version}, this side speaks {PROTOCOL_VERSION}"
+                )
+            if length > MAX_PAYLOAD_BYTES:
+                raise FrameError(
+                    f"frame declares a {length}-byte payload, over the "
+                    f"{MAX_PAYLOAD_BYTES}-byte cap"
+                )
+            if codec not in CODEC_NAMES:
+                raise FrameError(f"unknown payload codec tag {codec}")
+            self._fields = (msg_type, request_id, codec, flags)
+            payload = bytearray(length)
+            if length:
+                self._expect(payload)
+                return None
+        msg_type, request_id, codec, flags = self._fields
+        self._fields = None
+        self._expect(self._header)
+        return Frame(msg_type, request_id, payload, codec, flags)
+
+    def feed(self, data: Buffer) -> List[Frame]:
+        """Copy ``data`` in and return every frame completed by it."""
         frames: List[Frame] = []
-        while True:
-            frame = self._try_pop()
-            if frame is None:
-                return frames
-            frames.append(frame)
+        view = memoryview(data)
+        while len(view):
+            target = self.writable()
+            count = min(len(target), len(view))
+            target[:count] = view[:count]
+            view = view[count:]
+            frame = self.received(count)
+            if frame is not None:
+                frames.append(frame)
+        return frames
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered toward a not-yet-complete frame."""
-        return len(self._buffer)
-
-    def _try_pop(self) -> Optional[Frame]:
-        if len(self._buffer) < HEADER_BYTES:
-            return None
-        magic, version, msg_type, flags, codec, request_id, length = _HEADER.unpack_from(
-            self._buffer
-        )
-        if magic != MAGIC:
-            raise FrameError(f"bad frame magic {bytes(magic)!r} (expected {MAGIC!r})")
-        if version != PROTOCOL_VERSION:
-            raise ProtocolMismatch(
-                f"peer speaks protocol {version}, this side speaks {PROTOCOL_VERSION}"
-            )
-        if length > MAX_PAYLOAD_BYTES:
-            raise FrameError(
-                f"frame declares a {length}-byte payload, over the "
-                f"{MAX_PAYLOAD_BYTES}-byte cap"
-            )
-        if codec not in CODEC_NAMES:
-            raise FrameError(f"unknown payload codec tag {codec}")
-        end = HEADER_BYTES + length
-        if len(self._buffer) < end:
-            return None
-        payload = bytes(self._buffer[HEADER_BYTES:end])
-        del self._buffer[:end]
-        return Frame(msg_type, request_id, payload, codec, flags)
+        """Bytes received toward a not-yet-complete frame."""
+        return self._filled + (0 if self._fields is None else HEADER_BYTES)
 
 
 class MessageAssembler:
@@ -368,21 +463,36 @@ class MessageAssembler:
         self.max_message_bytes = max_message_bytes
         self.max_partial_messages = max_partial_messages
         # request id -> (msg type, codec, chunks, total bytes so far)
-        self._partial: Dict[int, Tuple[int, int, List[bytes], int]] = {}
+        self._partial: Dict[int, Tuple[int, int, List[Buffer], int]] = {}
 
-    def add(self, frame: Frame) -> Optional[Tuple[int, int, int, bytes]]:
+    def add(self, frame: Frame) -> Optional[Tuple[int, int, int, Buffer]]:
         """Fold one frame in; return ``(msg_type, codec, request_id,
-        payload)`` when it completes a message, else ``None``."""
-        entry = self._partial.get(frame.request_id)
+        payload)`` when it completes a message, else ``None``.
+
+        A single-frame message is handed through as the frame's own
+        buffer; only a chunked one is joined (into ``bytes``).  Every
+        frame of a message must repeat the first one's type and codec.
+        """
+        size = len(frame.payload)
+        entry = self._partial.get(frame.request_id) if self._partial else None
         if entry is None:
-            if len(self._partial) >= self.max_partial_messages:
+            if frame.last and size <= self.max_message_bytes:
+                return frame.msg_type, frame.codec, frame.request_id, frame.payload
+            # (an oversize single frame falls through to the cap check below)
+            if not frame.last and len(self._partial) >= self.max_partial_messages:
                 raise FrameError(
                     f"more than {self.max_partial_messages} partial messages "
                     "in flight on one connection"
                 )
             entry = (frame.msg_type, frame.codec, [], 0)
         msg_type, codec, chunks, total = entry
-        total += len(frame.payload)
+        if (frame.msg_type, frame.codec) != (msg_type, codec):
+            raise FrameError(
+                f"continuation frame of request {frame.request_id} changed the "
+                f"message type/codec from {msg_type}/{codec} to "
+                f"{frame.msg_type}/{frame.codec}"
+            )
+        total += size
         if total > self.max_message_bytes:
             raise FrameError(
                 f"reassembled message exceeds the {self.max_message_bytes}-byte "
@@ -392,10 +502,8 @@ class MessageAssembler:
         if not frame.last:
             self._partial[frame.request_id] = (msg_type, codec, chunks, total)
             return None
-        self._partial.pop(frame.request_id, None)
-        # the terminal frame's header wins: all frames of a message carry
-        # the same type/codec, and the final one is the authoritative copy
-        return frame.msg_type, frame.codec, frame.request_id, b"".join(chunks)
+        del self._partial[frame.request_id]
+        return msg_type, codec, frame.request_id, b"".join(chunks)
 
     @property
     def partial_messages(self) -> int:
@@ -405,38 +513,56 @@ class MessageAssembler:
 # ----------------------------------------------------------------------
 # Payload helpers
 # ----------------------------------------------------------------------
+# one encoder for the process: json.dumps with non-default options builds one per call
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def json_payload(obj: object) -> bytes:
     """Encode a control payload (compact separators, stable key order)."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return _ENCODE_JSON(obj).encode("utf-8")
 
 
-def parse_json(payload: bytes) -> Dict:
+def parse_json(payload: Buffer) -> Dict:
     try:
-        return json.loads(payload.decode("utf-8"))
+        return json.loads(str(payload, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise FrameError(f"malformed JSON payload: {error}") from None
 
 
-def pack_body(meta: Dict, blob: bytes = b"") -> bytes:
+def pack_body_parts(meta: Dict, blob: Buffer = b"") -> Tuple[bytes, Buffer]:
+    """A ``CODEC_BINARY`` body as ``(u32 meta length + JSON meta, blob)``.
+
+    The scatter-gather form for :func:`encode_buffers`: ``blob`` is
+    returned as the object passed in, so a cached payload reaches the
+    socket without ever being copied next to its meta header.
+    """
+    encoded = json_payload(meta)
+    return struct.pack("<I", len(encoded)) + encoded, blob
+
+
+def pack_body(meta: Dict, blob: Buffer = b"") -> bytes:
     """A ``CODEC_BINARY`` body: u32 meta length + JSON meta + raw blob.
 
     Used where a message carries both telemetry and tensor bytes (serve
     and predict responses, predict requests).  Chunking splits the packed
     bytes arbitrarily; :func:`unpack_body` parses the reassembled whole.
     """
-    encoded = json_payload(meta)
-    return struct.pack("<I", len(encoded)) + encoded + blob
+    return b"".join(pack_body_parts(meta, blob))
 
 
-def unpack_body(payload: bytes) -> Tuple[Dict, bytes]:
-    """Split a ``CODEC_BINARY`` body back into ``(meta, blob)``."""
-    if len(payload) < 4:
+def unpack_body(payload: Buffer) -> Tuple[Dict, memoryview]:
+    """Split a ``CODEC_BINARY`` body back into ``(meta, blob)``.
+
+    ``blob`` is a memoryview into ``payload`` — no copy; the consumer
+    that needs it to outlive or be independent of ``payload`` copies it.
+    """
+    view = memoryview(payload)
+    if len(view) < 4:
         raise FrameError("binary body shorter than its meta-length prefix")
-    (meta_len,) = struct.unpack_from("<I", payload)
-    if 4 + meta_len > len(payload):
+    (meta_len,) = struct.unpack_from("<I", view)
+    if 4 + meta_len > len(view):
         raise FrameError("binary body truncated inside its meta header")
-    meta = parse_json(payload[4 : 4 + meta_len])
-    return meta, payload[4 + meta_len :]
+    return parse_json(view[4 : 4 + meta_len]), view[4 + meta_len :]
 
 
 def payload_digest(blob: bytes) -> str:

@@ -74,12 +74,13 @@ from .frame import (
     MsgType,
     PROTOCOL_VERSION,
     codec_for_transport,
-    encode_message,
+    encode_buffers,
     json_payload,
     negotiate_features,
-    pack_body,
+    pack_body_parts,
     parse_json,
     payload_digest,
+    send_buffers,
     unpack_body,
 )
 
@@ -271,13 +272,14 @@ class ShardServer:
         write_lock = threading.Lock()
         try:
             while True:
-                data = conn.recv(1 << 16)
-                if not data:
+                count = conn.recv_into(decoder.writable())
+                if not count:
                     return
-                for frame in decoder.feed(data):
-                    message = assembler.add(frame)
-                    if message is None:
-                        continue
+                frame = decoder.received(count)
+                if frame is None:
+                    continue
+                message = assembler.add(frame)
+                if message is not None:
                     msg_type, codec, request_id, payload = message
                     self._dispatch(conn, write_lock, msg_type, request_id, payload, codec)
         except (OSError, FrameError):
@@ -368,16 +370,22 @@ class ShardServer:
         write_lock: threading.Lock,
         msg_type: int,
         request_id: int,
-        payload: bytes,
+        *parts,
         codec: int = CODEC_JSON,
     ) -> None:
+        """Send one message whose payload is the concatenation of ``parts``.
+
+        Nothing is concatenated: each frame goes out as one ``sendmsg`` of
+        ``[header, part or memoryview slice, ...]``, so a cached payload
+        reaches the syscall as the object the cache holds.
+        """
         # lock per *frame*, not per message: concurrent responses on the
         # same connection interleave at chunk granularity
-        for frame in encode_message(
-            msg_type, request_id, payload, codec, self.chunk_bytes
+        for buffers in encode_buffers(
+            msg_type, request_id, parts, codec, self.chunk_bytes
         ):
             with write_lock:
-                conn.sendall(frame)
+                send_buffers(conn, buffers)
 
     def _send_error(
         self, conn, write_lock, request_id: int, error: BaseException
@@ -493,7 +501,7 @@ class ShardServer:
                 pass
 
     def _handle_ping(self, conn, write_lock, request_id, payload, codec) -> None:
-        self._send(conn, write_lock, MsgType.PONG, request_id, payload, codec)
+        self._send(conn, write_lock, MsgType.PONG, request_id, payload, codec=codec)
 
     def _handle_fetch_heads(self, conn, write_lock, request_id, payload, codec) -> None:
         request = parse_json(payload)
@@ -501,7 +509,7 @@ class ShardServer:
         raw = self.shard.fetch_heads(tuple(request["names"]), transport)
         self._send(
             conn, write_lock, MsgType.HEADS, request_id, raw,
-            codec_for_transport(transport),
+            codec=codec_for_transport(transport),
         )
 
     def _handle_serve(self, conn, write_lock, request_id, payload, codec) -> None:
@@ -523,8 +531,10 @@ class ShardServer:
         }
         if spans:
             meta["trace_spans"] = spans
-        body = pack_body(meta, response.payload)
-        self._send(conn, write_lock, MsgType.SERVED, request_id, body, CODEC_BINARY)
+        self._send(
+            conn, write_lock, MsgType.SERVED, request_id,
+            *pack_body_parts(meta, response.payload), codec=CODEC_BINARY,
+        )
 
     def _handle_predict(self, conn, write_lock, request_id, payload, codec) -> None:
         meta, blob = unpack_body(payload)
@@ -549,8 +559,10 @@ class ShardServer:
         }
         if spans:
             out_meta["trace_spans"] = spans
-        body = pack_body(out_meta, ids.tobytes())
-        self._send(conn, write_lock, MsgType.PREDICTED, request_id, body, CODEC_BINARY)
+        self._send(
+            conn, write_lock, MsgType.PREDICTED, request_id,
+            *pack_body_parts(out_meta, ids.tobytes()), codec=CODEC_BINARY,
+        )
 
     # ------------------------------------------------------------------
     # Mutation handlers: fenced, idempotent, auth-gated
@@ -633,7 +645,8 @@ class ShardServer:
                         "INSTALL_HEADS payload digest mismatch: "
                         "refusing to install corrupted heads"
                     )
-                for name, remote in deserialize_expert_heads(blob).items():
+                # bytes(): core's payload decoder slices and .decode()s
+                for name, remote in deserialize_expert_heads(bytes(blob)).items():
                     # attach overwrites an existing head of the same name,
                     # so a crash-and-retry mid-apply converges (idempotent)
                     self.shard.install_expert(name, remote.head, remote.version)
@@ -702,7 +715,7 @@ class ShardServer:
                         "REFRESH_LIBRARY payload digest mismatch: "
                         "refusing to install a corrupted trunk"
                     )
-                library, version = deserialize_library_state(blob)
+                library, version = deserialize_library_state(bytes(blob))
                 # the student stays behind the gateway that distilled it;
                 # workers only ever serve through the consolidated trunk
                 self.shard.refresh_library(library, None, version)

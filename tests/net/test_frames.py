@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import struct
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net import client as net_client
 from repro.net.frame import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -22,9 +25,13 @@ from repro.net.frame import (
     FrameError,
     ProtocolMismatch,
     codec_for_transport,
+    encode_buffers,
     encode_frame,
     encode_message,
+    json_payload,
     pack_body,
+    pack_body_parts,
+    send_buffers,
     transport_for_codec,
     unpack_body,
 )
@@ -204,3 +211,262 @@ def test_partial_message_count_capped():
     # completing one message frees its slot
     assembler.add(Frame(MsgType.HEADS, 1, b"", CODEC_BINARY, flags=FLAG_END))
     assert assembler.add(Frame(MsgType.HEADS, 3, b"c", CODEC_BINARY, flags=0)) is None
+
+
+def test_continuation_frame_may_not_change_type_or_codec():
+    from repro.net.frame import Frame, MessageAssembler
+
+    for changed in (
+        Frame(MsgType.SERVED, 9, b"cd", CODEC_BINARY, flags=FLAG_END),
+        Frame(MsgType.HEADS, 9, b"cd", CODEC_JSON, flags=FLAG_END),
+    ):
+        assembler = MessageAssembler()
+        assembler.add(Frame(MsgType.HEADS, 9, b"ab", CODEC_BINARY, flags=0))
+        with pytest.raises(FrameError, match="continuation"):
+            assembler.add(changed)
+
+
+def test_single_frame_message_passes_the_assembler_without_a_join():
+    from repro.net.frame import Frame, MessageAssembler
+
+    payload = bytearray(b"whole")
+    done = MessageAssembler().add(Frame(MsgType.SERVED, 3, payload, CODEC_BINARY))
+    assert done[3] is payload
+
+
+# ----------------------------------------------------------------------
+# The in-place path against feed(), the buffer lists against the v1 wire
+# ----------------------------------------------------------------------
+def _reference_wire(msg_type, request_id, payload, codec, chunk_bytes) -> bytes:
+    """The v1 encoder as first written: slice, pack a header, concatenate."""
+    wire = b""
+    for start in range(0, max(len(payload), 1), chunk_bytes):
+        chunk = payload[start : start + chunk_bytes]
+        flags = FLAG_END if start + chunk_bytes >= len(payload) else 0
+        wire += _header(msg=msg_type, flags=flags, codec=codec,
+                        request_id=request_id, length=len(chunk)) + chunk
+    return wire
+
+
+def _fields(frames):
+    return [(f.msg_type, f.request_id, bytes(f.payload), f.codec, f.flags) for f in frames]
+
+
+def _fill_in_place(decoder, wire, sizes):
+    """Drive writable()/received() like ``recv_into`` returning ``sizes``."""
+    frames, offset, turn = [], 0, 0
+    while offset < len(wire):
+        target = decoder.writable()
+        assert len(target) > 0
+        count = min(len(target), sizes[turn % len(sizes)], len(wire) - offset)
+        target[:count] = wire[offset : offset + count]
+        offset += count
+        turn += 1
+        frame = decoder.received(count)
+        if frame is not None:
+            frames.append(frame)
+    return frames
+
+
+_MESSAGES = st.lists(
+    st.tuples(
+        _MSG_TYPES,
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.binary(max_size=2048),
+        _CODECS,
+        st.integers(min_value=0, max_value=2048),  # where the payload splits into parts
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(
+    messages=_MESSAGES,
+    chunk_bytes=st.integers(min_value=1, max_value=700),
+    sizes=st.lists(st.integers(min_value=1, max_value=1 << 14), min_size=1, max_size=8),
+)
+def test_in_place_path_and_buffer_lists_match_feed_and_the_v1_wire(
+    messages, chunk_bytes, sizes
+):
+    wire = b""
+    for msg_type, request_id, payload, codec, split in messages:
+        reference = _reference_wire(msg_type, request_id, payload, codec, chunk_bytes)
+        parts = (payload[:split], payload[split:])
+        gathered = b"".join(
+            b"".join(buffers)
+            for buffers in encode_buffers(msg_type, request_id, parts, codec, chunk_bytes)
+        )
+        assert gathered == reference
+        assert b"".join(
+            encode_message(msg_type, request_id, payload, codec, chunk_bytes)
+        ) == reference
+        wire += reference
+    fed = FrameDecoder().feed(wire)
+    decoder = FrameDecoder()
+    assert _fields(_fill_in_place(decoder, wire, sizes)) == _fields(fed)
+    assert decoder.pending_bytes == 0
+
+
+@given(blob=st.binary(max_size=2048), count=st.integers(min_value=0, max_value=99))
+def test_body_parts_join_to_the_packed_body(blob, count):
+    prefix, same_blob = pack_body_parts({"n": count}, blob)
+    assert same_blob is blob
+    assert prefix + blob == pack_body({"n": count}, blob)
+
+
+# ----------------------------------------------------------------------
+# A scripted socket: replays a byte stream, records what is sent
+# ----------------------------------------------------------------------
+class _FakeSocket:
+    def __init__(self, stream: bytes = b"", recv_step: int = 1 << 20,
+                 send_steps=(1 << 30,), timeout=None) -> None:
+        self._stream = memoryview(stream)
+        self._recv_step = recv_step
+        self._send_steps = list(send_steps)
+        self._timeout = timeout
+        self.calls = []  # the buffer list of every sendmsg
+        self.sent = bytearray()
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def settimeout(self, timeout) -> None:
+        self._timeout = timeout
+
+    def gettimeout(self):
+        return self._timeout
+
+    def sendmsg(self, buffers) -> int:
+        buffers = list(buffers)
+        self.calls.append(buffers)
+        step = self._send_steps[min(len(self.calls), len(self._send_steps)) - 1]
+        taken = b"".join(buffers)[:step]
+        self.sent += taken
+        return len(taken)
+
+    def recv_into(self, target) -> int:
+        count = min(len(target), self._recv_step, len(self._stream))
+        target[:count] = self._stream[:count]
+        self._stream = self._stream[count:]
+        return count  # 0 once the script ran out: the peer hung up
+
+    def close(self) -> None:
+        pass
+
+
+def _channel(monkeypatch, *responses: bytes, **socket_options):
+    """A handshaken ``_SyncChannel`` over a socket scripted with ``responses``."""
+    hello_ok = encode_frame(MsgType.HELLO_OK, 0, json_payload({"features": []}))
+    request_ids = iter(range(1 << 30))
+    sock = _FakeSocket(hello_ok + b"".join(responses), **socket_options)
+    monkeypatch.setattr(net_client._SyncChannel, "_ids", request_ids)
+    monkeypatch.setattr(
+        net_client.socket, "create_connection", lambda address, timeout=None: sock
+    )
+    return net_client._SyncChannel(("fake", 0), timeout=5.0), sock
+
+
+@given(
+    parts=st.lists(st.binary(max_size=300), min_size=1, max_size=4),
+    steps=st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6),
+)
+def test_partial_sendmsg_is_completed(parts, steps):
+    sock = _FakeSocket(send_steps=steps + [1 << 30], timeout=5.0)
+    send_buffers(sock, parts)
+    assert bytes(sock.sent) == b"".join(parts)
+
+
+def test_partial_sendmsg_gives_up_at_the_socket_timeout():
+    sock = _FakeSocket(send_steps=[1], timeout=0.0)
+    with pytest.raises(TimeoutError):
+        send_buffers(sock, [b"abc"])
+
+
+@pytest.mark.parametrize(
+    "header, error, match",
+    [
+        (dict(length=MAX_PAYLOAD_BYTES + 1), FrameError, "cap"),
+        (dict(magic=b"HTTP"), FrameError, "magic"),
+        (dict(version=PROTOCOL_VERSION + 1), ProtocolMismatch, "protocol"),
+        (dict(codec=99, length=MAX_PAYLOAD_BYTES), FrameError, "codec"),
+    ],
+)
+def test_hostile_header_is_rejected_before_any_payload_sized_allocation(
+    header, error, match
+):
+    wire = _header(**header)
+    decoder = FrameDecoder()
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            _fill_in_place(decoder, wire, [7])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_stream_cut_mid_payload_raises_and_leaves_the_channel_dirty(monkeypatch):
+    cut = _header(msg=MsgType.SERVED, codec=CODEC_BINARY, request_id=1, length=1000)
+    channel, _sock = _channel(monkeypatch, cut + b"x" * 10, recv_step=13)
+    assert not channel.dirty
+    with pytest.raises(ConnectionError, match="mid-response"):
+        channel.request(MsgType.SERVE, json_payload({}))
+    assert channel.dirty
+
+
+# ----------------------------------------------------------------------
+# Zero-copy regressions
+# ----------------------------------------------------------------------
+def test_served_payload_reaches_sendmsg_by_identity():
+    from repro.net.server import ShardServer
+    from repro.serving.gateway import GatewayResponse
+
+    payload = bytes(range(256)) * 64
+
+    class _Shard:
+        shard_id = 0
+
+        def serve(self, tasks, transport):
+            return GatewayResponse(
+                payload=payload, tasks=tuple(tasks), transport=transport,
+                payload_bytes=len(payload), queue_seconds=0.0, service_seconds=0.0,
+                model_cache_hit=True, payload_cache_hit=True, coalesced=False,
+            )
+
+    server = ShardServer(_Shard(), request_workers=1)
+    sock = _FakeSocket()
+    try:
+        request = json_payload({"tasks": ["a"], "transport": "float32"})
+        server._handle_serve(sock, threading.Lock(), 1, request, CODEC_JSON)
+    finally:
+        server.close()
+    (buffers,) = sock.calls  # one frame, one sendmsg
+    assert buffers[-1] is payload
+    (frame,) = FrameDecoder().feed(bytes(sock.sent))
+    meta, blob = unpack_body(frame.payload)
+    assert frame.msg_type == MsgType.SERVED and meta["tasks"] == ["a"]
+    assert blob == payload
+
+
+def test_receiving_a_large_message_allocates_its_buffer_and_one_copy(monkeypatch):
+    size = 1 << 20
+    blob = bytes(size)
+    served = encode_frame(
+        MsgType.SERVED, 1,
+        pack_body({"tasks": ["a"], "transport": "float32", "queue_seconds": 0,
+                   "service_seconds": 0, "model_cache_hit": True,
+                   "payload_cache_hit": True, "coalesced": False}, blob),
+        CODEC_BINARY,
+    )
+    channel, _sock = _channel(monkeypatch, served, recv_step=1 << 16)
+    tracemalloc.start()
+    try:
+        _msg, _codec, body = channel.request(MsgType.SERVE, json_payload({}))
+        response = net_client.gateway_response_from_body(*unpack_body(body))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(response.payload) is bytes and response.payload == blob
+    assert peak < 2.2 * size

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -217,6 +219,73 @@ def test_async_transport_bit_identical(net_pool, in_process):
         with pytest.raises(KeyError):
             gateway.submit(("no-such-task",)).result(timeout=60)
     assert deployment.fleet.leaked_processes() == []
+
+
+# ----------------------------------------------------------------------
+# Buffer ownership: a response never aliases a buffer a later one reuses
+# ----------------------------------------------------------------------
+def test_shared_channel_payloads_never_alias_a_receive_buffer(net_pool):
+    """Two threads, one pooled connection, different queries, 200 each.
+
+    Every payload is kept and compared only after all 400 requests ran:
+    a response still backed by a receive buffer that a later request
+    refilled would read as the other task's bytes by then.
+    """
+    pool, _data = net_pool
+    tasks = sorted(pool.expert_names())[:2]
+    shard = PoolShard(0, pool, tasks, GatewayConfig(max_workers=2))
+    server = ShardServer(shard, request_workers=2)
+    address = server.start()
+    expected = {task: shard.serve((task,)).payload for task in tasks}
+    assert expected[tasks[0]] != expected[tasks[1]]
+    received = {task: [] for task in tasks}
+    errors = []
+
+    def hammer(client, task):
+        try:
+            for _ in range(200):
+                received[task].append(client.serve((task,)).payload)
+        except BaseException as error:  # surfaced by the assert below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with RemoteShardClient(address, connections=1) as client:
+            threads = [
+                threading.Thread(target=hammer, args=(client, task)) for task in tasks
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+        shard.close()
+    assert errors == []
+    for task in tasks:
+        assert len(received[task]) == 200
+        assert all(type(payload) is bytes for payload in received[task])
+        assert all(payload == expected[task] for payload in received[task])
+
+
+def test_async_transport_payloads_never_alias_a_receive_buffer(networked, in_process):
+    """Same ownership check through the multiplexed asyncio channel."""
+    from repro.net.aio import AsyncClusterTransport
+
+    tasks = sorted(in_process.available_tasks())[:2]
+    expected = {task: in_process.serve((task,)).payload for task in tasks}
+    transport = AsyncClusterTransport(networked.gateway, connections_per_shard=1)
+    transport.start()
+    try:
+        futures = [(task, transport.submit((task,))) for task in tasks * 50]
+        results = [(task, future.result(timeout=120).payload) for task, future in futures]
+    finally:
+        transport.close()
+    assert all(type(payload) is bytes for _task, payload in results)
+    assert all(payload == expected[task] for task, payload in results)
 
 
 # ----------------------------------------------------------------------
