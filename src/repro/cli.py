@@ -223,25 +223,32 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _codec_comparison(gateway, workload) -> str:
-    """Bytes + serialize latency of every payload codec, one hot query.
+    """Bytes, first-encode and warm-assemble cost per transport, one hot query.
 
-    Measures :func:`repro.core.serialize_task_model` directly (no caches)
-    so the npz container vs. the flat ``raw+zlib`` codec compare cleanly.
+    Measures :func:`repro.core.serialize_task_model` directly (no caches):
+    once with no segment store — every segment encoded and compressed —
+    and then over a store the first call warmed, which is what a payload
+    miss costs in steady state.
     """
+    from .core.pool import SegmentStore
     from .core.server import TRANSPORTS, serialize_task_model
 
     tasks, _ = workload.sample(1, seed=5)[0]
     model = gateway.get_model(tasks)
-    rows = []
+    store, repeats, rows = SegmentStore(), 200, []
     for transport in TRANSPORTS:
+        args = (model.network, model.task, gateway.pool.config, transport)
         start = time.perf_counter()
-        payload = serialize_task_model(
-            model.network, model.task, gateway.pool.config, transport=transport
-        )
-        elapsed = time.perf_counter() - start
-        rows.append([transport, f"{len(payload):,}", f"{1e3 * elapsed:.2f}"])
+        payload = serialize_task_model(*args)
+        first = time.perf_counter() - start
+        serialize_task_model(*args, store=store)
+        start = time.perf_counter()
+        for _ in range(repeats):
+            serialize_task_model(*args, store=store)
+        warm = (time.perf_counter() - start) / repeats
+        rows.append([transport, f"{len(payload):,}", f"{1e3 * first:.2f}", f"{1e6 * warm:.1f}"])
     return render_table(
-        ["Transport", "Bytes", "Serialize ms"],
+        ["Transport", "Bytes", "First encode ms", "Warm assemble us"],
         rows,
         title=f"Payload codecs for query {'+'.join(tasks)}",
     )

@@ -117,7 +117,7 @@ from .shard import PoolShard
 __all__ = ["ClusterConfig", "ClusterGateway", "RebalanceReport"]
 
 #: Head-fetch transports that reconstruct weights bit-exactly.
-_EXACT_TRANSPORTS = ("float32", "raw+zlib", "zstd")
+_EXACT_TRANSPORTS = ("float32", "raw+zlib")
 
 
 def _tag_shard_error(error: BaseException, shard_id: int) -> BaseException:
@@ -207,7 +207,7 @@ class RebalanceReport:
     drops: int
     composite_entries_dropped: int
     #: Serialized payload bytes shipped shard-to-shard for the migrations
-    #: (the ``fetch_transport`` codec — raw+zlib by default, not npz).
+    #: (in the float-exact ``fetch_transport``, ``raw+zlib`` by default).
     migrated_bytes: int = 0
     #: Topology epoch the commit phase installed (0 when nothing moved —
     #: a no-op plan never bumps the fence).
@@ -1051,7 +1051,11 @@ class ClusterGateway:
         """
         with self.metrics.stage("serialize"):
             payload = serialize_task_model(
-                model.network, model.task, self.pool.config, transport=transport
+                model.network,
+                model.task,
+                self.pool.config,
+                transport=transport,
+                store=self.pool.segments,
             )
         with self._invalidate_lock:
             if versions == expert_versions(self.pool, names):
@@ -1130,7 +1134,9 @@ class ClusterGateway:
                     if shard.is_remote():
                         if payload is None:
                             payload = serialize_library_state(
-                                self.pool, self.config.fetch_transport
+                                self.pool,
+                                self.config.fetch_transport,
+                                store=self.pool.segments,
                             )
                         shard.push_library(
                             payload,
@@ -1166,7 +1172,10 @@ class ClusterGateway:
                     if shard.is_remote():
                         if payload is None:
                             payload = serialize_expert_heads(
-                                self.pool, (name,), self.config.fetch_transport
+                                self.pool,
+                                (name,),
+                                self.config.fetch_transport,
+                                store=self.pool.segments,
                             )
                         shard.install_heads(
                             payload,
@@ -1211,9 +1220,9 @@ class ClusterGateway:
     ) -> bytes:
         """Bulk-serialize ``names`` off their source for a migration.
 
-        This is the shard-to-shard wire boundary: one flat ``raw+zlib``
-        payload (``config.fetch_transport`` — never the npz container) per
-        (source, destination) pair.  A remote destination receives the
+        This is the shard-to-shard wire boundary: one float-exact payload
+        (``config.fetch_transport``) per (source, destination) pair, joined
+        from the source pool's already-encoded head segments.  A remote destination receives the
         bytes verbatim inside an ``INSTALL_HEADS`` frame; a local one
         rebuilds head *copies* from them.  The codec is float-exact, so a
         migrated expert answers bit-identically to the original.  Migrated
@@ -1230,7 +1239,7 @@ class ClusterGateway:
             ):
                 source_pool = shard_pool
         payload = serialize_expert_heads(
-            source_pool, names, self.config.fetch_transport
+            source_pool, names, self.config.fetch_transport, store=source_pool.segments
         )
         self.metrics.increment("migrated_bytes", len(payload))
         self.metrics.increment("expert_migrations", len(names))

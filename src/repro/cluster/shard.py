@@ -84,7 +84,9 @@ class PoolShard:
         This is the cross-shard wire boundary: the consolidating shard gets
         bytes, not object references, exactly as it would over a network.
         """
-        payload = serialize_expert_heads(self.pool, tuple(names), transport)
+        payload = serialize_expert_heads(
+            self.pool, tuple(names), transport, store=self.pool.segments
+        )
         self.gateway.metrics.increment("head_fetches")
         return payload
 

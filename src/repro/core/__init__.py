@@ -9,12 +9,13 @@
 
 from .confidence import ConfidenceProfile, max_confidences, ood_confidence_profile
 from .features import TrunkFeatureCache, array_digest
-from .pool import PoEConfig, PoolOfExperts
+from .pool import PoEConfig, PoolOfExperts, SegmentStore
 from .query import ModelQueryEngine, QueryRecord, TaskSpecificModel
 from .server import (
     TRANSPORTS,
     ModelQueryRequest,
     ModelQueryResponse,
+    PayloadError,
     PoEClient,
     PoEServer,
     RemoteExpert,
@@ -28,6 +29,7 @@ from .storage import ExpertStore, VolumeReport, estimate_all_specialists_volume
 __all__ = [
     "PoolOfExperts",
     "PoEConfig",
+    "SegmentStore",
     "TrunkFeatureCache",
     "array_digest",
     "ModelQueryEngine",
@@ -49,4 +51,5 @@ __all__ = [
     "deserialize_expert_heads",
     "RemoteExpert",
     "TRANSPORTS",
+    "PayloadError",
 ]

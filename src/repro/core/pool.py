@@ -36,7 +36,13 @@ from ..models import BranchedSpecialistNet, WideResNet, WRNHead, WRNTrunk
 from ..nn import Module
 from .features import array_digest
 
-__all__ = ["LIBRARY_TASK", "PoEConfig", "PoolOfExperts", "expert_init_seed"]
+__all__ = [
+    "LIBRARY_TASK",
+    "PoEConfig",
+    "PoolOfExperts",
+    "SegmentStore",
+    "expert_init_seed",
+]
 
 TaskRef = Union[str, PrimitiveTask]
 
@@ -45,6 +51,42 @@ TaskRef = Union[str, PrimitiveTask]
 #: whole-pool invalidation: every consolidated model and every cached
 #: trunk feature was computed against the old trunk.
 LIBRARY_TASK = "__library__"
+
+
+class SegmentStore:
+    """Encoded payload segments, memoised once per (module, encoding).
+
+    Keys are the pool's version names (a task name, or
+    :data:`LIBRARY_TASK` for the trunk).  An entry answers only for the
+    exact module object it was encoded from: a network consolidated before
+    a version bump misses (and is encoded fresh) instead of being served
+    the new module's bytes, and what it leaves behind cannot be hit by a
+    request holding the new module.  Bounded by (experts + 1) x encodings,
+    so it has no budget.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, Dict[str, Tuple[Module, bytes]]] = {}
+
+    def get(self, name: str, encoding: str, module: Module) -> Optional[bytes]:
+        entry = self._entries.get(name, {}).get(encoding)
+        return entry[1] if entry is not None and entry[0] is module else None
+
+    def put(self, name: str, encoding: str, module: Module, blob: bytes) -> None:
+        self._entries.setdefault(name, {})[encoding] = (module, blob)
+
+    def drop(self, name: str) -> None:
+        self._entries.pop(name, None)
+
+    def __len__(self) -> int:
+        return sum(len(per_name) for per_name in list(self._entries.values()))
+
+    def nbytes(self) -> int:
+        return sum(
+            len(blob)
+            for per_name in list(self._entries.values())
+            for _, blob in list(per_name.values())
+        )
 
 
 def expert_init_seed(config_seed: int, task_name: str) -> int:
@@ -123,6 +165,9 @@ class PoolOfExperts:
         self._features_images: Optional["weakref.ref[np.ndarray]"] = None
         self._versions: Dict[str, int] = {}
         self._listeners: List[Callable[[str, int], None]] = []
+        #: Encoded payload segments of this pool's own modules (a view
+        #: from :meth:`subset` owns its own); see ``repro.core.server``.
+        self.segments = SegmentStore()
 
     # ------------------------------------------------------------------
     # Expert versioning + invalidation
@@ -148,6 +193,7 @@ class PoolOfExperts:
 
     def _set_version(self, name: str, version: int) -> None:
         self._versions[name] = version
+        self.segments.drop(name)
         for callback in list(self._listeners):
             callback(name, version)
 

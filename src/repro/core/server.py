@@ -10,49 +10,57 @@ on-device.  This module implements that protocol boundary:
 * :class:`PoEClient` — reconstructs a runnable :class:`TaskSpecificModel`
   from the payload bytes, with no access to the server's pool object.
 
-Payloads can be shipped as float32 or as affine-uint8 (``repro.compress``)
-— the quantized transport roughly quarters the bytes on the wire at a
-small accuracy cost, demonstrating the paper's point that distillation
-and quantization compose.  A third codec, ``raw+zlib``, skips the npz/zip
-container entirely: a flat binary header plus one zlib-compressed tensor
-block, which serializes faster than ``np.savez_compressed`` at comparable
-size (``repro serve-bench`` prints the comparison).  A fourth, ``zstd``,
-uses the same flat container with zstandard block compression when the
-``zstandard`` module is installed and **falls back to zlib compression**
-(recorded in the header, so payloads always decode) when it is not —
-environments without the optional dependency keep working.
+Every payload — a whole model, a set of expert heads
+(:func:`serialize_expert_heads`, what :mod:`repro.cluster` fetches and
+migrates) or the bare library trunk (:func:`serialize_library_state`) —
+is one **segment container** (``docs/wire-protocol.md`` has the prose):
 
-Besides whole-model payloads, :func:`serialize_expert_heads` /
-:func:`deserialize_expert_heads` ship *head-level* payloads (no library
-trunk) — the wire format :mod:`repro.cluster` uses to fetch remote experts
-from other shards before cross-shard consolidation.
+.. code-block:: text
+
+    b"POES" | u32 header_len | header JSON | segment blobs, back to back
+    header  = {"manifest": {...}, "segments": [[name, nbytes], ...]}
+    segment = u32 index_len | index JSON | one zlib block
+    index   = {"arrays": [{"name", "dtype", "shape", "offset", "nbytes"}, ...],
+               "raw_nbytes": N, "quant": {array name: [scale, zero_point]}}
+
+A segment is one module's state (``library`` or ``expert:<task>``) with
+everything needed to decode it, quantisation parameters included, so its
+bytes do not depend on which composite names it.  A pool's
+:class:`~repro.core.pool.SegmentStore` therefore keeps each module's
+encoded form once: with a store, assembling ``M(Q)`` is a manifest and a
+join of cached buffers — no tensor is touched, nothing is compressed.
+Without one the same code encodes fresh and yields the same bytes.
+
+``float32`` and ``raw+zlib`` both ship float32 tensors (bit-exact);
+``uint8`` ships per-tensor affine-quantised ones (``repro.compress``:
+about a quarter of the bytes at a small accuracy cost).  Payloads are
+never persisted and both ends of a socket run one checkout: bytes that are
+not a well-formed container of this layout raise :class:`PayloadError`.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # optional fast codec; the zstd transport degrades to zlib without it
-    import zstandard as _zstandard
-except ImportError:  # pragma: no cover - exercised via _compress_block tests
-    _zstandard = None
 
 from ..compress import dequantize_tensor, quantize_tensor
 from ..compress.quantize import QuantizedTensor
 from ..data.hierarchy import CompositeTask, PrimitiveTask
 from ..models import BranchedSpecialistNet, WRNHead, WRNTrunk
-from .pool import PoolOfExperts
+from .pool import LIBRARY_TASK, PoolOfExperts, SegmentStore
 from .query import TaskSpecificModel
 
 __all__ = [
     "TRANSPORTS",
+    "MAX_SEGMENT_RAW_BYTES",
+    "PayloadError",
     "ModelQueryRequest",
     "ModelQueryResponse",
     "PoEServer",
@@ -66,17 +74,26 @@ __all__ = [
     "RemoteExpert",
 ]
 
-#: Supported payload encodings; serving layers validate against this.
-#: ``float32``/``uint8`` use the npz container; ``raw+zlib`` and ``zstd``
-#: are a flat binary header + one compressed float32 tensor block (zstd
-#: falls back to zlib when the ``zstandard`` module is absent).
-TRANSPORTS = ("float32", "uint8", "raw+zlib", "zstd")
+#: Supported payload encodings; serving layers validate against this and
+#: the frame codec tags (``repro.net.frame``) are derived from its order.
+TRANSPORTS = ("float32", "uint8", "raw+zlib")
 
-#: Transports that use the flat (non-npz) container.
-_FLAT_TRANSPORTS = ("raw+zlib", "zstd")
+#: Largest tensor block one segment may declare (and so inflate to); a
+#: bigger ``raw_nbytes`` is refused before anything is decompressed.
+MAX_SEGMENT_RAW_BYTES = 256 << 20
 
-#: Magic prefix of the raw+zlib flat container (npz payloads start "PK").
-_RAW_MAGIC = b"POEZ"
+_MAGIC = b"POES"
+_U32 = struct.Struct("<I")
+_ITEMSIZE = {"float32": 4, "uint8": 1}
+
+
+class PayloadError(ValueError):
+    """The bytes are not a well-formed payload container."""
+
+
+def _check_transport(transport: str) -> None:
+    if transport not in TRANSPORTS:
+        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +106,7 @@ class ModelQueryRequest:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError("a query needs at least one primitive task")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}")
+        _check_transport(self.transport)
 
 
 @dataclass(frozen=True)
@@ -111,123 +127,129 @@ class ModelQueryResponse:
     coalesced: bool = False
 
 
-def _collect_arrays(
-    states: Sequence[Tuple[str, Dict[str, np.ndarray]]], transport: str
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Tuple[float, float]]]:
-    """Flatten prefixed state dicts into one array namespace (+ quant meta)."""
-    arrays: Dict[str, np.ndarray] = {}
-    quant_meta: Dict[str, Tuple[float, float]] = {}
-    for prefix, state in states:
-        for key, value in state.items():
-            full = f"{prefix}/{key}"
-            if transport == "uint8":
-                qt = quantize_tensor(np.asarray(value))
-                arrays[full] = qt.values.reshape(qt.shape)
-                quant_meta[full] = (qt.scale, qt.zero_point)
-            else:
-                arrays[full] = np.asarray(value, dtype=np.float32)
-    return arrays, quant_meta
-
-
-def _compress_block(raw: bytes, transport: str) -> Tuple[str, bytes]:
-    """Compress a flat tensor block, returning ``(codec_used, bytes)``.
-
-    The ``zstd`` transport degrades gracefully to zlib when the optional
-    ``zstandard`` module is missing; the codec actually used travels in
-    the header so decoding never has to guess.
-    """
-    if transport == "zstd" and _zstandard is not None:
-        return "zstd", _zstandard.ZstdCompressor(level=3).compress(raw)
-    return "zlib", zlib.compress(raw, level=6)
-
-
-def _decompress_block(block: bytes, codec: str) -> bytes:
-    if codec == "zlib":
-        return zlib.decompress(block)
-    if codec == "zstd":
-        if _zstandard is None:
-            raise RuntimeError(
-                "payload was compressed with zstd but the 'zstandard' module "
-                "is not installed on this side"
-            )
-        return _zstandard.ZstdDecompressor().decompress(block)
-    raise ValueError(f"unknown payload codec {codec!r}")
-
-
-def _encode_payload(manifest: Dict, arrays: Dict[str, np.ndarray], transport: str) -> bytes:
-    """Pack manifest + arrays into bytes for the given transport codec."""
-    if transport in _FLAT_TRANSPORTS:
-        index = []
-        offset = 0
-        chunks: List[bytes] = []
-        for name, value in arrays.items():
-            raw = np.ascontiguousarray(value).tobytes()
-            index.append(
-                {
-                    "name": name,
-                    "dtype": str(value.dtype),
-                    "shape": list(value.shape),
-                    "offset": offset,
-                    "nbytes": len(raw),
-                }
-            )
-            offset += len(raw)
-            chunks.append(raw)
-        codec, block = _compress_block(b"".join(chunks), transport)
-        header = json.dumps(
-            {"manifest": manifest, "arrays": index, "codec": codec}
-        ).encode()
-        return _RAW_MAGIC + struct.pack("<I", len(header)) + header + block
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        __manifest__=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
-        **arrays,
-    )
-    return buffer.getvalue()
-
-
-def _decode_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Sniff the codec (flat magic vs. zip) and unpack manifest + arrays."""
-    if payload[: len(_RAW_MAGIC)] == _RAW_MAGIC:
-        (header_len,) = struct.unpack_from("<I", payload, len(_RAW_MAGIC))
-        start = len(_RAW_MAGIC) + 4
-        header = json.loads(payload[start : start + header_len].decode())
-        block = _decompress_block(
-            payload[start + header_len :], header.get("codec", "zlib")
+def _encode_segment(state: Dict[str, np.ndarray], quantize: bool) -> bytes:
+    """One module's state as ``u32 index_len | index JSON | zlib block``."""
+    arrays, chunks, quant, offset = [], [], {}, 0
+    for name, value in state.items():
+        if quantize:
+            qt = quantize_tensor(np.asarray(value))
+            value, quant[name] = qt.values, [qt.scale, qt.zero_point]
+        else:
+            value = np.asarray(value, dtype=np.float32)
+        raw = np.ascontiguousarray(value).tobytes()
+        arrays.append(
+            {
+                "name": name,
+                "dtype": str(value.dtype),
+                "shape": list(value.shape),
+                "offset": offset,
+                "nbytes": len(raw),
+            }
         )
-        arrays = {}
-        for entry in header["arrays"]:
-            raw = block[entry["offset"] : entry["offset"] + entry["nbytes"]]
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(
-                entry["shape"]
-            )
-        return header["manifest"], arrays
-    with np.load(io.BytesIO(payload)) as archive:
-        manifest = json.loads(bytes(archive["__manifest__"]).decode())
-        arrays = {k: archive[k] for k in archive.files if k != "__manifest__"}
-    return manifest, arrays
+        offset += len(raw)
+        chunks.append(raw)
+    index = json.dumps({"arrays": arrays, "raw_nbytes": offset, "quant": quant}).encode()
+    return b"".join((_U32.pack(len(index)), index, zlib.compress(b"".join(chunks), 6)))
 
 
-def _state_reader(manifest: Dict, arrays: Dict[str, np.ndarray]):
-    """Closure rebuilding one prefixed state dict, dequantizing if needed."""
-    quant = {k: tuple(v) for k, v in manifest.get("quant", {}).items()}
+def _segment(store: Optional[SegmentStore], key: str, module, transport: str) -> bytes:
+    """``module``'s encoded segment, from ``store`` when it holds this very object."""
+    encoding = "uint8" if transport == "uint8" else "float32"
+    blob = None if store is None else store.get(key, encoding, module)
+    if blob is None:
+        blob = _encode_segment(module.state_dict(), encoding == "uint8")
+        if store is not None:
+            store.put(key, encoding, module, blob)
+    return blob
 
-    def state_for(prefix: str) -> Dict[str, np.ndarray]:
-        state = {}
-        for full, value in arrays.items():
-            if not full.startswith(prefix + "/"):
-                continue
-            key = full[len(prefix) + 1 :]
-            if full in quant:
-                scale, zero = quant[full]
-                value = dequantize_tensor(
-                    QuantizedTensor(value, scale, zero, value.shape)
-                )
-            state[key] = value
-        return state
 
-    return state_for
+def _encode_payload(manifest: Dict, segments: Sequence[Tuple[str, bytes]]) -> bytes:
+    """Join a manifest and ready segments into one immutable payload."""
+    header = json.dumps(
+        {"manifest": manifest, "segments": [[name, len(blob)] for name, blob in segments]}
+    ).encode()
+    return b"".join((_MAGIC, _U32.pack(len(header)), header, *(blob for _, blob in segments)))
+
+
+def _take_json(view: memoryview, what: str) -> Tuple[Dict, memoryview]:
+    """Split ``u32 len | JSON object | rest`` off the front of ``view``."""
+    if len(view) < _U32.size:
+        raise PayloadError(f"payload truncated before the {what} length")
+    (length,) = _U32.unpack_from(view)
+    rest = view[_U32.size :]
+    if length > len(rest):
+        raise PayloadError(f"{what} length {length} runs past the buffer ({len(rest)} left)")
+    parsed = json.loads(bytes(rest[:length]))
+    if not isinstance(parsed, dict):
+        raise PayloadError(f"{what} is not a JSON object")
+    return parsed, rest[length:]
+
+
+def _decode_segment(view: memoryview) -> Dict[str, np.ndarray]:
+    """Inflate one segment (bounded) into a float32 state dict."""
+    index, block = _take_json(view, "segment index")
+    arrays, raw_nbytes = index["arrays"], index["raw_nbytes"]
+    if not 0 <= raw_nbytes <= MAX_SEGMENT_RAW_BYTES:
+        raise PayloadError(
+            f"segment declares {raw_nbytes} raw bytes (limit {MAX_SEGMENT_RAW_BYTES})"
+        )
+    if sum(entry["nbytes"] for entry in arrays) != raw_nbytes:
+        raise PayloadError("segment raw_nbytes is not the sum of its arrays")
+    inflater = zlib.decompressobj()
+    raw = inflater.decompress(block, raw_nbytes + 1)  # never past the declared size
+    if len(raw) != raw_nbytes or not inflater.eof or inflater.unused_data:
+        raise PayloadError(f"segment block does not inflate to its declared {raw_nbytes} bytes")
+    state: Dict[str, np.ndarray] = {}
+    for entry in arrays:
+        dtype, shape = entry["dtype"], tuple(entry["shape"])
+        offset, nbytes = entry["offset"], entry["nbytes"]
+        if dtype not in _ITEMSIZE or any(dim < 0 for dim in shape):
+            raise PayloadError(f"array {entry['name']!r} has dtype {dtype!r}, shape {shape}")
+        if offset < 0 or nbytes < 0 or offset + nbytes > raw_nbytes:
+            raise PayloadError(f"array {entry['name']!r} lies outside its block")
+        if math.prod(shape) * _ITEMSIZE[dtype] != nbytes:
+            raise PayloadError(f"array {entry['name']!r}: {dtype}{shape} is not {nbytes} bytes")
+        value = np.frombuffer(raw, dtype, nbytes // _ITEMSIZE[dtype], offset).reshape(shape)
+        if entry["name"] in index["quant"]:
+            scale, zero = index["quant"][entry["name"]]
+            value = dequantize_tensor(QuantizedTensor(value, float(scale), float(zero), shape))
+        state[entry["name"]] = value
+    return state
+
+
+#: What hostile bytes can trip in the decoder and the module rebuild.
+_HOSTILE = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
+_HOSTILE += (RecursionError, struct.error, zlib.error)
+
+
+@contextmanager
+def _malformed():
+    """Re-raise whatever hostile bytes trip while decoding as :class:`PayloadError`."""
+    try:
+        yield
+    except PayloadError:
+        raise
+    except _HOSTILE as error:
+        raise PayloadError(f"malformed payload: {type(error).__name__}: {error}") from error
+
+
+def _decode_payload(payload) -> Tuple[Dict, Dict[str, Dict[str, np.ndarray]]]:
+    """Unpack any bytes-like payload into ``(manifest, {segment name: state})``."""
+    with _malformed():
+        view = memoryview(payload).cast("B")
+        if view[: len(_MAGIC)] != _MAGIC:
+            raise PayloadError("not a payload container (bad magic)")
+        header, body = _take_json(view[len(_MAGIC) :], "header")
+        manifest, segments = header["manifest"], header["segments"]
+        if not isinstance(manifest, dict):
+            raise PayloadError("manifest is not a JSON object")
+        if sum(nbytes for _, nbytes in segments) != len(body) or any(n < 0 for _, n in segments):
+            raise PayloadError("segment lengths do not sum to the bytes after the header")
+        states, offset = {}, 0
+        for name, nbytes in segments:
+            states[name] = _decode_segment(body[offset : offset + nbytes])
+            offset += nbytes
+        return manifest, states
 
 
 def _arch_manifest(config) -> Dict[str, object]:
@@ -240,11 +262,30 @@ def _arch_manifest(config) -> Dict[str, object]:
 
 
 def _task_manifest(prim: PrimitiveTask) -> Dict[str, object]:
-    return {
-        "name": prim.name,
-        "classes": list(prim.classes),
-        "class_names": list(prim.class_names),
-    }
+    return {"name": prim.name, "classes": list(prim.classes), "class_names": list(prim.class_names)}
+
+
+def _build_trunk(arch: Dict, state: Dict[str, np.ndarray]) -> WRNTrunk:
+    trunk = WRNTrunk(
+        int(arch["depth"]), float(arch["k_c"]), float(arch["k_s"]), int(arch["library_level"])
+    )
+    trunk.load_state_dict(state)
+    trunk.requires_grad_(False)
+    return trunk
+
+
+def _build_head(arch: Dict, entry: Dict, states: Dict) -> Tuple[PrimitiveTask, WRNHead]:
+    """Rebuild one manifest task entry and its head from the decoded segments."""
+    prim = PrimitiveTask(entry["name"], tuple(entry["classes"]), tuple(entry["class_names"]))
+    head = WRNHead(
+        int(arch["depth"]),
+        float(arch["k_c"]),
+        float(arch["k_s"]),
+        num_classes=len(prim),
+        library_level=int(arch["library_level"]),
+    )
+    head.load_state_dict(states[f"expert:{prim.name}"])
+    return prim, head
 
 
 def serialize_task_model(
@@ -252,61 +293,38 @@ def serialize_task_model(
     composite: CompositeTask,
     config,
     transport: str = "float32",
+    store: Optional[SegmentStore] = None,
 ) -> bytes:
     """Pack a consolidated model into self-contained payload bytes.
 
-    The payload holds the library trunk's state, each head's state (with a
-    per-task prefix), and a JSON manifest describing the architecture so
-    the client can rebuild the modules without the server's objects.
+    The payload holds the library trunk's segment, one segment per head,
+    and a JSON manifest describing the architecture so the client can
+    rebuild the modules without the server's objects.  ``store`` is the
+    owning pool's :attr:`~repro.core.pool.PoolOfExperts.segments`; it only
+    saves the encoding work, the bytes are the same without it.
     """
-    arrays, quant_meta = _collect_arrays(
-        [("library", network.trunk.state_dict())]
-        + [
-            (f"expert:{name}", head.state_dict())
-            for name, head in zip(network.head_names, network.heads)
-        ],
-        transport,
-    )
+    _check_transport(transport)
+    segments = [("library", _segment(store, LIBRARY_TASK, network.trunk, transport))]
+    for name, head in zip(network.head_names, network.heads):
+        segments.append((f"expert:{name}", _segment(store, name, head, transport)))
     manifest = {
         "transport": transport,
         "tasks": [_task_manifest(prim) for prim in composite.tasks],
         "arch": _arch_manifest(config),
-        "quant": {k: list(v) for k, v in quant_meta.items()},
     }
-    return _encode_payload(manifest, arrays, transport)
+    return _encode_payload(manifest, segments)
 
 
-def deserialize_task_model(payload: bytes) -> TaskSpecificModel:
+def deserialize_task_model(payload) -> TaskSpecificModel:
     """Rebuild a runnable :class:`TaskSpecificModel` from payload bytes."""
-    manifest, arrays = _decode_payload(payload)
-    state_for = _state_reader(manifest, arrays)
-    arch = manifest["arch"]
-    trunk = WRNTrunk(
-        int(arch["depth"]), float(arch["k_c"]), float(arch["k_s"]), int(arch["library_level"])
-    )
-    trunk.load_state_dict(state_for("library"))
-    trunk.requires_grad_(False)
-
-    primitives: List[PrimitiveTask] = []
-    heads: List[Tuple[str, WRNHead]] = []
-    for entry in manifest["tasks"]:
-        prim = PrimitiveTask(
-            entry["name"], tuple(entry["classes"]), tuple(entry["class_names"])
-        )
-        primitives.append(prim)
-        head = WRNHead(
-            int(arch["depth"]),
-            float(arch["k_c"]),
-            float(arch["k_s"]),
-            num_classes=len(prim),
-            library_level=int(arch["library_level"]),
-        )
-        head.load_state_dict(state_for(f"expert:{entry['name']}"))
-        heads.append((prim.name, head))
-
-    network = BranchedSpecialistNet(trunk, heads)
-    network.eval()
-    return TaskSpecificModel(network, CompositeTask(tuple(primitives)))
+    manifest, states = _decode_payload(payload)
+    with _malformed():
+        arch = manifest["arch"]
+        trunk = _build_trunk(arch, states["library"])
+        built = [_build_head(arch, entry, states) for entry in manifest["tasks"]]
+        network = BranchedSpecialistNet(trunk, [(prim.name, head) for prim, head in built])
+        network.eval()
+        return TaskSpecificModel(network, CompositeTask(tuple(prim for prim, _ in built)))
 
 
 @dataclass(frozen=True)
@@ -319,7 +337,10 @@ class RemoteExpert:
 
 
 def serialize_expert_heads(
-    pool, names: Sequence[str], transport: str = "raw+zlib"
+    pool,
+    names: Sequence[str],
+    transport: str = "raw+zlib",
+    store: Optional[SegmentStore] = None,
 ) -> bytes:
     """Pack expert *heads only* (no library trunk) for cross-shard fetch.
 
@@ -330,56 +351,44 @@ def serialize_expert_heads(
     float-exact transport (``float32``/``raw+zlib``) the round trip is
     bit-identical, so cross-shard consolidation matches a single pool.
     """
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
+    _check_transport(transport)
     missing = [n for n in names if n not in pool.experts]
     if missing:
         raise KeyError(
             f"no expert extracted for primitive task(s) {missing}; "
             f"available: {sorted(pool.experts)}"
         )
-    arrays, quant_meta = _collect_arrays(
-        [(f"expert:{name}", pool.experts[name].state_dict()) for name in names],
-        transport,
-    )
     manifest = {
         "kind": "expert_heads",
         "transport": transport,
         "tasks": [_task_manifest(pool.hierarchy.task(name)) for name in names],
         "versions": {name: pool.expert_version(name) for name in names},
         "arch": _arch_manifest(pool.config),
-        "quant": {k: list(v) for k, v in quant_meta.items()},
     }
-    return _encode_payload(manifest, arrays, transport)
+    heads = pool.experts
+    return _encode_payload(
+        manifest, [(f"expert:{n}", _segment(store, n, heads[n], transport)) for n in names]
+    )
 
 
-def deserialize_expert_heads(payload: bytes) -> Dict[str, RemoteExpert]:
+def deserialize_expert_heads(payload) -> Dict[str, RemoteExpert]:
     """Rebuild fetched expert heads, keyed by primitive-task name."""
-    manifest, arrays = _decode_payload(payload)
+    manifest, states = _decode_payload(payload)
     if manifest.get("kind") != "expert_heads":
         raise ValueError("payload is not an expert-heads payload")
-    state_for = _state_reader(manifest, arrays)
-    arch = manifest["arch"]
-    out: Dict[str, RemoteExpert] = {}
-    for entry in manifest["tasks"]:
-        prim = PrimitiveTask(
-            entry["name"], tuple(entry["classes"]), tuple(entry["class_names"])
-        )
-        head = WRNHead(
-            int(arch["depth"]),
-            float(arch["k_c"]),
-            float(arch["k_s"]),
-            num_classes=len(prim),
-            library_level=int(arch["library_level"]),
-        )
-        head.load_state_dict(state_for(f"expert:{prim.name}"))
-        out[prim.name] = RemoteExpert(
-            task=prim, head=head, version=int(manifest["versions"][prim.name])
-        )
-    return out
+    with _malformed():
+        out: Dict[str, RemoteExpert] = {}
+        for entry in manifest["tasks"]:
+            prim, head = _build_head(manifest["arch"], entry, states)
+            out[prim.name] = RemoteExpert(
+                task=prim, head=head, version=int(manifest["versions"][prim.name])
+            )
+        return out
 
 
-def serialize_library_state(pool, transport: str = "raw+zlib") -> bytes:
+def serialize_library_state(
+    pool, transport: str = "raw+zlib", store: Optional[SegmentStore] = None
+) -> bytes:
     """Pack the shared library trunk (no heads) for a REFRESH_LIBRARY push.
 
     The wire complement of :func:`serialize_expert_heads`: when the pool
@@ -389,38 +398,27 @@ def serialize_library_state(pool, transport: str = "raw+zlib") -> bytes:
     serving never touches ``library_student``, so the distillation-side
     student stays behind.
     """
-    from .pool import LIBRARY_TASK
-
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
+    _check_transport(transport)
     if pool.library is None:
         raise ValueError("pool has no library trunk to serialize")
-    arrays, quant_meta = _collect_arrays(
-        [("library", pool.library.state_dict())], transport
-    )
     manifest = {
         "kind": "library_state",
         "transport": transport,
         "version": int(pool.expert_version(LIBRARY_TASK)),
         "arch": _arch_manifest(pool.config),
-        "quant": {k: list(v) for k, v in quant_meta.items()},
     }
-    return _encode_payload(manifest, arrays, transport)
+    return _encode_payload(
+        manifest, [("library", _segment(store, LIBRARY_TASK, pool.library, transport))]
+    )
 
 
-def deserialize_library_state(payload: bytes) -> Tuple[WRNTrunk, int]:
+def deserialize_library_state(payload) -> Tuple[WRNTrunk, int]:
     """Rebuild a pushed library trunk; returns ``(trunk, version)``."""
-    manifest, arrays = _decode_payload(payload)
+    manifest, states = _decode_payload(payload)
     if manifest.get("kind") != "library_state":
         raise ValueError("payload is not a library-state payload")
-    state_for = _state_reader(manifest, arrays)
-    arch = manifest["arch"]
-    trunk = WRNTrunk(
-        int(arch["depth"]), float(arch["k_c"]), float(arch["k_s"]), int(arch["library_level"])
-    )
-    trunk.load_state_dict(state_for("library"))
-    trunk.requires_grad_(False)
-    return trunk, int(manifest["version"])
+    with _malformed():
+        return _build_trunk(manifest["arch"], states["library"]), int(manifest["version"])
 
 
 class PoEServer:
@@ -429,8 +427,8 @@ class PoEServer:
     A thin shim over :class:`repro.serving.ServingGateway`: queries are
     canonicalized, repeated shipments of the same model are served from a
     byte-budgeted payload cache keyed on ``(canonical tasks, transport)``
-    (skipping ``np.savez_compressed``, the dominant serving cost), and
-    concurrent duplicates coalesce onto a single in-flight build.  Pass a
+    and concurrent duplicates coalesce onto a single in-flight build; a
+    miss assembles the payload from the pool's encoded segments.  Pass a
     preconfigured gateway to share caches/metrics across servers or to
     tune budgets; by default each server owns one.
     """

@@ -28,8 +28,8 @@ Codec tags name the payload encoding: ``CODEC_JSON`` for control
 payloads, ``CODEC_BINARY`` for mixed binary bodies (a u32-length JSON
 meta header + raw tensor bytes, see :func:`pack_body`), and one tag per
 entry of :data:`repro.core.server.TRANSPORTS` for model/head payloads —
-the existing ``raw+zlib``/``zstd`` payload bytes travel unmodified, the
-tag just says which decoder applies.
+the payload container's bytes travel unmodified, the tag just names the
+transport they were requested in.
 
 Hard limits are enforced at decode time: a frame whose declared length
 exceeds ``MAX_PAYLOAD_BYTES``, whose magic or version byte is wrong, or
@@ -75,6 +75,8 @@ import struct
 from dataclasses import dataclass
 from time import monotonic
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+from ..core.server import TRANSPORTS
 
 __all__ = [
     "MAGIC",
@@ -190,14 +192,9 @@ MUTATION_MSG_TYPES = frozenset(
 )
 
 
-#: Codec tags 1..4 mirror ``repro.core.server.TRANSPORTS`` order.
+#: Codec tags 1..3 are ``repro.core.server.TRANSPORTS``, in order.
 CODEC_JSON = 0
-_TRANSPORT_CODECS: Dict[str, int] = {
-    "float32": 1,
-    "uint8": 2,
-    "raw+zlib": 3,
-    "zstd": 4,
-}
+_TRANSPORT_CODECS: Dict[str, int] = {name: tag for tag, name in enumerate(TRANSPORTS, 1)}
 _CODEC_TRANSPORTS: Dict[int, str] = {tag: name for name, tag in _TRANSPORT_CODECS.items()}
 CODEC_BINARY = 5
 CODEC_NAMES: Dict[int, str] = {

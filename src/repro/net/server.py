@@ -645,8 +645,7 @@ class ShardServer:
                         "INSTALL_HEADS payload digest mismatch: "
                         "refusing to install corrupted heads"
                     )
-                # bytes(): core's payload decoder slices and .decode()s
-                for name, remote in deserialize_expert_heads(bytes(blob)).items():
+                for name, remote in deserialize_expert_heads(blob).items():
                     # attach overwrites an existing head of the same name,
                     # so a crash-and-retry mid-apply converges (idempotent)
                     self.shard.install_expert(name, remote.head, remote.version)
@@ -715,7 +714,7 @@ class ShardServer:
                         "REFRESH_LIBRARY payload digest mismatch: "
                         "refusing to install a corrupted trunk"
                     )
-                library, version = deserialize_library_state(bytes(blob))
+                library, version = deserialize_library_state(blob)
                 # the student stays behind the gateway that distilled it;
                 # workers only ever serve through the consolidated trunk
                 self.shard.refresh_library(library, None, version)

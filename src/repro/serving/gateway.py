@@ -11,15 +11,16 @@ four stages, each one metered:
    :attr:`GatewayResponse.tasks`; predictions are global class ids either
    way, so clients are order-agnostic.
 2. **payload cache** — a byte-budgeted LRU keyed on ``(canonical tasks,
-   transport)`` skips ``np.savez_compressed`` (the dominant serving cost)
-   for repeated shipments.
+   transport)`` returns repeated shipments without rebuilding them.
 3. **single flight** — concurrent duplicate requests coalesce onto one
    in-flight build; followers block on the leader's result instead of
    consolidating/serializing the same model N times.
 4. **model cache + build** — a second LRU tier holds consolidated
    :class:`~repro.core.query.TaskSpecificModel`\\ s (cheap: weights are
    shared by reference with the pool, the cache bounds wrapper count), and
-   a miss falls through to train-free consolidation + serialization.
+   a miss falls through to train-free consolidation + a join of the
+   pool's encoded segments (``pool.segments``: nothing is compressed on
+   the request path).
 
 ``serve()`` runs the pipeline inline on the caller's thread (single-flight
 still applies across threads); ``submit()`` dispatches onto a worker pool
@@ -674,7 +675,13 @@ class ServingGateway:
         model, model_hit = self._model_for(names)
         with self.metrics.stage("serialize"):
             payload = serialize_task_model(
-                model.network, model.task, self.pool.config, transport=transport
+                model.network,
+                model.task,
+                self.pool.config,
+                transport=transport,
+                # an unversioned pool-shaped object has nothing to
+                # invalidate a memoised segment with: encode fresh
+                store=getattr(self.pool, "segments", None),
             )
         if self.controller is not None:
             # measured consolidate+serialize cost: the rebuild price the

@@ -1,13 +1,20 @@
 """Head-level payloads: the cross-shard fetch boundary must be float-exact."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, ClusterGateway
 from repro.core import (
+    TRANSPORTS,
     deserialize_expert_heads,
     serialize_expert_heads,
     serialize_task_model,
 )
+from repro.net import NetworkedCluster
 
 
 class TestHeadRoundtrip:
@@ -52,3 +59,65 @@ class TestHeadRoundtrip:
         payload = serialize_task_model(network, composite, pool.config)
         with pytest.raises(ValueError, match="expert-heads"):
             deserialize_expert_heads(payload)
+
+
+class TestHeadSegments:
+    @given(data=st.data(), transport=st.sampled_from(TRANSPORTS))
+    def test_cold_warm_and_no_store_are_byte_identical(self, wide_pool, data, transport):
+        pool, _ = wide_pool
+        names = data.draw(
+            st.lists(st.sampled_from(pool.expert_names()), min_size=1, unique=True), label="names"
+        )
+        view = pool.subset(pool.expert_names())  # a view owns a fresh (cold) store
+        cold = serialize_expert_heads(view, names, transport, store=view.segments)
+        warm = serialize_expert_heads(view, names, transport, store=view.segments)
+        assert cold == warm == serialize_expert_heads(pool, names, transport)
+        assert list(deserialize_expert_heads(warm)) == names
+
+    def test_fetch_over_a_warm_store_compresses_nothing(self, wide_pool, monkeypatch):
+        pool, _ = wide_pool
+        with ClusterGateway(pool, ClusterConfig(num_shards=2)) as cluster:
+            shard = cluster.shards[0]
+            names = shard.task_names()
+            whole = shard.fetch_heads(names)
+            compressions = []
+            monkeypatch.setattr(
+                zlib, "compress", lambda *args, **kwargs: compressions.append(1)
+            )
+            for name in names:
+                part = shard.fetch_heads([name])
+                assert part == serialize_expert_heads(shard.pool, [name], store=shard.pool.segments)
+            assert shard.fetch_heads(names) == whole
+            assert compressions == []
+
+
+def _cross_shard_query(cluster):
+    names = sorted(cluster.available_tasks())
+    partner = next(
+        n for n in names[1:] if cluster.shards_of(n)[0] != cluster.shards_of(names[0])[0]
+    )
+    return (names[0], partner)
+
+
+class TestCrossShardCompositeBytes:
+    """A composite assembled from fetched heads is the single pool's bytes."""
+
+    def _check(self, gateway, pool):
+        query = _cross_shard_query(gateway)
+        for transport in TRANSPORTS:
+            for tasks in (query, query[:1]):
+                network, composite = pool.consolidate(list(tasks))
+                reference = serialize_task_model(network, composite, pool.config, transport)
+                assert gateway.serve(tasks, transport).payload == reference
+        assert gateway.metrics.counter("cross_shard") >= len(TRANSPORTS)
+
+    def test_in_process(self, wide_pool):
+        pool, _ = wide_pool
+        with ClusterGateway(pool, ClusterConfig(num_shards=3)) as cluster:
+            self._check(cluster, pool)
+
+    def test_networked(self, wide_pool):
+        pool, _ = wide_pool
+        with NetworkedCluster(pool, ClusterConfig(num_shards=2)) as deployment:
+            self._check(deployment.gateway, pool)
+        assert deployment.fleet.leaked_processes() == []

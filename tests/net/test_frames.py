@@ -153,6 +153,15 @@ def test_transport_codec_tags_round_trip():
         assert transport_for_codec(codec_for_transport(transport)) == transport
 
 
+def test_transport_codec_tags_are_pinned():
+    """Derived from ``TRANSPORTS``, but the wire values may not drift."""
+    assert CODEC_NAMES == {0: "json", 1: "float32", 2: "uint8", 3: "raw+zlib", 5: "binary"}
+    with pytest.raises(FrameError, match="codec"):  # the retired zstd tag
+        FrameDecoder().feed(_header(codec=4))
+    with pytest.raises(FrameError, match="transport"):
+        codec_for_transport("zstd")
+
+
 # ----------------------------------------------------------------------
 # Binary bodies
 # ----------------------------------------------------------------------
