@@ -91,7 +91,7 @@ from ..core.server import (
     serialize_library_state,
     serialize_task_model,
 )
-from ..models import BranchedSpecialistNet, count_params
+from ..models import BranchedSpecialistNet, frozen_param_count
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
 from ..serving.cache import BYTES_PER_PARAM, ByteBudgetLRU, CacheStats, merge_cache_stats
@@ -422,7 +422,7 @@ class ClusterGateway:
                 return shard.get_model(names)
             # remote shard: assemble at the front end from fetched heads
             # (the composite builder handles a one-group plan fine)
-        model, _ = self._composite_model(names, plan)
+        model, _ = self._composite_model(names, plan, expert_versions(self.pool, names))
         return model
 
     def prefetch(self, tasks: TaskQuery, transport: str = "float32") -> bool:
@@ -612,7 +612,9 @@ class ClusterGateway:
             self.metrics.increment("predict_result_hits")
             _logits, ids = cached
         else:
-            model, model_hit = self._composite_model(names, plan)
+            model, model_hit = self._composite_model(
+                names, plan, expert_versions(self.pool, names)
+            )
             if not model_hit:
                 # a composite-cache hit touches no shard, a build fetched
                 # from every shard in the plan
@@ -912,26 +914,30 @@ class ClusterGateway:
         key,
     ) -> Tuple[bytes, bool]:
         build_start = perf_counter()
+        encoded = self.pool.segments.encode_seconds
         versions = expert_versions(self.pool, names)
         self.metrics.record_shard_requests(list(plan))
-        model, model_hit = self._composite_model(names, plan)
+        model, model_hit = self._composite_model(names, plan, versions)
         payload = self._serialize_composite(model, names, versions, transport, key)
         if self.controller is not None:
-            # measured gather+assemble+serialize cost for the eviction scores
+            # measured gather+assemble+serialize cost for the eviction
+            # scores, less this store's one-off segment encodes (as in
+            # ServingGateway; a shard's own first encode stays in the fetch)
+            once = self.pool.segments.encode_seconds - encoded
             self.controller.record_build_cost(
-                names, perf_counter() - build_start, len(payload)
+                names, max(perf_counter() - build_start - once, 0.0), len(payload)
             )
         return payload, model_hit
 
     def _composite_model(
-        self, names: Tuple[str, ...], plan: Dict[int, Tuple[str, ...]]
+        self, names: Tuple[str, ...], plan: Dict[int, Tuple[str, ...]], versions
     ) -> Tuple[TaskSpecificModel, bool]:
+        """``versions``: the caller's :func:`expert_versions` snapshot."""
         model = self.model_cache.get(names)
         if model is not None:
             return model, True
 
         def build() -> TaskSpecificModel:
-            versions = expert_versions(self.pool, names)
             heads = self._gather_heads(plan)
             return self._assemble_composite(names, heads, versions)
 
@@ -1008,11 +1014,11 @@ class ClusterGateway:
         """Deserialize one fetched head payload into the remote-head LRU."""
         heads: Dict[str, object] = {}
         for name, remote in deserialize_expert_heads(raw).items():
-            heads[name] = remote.head
+            heads[name] = remote.head.eval()  # held like a pool module: eval from here on
             self.remote_head_cache.put(
                 (name, remote.version),
                 remote.head,
-                count_params(remote.head) * BYTES_PER_PARAM,
+                frozen_param_count(remote.head) * BYTES_PER_PARAM,
             )
         return heads
 
@@ -1026,8 +1032,7 @@ class ClusterGateway:
         with self.metrics.stage("assemble"):
             network = BranchedSpecialistNet(
                 self.pool.library, [(name, heads[name]) for name in names]
-            )
-            network.eval()
+            ).eval_over_frozen()
             built = TaskSpecificModel(network, self.pool.hierarchy.composite(names))
         with self._invalidate_lock:
             if versions == expert_versions(self.pool, names):

@@ -155,7 +155,7 @@ class PoolShard:
         """
         from ..core.pool import LIBRARY_TASK
 
-        self.pool.library = library
+        self.pool.library = library.eval()
         self.pool.library_student = library_student
         self.pool._set_version(LIBRARY_TASK, version)
 

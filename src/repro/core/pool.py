@@ -67,13 +67,20 @@ class SegmentStore:
 
     def __init__(self) -> None:
         self._entries: Dict[str, Dict[str, Tuple[Module, bytes]]] = {}
+        #: Running total of seconds spent encoding what was put here: paid
+        #: once per module, so not part of a payload's *rebuild* price.
+        self.encode_seconds = 0.0
 
     def get(self, name: str, encoding: str, module: Module) -> Optional[bytes]:
         entry = self._entries.get(name, {}).get(encoding)
         return entry[1] if entry is not None and entry[0] is module else None
 
-    def put(self, name: str, encoding: str, module: Module, blob: bytes) -> None:
+    def put(
+        self, name: str, encoding: str, module: Module, blob: bytes, seconds: float
+    ) -> None:
+        """Memoise ``blob``, which took ``seconds`` to encode from ``module``."""
         self._entries.setdefault(name, {})[encoding] = (module, blob)
+        self.encode_seconds += seconds
 
     def drop(self, name: str) -> None:
         self._entries.pop(name, None)
@@ -210,7 +217,7 @@ class PoolOfExperts:
         Notifies listeners, so dependent cache entries invalidate.
         """
         task = self._resolve(task)
-        self.experts[task.name] = head
+        self.experts[task.name] = head.eval()
         self._set_version(
             task.name, version if version is not None else self.expert_version(task.name) + 1
         )
@@ -325,7 +332,7 @@ class PoolOfExperts:
             eval_fn=eval_fn,
             features=self._features_for(images),
         )
-        self.experts[task.name] = head
+        self.experts[task.name] = head.eval()
         self.histories[f"expert/{task.name}"] = history
         self._bump_version(task.name)
         return history
@@ -357,7 +364,8 @@ class PoolOfExperts:
         *reference* — the library trunk and the expert heads are shared with
         the pool, no weights are copied and nothing is trained.  Returns the
         model together with the resolved :class:`CompositeTask` that defines
-        its output layout.
+        its output layout.  O(heads): pool-held modules stay frozen and in
+        eval mode from install to replacement, so nothing is walked here.
         """
         if self.library is None:
             raise RuntimeError("pool is empty: run preprocess() first")
@@ -375,9 +383,7 @@ class PoolOfExperts:
                     f"no expert extracted for primitive task {task.name!r}; "
                     f"available: {sorted(self.experts)}"
                 ) from None
-        model = BranchedSpecialistNet(self.library, heads)
-        model.eval()
-        return model, composite
+        return BranchedSpecialistNet(self.library, heads).eval_over_frozen(), composite
 
     # ------------------------------------------------------------------
     # Internals

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..data.hierarchy import CompositeTask
 from ..distill.caches import batched_forward
-from ..models import BranchedSpecialistNet, count_flops, count_params
+from ..models import BranchedSpecialistNet, count_flops, frozen_param_count
 from ..tensor import Tensor, no_grad
 from ..tensor.functional import softmax
 from .pool import PoolOfExperts
@@ -113,7 +113,10 @@ class TaskSpecificModel:
         return [self._class_names[i] for i in self.fused_logits(images).argmax(axis=1)]
 
     def num_params(self) -> int:
-        return count_params(self.network)
+        network = self.network
+        return frozen_param_count(network.trunk) + sum(
+            map(frozen_param_count, network.heads)
+        )
 
     def cache_nbytes(self) -> int:
         """Byte charge for holding this model in a serving cache.
@@ -122,11 +125,13 @@ class TaskSpecificModel:
         weights: the fused bank (:meth:`~repro.models.BranchedSpecialistNet
         .fused_bank`) stacks them on the first prediction, so a cached
         model's steady-state residency includes it even though it may not
-        exist yet at insert time.
+        exist yet at insert time.  Summed from per-module constants
+        (:func:`~repro.models.frozen_param_count`): O(heads), no tree walk.
         """
+        # function-local: repro.serving imports this module at import time
         from ..serving.cache import BYTES_PER_PARAM
 
-        head_params = sum(count_params(head) for head in self.network.heads)
+        head_params = sum(map(frozen_param_count, self.network.heads))
         return (self.num_params() + head_params) * BYTES_PER_PARAM
 
     def num_flops(self, input_shape: Tuple[int, int, int]) -> int:
@@ -225,8 +230,7 @@ class ModelQueryEngine:
         network = BranchedSpecialistNet(
             sibling.network.trunk, [(name, heads[name]) for name in order]
         )
-        network.eval()
-        return TaskSpecificModel(network, composite)
+        return TaskSpecificModel(network.eval_over_frozen(), composite)
 
     def mean_latency(self) -> Optional[float]:
         """Mean consolidation latency over non-cached queries, in seconds."""

@@ -46,6 +46,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,9 +158,10 @@ def _segment(store: Optional[SegmentStore], key: str, module, transport: str) ->
     encoding = "uint8" if transport == "uint8" else "float32"
     blob = None if store is None else store.get(key, encoding, module)
     if blob is None:
+        start = perf_counter()
         blob = _encode_segment(module.state_dict(), encoding == "uint8")
         if store is not None:
-            store.put(key, encoding, module, blob)
+            store.put(key, encoding, module, blob, perf_counter() - start)
     return blob
 
 

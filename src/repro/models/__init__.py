@@ -1,7 +1,7 @@
 """Model zoo: wide residual networks and the PoE branched architecture."""
 
 from .branched import BranchedSpecialistNet
-from .flops import count_flops, count_params, profile
+from .flops import count_flops, count_params, frozen_param_count, profile
 from .fused_head import FusedHeadBank
 from .wrn import (
     BasicBlock,
@@ -26,6 +26,7 @@ __all__ = [
     "wrn_group_widths",
     "count_flops",
     "count_params",
+    "frozen_param_count",
     "profile",
     "WRNConfig",
     "PAPER_ARCHS",

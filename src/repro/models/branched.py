@@ -57,6 +57,22 @@ class BranchedSpecialistNet(Module):
         """The paper's ``n(Q)``."""
         return len(self.head_names)
 
+    def eval_over_frozen(self) -> "BranchedSpecialistNet":
+        """Eval mode for a wrapper just built over pool-held modules.
+
+        The pool keeps its trunk and heads frozen and in eval mode from
+        install to replacement, so only the two modules the constructor
+        created (this wrapper and its ``heads`` list) need flipping — no
+        tree walk per consolidation.  A borrowed module that reports
+        ``training`` (someone called ``.train()`` on it) gets the full
+        :meth:`eval` walk, which also puts it back in eval mode.
+        """
+        if self.trunk.training or any(head.training for head in self.heads):
+            return self.eval()
+        object.__setattr__(self, "training", False)
+        object.__setattr__(self.heads, "training", False)
+        return self
+
     def forward(self, x: Tensor) -> Tensor:
         """Unified logits ``s_Q``: expert sub-logits concatenated (Fig. 3)."""
         features = self.trunk(x)

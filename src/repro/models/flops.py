@@ -29,7 +29,7 @@ from ..tensor.conv import conv_output_size
 from .branched import BranchedSpecialistNet
 from .wrn import BasicBlock, WideResNet, WRNGroup, WRNHead, WRNTrunk
 
-__all__ = ["count_params", "count_flops", "profile"]
+__all__ = ["count_params", "frozen_param_count", "count_flops", "profile"]
 
 Shape = Tuple[int, ...]
 
@@ -37,6 +37,28 @@ Shape = Tuple[int, ...]
 def count_params(module: Module) -> int:
     """Number of scalar parameters in a module tree."""
     return module.num_parameters()
+
+
+#: Attribute used to memoize the parameter count on a frozen module.
+_PARAM_COUNT_ATTR = "_frozen_param_count"
+
+
+def frozen_param_count(module: Module) -> int:
+    """:func:`count_params` of a frozen module, memoized on the object.
+
+    For modules whose structure is fixed once they are in service — the
+    pool's library trunk and expert heads, fetched remote heads.  Same
+    lifetime rule as :func:`~repro.nn.fused.fused_trunk_for`: a
+    re-extraction installs a *new* object (fresh count) and an in-place
+    ``load_state_dict`` cannot change a count, so the memo needs no
+    invalidation and dies with the module.  This is what lets the serving
+    caches price an entry without walking the module tree.
+    """
+    count = module.__dict__.get(_PARAM_COUNT_ATTR)
+    if count is None:
+        count = module.num_parameters()
+        object.__setattr__(module, _PARAM_COUNT_ATTR, count)
+    return count
 
 
 def profile(module: Module, input_shape: Shape) -> Tuple[int, Shape]:

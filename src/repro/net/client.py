@@ -403,14 +403,20 @@ class RemoteShardClient:
         EOF or unsolicited bytes — the worker died or the stream is
         corrupt: evict instead of poisoning the next request (any error
         probing says the same).  Mirrors the corpse-eviction in
-        ``aio.AsyncShardPool``.  One zero-timeout ``select`` is the whole
-        probe, and it leaves the socket's timeout alone.  Not
+        ``aio.AsyncShardPool``.  One zero-timeout ``poll`` is the whole
+        probe, and it leaves the socket's timeout alone: any event —
+        ``POLLIN``, or the ``POLLERR``/``POLLHUP``/``POLLNVAL`` the kernel
+        reports unasked — means dead.  Not ``select.select``, which raises
+        for descriptors >= ``FD_SETSIZE`` (1024) and so would call every
+        channel of a descriptor-heavy process dead.  Not
         ``recv(1, MSG_PEEK | MSG_DONTWAIT)``: on a socket with a
         Python-level timeout CPython first polls for readability, so on a
         healthy (silent) channel that probe blocks for the whole timeout.
         """
         try:
-            return not select.select([channel.sock], [], [], 0)[0]
+            probe = select.poll()
+            probe.register(channel.sock, select.POLLIN)
+            return not probe.poll(0)
         except (OSError, ValueError):  # closed socket (fileno() is -1): redial
             return False
 

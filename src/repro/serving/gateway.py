@@ -84,7 +84,9 @@ from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple, TypeV
 import numpy as np
 
 from ..core.features import TrunkFeatureCache, array_digest, fused_trunk_features
+from ..core.pool import LIBRARY_TASK
 from ..core.query import TaskSpecificModel
+from ..core.server import TRANSPORTS, serialize_task_model
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
 from .canonical import TaskQuery, canonical_tasks, payload_key
@@ -112,8 +114,6 @@ def expert_versions(pool, names: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
     version rides along for the same reason — a consolidation in flight
     across a trunk re-extraction must not survive the listener's clear.
     """
-    from ..core.pool import LIBRARY_TASK
-
     getter = getattr(pool, "expert_version", None)
     if getter is None:
         return None
@@ -445,8 +445,6 @@ class ServingGateway:
             controller.attach_gateway(self)
 
     def _on_pool_update(self, name: str) -> None:
-        from ..core.pool import LIBRARY_TASK
-
         if JOURNAL.enabled:
             JOURNAL.emit(
                 "library_update" if name == LIBRARY_TASK else "expert_update",
@@ -486,7 +484,8 @@ class ServingGateway:
 
     def get_model(self, tasks: TaskQuery) -> TaskSpecificModel:
         """The consolidated model for ``tasks``, in canonical task order."""
-        model, _ = self._model_for(canonical_tasks(tasks))
+        names = canonical_tasks(tasks)
+        model, _ = self._model_for(names, expert_versions(self.pool, names))
         return model
 
     def prefetch(self, tasks: TaskQuery, transport: str = "float32") -> bool:
@@ -613,8 +612,6 @@ class ServingGateway:
     def _serve(
         self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
     ) -> GatewayResponse:
-        from ..core.server import TRANSPORTS
-
         if transport not in TRANSPORTS:
             raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
         start = perf_counter()
@@ -668,26 +665,26 @@ class ServingGateway:
     def _build_payload(
         self, names: Tuple[str, ...], transport: str, key: Hashable
     ) -> Tuple[bytes, bool]:
-        from ..core.server import serialize_task_model
-
         build_start = perf_counter()
         versions = expert_versions(self.pool, names)
-        model, model_hit = self._model_for(names)
+        model, model_hit = self._model_for(names, versions)
+        # an unversioned pool-shaped object has nothing to invalidate a
+        # memoised segment with: encode fresh
+        store = getattr(self.pool, "segments", None)
+        encoded = getattr(store, "encode_seconds", 0.0)
         with self.metrics.stage("serialize"):
             payload = serialize_task_model(
-                model.network,
-                model.task,
-                self.pool.config,
-                transport=transport,
-                # an unversioned pool-shaped object has nothing to
-                # invalidate a memoised segment with: encode fresh
-                store=getattr(self.pool, "segments", None),
+                model.network, model.task, self.pool.config, transport=transport, store=store
             )
         if self.controller is not None:
             # measured consolidate+serialize cost: the rebuild price the
-            # eviction scores weigh against popularity
+            # eviction scores weigh against popularity — so less what this
+            # build spent encoding a segment for the first time, which the
+            # store keeps and no rebuild pays again (the total is shared: a
+            # concurrent build's encode can make this one sample read low)
+            once = getattr(store, "encode_seconds", 0.0) - encoded
             self.controller.record_build_cost(
-                names, perf_counter() - build_start, len(payload)
+                names, max(perf_counter() - build_start - once, 0.0), len(payload)
             )
         # don't cache if an expert was re-extracted while we were building:
         # the invalidation listener fired before this entry existed (the
@@ -697,13 +694,16 @@ class ServingGateway:
                 self.payload_cache.put(key, payload, len(payload))
         return payload, model_hit
 
-    def _model_for(self, names: Tuple[str, ...]) -> Tuple[TaskSpecificModel, bool]:
+    def _model_for(
+        self, names: Tuple[str, ...], versions: Optional[Tuple[int, ...]]
+    ) -> Tuple[TaskSpecificModel, bool]:
+        """The model for ``names``; ``versions`` is the caller's
+        :func:`expert_versions` snapshot, which guards the cache put."""
         model = self.model_cache.get(names)
         if model is not None:
             return model, True
 
         def build() -> TaskSpecificModel:
-            versions = expert_versions(self.pool, names)
             with self.metrics.stage("consolidate"):
                 network, composite = self.pool.consolidate(list(names))
                 built = TaskSpecificModel(network, composite)
@@ -776,7 +776,9 @@ class ServingGateway:
                     _logits, ids = cached
                     model_hit = False  # the model tier was never consulted
                 else:
-                    model, model_hit = self._model_for(names)
+                    model, model_hit = self._model_for(
+                        names, expert_versions(self.pool, names)
+                    )
                     if features is None:
                         features, trunk_hit = self._trunk_features(images, digest=digest)
                     ids, logits = run_fused_prediction(model, features, self.metrics)

@@ -91,6 +91,61 @@ class TestEvictionBias:
         assert sim.controller.composite_score(("c2", "c3")) == 0.0
 
 
+class TestBuildCost:
+    """The recorded rebuild price leaves out one-off segment encodes.
+
+    A scripted clock that only moves while a segment is being encoded
+    (one second each) stands in for ``perf_counter``: whatever a build
+    records beyond zero is encode time it failed to leave out.
+    """
+
+    @pytest.fixture()
+    def encode_clock(self, monkeypatch):
+        import repro.core.server as core_server
+
+        clock = FakeClock()
+        real_encode = core_server._encode_segment
+
+        def slow_encode(state, quantize):
+            clock.advance(1.0)
+            return real_encode(state, quantize)
+
+        monkeypatch.setattr(core_server, "_encode_segment", slow_encode)
+        for module in ("repro.core.server", "repro.serving.gateway", "repro.cluster.gateway"):
+            monkeypatch.setattr(f"{module}.perf_counter", clock)
+        return clock
+
+    def test_first_build_records_no_encode_time(self, control_pool, encode_clock):
+        pool = control_pool.subset(HOT)  # a view owns a fresh, empty store
+        with SimHarness(pool) as sim:
+            sim.serve(HOT)
+            assert pool.segments.encode_seconds == encode_clock.now == 3.0
+            assert sim.controller.snapshot()["build_costs"] == 1
+            assert sim.controller._build.seconds(HOT) == 0.0
+
+    def test_cluster_build_leaves_out_its_own_encodes(self, control_pool, encode_clock):
+        from repro.cluster.gateway import ClusterConfig, ClusterGateway
+
+        pool = control_pool.subset(sorted(control_pool.expert_names()))
+        controller = CacheController(ControllerConfig(), clock=FakeClock())
+        gateway = ClusterGateway(pool, ClusterConfig(num_shards=2), controller=controller)
+        try:
+            pair = next(
+                (a, b)
+                for a in sorted(pool.expert_names())
+                for b in sorted(pool.expert_names())
+                if a < b and len(gateway._plan((a, b))) == 2
+            )
+            gateway.serve(pair)
+            # library + two heads at the front end; what is left is the
+            # shard-side encode of the fetched head, which arrives as
+            # fetch latency and is not this store's to subtract
+            assert pool.segments.encode_seconds == 3.0
+            assert controller._build.seconds(pair) == encode_clock.now - 3.0 == 1.0
+        finally:
+            gateway.close()
+
+
 class TestPrefetch:
     def test_tick_rebuilds_discarded_hot_payload(self, sim):
         for _ in range(5):

@@ -10,9 +10,13 @@ requests onto its sibling while in-flight work completes.
 
 from __future__ import annotations
 
+import fcntl
 import random
+import resource
+import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -127,6 +131,34 @@ def test_sync_pool_evicts_corpse_channels(shard_setup):
         # and dial fresh — no error, no retry spent
         assert client.fetch_heads((names[0],), "raw+zlib") == expected
         assert metrics.counter("net_retries") == 0
+
+
+def test_channel_probe_works_above_fd_setsize():
+    """``select.select`` cannot watch descriptors >= 1024; the probe must."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    wanted = 1100
+    if hard != resource.RLIM_INFINITY and hard < wanted:
+        pytest.skip(f"hard RLIMIT_NOFILE {hard} forbids a descriptor >= 1024")
+    ours, peer = socket.socketpair()
+    high = None
+    try:
+        if soft != resource.RLIM_INFINITY and soft < wanted:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (wanted, hard))
+        # dup2 onto the lowest free descriptor >= 1024
+        high = socket.socket(fileno=fcntl.fcntl(ours.fileno(), fcntl.F_DUPFD, 1024))
+        high.settimeout(5.0)  # pooled channels carry a Python-level timeout
+        channel = SimpleNamespace(sock=high)
+        assert high.fileno() >= 1024
+        assert RemoteShardClient._channel_alive(channel)  # healthy and silent
+        peer.close()
+        assert not RemoteShardClient._channel_alive(channel)  # EOF pending
+        high.close()
+        assert not RemoteShardClient._channel_alive(channel)  # fileno() is -1
+    finally:
+        for sock in (ours, peer, high):
+            if sock is not None:
+                sock.close()
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 def test_all_breakers_open_raises_typed_error(shard_setup):
