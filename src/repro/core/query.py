@@ -23,7 +23,12 @@ import numpy as np
 
 from ..data.hierarchy import CompositeTask
 from ..distill.caches import batched_forward
-from ..models import BranchedSpecialistNet, count_flops, frozen_param_count
+from ..models import (
+    BranchedSpecialistNet,
+    bank_share_nbytes,
+    count_flops,
+    frozen_param_count,
+)
 from ..tensor import Tensor, no_grad
 from ..tensor.functional import softmax
 from .pool import PoolOfExperts
@@ -121,18 +126,21 @@ class TaskSpecificModel:
     def cache_nbytes(self) -> int:
         """Byte charge for holding this model in a serving cache.
 
-        Counts the module weights plus a second copy of every head's
-        weights: the fused bank (:meth:`~repro.models.BranchedSpecialistNet
-        .fused_bank`) stacks them on the first prediction, so a cached
+        Counts the module weights plus what the fused bank
+        (:meth:`~repro.models.BranchedSpecialistNet.fused_bank`) holds for
+        every head — stacked weights, ``bn2`` folded into ``conv1``, tiled
+        constants: the bank is stacked on the first prediction, so a cached
         model's steady-state residency includes it even though it may not
         exist yet at insert time.  Summed from per-module constants
-        (:func:`~repro.models.frozen_param_count`): O(heads), no tree walk.
+        (:func:`~repro.models.frozen_param_count`,
+        :func:`~repro.models.bank_share_nbytes`): O(heads), no tree walk.
         """
         # function-local: repro.serving imports this module at import time
         from ..serving.cache import BYTES_PER_PARAM
 
-        head_params = sum(map(frozen_param_count, self.network.heads))
-        return (self.num_params() + head_params) * BYTES_PER_PARAM
+        return self.num_params() * BYTES_PER_PARAM + sum(
+            map(bank_share_nbytes, self.network.heads)
+        )
 
     def num_flops(self, input_shape: Tuple[int, int, int]) -> int:
         return count_flops(self.network, input_shape)

@@ -2,7 +2,7 @@
 
 from .branched import BranchedSpecialistNet
 from .flops import count_flops, count_params, frozen_param_count, profile
-from .fused_head import FusedHeadBank
+from .fused_head import FusedHeadBank, bank_share_nbytes
 from .wrn import (
     BasicBlock,
     WideResNet,
@@ -22,6 +22,7 @@ __all__ = [
     "BasicBlock",
     "BranchedSpecialistNet",
     "FusedHeadBank",
+    "bank_share_nbytes",
     "scaled_channels",
     "wrn_group_widths",
     "count_flops",

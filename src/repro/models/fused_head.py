@@ -5,9 +5,11 @@ heads over the *same* feature map.  The straightforward loop executes each
 head through the autograd tensor engine — ``n(Q)`` × (im2col + GEMM +
 Python-composed batch norm) per block.  :class:`FusedHeadBank` stacks the
 heads' weights once and replays the identical computation with the head
-index folded into the batch dimension (:mod:`repro.nn.fused`): one im2col
-and one stacked GEMM per conv layer, batch norm folded to a per-channel
-affine, one padded GEMM for all classifiers.
+index folded into the batch dimension (:mod:`repro.nn.fused`): one shared
+im2col slab and stacked GEMMs per conv layer, batch norm folded to a
+per-channel affine (``bn2`` into ``conv1`` itself), one padded GEMM for
+all classifiers — against the calling thread's workspace, so a warm call
+allocates only the logits it returns.
 
 The bank is a *derived* artifact: it copies weights at build time, so a
 re-extracted expert must invalidate it (the serving tiers do this through
@@ -28,13 +30,14 @@ from ..nn.fused import (
     FusedAffine,
     FusedBlock,
     FusedLinearBank,
+    mean_pool,
     stack_affine,
     stack_linear,
 )
 from ..obs.arena import ARENA
 from .wrn import WRNHead
 
-__all__ = ["FusedHeadBank"]
+__all__ = ["FusedHeadBank", "bank_share_nbytes"]
 
 
 class FusedHeadBank:
@@ -80,15 +83,15 @@ class FusedHeadBank:
         features = np.asarray(features, dtype=np.float32)
         if features.ndim != 4:
             raise ValueError(f"expected NCHW features, got shape {features.shape}")
-        # one NCHW -> NHWC transpose at the boundary; everything after is
-        # channels-last so GEMM outputs feed the next layer copy-free
         with ARENA.scope("heads"):
-            h = np.ascontiguousarray(features.transpose(0, 2, 3, 1))[None]
-            for block in self._blocks:
-                h = block(h)
-            h = self._final_bn(h, relu=True)
-            feats = h.mean(axis=(2, 3))  # global average pool -> (n, N, C)
-            return self._fc.concatenate(self._fc(feats))
+            # compiled-trunk features are NHWC in memory already, so this is
+            # a view; plain NCHW arrays (the autograd fallback) pay one copy
+            x = np.ascontiguousarray(features.transpose(0, 2, 3, 1))[None]
+            for slot, block in enumerate(self._blocks):
+                x = block(x, slot % 2)
+            # the final affine leaves both output slabs idle for pool and FC
+            pooled = mean_pool(self._final_bn(x), slot=0)
+            return self._fc.concatenate(self._fc(pooled, slot=1))
 
     def logits_per_head(self, features: np.ndarray) -> List[np.ndarray]:
         """Per-head sub-logit blocks (diagnostics), in bank order."""
@@ -100,13 +103,37 @@ class FusedHeadBank:
         return out
 
     def nbytes(self) -> int:
-        """Approximate resident size of the stacked weights."""
-        total = self._final_bn.scale.nbytes + self._final_bn.shift.nbytes
-        total += self._fc.weight.nbytes + self._fc.bias.nbytes
-        return total + sum(block.nbytes() for block in self._blocks)
+        """Resident size of the stacked arrays."""
+        return (
+            self._final_bn.nbytes()
+            + self._fc.nbytes()
+            + sum(block.nbytes() for block in self._blocks)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"FusedHeadBank(heads={self.n_heads}, blocks={len(self._blocks)}, "
             f"classes={self.class_widths})"
         )
+
+
+#: Attribute used to memoize one head's share of a stacked bank.
+_BANK_SHARE_ATTR = "_fused_bank_share_nbytes"
+
+
+def bank_share_nbytes(head: WRNHead) -> int:
+    """Bytes ``head`` adds to whatever :class:`FusedHeadBank` stacks it.
+
+    Measured once per head object as the size of a bank of that head alone
+    — stacked conv weights, tiled constants and classifier, which is its
+    share of any bank up to classifier padding — and memoized on the
+    module under the lifetime rule of
+    :func:`~repro.models.frozen_param_count` (a re-extraction installs a
+    new object, and in-place mutation cannot change a shape), so a serving
+    cache prices a model's bank in O(heads) without building it.
+    """
+    share = head.__dict__.get(_BANK_SHARE_ATTR)
+    if share is None:
+        share = FusedHeadBank([head]).nbytes()
+        object.__setattr__(head, _BANK_SHARE_ATTR, share)
+    return share

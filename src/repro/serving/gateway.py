@@ -900,7 +900,12 @@ class ServingGateway:
             for digest in digests:
                 sharers = by_digest[digest]
                 count = sharers[0].images.shape[0]
-                chunk = np.ascontiguousarray(features[offset : offset + count])
+                chunk = features[offset : offset + count]
+                if len(digests) > 1:
+                    # own the rows, in their physical layout: a slice would
+                    # pin the whole stacked forward behind a cache entry
+                    # charged for its own bytes only
+                    chunk = chunk.copy(order="K")
                 offset += count
                 self.trunk_cache.put_guarded(digest, chunk, token)
                 for item in sharers:

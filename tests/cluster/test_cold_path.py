@@ -18,7 +18,7 @@ import repro.serving.gateway as serving_gateway
 from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
 from repro.core import TaskSpecificModel, deserialize_task_model, serialize_task_model
 from repro.distill import TrainConfig
-from repro.models import WRNHead, WRNTrunk, count_params
+from repro.models import FusedHeadBank, WRNHead, WRNTrunk, count_params
 from repro.nn import Module
 from repro.serving import GatewayConfig, ServingGateway
 from repro.serving.cache import BYTES_PER_PARAM
@@ -110,8 +110,9 @@ _PICKS = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
 
 
 def _walked_charge(network) -> int:
-    heads = sum(count_params(head) for head in network.heads)
-    return (count_params(network) + heads) * BYTES_PER_PARAM
+    """Module weights plus each head's fused-bank share, measured afresh."""
+    banks = sum(FusedHeadBank([head]).nbytes() for head in network.heads)
+    return count_params(network) * BYTES_PER_PARAM + banks
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,8 @@ import pytest
 from repro.distill import batched_forward
 from repro.models import FusedHeadBank
 from repro.models.wrn import WRNHead
-from repro.nn.fused import im2col_nhwc, stack_conv, stack_linear
+from repro.nn.fused import fused_trunk_for, stack_conv, stack_linear
 from repro.nn.layers import Conv2d, Linear
-from repro.tensor.conv import _im2col
 
 
 def _consolidate(pool, n_tasks):
@@ -114,16 +113,22 @@ class TestFusedEquivalence:
 
 
 class TestFusedPrimitives:
-    def test_im2col_nhwc_matches_nchw_reference(self, rng):
-        x = rng.standard_normal((3, 5, 5, 4)).astype(np.float32)
-        cols, oh, ow = im2col_nhwc(x, 3, 3, 2, 1)
-        ref, ref_oh, ref_ow = _im2col(
-            np.ascontiguousarray(x.transpose(0, 3, 1, 2)), 3, 3, 2, 1
-        )
-        assert (oh, ow) == (ref_oh, ref_ow)
-        # reference columns are C-major (C, KH, KW); ours KH, KW, C
-        ref_perm = ref.reshape(-1, 4, 3, 3).transpose(0, 2, 3, 1).reshape(cols.shape)
-        assert np.allclose(cols, ref_perm)
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (3, 1, 1), (1, 2, 0)])
+    def test_conv_bank_matches_autograd_convs(self, rng, kernel, stride, padding):
+        """Unfold order, blocking and the shared-input broadcast, per member."""
+        from repro.tensor import Tensor, no_grad
+
+        convs = [
+            Conv2d(4, 8, kernel, stride=stride, padding=padding, rng=rng) for _ in range(2)
+        ]
+        x = rng.standard_normal((3, 4, 5, 5)).astype(np.float32)
+        out = stack_conv(convs)(np.ascontiguousarray(x.transpose(0, 2, 3, 1))[None])
+        with no_grad():
+            for member, conv in zip(out, convs):
+                reference = conv(Tensor(x)).numpy()
+                assert np.allclose(
+                    member.transpose(0, 3, 1, 2), reference, rtol=1e-4, atol=1e-5
+                )
 
     def test_stack_conv_rejects_mismatched_geometry(self, rng):
         a = Conv2d(4, 8, 3, stride=1, padding=1, rng=rng)
@@ -150,3 +155,139 @@ class TestFusedPrimitives:
     def test_bank_rejects_empty(self):
         with pytest.raises(ValueError):
             FusedHeadBank([])
+
+
+class TestWorkspace:
+    """Banks on the per-thread workspace: re-slicing, threads, lifetime, layout."""
+
+    @staticmethod
+    def _features(pool, batch, size, seed):
+        """Compiled-trunk features of a random batch of ``size``×``size`` images."""
+        rng = np.random.default_rng(seed)
+        images = rng.standard_normal((batch, 3, size, size)).astype(np.float32)
+        return fused_trunk_for(pool.library)(images)
+
+    def test_shape_and_bank_sequence_reslices_and_grows(self, micro_pool):
+        """Banks of 1 -> 4 -> 1 heads over shrinking and growing feature maps."""
+        pool, _, _ = micro_pool
+        for n_tasks in (1, 4, 1):
+            network, _ = _consolidate(pool, n_tasks)
+            for size in (6, 8, 6):
+                for batch in (64, 1, 7, 64, 513):
+                    features = self._features(pool, batch, size, seed=batch + size)
+                    assert np.allclose(
+                        network.fused_logits(features),
+                        _loop_logits(network, np.ascontiguousarray(features)),
+                        rtol=1e-4,
+                        atol=1e-5,
+                    ), (n_tasks, size, batch)
+
+    def test_plain_nchw_features_give_the_same_logits(self, micro_pool):
+        """The autograd-fallback edge: C-contiguous NCHW in, one copy, same answer."""
+        pool, _, _ = micro_pool
+        network, _ = _consolidate(pool, 3)
+        channels_last = self._features(pool, 9, 6, seed=1)
+        plain = np.ascontiguousarray(channels_last)
+        assert channels_last.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert not plain.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert np.array_equal(network.fused_logits(channels_last), network.fused_logits(plain))
+
+    def test_warm_call_allocates_only_its_result(self, micro_pool):
+        import tracemalloc
+
+        pool, _, _ = micro_pool
+        bank = _consolidate(pool, 2)[0].fused_bank()
+        features = self._features(pool, 512, 8, seed=2)
+        bank(features)  # slabs and plans for this shape
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            logits = bank(features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # slack: view objects and numpy's fixed 8192-element ufunc iterator
+        # buffers — never an activation (the smallest here is 256 KiB)
+        assert peak - before <= logits.nbytes + (64 << 10)
+
+    def test_threads_share_one_bank(self, micro_pool):
+        import sys
+        import threading
+
+        pool, _, _ = micro_pool
+        bank = _consolidate(pool, 3)[0].fused_bank()
+        batches = [self._features(pool, n, 6, seed=n) for n in (3, 17, 32, 64)]
+        serial = [bank(features) for features in batches]
+        barrier = threading.Barrier(len(batches))
+        results = [None] * len(batches)
+
+        def work(i):
+            barrier.wait(timeout=30)
+            for _ in range(20):
+                results[i] = bank(batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
+
+    def test_bank_is_collected_though_a_live_thread_ran_it(self, micro_pool):
+        """The workspace of a pool thread pins no bank: an evicted model dies."""
+        import gc
+        import weakref
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool, _, _ = micro_pool
+        features = self._features(pool, 8, 6, seed=3)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            bank = FusedHeadBank(list(_consolidate(pool, 2)[0].heads))
+            executor.submit(bank, features).result(timeout=30)
+            gone = weakref.ref(bank)
+            del bank
+            gc.collect()
+            assert gone() is None
+            # the worker (and its workspace) is still alive and usable
+            other = _consolidate(pool, 2)[0].fused_bank()
+            assert np.array_equal(
+                executor.submit(other, features).result(timeout=30), other(features)
+            )
+
+    def test_nbytes_counts_what_the_bank_holds(self, micro_pool):
+        pool, _, _ = micro_pool
+        for n_tasks in (1, 3):
+            network, _ = _consolidate(pool, n_tasks)
+            bank = network.fused_bank()
+            parts = [bank._final_bn, bank._fc]
+            for block in bank._blocks:
+                assert not hasattr(block, "bn2")  # folded into conv1
+                parts += [block.bn1, block.conv1, block.conv2, block.shortcut]
+            arrays = [
+                value
+                for part in parts
+                if part is not None
+                for value in vars(part).values()
+                if isinstance(value, np.ndarray)
+            ]
+            assert bank.nbytes() == sum(a.nbytes for a in arrays)
+        # a model's cache charge prices exactly those banks, head by head
+        from repro.core import TaskSpecificModel
+        from repro.models import count_params
+
+        model = TaskSpecificModel(*_consolidate(pool, 3))
+        shares = sum(FusedHeadBank([head]).nbytes() for head in model.network.heads)
+        assert model.cache_nbytes() == 4 * count_params(model.network) + shares
+        single = _consolidate(pool, 1)[0]
+        assert single.fused_bank().nbytes() == FusedHeadBank(list(single.heads)).nbytes()
+        # single-module banks still alias what a view can reach
+        head = single.heads[0]
+        assert np.shares_memory(single.fused_bank()._fc.weight, head.fc.weight.data)

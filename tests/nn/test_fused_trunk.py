@@ -210,3 +210,109 @@ class TestCompileFailureMemoization:
         out2, used2 = fused_trunk_features(model, x)  # memoized failure path
         assert not used1 and not used2
         assert np.array_equal(out1, out2)
+
+
+def _owned_arrays(*parts):
+    """Every ndarray field of the given stacked primitives."""
+    return [
+        value
+        for part in parts
+        if part is not None
+        for value in vars(part).values()
+        if isinstance(value, np.ndarray)
+    ]
+
+
+def _block_parts(block):
+    return (block.bn1, block.conv1, block.conv2, block.shortcut)
+
+
+class TestWorkspace:
+    """The per-thread workspace: re-slicing, growth, threads, allocation."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        trunk = WRNTrunk(10, 1.5, 0.25, rng=np.random.default_rng(21)).eval()
+        _randomize_bn_stats(trunk)
+        return trunk, FusedTrunk(trunk)
+
+    def test_shape_sequence_reslices_and_grows(self, compiled):
+        """Smaller, larger and chunk-crossing shapes on one thread's slabs."""
+        trunk, fused = compiled
+        for size in (6, 8, 6):
+            for batch in (64, 1, 7, 64, 513):  # 513 crosses the 512 chunk
+                x = _probe(trunk, n=batch, size=size, seed=batch + size)
+                assert np.allclose(
+                    batched_forward(trunk, x), fused(x), rtol=1e-4, atol=1e-5
+                ), (size, batch)
+
+    def test_result_outlives_the_next_call(self, compiled):
+        """What the walker returns is its own array, not a workspace view."""
+        trunk, fused = compiled
+        x = _probe(trunk, n=5, size=6)
+        first = fused(x)
+        kept = first.copy()
+        fused(_probe(trunk, n=5, size=6, seed=99))
+        assert np.array_equal(first, kept)
+
+    def test_features_are_logical_nchw_physical_nhwc(self, compiled):
+        trunk, fused = compiled
+        features = fused(_probe(trunk, n=4, size=8))
+        assert features.shape == (4, fused.out_channels, 4, 4)
+        assert features.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_warm_call_allocates_only_its_result(self, compiled):
+        import tracemalloc
+
+        trunk, fused = compiled
+        x = _probe(trunk, n=256, size=6)
+        fused(x)  # slabs and plans for this shape
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            features = fused(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # slack: view objects and numpy's fixed 8192-element ufunc iterator
+        # buffers — never an activation (576 KiB and up at this batch)
+        assert peak - before <= features.nbytes + (64 << 10)
+
+    def test_threads_share_one_trunk(self, compiled):
+        import sys
+        import threading
+
+        trunk, fused = compiled
+        batches = [_probe(trunk, n=n, size=6, seed=n) for n in (3, 17, 32, 64)]
+        serial = [fused(x) for x in batches]
+        barrier = threading.Barrier(len(batches))
+        results = [None] * len(batches)
+
+        def work(i):
+            barrier.wait(timeout=30)
+            for _ in range(20):
+                results[i] = fused(batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
+
+    def test_nbytes_counts_what_the_artifact_holds(self, compiled):
+        _, fused = compiled
+        for block in fused._blocks:
+            assert not hasattr(block, "bn2")  # folded into conv1
+            assert block.conv1.bias is not None
+            assert block.nbytes() == sum(a.nbytes for a in _owned_arrays(*_block_parts(block)))
+        arrays = _owned_arrays(fused.conv1, *(p for b in fused._blocks for p in _block_parts(b)))
+        assert fused.nbytes() == sum(a.nbytes for a in arrays)

@@ -216,6 +216,32 @@ class TestMicroBatching:
                 result.class_ids, batched_forward(network, x), composite.classes
             )
 
+    def test_coalesced_drain_caches_owned_feature_chunks(self, named_pool):
+        """Each entry owns its bytes: none pins the drain's stacked forward."""
+        pool, data, _ = named_pool
+        batches = [data.test.images[i * 4 : (i + 1) * 4] for i in range(3)]
+        release = threading.Event()
+        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
+            blocker = gw._ensure_executor().submit(release.wait)
+            futures = [gw.submit_predict(x, ["pets"]) for x in batches]
+            release.set()
+            for future in futures:
+                future.result(timeout=30)
+            blocker.result(timeout=30)
+            assert gw.metrics.counter("predict_batches") == 1
+            cached = [gw.trunk_cache.get(array_digest(x)) for x in batches]
+            alone = gw.predict(data.test.images[12:16], ["pets"])
+            assert not alone.trunk_cache_hit
+            passed_through = gw.trunk_cache.get(array_digest(data.test.images[12:16]))
+        for chunk in cached:
+            assert chunk.base is None
+            # a copy keeps the compiled trunk's channels-last memory
+            assert chunk.transpose(0, 2, 3, 1).flags.c_contiguous
+        for i, chunk in enumerate(cached):
+            assert not any(np.shares_memory(chunk, other) for other in cached[i + 1 :])
+        # an unshared forward is cached as it came: nothing to un-pin
+        assert passed_through.transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_submit_predict_error_isolated_to_its_future(self, named_pool):
         pool, data, _ = named_pool
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
