@@ -61,6 +61,7 @@ from ..serving.cache import CacheStats
 from ..serving.canonical import TaskQuery, canonical_tasks
 from ..serving.gateway import GatewayResponse, PredictionResponse
 from .frame import (
+    Buffer,
     CODEC_BINARY,
     CODEC_JSON,
     FEATURE_MUTATIONS,
@@ -75,7 +76,7 @@ from .frame import (
     codec_for_transport,
     encode_buffers,
     json_payload,
-    pack_body,
+    pack_body_parts,
     parse_json,
     payload_digest,
     send_buffers,
@@ -214,7 +215,7 @@ class _SyncChannel:
             hello["auth"] = auth_token
         try:
             msg_type, _codec, payload = self.request(
-                MsgType.HELLO, json_payload(hello)
+                MsgType.HELLO, (json_payload(hello),)
             )
             if msg_type != MsgType.HELLO_OK:
                 raise FrameError(f"handshake got unexpected message type {msg_type}")
@@ -228,12 +229,14 @@ class _SyncChannel:
     def request(
         self,
         msg_type: int,
-        payload: bytes,
+        parts: Sequence[Buffer],
         codec: int = CODEC_JSON,
         timeout: Optional[float] = None,
     ) -> Tuple[int, int, bytes]:
         """Send one message, block for its response message.
 
+        The message payload is the concatenation of ``parts``, which go to
+        ``sendmsg`` as the objects given (see :func:`encode_buffers`).
         Returns ``(msg_type, codec, payload)`` — ``payload`` is the response
         frame's own receive buffer (``bytes`` when reassembled from chunks),
         never reused by a later request; an ``ERROR`` response is raised
@@ -251,7 +254,7 @@ class _SyncChannel:
         self.dirty = True
         request_id = next(self._ids)
         sock, decoder = self.sock, self._decoder
-        for buffers in encode_buffers(msg_type, request_id, (payload,), codec):
+        for buffers in encode_buffers(msg_type, request_id, parts, codec):
             send_buffers(sock, buffers)
         while True:
             # the kernel writes straight into the header / the payload's own
@@ -460,7 +463,7 @@ class RemoteShardClient:
         self,
         endpoint: _ReplicaEndpoint,
         msg_type: int,
-        payload: bytes,
+        parts: Sequence[Buffer],
         codec: int,
         timeout: float,
     ) -> Tuple[int, int, bytes]:
@@ -468,7 +471,7 @@ class RemoteShardClient:
         channel = self._acquire(endpoint)
         start = perf_counter()
         try:
-            response = channel.request(msg_type, payload, codec, timeout=timeout)
+            response = channel.request(msg_type, parts, codec, timeout=timeout)
         except BaseException as error:
             if channel.dirty:
                 # mid-stream failure (socket error, corrupt frame, local
@@ -493,7 +496,7 @@ class RemoteShardClient:
         if self.metrics is not None:
             self.metrics.observe("net_roundtrip", elapsed)
             self.metrics.increment("net_requests")
-            self.metrics.increment("net_bytes_tx", len(payload))
+            self.metrics.increment("net_bytes_tx", sum(map(len, parts)))
             self.metrics.increment("net_bytes_rx", len(response[2]))
         return response
 
@@ -511,7 +514,7 @@ class RemoteShardClient:
         return None
 
     def _request(
-        self, msg_type: int, payload: bytes, codec: int = CODEC_JSON
+        self, msg_type: int, parts: Sequence[Buffer], codec: int = CODEC_JSON
     ) -> Tuple[int, int, bytes]:
         timeout = self.retry.timeout_for(msg_type)
         if (
@@ -519,7 +522,7 @@ class RemoteShardClient:
             and len(self._replicas) > 1
             and msg_type in IDEMPOTENT_MSG_TYPES
         ):
-            return self._hedged_request(msg_type, payload, codec, timeout)
+            return self._hedged_request(msg_type, parts, codec, timeout)
         attempts = self.retry.attempts_for(msg_type)
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):
@@ -531,7 +534,7 @@ class RemoteShardClient:
                     f"all {len(self._replicas)} replica breakers are open"
                 )
             try:
-                return self._request_on(endpoint, msg_type, payload, codec, timeout)
+                return self._request_on(endpoint, msg_type, parts, codec, timeout)
             except BaseException as error:
                 last_error = error
                 if attempt + 1 >= attempts or not self.retry.retryable(
@@ -544,7 +547,7 @@ class RemoteShardClient:
         raise last_error  # pragma: no cover - loop always returns or raises
 
     def _hedged_request(
-        self, msg_type: int, payload: bytes, codec: int, timeout: float
+        self, msg_type: int, parts: Sequence[Buffer], codec: int, timeout: float
     ) -> Tuple[int, int, bytes]:
         """First answer wins: primary attempt, sibling hedge after a delay.
 
@@ -560,7 +563,7 @@ class RemoteShardClient:
             )
         executor = self._ensure_hedge_executor()
         first = executor.submit(
-            self._request_on, primary, msg_type, payload, codec, timeout
+            self._request_on, primary, msg_type, parts, codec, timeout
         )
         try:
             return first.result(timeout=self._latency.hedge_delay(self.hedge))
@@ -575,14 +578,14 @@ class RemoteShardClient:
                 raise
             if self.metrics is not None:
                 self.metrics.increment("net_failovers")
-            return self._request_on(sibling, msg_type, payload, codec, timeout)
+            return self._request_on(sibling, msg_type, parts, codec, timeout)
         if self.metrics is not None:
             self.metrics.increment("hedge_fired")
         sibling = self._pick_endpoint(1, exclude=primary)
         if sibling is None:
             return first.result(timeout=timeout)
         second = executor.submit(
-            self._request_on, sibling, msg_type, payload, codec, timeout
+            self._request_on, sibling, msg_type, parts, codec, timeout
         )
         hedges = {second}
         pending = {first, second}
@@ -654,7 +657,7 @@ class RemoteShardClient:
     def ping(self) -> float:
         """Health probe: one PING round trip, returns its latency."""
         start = perf_counter()
-        self._request(MsgType.PING, b"")
+        self._request(MsgType.PING, ())
         return perf_counter() - start
 
     def fetch_heads(self, names: Sequence[str], transport: str = "raw+zlib") -> bytes:
@@ -663,7 +666,7 @@ class RemoteShardClient:
         with TRACER.span("net.fetch_heads", {"heads": len(names)}):
             _msg, codec, payload = self._request(
                 MsgType.FETCH_HEADS,
-                json_payload({"names": list(names), "transport": transport}),
+                (json_payload({"names": list(names), "transport": transport}),),
             )
             if codec != codec_for_transport(transport):
                 raise FrameError(
@@ -696,7 +699,7 @@ class RemoteShardClient:
             ctx = self._trace_ctx()
             if ctx is not None:
                 request["trace"] = ctx
-            _msg, _codec, payload = self._request(MsgType.SERVE, json_payload(request))
+            _msg, _codec, payload = self._request(MsgType.SERVE, (json_payload(request),))
             meta, blob = unpack_body(payload)
             if meta.get("trace_spans"):
                 TRACER.attach(meta["trace_spans"])
@@ -713,7 +716,8 @@ class RemoteShardClient:
             ctx = self._trace_ctx()
             if ctx is not None:
                 request["trace"] = ctx
-            body = pack_body(request, images.tobytes())
+            # the batch goes to sendmsg as a byte view of the array: no copy
+            body = pack_body_parts(request, memoryview(images.reshape(-1).view(np.uint8)))
             _msg, _codec, payload = self._request(MsgType.PREDICT, body, CODEC_BINARY)
             meta, blob = unpack_body(payload)
             if meta.get("trace_spans"):
@@ -746,7 +750,7 @@ class RemoteShardClient:
         bounded ring).  Old servers simply omit the key.
         """
         _msg, _codec, payload = self._request(
-            MsgType.STATS, json_payload({"journal_since": int(journal_since)})
+            MsgType.STATS, (json_payload({"journal_since": int(journal_since)}),)
         )
         info = parse_json(payload)
         with self._pool_lock:
@@ -786,7 +790,7 @@ class RemoteShardClient:
         self,
         endpoint: _ReplicaEndpoint,
         msg_type: int,
-        payload: bytes,
+        parts: Sequence[Buffer],
         codec: int,
         deadline: float,
     ) -> Dict:
@@ -804,7 +808,7 @@ class RemoteShardClient:
         while True:
             try:
                 _msg, _codec, body = self._request_on(
-                    endpoint, msg_type, payload, codec, timeout
+                    endpoint, msg_type, parts, codec, timeout
                 )
             except BaseException as error:
                 if not self.retry.retryable(msg_type, error):
@@ -831,7 +835,7 @@ class RemoteShardClient:
     def _broadcast_mutation(
         self,
         msg_type: int,
-        payload: bytes,
+        parts: Sequence[Buffer],
         codec: int = CODEC_JSON,
         deadline_seconds: float = 60.0,
     ) -> List[Dict]:
@@ -844,7 +848,7 @@ class RemoteShardClient:
         """
         deadline = time.monotonic() + deadline_seconds
         return [
-            self._mutate_replica(endpoint, msg_type, payload, codec, deadline)
+            self._mutate_replica(endpoint, msg_type, parts, codec, deadline)
             for endpoint in list(self._replicas)
         ]
 
@@ -863,7 +867,7 @@ class RemoteShardClient:
             "digest": payload_digest(payload),
         }
         return self._broadcast_mutation(
-            MsgType.INSTALL_HEADS, pack_body(meta, payload), CODEC_BINARY
+            MsgType.INSTALL_HEADS, pack_body_parts(meta, payload), CODEC_BINARY
         )
 
     def drop_heads(
@@ -882,7 +886,7 @@ class RemoteShardClient:
                 "names": list(names),
             }
         )
-        return self._broadcast_mutation(MsgType.DROP_HEADS, body)
+        return self._broadcast_mutation(MsgType.DROP_HEADS, (body,))
 
     def push_library(
         self, payload: bytes, *, epoch: int, mutation_id: str
@@ -894,7 +898,7 @@ class RemoteShardClient:
             "digest": payload_digest(payload),
         }
         return self._broadcast_mutation(
-            MsgType.REFRESH_LIBRARY, pack_body(meta, payload), CODEC_BINARY
+            MsgType.REFRESH_LIBRARY, pack_body_parts(meta, payload), CODEC_BINARY
         )
 
     # ------------------------------------------------------------------
@@ -948,7 +952,7 @@ class RemoteShardClient:
         """Ask the worker at ``address`` to drain and wait for DRAINED."""
         channel = _SyncChannel(address, timeout)
         try:
-            msg_type, _codec, _payload = channel.request(MsgType.DRAIN, json_payload({}))
+            msg_type, _codec, _payload = channel.request(MsgType.DRAIN, (json_payload({}),))
             if msg_type != MsgType.DRAINED:
                 raise FrameError(f"drain got unexpected message type {msg_type}")
         finally:

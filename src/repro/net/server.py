@@ -4,10 +4,12 @@ Three layers, innermost first:
 
 * :class:`ShardServer` — a TCP server around one
   :class:`~repro.cluster.shard.PoolShard`.  Each connection gets a reader
-  thread; each request is dispatched to a small worker pool so multiple
-  requests on one connection execute concurrently and their chunked
-  responses interleave on the wire (no head-of-line blocking behind a big
-  head payload).  Speaks the :mod:`repro.net.frame` protocol: handshake
+  thread, which itself answers a request whose response is already in
+  memory (``PING``, a ``SERVE`` the payload cache holds); everything that
+  builds, computes or mutates goes to a small worker pool, so those
+  requests execute concurrently and their chunked responses interleave
+  on the wire (no head-of-line blocking behind a build or a big head
+  payload).  Speaks the :mod:`repro.net.frame` protocol: handshake
   (``HELLO``/``HELLO_OK`` with version check), ``FETCH_HEADS``, ``SERVE``,
   ``PREDICT``, ``STATS``, ``PING`` and a graceful ``DRAIN``.
 * :func:`_shard_worker_main` / :class:`ShardWorkerFleet` — the
@@ -45,6 +47,7 @@ import multiprocessing
 import os
 import secrets
 import socket
+import struct
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from ..cluster.gateway import ClusterConfig, ClusterGateway
 from ..cluster.metrics import ClusterMetrics
@@ -60,9 +63,16 @@ from ..cluster.shard import PoolShard
 from ..core.server import deserialize_expert_heads, deserialize_library_state
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
+from ..serving.canonical import payload_key
 from ..serving.gateway import GatewayConfig
 from .client import RemoteShardClient
-from .retry import HedgePolicy, RetryPolicy, ShardDrainingError, StaleEpochError
+from .retry import (
+    DEFAULT_OP_TIMEOUTS,
+    HedgePolicy,
+    RetryPolicy,
+    ShardDrainingError,
+    StaleEpochError,
+)
 from .frame import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -89,18 +99,32 @@ from .frame import (
 #: window while keeping the dedup journal O(small).
 _MUTATION_JOURNAL_CAP = 1024
 
+#: Send deadline (``SO_SNDTIMEO``) of every accepted connection.  No client
+#: waits longer than this for a response, so a send that made no progress
+#: for this long is to a peer that gave up: the connection is dropped.
+_SEND_TIMEOUT_S = max(DEFAULT_OP_TIMEOUTS.values())
+
 __all__ = ["ShardServer", "ShardWorkerFleet", "NetworkedCluster"]
 
 
 class ShardServer:
     """Serve one :class:`PoolShard` over TCP (the worker-side event loop).
 
-    Thread model: one acceptor thread, one reader thread per connection,
-    and a shared ``request_workers``-wide pool executing request handlers.
-    Responses are written frame-by-frame under a per-connection lock, so
-    chunked payloads from concurrent requests interleave cleanly.
-    ``DRAIN`` and ``HELLO`` are handled outside the pool (a drain must be
-    able to wait for the pool to empty without occupying it).
+    Thread model: one acceptor thread, one reader thread per connection
+    (``poe-net-conn``), and a shared ``request_workers``-wide pool
+    (``poe-net-req``).  The reader runs ``HELLO``, ``PING`` and a ``SERVE``
+    whose payload the shard's cache holds — a hit costs about what the
+    hand-off to the pool would, so running it in place delays no
+    neighbour on the connection more than dispatching it did; a ``SERVE``
+    miss (which may encode or wait on a single flight), ``FETCH_HEADS``,
+    ``PREDICT``, ``STATS`` and the mutation frames run in the pool, and
+    ``DRAIN`` on its own thread (it waits for every request in flight, so
+    it must occupy neither).  Both callers go through one
+    ``_run_request``.  Responses are written frame-by-frame under a
+    per-connection lock, so chunked payloads from concurrent requests
+    interleave cleanly; every accepted socket carries a send deadline
+    (``_SEND_TIMEOUT_S``), so a peer that stops reading costs a thread
+    that long at most and then loses its connection.
 
     Mutation frames (``INSTALL_HEADS`` / ``DROP_HEADS`` /
     ``REFRESH_LIBRARY``) are fenced and idempotent: each carries a
@@ -253,6 +277,11 @@ class ShardServer:
             except OSError:
                 return  # listener closed: drain or shutdown
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            seconds, fraction = divmod(_SEND_TIMEOUT_S, 1)
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                struct.pack("ll", int(seconds), int(fraction * 1e6)),
+            )
             with self._conn_lock:
                 self._connections.append(conn)
             # daemon reader, not tracked: it exits with its connection, and
@@ -318,17 +347,36 @@ class ShardServer:
                 name="poe-net-drain", daemon=True,
             ).start()
             return
-        with self._inflight_cond:
-            if self._draining.is_set():
-                # typed so replica-aware clients fail over instead of
-                # surfacing an error; subclasses RuntimeError, so old
-                # clients see exactly what they used to
-                self._send_error(
-                    conn, write_lock, request_id,
-                    ShardDrainingError("shard server is draining"),
+        # answered here, on the reader thread, when the response is already
+        # in memory; a lost race (entry evicted or invalidated between this
+        # stats-neutral peek and shard.serve) builds on this thread — still
+        # correct, and bounded by that one miss
+        inline = msg_type == MsgType.PING
+        if msg_type == MsgType.SERVE:
+            try:
+                request = parse_json(payload)
+                inline = self.shard.gateway.payload_cache.contains(
+                    payload_key(tuple(request["tasks"]), request.get("transport", "float32"))
                 )
-                return
-            self._inflight += 1
+                payload = request  # parsed once: the handler takes the dict
+            except (KeyError, TypeError, ValueError):  # FrameError is a ValueError
+                pass  # malformed: the handler re-reads it on the typed ERROR path
+        with self._inflight_cond:
+            draining = self._draining.is_set()
+            if not draining:
+                self._inflight += 1
+        if draining:
+            # typed so replica-aware clients fail over instead of surfacing
+            # an error; subclasses RuntimeError, so old clients see exactly
+            # what they used to.  Sent outside the lock drain() waits on.
+            self._send_error(
+                conn, write_lock, request_id,
+                ShardDrainingError("shard server is draining"),
+            )
+            return
+        if inline:
+            self._run_request(conn, write_lock, msg_type, request_id, payload, codec)
+            return
         try:
             self._executor.submit(
                 self._run_request, conn, write_lock, msg_type, request_id, payload, codec
@@ -385,7 +433,16 @@ class ShardServer:
             msg_type, request_id, parts, codec, self.chunk_bytes
         ):
             with write_lock:
-                send_buffers(conn, buffers)
+                try:
+                    send_buffers(conn, buffers)
+                except OSError:
+                    # failed, or no progress for _SEND_TIMEOUT_S: a frame may
+                    # be torn, so hang up — the reader's recv returns and the
+                    # responses queued on this lock fail at once instead of
+                    # each waiting out the deadline
+                    with suppress(OSError):
+                        conn.shutdown(socket.SHUT_RDWR)
+                    raise
 
     def _send_error(
         self, conn, write_lock, request_id: int, error: BaseException
@@ -513,7 +570,7 @@ class ShardServer:
         )
 
     def _handle_serve(self, conn, write_lock, request_id, payload, codec) -> None:
-        request = parse_json(payload)
+        request = payload if isinstance(payload, dict) else parse_json(payload)
         spans: List[Dict] = []
         with self._traced(request.get("trace"), "shard.serve", spans):
             response = self.shard.serve(

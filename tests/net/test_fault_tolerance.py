@@ -32,6 +32,8 @@ from repro.net import (
     ShardDrainingError,
     ShardServer,
 )
+from repro.net import server as net_server
+from repro.net.frame import MsgType, encode_frame, json_payload
 from repro.obs import JOURNAL
 from repro.serving import GatewayConfig
 
@@ -236,6 +238,44 @@ def test_draining_single_replica_surfaces_typed_error(shard_setup):
         server.drain()
         with pytest.raises(ShardDrainingError):
             client.fetch_heads((names[0],), "raw+zlib")
+
+
+# ----------------------------------------------------------------------
+# Send deadline: a peer that never reads cannot pin the worker
+# ----------------------------------------------------------------------
+def test_peer_that_never_reads_loses_its_connection_not_the_worker(
+    shard_setup, monkeypatch
+):
+    shard, names, start = shard_setup
+    monkeypatch.setattr(net_server, "_SEND_TIMEOUT_S", 0.25)
+    server = start()
+    shard.serve(names[:2], "float32")  # the flood's SERVEs hit: answered on its reader
+    serve = json_payload({"tasks": names[:2], "transport": "float32"})
+    fetch = json_payload({"names": names, "transport": "raw+zlib"})  # pooled
+    hostile = socket.create_connection(server.address)
+    hostile.setblocking(False)
+    try:
+        # ~4000 payload-bearing requests and not one read: the responses
+        # back up until the server's sends to this peer stop making progress
+        try:
+            for request_id in range(1, 4001):
+                msg_type, body = (
+                    (MsgType.SERVE, serve) if request_id % 2 else (MsgType.FETCH_HEADS, fetch)
+                )
+                hostile.sendall(encode_frame(msg_type, request_id, body))
+        except BlockingIOError:
+            pass  # our own send buffer filled: the server stopped reading us
+        with RemoteShardClient(server.address, hedge=NO_HEDGE) as client:
+            client.ping()
+            cold = client.serve(names[1:3], "raw+zlib")  # a miss: through the pool
+            assert not cold.payload_cache_hit
+        drainer = threading.Thread(target=server.drain)
+        drainer.start()
+        drainer.join(timeout=20.0)
+        assert not drainer.is_alive(), "drain never saw the in-flight count reach 0"
+        assert server._inflight == 0
+    finally:
+        hostile.close()
 
 
 # ----------------------------------------------------------------------

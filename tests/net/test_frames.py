@@ -283,7 +283,12 @@ _MESSAGES = st.lists(
         st.integers(min_value=0, max_value=2**64 - 1),
         st.binary(max_size=2048),
         _CODECS,
-        st.integers(min_value=0, max_value=2048),  # where the payload splits into parts
+        # where the payload splits into its three parts (meta prefix, blob,
+        # a buffer view behind it: the shape a remote predict sends)
+        st.tuples(
+            st.integers(min_value=0, max_value=2048),
+            st.integers(min_value=0, max_value=2048),
+        ).map(sorted),
     ),
     min_size=1,
     max_size=5,
@@ -299,9 +304,9 @@ def test_in_place_path_and_buffer_lists_match_feed_and_the_v1_wire(
     messages, chunk_bytes, sizes
 ):
     wire = b""
-    for msg_type, request_id, payload, codec, split in messages:
+    for msg_type, request_id, payload, codec, (first, second) in messages:
         reference = _reference_wire(msg_type, request_id, payload, codec, chunk_bytes)
-        parts = (payload[:split], payload[split:])
+        parts = (payload[:first], payload[first:second], memoryview(payload)[second:])
         gathered = b"".join(
             b"".join(buffers)
             for buffers in encode_buffers(msg_type, request_id, parts, codec, chunk_bytes)
@@ -421,7 +426,7 @@ def test_stream_cut_mid_payload_raises_and_leaves_the_channel_dirty(monkeypatch)
     channel, _sock = _channel(monkeypatch, cut + b"x" * 10, recv_step=13)
     assert not channel.dirty
     with pytest.raises(ConnectionError, match="mid-response"):
-        channel.request(MsgType.SERVE, json_payload({}))
+        channel.request(MsgType.SERVE, (json_payload({}),))
     assert channel.dirty
 
 
@@ -472,7 +477,7 @@ def test_receiving_a_large_message_allocates_its_buffer_and_one_copy(monkeypatch
     channel, _sock = _channel(monkeypatch, served, recv_step=1 << 16)
     tracemalloc.start()
     try:
-        _msg, _codec, body = channel.request(MsgType.SERVE, json_payload({}))
+        _msg, _codec, body = channel.request(MsgType.SERVE, (json_payload({}),))
         response = net_client.gateway_response_from_body(*unpack_body(body))
         _size, peak = tracemalloc.get_traced_memory()
     finally:

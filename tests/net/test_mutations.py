@@ -38,7 +38,7 @@ from repro.net.frame import (
     CODEC_BINARY,
     FrameError,
     MsgType,
-    pack_body,
+    pack_body_parts,
 )
 from repro.obs import JOURNAL
 from repro.serving import GatewayConfig
@@ -164,14 +164,14 @@ def test_corrupted_payload_is_refused_before_apply(mutable_shard):
     }
     with pytest.raises(FrameError, match="digest"):
         client._broadcast_mutation(
-            MsgType.INSTALL_HEADS, pack_body(meta, payload), CODEC_BINARY
+            MsgType.INSTALL_HEADS, pack_body_parts(meta, payload), CODEC_BINARY
         )
     # nothing applied, nothing journaled: a corrected retry under the
     # same id must still go through
     assert shard.pool.expert_version(victim) == version
     meta["digest"] = payload_digest(payload)
     (ack,) = client._broadcast_mutation(
-        MsgType.INSTALL_HEADS, pack_body(meta, payload), CODEC_BINARY
+        MsgType.INSTALL_HEADS, pack_body_parts(meta, payload), CODEC_BINARY
     )
     assert not ack.get("replayed")
 
