@@ -1,32 +1,38 @@
 """Prediction throughput: fused execution vs the autograd engine.
 
-Two inference claims to defend at ``n(Q) = 8``, single thread:
+Two inference paths to hold at ``n(Q) = 8``, single thread:
 
 * the fused head bank (:class:`repro.models.FusedHeadBank` — heads folded
   into the batch dimension, one stacked GEMM per layer, BN folded to
-  affines) executes the multi-head stage at least **3x** faster than the
-  per-head Python loop;
+  affines) against the per-head Python loop;
 * the compiled eval-mode trunk (:class:`repro.nn.fused.FusedTrunk` — the
-  same NHWC lowering applied to the shared library) runs at least **2.5x**
-  faster than the autograd trunk at batch 64, which is what lifts *cold*
-  end-to-end predictions (no warm caches) past 3.5x over the loop path.
+  same NHWC lowering applied to the shared library) against the autograd
+  trunk at batch 64.
 
-Both fused paths must be ``allclose`` to their reference.  The
-trunk-feature cache rides along: end-to-end ``predict()`` with warm
+Both fused paths must be ``allclose`` to their reference and faster than
+it, and — un-relaxed — no slower in absolute milliseconds than the
+``pr20-workspace`` record of ``BENCH_predict.json``.  The gate used to be
+a ratio (>=3x heads, >=2.5x trunk); it lost its premise when the
+*baseline* got ~2.6x faster (PR 22: channels-last autograd conv, one-node
+batch norm — heads loop 6.6 -> 2.6 ms, trunk 3.8 -> 1.4 ms with the fused
+side unchanged), so a ratio now measures the reference, not the fast path.
+The trunk-feature cache rides along: end-to-end ``predict()`` with warm
 features skips the trunk forward entirely, and the benchmark reports the
 cold/warm/result-cache split plus the cache hit rate.
 
-Results append to ``BENCH_predict.json`` (a run per invocation), so CI
-artifact uploads accumulate the perf trajectory PR over PR.
+Results append to ``BENCH_predict.json`` (a run per invocation, both
+sides' milliseconds in every record), so CI artifact uploads accumulate
+the perf trajectory PR over PR.
 
 Self-contained: builds a micro pool inline (~seconds).  Run with::
 
     pytest benchmarks/bench_predict_throughput.py -q -s
 
-``REPRO_BENCH_RELAX=1`` (CI smoke) reports timings but gates only on
-correctness and a >1x sanity floor.
+``REPRO_BENCH_RELAX=1`` (CI smoke, runners of unknown speed) keeps the
+correctness and faster-than-reference gates and drops the absolute one.
 """
 
+import json
 import os
 
 import numpy as np
@@ -46,6 +52,14 @@ N_HEADS = 8
 BATCH_SIZE = 64
 REPS = 30
 TRAJECTORY_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_predict.json")
+#: The trajectory record whose fused milliseconds are the absolute ceiling.
+BASELINE_LABEL = "pr20-workspace"
+
+
+def _baseline_record():
+    with open(TRAJECTORY_PATH) as fh:
+        runs = json.load(fh)["runs"]
+    return next(run for run in runs if run.get("label") == BASELINE_LABEL)
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +68,10 @@ def predict_pool():
     return pool, data
 
 
-def test_fused_3x_and_allclose(predict_pool, emit):
-    """Acceptance headline: >=3x fused vs loop at n(Q)=8, logits allclose."""
+def test_fused_faster_and_allclose(predict_pool, emit):
+    """Fused paths allclose to, and faster than, the autograd engine at n(Q)=8."""
     pool, data = predict_pool
+    baseline = _baseline_record()
     record = run_predict_benchmark(
         pool, data.test.images, n_heads=N_HEADS, batch_size=BATCH_SIZE, reps=REPS
     )
@@ -76,19 +91,16 @@ def test_fused_3x_and_allclose(predict_pool, emit):
         f"compiled trunk diverged from the autograd trunk "
         f"(max abs diff {record['trunk']['max_abs_diff']:.2e})"
     )
-    speedup = record["heads"]["speedup"]
-    trunk_speedup = record["trunk"]["speedup"]
-    if os.environ.get("REPRO_BENCH_RELAX"):
-        # shared-runner smoke mode (CI): report, don't gate on wall clock
-        assert speedup > 1.0, f"fused execution slower than the loop ({speedup:.2f}x)"
-        assert trunk_speedup > 1.0, (
-            f"compiled trunk slower than autograd ({trunk_speedup:.2f}x)"
-        )
-    else:
-        assert speedup >= 3.0, f"fused speedup only {speedup:.2f}x"
-        assert trunk_speedup >= 2.5, (
-            f"compiled-trunk speedup only {trunk_speedup:.2f}x (claim: >=2.5x)"
-        )
+    for part, reference in (("heads", "the loop"), ("trunk", "autograd")):
+        speedup = record[part]["speedup"]
+        assert speedup > 1.0, f"fused {part} slower than {reference} ({speedup:.2f}x)"
+    if not os.environ.get("REPRO_BENCH_RELAX"):
+        for part in ("heads", "trunk"):
+            fused_ms, ceiling_ms = record[part]["fused_ms"], baseline[part]["fused_ms"]
+            assert fused_ms <= ceiling_ms, (
+                f"fused {part} {fused_ms:.3f} ms, slower than the "
+                f"{BASELINE_LABEL} record's {ceiling_ms:.3f} ms"
+            )
 
 
 def test_trunk_cache_hit_rate_impact(predict_pool, emit):

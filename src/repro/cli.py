@@ -688,16 +688,11 @@ def cmd_predict_bench(args: argparse.Namespace) -> int:
             f"trunk max abs diff {record['trunk']['max_abs_diff']:.2e})"
         )
         return 1
-    # perf gate: the compiled trunk must beat the autograd trunk >=2.5x
-    # (noisy shared runners relax to a >1x sanity floor, like the pytest
-    # benchmarks)
+    # sanity gate: the compiled trunk must beat the autograd trunk (the
+    # absolute-milliseconds gate lives in bench_predict_throughput.py)
     trunk_speedup = record["trunk"]["speedup"]
-    floor = 1.0 if os.environ.get("REPRO_BENCH_RELAX") else 2.5
-    if trunk_speedup < floor:
-        print(
-            f"error: compiled-trunk speedup {trunk_speedup:.2f}x below the "
-            f"{floor:g}x gate"
-        )
+    if trunk_speedup <= 1.0:
+        print(f"error: compiled trunk slower than autograd ({trunk_speedup:.2f}x)")
         return 1
     return 0
 

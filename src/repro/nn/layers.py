@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, conv2d, avg_pool2d, max_pool2d, global_avg_pool2d
+from ..tensor import Tensor, conv2d, batch_norm2d, avg_pool2d, max_pool2d, global_avg_pool2d
 from ..tensor import functional as F
 from . import init as weight_init
 from .module import Module, Parameter
@@ -109,22 +109,18 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = self.momentum
-            self._update_buffer(
-                "running_mean", (1 - m) * self.running_mean + m * mean.data.astype(np.float32)
-            )
-            self._update_buffer(
-                "running_var", (1 - m) * self.running_var + m * var.data.astype(np.float32)
-            )
-        else:
-            mean = Tensor(self.running_mean)
-            var = Tensor(self.running_var)
-        shape = (1, self.num_features, 1, 1)
-        x_hat = (x - mean.reshape(shape)) / (var.reshape(shape) + self.eps).sqrt()
-        return x_hat * self.weight.reshape(shape) + self.bias.reshape(shape)
+        if not self.training:
+            stats = (self.running_mean, self.running_var)
+            return batch_norm2d(x, self.weight, self.bias, stats, self.eps)[0]
+        out, mean, var = batch_norm2d(x, self.weight, self.bias, eps=self.eps)
+        m = self.momentum
+        self._update_buffer(
+            "running_mean", (1 - m) * self.running_mean + m * mean.astype(np.float32)
+        )
+        self._update_buffer(
+            "running_var", (1 - m) * self.running_var + m * var.astype(np.float32)
+        )
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BatchNorm2d({self.num_features})"

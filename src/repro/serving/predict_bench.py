@@ -1,15 +1,14 @@
 """Measurement harness for the prediction fast path.
 
 One benchmark recipe shared by ``benchmarks/bench_predict_throughput.py``
-(which *asserts* the speedups) and the ``repro predict-bench`` CLI (which
+(which *asserts* on the record) and the ``repro predict-bench`` CLI (which
 emits the ``BENCH_predict.json`` trajectory): build an ``M(Q)`` with
 ``n(Q)`` heads, then time
 
-* the per-head Python loop vs the fused bank on identical trunk features
-  (the ≥3x single-thread claim), checking ``allclose`` along the way;
+* the per-head Python loop vs the fused bank on identical trunk features,
+  checking ``allclose`` along the way;
 * the autograd trunk vs the **compiled** eval-mode trunk
-  (:class:`repro.nn.fused.FusedTrunk` — the ≥2.5x trunk-mode claim),
-  also ``allclose``-checked;
+  (:class:`repro.nn.fused.FusedTrunk`), also ``allclose``-checked;
 * end-to-end prediction — loop path, fused path with a cold trunk
   (compiled trunk + fused heads, no caches warm), fused path with the
   trunk-feature cache warm, and a fully repeated request served from the

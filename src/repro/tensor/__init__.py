@@ -5,14 +5,21 @@ DESIGN.md §2).  Public surface:
 
 * :class:`~repro.tensor.tensor.Tensor` — the autograd array type.
 * :mod:`~repro.tensor.functional` — activations and the paper's losses.
-* :mod:`~repro.tensor.conv` — im2col convolution and pooling.
+* :mod:`~repro.tensor.conv` — channels-last convolution, pooling and batch norm.
 * :func:`~repro.tensor.autograd.no_grad` — disable graph recording.
 * :func:`~repro.tensor.gradcheck.gradcheck` — numerical gradient checking.
 """
 
 from . import functional
 from .autograd import enable_grad, is_grad_enabled, no_grad, set_grad_enabled
-from .conv import avg_pool2d, conv2d, conv_output_size, global_avg_pool2d, max_pool2d
+from .conv import (
+    avg_pool2d,
+    batch_norm2d,
+    conv2d,
+    conv_output_size,
+    global_avg_pool2d,
+    max_pool2d,
+)
 from .gradcheck import gradcheck, numerical_gradient
 from .tensor import DEFAULT_DTYPE, Tensor
 
@@ -25,6 +32,7 @@ __all__ = [
     "is_grad_enabled",
     "set_grad_enabled",
     "conv2d",
+    "batch_norm2d",
     "avg_pool2d",
     "max_pool2d",
     "global_avg_pool2d",

@@ -1,16 +1,30 @@
-"""Convolution and pooling primitives (im2col based) with custom backward.
+"""Convolution, pooling and batch-norm primitives with custom backward.
 
-Convolutions dominate the runtime of every experiment, so rather than
+These ops dominate the runtime of every experiment, so rather than
 composing them from elementwise autograd ops we implement them as fused
-autograd nodes whose forward/backward are single big matrix multiplies.
+autograd nodes whose forward/backward are a few big numpy calls.
 
-Layout convention is NCHW throughout (batch, channels, height, width), the
-same as the paper's PyTorch reference code.
+**Layout.**  Tensors are *logically* NCHW (batch, channels, height, width),
+the same as the paper's PyTorch reference code — that is what ``.shape``
+says and what every caller indexes.  *Physically* every op here computes
+channels-last: it reads its input through the ``(N, H, W, C)`` transpose,
+works on ``(N·H·W, C)`` matrices, and returns its ``(N, OH, OW, C_out)``
+result as a transposed **view**, so activations flow between layers as
+logical NCHW over physical NHWC — the contract :mod:`repro.nn.fused` set
+for the serving path.  A GEMM's output then *is* the next layer's input
+layout, an unfold copies runs of ``KW·C`` floats instead of ``KW``, and
+elementwise numpy ops in between (ReLU, the residual add) keep whatever
+layout their operands have.  Nothing depends on the physical layout for
+correctness: an NCHW-contiguous array (a dataset batch, a hand-made
+gradient) is accepted anywhere and costs one strided copy at entry.
+Gradients sent to *parameters* are always C-contiguous in the parameter's
+declared shape, so weights and optimizer state never drift to a permuted
+layout.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +32,7 @@ from .tensor import Tensor
 
 __all__ = [
     "conv2d",
+    "batch_norm2d",
     "avg_pool2d",
     "max_pool2d",
     "global_avg_pool2d",
@@ -30,60 +45,57 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """Logical NCHW -> the (N, H, W, C) view every op here computes on."""
+    return x.transpose(0, 2, 3, 1)
+
+
+def _unfold(
+    x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*kh*kw)."""
-    n, c, h, w = x.shape
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    strides = x.strides
-    # View of shape (N, C, OH, OW, KH, KW) without copying.
-    shape = (n, c, oh, ow, kh, kw)
-    view = np.lib.stride_tricks.as_strided(
+    """Unfold channels-last ``x`` (N, H, W, C; any strides) into columns.
+
+    Returns ``(cols, OH, OW)`` with ``cols`` of shape (N·OH·OW, KH·KW·C): one
+    strided copy out of a zero-bordered buffer, or no copy at all when the
+    window *is* the input (1×1, stride 1, contiguous).
+    """
+    n, h, w, c = x.shape
+    oh = conv_output_size(h, kh, stride, ph)
+    ow = conv_output_size(w, kw, stride, pw)
+    if ph or pw:
+        padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+        padded[:, ph : ph + h, pw : pw + w] = x
+        x = padded
+    sn, sh, sw, sc = x.strides
+    window = np.lib.stride_tricks.as_strided(
         x,
-        shape=shape,
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
+        shape=(n, oh, ow, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    # (N, OH, OW, C, KH, KW) -> (N*OH*OW, C*KH*KW)
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    return window.reshape(n * oh * ow, kh * kw * c), oh, ow
 
 
-def _col2im(
+def _fold(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
     kh: int,
     kw: int,
     stride: int,
     padding: int,
-    oh: int,
-    ow: int,
 ) -> np.ndarray:
-    """Fold column gradients back into an image gradient (inverse of im2col)."""
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    grad_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    # Accumulate each kernel offset with slice arithmetic (vectorised col2im).
+    """Sum columns (N·OH·OW, KH·KW·C) back into a channels-last (N, H, W, C)
+    image: the adjoint of :func:`_unfold`."""
+    n, h, w, c = x_shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    image = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, oh, ow, kh, kw, c)
     for i in range(kh):
-        i_max = i + stride * oh
+        rows = slice(i, i + stride * oh, stride)
         for j in range(kw):
-            j_max = j + stride * ow
-            grad_padded[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, :, :, i, j]
-    if padding > 0:
-        return grad_padded[:, :, padding:-padding, padding:-padding]
-    return grad_padded
+            image[:, rows, j : j + stride * ow : stride] += cols6[:, :, :, i, j]
+    return image[:, padding : padding + h, padding : padding + w]
 
 
 def conv2d(
@@ -98,50 +110,123 @@ def conv2d(
     c_out, c_in, kh, kw = weight.shape
     if c_in != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {c_in}")
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
-    w2 = weight.data.reshape(c_out, -1)
+    cols, oh, ow = _unfold(_channels_last(x.data), kh, kw, stride, padding, padding)
+    # (C_out, C, KH, KW) -> (C_out, KH*KW*C): the unfold's column order
+    w2 = _channels_last(weight.data).reshape(c_out, kh * kw * c)
     out_data = cols @ w2.T  # (N*OH*OW, C_out)
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data
     out_data = out_data.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        # g: (N, C_out, OH, OW) -> (N*OH*OW, C_out)
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        gl = _channels_last(g)  # (N, OH, OW, C_out)
+        g2 = gl.reshape(-1, c_out)
         if bias is not None and bias.requires_grad:
             out._send(bias, g2.sum(axis=0))
         if weight.requires_grad:
-            gw = g2.T @ cols  # (C_out, C*KH*KW)
-            out._send(weight, gw.reshape(weight.shape))
-        if x.requires_grad:
-            gcols = g2 @ w2  # (N*OH*OW, C*KH*KW)
-            gx = _col2im(gcols, (n, c, h, w), kh, kw, stride, padding, oh, ow)
-            out._send(x, gx)
+            gw = (g2.T @ cols).reshape(c_out, kh, kw, c)
+            out._send(weight, np.ascontiguousarray(gw.transpose(0, 3, 1, 2)))
+        if not x.requires_grad:
+            return
+        if stride == 1 and padding < min(kh, kw):
+            # a gather, not a scatter: dX is the correlation of the (zero-
+            # bordered) output gradient with the flipped kernels
+            gcols, _, _ = _unfold(gl, kh, kw, 1, kh - 1 - padding, kw - 1 - padding)
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+            gx = gcols @ flipped.reshape(kh * kw * c_out, c)
+            gx = gx.reshape(n, h, w, c)
+        else:
+            gx = _fold(g2 @ w2, (n, h, w, c), kh, kw, stride, padding)
+        out._send(x, gx.transpose(0, 3, 1, 2))
 
-    out = Tensor._make(np.ascontiguousarray(out_data), parents, "conv2d", backward)
+    out = Tensor._make(out_data, parents, "conv2d", backward)
     return out
+
+
+def batch_norm2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    stats: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    eps: float = 1e-5,
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-channel normalisation of an NCHW tensor as one graph node.
+
+    ``stats=None`` normalises with the batch's own mean and (biased)
+    variance and backpropagates through them (training mode); a given
+    ``(mean, var)`` pair is a constant, which makes the op a per-channel
+    scale and shift (eval mode).  Returns the output and the mean and
+    variance it used, for the caller's running estimates.
+    """
+    n, c, h, w = x.shape
+    x2 = _channels_last(x.data).reshape(-1, c)  # (N*H*W, C)
+    gamma = weight.data
+    if stats is None:
+        count = x2.shape[0]
+        mean = x2.sum(axis=0) / count
+        x_hat = x2 - mean
+        var = np.einsum("ij,ij->j", x_hat, x_hat) / count
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat *= inv_std
+        out_data = x_hat * gamma
+        out_data += bias.data
+    else:
+        mean, var = (np.asarray(s, dtype=x2.dtype) for s in stats)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        scale = gamma * inv_std
+        out_data = x2 * scale
+        out_data += bias.data - mean * scale
+    out_data = out_data.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
+    def backward(g: np.ndarray) -> None:
+        g2 = _channels_last(g).reshape(-1, c)
+        # the batch-statistics input gradient needs both parameter gradients
+        if stats is None or bias.requires_grad:
+            g_beta = g2.sum(axis=0)
+        if stats is None or weight.requires_grad:
+            normed = x_hat if stats is None else (x2 - mean) * inv_std
+            g_gamma = np.einsum("ij,ij->j", g2, normed)
+        if bias.requires_grad:
+            out._send(bias, g_beta)
+        if weight.requires_grad:
+            out._send(weight, g_gamma)
+        if not x.requires_grad:
+            return
+        if stats is None:
+            # closed form through the batch mean and variance
+            gx = g2 - g_beta / count
+            gx -= normed * (g_gamma / count)
+            gx *= gamma * inv_std
+        else:
+            gx = g2 * (gamma * inv_std)
+        out._send(x, gx.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+    out = Tensor._make(out_data, (x, weight, bias), "batch_norm2d", backward)
+    return out, mean, var
+
+
+def _pool_windows(x: Tensor, kernel: int, stride: int) -> Tuple[np.ndarray, int, int]:
+    """Pooling windows of ``x`` as (N·OH·OW, K·K, C), plus (OH, OW)."""
+    cols, oh, ow = _unfold(_channels_last(x.data), kernel, kernel, stride, 0, 0)
+    return cols.reshape(-1, kernel * kernel, x.shape[1]), oh, ow
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling with square kernel (no padding)."""
     stride = stride or kernel
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kernel, stride, 0)
-    ow = conv_output_size(w, kernel, stride, 0)
-    cols, _, _ = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0
-    )  # (N*C*OH*OW, K*K)
-    out_data = cols.mean(axis=1).reshape(n, c, oh, ow)
+    windows, oh, ow = _pool_windows(x, kernel, stride)
+    out_data = windows.mean(axis=1).reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        scale = 1.0 / (kernel * kernel)
-        gcols = np.repeat(g.reshape(-1, 1), kernel * kernel, axis=1) * scale
-        gx = _col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0, oh, ow)
-        out._send(x, gx.reshape(n, c, h, w))
+        share = _channels_last(g).reshape(-1, 1, c) / (kernel * kernel)
+        gcols = np.broadcast_to(share, windows.shape)
+        gx = _fold(gcols, (n, h, w, c), kernel, kernel, stride, 0)
+        out._send(x, gx.transpose(0, 3, 1, 2))
 
     out = Tensor._make(out_data, (x,), "avg_pool2d", backward)
     return out
@@ -151,19 +236,18 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling with square kernel (no padding)."""
     stride = stride or kernel
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kernel, stride, 0)
-    ow = conv_output_size(w, kernel, stride, 0)
-    cols, _, _ = _im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    arg = cols.argmax(axis=1)
-    out_data = cols[np.arange(cols.shape[0]), arg].reshape(n, c, oh, ow)
+    windows, oh, ow = _pool_windows(x, kernel, stride)
+    arg = windows.argmax(axis=1)[:, None, :]
+    out_data = np.take_along_axis(windows, arg, axis=1)
+    out_data = out_data.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gcols = np.zeros_like(cols)
-        gcols[np.arange(cols.shape[0]), arg] = g.reshape(-1)
-        gx = _col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0, oh, ow)
-        out._send(x, gx.reshape(n, c, h, w))
+        gcols = np.zeros_like(windows)
+        np.put_along_axis(gcols, arg, _channels_last(g).reshape(-1, 1, c), axis=1)
+        gx = _fold(gcols, (n, h, w, c), kernel, kernel, stride, 0)
+        out._send(x, gx.transpose(0, 3, 1, 2))
 
     out = Tensor._make(out_data, (x,), "max_pool2d", backward)
     return out

@@ -47,6 +47,13 @@ def tiny_dataset(tiny_hierarchy):
     )
 
 
+def in_layout(array: np.ndarray, layout: str) -> np.ndarray:
+    """``array`` (logical NCHW) over ``layout`` memory: "nchw" or "nhwc"."""
+    if layout == "nchw":
+        return np.ascontiguousarray(array)
+    return np.ascontiguousarray(array.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 def build_micro_pool(hierarchy, seed=3, train_per_class=40, test_per_class=15):
     """Train a micro oracle and preprocess a full pool over ``hierarchy``.
 

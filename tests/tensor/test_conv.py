@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import signal
 
 from repro.tensor import (
@@ -12,7 +14,25 @@ from repro.tensor import (
     global_avg_pool2d,
     gradcheck,
     max_pool2d,
+    numerical_gradient,
 )
+from tests.conftest import in_layout
+
+
+def reference_conv2d(x, w, b, stride, padding):
+    """Slow NCHW cross-correlation, one kernel offset at a time (np.pad +
+    einsum): shares no code and no layout with the op under test."""
+    n, _, h, width = x.shape
+    c_out, _, kh, kw = w.shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(width, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, c_out, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            out += np.einsum("nchw,oc->nohw", patch, w[:, :, i, j])
+    return out if b is None else out + b[None, :, None, None]
 
 
 class TestOutputSize:
@@ -102,6 +122,85 @@ class TestConvBackward:
         assert w.grad is not None
 
 
+@st.composite
+def conv_cases(draw):
+    """The geometries the WRN trunks and heads run (3x3 same / strided, 1x1
+    stride-1 / stride-2 shortcuts, odd sizes) and the ones around them."""
+    k = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.sampled_from([0, 1]))
+    h = draw(st.integers(3, 6))
+    w = draw(st.integers(3, 6).filter(lambda v: v != h))
+    return dict(
+        n=draw(st.integers(1, 2)),
+        c_in=draw(st.integers(1, 3)),
+        c_out=draw(st.integers(1, 3)),
+        h=h,
+        w=w,
+        k=k,
+        stride=stride,
+        padding=padding,
+        bias=draw(st.booleans()),
+        frozen=draw(st.sampled_from([None, "x", "weight"])),
+        x_layout=draw(st.sampled_from(["nchw", "nhwc"])),
+        g_layout=draw(st.sampled_from(["nchw", "nhwc"])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestConvGradientOracle:
+    """conv2d against an independent slow forward and finite differences,
+    with inputs and upstream gradients in both physical layouts (float64)."""
+
+    @given(conv_cases())
+    def test_forward_and_gradients(self, case):
+        rng = np.random.default_rng(case["seed"])
+        stride, padding, k = case["stride"], case["padding"], case["k"]
+        x = rng.standard_normal((case["n"], case["c_in"], case["h"], case["w"]))
+        w = rng.standard_normal((case["c_out"], case["c_in"], k, k))
+        b = rng.standard_normal(case["c_out"]) if case["bias"] else None
+
+        def run(x_, w_, b_=None):
+            return conv2d(x_, w_, b_, stride=stride, padding=padding)
+
+        xt = Tensor(in_layout(x, case["x_layout"]), requires_grad=case["frozen"] != "x")
+        wt = Tensor(w.copy(), requires_grad=case["frozen"] != "weight")
+        bt = None if b is None else Tensor(b.copy(), requires_grad=True)
+        out = run(xt, wt, bt)
+        reference = reference_conv2d(x, w, b, stride, padding)
+        assert out.shape == reference.shape
+        assert np.allclose(out.numpy(), reference, atol=1e-10)
+
+        upstream = rng.standard_normal(reference.shape)
+        out.backward(in_layout(upstream, case["g_layout"]))
+
+        inputs = [x, w] if b is None else [x, w, b]
+        weighted = lambda *tensors: run(*tensors) * Tensor(upstream)  # noqa: E731
+        for index, tensor in enumerate([xt, wt] if bt is None else [xt, wt, bt]):
+            if not tensor.requires_grad:
+                assert tensor.grad is None
+                continue
+            numeric = numerical_gradient(weighted, inputs, index)
+            assert tensor.grad.shape == numeric.shape
+            assert np.allclose(tensor.grad, numeric, atol=1e-6, rtol=1e-5)
+        # a parameter's gradient arrives in the parameter's own layout
+        if wt.grad is not None:
+            assert wt.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_float32_matches_float64_in_either_layout(self, rng, layout):
+        x = rng.standard_normal((3, 4, 5, 7))
+        w = rng.standard_normal((6, 4, 3, 3))
+        out = conv2d(
+            Tensor(in_layout(x.astype(np.float32), layout)),
+            Tensor(w.astype(np.float32)),
+            stride=2,
+            padding=1,
+        )
+        assert out.dtype == np.float32
+        assert np.allclose(out.numpy(), reference_conv2d(x, w, None, 2, 1), atol=1e-4)
+
+
 class TestPooling:
     def test_avg_pool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
@@ -119,6 +218,21 @@ class TestPooling:
     def test_max_pool_gradcheck(self, rng):
         x = rng.permutation(32).reshape(1, 2, 4, 4).astype(np.float64)
         gradcheck(lambda x_: max_pool2d(x_, 2), [x])
+
+    @pytest.mark.parametrize("pool", [avg_pool2d, max_pool2d])
+    def test_overlapping_windows_in_either_layout(self, rng, pool):
+        # distinct values: a max over ties has no gradient to check
+        x = rng.permutation(2 * 3 * 5 * 5).reshape(2, 3, 5, 5).astype(np.float64)
+        results = []
+        for layout in ("nchw", "nhwc"):
+            tensor = Tensor(in_layout(x, layout), requires_grad=True)
+            out = pool(tensor, 3, 2)
+            out.sum().backward()
+            results.append((out.numpy(), tensor.grad))
+        assert results[0][0].shape == (2, 3, 2, 2)
+        assert np.array_equal(results[0][0], results[1][0])
+        assert np.array_equal(results[0][1], results[1][1])
+        gradcheck(lambda x_: pool(x_, 3, 2), [x])
 
     def test_global_avg_pool(self, rng):
         x = rng.standard_normal((3, 4, 5, 5))

@@ -6,11 +6,13 @@ inputs.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor, functional as F, gradcheck
+from repro.tensor import Tensor, batch_norm2d, functional as F, gradcheck, numerical_gradient
+from tests.conftest import in_layout
 
 SMALL = hnp.arrays(
     np.float64,
@@ -181,3 +183,126 @@ class TestFunctionalGrads:
         t = rng.standard_normal((3, 4))
         s = t + np.sign(rng.standard_normal((3, 4))) * (0.1 + rng.random((3, 4)))
         gradcheck(lambda s_: F.l1_loss(s_, Tensor(t)), [s])
+
+
+def primitive_batch_norm(x, weight, bias, stats=None, eps=1e-5):
+    """Batch norm as the chain of ~12 primitive graph nodes it was before
+    ``batch_norm2d`` became one node — the slow reference for that node."""
+    if stats is None:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    else:
+        mean, var = (Tensor(np.asarray(s, dtype=x.dtype)) for s in stats)
+    shape = (1, x.shape[1], 1, 1)
+    x_hat = (x - mean.reshape(shape)) / (var.reshape(shape) + eps).sqrt()
+    return x_hat * weight.reshape(shape) + bias.reshape(shape), mean.data, var.data
+
+
+BN_INPUT = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(2, 3), st.integers(1, 3), st.integers(1, 3), st.integers(2, 4)),
+    elements=st.floats(-2.0, 2.0, allow_nan=False, width=32),
+    # batch statistics of a near-constant channel are all round-off
+    unique=True,
+)
+LAYOUTS = st.sampled_from(["nchw", "nhwc"])
+
+
+class TestBatchNormGrads:
+    """``batch_norm2d``: finite differences in float64, and the old primitive
+    composition as a differential oracle, in train and eval mode."""
+
+    @staticmethod
+    def _params(x, seed=0):
+        rng = np.random.default_rng(seed)
+        c = x.shape[1]
+        stats = (rng.standard_normal(c), 0.5 + rng.random(c))
+        return rng.standard_normal(c), rng.standard_normal(c), stats
+
+    def _check_against_finite_differences(self, x, layout, training):
+        gamma, beta, stats = self._params(x)
+        stats = None if training else stats
+        upstream = np.random.default_rng(1).standard_normal(x.shape)
+        tensors = [
+            Tensor(a, requires_grad=True)
+            for a in (in_layout(x, layout), gamma.copy(), beta.copy())
+        ]
+        out, _, _ = batch_norm2d(*tensors, stats=stats)
+        out.backward(in_layout(upstream, layout))
+
+        def weighted(*args):
+            return batch_norm2d(*args, stats=stats)[0] * Tensor(upstream)
+
+        for index, tensor in enumerate(tensors):
+            numeric = numerical_gradient(weighted, [x, gamma, beta], index)
+            assert tensor.grad.shape == numeric.shape
+            assert np.allclose(tensor.grad, numeric, atol=1e-5, rtol=1e-3)
+
+    @given(BN_INPUT, LAYOUTS)
+    def test_train_mode(self, x, layout):
+        self._check_against_finite_differences(x, layout, training=True)
+
+    @given(BN_INPUT, LAYOUTS)
+    def test_eval_mode(self, x, layout):
+        self._check_against_finite_differences(x, layout, training=False)
+
+    @given(BN_INPUT, LAYOUTS, LAYOUTS, st.booleans())
+    def test_matches_primitive_composition(self, x, x_layout, g_layout, training):
+        gamma, beta, stats = self._params(x)
+        upstream = np.random.default_rng(1).standard_normal(x.shape)
+        results = []
+        for op in (batch_norm2d, primitive_batch_norm):
+            tensors = [
+                Tensor(a, requires_grad=True)
+                for a in (in_layout(x, x_layout), gamma.copy(), beta.copy())
+            ]
+            out, mean, var = op(*tensors, stats=None if training else stats)
+            out.backward(in_layout(upstream, g_layout))
+            results.append([out.numpy(), mean, var, *(t.grad for t in tensors)])
+        for fused, reference in zip(*results):
+            assert fused.shape == reference.shape
+            assert np.allclose(fused, reference, atol=1e-8, rtol=1e-8)
+
+    @given(LAYOUTS, st.booleans())
+    def test_frozen_parameters_get_no_gradient(self, layout, training):
+        rng = np.random.default_rng(5)
+        x = Tensor(in_layout(rng.standard_normal((2, 3, 2, 2)), layout), requires_grad=True)
+        gamma, beta, stats = self._params(x)
+        weight, bias = Tensor(gamma), Tensor(beta)
+        out, _, _ = batch_norm2d(x, weight, bias, stats=None if training else stats)
+        out.sum().backward()
+        assert weight.grad is None and bias.grad is None
+        assert x.grad.shape == x.shape
+
+
+class TestBatchNormLayer:
+    """The module around the node: running statistics and float32."""
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_running_stats_match_primitive_composition(self, rng, layout):
+        from repro.nn import BatchNorm2d
+
+        bn = BatchNorm2d(3, eps=1e-3, momentum=0.3)
+        bn.weight.data[:] = rng.standard_normal(3)
+        bn.bias.data[:] = rng.standard_normal(3)
+        mean, var = np.zeros(3, np.float32), np.ones(3, np.float32)
+        for step in range(3):
+            x = rng.standard_normal((4, 3, 5, 2)).astype(np.float32) * (step + 1)
+            out = bn(Tensor(in_layout(x, layout)))
+            reference, batch_mean, batch_var = primitive_batch_norm(
+                Tensor(x), bn.weight, bn.bias, eps=bn.eps
+            )
+            mean = 0.7 * mean + 0.3 * batch_mean
+            var = 0.7 * var + 0.3 * batch_var
+            assert out.dtype == np.float32
+            assert np.allclose(out.numpy(), reference.numpy(), atol=1e-5)
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float32
+        assert np.allclose(bn.running_mean, mean, rtol=1e-6, atol=1e-7)
+        assert np.allclose(bn.running_var, var, rtol=1e-6, atol=1e-7)
+        # eval mode: the running estimates, as constants
+        bn.eval()
+        x = rng.standard_normal((2, 3, 5, 2)).astype(np.float32)
+        reference, _, _ = primitive_batch_norm(
+            Tensor(x), bn.weight, bn.bias, stats=(mean, var), eps=bn.eps
+        )
+        assert np.allclose(bn(Tensor(in_layout(x, layout))).numpy(), reference.numpy(), atol=1e-5)
+        assert np.allclose(bn.running_mean, mean, rtol=1e-6, atol=1e-7)
