@@ -7,17 +7,20 @@ The paper decomposes the oracle's class set ``C`` into *primitive tasks*
 model ``M(Q)`` must recognise exactly the classes of ``Q``.
 
 :class:`ClassHierarchy` owns the global class indexing and exposes the
-primitive tasks; it is backed by a :mod:`networkx` tree so that hierarchies
-imported from real semantic trees (e.g. WordNet subsets) plug in unchanged.
+primitive tasks; its :attr:`~ClassHierarchy.tree` view is a :mod:`networkx`
+tree, so code written against real semantic trees (e.g. WordNet subsets)
+reads it unchanged.  :mod:`networkx` is imported only when that view is
+asked for: no serving or training process pays for it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PrimitiveTask", "CompositeTask", "ClassHierarchy"]
 
@@ -91,8 +94,6 @@ class ClassHierarchy:
     def __init__(self, groups: Mapping[str, Sequence[str]]) -> None:
         if not groups:
             raise ValueError("hierarchy needs at least one superclass")
-        self._tree = nx.DiGraph()
-        self._tree.add_node("<root>")
         self._tasks: List[PrimitiveTask] = []
         self._task_by_name: Dict[str, PrimitiveTask] = {}
         self._task_of_class: Dict[int, PrimitiveTask] = {}
@@ -106,9 +107,7 @@ class ClassHierarchy:
             task = PrimitiveTask(super_name, ids, tuple(class_names))
             self._tasks.append(task)
             self._task_by_name[super_name] = task
-            self._tree.add_edge("<root>", super_name)
             for class_id, class_name in zip(ids, class_names):
-                self._tree.add_edge(super_name, class_name)
                 self._task_of_class[class_id] = task
                 self._class_names.append(class_name)
 
@@ -126,9 +125,15 @@ class ClassHierarchy:
         return tuple(self._class_names)
 
     @property
-    def tree(self) -> nx.DiGraph:
-        """The underlying semantic tree (root -> superclass -> class)."""
-        return self._tree
+    def tree(self) -> "nx.DiGraph":
+        """The semantic tree (root -> superclass -> class), built on demand."""
+        import networkx as nx
+
+        tree = nx.DiGraph()
+        for task in self._tasks:
+            tree.add_edge("<root>", task.name)
+            tree.add_edges_from((task.name, class_name) for class_name in task.class_names)
+        return tree
 
     def primitive_tasks(self) -> Tuple[PrimitiveTask, ...]:
         return tuple(self._tasks)

@@ -21,6 +21,12 @@ class SGD:
     Parameters whose ``requires_grad`` flag is False are skipped entirely,
     which is how the frozen library component stays untouched during expert
     extraction.
+
+    Each parameter owns one velocity buffer, updated in place.  The
+    parameter itself is *rebound* to a new array every step, never written
+    into: ``Module.state_dict()`` hands out the parameter arrays by
+    reference, and an in-place update would rewrite every snapshot a caller
+    holds.
     """
 
     def __init__(
@@ -59,9 +65,9 @@ class SGD:
             if self.momentum:
                 velocity = self._velocity.get(id(param))
                 if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(param)] = velocity
+                    velocity = self._velocity[id(param)] = np.zeros_like(param.data)
+                velocity *= self.momentum
+                velocity += grad
                 grad = grad + self.momentum * velocity if self.nesterov else velocity
             param.data = param.data - self.lr * grad
 

@@ -17,7 +17,7 @@ elementwise numpy ops in between (ReLU, the residual add) keep whatever
 layout their operands have.  Nothing depends on the physical layout for
 correctness: an NCHW-contiguous array (a dataset batch, a hand-made
 gradient) is accepted anywhere and costs one strided copy at entry.
-Gradients sent to *parameters* are always C-contiguous in the parameter's
+Gradients returned for *parameters* are always C-contiguous in the parameter's
 declared shape, so weights and optimizer state never drift to a permuted
 layout.
 """
@@ -120,29 +120,29 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> tuple:
         gl = _channels_last(g)  # (N, OH, OW, C_out)
         g2 = gl.reshape(-1, c_out)
+        gx = gw = gb = None
         if bias is not None and bias.requires_grad:
-            out._send(bias, g2.sum(axis=0))
+            gb = g2.sum(axis=0)
         if weight.requires_grad:
             gw = (g2.T @ cols).reshape(c_out, kh, kw, c)
-            out._send(weight, np.ascontiguousarray(gw.transpose(0, 3, 1, 2)))
-        if not x.requires_grad:
-            return
-        if stride == 1 and padding < min(kh, kw):
-            # a gather, not a scatter: dX is the correlation of the (zero-
-            # bordered) output gradient with the flipped kernels
-            gcols, _, _ = _unfold(gl, kh, kw, 1, kh - 1 - padding, kw - 1 - padding)
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-            gx = gcols @ flipped.reshape(kh * kw * c_out, c)
-            gx = gx.reshape(n, h, w, c)
-        else:
-            gx = _fold(g2 @ w2, (n, h, w, c), kh, kw, stride, padding)
-        out._send(x, gx.transpose(0, 3, 1, 2))
+            gw = np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
+        if x.requires_grad:
+            if stride == 1 and padding < min(kh, kw):
+                # a gather, not a scatter: dX is the correlation of the (zero-
+                # bordered) output gradient with the flipped kernels
+                gcols, _, _ = _unfold(gl, kh, kw, 1, kh - 1 - padding, kw - 1 - padding)
+                flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+                gx = gcols @ flipped.reshape(kh * kw * c_out, c)
+                gx = gx.reshape(n, h, w, c)
+            else:
+                gx = _fold(g2 @ w2, (n, h, w, c), kh, kw, stride, padding)
+            gx = gx.transpose(0, 3, 1, 2)
+        return (gx, gw, gb)[: len(parents)]
 
-    out = Tensor._make(out_data, parents, "conv2d", backward)
-    return out
+    return Tensor._make(out_data, parents, "conv2d", backward)
 
 
 def batch_norm2d(
@@ -180,31 +180,31 @@ def batch_norm2d(
         out_data += bias.data - mean * scale
     out_data = out_data.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> tuple:
         g2 = _channels_last(g).reshape(-1, c)
+        g_beta = g_gamma = gx = None
         # the batch-statistics input gradient needs both parameter gradients
         if stats is None or bias.requires_grad:
             g_beta = g2.sum(axis=0)
         if stats is None or weight.requires_grad:
             normed = x_hat if stats is None else (x2 - mean) * inv_std
             g_gamma = np.einsum("ij,ij->j", g2, normed)
-        if bias.requires_grad:
-            out._send(bias, g_beta)
-        if weight.requires_grad:
-            out._send(weight, g_gamma)
-        if not x.requires_grad:
-            return
-        if stats is None:
-            # closed form through the batch mean and variance
-            gx = g2 - g_beta / count
-            gx -= normed * (g_gamma / count)
-            gx *= gamma * inv_std
-        else:
-            gx = g2 * (gamma * inv_std)
-        out._send(x, gx.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+        if x.requires_grad:
+            if stats is None:
+                # closed form through the batch mean and variance
+                gx = g2 - g_beta / count
+                gx -= normed * (g_gamma / count)
+                gx *= gamma * inv_std
+            else:
+                gx = g2 * (gamma * inv_std)
+            gx = gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        return (
+            gx,
+            g_gamma if weight.requires_grad else None,
+            g_beta if bias.requires_grad else None,
+        )
 
-    out = Tensor._make(out_data, (x, weight, bias), "batch_norm2d", backward)
-    return out, mean, var
+    return Tensor._make(out_data, (x, weight, bias), "batch_norm2d", backward), mean, var
 
 
 def _pool_windows(x: Tensor, kernel: int, stride: int) -> Tuple[np.ndarray, int, int]:
@@ -220,16 +220,13 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     windows, oh, ow = _pool_windows(x, kernel, stride)
     out_data = windows.mean(axis=1).reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
 
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
+    def backward(g: np.ndarray) -> tuple:
         share = _channels_last(g).reshape(-1, 1, c) / (kernel * kernel)
         gcols = np.broadcast_to(share, windows.shape)
         gx = _fold(gcols, (n, h, w, c), kernel, kernel, stride, 0)
-        out._send(x, gx.transpose(0, 3, 1, 2))
+        return (gx.transpose(0, 3, 1, 2),)
 
-    out = Tensor._make(out_data, (x,), "avg_pool2d", backward)
-    return out
+    return Tensor._make(out_data, (x,), "avg_pool2d", backward)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
@@ -241,16 +238,13 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     out_data = np.take_along_axis(windows, arg, axis=1)
     out_data = out_data.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
 
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
+    def backward(g: np.ndarray) -> tuple:
         gcols = np.zeros_like(windows)
         np.put_along_axis(gcols, arg, _channels_last(g).reshape(-1, 1, c), axis=1)
         gx = _fold(gcols, (n, h, w, c), kernel, kernel, stride, 0)
-        out._send(x, gx.transpose(0, 3, 1, 2))
+        return (gx.transpose(0, 3, 1, 2),)
 
-    out = Tensor._make(out_data, (x,), "max_pool2d", backward)
-    return out
+    return Tensor._make(out_data, (x,), "max_pool2d", backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -15,6 +15,20 @@ Design notes
 * Gradient tracking obeys :mod:`repro.tensor.autograd`'s global switch so
   evaluation and PoE's train-free consolidation pay no autograd overhead.
 * dtype defaults to float32 for speed; gradcheck tests run in float64.
+
+Graph lifetime
+--------------
+* The graph is **acyclic**.  An op's backward closure takes the output
+  gradient and *returns* its parents' gradients — a tuple aligned with
+  ``_parents``, ``None`` where a parent needs none.  It may capture its
+  parents and plain arrays (``out_data``) but never its own output tensor,
+  so references only point from an output towards its inputs and a graph
+  nobody holds any more is freed by reference counting, whether or not it
+  was ever backpropagated.
+* The graph is **single-use**.  :meth:`Tensor.backward` drops each node's
+  closure and parents as it runs it, so activations, unfold buffers and
+  gradients die during the walk; a second ``backward`` through any node of
+  a consumed graph raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -51,6 +65,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed(*_) -> tuple:
+    """What ``backward`` leaves in place of the closure of a node it has run."""
+    raise RuntimeError(
+        "graph already consumed by backward(): a graph is single-use, "
+        "run the forward pass again to backpropagate again"
+    )
+
+
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -69,7 +91,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op", "_accumulate")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
 
     def __init__(
         self,
@@ -94,7 +116,7 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], tuple]] = None
         self._parents = _parents
         self._op = _op
 
@@ -157,7 +179,7 @@ class Tensor:
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
         op: str,
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], tuple],
     ) -> "Tensor":
         """Create an op output, recording the graph only when it matters."""
         track = is_grad_enabled() and any(p.requires_grad for p in parents)
@@ -170,6 +192,8 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         ``grad`` defaults to 1 for scalar outputs (the usual loss case).
+        The graph is consumed: every node reached gives up its closure and
+        parents, and a later ``backward`` through any of them raises.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -190,112 +214,93 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed()
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.requires_grad and not node._parents:
-                # Leaf tensor: accumulate.
-                node.grad = node_grad if node.grad is None else node.grad + node_grad
-            if node._backward is not None:
-                with no_grad():
-                    node._accumulate = grads  # type: ignore[attr-defined]
-                    try:
-                        node._backward(node_grad)
-                    finally:
-                        del node._accumulate  # type: ignore[attr-defined]
-            # Leaves with parents recorded (shouldn't happen) are ignored.
-
-    def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
-        """Accumulate ``grad`` for ``parent`` during an active backward pass."""
-        store: dict[int, np.ndarray] = self._accumulate  # type: ignore[attr-defined]
-        key = id(parent)
-        if key in store:
-            store[key] = store[key] + grad
-        else:
-            store[key] = grad
+        with no_grad():
+            while order:
+                # popped, not iterated: the walk must not keep a node alive
+                node = order.pop()
+                node_grad = grads.pop(id(node), None)
+                closure, parents = node._backward, node._parents
+                if closure is None:  # leaf: accumulate across backwards
+                    if node_grad is not None:
+                        node.grad = node_grad if node.grad is None else node.grad + node_grad
+                    continue
+                node._backward, node._parents = _consumed, ()
+                if node_grad is None:
+                    continue
+                for parent, parent_grad in zip(parents, closure(node_grad)):
+                    if parent_grad is not None:
+                        held = grads.get(id(parent))
+                        grads[id(parent)] = parent_grad if held is None else held + parent_grad
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
+    # A node is only recorded when some parent requires grad, so a closure
+    # with one parent returns that parent's gradient unconditionally.
     def __add__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
-        out_data = self.data + other_t.data
 
-        def backward(g: np.ndarray, self_=self, other_=other_t) -> None:
-            if self_.requires_grad:
-                out._send(self_, _unbroadcast(g, self_.shape))
-            if other_.requires_grad:
-                out._send(other_, _unbroadcast(g, other_.shape))
+        def backward(g: np.ndarray, a=self, b=other_t) -> tuple:
+            return (
+                _unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None,
+            )
 
-        out = Tensor._make(out_data, (self, other_t), "add", backward)
-        return out
+        return Tensor._make(self.data + other_t.data, (self, other_t), "add", backward)
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return self.__add__(other)
 
     def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, -g)
-
-        out = Tensor._make(-self.data, (self,), "neg", backward)
-        return out
+        return Tensor._make(-self.data, (self,), "neg", lambda g: (-g,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
-        out_data = self.data - other_t.data
 
-        def backward(g: np.ndarray, self_=self, other_=other_t) -> None:
-            if self_.requires_grad:
-                out._send(self_, _unbroadcast(g, self_.shape))
-            if other_.requires_grad:
-                out._send(other_, _unbroadcast(-g, other_.shape))
+        def backward(g: np.ndarray, a=self, b=other_t) -> tuple:
+            return (
+                _unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None,
+            )
 
-        out = Tensor._make(out_data, (self, other_t), "sub", backward)
-        return out
+        return Tensor._make(self.data - other_t.data, (self, other_t), "sub", backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor(_as_array(other, self.dtype)).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
-        out_data = self.data * other_t.data
 
-        def backward(g: np.ndarray, self_=self, other_=other_t) -> None:
-            if self_.requires_grad:
-                out._send(self_, _unbroadcast(g * other_.data, self_.shape))
-            if other_.requires_grad:
-                out._send(other_, _unbroadcast(g * self_.data, other_.shape))
+        def backward(g: np.ndarray, a=self, b=other_t) -> tuple:
+            return (
+                _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            )
 
-        out = Tensor._make(out_data, (self, other_t), "mul", backward)
-        return out
+        return Tensor._make(self.data * other_t.data, (self, other_t), "mul", backward)
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other, self.dtype))
-        out_data = self.data / other_t.data
 
-        def backward(g: np.ndarray, self_=self, other_=other_t) -> None:
-            if self_.requires_grad:
-                out._send(self_, _unbroadcast(g / other_.data, self_.shape))
-            if other_.requires_grad:
-                out._send(
-                    other_,
-                    _unbroadcast(-g * self_.data / (other_.data ** 2), other_.shape),
-                )
+        def backward(g: np.ndarray, a=self, b=other_t) -> tuple:
+            return (
+                _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data ** 2), b.shape) if b.requires_grad else None,
+            )
 
-        out = Tensor._make(out_data, (self, other_t), "div", backward)
-        return out
+        return Tensor._make(self.data / other_t.data, (self, other_t), "div", backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(_as_array(other, self.dtype)).__truediv__(self)
@@ -303,99 +308,54 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
 
-        def backward(g: np.ndarray, self_=self, p=exponent) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * p * self_.data ** (p - 1))
+        def backward(g: np.ndarray, x=self.data, p=exponent) -> tuple:
+            return (g * p * x ** (p - 1),)
 
-        out = Tensor._make(out_data, (self,), "pow", backward)
-        return out
+        return Tensor._make(self.data ** exponent, (self,), "pow", backward)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * out.data)
-
-        out = Tensor._make(out_data, (self,), "exp", backward)
-        return out
+        return Tensor._make(out_data, (self,), "exp", lambda g: (g * out_data,))
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g / self_.data)
-
-        out = Tensor._make(out_data, (self,), "log", backward)
-        return out
+        return Tensor._make(np.log(self.data), (self,), "log", lambda g, x=self.data: (g / x,))
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * 0.5 / out.data)
-
-        out = Tensor._make(out_data, (self,), "sqrt", backward)
-        return out
+        return Tensor._make(out_data, (self,), "sqrt", lambda g: (g * 0.5 / out_data,))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; subgradient at 0 is 0 (as in PyTorch).
 
         Needed by the paper's L1 ``L_scale`` regularizer (Eq. 4).
         """
-        out_data = np.abs(self.data)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * np.sign(self_.data))
-
-        out = Tensor._make(out_data, (self,), "abs", backward)
-        return out
+        return Tensor._make(
+            np.abs(self.data), (self,), "abs", lambda g, x=self.data: (g * np.sign(x),)
+        )
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * (1.0 - out.data ** 2))
-
-        out = Tensor._make(out_data, (self,), "tanh", backward)
-        return out
+        return Tensor._make(out_data, (self,), "tanh", lambda g: (g * (1.0 - out_data ** 2),))
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * out.data * (1.0 - out.data))
+        def backward(g: np.ndarray) -> tuple:
+            return (g * out_data * (1.0 - out_data),)
 
-        out = Tensor._make(out_data, (self,), "sigmoid", backward)
-        return out
+        return Tensor._make(out_data, (self,), "sigmoid", backward)
 
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g * (self_.data > 0))
-
-        out = Tensor._make(out_data, (self,), "relu", backward)
-        return out
+        return Tensor._make(
+            np.maximum(self.data, 0.0), (self,), "relu", lambda g, x=self.data: (g * (x > 0),)
+        )
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
+        def backward(g: np.ndarray, x=self.data) -> tuple:
+            return (g * ((x >= low) & (x <= high)),)
 
-        def backward(g: np.ndarray, self_=self, lo=low, hi=high) -> None:
-            if self_.requires_grad:
-                mask = (self_.data >= lo) & (self_.data <= hi)
-                out._send(self_, g * mask)
-
-        out = Tensor._make(out_data, (self,), "clip", backward)
-        return out
+        return Tensor._make(np.clip(self.data, low, high), (self,), "clip", backward)
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -403,30 +363,30 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
             other = Tensor(_as_array(other, self.dtype))
-        out_data = self.data @ other.data
 
-        def backward(g: np.ndarray, a=self, b=other) -> None:
+        def backward(g: np.ndarray, a=self, b=other) -> tuple:
+            ga = gb = None
             if a.data.ndim == 1 and b.data.ndim == 1:  # dot product
                 if a.requires_grad:
-                    out._send(a, g * b.data)
+                    ga = g * b.data
                 if b.requires_grad:
-                    out._send(b, g * a.data)
-                return
+                    gb = g * a.data
+                return ga, gb
             if a.requires_grad:
                 if b.data.ndim == 1:
                     ga = np.expand_dims(g, -1) * b.data
                 else:
                     ga = g @ np.swapaxes(b.data, -1, -2)
-                out._send(a, _unbroadcast(ga, a.shape))
+                ga = _unbroadcast(ga, a.shape)
             if b.requires_grad:
                 if a.data.ndim == 1:
                     gb = np.outer(a.data, g)
                 else:
                     gb = np.swapaxes(a.data, -1, -2) @ g
-                out._send(b, _unbroadcast(gb, b.shape))
+                gb = _unbroadcast(gb, b.shape)
+            return ga, gb
 
-        out = Tensor._make(out_data, (self, other), "matmul", backward)
-        return out
+        return Tensor._make(self.data @ other.data, (self, other), "matmul", backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
@@ -435,21 +395,14 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        def backward(g: np.ndarray, shape=self.shape, dtype=self.dtype) -> tuple:
+            if axis is not None and not keepdims:
+                axes = (axis,) if isinstance(axis, int) else tuple(axis)
+                for ax in sorted(a % len(shape) for a in axes):
+                    g = np.expand_dims(g, ax)
+            return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
-        def backward(g: np.ndarray, self_=self, ax=axis, kd=keepdims) -> None:
-            if not self_.requires_grad:
-                return
-            grad = g
-            if ax is not None and not kd:
-                axes = (ax,) if isinstance(ax, int) else tuple(ax)
-                axes = tuple(a % self_.ndim for a in axes)
-                for a in sorted(axes):
-                    grad = np.expand_dims(grad, a)
-            out._send(self_, np.broadcast_to(grad, self_.shape).astype(self_.dtype, copy=False))
-
-        out = Tensor._make(out_data, (self,), "sum", backward)
-        return out
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -466,43 +419,32 @@ class Tensor:
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g: np.ndarray, self_=self, ax=axis, kd=keepdims) -> None:
-            if not self_.requires_grad:
-                return
-            if ax is None:
-                mask = self_.data == self_.data.max()
+        def backward(g: np.ndarray, x=self.data) -> tuple:
+            if axis is None:
+                mask = x == x.max()
                 grad = mask * (g / mask.sum())
             else:
-                expanded = self_.data.max(axis=ax, keepdims=True)
-                mask = self_.data == expanded
-                counts = mask.sum(axis=ax, keepdims=True)
-                gg = g if kd else np.expand_dims(g, ax)
-                grad = mask * (gg / counts)
-            out._send(self_, grad.astype(self_.dtype, copy=False))
+                mask = x == x.max(axis=axis, keepdims=True)
+                counts = mask.sum(axis=axis, keepdims=True)
+                grad = mask * ((g if keepdims else np.expand_dims(g, axis)) / counts)
+            return (grad.astype(x.dtype, copy=False),)
 
-        out = Tensor._make(out_data, (self,), "max", backward)
-        return out
+        return Tensor._make(self.data.max(axis=axis, keepdims=keepdims), (self,), "max", backward)
 
     def logsumexp(self, axis: int = -1, keepdims: bool = False) -> "Tensor":
         """Numerically stable log-sum-exp with exact softmax backward."""
         m = self.data.max(axis=axis, keepdims=True)
-        shifted = self.data - m
-        s = np.exp(shifted).sum(axis=axis, keepdims=True)
+        s = np.exp(self.data - m).sum(axis=axis, keepdims=True)
         out_data = np.log(s) + m
         if not keepdims:
             out_data = np.squeeze(out_data, axis=axis)
 
-        def backward(g: np.ndarray, self_=self, ax=axis, kd=keepdims) -> None:
-            if not self_.requires_grad:
-                return
-            soft = np.exp(self_.data - m) / s
-            gg = g if kd else np.expand_dims(g, ax)
-            out._send(self_, (gg * soft).astype(self_.dtype, copy=False))
+        def backward(g: np.ndarray, x=self.data) -> tuple:
+            soft = np.exp(x - m) / s
+            gg = g if keepdims else np.expand_dims(g, axis)
+            return ((gg * soft).astype(x.dtype, copy=False),)
 
-        out = Tensor._make(out_data, (self,), "logsumexp", backward)
-        return out
+        return Tensor._make(out_data, (self,), "logsumexp", backward)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -510,55 +452,38 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(g: np.ndarray, self_=self) -> None:
-            if self_.requires_grad:
-                out._send(self_, g.reshape(self_.shape))
-
-        out = Tensor._make(out_data, (self,), "reshape", backward)
-        return out
+        old = self.shape
+        return Tensor._make(
+            self.data.reshape(shape), (self,), "reshape", lambda g: (g.reshape(old),)
+        )
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out_data = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
-
-        def backward(g: np.ndarray, self_=self, inv=inverse) -> None:
-            if self_.requires_grad:
-                out._send(self_, g.transpose(inv))
-
-        out = Tensor._make(out_data, (self,), "transpose", backward)
-        return out
+        return Tensor._make(
+            self.data.transpose(axes), (self,), "transpose", lambda g: (g.transpose(inverse),)
+        )
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
+        def backward(g: np.ndarray, x=self.data) -> tuple:
+            grad = np.zeros_like(x)
+            np.add.at(grad, index, g)
+            return (grad,)
 
-        def backward(g: np.ndarray, self_=self, idx=index) -> None:
-            if self_.requires_grad:
-                grad = np.zeros_like(self_.data)
-                np.add.at(grad, idx, g)
-                out._send(self_, grad)
-
-        out = Tensor._make(out_data, (self,), "getitem", backward)
-        return out
+        return Tensor._make(self.data[index], (self,), "getitem", backward)
 
     def pad2d(self, padding: int) -> "Tensor":
         """Zero-pad the trailing two (spatial) axes of an NCHW tensor."""
         if padding == 0:
             return self
-        pads = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-        out_data = np.pad(self.data, pads)
-
-        def backward(g: np.ndarray, self_=self, p=padding) -> None:
-            if self_.requires_grad:
-                out._send(self_, g[..., p:-p, p:-p])
-
-        out = Tensor._make(out_data, (self,), "pad2d", backward)
-        return out
+        p = padding
+        pads = [(0, 0)] * (self.ndim - 2) + [(p, p), (p, p)]
+        return Tensor._make(
+            np.pad(self.data, pads), (self,), "pad2d", lambda g: (g[..., p:-p, p:-p],)
+        )
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -568,34 +493,29 @@ class Tensor:
         consolidation: expert sub-logits are concatenated into one unified
         logit vector (Figure 3).
         """
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+        parts = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in tensors)
+        out_data = np.concatenate([t.data for t in parts], axis=axis)
+        offsets = np.cumsum([0] + [t.shape[axis] for t in parts])
 
-        def backward(g: np.ndarray, parts=tuple(tensors), offs=offsets, ax=axis) -> None:
+        def backward(g: np.ndarray) -> tuple:
             slicer = [slice(None)] * g.ndim
-            for tensor, start, stop in zip(parts, offs[:-1], offs[1:]):
-                if tensor.requires_grad:
-                    slicer[ax] = slice(int(start), int(stop))
-                    out._send(tensor, g[tuple(slicer)])
+            grads = []
+            for tensor, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+                slicer[axis] = slice(int(start), int(stop))
+                grads.append(g[tuple(slicer)] if tensor.requires_grad else None)
+            return tuple(grads)
 
-        out = Tensor._make(out_data, tuple(tensors), "concat", backward)
-        return out
+        return Tensor._make(out_data, parts, "concat", backward)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        out_data = np.stack([t.data for t in tensors], axis=axis)
+        parts = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in tensors)
 
-        def backward(g: np.ndarray, parts=tuple(tensors), ax=axis) -> None:
-            moved = np.moveaxis(g, ax, 0)
-            for i, tensor in enumerate(parts):
-                if tensor.requires_grad:
-                    out._send(tensor, moved[i])
+        def backward(g: np.ndarray) -> tuple:
+            moved = np.moveaxis(g, axis, 0)
+            return tuple(moved[i] if t.requires_grad else None for i, t in enumerate(parts))
 
-        out = Tensor._make(out_data, tuple(tensors), "stack", backward)
-        return out
+        return Tensor._make(np.stack([t.data for t in parts], axis=axis), parts, "stack", backward)
 
     # ------------------------------------------------------------------
     # Comparison (no grad) and misc

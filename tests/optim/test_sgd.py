@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.nn import Parameter
+from repro.nn import Linear, Parameter
 from repro.optim import SGD
 from repro.tensor import Tensor
+
+
+def linear_step(model, optimizer, rng):
+    """One optimization step of a small least-squares problem on ``model``."""
+    optimizer.zero_grad()
+    (model(Tensor(rng.standard_normal((5, 4)))) ** 2).sum().backward()
+    optimizer.step()
 
 
 def quadratic_step(param, optimizer):
@@ -87,6 +94,33 @@ class TestWeightDecayAndMomentum:
         opt = SGD([Parameter(np.ones(1))], lr=0.2, momentum=0.8, weight_decay=1e-4)
         sd = opt.state_dict()
         assert sd["lr"] == 0.2 and sd["momentum"] == 0.8
+
+    def test_step_leaves_earlier_state_dict_snapshots_alone(self, rng):
+        # Module.state_dict() hands out parameter arrays by reference: the
+        # step must rebind param.data, not write into it
+        model = Linear(4, 3, rng=rng)
+        opt = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=5e-4)
+        for _ in range(2):  # second step: velocities exist and are non-zero
+            before = model.state_dict()
+            copies = {name: array.copy() for name, array in before.items()}
+            linear_step(model, opt, rng)
+            for name, array in before.items():
+                assert array.tobytes() == copies[name].tobytes()
+                assert not np.array_equal(model.state_dict()[name], array)
+
+    def test_one_velocity_buffer_per_parameter_updated_in_place(self, rng):
+        model = Linear(4, 3, rng=rng)
+        opt = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=5e-4)
+        buffers = None
+        for _ in range(3):
+            linear_step(model, opt, rng)
+            if buffers is None:
+                buffers = {key: id(v) for key, v in opt._velocity.items()}
+        assert {key: id(v) for key, v in opt._velocity.items()} == buffers
+        for param in model.parameters():
+            velocity = opt._velocity[id(param)]
+            assert velocity.dtype == np.float32 and velocity.flags.c_contiguous
+            assert velocity.shape == param.data.shape
 
 
 class TestConvergence:
