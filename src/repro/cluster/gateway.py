@@ -8,13 +8,20 @@ paths:
 * **single-shard fast path** — the router's plan touches one shard, which
   serves the query entirely through its own gateway (caches, coalescing,
   metrics) exactly as a standalone deployment would.
-* **cross-shard consolidation** — the plan spans shards.  The gateway
-  picks the *home* shard (largest task group), fetches the other shards'
-  expert heads as serialized payloads (the UniPool view: any expert is
-  queryable regardless of placement), rebuilds them, assembles one
+* **cross-shard consolidation** — the plan spans shards, and the request
+  runs through the *front tier*: one
+  :class:`~repro.serving.ServingGateway` over the parent pool (its
+  payload/model/result tiers, single flight, version guards, build cost)
+  whose consolidate step is this class's — pick the *home* shard (largest
+  task group), fetch the other shards' expert heads as serialized
+  payloads (the UniPool view: any expert is queryable regardless of
+  placement), rebuild them, and assemble one
   :class:`~repro.models.BranchedSpecialistNet` over the shared library in
-  canonical task order, serializes the composite, and caches both the
-  assembled model and the payload in cluster-level byte-budgeted tiers.
+  canonical task order.
+
+What is written here is what only a cluster has: placement and planning,
+single-shard delegation, the replan-once rule, the remote-head tier and
+the mutations.  Accounting, tiers and responses are ``ServingGateway``'s.
 
 Because head payloads use a float-exact transport, a cross-shard composite
 is **bit-identical** to single-pool :meth:`~repro.core.PoolOfExperts
@@ -52,10 +59,8 @@ remote worker is attributable from the front end.
 **Thread safety.**  All public methods are safe to call from any number
 of threads: cache tiers are individually locked
 (:class:`~repro.serving.cache.ByteBudgetLRU`), placement reads/writes
-take ``_placement_lock``, duplicate concurrent builds coalesce through
-:class:`~repro.serving.gateway.SingleFlight`, and version-guarded cache
-puts serialize against the pool's invalidation listener via
-``_invalidate_lock``.  Mutating entry points (:meth:`rebalance`,
+take ``_placement_lock``, and the front tier brings ``ServingGateway``'s
+single flight and version-guarded puts.  Mutating entry points (:meth:`rebalance`,
 :meth:`reshard`, a pool re-extraction firing ``_on_expert_update``) may
 run concurrently with serving: readers see the old or the new placement,
 never a torn one.  Networked backends mutate through the fenced wire
@@ -76,38 +81,30 @@ import secrets
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.features import TrunkFeatureCache, array_digest
-from ..core.pool import PoolOfExperts
+from ..core.features import TrunkFeatureCache
+from ..core.pool import LIBRARY_TASK, PoolOfExperts
 from ..core.query import TaskSpecificModel
 from ..core.server import (
-    TRANSPORTS,
     deserialize_expert_heads,
     serialize_expert_heads,
     serialize_library_state,
-    serialize_task_model,
 )
 from ..models import BranchedSpecialistNet, frozen_param_count
 from ..obs.journal import JOURNAL
-from ..obs.trace import TRACER
 from ..serving.cache import BYTES_PER_PARAM, ByteBudgetLRU, CacheStats, merge_cache_stats
 from ..serving.canonical import TaskQuery, canonical_tasks, payload_key
 from ..serving.gateway import (
     GatewayConfig,
     GatewayResponse,
     PredictionResponse,
-    SingleFlight,
-    drop_result_entries,
-    drop_task_entries,
-    expert_versions,
-    result_cache_key,
-    result_cache_put_guarded,
-    run_fused_prediction,
-    run_trunk_forward,
+    ServingGateway,
+    _Request,
 )
 from ..serving.metrics import merge_snapshots
 from .metrics import ClusterMetrics
@@ -118,6 +115,10 @@ __all__ = ["ClusterConfig", "ClusterGateway", "RebalanceReport"]
 
 #: Head-fetch transports that reconstruct weights bit-exactly.
 _EXACT_TRANSPORTS = ("float32", "raw+zlib")
+#: Shard id → the task group it answers for one query.
+Plan = Dict[int, Tuple[str, ...]]
+#: ``(task, version)`` → expert head: how the remote-head tier is keyed.
+Heads = Dict[Tuple[str, int], object]
 
 
 def _tag_shard_error(error: BaseException, shard_id: int) -> BaseException:
@@ -300,38 +301,54 @@ class ClusterGateway:
         #: reshard() spawn and retire worker slots; see attach_fleet().
         self._fleet = None
         self._mutation_seq = itertools.count(1)
-        self.model_cache = ByteBudgetLRU(
-            self.config.composite_model_cache_bytes, ttl_seconds=self.config.ttl_seconds
+        # The cross-shard tier is ServingGateway's pipeline over the parent
+        # pool — accounting, payload/model/result tiers, single flight,
+        # version guards, build cost — with one step rebound: a composite is
+        # consolidated from heads gathered across shards.  It shares this
+        # front end's metrics and trunk cache and is entered below its
+        # public serve()/predict(), so each request is counted once, here.
+        self._front = ServingGateway(
+            pool,
+            GatewayConfig(
+                model_cache_bytes=self.config.composite_model_cache_bytes,
+                payload_cache_bytes=self.config.composite_payload_cache_bytes,
+                result_cache_bytes=self.config.result_cache_bytes,
+                ttl_seconds=self.config.ttl_seconds,
+            ),
+            metrics=self.metrics,
+            trunk_cache=self.trunk_cache,
         )
-        self.payload_cache = ByteBudgetLRU(
-            self.config.composite_payload_cache_bytes,
-            ttl_seconds=self.config.ttl_seconds,
-        )
+        self._front._consolidate = self._consolidate
+        self.model_cache = self._front.model_cache
+        self.payload_cache = self._front.payload_cache
+        #: Cross-shard prediction answers, keyed (digest, tasks, versions) —
+        #: single-shard predictions use the owning shard gateway's tier.
+        self.result_cache = self._front.result_cache
         # deserialized remote heads, keyed (task, version): a version bump
         # can never hit a stale entry, and updates also drop bytes eagerly
         self.remote_head_cache = ByteBudgetLRU(
             self.config.remote_head_cache_bytes, ttl_seconds=self.config.ttl_seconds
         )
-        # cross-shard prediction answers, keyed (digest, tasks, versions) —
-        # single-shard predictions use the owning shard gateway's tier
-        self.result_cache = ByteBudgetLRU(
-            self.config.result_cache_bytes, ttl_seconds=self.config.ttl_seconds
-        )
-        self._flights = SingleFlight()
-        # makes version-guarded composite puts atomic against invalidation
-        # (see ServingGateway._invalidate_lock for the race this closes)
-        self._invalidate_lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
         self._listener = self._on_expert_update
         pool.add_listener(self._listener)
-        #: Optional repro.control.CacheController: biases eviction in the
-        #: composite tiers, learns build/wire costs, prefetches hot
-        #: payloads and replicates hot experts through the router.
         self.controller = controller
         if controller is not None:
             controller.attach_cluster(self)
+
+    @property
+    def controller(self):
+        """Optional repro.control.CacheController: biases eviction in the
+        composite tiers, learns build/wire costs, prefetches hot payloads
+        and replicates hot experts through the router.  Held by the front
+        tier, whose accounting feeds it."""
+        return self._front.controller
+
+    @controller.setter
+    def controller(self, controller) -> None:
+        self._front.controller = controller
 
     # ------------------------------------------------------------------
     # Public API
@@ -422,8 +439,7 @@ class ClusterGateway:
                 return shard.get_model(names)
             # remote shard: assemble at the front end from fetched heads
             # (the composite builder handles a one-group plan fine)
-        model, _ = self._composite_model(names, plan, expert_versions(self.pool, names))
-        return model
+        return self._front.get_model(names)
 
     def prefetch(self, tasks: TaskQuery, transport: str = "float32") -> bool:
         """Warm the payload cache for ``tasks`` without serving a request.
@@ -432,66 +448,34 @@ class ClusterGateway:
         gateway (its cache is the one a future serve will consult); plans
         landing on a *remote* single shard return False — prefetch must
         not push build work over the wire.  Cross-shard plans build into
-        the cluster's own composite payload cache under the usual single
-        flight + version guard, counted as ``prefetch_builds``.
+        the front tier's composite payload cache, counted as
+        ``prefetch_builds``.
         """
         names = canonical_tasks(tasks)
         plan = self._plan(names)
-        if len(plan) == 1:
-            (shard_id,) = plan
-            shard = self.shards[shard_id]
-            if shard.is_remote():
-                return False
-            return shard.prefetch(names, transport)
-        key = payload_key(names, transport)
-        if self.payload_cache.contains(key):
-            return False
-        with self.metrics.stage("prefetch"):
-            self._flights.run(
-                key, lambda: self._build_payload(names, plan, transport, key)
-            )
-        self.metrics.increment("prefetch_builds")
-        return True
+        if len(plan) > 1:
+            return self._front.prefetch(names, transport)
+        (shard_id,) = plan
+        shard = self.shards[shard_id]
+        return not shard.is_remote() and shard.prefetch(names, transport)
 
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Prediction through the fused fast path, routed like :meth:`serve`.
 
         Single-shard plans delegate to the owning shard's gateway
-        (model/trunk caches, fused heads); cross-shard plans assemble the
-        composite model (remote-head cache + fetch) and predict at the
-        cluster front end.  Trunk features come from the one cluster-wide
+        (model/trunk caches, fused heads); cross-shard plans predict at
+        the front tier over the composite model (remote-head cache +
+        fetch).  Trunk features come from the one cluster-wide
         content-addressed cache either way.
         """
         images = np.asarray(images, dtype=np.float32)
-        names = canonical_tasks(tasks)
-        start = perf_counter()
-        self.metrics.increment("predictions")
-        self.metrics.record_tasks(names)
-        with TRACER.span("cluster.predict") as span:
-            span.tag("tasks", len(names))
-            span.tag("batch", int(images.shape[0]))
-            try:
-                # same one-retry contract as _serve: a concurrent rebalance
-                # (or a reshard retiring the planned shard) can invalidate a
-                # plan between planning and serving
-                for attempt in (0, 1):
-                    epoch_before = self._epoch
-                    try:
-                        return self._predict_planned(images, names, start)
-                    except KeyError:
-                        with self._placement_lock:
-                            still_placed = all(n in self._placement for n in names)
-                        if attempt == 1 or not still_placed:
-                            raise
-                        self.metrics.increment("plan_retries")
-                    except (ConnectionError, OSError, RuntimeError, IndexError):
-                        if attempt == 1 or self._epoch == epoch_before:
-                            raise
-                        self.metrics.increment("plan_retries")
-            except BaseException:
-                self.metrics.increment("errors")
-                raise
-            raise AssertionError("unreachable")  # pragma: no cover
+        with _Request(
+            self._front, "cluster.predict", "predictions", tasks, None, None
+        ) as request:
+            request.span.tag("batch", int(images.shape[0]))
+            return self._replanning(
+                request.names, lambda: self._predict_planned(request, images)
+            )
 
     def submit_predict(
         self, images: np.ndarray, tasks: TaskQuery
@@ -502,75 +486,29 @@ class ClusterGateway:
         (coalescing their trunk forwards with other concurrent requests on
         that shard); cross-shard queries run on the cluster executor.
         Every failure — including a planning error — arrives through the
-        returned future, and a shard-path KeyError caused by a concurrent
-        rebalance is retried once through the replanning inline path, the
-        same contract :meth:`predict` gives synchronous callers.
+        returned future, and a shard-path failure that :meth:`_should_replan`
+        blames on a stale plan is retried once through the replanning inline
+        path, the same contract :meth:`predict` gives synchronous callers.
         """
         images = np.asarray(images, dtype=np.float32)
         names = canonical_tasks(tasks)
         result: "Future[PredictionResponse]" = Future()
-        try:
-            plan = self._plan(names)
-        except KeyError as error:
+
+        def fail(error: BaseException) -> None:
             # count the request too, so errors/predictions stays a rate
             self.metrics.increment("predictions")
+            self._front._record_popularity(names)
             self.metrics.increment("errors")
             result.set_exception(error)
-            return result
-        if len(plan) > 1:
+
+        def inline() -> None:
+            # predict() replans, routes and counts the request itself
             try:
                 inner = self._ensure_executor().submit(self.predict, images, names)
             except BaseException as error:  # closing: keep the future-only contract
                 result.set_exception(error)
             else:
-                self._chain(inner, result)
-            return result
-        (shard_id,) = plan
-        start = perf_counter()
-        try:
-            inner = self.shards[shard_id].submit_predict(images, names)
-        except BaseException as error:  # shard closing: future-only contract
-            self.metrics.increment("errors")
-            result.set_exception(_tag_shard_error(error, shard_id))
-            return result
-
-        # cluster-level counters are recorded at completion, not dispatch:
-        # the retry path delegates to predict() (which records fan-out,
-        # shard traffic and counts itself), so recording here too would
-        # tally one request twice
-        def relay(done: "Future[PredictionResponse]") -> None:
-            error = done.exception()
-            if error is None:
-                self.metrics.record_fanout(1)
-                self.metrics.record_shard_requests((shard_id,))
-                self.metrics.increment("predictions")
-                self.metrics.record_tasks(names)
-                self.metrics.observe("predict_total", perf_counter() - start)
-                result.set_result(done.result())
-                return
-            with self._placement_lock:
-                still_placed = all(n in self._placement for n in names)
-            if isinstance(error, KeyError) and still_placed:
-                # rebalance moved a task off the planned shard between
-                # planning and draining; the inline path replans + retries
-                self.metrics.increment("plan_retries")
-                try:
-                    retry = self._ensure_executor().submit(self.predict, images, names)
-                except BaseException as submit_error:  # gateway closing
-                    result.set_exception(submit_error)
-                else:
-                    self._chain(retry, result)
-            else:
-                self.metrics.increment("predictions")
-                self.metrics.increment("errors")
-                result.set_exception(_tag_shard_error(error, shard_id))
-
-        inner.add_done_callback(relay)
-        return result
-
-    @staticmethod
-    def _chain(inner: "Future[PredictionResponse]", result: "Future[PredictionResponse]") -> None:
-        """Propagate ``inner``'s outcome into ``result`` when it completes."""
+                inner.add_done_callback(relay)
 
         def relay(done: "Future[PredictionResponse]") -> None:
             error = done.exception()
@@ -579,69 +517,59 @@ class ClusterGateway:
             else:
                 result.set_exception(error)
 
-        inner.add_done_callback(relay)
+        epoch = self._epoch
+        try:
+            plan = self._plan(names)
+        except KeyError as error:
+            fail(error)
+            return result
+        if len(plan) > 1:
+            inline()
+            return result
+        (shard_id,) = plan
+        start = perf_counter()
+        try:
+            batched = self.shards[shard_id].submit_predict(images, names)
+        except BaseException as error:  # shard closing: future-only contract
+            fail(_tag_shard_error(error, shard_id))
+            return result
 
-    def _predict_planned(
-        self, images: np.ndarray, names: Tuple[str, ...], start: float
-    ) -> PredictionResponse:
-        plan = self._plan(names)
-        self.metrics.record_fanout(len(plan))
-        if len(plan) == 1:
-            (shard_id,) = plan
-            self.metrics.record_shard_requests((shard_id,))
-            try:
-                response = self.shards[shard_id].predict(images, names)
-            except BaseException as error:
-                raise _tag_shard_error(error, shard_id)
-            self.metrics.observe("predict_total", perf_counter() - start)
-            return response
+        # cluster-level counters are recorded at completion, not dispatch:
+        # the retry path delegates to predict(), which counts itself, so
+        # recording here too would tally one request twice
+        def account(done: "Future[PredictionResponse]") -> None:
+            error = done.exception()
+            if error is None:
+                self.metrics.record_fanout(1)
+                self.metrics.record_shard_requests((shard_id,))
+                self.metrics.increment("predictions")
+                self._front._record_popularity(names)
+                self.metrics.observe("predict_total", perf_counter() - start)
+                result.set_result(done.result())
+            elif self._should_replan(error, names, epoch):
+                inline()
+            else:
+                fail(_tag_shard_error(error, shard_id))
 
-        self.metrics.increment("cross_shard")
-        # result lookup FIRST: the key snapshots expert versions before the
-        # composite build (check-before-build — a key built after could pair
-        # stale logits with fresh versions), and a hit skips the build
-        # entirely, including its cross-shard head fetches
-        cached = key = digest = None
-        trunk_hit = model_hit = False
-        if self.result_cache.budget_bytes:
-            digest = array_digest(images)
-            key = result_cache_key(self.result_cache, self.pool, names, digest)
-            cached = self.result_cache.get(key)
-        result_hit = cached is not None
-        if result_hit:
-            self.metrics.increment("predict_result_hits")
-            _logits, ids = cached
-        else:
-            model, model_hit = self._composite_model(
-                names, plan, expert_versions(self.pool, names)
+        batched.add_done_callback(account)
+        return result
+
+    def _predict_planned(self, request, images: np.ndarray) -> PredictionResponse:
+        plan = self._route(request.names)
+        if len(plan) > 1:
+            front = self._front
+            tiers = front._predict_tiers(
+                images, request.names, consolidate=partial(self._consolidate, plan=plan)
             )
-            if not model_hit:
-                # a composite-cache hit touches no shard, a build fetched
-                # from every shard in the plan
-                self.metrics.record_shard_requests(list(plan))
-            features, trunk_hit = self.trunk_cache.get_or_compute(
-                images,
-                lambda batch: run_trunk_forward(self.pool.library, batch, self.metrics),
-                digest=digest,
-            )
-            ids, logits = run_fused_prediction(model, features, self.metrics)
-            if key is not None:
-                result_cache_put_guarded(
-                    self.result_cache, self.pool, self._invalidate_lock, key, logits, ids
-                )
-        service_seconds = perf_counter() - start
-        self.metrics.observe("predict_total", service_seconds)
-        return PredictionResponse(
-            class_ids=ids,
-            tasks=names,
-            batch_size=int(images.shape[0]),
-            queue_seconds=0.0,
-            service_seconds=service_seconds,
-            model_cache_hit=model_hit,
-            trunk_cache_hit=trunk_hit,
-            coalesced=False,
-            result_cache_hit=result_hit,
-        )
+            return front._predicted(request, images, False, *tiers)
+        (shard_id,) = plan
+        self.metrics.record_shard_requests((shard_id,))
+        try:
+            response = self.shards[shard_id].predict(images, request.names)
+        except BaseException as error:
+            raise _tag_shard_error(error, shard_id)
+        self.metrics.observe("predict_total", perf_counter() - request.start)
+        return response
 
     def cache_stats(self) -> Dict[str, CacheStats]:
         """Aggregated tiers (``model``/``payload``) plus the cluster tiers.
@@ -746,6 +674,7 @@ class ClusterGateway:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
+        self._front.close()
         for shard in self.shards:
             shard.close()
 
@@ -756,117 +685,90 @@ class ClusterGateway:
         self.close()
 
     # ------------------------------------------------------------------
-    # Pipeline
+    # Routing: what a cluster adds around the front tier's pipeline
     # ------------------------------------------------------------------
     def _serve(
         self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
     ) -> GatewayResponse:
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-        start = perf_counter()
-        queue_seconds = 0.0
-        if enqueued_at is not None:
-            queue_seconds = start - enqueued_at
-            self.metrics.observe("queue", queue_seconds)
-        self.metrics.increment("requests")
-        with TRACER.span("cluster.serve") as span:
-            span.tag("transport", transport)
-            try:
-                names = canonical_tasks(tasks)
-                self.metrics.record_tasks(names)
-                if self.controller is not None:
-                    self.controller.record_request(names, transport)
-                span.tag("tasks", len(names))
-                # One retry: a rebalance can drop an expert from the shard a
-                # concurrent plan chose between planning and serving; the task
-                # is still in the cluster, so a fresh plan finds its new home.
-                # A reshard can also *retire* the planned shard outright —
-                # transport-level failures replan once iff the topology epoch
-                # moved since this attempt planned (otherwise the failure is
-                # a real outage and retrying the same plan can't help).
-                for attempt in (0, 1):
-                    epoch_before = self._epoch
-                    try:
-                        return self._serve_planned(names, transport, start, queue_seconds)
-                    except KeyError:
-                        with self._placement_lock:
-                            still_placed = all(n in self._placement for n in names)
-                        if attempt == 1 or not still_placed:
-                            raise  # genuinely unknown task, or still failing
-                        self.metrics.increment("plan_retries")
-                    except (ConnectionError, OSError, RuntimeError, IndexError):
-                        if attempt == 1 or self._epoch == epoch_before:
-                            raise
-                        self.metrics.increment("plan_retries")
-            except BaseException:
-                self.metrics.increment("errors")
+        with _Request(
+            self._front, "cluster.serve", "requests", tasks, transport, enqueued_at
+        ) as request:
+            return self._replanning(request.names, lambda: self._serve_planned(request))
+
+    def _replanning(self, names: Tuple[str, ...], attempt):
+        """Run ``attempt`` (plan, then serve); once more if its plan went stale."""
+        epoch = self._epoch
+        try:
+            return attempt()
+        except Exception as error:
+            if not self._should_replan(error, names, epoch):
                 raise
-            raise AssertionError("unreachable")  # pragma: no cover
+        return attempt()
 
-    def _serve_planned(
-        self,
-        names: Tuple[str, ...],
-        transport: str,
-        start: float,
-        queue_seconds: float,
-    ) -> GatewayResponse:
-        with self.metrics.stage("route"):
-            plan = self._plan(names)
-        self.metrics.record_fanout(len(plan))
+    def _should_replan(
+        self, error: BaseException, names: Tuple[str, ...], epoch_before: int
+    ) -> bool:
+        """The replan-once rule of every entry path (sync, micro-batched, asyncio).
 
-        if len(plan) == 1:
-            (shard_id,) = plan
-            # per-shard traffic counts requests that actually reach a shard
-            # (composite-cache hits and coalesced followers touch none)
-            self.metrics.record_shard_requests((shard_id,))
-            try:
-                response = self.shards[shard_id].serve(names, transport)
-            except BaseException as error:
-                raise _tag_shard_error(error, shard_id)
-            if response.coalesced:
-                self.metrics.increment("coalesced")
-            if (
-                self.controller is not None
-                and response.payload_cache_hit
-                # single-shard payloads live in the shard gateway's cache,
-                # but its key recipe is the same (names, transport) pair
-                and self.controller.was_prefetched(payload_key(names, transport))
-            ):
-                self.metrics.increment("prefetch_hits")
-            if queue_seconds:
-                # the shard didn't see the cluster executor's queue wait
-                response = replace(response, queue_seconds=queue_seconds)
-            self.metrics.observe("total", perf_counter() - start)
-            return response
-
-        self.metrics.increment("cross_shard")
-        key = payload_key(names, transport)
-        payload = self.payload_cache.get(key)
-        if payload is not None:
-            model_hit, coalesced, payload_hit = False, False, True
-            if self.controller is not None and self.controller.was_prefetched(key):
-                self.metrics.increment("prefetch_hits")
+        A rebalance can drop an expert from the shard a concurrent plan
+        chose between planning and serving: the shard's ``KeyError`` is
+        worth one fresh plan while every task is still placed somewhere.
+        A reshard can also *retire* the planned shard outright: a
+        transport-level failure replans iff the topology epoch moved since
+        the attempt planned (otherwise it is a real outage and the same
+        plan cannot do better).
+        """
+        if isinstance(error, KeyError):
+            with self._placement_lock:
+                stale = all(name in self._placement for name in names)
         else:
-            payload_hit = False
-            (payload, model_hit), coalesced = self._flights.run(
-                key, lambda: self._build_payload(names, plan, transport, key)
+            stale = self._epoch != epoch_before and isinstance(
+                error, (ConnectionError, OSError, RuntimeError, IndexError)
             )
-            if coalesced:
-                self.metrics.increment("coalesced")
+        if stale:
+            self.metrics.increment("plan_retries")
+        return stale
 
-        service_seconds = perf_counter() - start
-        self.metrics.observe("total", service_seconds)
-        return GatewayResponse(
-            payload=payload,
-            tasks=names,
-            transport=transport,
-            payload_bytes=len(payload),
-            queue_seconds=queue_seconds,
-            service_seconds=service_seconds,
-            model_cache_hit=model_hit,
-            payload_cache_hit=payload_hit,
-            coalesced=coalesced,
-        )
+    def _route(self, names: Tuple[str, ...]) -> Plan:
+        """Plan ``names`` and record how far the request fans out."""
+        plan = self._plan(names)
+        self.metrics.record_fanout(len(plan))
+        if len(plan) > 1:
+            self.metrics.increment("cross_shard")
+        return plan
+
+    def _serve_planned(self, request) -> GatewayResponse:
+        with self.metrics.stage("route"):
+            plan = self._route(request.names)
+        if len(plan) > 1:
+            front = self._front
+            consolidate = partial(self._consolidate, plan=plan)
+            return front._served(
+                request, *front._payload_tiers(request.names, request.transport, consolidate)
+            )
+        (shard_id,) = plan
+        # per-shard traffic counts requests that actually reach a shard
+        # (composite-cache hits and coalesced followers touch none)
+        self.metrics.record_shard_requests((shard_id,))
+        try:
+            response = self.shards[shard_id].serve(request.names, request.transport)
+        except BaseException as error:
+            raise _tag_shard_error(error, shard_id)
+        return self._relay_served(request, response)
+
+    def _relay_served(self, request, response: GatewayResponse) -> GatewayResponse:
+        """Front-end accounting of a serve that one shard answered."""
+        if response.coalesced:
+            self.metrics.increment("coalesced")
+        if response.payload_cache_hit and self.controller is not None:
+            # single-shard payloads live in the shard gateway's cache,
+            # but its key recipe is the same (names, transport) pair
+            self._front._note_payload_hit(payload_key(request.names, request.transport))
+        if request.queue_seconds:
+            # the shard didn't see the front end's queue wait
+            response = replace(response, queue_seconds=request.queue_seconds)
+        self.metrics.observe("total", perf_counter() - request.start)
+        return response
 
     def _check_remote_stale(self) -> None:
         """Refuse to serve once the pool diverged from networked workers.
@@ -883,11 +785,10 @@ class ClusterGateway:
                 f"pool update for {stale!r} could not propagate to networked "
                 "shard workers; this gateway dropped its caches and refuses "
                 "to serve potentially inconsistent answers — restart the "
-                "worker fleet to recover (see ROADMAP: shard autoscaling "
-                "over the socket boundary)"
+                "worker fleet to recover (see docs/fault-tolerance.md)"
             )
 
-    def _plan(self, names: Tuple[str, ...]) -> Dict[int, Tuple[str, ...]]:
+    def _plan(self, names: Tuple[str, ...]) -> Plan:
         """Per-shard task groups from the *current* placement (not the
         router's — between a ``pin()`` and the ``rebalance()`` that applies
         it, the placement map is what matches shard contents).
@@ -906,166 +807,106 @@ class ClusterGateway:
                 ) from None
         return plan_groups(candidates)
 
-    def _build_payload(
-        self,
-        names: Tuple[str, ...],
-        plan: Dict[int, Tuple[str, ...]],
-        transport: str,
-        key,
-    ) -> Tuple[bytes, bool]:
-        build_start = perf_counter()
-        encoded = self.pool.segments.encode_seconds
-        versions = expert_versions(self.pool, names)
+    # ------------------------------------------------------------------
+    # The front tier's consolidate step
+    # ------------------------------------------------------------------
+    def _consolidate(
+        self, names: Tuple[str, ...], plan: Optional[Plan] = None, held: Optional[Heads] = None
+    ) -> TaskSpecificModel:
+        """Plan → gather the heads across shards → one branched net over
+        the shared library (what the front tier runs on a model-tier miss).
+
+        A composite-cache hit touches no shard; a build asks every shard
+        in the plan.  A request hands its routed ``plan`` down; the asyncio
+        transport also hands over the heads it fetched ahead (``held``),
+        concurrently and under its own ``fetch`` stage.
+        """
+        if plan is None:
+            plan = self._plan(names)
         self.metrics.record_shard_requests(list(plan))
-        model, model_hit = self._composite_model(names, plan, versions)
-        payload = self._serialize_composite(model, names, versions, transport, key)
-        if self.controller is not None:
-            # measured gather+assemble+serialize cost for the eviction
-            # scores, less this store's one-off segment encodes (as in
-            # ServingGateway; a shard's own first encode stays in the fetch)
-            once = self.pool.segments.encode_seconds - encoded
-            self.controller.record_build_cost(
-                names, max(perf_counter() - build_start - once, 0.0), len(payload)
-            )
-        return payload, model_hit
+        if held is None:
+            with self.metrics.stage("fetch"):
+                heads = self._gather_heads(plan, {})
+        else:
+            heads = self._gather_heads(plan, held)
+        with self.metrics.stage("assemble"):
+            network = BranchedSpecialistNet(
+                self.pool.library, [(name, heads[name]) for name in names]
+            ).eval_over_frozen()
+            return TaskSpecificModel(network, self.pool.hierarchy.composite(names))
 
-    def _composite_model(
-        self, names: Tuple[str, ...], plan: Dict[int, Tuple[str, ...]], versions
-    ) -> Tuple[TaskSpecificModel, bool]:
-        """``versions``: the caller's :func:`expert_versions` snapshot."""
-        model = self.model_cache.get(names)
-        if model is not None:
-            return model, True
-
-        def build() -> TaskSpecificModel:
-            heads = self._gather_heads(plan)
-            return self._assemble_composite(names, heads, versions)
-
-        built, _ = self._flights.run(("model", names), build)
-        return built, False
-
-    # ------------------------------------------------------------------
-    # Composite build stages (shared with the asyncio transport, which
-    # replaces _gather_heads with a concurrent asyncio.gather and runs the
-    # assemble/serialize stages in the loop's executor)
-    # ------------------------------------------------------------------
-    def _gather_heads(self, plan: Dict[int, Tuple[str, ...]]) -> Dict[str, object]:
+    def _gather_heads(self, plan: Plan, held: Heads) -> Dict[str, object]:
         """Collect every planned expert head, local or over the wire.
 
         The home shard (largest task group, ties → lowest id) contributes
         plain references when it is in-process; every other group — and
-        the home group too, when the shard is remote — comes through the
-        version-keyed remote-head LRU and, on miss, a ``fetch_heads``
-        round trip in the float-exact ``fetch_transport`` codec.
+        the home group too, when the shard is remote — comes out of
+        ``held``, else the remote-head LRU, else a ``fetch_heads`` round
+        trip in the float-exact ``fetch_transport`` codec.  Both are keyed
+        ``(task, version)``: a version bump can never hit a stale entry, so
+        repeat cross-shard builds skip the refetch without staleness risk.
         """
         home = max(plan, key=lambda shard_id: (len(plan[shard_id]), -shard_id))
         heads: Dict[str, object] = {}
-        with self.metrics.stage("fetch"):
-            for shard_id, group in plan.items():
-                shard = self.shards[shard_id]
-                if shard_id == home:
-                    local = shard.local_heads()
-                    if local is not None:
-                        heads.update(local)
+        for shard_id, group in plan.items():
+            shard = self.shards[shard_id]
+            local = shard.local_heads() if shard_id == home else None
+            if local is not None:
+                heads.update(local)
+                continue
+            missing: List[str] = []
+            for name in group:
+                key = (name, self.pool.expert_version(name))
+                head = held.get(key)
+                if head is None:
+                    head = self.remote_head_cache.get(key)
+                    if head is None:
+                        missing.append(name)
                         continue
-                cached, missing = self._cached_remote_heads(group)
-                heads.update(cached)
-                if not missing:
-                    continue
+                    self.metrics.increment("remote_head_hits")
+                heads[name] = head
+            if missing:
                 fetch_start = perf_counter()
                 try:
                     raw = shard.fetch_heads(missing, self.config.fetch_transport)
                 except BaseException as error:
                     raise _tag_shard_error(error, shard_id)
-                self.metrics.increment("remote_fetches")
-                self.metrics.increment("remote_fetch_bytes", len(raw))
-                if self.controller is not None:
-                    # wire roundtrip + bytes, amortized over the fetched
-                    # tasks: the remote-head tier's eviction cost signal
-                    self.controller.record_wire_cost(
-                        missing, perf_counter() - fetch_start, len(raw)
-                    )
-                heads.update(self._ingest_head_payload(raw))
+                fetched = self._ingest_head_payload(missing, raw, perf_counter() - fetch_start)
+                heads.update((name, head) for (name, _version), head in fetched.items())
         return heads
 
-    def _cached_remote_heads(
-        self, group: Tuple[str, ...]
-    ) -> Tuple[Dict[str, object], List[str]]:
-        """Split a task group into (cached heads, names still to fetch).
+    def _uncached_remote_heads(
+        self, names: Tuple[str, ...], plan: Plan
+    ) -> Optional[Dict[int, List[str]]]:
+        """What a build of ``names`` would fetch, per shard — a stats-neutral
+        peek, for the asyncio transport to fetch ahead.  None when the
+        composite is already assembled (that build gathers nothing)."""
+        if self.model_cache.contains(names):
+            return None
+        version, cached = self.pool.expert_version, self.remote_head_cache.contains
+        missing = {
+            shard_id: [name for name in group if not cached((name, version(name)))]
+            for shard_id, group in plan.items()
+        }
+        return {shard_id: group for shard_id, group in missing.items() if group}
 
-        The remote-head LRU is keyed ``(task, version)``: a version bump
-        can never hit a stale entry, so repeat cross-shard builds skip the
-        refetch without any staleness risk.
-        """
-        heads: Dict[str, object] = {}
-        missing: List[str] = []
-        for name in group:
-            cached = self.remote_head_cache.get(
-                (name, self.pool.expert_version(name))
-            )
-            if cached is not None:
-                heads[name] = cached
-                self.metrics.increment("remote_head_hits")
-            else:
-                missing.append(name)
-        return heads, missing
-
-    def _ingest_head_payload(self, raw: bytes) -> Dict[str, object]:
-        """Deserialize one fetched head payload into the remote-head LRU."""
-        heads: Dict[str, object] = {}
+    def _ingest_head_payload(self, names: List[str], raw: bytes, seconds: float) -> Heads:
+        """Account one ``fetch_heads`` answer (``names`` in ``seconds``) and
+        deserialize it into the remote-head LRU."""
+        self.metrics.increment("remote_fetches")
+        self.metrics.increment("remote_fetch_bytes", len(raw))
+        if self.controller is not None:
+            # wire roundtrip + bytes, amortized over the fetched tasks: the
+            # remote-head tier's eviction cost signal
+            self.controller.record_wire_cost(names, seconds, len(raw))
+        heads: Heads = {}
         for name, remote in deserialize_expert_heads(raw).items():
-            heads[name] = remote.head.eval()  # held like a pool module: eval from here on
+            key = (name, remote.version)
+            heads[key] = remote.head.eval()  # held like a pool module: eval from here on
             self.remote_head_cache.put(
-                (name, remote.version),
-                remote.head,
-                frozen_param_count(remote.head) * BYTES_PER_PARAM,
+                key, remote.head, frozen_param_count(remote.head) * BYTES_PER_PARAM
             )
         return heads
-
-    def _assemble_composite(
-        self,
-        names: Tuple[str, ...],
-        heads: Dict[str, object],
-        versions,
-    ) -> TaskSpecificModel:
-        """One branched net over the shared library, version-guard cached."""
-        with self.metrics.stage("assemble"):
-            network = BranchedSpecialistNet(
-                self.pool.library, [(name, heads[name]) for name in names]
-            ).eval_over_frozen()
-            built = TaskSpecificModel(network, self.pool.hierarchy.composite(names))
-        with self._invalidate_lock:
-            if versions == expert_versions(self.pool, names):
-                self.model_cache.put(names, built, built.cache_nbytes())
-        return built
-
-    def _serialize_composite(
-        self,
-        model: TaskSpecificModel,
-        names: Tuple[str, ...],
-        versions,
-        transport: str,
-        key,
-    ) -> bytes:
-        """Serialize a composite and cache the payload under the version guard.
-
-        ``versions`` was snapshotted *before* the model was acquired:
-        don't cache if an expert was re-extracted while we were building —
-        the invalidation listener fired before this entry existed (the
-        lock makes check+put atomic against that listener).
-        """
-        with self.metrics.stage("serialize"):
-            payload = serialize_task_model(
-                model.network,
-                model.task,
-                self.pool.config,
-                transport=transport,
-                store=self.pool.segments,
-            )
-        with self._invalidate_lock:
-            if versions == expert_versions(self.pool, names):
-                self.payload_cache.put(key, payload, len(payload))
-        return payload
 
     # ------------------------------------------------------------------
     # Invalidation + rebalance
@@ -1081,17 +922,10 @@ class ClusterGateway:
         for key in self.remote_head_cache.keys():
             if key[0] == name:
                 dropped += self.remote_head_cache.discard(key)
-        with self._invalidate_lock:
-            return (
-                dropped
-                + drop_task_entries(self.model_cache, self.payload_cache, name)
-                + drop_result_entries(self.result_cache, name)
-            )
+        return dropped + self._front.invalidate_task(name)
 
     def _on_expert_update(self, name: str, version: int) -> None:
         """Source pool re-extracted (or removed) an expert: resync shards."""
-        from ..core.pool import LIBRARY_TASK
-
         has_remote = any(shard.is_remote() for shard in self.shards)
         if JOURNAL.enabled:
             JOURNAL.emit(
@@ -1100,125 +934,108 @@ class ClusterGateway:
                 version=version,
                 remote=has_remote,
             )
-        if has_remote and not self._all_remote_mutation_capable():
-            # Legacy networked backend: a pool mutation cannot propagate
-            # into workers that lack the mutation frames, so do the only
-            # safe things — drop the front-end composite tiers (this
-            # gateway must not keep serving cached artifacts of the
-            # superseded state) and POISON the gateway, WITHOUT touching
-            # the placement map or the workers and without raising here:
-            # an exception from inside the pool's listener loop would skip
-            # every listener registered after this one, corrupting *their*
-            # caches.  The next serving call fails loudly instead (see
-            # _check_remote_stale); restart the fleet to recover.
-            if name == LIBRARY_TASK:
-                with self._invalidate_lock:
-                    self.model_cache.clear()
-                    self.payload_cache.clear()
-                    self.result_cache.clear()
-                self.remote_head_cache.clear()
-                self.trunk_cache.clear()
-            else:
-                self._invalidate_composites(name)
-            self.metrics.increment("invalidations")
-            self.metrics.increment("remote_updates_unapplied")
-            self._remote_stale = name
-            return
-        # Unified path: in-process shards mutate directly; mutation-capable
-        # remote workers receive the same change through the fenced wire
-        # frames at the *current* epoch (the placement didn't move, so no
-        # bump — the worker fence admits epoch >= its own).
-        try:
-            if name == LIBRARY_TASK:
-                # the trunk changed: repoint every shard view at the new
-                # library and drop everything computed against the old one
-                # (propagating the sentinel fires each shard gateway's own
-                # listener, which clears caches and bumps its version guard)
-                payload = None
-                for shard in self.shards:
-                    if shard.is_remote():
-                        if payload is None:
-                            payload = serialize_library_state(
-                                self.pool,
-                                self.config.fetch_transport,
-                                store=self.pool.segments,
-                            )
-                        shard.push_library(
-                            payload,
-                            epoch=self._epoch,
-                            mutation_id=self._mutation_id("library"),
-                        )
-                        self.metrics.increment("remote_updates_pushed")
-                    else:
-                        shard.refresh_library(
-                            self.pool.library, self.pool.library_student, version
-                        )
-                with self._invalidate_lock:
-                    self.model_cache.clear()
-                    self.payload_cache.clear()
-                    self.result_cache.clear()
-                self.remote_head_cache.clear()
-                self.trunk_cache.clear()  # shared with every local shard gateway
-                self.metrics.increment("invalidations")
-                return
-            head = self.pool.experts.get(name)
-            with self._placement_lock:
-                placed = self._placement.get(name)
-                if head is not None and placed is None:
-                    # brand-new expert: place it per the router
-                    placed = self.router.shards_for(name)
-                    self._placement[name] = placed
-                elif head is None and placed is not None:
-                    del self._placement[name]
-            if head is not None:
-                payload = None
-                for shard_id in placed:
-                    shard = self.shards[shard_id]
-                    if shard.is_remote():
-                        if payload is None:
-                            payload = serialize_expert_heads(
-                                self.pool,
-                                (name,),
-                                self.config.fetch_transport,
-                                store=self.pool.segments,
-                            )
-                        shard.install_heads(
-                            payload,
-                            epoch=self._epoch,
-                            mutation_id=self._mutation_id("install"),
-                        )
-                        self.metrics.increment("remote_updates_pushed")
-                    else:
-                        shard.install_expert(name, head, version)
-            elif placed is not None:
-                for shard_id in placed:
-                    shard = self.shards[shard_id]
-                    if shard.is_remote():
-                        shard.drop_heads(
-                            [name],
-                            epoch=self._epoch,
-                            mutation_id=self._mutation_id("drop"),
-                        )
-                        self.metrics.increment("remote_updates_pushed")
-                    else:
-                        shard.drop_expert(name)
-            self.metrics.increment("invalidations")
-            self._invalidate_composites(name)
-        except Exception:
-            if not has_remote:
-                raise
-            # a wire push failed after retries: fall back to the poison
-            # contract — drop every front-end tier and refuse to serve
-            # (raising from the listener loop would skip later listeners)
-            with self._invalidate_lock:
-                self.model_cache.clear()
-                self.payload_cache.clear()
-                self.result_cache.clear()
+        # Legacy networked backend: a pool mutation cannot propagate into
+        # workers that lack the mutation frames.  Do the only safe things —
+        # drop the front-end tiers (this gateway must not keep serving
+        # cached artifacts of the superseded state) and POISON the gateway,
+        # WITHOUT touching the placement map or the workers and without
+        # raising here: an exception from inside the pool's listener loop
+        # would skip every listener registered after this one, corrupting
+        # *their* caches.  The next serving call fails loudly instead (see
+        # _check_remote_stale); restart the fleet to recover.
+        poisoned = has_remote and not self._all_remote_mutation_capable()
+        if not poisoned:
+            try:
+                self._resync_shards(name, version)
+            except Exception:
+                if not has_remote:
+                    raise
+                poisoned = True  # a wire push failed after retries: same contract
+        if poisoned or name == LIBRARY_TASK:
+            # everything was computed against the old library (or may have
+            # been); the trunk cache is shared with every local shard gateway
+            self._front._clear_tiers()
             self.remote_head_cache.clear()
-            self.trunk_cache.clear()
-            self.metrics.increment("invalidations")
+        else:
+            self._invalidate_composites(name)
+        self.metrics.increment("invalidations")
+        if poisoned:
             self.metrics.increment("remote_updates_unapplied")
             self._remote_stale = name
+
+    def _resync_shards(self, name: str, version: int) -> None:
+        """Apply one pool update to the shards that hold (or should hold) it.
+
+        In-process shards mutate directly; mutation-capable remote workers
+        receive the same change through the fenced wire frames at the
+        *current* epoch (the placement didn't move, so no bump — the worker
+        fence admits epoch >= its own).
+        """
+        if name == LIBRARY_TASK:
+            # the trunk changed: repoint every shard view at the new library
+            # (propagating the sentinel fires each shard gateway's own
+            # listener, which clears caches and bumps its version guard)
+            payload = None
+            for shard in self.shards:
+                if shard.is_remote():
+                    if payload is None:
+                        payload = serialize_library_state(
+                            self.pool,
+                            self.config.fetch_transport,
+                            store=self.pool.segments,
+                        )
+                    shard.push_library(
+                        payload,
+                        epoch=self._epoch,
+                        mutation_id=self._mutation_id("library"),
+                    )
+                    self.metrics.increment("remote_updates_pushed")
+                else:
+                    shard.refresh_library(
+                        self.pool.library, self.pool.library_student, version
+                    )
+            return
+        head = self.pool.experts.get(name)
+        with self._placement_lock:
+            placed = self._placement.get(name)
+            if head is not None and placed is None:
+                # brand-new expert: place it per the router
+                placed = self.router.shards_for(name)
+                self._placement[name] = placed
+            elif head is None and placed is not None:
+                del self._placement[name]
+        if head is not None:
+            payload = None
+            for shard_id in placed:
+                shard = self.shards[shard_id]
+                if shard.is_remote():
+                    if payload is None:
+                        payload = serialize_expert_heads(
+                            self.pool,
+                            (name,),
+                            self.config.fetch_transport,
+                            store=self.pool.segments,
+                        )
+                    shard.install_heads(
+                        payload,
+                        epoch=self._epoch,
+                        mutation_id=self._mutation_id("install"),
+                    )
+                    self.metrics.increment("remote_updates_pushed")
+                else:
+                    shard.install_expert(name, head, version)
+        elif placed is not None:
+            for shard_id in placed:
+                shard = self.shards[shard_id]
+                if shard.is_remote():
+                    shard.drop_heads(
+                        [name],
+                        epoch=self._epoch,
+                        mutation_id=self._mutation_id("drop"),
+                    )
+                    self.metrics.increment("remote_updates_pushed")
+                else:
+                    shard.drop_expert(name)
 
     def _serialize_migration_heads(
         self, source_id: Optional[int], names: Tuple[str, ...]

@@ -22,7 +22,6 @@ instance: a ``net_roundtrip`` latency stage plus ``net_requests`` /
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
@@ -31,39 +30,18 @@ from ..serving.metrics import ServingMetrics
 __all__ = ["ClusterMetrics"]
 
 
-class ClusterMetrics:
-    """Thread-safe cluster counters over a :class:`ServingMetrics` core."""
+class ClusterMetrics(ServingMetrics):
+    """:class:`ServingMetrics` plus the fan-out and per-shard tables."""
 
     def __init__(self, max_samples_per_stage: int = 65536) -> None:
-        self.serving = ServingMetrics(max_samples_per_stage)
-        self._lock = threading.Lock()
+        super().__init__(max_samples_per_stage)
         self._fanout: Dict[int, int] = {}
         self._per_shard: Dict[int, int] = {}
         self._started_at = perf_counter()
 
     # ------------------------------------------------------------------
-    # Recording
+    # Recording (under the base class's lock)
     # ------------------------------------------------------------------
-    def observe(self, stage: str, seconds: float) -> None:
-        self.serving.observe(stage, seconds)
-
-    def stage(self, name: str):
-        return self.serving.stage(name)
-
-    def increment(self, counter: str, by: int = 1) -> None:
-        self.serving.increment(counter, by)
-
-    def counter(self, name: str) -> int:
-        return self.serving.counter(name)
-
-    def record_tasks(self, names: Sequence[str]) -> None:
-        """Bump the front end's per-task popularity EWMA."""
-        self.serving.record_tasks(names)
-
-    @property
-    def popularity(self):
-        return self.serving.popularity
-
     def record_fanout(self, num_shards: int) -> None:
         with self._lock:
             self._fanout[num_shards] = self._fanout.get(num_shards, 0) + 1
@@ -86,7 +64,7 @@ class ClusterMetrics:
 
     def snapshot(self, include_histograms: bool = False) -> Dict[str, object]:
         """Unified-schema snapshot (``kind="cluster"``) with fan-out tables."""
-        snap = self.serving.snapshot(include_histograms=include_histograms)
+        snap = super().snapshot(include_histograms=include_histograms)
         snap["kind"] = "cluster"
         snap["fanout"] = self.fanout_histogram()
         snap["shard_requests"] = self.shard_requests()
@@ -105,7 +83,7 @@ class ClusterMetrics:
         for remote shards each collection is a STATS round trip, and the
         gateway's ``render_stats`` reuses one sweep for both views.
         """
-        lines: List[str] = [self.serving.render(cache_stats=cache_stats)]
+        lines: List[str] = [super().render(cache_stats=cache_stats)]
         elapsed = max(perf_counter() - self._started_at, 1e-9)
         per_shard = self.shard_requests()
         if shards is not None:

@@ -17,18 +17,20 @@ alternative the ROADMAP's "async transport" item asks for:
   :class:`~repro.cluster.gateway.ClusterGateway.submit`'s thread-pool
   executor (the gateway delegates when its ``async_transport`` attribute
   is set, which :class:`~repro.net.server.NetworkedCluster` does for
-  ``async_transport=True``).  Single-shard queries are forwarded to the
-  owning worker and await only network I/O; cross-shard queries check the
-  cluster's composite caches, ``gather`` the remote head fetches
-  **concurrently**, and run assembly/serialization in the loop's default
-  executor so the event loop never blocks on CPU work.
+  ``async_transport=True``).  It holds only what awaits the wire: a
+  single-shard query is forwarded to the owning worker, a cross-shard
+  miss fetches its missing heads from every shard **concurrently** and
+  hands them to the front tier's build, which runs in the loop's default
+  executor, so the loop never blocks on CPU work nor the build on a shard.
+  Accounting, the replan rule, tiers and responses are the cluster's.
 
 Concurrency notes: all channel state lives on the loop thread; the
 cluster caches and metrics the coroutines touch are the same thread-safe
 objects the sync path uses, so both transports can run side by side.
-Duplicate concurrent cross-shard builds coalesce on an asyncio future per
-payload key (the loop-native analogue of the gateway's
-:class:`~repro.serving.gateway.SingleFlight`).
+Followers of an in-flight cross-shard build await an asyncio future per
+payload key — the one step of the pipeline kept here, because the front
+tier's :class:`~repro.serving.gateway.SingleFlight` would park each of
+them on an executor thread.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ import asyncio
 import itertools
 import threading
 from concurrent.futures import Future
-from dataclasses import replace
+from functools import partial
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..cluster.gateway import _tag_shard_error
+from ..cluster.gateway import Heads, _tag_shard_error
 from ..obs.trace import TRACER
-from ..serving.canonical import TaskQuery, canonical_tasks, payload_key
-from ..serving.gateway import GatewayResponse, expert_versions
+from ..serving.canonical import TaskQuery, payload_key
+from ..serving.gateway import GatewayResponse, _Request
 from .client import gateway_response_from_body, raise_remote_error
 from .frame import (
     CODEC_JSON,
@@ -116,11 +118,18 @@ class AsyncShardChannel:
         }
         if self.auth_token is not None:
             hello["auth"] = self.auth_token
-        msg_type, _codec, payload = await self.request(
-            MsgType.HELLO, json_payload(hello)
-        )
-        if msg_type != MsgType.HELLO_OK:
-            raise FrameError(f"handshake got unexpected message type {msg_type}")
+        try:
+            msg_type, _codec, payload = await self.request(
+                MsgType.HELLO, json_payload(hello)
+            )
+            if msg_type != MsgType.HELLO_OK:
+                raise FrameError(f"handshake got unexpected message type {msg_type}")
+        except BaseException:
+            # failed or cancelled (a hedge loser) mid-handshake: no pool holds
+            # this channel yet, so nothing else would ever close it
+            self._reader_task.cancel()
+            self._writer.close()
+            raise
         self.info = parse_json(payload)
 
     async def request(
@@ -194,6 +203,9 @@ class AsyncShardChannel:
         for future in pending.values():
             if not future.done():
                 future.set_exception(error)
+        # the pool drops a closed channel from its rotation without calling
+        # close(): release the socket here, not at garbage collection
+        self._writer.close()
 
     async def close(self) -> None:
         self.closed = True
@@ -550,80 +562,42 @@ class AsyncClusterTransport:
             await group.close()
 
     # ------------------------------------------------------------------
+    # What awaits the wire.  Accounting, the replan rule, the tiers, the
+    # build and the responses are the cluster's and its front tier's.
+    # ------------------------------------------------------------------
     async def _serve(
         self, tasks: TaskQuery, transport: str, enqueued_at: float
     ) -> GatewayResponse:
-        from ..core.server import TRANSPORTS
-
         cluster = self.cluster
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        start = perf_counter()
-        queue_seconds = start - enqueued_at
-        cluster.metrics.observe("queue", queue_seconds)
-        cluster.metrics.increment("requests")
         # each submitted query is its own asyncio task with its own
         # contextvars copy, so the ambient span nests correctly even with
         # many queries in flight on the one loop
-        with TRACER.span("cluster.serve", {"transport": transport}) as span:
+        with _Request(
+            cluster._front, "cluster.serve", "requests", tasks, transport, enqueued_at
+        ) as request:
+            epoch = cluster._epoch
             try:
-                names = canonical_tasks(tasks)
-                span.tag("tasks", len(names))
-                # same one-retry contract as the sync path: a rebalance can
-                # move a task between planning and serving, and a reshard
-                # can retire the planned shard outright (transport errors
-                # and a shrunk group list replan iff the epoch moved)
-                for attempt in (0, 1):
-                    epoch_before = cluster._epoch
-                    try:
-                        return await self._serve_planned(
-                            names, transport, start, queue_seconds
-                        )
-                    except KeyError:
-                        with cluster._placement_lock:
-                            still_placed = all(
-                                name in cluster._placement for name in names
-                            )
-                        if attempt == 1 or not still_placed:
-                            raise
-                        cluster.metrics.increment("plan_retries")
-                    except (ConnectionError, OSError, RuntimeError, IndexError):
-                        if attempt == 1 or cluster._epoch == epoch_before:
-                            raise
-                        cluster.metrics.increment("plan_retries")
-            except BaseException:
-                cluster.metrics.increment("errors")
-                raise
-            raise AssertionError("unreachable")  # pragma: no cover
+                return await self._serve_planned(request)
+            except Exception as error:
+                if not cluster._should_replan(error, request.names, epoch):
+                    raise
+            return await self._serve_planned(request)
 
-    async def _serve_planned(
-        self,
-        names: Tuple[str, ...],
-        transport: str,
-        start: float,
-        queue_seconds: float,
-    ) -> GatewayResponse:
-        cluster = self.cluster
-        plan = cluster._plan(names)
-        cluster.metrics.record_fanout(len(plan))
-
+    async def _serve_planned(self, request) -> GatewayResponse:
+        cluster, names, transport = self.cluster, request.names, request.transport
+        plan = cluster._route(names)
         if len(plan) == 1:
             (shard_id,) = plan
             cluster.metrics.record_shard_requests((shard_id,))
             with TRACER.span("net.serve", {"shard_id": shard_id}):
-                request: Dict[str, object] = {
-                    "tasks": list(names),
-                    "transport": transport,
-                }
+                body: Dict[str, object] = {"tasks": list(names), "transport": transport}
                 group = self._groups[shard_id]
                 try:
                     ctx = TRACER.inject()
                     if ctx is not None and FEATURE_TRACE in await group.features():
-                        request["trace"] = ctx
+                        body["trace"] = ctx
                     _msg, _codec, payload = await group.request(
-                        MsgType.SERVE, json_payload(request)
+                        MsgType.SERVE, json_payload(body)
                     )
                 except BaseException as error:
                     # same [shard N] attribution contract as the sync path
@@ -631,131 +605,80 @@ class AsyncClusterTransport:
                 meta, blob = unpack_body(payload)
                 if meta.get("trace_spans"):
                     TRACER.attach(meta["trace_spans"])
-            response = gateway_response_from_body(meta, blob)
-            if response.coalesced:
-                cluster.metrics.increment("coalesced")
-            response = replace(response, queue_seconds=queue_seconds)
-            cluster.metrics.observe("total", perf_counter() - start)
-            return response
+            return cluster._relay_served(request, gateway_response_from_body(meta, blob))
 
-        cluster.metrics.increment("cross_shard")
+        front = cluster._front
         key = payload_key(names, transport)
-        payload = cluster.payload_cache.get(key)
-        model_hit, coalesced, payload_hit = False, False, payload is not None
-        if payload is None:
-            flight = self._inflight.get(key)
-            if flight is not None:
-                coalesced = True
-                cluster.metrics.increment("coalesced")
-                payload, model_hit = await asyncio.shield(flight)
-            else:
-                flight = asyncio.get_event_loop().create_future()
-                # retrieve the exception eagerly so an unawaited flight
-                # (no followers) never logs "exception was never retrieved"
-                flight.add_done_callback(
-                    lambda f: f.exception() if not f.cancelled() else None
-                )
-                self._inflight[key] = flight
-                try:
-                    payload, model_hit = await self._build_cross_shard(
-                        names, plan, transport, key
-                    )
-                except BaseException as error:
-                    flight.set_exception(error)
-                    raise
-                else:
-                    flight.set_result((payload, model_hit))
-                finally:
-                    self._inflight.pop(key, None)
+        payload = front._cached_payload(key)
+        if payload is not None:
+            return front._served(request, payload, False, True, False)
+        # The one piece of the build the loop keeps: followers of an
+        # in-flight key await an asyncio future — the front tier's
+        # SingleFlight would park each of them on an executor thread.
+        flight = self._inflight.get(key)
+        if flight is not None:
+            cluster.metrics.increment("coalesced")
+            payload, model_hit = await asyncio.shield(flight)
+            return front._served(request, payload, model_hit, False, True)
+        loop = asyncio.get_event_loop()
+        flight = self._inflight[key] = loop.create_future()
+        # retrieve the exception eagerly so an unawaited flight (no
+        # followers) never logs "exception was never retrieved"
+        flight.add_done_callback(lambda f: f.exception() if not f.cancelled() else None)
+        try:
+            # the build runs on an executor thread with the routed plan and
+            # the heads fetched here in hand, so it goes to no shard itself
+            missing = cluster._uncached_remote_heads(names, plan)
+            held = None if missing is None else await self._fetch_ahead(missing)
+            built = await loop.run_in_executor(
+                None, front._built_payload, names, transport, key,
+                partial(cluster._consolidate, plan=plan, held=held),
+            )
+        except BaseException as error:
+            flight.set_exception(error)
+            raise
+        else:
+            flight.set_result(built[:2])
+        finally:
+            self._inflight.pop(key, None)
+        return front._served(request, *built)
 
-        service_seconds = perf_counter() - start
-        cluster.metrics.observe("total", service_seconds)
-        return GatewayResponse(
-            payload=payload,
-            tasks=names,
-            transport=transport,
-            payload_bytes=len(payload),
-            queue_seconds=queue_seconds,
-            service_seconds=service_seconds,
-            model_cache_hit=model_hit,
-            payload_cache_hit=payload_hit,
-            coalesced=coalesced,
-        )
+    async def _fetch_ahead(self, missing: Dict[int, List[str]]) -> Heads:
+        """Fetch ``missing`` (shard → names) from every shard at once: one
+        ``fetch`` stage sample; the heads keyed ``(task, version)``.
 
-    async def _build_cross_shard(
-        self,
-        names: Tuple[str, ...],
-        plan: Dict[int, Tuple[str, ...]],
-        transport: str,
-        key,
-    ) -> Tuple[bytes, bool]:
-        """Concurrent head gather → executor-side assemble + serialize.
-
-        Mirrors the sync ``_build_payload`` pipeline (same version-guarded
-        cache puts, same metrics stages) with the network part replaced by
-        an ``asyncio.gather`` across shards.
+        The build that follows takes them as already held, whatever the
+        remote-head tier's budget; only a head whose version moved in
+        between is fetched again, by the cluster's own gather.
         """
         cluster = self.cluster
         loop = asyncio.get_event_loop()
-        versions = expert_versions(cluster.pool, names)
-        cluster.metrics.record_shard_requests(list(plan))
-        model = cluster.model_cache.get(names)
-        model_hit = model is not None
-        if model is None:
-            heads: Dict[str, object] = {}
-            fetch_start = perf_counter()
+        fetch_transport = cluster.config.fetch_transport
 
-            async def fetch_group(shard_id: int, group: Sequence[str]) -> None:
-                cached, missing = cluster._cached_remote_heads(group)
-                heads.update(cached)
-                if not missing:
-                    return
-                try:
-                    _msg, _codec, raw = await self._groups[shard_id].request(
-                        MsgType.FETCH_HEADS,
-                        json_payload(
-                            {
-                                "names": list(missing),
-                                "transport": cluster.config.fetch_transport,
-                            }
-                        ),
-                    )
-                except BaseException as error:
-                    # same [shard N] attribution contract as the sync path
-                    raise _tag_shard_error(error, shard_id)
-                expected = codec_for_transport(cluster.config.fetch_transport)
-                if _codec != expected:
-                    raise FrameError(
-                        f"HEADS response advertised codec {_codec}, expected {expected}"
-                    )
-                cluster.metrics.increment("remote_fetches")
-                cluster.metrics.increment("remote_fetch_bytes", len(raw))
-                heads.update(
-                    await loop.run_in_executor(
-                        None, cluster._ingest_head_payload, raw
-                    )
+        async def fetch(shard_id: int, names: List[str]) -> Heads:
+            start = perf_counter()
+            try:
+                _msg, codec, raw = await self._groups[shard_id].request(
+                    MsgType.FETCH_HEADS,
+                    json_payload({"names": names, "transport": fetch_transport}),
                 )
+            except BaseException as error:
+                # same [shard N] attribution contract as the sync path
+                raise _tag_shard_error(error, shard_id)
+            expected = codec_for_transport(fetch_transport)
+            if codec != expected:
+                raise FrameError(
+                    f"HEADS response advertised codec {codec}, expected {expected}"
+                )
+            return await loop.run_in_executor(
+                None, cluster._ingest_head_payload, names, raw, perf_counter() - start
+            )
 
-            await asyncio.gather(
-                *(fetch_group(sid, group) for sid, group in plan.items())
-            )
-            fetch_seconds = perf_counter() - fetch_start
-            cluster.metrics.observe("fetch", fetch_seconds)
-            if TRACER.enabled:
-                TRACER.record_stage("fetch", fetch_seconds)
-            model = await loop.run_in_executor(
-                None, cluster._assemble_composite, names, heads, versions
-            )
-        payload = await loop.run_in_executor(
-            None,
-            cluster._serialize_composite,
-            model,
-            names,
-            versions,
-            transport,
-            key,
-        )
-        return payload, model_hit
+        held: Heads = {}
+        with cluster.metrics.stage("fetch"):
+            for fetched in await asyncio.gather(*(fetch(*item) for item in missing.items())):
+                held.update(fetched)
+        return held
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AsyncClusterTransport(shards={len(self._groups)})"

@@ -1310,7 +1310,10 @@ class NetworkedCluster:
 
             try:
                 transport = AsyncClusterTransport(
-                    self.gateway, connections_per_shard=connections_per_shard
+                    self.gateway,
+                    connections_per_shard=connections_per_shard,
+                    retry=retry,
+                    hedge=hedge,
                 )
                 transport.start()
             except BaseException:

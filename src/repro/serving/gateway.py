@@ -50,12 +50,16 @@ Consolidation without serving: :meth:`ServingGateway.get_model`.
 Operations: :meth:`ServingGateway.invalidate_task` (also the hook the
 cluster tier calls after migrating an expert), ``cache_stats()`` /
 ``render_stats()`` / the :attr:`predict_window` probe, and ``close()``
-(the gateway is a context manager).  The helper functions in this module
-(:func:`expert_versions`, :func:`run_trunk_forward`,
-:func:`run_fused_prediction`, :func:`result_cache_key` /
-:func:`result_cache_put_guarded`, :func:`drop_task_entries` /
-:func:`drop_result_entries`) are shared with
-:class:`repro.cluster.ClusterGateway` so the two tiers cannot drift.
+(the gateway is a context manager).
+
+**One pipeline.**  Every request is *accounting* (``with _Request(...)``
+around the tier work, closed by ``_served`` / ``_predicted``) around *tier work*
+(``_payload_tiers`` / ``_predict_tiers``), and the tier work has one
+seam: ``_consolidate``, how a model for canonical names is put together.
+:class:`repro.cluster.ClusterGateway` runs its cross-shard tier as an
+instance of this class with that seam rebound, and opens the same
+accounting around its routing — as does the asyncio transport behind it
+— so there is no second copy of either to drift.
 
 **Thread safety.**  Every public method may be called from any number of
 threads concurrently.  Cache tiers are individually locked
@@ -102,6 +106,8 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+#: Stands in for ``_consolidate`` on one build (a cluster hands its plan / fetched heads down).
+Seam = Optional[Callable[[Tuple[str, ...]], TaskSpecificModel]]
 
 
 def expert_versions(pool, names: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
@@ -143,91 +149,6 @@ def run_trunk_forward(trunk, images, metrics) -> "np.ndarray":
     if TRACER.enabled:
         TRACER.record_stage(stage_name, elapsed)
     return features
-
-
-def result_cache_key(
-    cache: ByteBudgetLRU, pool, names: Tuple[str, ...], digest: str
-) -> Optional[Tuple[str, Tuple[str, ...], object]]:
-    """Prediction-result tier key, or None when the tier is disabled.
-
-    One key recipe for the gateway and the cluster's cross-shard path:
-    ``(image digest, canonical tasks, expert versions)``.  Versions ride
-    in the key, so an entry inserted before a re-extraction can never
-    satisfy a lookup after it — the eager drops in the invalidation
-    listeners only reclaim the bytes sooner.
-    """
-    if cache.budget_bytes == 0:
-        return None
-    return (digest, names, expert_versions(pool, names))
-
-
-def result_cache_put_guarded(
-    cache: ByteBudgetLRU, pool, invalidate_lock, key, logits, class_ids
-) -> None:
-    """Insert a computed answer under the standard stale-put guard.
-
-    Same contract as the model/payload tiers: the key was snapshotted
-    *before* the model was acquired, and is re-derived under the
-    invalidation lock here — if an expert (or the library) was re-extracted
-    while the answer was being computed, the keys differ and the stale
-    answer is not cached.  Entries hold ``(logits, class_ids)`` so a hit
-    needs no model at all (not even for the argmax→global-id mapping).
-    """
-    digest, names, _versions = key
-    with invalidate_lock:
-        if key == result_cache_key(cache, pool, names, digest):
-            cache.put(
-                key, (logits, class_ids), int(logits.nbytes + class_ids.nbytes)
-            )
-
-
-def run_fused_prediction(
-    model: TaskSpecificModel, features, metrics
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """``(class_ids, logits)``: fused heads + argmax, with the standard stages.
-
-    The one post-trunk prediction pipeline, shared by the gateway's
-    inline/micro-batched paths and the cluster's cross-shard path so the
-    stage names and execution order cannot drift apart.  (A
-    prediction-result cache hit skips this entirely — entries carry the
-    mapped class ids.)
-    """
-    with metrics.stage("predict_heads"):
-        logits = model.logits_from_features(features)
-    with metrics.stage("predict_argmax"):
-        return model.classes[logits.argmax(axis=1)], logits
-
-
-def drop_task_entries(model_cache, payload_cache, name: str) -> int:
-    """Drop every model/payload cache entry whose task set includes ``name``.
-
-    Model keys are canonical name tuples; payload keys are
-    ``(names, transport)``.  Shared by the gateway and the cluster tiers.
-    """
-    dropped = 0
-    for key in model_cache.keys():
-        if name in key:
-            dropped += model_cache.discard(key)
-    for key in payload_cache.keys():
-        key_names, _transport = key
-        if name in key_names:
-            dropped += payload_cache.discard(key)
-    return dropped
-
-
-def drop_result_entries(result_cache, name: str) -> int:
-    """Drop every prediction-result entry whose task set includes ``name``.
-
-    Result keys are built by :func:`result_cache_key` —
-    ``(digest, tasks, versions)``.  Entries are version-keyed, so a stale
-    one could never be *served*; dropping releases the bytes eagerly, like
-    the other tiers.  Shared by the gateway and the cluster tiers.
-    """
-    dropped = 0
-    for key in result_cache.keys():
-        if name in key[1]:
-            dropped += result_cache.discard(key)
-    return dropped
 
 
 @dataclass(frozen=True)
@@ -303,6 +224,51 @@ class PredictionResponse:
     #: True when the whole answer came from the prediction-result cache —
     #: neither the trunk nor the fused heads ran for this request.
     result_cache_hit: bool = False
+
+
+class _Request:
+    """One request's accounting: ``with`` it around the tier work, then hand
+    it to the gateway's ``_served`` / ``_predicted``.
+
+    Construction checks the transport (None for a prediction: nothing
+    ships), observes the queue wait and bumps ``counter``; entering opens
+    the span, canonicalizes the task names and feeds their popularity to
+    the metrics and the controller; leaving on an exception counts
+    ``errors``.  A plain class, not a generator: this runs per request.
+    """
+
+    __slots__ = ("gateway", "names", "transport", "start", "queue_seconds", "span", "_scope")
+
+    def __init__(self, gateway, span_name, counter, tasks, transport, enqueued_at) -> None:
+        if transport is not None and transport not in TRANSPORTS:
+            raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
+        # ``names`` holds the query as given until __enter__ canonicalizes it
+        self.gateway, self.names, self.transport = gateway, tasks, transport
+        self.start = perf_counter()
+        self.queue_seconds = 0.0
+        if enqueued_at is not None:
+            self.queue_seconds = self.start - enqueued_at
+            gateway.metrics.observe("queue", self.queue_seconds)
+        gateway.metrics.increment(counter)
+        self._scope = TRACER.span(span_name)
+
+    def __enter__(self) -> "_Request":
+        self.span = self._scope.__enter__()
+        try:
+            self.names = canonical_tasks(self.names)
+            self.gateway._record_popularity(self.names, self.transport)
+            self.span.tag("tasks", len(self.names))
+            if self.transport is not None:
+                self.span.tag("transport", self.transport)
+        except BaseException as error:
+            self.__exit__(type(error), error, error.__traceback__)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        if exc_type is not None:
+            self.gateway.metrics.increment("errors")
+        return self._scope.__exit__(exc_type, exc, traceback)
 
 
 @dataclass
@@ -451,17 +417,20 @@ class ServingGateway:
                 task=name,
             )
         if name == LIBRARY_TASK:
-            # the trunk itself changed: every consolidated model, payload,
-            # cached feature map and cached answer was computed against the
-            # old library (the compiled trunk program needs no drop here —
-            # it is memoized on the old trunk *object* and dies with it)
-            with self._invalidate_lock:
-                self.model_cache.clear()
-                self.payload_cache.clear()
-                self.result_cache.clear()
-            self.trunk_cache.clear()
+            self._clear_tiers()
         else:
             self.invalidate_task(name)
+
+    def _clear_tiers(self) -> None:
+        """Drop every tier: the trunk itself changed, so every consolidated
+        model, payload, cached feature map and cached answer was computed
+        against the old library (the compiled trunk program needs no drop —
+        it is memoized on the old trunk *object* and dies with it)."""
+        with self._invalidate_lock:
+            self.model_cache.clear()
+            self.payload_cache.clear()
+            self.result_cache.clear()
+        self.trunk_cache.clear()
 
     # ------------------------------------------------------------------
     # Public API
@@ -516,9 +485,7 @@ class ServingGateway:
         fused multi-head pass → argmax mapped to global class ids.
         """
         return self._predict_one(
-            np.asarray(images, dtype=np.float32),
-            canonical_tasks(tasks),
-            enqueued_at=None,
+            np.asarray(images, dtype=np.float32), tasks, enqueued_at=None
         )
 
     def submit_predict(
@@ -578,10 +545,16 @@ class ServingGateway:
         *served* — dropping here releases the bytes eagerly, like the other
         tiers.
         """
+
+        def drop(cache: ByteBudgetLRU, names_of) -> int:
+            return sum(cache.discard(key) for key in cache.keys() if name in names_of(key))
+
         with self._invalidate_lock:
-            return drop_task_entries(
-                self.model_cache, self.payload_cache, name
-            ) + drop_result_entries(self.result_cache, name)
+            return (
+                drop(self.model_cache, lambda key: key)  # canonical names
+                + drop(self.payload_cache, lambda key: key[0])  # (names, transport)
+                + drop(self.result_cache, lambda key: key[1])  # (digest, names, versions)
+            )
 
     def close(self) -> None:
         remove_listener = getattr(self.pool, "remove_listener", None)
@@ -607,67 +580,123 @@ class ServingGateway:
         self.close()
 
     # ------------------------------------------------------------------
-    # Pipeline
+    # Per-request accounting — the one copy.  A ClusterGateway (and the
+    # asyncio transport behind it) opens the same scope around its own
+    # routing and closes it through the same responders.
     # ------------------------------------------------------------------
-    def _serve(
-        self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
+    def _record_popularity(
+        self, names: Tuple[str, ...], transport: Optional[str] = None
+    ) -> None:
+        """Both popularity signals of one request (no transport: a prediction)."""
+        self.metrics.record_tasks(names)
+        if self.controller is not None:
+            self.controller.record_request(names, transport)
+
+    def _served(
+        self,
+        request: _Request,
+        payload: bytes,
+        model_hit: bool,
+        payload_hit: bool,
+        coalesced: bool,
     ) -> GatewayResponse:
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-        start = perf_counter()
-        queue_seconds = 0.0
-        if enqueued_at is not None:
-            queue_seconds = start - enqueued_at
-            self.metrics.observe("queue", queue_seconds)
-        self.metrics.increment("requests")
-        with TRACER.span("gateway.serve") as span:
-            try:
-                names = canonical_tasks(tasks)
-                self.metrics.record_tasks(names)
-                if self.controller is not None:
-                    self.controller.record_request(names, transport)
-                key = payload_key(names, transport)
-
-                payload = self.payload_cache.get(key)
-                if payload is not None:
-                    model_hit, coalesced, payload_hit = False, False, True
-                    if self.controller is not None and self.controller.was_prefetched(key):
-                        self.metrics.increment("prefetch_hits")
-                else:
-                    payload_hit = False
-                    (payload, model_hit), coalesced = self._flights.run(
-                        key, lambda: self._build_payload(names, transport, key)
-                    )
-                    if coalesced:
-                        self.metrics.increment("coalesced")
-            except BaseException:
-                self.metrics.increment("errors")
-                raise
-            span.tag("transport", transport)
-            span.tag("tasks", len(names))
-            span.tag("payload_cache_hit", payload_hit)
-            span.tag("model_cache_hit", model_hit)
-
-        service_seconds = perf_counter() - start
+        """Close one serve's accounting into its response."""
+        request.span.tag("payload_cache_hit", payload_hit)
+        request.span.tag("model_cache_hit", model_hit)
+        service_seconds = perf_counter() - request.start
         self.metrics.observe("total", service_seconds)
         return GatewayResponse(
             payload=payload,
-            tasks=names,
-            transport=transport,
+            tasks=request.names,
+            transport=request.transport,
             payload_bytes=len(payload),
-            queue_seconds=queue_seconds,
+            queue_seconds=request.queue_seconds,
             service_seconds=service_seconds,
             model_cache_hit=model_hit,
             payload_cache_hit=payload_hit,
             coalesced=coalesced,
         )
 
+    def _predicted(
+        self,
+        request: _Request,
+        images: np.ndarray,
+        coalesced: bool,
+        class_ids: np.ndarray,
+        model_hit: bool,
+        trunk_hit: bool,
+        result_hit: bool,
+    ) -> PredictionResponse:
+        """Close one prediction's accounting into its response."""
+        batch_size = int(images.shape[0])
+        request.span.tag("batch", batch_size)
+        request.span.tag("result_cache_hit", result_hit)
+        request.span.tag("trunk_cache_hit", trunk_hit)
+        request.span.tag("model_cache_hit", model_hit)
+        service_seconds = perf_counter() - request.start
+        self.metrics.observe("predict_total", service_seconds)
+        return PredictionResponse(
+            class_ids=class_ids,
+            tasks=request.names,
+            batch_size=batch_size,
+            queue_seconds=request.queue_seconds,
+            service_seconds=service_seconds,
+            model_cache_hit=model_hit,
+            trunk_cache_hit=trunk_hit,
+            coalesced=coalesced,
+            result_cache_hit=result_hit,
+        )
+
+    def _serve(
+        self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
+    ) -> GatewayResponse:
+        with _Request(self, "gateway.serve", "requests", tasks, transport, enqueued_at) as request:
+            return self._served(request, *self._payload_tiers(request.names, transport))
+
+    # ------------------------------------------------------------------
+    # Tier work: payload tier → single flight → versions snapshot → model
+    # tier → consolidate → serialize → build cost → version-guarded put
+    # ------------------------------------------------------------------
+    def _payload_tiers(
+        self, names: Tuple[str, ...], transport: str, consolidate: Seam = None
+    ) -> Tuple[bytes, bool, bool, bool]:
+        """``(payload, model_hit, payload_hit, coalesced)`` for one serve."""
+        key = payload_key(names, transport)
+        payload = self._cached_payload(key)
+        if payload is not None:
+            # the model tier was never consulted
+            return payload, False, True, False
+        return self._built_payload(names, transport, key, consolidate)
+
+    def _cached_payload(self, key: Hashable) -> Optional[bytes]:
+        """The payload-tier lookup (counted)."""
+        payload = self.payload_cache.get(key)
+        if payload is not None and self.controller is not None:
+            self._note_payload_hit(key)
+        return payload
+
+    def _note_payload_hit(self, key: Hashable) -> None:
+        """With a controller: a payload hit is its prefetch loop's if it put the entry there."""
+        if self.controller.was_prefetched(key):
+            self.metrics.increment("prefetch_hits")
+
+    def _built_payload(
+        self, names: Tuple[str, ...], transport: str, key: Hashable, consolidate: Seam = None
+    ) -> Tuple[bytes, bool, bool, bool]:
+        """A payload-tier miss: one build per key across concurrent callers."""
+        (payload, model_hit), coalesced = self._flights.run(
+            key, lambda: self._build_payload(names, transport, key, consolidate)
+        )
+        if coalesced:
+            self.metrics.increment("coalesced")
+        return payload, model_hit, False, coalesced
+
     def _build_payload(
-        self, names: Tuple[str, ...], transport: str, key: Hashable
+        self, names: Tuple[str, ...], transport: str, key: Hashable, consolidate: Seam = None
     ) -> Tuple[bytes, bool]:
         build_start = perf_counter()
         versions = expert_versions(self.pool, names)
-        model, model_hit = self._model_for(names, versions)
+        model, model_hit = self._model_for(names, versions, consolidate)
         # an unversioned pool-shaped object has nothing to invalidate a
         # memoised segment with: encode fresh
         store = getattr(self.pool, "segments", None)
@@ -695,7 +724,7 @@ class ServingGateway:
         return payload, model_hit
 
     def _model_for(
-        self, names: Tuple[str, ...], versions: Optional[Tuple[int, ...]]
+        self, names: Tuple[str, ...], versions: Optional[Tuple[int, ...]], consolidate: Seam = None
     ) -> Tuple[TaskSpecificModel, bool]:
         """The model for ``names``; ``versions`` is the caller's
         :func:`expert_versions` snapshot, which guards the cache put."""
@@ -704,9 +733,7 @@ class ServingGateway:
             return model, True
 
         def build() -> TaskSpecificModel:
-            with self.metrics.stage("consolidate"):
-                network, composite = self.pool.consolidate(list(names))
-                built = TaskSpecificModel(network, composite)
+            built = (consolidate or self._consolidate)(names)
             with self._invalidate_lock:
                 if versions == expert_versions(self.pool, names):
                     self.model_cache.put(names, built, built.cache_nbytes())
@@ -715,103 +742,97 @@ class ServingGateway:
         built, _ = self._flights.run(("model", names), build)
         return built, False
 
+    def _consolidate(self, names: Tuple[str, ...]) -> TaskSpecificModel:
+        """The pipeline's one seam: how a model for ``names`` is put together.
+
+        Train-free consolidation out of ``self.pool`` here; a
+        :class:`~repro.cluster.ClusterGateway` rebinds this on its front
+        tier to gather the heads across shards first.
+        """
+        with self.metrics.stage("consolidate"):
+            network, composite = self.pool.consolidate(list(names))
+            return TaskSpecificModel(network, composite)
+
     # ------------------------------------------------------------------
     # Prediction fast path
     # ------------------------------------------------------------------
-    def _trunk_features(
-        self, images: np.ndarray, digest: Optional[str] = None
-    ) -> Tuple[np.ndarray, bool]:
-        """Features for ``images`` from the cache or one metered trunk forward.
-
-        The miss path runs the *compiled* eval-mode trunk
-        (``predict_trunk_fused`` stage), not the autograd engine — cold
-        predictions take the fast path too.
-        """
-        return self.trunk_cache.get_or_compute(
-            images,
-            lambda batch: run_trunk_forward(self.pool.library, batch, self.metrics),
-            digest=digest,
-        )
-
     def _result_key(
         self, names: Tuple[str, ...], digest: str
     ) -> Optional[Tuple[str, Tuple[str, ...], object]]:
-        """Result-cache key for one request, or None when the tier is off."""
-        return result_cache_key(self.result_cache, self.pool, names, digest)
+        """Result-cache key for one request, or None when the tier is off.
+
+        ``(image digest, canonical tasks, expert versions)``: versions ride
+        in the key, so an entry inserted before a re-extraction can never
+        satisfy a lookup after it — the eager drop in
+        :meth:`invalidate_task` only reclaims the bytes sooner.
+        """
+        if self.result_cache.budget_bytes == 0:
+            return None
+        return (digest, names, expert_versions(self.pool, names))
 
     def _predict_one(
         self,
         images: np.ndarray,
-        names: Tuple[str, ...],
+        tasks: TaskQuery,
         enqueued_at: Optional[float],
         features: Optional[np.ndarray] = None,
         trunk_hit: bool = False,
         coalesced: bool = False,
         digest: Optional[str] = None,
     ) -> PredictionResponse:
-        start = perf_counter()
-        queue_seconds = 0.0
-        if enqueued_at is not None:
-            queue_seconds = start - enqueued_at
-            self.metrics.observe("queue", queue_seconds)
-        self.metrics.increment("predictions")
-        self.metrics.record_tasks(names)
-        if self.controller is not None:
-            self.controller.record_request(names)  # popularity only: no payload
-        with TRACER.span("gateway.predict") as span:
-            try:
-                # result lookup FIRST: the key snapshots expert versions before
-                # any model/trunk work (check-before-build, like the other
-                # tiers — a key built after the model could pair stale logits
-                # with fresh versions), and a hit touches no other tier at all
-                cached = key = None
-                if self.result_cache.budget_bytes:
-                    if digest is None:
-                        digest = array_digest(images)
-                    key = self._result_key(names, digest)
-                    cached = self.result_cache.get(key)
-                result_hit = cached is not None
-                if result_hit:
-                    self.metrics.increment("predict_result_hits")
-                    _logits, ids = cached
-                    model_hit = False  # the model tier was never consulted
-                else:
-                    model, model_hit = self._model_for(
-                        names, expert_versions(self.pool, names)
-                    )
-                    if features is None:
-                        features, trunk_hit = self._trunk_features(images, digest=digest)
-                    ids, logits = run_fused_prediction(model, features, self.metrics)
-                    if key is not None:
-                        result_cache_put_guarded(
-                            self.result_cache,
-                            self.pool,
-                            self._invalidate_lock,
-                            key,
-                            logits,
-                            ids,
-                        )
-            except BaseException:
-                self.metrics.increment("errors")
-                raise
-            span.tag("batch", int(images.shape[0]))
-            span.tag("tasks", len(names))
-            span.tag("result_cache_hit", result_hit)
-            span.tag("trunk_cache_hit", trunk_hit)
-            span.tag("model_cache_hit", model_hit)
-        service_seconds = perf_counter() - start
-        self.metrics.observe("predict_total", service_seconds)
-        return PredictionResponse(
-            class_ids=ids,
-            tasks=names,
-            batch_size=int(images.shape[0]),
-            queue_seconds=queue_seconds,
-            service_seconds=service_seconds,
-            model_cache_hit=model_hit,
-            trunk_cache_hit=trunk_hit,
-            coalesced=coalesced,
-            result_cache_hit=result_hit,
-        )
+        with _Request(self, "gateway.predict", "predictions", tasks, None, enqueued_at) as request:
+            return self._predicted(
+                request,
+                images,
+                coalesced,
+                *self._predict_tiers(images, request.names, features, trunk_hit, digest),
+            )
+
+    def _predict_tiers(
+        self,
+        images: np.ndarray,
+        names: Tuple[str, ...],
+        features: Optional[np.ndarray] = None,
+        trunk_hit: bool = False,
+        digest: Optional[str] = None,
+        consolidate: Seam = None,
+    ) -> Tuple[np.ndarray, bool, bool, bool]:
+        """``(class_ids, model_hit, trunk_hit, result_hit)`` for one prediction."""
+        # result lookup FIRST: the key snapshots expert versions before any
+        # model/trunk work (check-before-build, like the other tiers — a key
+        # built after the model could pair stale logits with fresh versions),
+        # and a hit touches no other tier at all
+        key = None
+        if self.result_cache.budget_bytes:
+            if digest is None:
+                digest = array_digest(images)
+            key = self._result_key(names, digest)
+            cached = self.result_cache.get(key)
+            if cached is not None:
+                self.metrics.increment("predict_result_hits")
+                _logits, ids = cached
+                return ids, False, trunk_hit, True
+        model, model_hit = self._model_for(names, expert_versions(self.pool, names), consolidate)
+        if features is None:
+            # the miss path runs the *compiled* eval-mode trunk, not autograd
+            features, trunk_hit = self.trunk_cache.get_or_compute(
+                images,
+                lambda batch: run_trunk_forward(self.pool.library, batch, self.metrics),
+                digest=digest,
+            )
+        with self.metrics.stage("predict_heads"):
+            logits = model.logits_from_features(features)
+        with self.metrics.stage("predict_argmax"):
+            ids = model.classes[logits.argmax(axis=1)]
+        if key is not None:
+            # the standard stale-put guard: the key was snapshotted before
+            # the model was acquired and is re-derived under the lock — a
+            # re-extraction in between changes it and the answer is not
+            # cached.  Entries hold (logits, class ids): a hit needs no model
+            with self._invalidate_lock:
+                if key == self._result_key(names, digest):
+                    self.result_cache.put(key, (logits, ids), int(logits.nbytes + ids.nbytes))
+        return ids, model_hit, trunk_hit, False
 
     def _take_drain_batch(self) -> Tuple[List[_PendingPrediction], int]:
         """Pop one window-bounded micro-batch off the pending queue (FIFO).

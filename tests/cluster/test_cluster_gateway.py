@@ -115,6 +115,17 @@ class TestServe:
         cluster.serve(query)  # composite payload hit: no shard is touched
         assert cluster.metrics.shard_requests() == before
 
+    def test_a_cross_shard_build_runs_on_the_routed_plan(self, cluster, wide_pool, monkeypatch):
+        """One plan per request drives routing, the gather and the assemble."""
+        _pool, data = wide_pool
+        plans = []
+        plan = cluster._plan
+        monkeypatch.setattr(cluster, "_plan", lambda names: plans.append(names) or plan(names))
+        query = tuple(sorted(_cross_shard_query(cluster)))
+        cluster.serve(query)  # payload and model miss: routes, gathers, assembles
+        cluster.predict(data.test.images[:4], _cross_shard_query(cluster, size=3))
+        assert len(plans) == 2 and plans[0] == query
+
     def test_cache_stats_aggregate_shard_tiers(self, cluster):
         query = _cross_shard_query(cluster)
         cluster.serve(query)
@@ -131,6 +142,55 @@ class TestServe:
         }
         assert stats["composite_payload"].hits == 1
         assert stats["payload"].hits >= 1  # aggregate includes the composite tier
+
+
+class TestCountedOnce:
+    """Each request moves the front end's counters once, whichever entry
+    point took it and whether one shard or the front tier answered."""
+
+    ENTRIES = {
+        "serve": ("requests", "total", lambda c, x, q: c.serve(q)),
+        "submit": ("requests", "total", lambda c, x, q: c.submit(q).result(timeout=60)),
+        "predict": ("predictions", "predict_total", lambda c, x, q: c.predict(x, q)),
+        "submit_predict": (
+            "predictions",
+            "predict_total",
+            lambda c, x, q: c.submit_predict(x, q).result(timeout=60),
+        ),
+    }
+
+    @pytest.mark.parametrize("cross", [False, True], ids=["single", "cross"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_success_then_forced_failure(self, cluster, wide_pool, monkeypatch, entry, cross):
+        counter, stage, call = self.ENTRIES[entry]
+        query = _cross_shard_query(cluster) if cross else cluster.available_tasks()[:1]
+        images = wide_pool[1].test.images[:4]
+        metrics = cluster.metrics
+
+        def reading():
+            samples = (metrics.stage_summary(stage) or {"count": 0})["count"]
+            return (metrics.counter(counter), samples, metrics.counter("errors"))
+
+        call(cluster, images, query)
+        assert reading() == (1, 1, 0)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("shard down")
+
+        for shard in cluster.shards:  # nothing below the front end answers any more
+            for method in ("serve", "predict", "submit_predict", "fetch_heads"):
+                monkeypatch.setattr(shard, method, boom)
+        for cache in (
+            cluster.model_cache,
+            cluster.payload_cache,
+            cluster.result_cache,
+            cluster.remote_head_cache,
+        ):
+            cache.clear()
+        with pytest.raises(RuntimeError, match="shard down"):
+            call(cluster, images, query)
+        assert reading() == (2, 1, 1)
+        assert metrics.counter("plan_retries") == 0
 
 
 class TestReplication:
@@ -315,7 +375,7 @@ class TestMigrationPayloads:
             for name in names:
                 cluster.router.pin(name, 0)
             cluster.rebalance()
-            cluster.metrics.serving._counters.clear()  # isolate the bulk move
+            cluster.metrics._counters.clear()  # isolate the bulk move
             for name in names:
                 cluster.router.pin(name, 1)
             report = cluster.rebalance()

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.cluster.gateway as cluster_gateway
 import repro.serving.gateway as serving_gateway
 from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
 from repro.core import TaskSpecificModel, deserialize_task_model, serialize_task_model
@@ -51,7 +50,6 @@ def calls(monkeypatch):
     counted(Module, "named_parameters")
     counted(Module, "train")  # eval() goes through it
     counted(serving_gateway, "expert_versions")
-    counted(cluster_gateway, "expert_versions")
     return counts
 
 

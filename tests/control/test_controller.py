@@ -310,6 +310,27 @@ class TestReplication:
             clock.advance(self.DT)
             gateway.serve(pair)
 
+    def test_predicts_feed_query_popularity(self, cluster, micro_pool):
+        """Every predict entry point tells the controller what was asked."""
+        gateway, controller, _clock = cluster
+        images = micro_pool[1].test.images[:4]
+        single = (sorted(gateway.pool.expert_names())[0],)
+        pair = self._cross_shard_pair(gateway)
+        assert controller.snapshot()["tracked_queries"] == 0
+        gateway.predict(images, single)
+        assert controller.snapshot()["tracked_queries"] == 1
+        gateway.predict(images, pair)
+        assert controller.snapshot()["tracked_queries"] == 2
+
+        def counts():
+            tracked = controller._queries.snapshot()
+            return [tracked[query]["count"] for query in (single, pair)]
+
+        assert counts() == [1, 1]
+        for query in (single, pair):
+            gateway.submit_predict(images, query).result(timeout=30)
+        assert counts() == [2, 2]
+
     def test_sustained_fanout_replicates_hottest_task(self, cluster):
         gateway, controller, clock = cluster
         pair = self._cross_shard_pair(gateway)

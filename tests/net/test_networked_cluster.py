@@ -12,18 +12,23 @@ import os
 import socket
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
-from repro.core import deserialize_task_model
+from repro.control import CacheController
+from repro.core import deserialize_task_model, serialize_task_model
+from repro.distill import batched_forward
 from repro.net import (
+    HedgePolicy,
     MsgType,
     NetworkedCluster,
     PROTOCOL_VERSION,
     RemoteOperationUnsupported,
     RemoteShardClient,
+    RetryPolicy,
     ShardServer,
 )
 from repro.net.frame import FrameDecoder, encode_frame, json_payload, parse_json
@@ -64,17 +69,49 @@ def test_worker_processes_are_real(networked):
     assert os.getpid() not in pids
 
 
-def test_cross_shard_payload_and_logits_bit_identical(networked, in_process, net_pool):
+@pytest.mark.parametrize("budget", [0, 64 << 20], ids=["uncached", "cached"])
+@pytest.mark.parametrize("entry", ["serve", "submit", "aio"])
+def test_every_entry_path_ships_the_plain_pool_bytes(net_pool, in_process, entry, budget):
+    """Every entry point ships what one plain pool serialises, whether the
+    front tier's composite caches hold anything or not."""
     pool, data = net_pool
     query = _cross_shard_query(in_process)
-    remote = networked.gateway.serve(query)
-    local = in_process.serve(query)
-    assert networked.gateway.metrics.counter("cross_shard") >= 1
-    assert remote.payload == local.payload
+    task = sorted(in_process.available_tasks())[0]
+    reference = {
+        tasks: serialize_task_model(*pool.consolidate(sorted(tasks)), pool.config)
+        for tasks in (query, (task,))
+    }
+    assert in_process.serve(query).payload == reference[query]
+    config = replace(
+        CONFIG, composite_model_cache_bytes=budget, composite_payload_cache_bytes=budget
+    )
+    retry, hedge = RetryPolicy(), HedgePolicy()
+    with NetworkedCluster(
+        pool, config, async_transport=entry == "aio", retry=retry, hedge=hedge
+    ) as deployment:
+        gateway = deployment.gateway
+        transport = gateway.async_transport
+        assert (transport is not None) == (entry == "aio")
+        if transport is not None:  # the caller's policies, not defaults
+            assert transport._retry is retry and transport._hedge is hedge
+
+        def ask(tasks):
+            if entry == "serve":
+                return [gateway.serve(tasks) for _ in range(3)]
+            futures = [gateway.submit(tasks) for _ in range(3)]  # concurrently
+            return [future.result(timeout=120) for future in futures]
+
+        for tasks, expected in reference.items():
+            assert [r.payload for r in ask(tasks)] == [expected] * 3
+        assert gateway.metrics.counter("cross_shard") >= 3
+        assert bool(len(gateway.payload_cache)) == bool(budget)
+        with pytest.raises(KeyError):
+            ask(("no-such-task",))
+    assert deployment.fleet.leaked_processes() == []
     x = data.test.images[:16]
-    rebuilt = deserialize_task_model(remote.payload)
-    reference = deserialize_task_model(local.payload)
-    assert np.array_equal(rebuilt.logits(x), reference.logits(x))
+    network, _composite = pool.consolidate(sorted(query))
+    rebuilt = deserialize_task_model(reference[query])
+    assert np.array_equal(rebuilt.logits(x), batched_forward(network, x))
 
 
 def test_single_shard_payload_bit_identical(networked, in_process):
@@ -202,23 +239,100 @@ def test_rebalance_requires_the_mutations_feature(networked):
 # ----------------------------------------------------------------------
 # Async transport
 # ----------------------------------------------------------------------
-def test_async_transport_bit_identical(net_pool, in_process):
+def test_async_serves_feed_the_controller_like_the_thread_pool(net_pool, in_process):
+    """Both submit paths leave the same signals behind: popularity, build
+    and wire costs (the loop used to feed the controller nothing)."""
+    pool, _data = net_pool
+    names = sorted(in_process.available_tasks())
+    query = _cross_shard_query(in_process)
+    submits = [query, (names[0],), query, tuple(names)]
+    snapshots = []
+    for async_transport in (False, True):
+        with NetworkedCluster(pool, CONFIG, async_transport=async_transport) as deployment:
+            gateway = deployment.gateway
+            controller = CacheController()
+            gateway.controller = controller
+            controller.attach_cluster(gateway)
+            for tasks in submits:
+                gateway.submit(tasks).result(timeout=120)
+            snapshot = controller.snapshot()
+            snapshots.append(
+                {
+                    key: snapshot[key]
+                    for key in ("tracked_queries", "tracked_tasks", "build_costs", "wire_costs")
+                }
+                | {"popularity": sorted(gateway.metrics.popularity.snapshot())}
+            )
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[1]["tracked_queries"] == 3 and snapshots[1]["build_costs"] == 2
+    assert snapshots[1]["wire_costs"] == len(names)
+    assert snapshots[1]["popularity"] == names
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["single", "cross"])
+def test_async_submit_is_counted_once(net_pool, in_process, cross):
+    pool, _data = net_pool
+    query = _cross_shard_query(in_process) if cross else sorted(in_process.available_tasks())[:1]
+    with NetworkedCluster(pool, CONFIG, async_transport=True) as deployment:
+        metrics = deployment.gateway.metrics
+
+        def reading():
+            total = metrics.stage_summary("total") or {"count": 0}
+            return (metrics.counter("requests"), total["count"], metrics.counter("errors"))
+
+        deployment.gateway.submit(query).result(timeout=120)
+        assert reading() == (1, 1, 0)
+        with pytest.raises(KeyError):
+            deployment.gateway.submit(tuple(query) + ("no-such-task",)).result(timeout=60)
+        assert reading() == (2, 1, 1)
+
+
+def test_async_builds_gather_heads_on_the_loop_with_the_head_tier_off(net_pool, in_process):
+    """The loop's concurrent FETCH_HEADS gather does not lean on the
+    remote-head tier: with that tier (and the composite tiers) off, every
+    build's heads still cross the wire through the transport's replica
+    groups, once, and the blocking sync clients are never asked."""
     pool, _data = net_pool
     query = _cross_shard_query(in_process)
-    task = sorted(in_process.available_tasks())[0]
-    reference_cross = in_process.serve(query).payload
-    reference_single = in_process.serve((task,)).payload
-    with NetworkedCluster(pool, CONFIG, async_transport=True) as deployment:
+    expected = in_process.serve(query).payload
+    config = replace(
+        CONFIG,
+        remote_head_cache_bytes=0,
+        composite_model_cache_bytes=0,
+        composite_payload_cache_bytes=0,
+    )
+    with NetworkedCluster(pool, config, async_transport=True) as deployment:
         gateway = deployment.gateway
-        assert gateway.async_transport is not None
-        futures = [gateway.submit(query) for _ in range(3)]
-        futures += [gateway.submit((task,)) for _ in range(3)]
-        results = [f.result(timeout=120) for f in futures]
-        assert all(r.payload == reference_cross for r in results[:3])
-        assert all(r.payload == reference_single for r in results[3:])
-        with pytest.raises(KeyError):
-            gateway.submit(("no-such-task",)).result(timeout=60)
-    assert deployment.fleet.leaked_processes() == []
+        on_the_loop = []
+
+        def recording(group):
+            inner = group.request
+
+            async def request(msg_type, payload, *args, **kwargs):
+                if msg_type == MsgType.FETCH_HEADS:
+                    assert threading.current_thread().name == "poe-net-aio"
+                    on_the_loop.append((group.shard_id, parse_json(payload)["names"]))
+                return await inner(msg_type, payload, *args, **kwargs)
+
+            return request
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an aio build fetched heads through the blocking client")
+
+        for group in gateway.async_transport._groups:
+            group.request = recording(group)
+        for shard in gateway.shards:
+            shard.fetch_heads = refuse
+        builds = 3
+        for _ in range(builds):
+            assert gateway.submit(query).result(timeout=120).payload == expected
+        # each build: one frame per shard of the plan, every head exactly once
+        assert len(on_the_loop) == builds * len(gateway._plan(tuple(sorted(query))))
+        assert sorted(n for _, names in on_the_loop for n in names) == sorted(query * builds)
+        metrics = gateway.metrics
+        assert metrics.counter("remote_fetches") == len(on_the_loop)
+        assert metrics.counter("remote_head_hits") == 0  # a head in hand is not a tier hit
+        assert metrics.stage_summary("fetch")["count"] == builds  # one sample per build
 
 
 # ----------------------------------------------------------------------
