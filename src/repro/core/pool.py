@@ -6,7 +6,8 @@
    distilled from the oracle with standard KD (Eq. 1), then frozen; and
 2. one tiny **expert head** per primitive task, extracted with conditional
    knowledge distillation (Eq. 2) on *all* training data while sharing the
-   frozen library trunk.
+   frozen library trunk — every same-shape head of one call in a single
+   lockstep bank.
 
 The resulting pool is the queryable "neural database": the service phase
 (:meth:`PoolOfExperts.consolidate`) assembles any composite task's model
@@ -29,10 +30,10 @@ from ..distill import (
     History,
     TrainConfig,
     batched_forward,
-    distill_ckd_head,
+    distill_ckd,
     distill_kd,
 )
-from ..models import BranchedSpecialistNet, WideResNet, WRNHead, WRNTrunk
+from ..models import BranchedSpecialistNet, WideResNet, WRNHead, WRNHeadBank, WRNTrunk
 from ..nn import Module
 from .features import array_digest
 
@@ -299,57 +300,83 @@ class PoolOfExperts:
         self._bump_version(LIBRARY_TASK)
         return history
 
+    def extract_experts(
+        self,
+        tasks: Iterable[TaskRef],
+        images: np.ndarray,
+        settings: Optional[CKDSettings] = None,
+        train_config: Optional[TrainConfig] = None,
+    ) -> Dict[str, History]:
+        """Extract an expert head per task with CKD (library frozen).
+
+        Heads of one shape (class count) train in lockstep as one
+        :class:`~repro.models.WRNHeadBank`: one forward, backward and SGD
+        step per minibatch for all of them.  Each head starts from its own
+        :func:`expert_init_seed` weights and ends where training it alone
+        would (up to float32 rounding).  Experts are installed, and their
+        versions bumped, in task order once every bank has trained.
+        """
+        if self.library is None:
+            raise RuntimeError("extract_library() must run before extract_experts()")
+        cfg = self.config
+        resolved = {task.name: task for task in map(self._resolve, tasks)}
+        banks: Dict[int, List[PrimitiveTask]] = {}
+        for task in resolved.values():
+            banks.setdefault(len(task), []).append(task)
+        logits, features = self._oracle_logits_for(images), self._features_for(images)
+        heads: Dict[str, WRNHead] = {}
+        histories: Dict[str, History] = {}
+        for members in banks.values():
+            bank = WRNHeadBank(
+                [
+                    WRNHead(
+                        cfg.library_depth,
+                        cfg.library_k,
+                        cfg.expert_ks,
+                        num_classes=len(task),
+                        library_level=cfg.library_level,
+                        rng=np.random.default_rng(expert_init_seed(cfg.seed, task.name)),
+                    )
+                    for task in members
+                ]
+            )
+            trained = distill_ckd(
+                logits,
+                bank,
+                features,
+                class_ids=[task.classes for task in members],
+                config=train_config or cfg.expert_train,
+                settings=settings or cfg.ckd_settings(),
+            )
+            for task, head, history in zip(members, bank.unstack(), trained):
+                heads[task.name] = head.eval()
+                histories[task.name] = history
+        for name in resolved:
+            self.experts[name] = heads[name]
+            self.histories[f"expert/{name}"] = histories[name]
+            self._bump_version(name)
+        return histories
+
     def extract_expert(
         self,
         task: TaskRef,
         images: np.ndarray,
-        eval_fn=None,
         settings: Optional[CKDSettings] = None,
         train_config: Optional[TrainConfig] = None,
     ) -> History:
-        """Extract one expert head for ``task`` with CKD (library frozen)."""
-        if self.library is None:
-            raise RuntimeError("extract_library() must run before extract_expert()")
-        task = self._resolve(task)
-        cfg = self.config
-        rng = np.random.default_rng(expert_init_seed(cfg.seed, task.name))
-        head = WRNHead(
-            cfg.library_depth,
-            cfg.library_k,
-            cfg.expert_ks,
-            num_classes=len(task),
-            library_level=cfg.library_level,
-            rng=rng,
-        )
-        history = distill_ckd_head(
-            self._oracle_logits_for(images),
-            self.library,
-            head,
-            images,
-            class_ids=task.classes,
-            config=train_config or cfg.expert_train,
-            settings=settings or cfg.ckd_settings(),
-            eval_fn=eval_fn,
-            features=self._features_for(images),
-        )
-        self.experts[task.name] = head.eval()
-        self.histories[f"expert/{task.name}"] = history
-        self._bump_version(task.name)
-        return history
+        """Extract one expert head for ``task``: a bank of one."""
+        name = self._resolve(task).name
+        return self.extract_experts([task], images, settings, train_config)[name]
 
     def preprocess(
-        self,
-        dataset: ArrayDataset,
-        tasks: Optional[Iterable[TaskRef]] = None,
-        eval_fns: Optional[Dict[str, object]] = None,
+        self, dataset: ArrayDataset, tasks: Optional[Iterable[TaskRef]] = None
     ) -> "PoolOfExperts":
         """Run the full preprocessing phase: library, then every expert."""
         images = dataset.images
-        eval_fns = eval_fns or {}
-        self.extract_library(images, eval_fn=eval_fns.get("library"))
-        for task in tasks if tasks is not None else self.hierarchy.primitive_tasks():
-            task = self._resolve(task)
-            self.extract_expert(task, images, eval_fn=eval_fns.get(task.name))
+        self.extract_library(images)
+        self.extract_experts(
+            tasks if tasks is not None else self.hierarchy.primitive_tasks(), images
+        )
         return self
 
     # ------------------------------------------------------------------

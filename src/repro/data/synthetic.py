@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .dataset import ArrayDataset
 from .hierarchy import ClassHierarchy
@@ -56,13 +55,30 @@ class SyntheticConfig:
     max_shift: int = 1  # random circular translation
 
 
+def _gaussian_wrap(x: np.ndarray, sigma: float, axis: int) -> np.ndarray:
+    """Periodic Gaussian blur of float64 ``x`` along ``axis``.
+
+    The kernel (truncated at 4σ, normalised to sum 1) and the accumulation
+    order are ``scipy.ndimage.gaussian_filter1d(mode="wrap")``'s for a
+    symmetric kernel: the centre tap, then ``(x[i+j] + x[i-j])·w_j`` from
+    the outermost tap inward — so the result is bit-identical to it.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = taps / taps.sum()
+    out = x * taps[radius]
+    for j in range(radius, 0, -1):
+        out += (np.roll(x, -j, axis=axis) + np.roll(x, j, axis=axis)) * taps[radius - j]
+    return out
+
+
 def _smooth_field(
     rng: np.random.Generator, channels: int, size: int, sigma: float
 ) -> np.ndarray:
     """A unit-variance smooth random pattern of shape (C, H, W)."""
     field_ = rng.standard_normal((channels, size, size))
     if sigma > 0:
-        field_ = ndimage.gaussian_filter(field_, sigma=(0, sigma, sigma), mode="wrap")
+        field_ = _gaussian_wrap(_gaussian_wrap(field_, sigma, axis=1), sigma, axis=2)
     field_ -= field_.mean()
     std = field_.std()
     if std > 0:

@@ -2,7 +2,7 @@
 
 from .baselines import train_scratch, train_transfer
 from .caches import LogitCache, batched_forward
-from .ckd import CKDSettings, distill_ckd_head
+from .ckd import CKDSettings, distill_ckd
 from .dmc import merge_dmc
 from .ensemble import DisjointEnsemble, average_probabilities, majority_vote
 from .kd import distill_kd
@@ -26,7 +26,7 @@ __all__ = [
     "batched_forward",
     "LogitCache",
     "distill_kd",
-    "distill_ckd_head",
+    "distill_ckd",
     "CKDSettings",
     "train_scratch",
     "train_transfer",

@@ -9,25 +9,27 @@ task from the oracle into a tiny expert component:
   for the task's classes, computed on **all** training data so the expert
   also learns the oracle's low confidence on out-of-distribution inputs.
 
-Implementation note: because the trunk is frozen, its features over the
+Implementation notes: because the trunk is frozen, its features over the
 training set are computed once and the head is trained directly on the
 cached feature maps; this changes nothing mathematically and speeds up
-expert extraction by roughly the trunk/head cost ratio.
+expert extraction by roughly the trunk/head cost ratio.  For the same
+reason every expert of a pool sees the same features, minibatches and
+schedule, so same-shape experts train in lockstep as one bank — one
+forward, backward and optimizer step per minibatch for all of them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..nn import Module
 from ..tensor import Tensor
-from .caches import batched_forward
 from .losses import ckd_loss
-from .trainer import EvalFn, History, TrainConfig, Trainer
+from .trainer import EvalFn, History, HistoryPoint, TrainConfig, Trainer
 
-__all__ = ["distill_ckd_head", "CKDSettings"]
+__all__ = ["distill_ckd", "CKDSettings"]
 
 
 class CKDSettings:
@@ -58,44 +60,47 @@ class CKDSettings:
         )
 
 
-def distill_ckd_head(
+def distill_ckd(
     oracle_logits: np.ndarray,
-    trunk: Module,
     head: Module,
-    images: np.ndarray,
-    class_ids: Sequence[int],
+    features: np.ndarray,
+    class_ids: Sequence,
     config: TrainConfig = TrainConfig(),
     settings: CKDSettings = CKDSettings(),
     eval_fn: Optional[EvalFn] = None,
-    features: Optional[np.ndarray] = None,
-) -> History:
-    """Train one expert ``head`` on top of a frozen ``trunk`` with CKD.
+) -> List[History]:
+    """Train an expert ``head``, or a bank of them, with CKD.
 
     Parameters
     ----------
     oracle_logits:
-        Pre-computed oracle logits over ``images`` (N, |C|).
-    trunk:
-        The frozen library component; only used to pre-compute features
-        (pass ``features`` to skip even that).
+        Pre-computed oracle logits over the training images (N, |C|).
     head:
-        The expert component to train; must output ``len(class_ids)`` logits.
+        The expert component to train, fed the frozen library's
+        ``features`` of the same images.  A plain head outputs
+        ``len(class_ids)`` logits; a bank (:class:`~repro.models.WRNHeadBank`)
+        outputs its G members' logits stacked as (G, N, K).
     class_ids:
-        Global class ids of the primitive/composite task, in output order.
+        Global class ids of the task, in output order — for a bank, one
+        such list per member.
     eval_fn:
-        Optional accuracy probe, called on the *head* with cached features
-        unavailable — the caller usually wraps a full-model evaluation.
+        Optional accuracy probe, called on ``head`` after each epoch.
+
+    Returns one :class:`History` per member (one for a plain head): the
+    shared clock and accuracy, each with that member's own loss.  A bank
+    trains on the sum of its members' losses; members share no parameter,
+    so each receives exactly the gradient it would get training alone.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
-    teacher_sub = oracle_logits[:, class_ids]
-    if features is None:
-        trunk.requires_grad_(False)
-        features = batched_forward(trunk, images)
+    teacher_sub = oracle_logits[:, class_ids]  # (N, K), or (N, G, K) for a bank
+    if class_ids.ndim == 2:
+        teacher_sub = np.ascontiguousarray(teacher_sub.transpose(1, 0, 2))
+    step_losses: List[np.ndarray] = []
 
     def loss_fn(model: Module, batch: np.ndarray, idx: np.ndarray) -> Tensor:
         logits = model(Tensor(batch))
-        return ckd_loss(
-            Tensor(teacher_sub[idx]),
+        losses = ckd_loss(
+            Tensor(teacher_sub[..., idx, :]),
             logits,
             class_ids=None,  # teacher already restricted
             temperature=settings.temperature,
@@ -103,6 +108,20 @@ def distill_ckd_head(
             soft_weight=settings.soft_weight,
             scale_norm=settings.scale_norm,
         )
+        step_losses.append(losses.data)
+        return losses.sum()
 
-    trainer = Trainer(head, loss_fn, config)
-    return trainer.fit(features, eval_fn=eval_fn)
+    shared = Trainer(head, loss_fn, config).fit(features, eval_fn=eval_fn)
+    per_step = np.asarray(step_losses, dtype=np.float64).reshape(len(step_losses), -1)
+    per_epoch = np.split(per_step, len(shared.points))
+    return [
+        History(
+            [
+                HistoryPoint(
+                    point.epoch, point.seconds, float(losses[:, member].mean()), point.accuracy
+                )
+                for point, losses in zip(shared.points, per_epoch)
+            ]
+        )
+        for member in range(per_step.shape[1])
+    ]

@@ -102,7 +102,9 @@ def ckd_loss(
     """``L_CKD = L_soft + α·L_scale`` (Eq. 2).
 
     ``soft_weight``/``alpha`` allow the Table 5 ablations (L_soft only,
-    L_scale only, both); α defaults to the paper's 0.3.
+    L_scale only, both); α defaults to the paper's 0.3.  On a bank's
+    stacked (G, N, K) logits it returns the G members' losses, each over
+    its own rows.
     """
     total = None
     if soft_weight:

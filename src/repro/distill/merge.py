@@ -96,15 +96,13 @@ def merge_uhc(
     See the module docstring for the decomposition; ``mass_weight`` balances
     the block-mass term against the conditionals.
     """
-    from scipy.special import logsumexp
-
     blocks = [
         t if isinstance(t, np.ndarray) else batched_forward(t, images) for t in teachers
     ]
     slices = _block_slices(blocks)
     # Teacher block-mass logits: lse of each softened block, per sample.
     teacher_mass = np.stack(
-        [logsumexp(block / temperature, axis=1) for block in blocks], axis=1
+        [Tensor(block / temperature).logsumexp(axis=1).numpy() for block in blocks], axis=1
     )
 
     def loss_fn(model: Module, batch: np.ndarray, idx: np.ndarray) -> Tensor:

@@ -178,10 +178,9 @@ class ArtifactStore:
             loaded.library = base.library  # share the exact library object
             self._pools[key] = loaded
             return loaded
-        for name in track.selected_tasks(data.hierarchy):
-            variant_pool.extract_expert(
-                name, data.train.images, settings=settings
-            )
+        variant_pool.extract_experts(
+            track.selected_tasks(data.hierarchy), data.train.images, settings=settings
+        )
         store.save(variant_pool)
         self._pools[key] = variant_pool
         return variant_pool

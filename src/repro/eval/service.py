@@ -28,7 +28,7 @@ import numpy as np
 from ..data import task_subset
 from ..distill import (
     batched_forward,
-    distill_ckd_head,
+    distill_ckd,
     merge_sd,
     merge_uhc,
     train_scratch,
@@ -208,16 +208,14 @@ def run_service_method(
                     batched_forward(model, test_features), test_subset.labels
                 )
 
-            history = distill_ckd_head(
+            (history,) = distill_ckd(
                 oracle_logits,
-                pool.library,
                 head,
-                data.train.images,
+                pool._features_for(data.train.images),
                 class_ids=composite.classes,
                 config=cfg,
                 settings=pool.config.ckd_settings(),
                 eval_fn=head_eval,
-                features=pool._features_for(data.train.images),
             )
             model = BranchedSpecialistNet(pool.library, [(_combo_key(combo), head)])
             model.eval()

@@ -8,6 +8,7 @@ from .wrn import (
     WideResNet,
     WRNGroup,
     WRNHead,
+    WRNHeadBank,
     WRNTrunk,
     scaled_channels,
     wrn_group_widths,
@@ -18,6 +19,7 @@ __all__ = [
     "WideResNet",
     "WRNTrunk",
     "WRNHead",
+    "WRNHeadBank",
     "WRNGroup",
     "BasicBlock",
     "BranchedSpecialistNet",

@@ -15,12 +15,14 @@ The network is explicitly split into
   pooling and the classifier.  This is the per-expert **expert component**.
 
 ``WideResNet = WRNTrunk ∘ WRNHead`` so a generic model, the library student,
-and every expert all share one code path.
+and every expert all share one code path.  :class:`WRNHeadBank` stacks
+same-shape heads so a pool's experts train in lockstep.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import copy
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from ..nn import (
     Linear,
     Module,
     ModuleList,
+    Parameter,
 )
 from ..tensor import Tensor
 from ..tensor import functional as F
@@ -41,6 +44,7 @@ __all__ = [
     "WRNGroup",
     "WRNTrunk",
     "WRNHead",
+    "WRNHeadBank",
     "WideResNet",
     "wrn_group_widths",
 ]
@@ -211,6 +215,71 @@ class WRNHead(Module):
         h = F.relu(self.bn(h))
         h = self.pool(h)
         return self.fc(h)
+
+
+class WRNHeadBank(Module):
+    """``G`` same-shape :class:`WRNHead` experts trained as one module.
+
+    Every parameter and running statistic is the heads' arrays stacked on a
+    leading member axis, and activations fold the member into the batch
+    axis, (G·N, C, H, W), which ``conv2d`` and ``batch_norm2d`` take with
+    member-stacked weights.  Members share nothing but their input, so one
+    step on the *sum* of their losses updates each exactly as a step on its
+    own loss would.  :meth:`unstack` writes the trained slices back into the
+    heads the bank was built from.  (:class:`~repro.models.FusedHeadBank`
+    is the serving-side counterpart: inference only, batch norm folded.)
+    """
+
+    def __init__(self, heads: Sequence[WRNHead]) -> None:
+        super().__init__()
+        if not heads:
+            raise ValueError("a head bank needs at least one head")
+        shapes = [[p.shape for p in head.parameters()] for head in heads]
+        if any(s != shapes[0] for s in shapes[1:]):
+            raise ValueError("a head bank stacks same-shape heads only")
+        self.heads = list(heads)
+        # a copy of the first head's module tree, its arrays then replaced
+        stacked = copy.deepcopy(heads[0])
+        for module, *members in self._walk(stacked):
+            for name in module._parameters:
+                stacked_data = np.stack([m._parameters[name].data for m in members])
+                setattr(module, name, Parameter(stacked_data))
+            for name in module._buffers:
+                module.register_buffer(name, np.stack([getattr(m, name) for m in members]))
+        self.stacked = stacked
+
+    def _walk(self, stacked: Module):
+        """``(bank module, member modules…)`` rows in one tree order."""
+        return zip(stacked.modules(), *(head.modules() for head in self.heads))
+
+    def forward(self, features: Tensor) -> Tensor:
+        """(G, N, K) logits of every member over the same (N, C, H, W)
+        features, which are the frozen library's output (a constant)."""
+        g = len(self.heads)
+        n, c, h, w = features.shape
+        tiled = np.empty((g, n, h, w, c), dtype=features.dtype)
+        tiled[:] = features.data.transpose(0, 2, 3, 1)
+        x = Tensor(tiled.reshape(g * n, h, w, c).transpose(0, 3, 1, 2))
+        head = self.stacked
+        for group in head.groups:
+            x = group(x)
+        pooled = head.pool(F.relu(head.bn(x))).reshape(g, n, -1)
+        logits = pooled @ head.fc.weight.transpose(0, 2, 1)
+        return logits + head.fc.bias.reshape(g, 1, -1)
+
+    def unstack(self) -> List[WRNHead]:
+        """Write each member's slice back into its head; returns the heads.
+
+        Every array a head receives is its own C-contiguous float32 copy,
+        so no head keeps the bank's stacked arrays alive.
+        """
+        for module, *members in self._walk(self.stacked):
+            for index, member in enumerate(members):
+                for name, param in module._parameters.items():
+                    member._parameters[name].data = param.data[index].copy()
+                for name in module._buffers:
+                    member._update_buffer(name, getattr(module, name)[index].copy())
+        return self.heads
 
 
 class WideResNet(Module):

@@ -20,6 +20,15 @@ gradient) is accepted anywhere and costs one strided copy at entry.
 Gradients returned for *parameters* are always C-contiguous in the parameter's
 declared shape, so weights and optimizer state never drift to a permuted
 layout.
+
+**Member-stacked weights.**  ``conv2d`` and ``batch_norm2d`` also run a
+*bank* of ``G`` same-shape layers in one call: the weights carry a leading
+member axis and the activations fold the member into the batch axis,
+``(G·N, C, H, W)`` with member ``g``'s rows at ``[g·N, (g+1)·N)``.  Each
+member sees only its own rows and its own weights (a batched GEMM, batch
+statistics per member), so a bank computes what ``G`` separate calls would.
+An unstacked weight is the one-member case, and runs the same numpy calls
+on the same operands as a single layer always has.
 """
 
 from __future__ import annotations
@@ -105,40 +114,53 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2D cross-correlation, ``weight`` of shape (C_out, C_in, KH, KW)."""
+    """2D cross-correlation, ``weight`` of shape (C_out, C_in, KH, KW).
+
+    A member-stacked ``weight`` (G, C_out, C_in, KH, KW), with ``bias``
+    (G, C_out), convolves each of the G row blocks of ``x`` with its own
+    kernels (see the module docstring).
+    """
     n, c, h, w = x.shape
-    c_out, c_in, kh, kw = weight.shape
+    *members, c_out, c_in, kh, kw = weight.shape
+    g = members[0] if members else 1
     if c_in != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {c_in}")
+    if n % g:
+        raise ValueError(f"conv2d: {n} rows do not split into {g} members")
     cols, oh, ow = _unfold(_channels_last(x.data), kh, kw, stride, padding, padding)
-    # (C_out, C, KH, KW) -> (C_out, KH*KW*C): the unfold's column order
-    w2 = _channels_last(weight.data).reshape(c_out, kh * kw * c)
-    out_data = cols @ w2.T  # (N*OH*OW, C_out)
+    cols = cols.reshape(g, -1, kh * kw * c)  # (G, N/G*OH*OW, KH*KW*C)
+    # (C_out, C, KH, KW) -> (C_out, KH*KW*C) per member: the unfold's column order
+    w5 = weight.data.reshape(g, c_out, c, kh, kw)
+    w2 = w5.transpose(0, 1, 3, 4, 2).reshape(g, c_out, kh * kw * c)
+    out_data = cols @ w2.transpose(0, 2, 1)  # (G, N/G*OH*OW, C_out)
     if bias is not None:
-        out_data += bias.data
+        out_data += bias.data.reshape(g, 1, c_out)
     out_data = out_data.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def backward(g: np.ndarray) -> tuple:
-        gl = _channels_last(g)  # (N, OH, OW, C_out)
-        g2 = gl.reshape(-1, c_out)
+    def backward(grad: np.ndarray) -> tuple:
+        gl = _channels_last(grad)  # (N, OH, OW, C_out)
+        g2 = gl.reshape(g, -1, c_out)
         gx = gw = gb = None
         if bias is not None and bias.requires_grad:
-            gb = g2.sum(axis=0)
+            gb = g2.sum(axis=1).reshape(bias.shape)
         if weight.requires_grad:
-            gw = (g2.T @ cols).reshape(c_out, kh, kw, c)
-            gw = np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
+            gw = (g2.transpose(0, 2, 1) @ cols).reshape(g, c_out, kh, kw, c)
+            gw = np.ascontiguousarray(gw.transpose(0, 1, 4, 2, 3)).reshape(weight.shape)
         if x.requires_grad:
             if stride == 1 and padding < min(kh, kw):
                 # a gather, not a scatter: dX is the correlation of the (zero-
                 # bordered) output gradient with the flipped kernels
                 gcols, _, _ = _unfold(gl, kh, kw, 1, kh - 1 - padding, kw - 1 - padding)
-                flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
-                gx = gcols @ flipped.reshape(kh * kw * c_out, c)
+                flipped = w5[:, :, :, ::-1, ::-1].transpose(0, 3, 4, 1, 2)
+                gx = gcols.reshape(g, -1, kh * kw * c_out) @ flipped.reshape(
+                    g, kh * kw * c_out, c
+                )
                 gx = gx.reshape(n, h, w, c)
             else:
-                gx = _fold(g2 @ w2, (n, h, w, c), kh, kw, stride, padding)
+                gx = (g2 @ w2).reshape(-1, kh * kw * c)
+                gx = _fold(gx, (n, h, w, c), kh, kw, stride, padding)
             gx = gx.transpose(0, 3, 1, 2)
         return (gx, gw, gb)[: len(parents)]
 
@@ -159,52 +181,61 @@ def batch_norm2d(
     ``(mean, var)`` pair is a constant, which makes the op a per-channel
     scale and shift (eval mode).  Returns the output and the mean and
     variance it used, for the caller's running estimates.
+
+    A member-stacked ``weight``/``bias`` (G, C) normalises each of the G
+    row blocks of ``x`` with its own statistics (``stats`` and the returned
+    mean and variance are then (G, C) too).
     """
     n, c, h, w = x.shape
-    x2 = _channels_last(x.data).reshape(-1, c)  # (N*H*W, C)
-    gamma = weight.data
+    g = weight.shape[0] if weight.ndim == 2 else 1
+    if n % g:
+        raise ValueError(f"batch_norm2d: {n} rows do not split into {g} members")
+    x3 = _channels_last(x.data).reshape(g, -1, c)  # (G, N/G*H*W, C)
+    gamma = weight.data.reshape(g, 1, c)
+    beta = bias.data.reshape(g, 1, c)
     if stats is None:
-        count = x2.shape[0]
-        mean = x2.sum(axis=0) / count
-        x_hat = x2 - mean
-        var = np.einsum("ij,ij->j", x_hat, x_hat) / count
+        count = x3.shape[1]
+        mean = x3.sum(axis=1, keepdims=True) / count
+        x_hat = x3 - mean
+        var = np.einsum("gij,gij->gj", x_hat, x_hat)[:, None] / count
         inv_std = 1.0 / np.sqrt(var + eps)
         x_hat *= inv_std
         out_data = x_hat * gamma
-        out_data += bias.data
+        out_data += beta
     else:
-        mean, var = (np.asarray(s, dtype=x2.dtype) for s in stats)
+        mean, var = (np.asarray(s, dtype=x3.dtype).reshape(g, 1, c) for s in stats)
         inv_std = 1.0 / np.sqrt(var + eps)
         scale = gamma * inv_std
-        out_data = x2 * scale
-        out_data += bias.data - mean * scale
+        out_data = x3 * scale
+        out_data += beta - mean * scale
     out_data = out_data.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
-    def backward(g: np.ndarray) -> tuple:
-        g2 = _channels_last(g).reshape(-1, c)
+    def backward(grad: np.ndarray) -> tuple:
+        g3 = _channels_last(grad).reshape(g, -1, c)
         g_beta = g_gamma = gx = None
         # the batch-statistics input gradient needs both parameter gradients
         if stats is None or bias.requires_grad:
-            g_beta = g2.sum(axis=0)
+            g_beta = g3.sum(axis=1, keepdims=True)
         if stats is None or weight.requires_grad:
-            normed = x_hat if stats is None else (x2 - mean) * inv_std
-            g_gamma = np.einsum("ij,ij->j", g2, normed)
+            normed = x_hat if stats is None else (x3 - mean) * inv_std
+            g_gamma = np.einsum("gij,gij->gj", g3, normed)[:, None]
         if x.requires_grad:
             if stats is None:
                 # closed form through the batch mean and variance
-                gx = g2 - g_beta / count
+                gx = g3 - g_beta / count
                 gx -= normed * (g_gamma / count)
                 gx *= gamma * inv_std
             else:
-                gx = g2 * (gamma * inv_std)
+                gx = g3 * (gamma * inv_std)
             gx = gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
         return (
             gx,
-            g_gamma if weight.requires_grad else None,
-            g_beta if bias.requires_grad else None,
+            g_gamma.reshape(weight.shape) if weight.requires_grad else None,
+            g_beta.reshape(bias.shape) if bias.requires_grad else None,
         )
 
-    return Tensor._make(out_data, (x, weight, bias), "batch_norm2d", backward), mean, var
+    out = Tensor._make(out_data, (x, weight, bias), "batch_norm2d", backward)
+    return out, mean.reshape(weight.shape), var.reshape(weight.shape)
 
 
 def _pool_windows(x: Tensor, kernel: int, stride: int) -> Tuple[np.ndarray, int, int]:

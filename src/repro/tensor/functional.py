@@ -79,6 +79,9 @@ def kl_div_from_logits(
 
     The KL divergence of paper Eq. (1)/(3).  Gradients flow only into the
     student; the teacher side is detached, as in standard distillation.
+    Logits are (N, K); leading axes before those, as in a bank's (G, N, K),
+    index independent problems and are kept: the result is one mean per
+    problem.
 
     The conventional ``T²`` factor (Hinton et al., 2015) keeps the gradient
     magnitude of the softened objective comparable to a hard cross-entropy,
@@ -91,7 +94,7 @@ def kl_div_from_logits(
     log_q = log_softmax(s, axis=-1)  # student log-probs
     p = log_p.exp()
     per_sample = (p * (log_p - log_q)).sum(axis=-1)
-    return per_sample.mean() * (temperature * temperature)
+    return per_sample.mean(axis=-1) * (temperature * temperature)
 
 
 def kd_loss(
@@ -102,20 +105,22 @@ def kd_loss(
 
 
 def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error.
+    """Mean absolute error over (N, K) values, one mean per leading index.
 
     The paper's ``L_scale`` (Eq. 4) uses an L1 match of raw sub-logits:
     robust to outliers, it transfers the *scale* of the oracle's logits
     rather than their exact values, which is what makes independently
     extracted experts concatenable (the "logit scale problem", §4.2).
+    Leading axes are kept as in :func:`kl_div_from_logits`.
     """
-    return (prediction - target.detach()).abs().mean()
+    return (prediction - target.detach()).abs().mean(axis=(-2, -1))
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error (used by the L2 variant of the scale ablation)."""
+    """Mean squared error (used by the L2 variant of the scale ablation);
+    reduces like :func:`l1_loss`."""
     diff = prediction - target.detach()
-    return (diff * diff).mean()
+    return (diff * diff).mean(axis=(-2, -1))
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None, training: bool = True) -> Tensor:

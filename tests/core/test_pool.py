@@ -131,3 +131,70 @@ class TestPreprocessedPoolQuality:
         pool, _, _ = micro_pool
         assert pool.library_student is not None
         assert pool.library_student.trunk is pool.library
+
+
+@pytest.fixture(scope="module")
+def mixed_pool():
+    """``(pool, data, banks)``: 2- and 3-class tasks, interleaved, and the
+    member task names of every head bank the build trained."""
+    from repro.data import ClassHierarchy
+    from repro.models import WRNHeadBank
+    from repro.serving import build_demo_pool
+
+    banks = []
+    with pytest.MonkeyPatch.context() as patch:
+        original = WRNHeadBank.__init__
+
+        def recording(self, heads):
+            original(self, heads)
+            banks.append([head.num_classes for head in heads])
+
+        patch.setattr(WRNHeadBank, "__init__", recording)
+        pool, data = build_demo_pool(
+            hierarchy=ClassHierarchy.variable([2, 3, 2, 3, 2]),
+            train_per_class=8,
+            epochs=2,
+            seed=5,
+        )
+    return pool, data, banks
+
+
+class TestLockstepBanks:
+    def test_one_bank_per_head_shape_installed_in_task_order(self, mixed_pool):
+        pool, _, banks = mixed_pool
+        assert banks == [[2, 2, 2], [3, 3]]
+        assert pool.expert_names() == tuple(t.name for t in pool.hierarchy.primitive_tasks())
+        for task in pool.hierarchy.primitive_tasks():
+            assert pool.experts[task.name].num_classes == len(task)
+            assert not pool.experts[task.name].training
+            assert pool.expert_version(task.name) == 1
+            assert len(pool.histories[f"expert/{task.name}"].points) == 2
+
+    def test_members_keep_their_own_loss_history(self, mixed_pool):
+        pool, _, _ = mixed_pool
+        losses = {
+            name: [p.loss for p in pool.histories[f"expert/{name}"].points]
+            for name in pool.expert_names()
+        }
+        assert len({tuple(curve) for curve in losses.values()}) == len(losses)
+        seconds = {
+            tuple(p.seconds for p in pool.histories[f"expert/{name}"].points)
+            for name in ("group0", "group2", "group4")
+        }
+        assert len(seconds) == 1  # one bank, one clock
+
+    def test_reextracting_one_task_leaves_the_others_alone(self, mixed_pool):
+        pool, data, _ = mixed_pool
+        view = pool.subset(pool.expert_names())
+        before = {name: (view.experts[name], view.expert_version(name)) for name in view.experts}
+        retrained = view.expert_version("group1")
+        view.extract_expert("group1", data.train.images)
+        assert view.experts["group1"] is not before["group1"][0]
+        assert view.expert_version("group1") == retrained + 1
+        for name, (head, version) in before.items():
+            if name != "group1":
+                assert view.experts[name] is head
+                assert view.expert_version(name) == version
+        # same seed, same budget: the bank of one lands on the bank member
+        for key, value in pool.experts["group1"].state_dict().items():
+            assert np.allclose(view.experts["group1"].state_dict()[key], value, atol=1e-6)

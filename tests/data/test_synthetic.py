@@ -1,14 +1,24 @@
 """Synthetic hierarchical dataset: structure, determinism, separability."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro
 from repro.data import ClassHierarchy, make_synth_cifar, make_synth_tiny_imagenet
 from repro.data.synthetic import (
     HierarchicalImageDataset,
     SyntheticConfig,
     SyntheticImageGenerator,
+    _smooth_field,
 )
+
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 
 
 @pytest.fixture
@@ -99,3 +109,40 @@ class TestFactories:
         sizes = [len(t) for t in data.hierarchy.primitive_tasks()]
         assert len(sizes) == 8
         assert all(3 <= s <= 10 for s in sizes)  # paper: groups of 3-10 classes
+
+
+class TestSmoothField:
+    """``_smooth_field`` blurs with numpy, bit-identically to the
+    ``scipy.ndimage`` call it replaced (scipy is a test reference only)."""
+
+    @given(
+        st.floats(0.5, 3.0),
+        st.integers(4, 32),
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+    )
+    def test_matches_scipy_gaussian_filter(self, sigma, size, channels, seed):
+        from scipy import ndimage
+
+        reference = np.random.default_rng(seed).standard_normal((channels, size, size))
+        reference = ndimage.gaussian_filter(reference, sigma=(0, sigma, sigma), mode="wrap")
+        reference -= reference.mean()
+        reference /= reference.std()
+        field = _smooth_field(np.random.default_rng(seed), channels, size, sigma)
+        assert np.array_equal(field, reference.astype(np.float32))
+
+    def test_serving_import_path_and_pool_build_load_no_scipy(self):
+        snippet = (
+            "import sys\n"
+            "import repro.serving, repro.net, repro.cluster\n"
+            "repro.serving.build_demo_pool(num_tasks=2, train_per_class=4, epochs=1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

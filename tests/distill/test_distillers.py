@@ -8,7 +8,7 @@ from repro.distill import (
     CKDSettings,
     TrainConfig,
     batched_forward,
-    distill_ckd_head,
+    distill_ckd,
     distill_kd,
     train_scratch,
     train_transfer,
@@ -91,8 +91,8 @@ class TestCKDHead:
         trunk.requires_grad_(False)
         head = nn.Linear(12, 2, rng=np.random.default_rng(6))
         logits = batched_forward(teacher, x)
-        history = distill_ckd_head(
-            logits, trunk, head, x, class_ids=[2, 3],
+        (history,) = distill_ckd(
+            logits, head, batched_forward(trunk, x), class_ids=[2, 3],
             config=TrainConfig(epochs=30, batch_size=32, lr=0.1, seed=0),
             settings=CKDSettings(temperature=3.0, alpha=0.3),
         )
@@ -110,8 +110,8 @@ class TestCKDHead:
         heads = {}
         for alpha in (0.0, 1.0):
             head = nn.Linear(12, 2, rng=np.random.default_rng(6))
-            distill_ckd_head(
-                logits, trunk, head, x, class_ids=[0, 1],
+            distill_ckd(
+                logits, head, batched_forward(trunk, x), class_ids=[0, 1],
                 config=TrainConfig(epochs=40, batch_size=32, lr=0.1, seed=0),
                 settings=CKDSettings(temperature=3.0, alpha=alpha),
             )

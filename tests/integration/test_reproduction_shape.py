@@ -80,11 +80,25 @@ class TestReproductionShape:
         assert served_payloads(again) == served_payloads(pool)
 
 
+class TestLockstepBank:
+    def test_a_bank_member_matches_its_task_extracted_alone(self, harness_build):
+        """The recipe's eight heads train as one bank; each ends where its
+        own bank of one, from the same seed, does."""
+        pool, data, _ = harness_build
+        for name in ("task0", "task5"):
+            view = pool.subset([])
+            view.extract_expert(name, data.train.images)
+            alone = view.experts[name].state_dict()
+            for key, value in pool.experts[name].state_dict().items():
+                assert np.allclose(value, alone[key], rtol=1e-5, atol=1e-6), (name, key)
+
+
 class TestLayoutHygiene:
     def test_parameters_and_velocities_keep_their_declared_layout(self, harness_build):
         pool, _, optimizers = harness_build
-        # oracle, library student and one head per task
-        assert len(optimizers) == 2 + POOL_RECIPE["num_tasks"]
+        # oracle, library student and one bank for every (same-shape) head
+        assert len(optimizers) == 3
+        assert optimizers[-1].params[0].shape[0] == POOL_RECIPE["num_tasks"]
         models = [pool.oracle, pool.library_student, *pool.experts.values()]
         arrays = [p.data for model in models for p in model.parameters()]
         for optimizer in optimizers:
@@ -104,13 +118,11 @@ class TestLayoutHygiene:
         """The same build with the cached features and teacher logits forced
         into NCHW memory trains to the same bytes."""
         import repro.core.pool as pool_module
-        import repro.distill.ckd as ckd_module
 
         pool, _, _ = harness_build
-        for module in (pool_module, ckd_module):
-            monkeypatch.setattr(
-                module, "batched_forward", in_nchw_memory(module.batched_forward)
-            )
+        monkeypatch.setattr(
+            pool_module, "batched_forward", in_nchw_memory(pool_module.batched_forward)
+        )
         relaid, _ = build_demo_pool(**POOL_RECIPE)
         assert not relaid._library_features.transpose(0, 2, 3, 1).flags.c_contiguous
         assert served_payloads(relaid) == served_payloads(pool)

@@ -7,6 +7,7 @@ from repro.models import (
     BasicBlock,
     WideResNet,
     WRNHead,
+    WRNHeadBank,
     WRNTrunk,
     scaled_channels,
     wrn_group_widths,
@@ -151,3 +152,65 @@ class TestHead:
         head.eval()
         with no_grad():
             assert head(feats).shape == (1, 3)
+
+
+def _heads(count, depth=10, library_level=3, classes=3):
+    return [
+        WRNHead(depth, 1, 0.25, classes, library_level, rng=np.random.default_rng(seed))
+        for seed in range(count)
+    ]
+
+
+class TestHeadBank:
+    """``WRNHeadBank``: G heads stacked on a member axis train as G heads."""
+
+    @pytest.mark.parametrize("depth,library_level", [(10, 3), (16, 2)])
+    def test_one_step_matches_each_head_stepped_alone(self, rng, depth, library_level):
+        from repro.optim import SGD
+
+        in_channels = 32 if library_level == 3 else 16
+        feats = rng.standard_normal((4, in_channels, 4, 4)).astype(np.float32)
+        targets = rng.standard_normal((3, 4, 3)).astype(np.float32)
+        alone = _heads(3, depth, library_level)
+        for head, target in zip(alone, targets):
+            optimizer = SGD(list(head.parameters()), lr=0.1)
+            ((head(Tensor(feats)) - Tensor(target)) ** 2).sum().backward()
+            optimizer.step()
+        heads = _heads(3, depth, library_level)
+        bank = WRNHeadBank(heads)
+        optimizer = SGD(list(bank.parameters()), lr=0.1)
+        ((bank(Tensor(feats)) - Tensor(targets)) ** 2).sum().backward()
+        optimizer.step()
+        assert bank.unstack() == heads
+        for trained, reference in zip(heads, alone):
+            for (name, value), expected in zip(
+                trained.state_dict().items(), reference.state_dict().values()
+            ):
+                assert np.allclose(value, expected, rtol=1e-5, atol=1e-6), name
+        # eval mode: each member's running statistics
+        bank.eval()
+        with no_grad():
+            logits = bank(Tensor(feats)).numpy()
+            for member, head in enumerate(alone):
+                head.eval()
+                assert np.allclose(logits[member], head(Tensor(feats)).numpy(), atol=1e-5)
+
+    def test_unstack_gives_each_head_its_own_contiguous_float32_arrays(self, rng):
+        heads = _heads(2)
+        params = [list(head.parameters()) for head in heads]
+        bank = WRNHeadBank(heads)
+        assert all(p.shape[0] == 2 for p in bank.parameters())
+        assert len(list(bank.parameters())) == len(params[0])
+        bank.unstack()
+        for head, before in zip(heads, params):
+            assert list(head.parameters()) == before  # the same Parameter objects
+            for array in head.state_dict().values():
+                assert array.dtype == np.float32 and array.flags.c_contiguous
+                assert array.base is None  # a copy, not a view into the bank
+                assert not any(np.shares_memory(array, p.data) for p in bank.parameters())
+
+    def test_rejects_heads_of_different_shapes(self):
+        with pytest.raises(ValueError):
+            WRNHeadBank(_heads(1, classes=2) + _heads(1, classes=3))
+        with pytest.raises(ValueError):
+            WRNHeadBank([])

@@ -132,6 +132,7 @@ def conv_cases(draw):
     h = draw(st.integers(3, 6))
     w = draw(st.integers(3, 6).filter(lambda v: v != h))
     return dict(
+        members=draw(st.sampled_from([None, 2])),
         n=draw(st.integers(1, 2)),
         c_in=draw(st.integers(1, 3)),
         c_out=draw(st.integers(1, 3)),
@@ -148,17 +149,34 @@ def conv_cases(draw):
     )
 
 
+def reference_bank_conv2d(x, w, b, stride, padding):
+    """:func:`reference_conv2d` of each member's row block with its own
+    kernels; a 4-D ``w`` is a plain layer."""
+    if w.ndim == 4:
+        return reference_conv2d(x, w, b, stride, padding)
+    rows = x.shape[0] // w.shape[0]
+    return np.concatenate([
+        reference_conv2d(
+            x[g * rows : (g + 1) * rows], w[g], None if b is None else b[g], stride, padding
+        )
+        for g in range(w.shape[0])
+    ])
+
+
 class TestConvGradientOracle:
     """conv2d against an independent slow forward and finite differences,
-    with inputs and upstream gradients in both physical layouts (float64)."""
+    with inputs and upstream gradients in both physical layouts (float64),
+    as a plain layer and as a two-member bank."""
 
     @given(conv_cases())
     def test_forward_and_gradients(self, case):
         rng = np.random.default_rng(case["seed"])
         stride, padding, k = case["stride"], case["padding"], case["k"]
-        x = rng.standard_normal((case["n"], case["c_in"], case["h"], case["w"]))
-        w = rng.standard_normal((case["c_out"], case["c_in"], k, k))
-        b = rng.standard_normal(case["c_out"]) if case["bias"] else None
+        lead = () if case["members"] is None else (case["members"],)
+        rows = case["n"] * (case["members"] or 1)
+        x = rng.standard_normal((rows, case["c_in"], case["h"], case["w"]))
+        w = rng.standard_normal(lead + (case["c_out"], case["c_in"], k, k))
+        b = rng.standard_normal(lead + (case["c_out"],)) if case["bias"] else None
 
         def run(x_, w_, b_=None):
             return conv2d(x_, w_, b_, stride=stride, padding=padding)
@@ -167,7 +185,7 @@ class TestConvGradientOracle:
         wt = Tensor(w.copy(), requires_grad=case["frozen"] != "weight")
         bt = None if b is None else Tensor(b.copy(), requires_grad=True)
         out = run(xt, wt, bt)
-        reference = reference_conv2d(x, w, b, stride, padding)
+        reference = reference_bank_conv2d(x, w, b, stride, padding)
         assert out.shape == reference.shape
         assert np.allclose(out.numpy(), reference, atol=1e-10)
 

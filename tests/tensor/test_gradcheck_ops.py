@@ -11,7 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor, batch_norm2d, functional as F, gradcheck, numerical_gradient
+from repro.tensor import (
+    Tensor,
+    batch_norm2d,
+    conv2d,
+    functional as F,
+    gradcheck,
+    numerical_gradient,
+)
 from tests.conftest import in_layout
 
 SMALL = hnp.arrays(
@@ -187,7 +194,22 @@ class TestFunctionalGrads:
 
 def primitive_batch_norm(x, weight, bias, stats=None, eps=1e-5):
     """Batch norm as the chain of ~12 primitive graph nodes it was before
-    ``batch_norm2d`` became one node — the slow reference for that node."""
+    ``batch_norm2d`` became one node — the slow reference for that node.
+    A member-stacked (G, C) ``weight`` runs it once per member's rows."""
+    if weight.ndim == 2:
+        rows = x.shape[0] // weight.shape[0]
+        parts = [
+            primitive_batch_norm(
+                x[g * rows : (g + 1) * rows],
+                weight[g],
+                bias[g],
+                None if stats is None else (stats[0][g], stats[1][g]),
+                eps,
+            )
+            for g in range(weight.shape[0])
+        ]
+        out = Tensor.concatenate([part[0] for part in parts])
+        return out, np.stack([part[1] for part in parts]), np.stack([part[2] for part in parts])
     if stats is None:
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     else:
@@ -205,21 +227,33 @@ BN_INPUT = hnp.arrays(
     unique=True,
 )
 LAYOUTS = st.sampled_from(["nchw", "nhwc"])
+#: None: a plain (C,) layer; G: a bank of G members with (G, C) weights
+MEMBERS = st.sampled_from([None, 1, 2, 3])
+
+
+def member_rows(x, members):
+    """``x`` as the (G·N, ...) input of a ``members``-bank: G distinct
+    affine copies of the drawn rows, so every member has its own statistics."""
+    if members is None:
+        return x
+    return np.concatenate([x * (1.0 + 0.5 * g) + g for g in range(members)])
 
 
 class TestBatchNormGrads:
     """``batch_norm2d``: finite differences in float64, and the old primitive
-    composition as a differential oracle, in train and eval mode."""
+    composition as a differential oracle, in train and eval mode, as a plain
+    layer and as a member-stacked bank."""
 
     @staticmethod
-    def _params(x, seed=0):
+    def _params(x, members=None, seed=0):
         rng = np.random.default_rng(seed)
-        c = x.shape[1]
-        stats = (rng.standard_normal(c), 0.5 + rng.random(c))
-        return rng.standard_normal(c), rng.standard_normal(c), stats
+        shape = (x.shape[1],) if members is None else (members, x.shape[1])
+        stats = (rng.standard_normal(shape), 0.5 + rng.random(shape))
+        return rng.standard_normal(shape), rng.standard_normal(shape), stats
 
-    def _check_against_finite_differences(self, x, layout, training):
-        gamma, beta, stats = self._params(x)
+    def _check_against_finite_differences(self, x, layout, training, members):
+        x = member_rows(x, members)
+        gamma, beta, stats = self._params(x, members)
         stats = None if training else stats
         upstream = np.random.default_rng(1).standard_normal(x.shape)
         tensors = [
@@ -237,17 +271,18 @@ class TestBatchNormGrads:
             assert tensor.grad.shape == numeric.shape
             assert np.allclose(tensor.grad, numeric, atol=1e-5, rtol=1e-3)
 
-    @given(BN_INPUT, LAYOUTS)
-    def test_train_mode(self, x, layout):
-        self._check_against_finite_differences(x, layout, training=True)
+    @given(BN_INPUT, LAYOUTS, MEMBERS)
+    def test_train_mode(self, x, layout, members):
+        self._check_against_finite_differences(x, layout, True, members)
 
-    @given(BN_INPUT, LAYOUTS)
-    def test_eval_mode(self, x, layout):
-        self._check_against_finite_differences(x, layout, training=False)
+    @given(BN_INPUT, LAYOUTS, MEMBERS)
+    def test_eval_mode(self, x, layout, members):
+        self._check_against_finite_differences(x, layout, False, members)
 
-    @given(BN_INPUT, LAYOUTS, LAYOUTS, st.booleans())
-    def test_matches_primitive_composition(self, x, x_layout, g_layout, training):
-        gamma, beta, stats = self._params(x)
+    @given(BN_INPUT, LAYOUTS, LAYOUTS, st.booleans(), MEMBERS)
+    def test_matches_primitive_composition(self, x, x_layout, g_layout, training, members):
+        x = member_rows(x, members)
+        gamma, beta, stats = self._params(x, members)
         upstream = np.random.default_rng(1).standard_normal(x.shape)
         results = []
         for op in (batch_norm2d, primitive_batch_norm):
@@ -272,6 +307,52 @@ class TestBatchNormGrads:
         out.sum().backward()
         assert weight.grad is None and bias.grad is None
         assert x.grad.shape == x.shape
+
+
+@st.composite
+def stacked_conv_cases(draw):
+    """A bank of G ≥ 2 convolutions over the WRN head geometries: 3x3
+    same-padded at stride 1 (the gathered dX) and 2 (the folded dX), and
+    the 1x1 strided shortcut."""
+    k, padding = draw(st.sampled_from([(3, 1), (1, 0)]))
+    return dict(
+        members=draw(st.integers(2, 3)),
+        rows=draw(st.integers(1, 2)),
+        c_in=draw(st.integers(1, 2)),
+        c_out=draw(st.integers(1, 3)),
+        size=draw(st.integers(3, 5)),
+        k=k,
+        padding=padding,
+        stride=draw(st.sampled_from([1, 2])),
+        bias=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestMemberStackedConvGrads:
+    """``conv2d`` with a (G, C_out, C_in, K, K) weight against finite
+    differences, and against G separate one-member calls."""
+
+    @given(stacked_conv_cases())
+    def test_against_finite_differences_and_separate_members(self, case):
+        rng = np.random.default_rng(case["seed"])
+        g, rows, k = case["members"], case["rows"], case["k"]
+        x = rng.standard_normal((g * rows, case["c_in"], case["size"], case["size"]))
+        w = rng.standard_normal((g, case["c_out"], case["c_in"], k, k))
+        inputs = [x, w] + ([rng.standard_normal((g, case["c_out"]))] if case["bias"] else [])
+
+        def run(*tensors):
+            return conv2d(*tensors, stride=case["stride"], padding=case["padding"])
+
+        gradcheck(run, inputs, atol=1e-6, rtol=1e-5)
+        separate = [
+            run(*[Tensor(x[m * rows : (m + 1) * rows]), *(Tensor(a[m]) for a in inputs[1:])])
+            for m in range(g)
+        ]
+        stacked = run(*(Tensor(a) for a in inputs))
+        assert np.allclose(
+            stacked.numpy(), np.concatenate([s.numpy() for s in separate]), atol=1e-12
+        )
 
 
 class TestBatchNormLayer:
