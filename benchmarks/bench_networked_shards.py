@@ -2,10 +2,9 @@
 
 Puts each shard in its own **forked worker process** behind the
 ``repro.net`` socket protocol and drives the identical workload through
-the in-process cluster, the sync networked cluster and the asyncio
-transport.  Both arms run with the cache tiers disabled and drive
-``submit`` in a closed loop, so measured concurrency is the cluster's
-capacity.
+the in-process cluster and the networked cluster.  Both arms run with the
+cache tiers disabled and drive ``submit`` in a closed loop, so measured
+concurrency is the cluster's capacity.
 
 This file used to gate ">= 1.5x multiprocess vs. in-process on >= 4
 cores", on the premise that consolidate + serialize is Python-heavy work
@@ -98,12 +97,8 @@ def test_networked_vs_in_process(net_bench_pool, workload, emit):
         networked = _drive(deployment.gateway, workload)
         net_requests = deployment.gateway.metrics.counter("net_requests")
     assert deployment.fleet.leaked_processes() == []
-    with NetworkedCluster(pool, _config(), async_transport=True) as deployment_async:
-        networked_async = _drive(deployment_async.gateway, workload)
-    assert deployment_async.fleet.leaked_processes() == []
 
     speedup = networked.throughput_qps / in_process.throughput_qps
-    async_speedup = networked_async.throughput_qps / in_process.throughput_qps
     rows = [
         [
             label,
@@ -115,7 +110,6 @@ def test_networked_vs_in_process(net_bench_pool, workload, emit):
         for label, report, ratio in (
             ("in-process shards", in_process, 1.0),
             ("worker processes", networked, speedup),
-            ("worker processes + asyncio", networked_async, async_speedup),
         )
     ]
     emit(
@@ -138,9 +132,7 @@ def test_networked_vs_in_process(net_bench_pool, workload, emit):
             "cpus": os.cpu_count(),
             "in_process_qps": in_process.throughput_qps,
             "networked_qps": networked.throughput_qps,
-            "networked_async_qps": networked_async.throughput_qps,
             "speedup": speedup,
-            "async_speedup": async_speedup,
             "net_requests": net_requests,
             "meta": run_metadata(
                 replicas_per_shard=_config().replicas_per_shard,
@@ -151,7 +143,7 @@ def test_networked_vs_in_process(net_bench_pool, workload, emit):
         label="bench",
     )
 
-    for report in (in_process, networked, networked_async):
+    for report in (in_process, networked):
         assert report.errors == 0
     # the socket hop costs, but an order-of-magnitude collapse means the
     # transport is broken

@@ -13,7 +13,7 @@ Layered architecture (see DESIGN.md):
 * ``repro.serving`` — realtime serving gateway: caches, coalescing, loadgen
 * ``repro.cluster`` — sharded pools: routing, cross-shard consolidation
 * ``repro.net``     — networked shards: wire protocol, worker processes,
-  asyncio transport (imported on demand; see ``docs/architecture.md``)
+  replica-failover client (imported on demand; see ``docs/architecture.md``)
 * ``repro.eval``    — metrics, experiment tracks, benchmark runners
 """
 

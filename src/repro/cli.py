@@ -258,8 +258,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     """Load-test a sharded cluster and print per-shard/fan-out statistics.
 
     With ``--networked``, shards run as forked worker processes behind the
-    ``repro.net`` socket protocol (optionally dispatching ``submit``
-    through the asyncio transport); the command then also verifies a clean
+    ``repro.net`` socket protocol; the command then also verifies a clean
     worker shutdown — no leaked processes, exit code 0 — and can append a
     JSON summary for CI artifacts via ``--out``.
     """
@@ -271,9 +270,6 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     unknown = [t for t in transports if t not in TRANSPORTS]
     if unknown:
         print(f"error: unknown transport(s) {unknown}; choose from {', '.join(TRANSPORTS)}")
-        return 2
-    if args.async_transport and not args.networked:
-        print("error: --async-transport requires --networked")
         return 2
     if args.replicas > 1 and not args.networked:
         print("error: --replicas > 1 requires --networked (in-process shards have no replicas)")
@@ -318,9 +314,7 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
     if args.networked:
         from .net import NetworkedCluster
 
-        networked = NetworkedCluster(
-            pool, config, async_transport=args.async_transport
-        )
+        networked = NetworkedCluster(pool, config)
         cluster = networked.gateway
     else:
         cluster = ClusterGateway(pool, config)
@@ -459,7 +453,6 @@ def cmd_cluster_bench(args: argparse.Namespace) -> int:
             {
                 "bench": "cluster",
                 "networked": bool(args.networked),
-                "async_transport": bool(args.async_transport),
                 "shards": args.shards,
                 "mode": args.mode,
                 "requests": report.requests,
@@ -1038,11 +1031,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--networked",
         action="store_true",
         help="run each shard in a forked worker process behind repro.net sockets",
-    )
-    p_cluster.add_argument(
-        "--async-transport",
-        action="store_true",
-        help="dispatch submit() through the asyncio event loop (needs --networked)",
     )
     p_cluster.add_argument(
         "--chaos",

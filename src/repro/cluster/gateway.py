@@ -35,9 +35,8 @@ router's current placement (after :meth:`~ShardRouter.pin` /
 :meth:`~ShardRouter.replicate` changes) with the same guarantee.
 
 **Public entry points.**  Model delivery: :meth:`ClusterGateway.serve`
-(blocking) and :meth:`ClusterGateway.submit` (worker pool — or the
-asyncio event loop when a :class:`repro.net.aio.AsyncClusterTransport`
-is attached as :attr:`ClusterGateway.async_transport`).  Prediction:
+(blocking) and :meth:`ClusterGateway.submit` (cluster worker pool).
+Prediction:
 :meth:`ClusterGateway.predict` / :meth:`ClusterGateway.submit_predict`
 (micro-batched on the owning shard).  Consolidation without serving:
 :meth:`ClusterGateway.get_model`.  Operations: :meth:`rebalance`,
@@ -117,8 +116,6 @@ __all__ = ["ClusterConfig", "ClusterGateway", "RebalanceReport"]
 _EXACT_TRANSPORTS = ("float32", "raw+zlib")
 #: Shard id → the task group it answers for one query.
 Plan = Dict[int, Tuple[str, ...]]
-#: ``(task, version)`` → expert head: how the remote-head tier is keyed.
-Heads = Dict[Tuple[str, int], object]
 
 
 def _tag_shard_error(error: BaseException, shard_id: int) -> BaseException:
@@ -285,10 +282,6 @@ class ClusterGateway:
             )
             for shard_id in range(self.config.num_shards)
         ]
-        #: Optional repro.net.aio.AsyncClusterTransport; when set,
-        #: :meth:`submit` dispatches onto its event loop instead of the
-        #: thread-pool executor.
-        self.async_transport = None
         #: Set to the mutated task name when the pool changed under a
         #: networked backend whose workers cannot accept mutation frames;
         #: every serving entry point refuses until the fleet is restarted.
@@ -417,14 +410,8 @@ class ClusterGateway:
         """Dispatch one query onto the cluster worker pool.
 
         The pool is sized ``workers_per_shard * num_shards`` — serving
-        capacity grows with the cluster.  With an
-        :attr:`async_transport` attached (networked deployments), the
-        query dispatches onto its event loop instead: same future
-        contract, no worker thread held per in-flight request.
+        capacity grows with the cluster.
         """
-        transport_layer = self.async_transport
-        if transport_layer is not None:
-            return transport_layer.submit(tasks, transport)
         enqueued_at = perf_counter()
         return self._ensure_executor().submit(self._serve, tasks, transport, enqueued_at)
 
@@ -666,9 +653,6 @@ class ClusterGateway:
 
     def close(self) -> None:
         self.pool.remove_listener(self._listener)
-        transport_layer, self.async_transport = self.async_transport, None
-        if transport_layer is not None:
-            transport_layer.close()
         with self._executor_lock:
             self._closed = True
             executor, self._executor = self._executor, None
@@ -708,7 +692,7 @@ class ClusterGateway:
     def _should_replan(
         self, error: BaseException, names: Tuple[str, ...], epoch_before: int
     ) -> bool:
-        """The replan-once rule of every entry path (sync, micro-batched, asyncio).
+        """The replan-once rule of every entry path (inline and micro-batched).
 
         A rebalance can drop an expert from the shard a concurrent plan
         chose between planning and serving: the shard's ``KeyError`` is
@@ -793,7 +777,7 @@ class ClusterGateway:
         router's — between a ``pin()`` and the ``rebalance()`` that applies
         it, the placement map is what matches shard contents).
 
-        Every serving path (sync, micro-batched, asyncio) plans through
+        Every serving path (inline and micro-batched) plans through
         here, which makes it the one choke point for the remote-staleness
         refusal."""
         self._check_remote_stale()
@@ -811,38 +795,33 @@ class ClusterGateway:
     # The front tier's consolidate step
     # ------------------------------------------------------------------
     def _consolidate(
-        self, names: Tuple[str, ...], plan: Optional[Plan] = None, held: Optional[Heads] = None
+        self, names: Tuple[str, ...], plan: Optional[Plan] = None
     ) -> TaskSpecificModel:
         """Plan → gather the heads across shards → one branched net over
         the shared library (what the front tier runs on a model-tier miss).
 
         A composite-cache hit touches no shard; a build asks every shard
-        in the plan.  A request hands its routed ``plan`` down; the asyncio
-        transport also hands over the heads it fetched ahead (``held``),
-        concurrently and under its own ``fetch`` stage.
+        in the plan.  A request hands its routed ``plan`` down.
         """
         if plan is None:
             plan = self._plan(names)
         self.metrics.record_shard_requests(list(plan))
-        if held is None:
-            with self.metrics.stage("fetch"):
-                heads = self._gather_heads(plan, {})
-        else:
-            heads = self._gather_heads(plan, held)
+        with self.metrics.stage("fetch"):
+            heads = self._gather_heads(plan)
         with self.metrics.stage("assemble"):
             network = BranchedSpecialistNet(
                 self.pool.library, [(name, heads[name]) for name in names]
             ).eval_over_frozen()
             return TaskSpecificModel(network, self.pool.hierarchy.composite(names))
 
-    def _gather_heads(self, plan: Plan, held: Heads) -> Dict[str, object]:
+    def _gather_heads(self, plan: Plan) -> Dict[str, object]:
         """Collect every planned expert head, local or over the wire.
 
         The home shard (largest task group, ties → lowest id) contributes
         plain references when it is in-process; every other group — and
-        the home group too, when the shard is remote — comes out of
-        ``held``, else the remote-head LRU, else a ``fetch_heads`` round
-        trip in the float-exact ``fetch_transport`` codec.  Both are keyed
+        the home group too, when the shard is remote — comes out of the
+        remote-head LRU, else a ``fetch_heads`` round trip in the
+        float-exact ``fetch_transport`` codec.  The LRU is keyed
         ``(task, version)``: a version bump can never hit a stale entry, so
         repeat cross-shard builds skip the refetch without staleness risk.
         """
@@ -856,56 +835,33 @@ class ClusterGateway:
                 continue
             missing: List[str] = []
             for name in group:
-                key = (name, self.pool.expert_version(name))
-                head = held.get(key)
+                head = self.remote_head_cache.get((name, self.pool.expert_version(name)))
                 if head is None:
-                    head = self.remote_head_cache.get(key)
-                    if head is None:
-                        missing.append(name)
-                        continue
-                    self.metrics.increment("remote_head_hits")
+                    missing.append(name)
+                    continue
+                self.metrics.increment("remote_head_hits")
                 heads[name] = head
-            if missing:
-                fetch_start = perf_counter()
-                try:
-                    raw = shard.fetch_heads(missing, self.config.fetch_transport)
-                except BaseException as error:
-                    raise _tag_shard_error(error, shard_id)
-                fetched = self._ingest_head_payload(missing, raw, perf_counter() - fetch_start)
-                heads.update((name, head) for (name, _version), head in fetched.items())
-        return heads
-
-    def _uncached_remote_heads(
-        self, names: Tuple[str, ...], plan: Plan
-    ) -> Optional[Dict[int, List[str]]]:
-        """What a build of ``names`` would fetch, per shard — a stats-neutral
-        peek, for the asyncio transport to fetch ahead.  None when the
-        composite is already assembled (that build gathers nothing)."""
-        if self.model_cache.contains(names):
-            return None
-        version, cached = self.pool.expert_version, self.remote_head_cache.contains
-        missing = {
-            shard_id: [name for name in group if not cached((name, version(name)))]
-            for shard_id, group in plan.items()
-        }
-        return {shard_id: group for shard_id, group in missing.items() if group}
-
-    def _ingest_head_payload(self, names: List[str], raw: bytes, seconds: float) -> Heads:
-        """Account one ``fetch_heads`` answer (``names`` in ``seconds``) and
-        deserialize it into the remote-head LRU."""
-        self.metrics.increment("remote_fetches")
-        self.metrics.increment("remote_fetch_bytes", len(raw))
-        if self.controller is not None:
-            # wire roundtrip + bytes, amortized over the fetched tasks: the
-            # remote-head tier's eviction cost signal
-            self.controller.record_wire_cost(names, seconds, len(raw))
-        heads: Heads = {}
-        for name, remote in deserialize_expert_heads(raw).items():
-            key = (name, remote.version)
-            heads[key] = remote.head.eval()  # held like a pool module: eval from here on
-            self.remote_head_cache.put(
-                key, remote.head, frozen_param_count(remote.head) * BYTES_PER_PARAM
-            )
+            if not missing:
+                continue
+            fetch_start = perf_counter()
+            try:
+                raw = shard.fetch_heads(missing, self.config.fetch_transport)
+            except BaseException as error:
+                raise _tag_shard_error(error, shard_id)
+            seconds = perf_counter() - fetch_start
+            self.metrics.increment("remote_fetches")
+            self.metrics.increment("remote_fetch_bytes", len(raw))
+            if self.controller is not None:
+                # wire roundtrip + bytes, amortized over the fetched tasks:
+                # the remote-head tier's eviction cost signal
+                self.controller.record_wire_cost(missing, seconds, len(raw))
+            for name, remote in deserialize_expert_heads(raw).items():
+                heads[name] = remote.head.eval()  # held like a pool module: eval from here on
+                self.remote_head_cache.put(
+                    (name, remote.version),
+                    remote.head,
+                    frozen_param_count(remote.head) * BYTES_PER_PARAM,
+                )
         return heads
 
     # ------------------------------------------------------------------
@@ -1360,9 +1316,6 @@ class ClusterGateway:
             else:
                 shard.close()
         self._sync_fleet_assignment()
-        transport_layer = self.async_transport
-        if transport_layer is not None:
-            transport_layer.refresh_topology()
         self.metrics.increment("reshards")
         if JOURNAL.enabled:
             JOURNAL.emit(

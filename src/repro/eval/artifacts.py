@@ -24,6 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..core import ExpertStore, PoEConfig, PoolOfExperts
+from ..core.pool import expert_init_seed
 from ..data import HierarchicalImageDataset, task_subset
 from ..distill import train_scratch
 from ..eval.metrics import accuracy
@@ -241,7 +242,7 @@ class ArtifactStore:
             track.expert_ks,
             len(task),
             library_level=track.library_level,
-            rng=np.random.default_rng(track.seed + 31 + hash(task_name) % 1000),
+            rng=np.random.default_rng(expert_init_seed(track.seed + 30, task_name)),
         )
         path = os.path.join(self._model_dir(track), f"teacher_{task_name}.npz")
         if os.path.exists(path):

@@ -16,11 +16,9 @@ under that boundary so shard fan-out escapes the GIL:
   ``fetch_heads``/``serve``/``predict`` surface as an in-process shard,
   over pooled connections, so :class:`~repro.cluster.ClusterGateway`
   runs **bit-identical** against either backend via its
-  ``shard_factory``.
-* :mod:`~repro.net.aio` — :class:`AsyncClusterTransport`: an asyncio
-  event-loop dispatcher (multiplexed connections, concurrent head
-  gathers, chunk-interleaved streaming) as ``ClusterGateway.submit``'s
-  executor alternative.
+  ``shard_factory``.  It is the one networked client: every request that
+  crosses the wire goes through it, with replica failover, retry and
+  hedging in :mod:`~repro.net.retry`.
 """
 
 from .chaos import ChaosMonkey

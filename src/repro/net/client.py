@@ -13,8 +13,7 @@ one running on local shards; only the process hosting the work changes.
 Thread safety: a client is safe to call from many gateway worker threads
 at once.  Each request takes a pooled TCP connection exclusively (a small
 idle pool, dialing extra connections under burst), so no multiplexing
-state is shared between threads — the asyncio transport in
-:mod:`repro.net.aio` is the multiplexed path.
+state is shared between threads.
 
 Remote errors arrive as typed ``ERROR`` frames and are re-raised locally
 with the originating shard id prefixed to the message.  ``KeyError`` and
@@ -97,8 +96,6 @@ __all__ = [
     "RemoteShardClient",
     "RemoteShardError",
     "RemoteOperationUnsupported",
-    "raise_remote_error",
-    "gateway_response_from_body",
     "prediction_response_from_body",
 ]
 
@@ -361,11 +358,6 @@ class RemoteShardClient:
         return self._replicas[0].address
 
     @property
-    def addresses(self) -> List[Tuple[str, int]]:
-        """Every replica's current address, primary first."""
-        return [endpoint.address for endpoint in self._replicas]
-
-    @property
     def replica_count(self) -> int:
         return len(self._replicas)
 
@@ -405,8 +397,7 @@ class RemoteShardClient:
         A healthy idle channel has nothing to read.  A readable one holds
         EOF or unsolicited bytes — the worker died or the stream is
         corrupt: evict instead of poisoning the next request (any error
-        probing says the same).  Mirrors the corpse-eviction in
-        ``aio.AsyncShardPool``.  One zero-timeout ``poll`` is the whole
+        probing says the same).  One zero-timeout ``poll`` is the whole
         probe, and it leaves the socket's timeout alone: any event —
         ``POLLIN``, or the ``POLLERR``/``POLLHUP``/``POLLNVAL`` the kernel
         reports unasked — means dead.  Not ``select.select``, which raises
@@ -731,7 +722,7 @@ class RemoteShardClient:
 
         Cross-request micro-batching happens **worker-side** only for
         requests that land on the worker concurrently; the client does not
-        batch (that is the asyncio transport's territory).
+        batch.
         """
         return self._ensure_executor().submit(self.predict, images, tasks)
 

@@ -1,8 +1,8 @@
 """The length-prefixed binary frame protocol networked shards speak.
 
 This is the wire layer under :mod:`repro.net`: every message between a
-:class:`~repro.net.client.RemoteShardClient` (or the asyncio transport)
-and a :class:`~repro.net.server.ShardServer` is one or more **frames**,
+:class:`~repro.net.client.RemoteShardClient` and a
+:class:`~repro.net.server.ShardServer` is one or more **frames**,
 each a fixed 20-byte header followed by a payload:
 
 .. code-block:: text
@@ -372,7 +372,7 @@ class FrameDecoder:
     the declared size exists: a framing error is unrecoverable on a byte
     stream, so the connection must be dropped.  :meth:`feed` is the
     copy-in driver of the same machine for callers that already hold
-    the bytes (the asyncio reader).
+    the bytes (tests, and the benchmark harness's ``net.decode`` probe).
     """
 
     def __init__(self) -> None:

@@ -26,8 +26,8 @@ and its replica endpoints:
   ``[min_delay, max_delay]``), absorbing tail latency without doubling
   steady-state load.
 
-Everything here is transport-agnostic: the sync client drives it with
-threads, the asyncio transport with tasks.  See
+Everything here is transport-agnostic policy and state;
+:class:`~repro.net.client.RemoteShardClient` drives it with threads.  See
 ``docs/fault-tolerance.md`` for the end-to-end semantics.
 """
 

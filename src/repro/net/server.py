@@ -25,8 +25,7 @@ Three layers, innermost first:
 * :class:`NetworkedCluster` — the one-call deployment: spawns a fleet,
   builds a :class:`~repro.cluster.gateway.ClusterGateway` whose
   ``shard_factory`` returns :class:`~repro.net.client.RemoteShardClient`\\ s,
-  optionally attaches the asyncio transport, and tears everything down in
-  order on ``close()``.
+  and tears everything down in order on ``close()``.
 
 Worker processes are created with the ``fork`` start method so the
 already-preprocessed pool is inherited copy-on-write — nothing re-trains
@@ -1258,12 +1257,9 @@ class NetworkedCluster:
     """A :class:`ClusterGateway` whose shards live in worker processes.
 
     Construction spawns ``config.num_shards`` forked workers (readiness-
-    gated), wires the gateway's ``shard_factory`` to return
-    :class:`RemoteShardClient`\\ s, and — with ``async_transport=True`` —
-    attaches the :class:`~repro.net.aio.AsyncClusterTransport` so
-    ``gateway.submit`` dispatches through the asyncio event loop instead
-    of the thread pool.  ``close()`` tears down in dependency order:
-    transport, gateway (client sockets), then the fleet (drain + join).
+    gated) and wires the gateway's ``shard_factory`` to return
+    :class:`RemoteShardClient`\\ s.  ``close()`` tears down in dependency
+    order: gateway (client sockets), then the fleet (drain + join).
     """
 
     def __init__(
@@ -1272,7 +1268,6 @@ class NetworkedCluster:
         config: Optional[ClusterConfig] = None,
         host: str = "127.0.0.1",
         connections_per_shard: int = 2,
-        async_transport: bool = False,
         startup_timeout: float = 60.0,
         retry: Optional[RetryPolicy] = None,
         hedge: Optional[HedgePolicy] = None,
@@ -1305,21 +1300,6 @@ class NetworkedCluster:
         except BaseException:
             self.fleet.shutdown()
             raise
-        if async_transport:
-            from .aio import AsyncClusterTransport
-
-            try:
-                transport = AsyncClusterTransport(
-                    self.gateway,
-                    connections_per_shard=connections_per_shard,
-                    retry=retry,
-                    hedge=hedge,
-                )
-                transport.start()
-            except BaseException:
-                self.close()
-                raise
-            self.gateway.async_transport = transport
 
     def close(self) -> None:
         self.gateway.close()

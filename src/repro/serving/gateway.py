@@ -58,8 +58,8 @@ around the tier work, closed by ``_served`` / ``_predicted``) around *tier work*
 seam: ``_consolidate``, how a model for canonical names is put together.
 :class:`repro.cluster.ClusterGateway` runs its cross-shard tier as an
 instance of this class with that seam rebound, and opens the same
-accounting around its routing — as does the asyncio transport behind it
-— so there is no second copy of either to drift.
+accounting around its routing, so there is no second copy of either to
+drift.
 
 **Thread safety.**  Every public method may be called from any number of
 threads concurrently.  Cache tiers are individually locked
@@ -580,9 +580,9 @@ class ServingGateway:
         self.close()
 
     # ------------------------------------------------------------------
-    # Per-request accounting — the one copy.  A ClusterGateway (and the
-    # asyncio transport behind it) opens the same scope around its own
-    # routing and closes it through the same responders.
+    # Per-request accounting — the one copy.  A ClusterGateway opens the
+    # same scope around its own routing and closes it through the same
+    # responders.
     # ------------------------------------------------------------------
     def _record_popularity(
         self, names: Tuple[str, ...], transport: Optional[str] = None
@@ -660,36 +660,26 @@ class ServingGateway:
     def _payload_tiers(
         self, names: Tuple[str, ...], transport: str, consolidate: Seam = None
     ) -> Tuple[bytes, bool, bool, bool]:
-        """``(payload, model_hit, payload_hit, coalesced)`` for one serve."""
+        """``(payload, model_hit, payload_hit, coalesced)`` for one serve: a
+        payload-tier hit, else one build per key across concurrent callers."""
         key = payload_key(names, transport)
-        payload = self._cached_payload(key)
+        payload = self.payload_cache.get(key)
         if payload is not None:
+            if self.controller is not None:
+                self._note_payload_hit(key)
             # the model tier was never consulted
             return payload, False, True, False
-        return self._built_payload(names, transport, key, consolidate)
-
-    def _cached_payload(self, key: Hashable) -> Optional[bytes]:
-        """The payload-tier lookup (counted)."""
-        payload = self.payload_cache.get(key)
-        if payload is not None and self.controller is not None:
-            self._note_payload_hit(key)
-        return payload
-
-    def _note_payload_hit(self, key: Hashable) -> None:
-        """With a controller: a payload hit is its prefetch loop's if it put the entry there."""
-        if self.controller.was_prefetched(key):
-            self.metrics.increment("prefetch_hits")
-
-    def _built_payload(
-        self, names: Tuple[str, ...], transport: str, key: Hashable, consolidate: Seam = None
-    ) -> Tuple[bytes, bool, bool, bool]:
-        """A payload-tier miss: one build per key across concurrent callers."""
         (payload, model_hit), coalesced = self._flights.run(
             key, lambda: self._build_payload(names, transport, key, consolidate)
         )
         if coalesced:
             self.metrics.increment("coalesced")
         return payload, model_hit, False, coalesced
+
+    def _note_payload_hit(self, key: Hashable) -> None:
+        """With a controller: a payload hit is its prefetch loop's if it put the entry there."""
+        if self.controller.was_prefetched(key):
+            self.metrics.increment("prefetch_hits")
 
     def _build_payload(
         self, names: Tuple[str, ...], transport: str, key: Hashable, consolidate: Seam = None

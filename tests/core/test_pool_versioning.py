@@ -97,6 +97,39 @@ class TestStableSeeding:
             [expert_init_seed(0, n) for n in ("pets", "birds", "fish")]
         )
 
+    def test_scratch_teacher_init_is_stable_across_hash_salts(self, tmp_path):
+        """An SD/UHC scratch teacher starts from the same weights in every
+        process, whatever PYTHONHASHSEED says (training is patched out:
+        only the initialization is under test)."""
+        snippet = "\n".join(
+            [
+                "import hashlib, sys",
+                "import numpy as np",
+                "import repro.eval.artifacts as artifacts",
+                "from repro.eval.experiments import cifar_track",
+                "artifacts.train_scratch = lambda *args, **kwargs: None",
+                "track = cifar_track(fast=True)",
+                "store = artifacts.ArtifactStore(sys.argv[1])",
+                "name = track.selected_tasks(store.dataset(track).hierarchy)[0]",
+                "digest = hashlib.sha256()",
+                "for key, value in sorted(store.scratch_teacher(track, name).state_dict().items()):",
+                "    digest.update(key.encode())",
+                "    digest.update(np.ascontiguousarray(value).tobytes())",
+                "print(digest.hexdigest())",
+            ]
+        )
+        outputs = set()
+        for hash_seed in ("0", "12345"):
+            result = subprocess.run(
+                [sys.executable, "-c", snippet, str(tmp_path / hash_seed)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONHASHSEED": hash_seed},
+                check=True,
+            )
+            outputs.add(result.stdout.strip())
+        assert len(outputs) == 1
+
     def test_distinct_tasks_get_distinct_seeds(self):
         seeds = {expert_init_seed(0, f"task{i}") for i in range(100)}
         assert len(seeds) > 95  # crc32 % 10_000 collisions are rare

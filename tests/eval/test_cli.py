@@ -90,13 +90,15 @@ class TestTop:
         assert out.count("SLO p95") == 2  # one header per frame
         # the journal file exists and holds only parseable JSON lines
         # (in-process demo traffic may legitimately emit zero events)
-        for line in open(journal_path):
-            assert "kind" in json.loads(line)
+        with open(journal_path) as fh:
+            for line in fh:
+                assert "kind" in json.loads(line)
 
 
 class TestReport:
     def test_report_without_artifacts(self, tmp_path, capsys):
         out_file = str(tmp_path / "EXP.md")
         assert main(["report", "--root", str(tmp_path / "none"), "--out", out_file]) == 0
-        text = open(out_file).read()
+        with open(out_file) as fh:
+            text = fh.read()
         assert "artifacts not built yet" in text

@@ -385,62 +385,3 @@ def test_chaos_kill_is_invisible_to_clients(net_pool):
         assert deployment.fleet.leaked_processes() == []
     finally:
         JOURNAL.reset()
-
-
-def test_async_channel_nobody_will_close_releases_its_socket(net_pool):
-    """A pool drops a dead channel from its rotation without ``close()``,
-    and never sees one whose handshake failed or was cancelled (a hedge
-    loser): each must close its own writer, or the socket lingers until
-    the collector warns ``unclosed StreamWriter`` (ROADMAP 1d)."""
-    import asyncio
-
-    from repro.net.aio import AsyncShardChannel, AsyncShardPool
-
-    pool, _data = net_pool
-    shard = PoolShard(0, pool, sorted(pool.expert_names())[:1], GatewayConfig(max_workers=1))
-    server = ShardServer(shard, request_workers=1)
-    address = server.start()
-
-    async def scenario() -> bool:
-        channel = await AsyncShardPool(address, size=1).channel()
-        server.close()  # the peer goes away: EOF ends the read loop
-        await channel._reader_task
-        assert channel.closed
-        return channel._writer.transport.is_closing()
-
-    async def abandoned_handshake() -> bool:
-        # the kernel completes the connect; nobody ever answers the HELLO
-        with socket.create_server(("127.0.0.1", 0)) as silent:
-            channel = AsyncShardChannel(silent.getsockname(), timeout=0.1)
-            with pytest.raises(ConnectionError, match="did not answer"):
-                await channel.open()
-            return channel._writer.transport.is_closing()
-
-    try:
-        assert asyncio.run(scenario())
-        assert asyncio.run(abandoned_handshake())
-    finally:
-        server.close()
-        shard.close()
-
-
-def test_chaos_kill_with_async_transport(net_pool):
-    pool, _data = net_pool
-    with ClusterGateway(
-        pool, ClusterConfig(num_shards=2, workers_per_shard=2)
-    ) as local:
-        queries = _queries(local)
-        expected = {q: local.serve(q).payload for q in queries}
-    with NetworkedCluster(pool, CHAOS_CONFIG, async_transport=True) as deployment:
-        gateway = deployment.gateway
-        monkey = ChaosMonkey(deployment.fleet, random.Random(11))
-        for query in queries:
-            assert gateway.submit(query).result().payload == expected[query]
-        handle = monkey.kill_one()
-        assert handle is not None
-        assert monkey.wait_respawned(handle, timeout=60.0)
-        for _round in range(3):
-            futures = [gateway.submit(query) for query in queries]
-            for query, future in zip(queries, futures):
-                assert future.result().payload == expected[query]
-    assert deployment.fleet.leaked_processes() == []

@@ -22,13 +22,11 @@ from repro.control import CacheController
 from repro.core import deserialize_task_model, serialize_task_model
 from repro.distill import batched_forward
 from repro.net import (
-    HedgePolicy,
     MsgType,
     NetworkedCluster,
     PROTOCOL_VERSION,
     RemoteOperationUnsupported,
     RemoteShardClient,
-    RetryPolicy,
     ShardServer,
 )
 from repro.net.frame import FrameDecoder, encode_frame, json_payload, parse_json
@@ -70,7 +68,7 @@ def test_worker_processes_are_real(networked):
 
 
 @pytest.mark.parametrize("budget", [0, 64 << 20], ids=["uncached", "cached"])
-@pytest.mark.parametrize("entry", ["serve", "submit", "aio"])
+@pytest.mark.parametrize("entry", ["serve", "submit"])
 def test_every_entry_path_ships_the_plain_pool_bytes(net_pool, in_process, entry, budget):
     """Every entry point ships what one plain pool serialises, whether the
     front tier's composite caches hold anything or not."""
@@ -85,15 +83,8 @@ def test_every_entry_path_ships_the_plain_pool_bytes(net_pool, in_process, entry
     config = replace(
         CONFIG, composite_model_cache_bytes=budget, composite_payload_cache_bytes=budget
     )
-    retry, hedge = RetryPolicy(), HedgePolicy()
-    with NetworkedCluster(
-        pool, config, async_transport=entry == "aio", retry=retry, hedge=hedge
-    ) as deployment:
+    with NetworkedCluster(pool, config) as deployment:
         gateway = deployment.gateway
-        transport = gateway.async_transport
-        assert (transport is not None) == (entry == "aio")
-        if transport is not None:  # the caller's policies, not defaults
-            assert transport._retry is retry and transport._hedge is hedge
 
         def ask(tasks):
             if entry == "serve":
@@ -237,43 +228,34 @@ def test_rebalance_requires_the_mutations_feature(networked):
 
 
 # ----------------------------------------------------------------------
-# Async transport
+# submit(): the cluster executor over remote shards
 # ----------------------------------------------------------------------
-def test_async_serves_feed_the_controller_like_the_thread_pool(net_pool, in_process):
-    """Both submit paths leave the same signals behind: popularity, build
-    and wire costs (the loop used to feed the controller nothing)."""
+def test_submitted_serves_feed_the_controller(net_pool, in_process):
+    """Submitted serves leave the controller its signals: popularity,
+    build and wire costs."""
     pool, _data = net_pool
     names = sorted(in_process.available_tasks())
     query = _cross_shard_query(in_process)
-    submits = [query, (names[0],), query, tuple(names)]
-    snapshots = []
-    for async_transport in (False, True):
-        with NetworkedCluster(pool, CONFIG, async_transport=async_transport) as deployment:
-            gateway = deployment.gateway
-            controller = CacheController()
-            gateway.controller = controller
-            controller.attach_cluster(gateway)
-            for tasks in submits:
-                gateway.submit(tasks).result(timeout=120)
-            snapshot = controller.snapshot()
-            snapshots.append(
-                {
-                    key: snapshot[key]
-                    for key in ("tracked_queries", "tracked_tasks", "build_costs", "wire_costs")
-                }
-                | {"popularity": sorted(gateway.metrics.popularity.snapshot())}
-            )
-    assert snapshots[0] == snapshots[1]
-    assert snapshots[1]["tracked_queries"] == 3 and snapshots[1]["build_costs"] == 2
-    assert snapshots[1]["wire_costs"] == len(names)
-    assert snapshots[1]["popularity"] == names
+    with NetworkedCluster(pool, CONFIG) as deployment:
+        gateway = deployment.gateway
+        controller = CacheController()
+        gateway.controller = controller
+        controller.attach_cluster(gateway)
+        for tasks in (query, (names[0],), query, tuple(names)):
+            gateway.submit(tasks).result(timeout=120)
+        snapshot = controller.snapshot()
+        popularity = sorted(gateway.metrics.popularity.snapshot())
+    assert snapshot["tracked_queries"] == 3 and snapshot["build_costs"] == 2
+    assert snapshot["wire_costs"] == len(names)
+    assert popularity == names
 
 
 @pytest.mark.parametrize("cross", [False, True], ids=["single", "cross"])
 def test_async_submit_is_counted_once(net_pool, in_process, cross):
+    """A submitted request, answered or failed, is one request at the front end."""
     pool, _data = net_pool
     query = _cross_shard_query(in_process) if cross else sorted(in_process.available_tasks())[:1]
-    with NetworkedCluster(pool, CONFIG, async_transport=True) as deployment:
+    with NetworkedCluster(pool, CONFIG) as deployment:
         metrics = deployment.gateway.metrics
 
         def reading():
@@ -285,54 +267,6 @@ def test_async_submit_is_counted_once(net_pool, in_process, cross):
         with pytest.raises(KeyError):
             deployment.gateway.submit(tuple(query) + ("no-such-task",)).result(timeout=60)
         assert reading() == (2, 1, 1)
-
-
-def test_async_builds_gather_heads_on_the_loop_with_the_head_tier_off(net_pool, in_process):
-    """The loop's concurrent FETCH_HEADS gather does not lean on the
-    remote-head tier: with that tier (and the composite tiers) off, every
-    build's heads still cross the wire through the transport's replica
-    groups, once, and the blocking sync clients are never asked."""
-    pool, _data = net_pool
-    query = _cross_shard_query(in_process)
-    expected = in_process.serve(query).payload
-    config = replace(
-        CONFIG,
-        remote_head_cache_bytes=0,
-        composite_model_cache_bytes=0,
-        composite_payload_cache_bytes=0,
-    )
-    with NetworkedCluster(pool, config, async_transport=True) as deployment:
-        gateway = deployment.gateway
-        on_the_loop = []
-
-        def recording(group):
-            inner = group.request
-
-            async def request(msg_type, payload, *args, **kwargs):
-                if msg_type == MsgType.FETCH_HEADS:
-                    assert threading.current_thread().name == "poe-net-aio"
-                    on_the_loop.append((group.shard_id, parse_json(payload)["names"]))
-                return await inner(msg_type, payload, *args, **kwargs)
-
-            return request
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("an aio build fetched heads through the blocking client")
-
-        for group in gateway.async_transport._groups:
-            group.request = recording(group)
-        for shard in gateway.shards:
-            shard.fetch_heads = refuse
-        builds = 3
-        for _ in range(builds):
-            assert gateway.submit(query).result(timeout=120).payload == expected
-        # each build: one frame per shard of the plan, every head exactly once
-        assert len(on_the_loop) == builds * len(gateway._plan(tuple(sorted(query))))
-        assert sorted(n for _, names in on_the_loop for n in names) == sorted(query * builds)
-        metrics = gateway.metrics
-        assert metrics.counter("remote_fetches") == len(on_the_loop)
-        assert metrics.counter("remote_head_hits") == 0  # a head in hand is not a tier hit
-        assert metrics.stage_summary("fetch")["count"] == builds  # one sample per build
 
 
 # ----------------------------------------------------------------------
@@ -383,23 +317,6 @@ def test_shared_channel_payloads_never_alias_a_receive_buffer(net_pool):
         assert len(received[task]) == 200
         assert all(type(payload) is bytes for payload in received[task])
         assert all(payload == expected[task] for payload in received[task])
-
-
-def test_async_transport_payloads_never_alias_a_receive_buffer(networked, in_process):
-    """Same ownership check through the multiplexed asyncio channel."""
-    from repro.net.aio import AsyncClusterTransport
-
-    tasks = sorted(in_process.available_tasks())[:2]
-    expected = {task: in_process.serve((task,)).payload for task in tasks}
-    transport = AsyncClusterTransport(networked.gateway, connections_per_shard=1)
-    transport.start()
-    try:
-        futures = [(task, transport.submit((task,))) for task in tasks * 50]
-        results = [(task, future.result(timeout=120).payload) for task, future in futures]
-    finally:
-        transport.close()
-    assert all(type(payload) is bytes for _task, payload in results)
-    assert all(payload == expected[task] for task, payload in results)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -56,9 +57,10 @@ class TestJsonlWriter:
     def test_tracer_writes_through(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         tracer = Tracer()
-        tracer.enable(writer=JsonlTraceWriter(path))
-        with tracer.span("root"):
-            pass
+        with JsonlTraceWriter(path) as writer:
+            tracer.enable(writer=writer)
+            with tracer.span("root"):
+                pass
         [record] = load_jsonl_spans(path)
         assert record["name"] == "root"
 
@@ -71,8 +73,9 @@ class TestSlowQueryLog:
         slow = _span("slow", duration=0.010)
         assert log.maybe_record(fast, [fast]) is False
         assert log.maybe_record(slow, [slow, _span("child")]) is True
+        log.close()
         assert log.count == 1
-        [entry] = [json.loads(l) for l in open(path)]
+        [entry] = [json.loads(l) for l in Path(path).read_text().splitlines()]
         assert entry["root"] == "slow"
         assert len(entry["spans"]) == 2
 
@@ -83,8 +86,9 @@ class TestSlowQueryLog:
         with tracer.span("root"):
             with tracer.span("child"):
                 pass
+        tracer._slow_log.close()
         assert tracer._slow_log.count == 1
-        [entry] = [json.loads(l) for l in open(path)]
+        [entry] = [json.loads(l) for l in Path(path).read_text().splitlines()]
         assert {s["name"] for s in entry["spans"]} == {"root", "child"}
 
     def test_slow_query_emits_journal_event(self, tmp_path):
@@ -92,8 +96,8 @@ class TestSlowQueryLog:
 
         JOURNAL.reset()
         JOURNAL.enable()
+        log = SlowQueryLog(str(tmp_path / "slow.jsonl"), threshold_s=0.005)
         try:
-            log = SlowQueryLog(str(tmp_path / "slow.jsonl"), threshold_s=0.005)
             log.maybe_record(_span("fast", duration=0.001), [])
             assert len(JOURNAL) == 0  # fast queries stay quiet
             slow = _span("slow", duration=0.010)
@@ -104,17 +108,25 @@ class TestSlowQueryLog:
             assert event["trace_id"] == slow["trace_id"]
             assert event["duration"] == pytest.approx(0.010)
         finally:
+            log.close()
             JOURNAL.reset()
 
 
 # the trace writer, the slow-query log, and the journal file all rotate
 # through the same RotatingJsonlWriter base: one shared contract test
+# (factories: only the sink under test opens the file)
 def _rotating_writers(path):
     return {
-        "base": (RotatingJsonlWriter(path, max_bytes=200), lambda w, i: w.write(_span(f"s{i}"))),
-        "trace": (JsonlTraceWriter(path, max_bytes=200), lambda w, i: w.write(_span(f"s{i}"))),
+        "base": (
+            lambda: RotatingJsonlWriter(path, max_bytes=200),
+            lambda w, i: w.write(_span(f"s{i}")),
+        ),
+        "trace": (
+            lambda: JsonlTraceWriter(path, max_bytes=200),
+            lambda w, i: w.write(_span(f"s{i}")),
+        ),
         "slow": (
-            SlowQueryLog(path, threshold_s=0.0, max_bytes=200),
+            lambda: SlowQueryLog(path, threshold_s=0.0, max_bytes=200),
             lambda w, i: w.maybe_record(_span(f"s{i}"), [_span(f"s{i}")]),
         ),
     }
@@ -124,7 +136,8 @@ class TestSharedRotation:
     @pytest.mark.parametrize("which", ["base", "trace", "slow"])
     def test_every_jsonl_sink_rotates_on_size(self, tmp_path, which):
         path = str(tmp_path / "sink.jsonl")
-        writer, write_one = _rotating_writers(path)[which]
+        make, write_one = _rotating_writers(path)[which]
+        writer = make()
         for i in range(30):
             write_one(writer, i)
         writer.close()
@@ -133,8 +146,8 @@ class TestSharedRotation:
         # every line in both generations stays parseable; the rotated
         # generation is never empty (the live file may be, right after a
         # boundary rotation)
-        assert [json.loads(line) for line in open(path + ".1")]
-        for line in open(path):
+        assert [json.loads(line) for line in Path(path + ".1").read_text().splitlines()]
+        for line in Path(path).read_text().splitlines():
             json.loads(line)
 
     def test_no_rotation_below_the_budget(self, tmp_path):

@@ -125,7 +125,8 @@ class TestPersistence:
         journal.emit("rebalance", moved=3)
         journal.emit("cache_evict", tier="model")
         journal.disable()  # closes the writer
-        records = [json.loads(line) for line in open(path)]
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
         assert [r["kind"] for r in records] == ["rebalance", "cache_evict"]
         assert records[0]["moved"] == 3 and records[0]["service"] == "cli"
 
@@ -138,5 +139,6 @@ class TestPersistence:
         journal.disable()
         assert os.path.exists(path + ".1")
         for p in (path, path + ".1"):
-            for line in open(p):
-                assert json.loads(line)["kind"] == "slow_query"
+            with open(p) as fh:
+                for line in fh:
+                    assert json.loads(line)["kind"] == "slow_query"

@@ -27,7 +27,8 @@ class TestAppendBenchmarkRecord:
         assert entry["speedup"] == 3.0
         assert entry["label"] == "pr7"
         assert entry["meta"]["cpu_count"] >= 1
-        assert json.load(open(path)) == doc
+        with open(path) as fh:
+            assert json.load(fh) == doc
 
     def test_old_meta_less_entries_are_left_untouched(self, tmp_path):
         # a trajectory written before the stamp existed: readers (and
