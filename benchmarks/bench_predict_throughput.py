@@ -114,6 +114,7 @@ def test_trunk_cache_hit_rate_impact(predict_pool, emit):
         pool, GatewayConfig(max_workers=1, result_cache_bytes=0)
     ) as gateway:
         cold = gateway.predict(x, names)
+        gateway.predict(x, names)  # the second sighting stores the features
         warm = gateway.predict(x, names)
         stats = gateway.trunk_cache.stats()
     assert not cold.trunk_cache_hit and warm.trunk_cache_hit
@@ -144,5 +145,6 @@ def test_predict_kernel(benchmark, predict_pool):
     names = sorted(pool.expert_names())[:N_HEADS]
     x = data.test.images[:BATCH_SIZE]
     with ServingGateway(pool, GatewayConfig(result_cache_bytes=0)) as gateway:
-        gateway.predict(x, names)
+        for _ in range(2):  # features are stored on the second sighting
+            gateway.predict(x, names)
         benchmark(lambda: gateway.predict(x, names))

@@ -15,7 +15,8 @@ extraction, and every repeated prediction request.  This module provides:
   keyed on image digests, shared by the prediction fast path
   (:meth:`~repro.serving.ServingGateway.predict`) so repeated or
   cross-composite predictions on the same images run the shared trunk
-  once.
+  once.  Its admission gate (:meth:`TrunkFeatureCache.admit`) also
+  decides what the prediction-result tier keeps.
 * :func:`fused_trunk_features` — the cache's **miss path**: one trunk
   forward through the compiled eval-mode program
   (:class:`repro.nn.fused.FusedTrunk` — NHWC GEMMs, folded BN, no
@@ -28,11 +29,16 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["array_digest", "fused_trunk_features", "TrunkFeatureCache"]
+
+#: How many image digests a :class:`TrunkFeatureCache` remembers for its
+#: admission gate (~0.6 MiB with the digest strings), oldest forgotten first.
+SEEN_DIGESTS = 4096
 
 
 def array_digest(array: np.ndarray) -> str:
@@ -79,17 +85,28 @@ class TrunkFeatureCache:
     :class:`~repro.serving.cache.ByteBudgetLRU`: entries are the raw
     feature arrays, charged at ``features.nbytes``.  A budget of 0
     disables caching (every lookup misses), mirroring the serving tiers.
+
+    Serving stores pass an admission gate, TinyLFU's doorkeeper: a batch's
+    first sighting is computed, answered and only *remembered* (its digest
+    joins a memory of the last :data:`SEEN_DIGESTS` digests), its second
+    is stored, its third hits.  A stream of never-repeated batches so
+    leaves the tier empty.  The prediction-result tier, keyed on the same
+    digests, keeps an answer on the same verdict (:meth:`admit`).  An
+    explicit :meth:`put` is not gated.
     """
 
     def __init__(self, budget_bytes: int, ttl_seconds: Optional[float] = None) -> None:
         from ..serving.cache import ByteBudgetLRU
 
         self._lru = ByteBudgetLRU(budget_bytes, ttl_seconds=ttl_seconds)
+        # guards the generation and the digest memory
+        self._lock = threading.Lock()
         # generation guard: clear() bumps it, and inserts computed against
         # an older generation are refused — a trunk forward in flight
         # across a library re-extraction cannot cache stale features
         self._generation = 0
-        self._generation_lock = threading.Lock()
+        # recently sighted digests, least recent first
+        self._seen: "OrderedDict[str, None]" = OrderedDict()
 
     def get(self, digest: str) -> Optional[np.ndarray]:
         return self._lru.get(digest)
@@ -97,14 +114,39 @@ class TrunkFeatureCache:
     def put(self, digest: str, features: np.ndarray) -> bool:
         return self._lru.put(digest, features, int(features.nbytes))
 
+    def admit(self, digest: str) -> bool:
+        """One sighting of ``digest``: may a serving store keep an entry for it?
+
+        True when the digest is resident or remembered from an earlier
+        sighting; otherwise it is remembered and the store is refused.
+        Take the verdict once per request and hand it to every store the
+        request makes: a second call would read the first one's memory.
+        """
+        with self._lock:
+            if digest in self._seen:
+                self._seen.move_to_end(digest)
+                return True
+            if self._lru.contains(digest):
+                return True
+            self._seen[digest] = None
+            if len(self._seen) > SEEN_DIGESTS:
+                self._seen.popitem(last=False)
+            return False
+
     def generation(self) -> int:
         """Token to snapshot before computing features (see :meth:`put_guarded`)."""
-        with self._generation_lock:
+        with self._lock:
             return self._generation
 
-    def put_guarded(self, digest: str, features: np.ndarray, token: int) -> bool:
-        """Insert only if no :meth:`clear` ran since ``token`` was taken."""
-        with self._generation_lock:
+    def put_guarded(
+        self, digest: str, features: np.ndarray, token: int, admitted: bool
+    ) -> bool:
+        """Insert only if :meth:`admit` said so and no :meth:`clear` ran
+        since ``token`` was taken; a refused sighting counts as a rejection."""
+        if not admitted:
+            self._lru.refuse()
+            return False
+        with self._lock:
             if self._generation != token:
                 return False
             return self.put(digest, features)
@@ -114,14 +156,17 @@ class TrunkFeatureCache:
         images: np.ndarray,
         compute: Callable[[np.ndarray], np.ndarray],
         digest: Optional[str] = None,
+        admitted: Optional[bool] = None,
     ) -> Tuple[np.ndarray, bool]:
         """``(features, was_hit)`` for ``images`` — the one lookup protocol.
 
         Misses run ``compute(images)`` and insert the result under the
-        content digest; every caller (gateway, cluster, micro-batcher)
-        shares this sequence so digesting and insertion can't drift apart.
-        Pass ``digest`` when the caller already hashed the images (e.g.
-        for a prediction-result lookup) to avoid hashing twice.
+        content digest when admitted; every caller (gateway, cluster,
+        micro-batcher) shares this sequence so digesting and insertion
+        can't drift apart.  Pass ``digest`` when the caller already hashed
+        the images (e.g. for a prediction-result lookup) to avoid hashing
+        twice, and ``admitted`` when it already took the request's
+        :meth:`admit` verdict; without one a miss takes it here.
         """
         if self._lru.budget_bytes == 0:
             # disabled cache: skip the digest, it could never hit anyway
@@ -131,17 +176,21 @@ class TrunkFeatureCache:
         features = self.get(digest)
         if features is not None:
             return features, True
+        if admitted is None:
+            admitted = self.admit(digest)
         token = self.generation()
         features = compute(images)
-        self.put_guarded(digest, features, token)
+        self.put_guarded(digest, features, token, admitted)
         return features, False
 
     def clear(self) -> None:
-        """Drop everything — the serving listeners call this when the
-        backing trunk changes (``LIBRARY_TASK`` version bump).  Inserts
-        whose compute started before the clear are refused afterwards."""
-        with self._generation_lock:
+        """Drop everything, remembered digests included — the serving
+        listeners call this when the backing trunk changes
+        (``LIBRARY_TASK`` version bump).  Inserts whose compute started
+        before the clear are refused afterwards."""
+        with self._lock:
             self._generation += 1
+            self._seen.clear()
             self._lru.clear()
 
     def stats(self):

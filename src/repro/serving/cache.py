@@ -231,6 +231,12 @@ class ByteBudgetLRU:
             )
         return admitted
 
+    def refuse(self) -> None:
+        """Count a store the caller declined to make (an admission gate's
+        refusal) as a rejection."""
+        with self._lock:
+            self._rejections += 1
+
     def contains(self, key: Hashable) -> bool:
         """Whether a live (non-expired) entry exists for ``key``.
 

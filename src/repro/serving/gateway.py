@@ -36,6 +36,9 @@ so features are reusable across every ``M(Q)``) whose miss path runs the
 autograd), then one batched pass over all expert heads
 (:class:`~repro.models.FusedHeadBank`) — with per-stage metrics
 (``predict_trunk_fused`` / ``predict_heads`` / ``predict_argmax``).
+Both content-keyed tiers keep an entry only from an image batch's second
+sighting on (:meth:`~repro.core.features.TrunkFeatureCache.admit`), so
+never-repeated traffic computes and answers but stores nothing.
 ``submit_predict()`` adds cross-request micro-batching: concurrent small
 prediction requests coalesce so the shared trunk runs **once** per drain
 over the union of their images, whatever composite each request asked
@@ -769,13 +772,16 @@ class ServingGateway:
         trunk_hit: bool = False,
         coalesced: bool = False,
         digest: Optional[str] = None,
+        admitted: Optional[bool] = None,
     ) -> PredictionResponse:
         with _Request(self, "gateway.predict", "predictions", tasks, None, enqueued_at) as request:
             return self._predicted(
                 request,
                 images,
                 coalesced,
-                *self._predict_tiers(images, request.names, features, trunk_hit, digest),
+                *self._predict_tiers(
+                    images, request.names, features, trunk_hit, digest, admitted=admitted
+                ),
             )
 
     def _predict_tiers(
@@ -786,8 +792,13 @@ class ServingGateway:
         trunk_hit: bool = False,
         digest: Optional[str] = None,
         consolidate: Seam = None,
+        admitted: Optional[bool] = None,
     ) -> Tuple[np.ndarray, bool, bool, bool]:
-        """``(class_ids, model_hit, trunk_hit, result_hit)`` for one prediction."""
+        """``(class_ids, model_hit, trunk_hit, result_hit)`` for one prediction.
+
+        ``admitted`` is the request's admission verdict when a drain
+        already took it; both content-keyed stores follow it.
+        """
         # result lookup FIRST: the key snapshots expert versions before any
         # model/trunk work (check-before-build, like the other tiers — a key
         # built after the model could pair stale logits with fresh versions),
@@ -802,6 +813,9 @@ class ServingGateway:
                 self.metrics.increment("predict_result_hits")
                 _logits, ids = cached
                 return ids, False, trunk_hit, True
+            if admitted is None:
+                # this request's one sighting, taken before the trunk store
+                admitted = self.trunk_cache.admit(digest)
         model, model_hit = self._model_for(names, expert_versions(self.pool, names), consolidate)
         if features is None:
             # the miss path runs the *compiled* eval-mode trunk, not autograd
@@ -809,12 +823,15 @@ class ServingGateway:
                 images,
                 lambda batch: run_trunk_forward(self.pool.library, batch, self.metrics),
                 digest=digest,
+                admitted=admitted,
             )
         with self.metrics.stage("predict_heads"):
             logits = model.logits_from_features(features)
         with self.metrics.stage("predict_argmax"):
             ids = model.classes[logits.argmax(axis=1)]
-        if key is not None:
+        if key is not None and not admitted:
+            self.result_cache.refuse()
+        elif key is not None:
             # the standard stale-put guard: the key was snapshotted before
             # the model was acquired and is re-derived under the lock — a
             # re-extraction in between changes it and the answer is not
@@ -874,7 +891,7 @@ class ServingGateway:
         if coalesced:
             self.metrics.increment("predict_coalesced", len(batch) - 1)
 
-        # id(item) -> (features|None, trunk_hit, digest) | error
+        # id(item) -> (features|None, trunk_hit, digest, admitted) | error
         resolved: Dict[int, object] = {}
         # dedupe by content digest: byte-identical request batches share
         # one representative in the stacked forward (and one cache entry)
@@ -885,11 +902,12 @@ class ServingGateway:
             # stats-neutral peek: _predict_one does the counted lookup (or,
             # if the entry is evicted meanwhile, recomputes) — no trunk work
             if key is not None and self.result_cache.contains(key):
-                resolved[id(item)] = (None, False, digest)
+                resolved[id(item)] = (None, False, digest, None)
                 continue
             cached = self.trunk_cache.get(digest)
             if cached is not None:
-                resolved[id(item)] = (cached, True, digest)
+                # resident, so admitted
+                resolved[id(item)] = (cached, True, digest, True)
             else:
                 by_digest.setdefault(digest, []).append(item)
         groups: Dict[Tuple[int, ...], List[str]] = {}
@@ -918,9 +936,11 @@ class ServingGateway:
                     # charged for its own bytes only
                     chunk = chunk.copy(order="K")
                 offset += count
-                self.trunk_cache.put_guarded(digest, chunk, token)
+                # byte-identical requests in one drain are one sighting
+                admitted = self.trunk_cache.admit(digest)
+                self.trunk_cache.put_guarded(digest, chunk, token, admitted)
                 for item in sharers:
-                    resolved[id(item)] = (chunk, False, digest)
+                    resolved[id(item)] = (chunk, False, digest, admitted)
 
         for item in batch:
             entry = resolved[id(item)]
@@ -933,7 +953,7 @@ class ServingGateway:
                 item.future.set_exception(entry)
                 continue
             try:
-                item_features, trunk_hit, digest = entry
+                item_features, trunk_hit, digest, admitted = entry
                 response = self._predict_one(
                     item.images,
                     item.names,
@@ -942,6 +962,7 @@ class ServingGateway:
                     trunk_hit=trunk_hit,
                     coalesced=coalesced,
                     digest=digest,
+                    admitted=admitted,
                 )
             except BaseException as error:
                 item.future.set_exception(error)

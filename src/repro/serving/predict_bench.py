@@ -112,12 +112,16 @@ def run_predict_benchmark(
             lambda: (gateway.trunk_cache.clear(), gateway.predict(batch, names)),
             reps,
         )
+        # entries are stored on a batch's second sighting: warm by two
+        for _ in range(2):
+            gateway.predict(batch, names)
         gateway.trunk_cache.reset_stats()  # report the warm phase's hit rate
         warm_ms = _median_ms(lambda: gateway.predict(batch, names), reps)
         trunk_stats = gateway.trunk_cache.stats()
     # fourth arm: the fully repeated request (prediction-result cache hit)
     with ServingGateway(pool, GatewayConfig(max_workers=1)) as gateway:
-        gateway.predict(batch, names)  # populate
+        for _ in range(2):  # populate
+            gateway.predict(batch, names)
         result_hit_ms = _median_ms(lambda: gateway.predict(batch, names), reps)
 
     return {

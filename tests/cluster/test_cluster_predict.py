@@ -61,11 +61,31 @@ class TestClusterPredict:
             distinct = [
                 n for n in names if cluster.shards_of(n)[0] != cluster.shards_of(names[0])[0]
             ]
+            cluster.predict(x, [names[0]])  # first sighting: remembered only
             cold = cluster.predict(x, [names[0]])
             warm = cluster.predict(x, [distinct[0]])  # other shard, same library
             assert not cold.trunk_cache_hit
             assert warm.trunk_cache_hit
             assert cluster.cache_stats()["trunk"].hits >= 1
+
+    def test_shards_and_front_end_share_one_digest_memory(self, wide_pool):
+        """A sighting on one shard counts for every other shard and the front end."""
+        pool, data = wide_pool
+        x = data.test.images[:12]
+        with _make(pool) as cluster:
+            assert all(shard.gateway.trunk_cache is cluster.trunk_cache for shard in cluster.shards)
+            query = _cross_shard_query(cluster)
+            elsewhere = next(
+                n
+                for n in sorted(cluster.available_tasks())
+                if cluster.shards_of(n)[0] != cluster.shards_of(query[0])[0]
+            )
+            cluster.predict(x, query[:1])  # first sighting, on one shard
+            assert len(cluster.trunk_cache) == 0
+            second = cluster.predict(x, query)  # second, at the front end: stored
+            assert not second.trunk_cache_hit
+            assert len(cluster.trunk_cache) == 1 and len(cluster.result_cache) == 1
+            assert cluster.predict(x, [elsewhere]).trunk_cache_hit  # another shard
 
     def test_submit_predict_matches_inline(self, wide_pool):
         pool, data = wide_pool
@@ -145,6 +165,7 @@ class TestRemoteHeadCache:
         with _make(pool, num_shards=2) as cluster:
             query = _cross_shard_query(cluster)
             cluster.predict(x, query)
+            cluster.predict(x, query)  # the second sighting stores the features
             assert len(cluster.trunk_cache) >= 1
             pool.extract_library(data.train.images)  # new frozen trunk
             assert len(cluster.trunk_cache) == 0
@@ -173,6 +194,7 @@ class TestClusterResultCache:
         x = data.test.images[:10]
         with _make(pool) as cluster:
             query = _cross_shard_query(cluster)
+            cluster.predict(x, query)  # first sighting: remembered only
             cold = cluster.predict(x, query)
             warm = cluster.predict(x, query)
             assert not cold.result_cache_hit
@@ -186,6 +208,7 @@ class TestClusterResultCache:
         with _make(pool) as cluster:
             name = sorted(cluster.available_tasks())[0]
             cluster.predict(x, [name])
+            cluster.predict(x, [name])  # the second sighting stores the answer
             warm = cluster.predict(x, [name])
             assert warm.result_cache_hit
             assert cluster.cache_stats()["result"].hits >= 1
@@ -196,6 +219,7 @@ class TestClusterResultCache:
         with _make(pool) as cluster:
             query = _cross_shard_query(cluster)
             cluster.predict(x, query)
+            cluster.predict(x, query)  # the second sighting stores the answer
             assert len(cluster.result_cache) == 1
             pool.extract_expert(query[0], data.train.images)
             assert len(cluster.result_cache) == 0

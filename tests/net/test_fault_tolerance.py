@@ -279,6 +279,50 @@ def test_peer_that_never_reads_loses_its_connection_not_the_worker(
 
 
 # ----------------------------------------------------------------------
+# Fork hygiene: every worker forks from a trimmed heap
+# ----------------------------------------------------------------------
+class _ForkRecorder:
+    """Stands in for the fork context: ``start()`` logs and reports ready."""
+
+    def __init__(self, events):
+        self.events = events
+        self.Pipe = net_server.multiprocessing.Pipe
+
+    def Process(self, target, args, name, daemon):
+        events = self.events
+
+        class _Forked:
+            pid, exitcode = 4242, None
+
+            def start(self):
+                events.append("fork")
+                args[0].send(("ready", 1234))
+
+        return _Forked()
+
+
+def test_heap_trimmed_before_every_fork(monkeypatch):
+    events = []
+    monkeypatch.setattr(net_server, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
+    fleet = net_server.ShardWorkerFleet(pool=None, supervise=False)
+    fleet._context = _ForkRecorder(events)
+    fleet.spawn(0, ("a",))  # start
+    fleet._respawn(fleet.workers[0])  # respawn
+    assert events == [("trim", 0), "fork", ("trim", 0), "fork"]
+
+
+def test_missing_malloc_trim_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(net_server.ctypes, "CDLL", lambda _name: object())
+    assert net_server._find_malloc_trim() is None
+    events = []
+    monkeypatch.setattr(net_server, "_MALLOC_TRIM", None)
+    fleet = net_server.ShardWorkerFleet(pool=None, supervise=False)
+    fleet._context = _ForkRecorder(events)
+    assert fleet.spawn(0, ("a",)) == ("127.0.0.1", 1234)
+    assert events == ["fork"]
+
+
+# ----------------------------------------------------------------------
 # Chaos: SIGKILL under load, bit-identical results, journaled respawn
 # ----------------------------------------------------------------------
 CHAOS_CONFIG = ClusterConfig(

@@ -145,6 +145,18 @@ def test_submit_predict_through_worker(networked, in_process, net_pool):
     )
 
 
+def test_single_shard_repeat_hits_on_third_request(networked, net_pool):
+    """A worker's gateway gates its own tiers: stored on the second sighting."""
+    _pool, data = net_pool
+    x = data.test.images[20:26]  # a batch no other test here sends
+    task = sorted(networked.gateway.available_tasks())[0]
+    first, second, third = (networked.gateway.predict(x, (task,)) for _ in range(3))
+    assert not first.result_cache_hit and not first.trunk_cache_hit
+    assert not second.result_cache_hit and not second.trunk_cache_hit
+    assert third.result_cache_hit
+    assert np.array_equal(first.class_ids, third.class_ids)
+
+
 def test_fetch_heads_bytes_identical(networked, in_process):
     """The remote fetch ships the exact bytes the in-process boundary does."""
     shard_id = 0

@@ -48,6 +48,82 @@ class TestTrunkFeatureCache:
         assert cache.get("k") is None
 
 
+def _ask(gw, entry, x, tasks):
+    if entry == "inline":
+        return gw.predict(x, tasks)
+    return gw.submit_predict(x, tasks).result(timeout=30)
+
+
+class TestAdmission:
+    """Both content-keyed tiers keep an entry from a batch's second sighting on."""
+
+    @pytest.mark.parametrize("entry", ["inline", "drain"])
+    def test_never_repeated_stream_stores_nothing(self, named_pool, entry):
+        pool, data, _ = named_pool
+        stream = [data.test.images[i * 5 : (i + 1) * 5] for i in range(6)]
+        off = GatewayConfig(max_workers=1, trunk_cache_bytes=0, result_cache_bytes=0)
+        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw, ServingGateway(
+            pool, off
+        ) as bare:
+            for x in stream:
+                gated = _ask(gw, entry, x, ["pets", "birds"])
+                plain = _ask(bare, entry, x, ["pets", "birds"])
+                assert np.array_equal(gated.class_ids, plain.class_ids)
+                assert not gated.trunk_cache_hit and not gated.result_cache_hit
+            stats = gw.cache_stats()
+        for tier in ("trunk", "result"):
+            assert stats[tier].current_bytes == 0 and stats[tier].insertions == 0
+            # every first-sighting refusal is counted
+            assert stats[tier].rejections == len(stream)
+
+    @pytest.mark.parametrize("entry", ["inline", "drain"])
+    def test_second_sighting_stores_and_third_hits(self, named_pool, entry):
+        pool, data, _ = named_pool
+        x = data.test.images[:6]
+        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
+            first = _ask(gw, entry, x, ["pets"])
+            assert len(gw.trunk_cache) == 0 and len(gw.result_cache) == 0
+            second = _ask(gw, entry, x, ["pets"])
+            assert not second.trunk_cache_hit and not second.result_cache_hit
+            assert len(gw.trunk_cache) == 1 and len(gw.result_cache) == 1
+            third = _ask(gw, entry, x, ["pets"])
+            assert third.result_cache_hit
+            # other composite, same images: the stored features serve it
+            assert _ask(gw, entry, x, ["fish"]).trunk_cache_hit
+        assert np.array_equal(first.class_ids, third.class_ids)
+
+    def test_digest_memory_stays_at_its_bound(self, monkeypatch):
+        from repro.core import features
+
+        monkeypatch.setattr(features, "SEEN_DIGESTS", 3)
+        cache = TrunkFeatureCache(1 << 20)
+        assert not any(cache.admit(digest) for digest in "abcde")
+        assert len(cache._seen) == 3
+        assert not cache.admit("a")  # forgotten: a first sighting again
+        assert cache.admit("e")
+        cache.clear()
+        assert len(cache._seen) == 0 and not cache.admit("e")
+
+    def test_resident_digest_is_admitted(self, rng):
+        cache = TrunkFeatureCache(1 << 20)
+        cache.put("k", rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
+        assert cache.admit("k")  # an explicit put is not gated
+
+    def test_library_bump_forgets_remembered_digests(self, tiny_hierarchy):
+        from tests.conftest import build_micro_pool
+
+        pool, data, _ = build_micro_pool(tiny_hierarchy, seed=6, train_per_class=15)
+        query = sorted(pool.expert_names())[:2]
+        x = data.test.images[:10]
+        with ServingGateway(pool) as gw:
+            gw.predict(x, query)
+            assert len(gw.trunk_cache._seen) == 1
+            pool.extract_library(data.train.images)
+            assert len(gw.trunk_cache._seen) == 0
+            gw.predict(x, query)  # a first sighting again: nothing stored
+            assert len(gw.trunk_cache) == 0 and len(gw.result_cache) == 0
+
+
 class TestPredict:
     def test_ids_match_reference_model(self, gateway, named_pool):
         pool, data, _ = named_pool
@@ -61,7 +137,8 @@ class TestPredict:
     def test_trunk_cache_hits_on_repeat(self, gateway, named_pool):
         _, data, _ = named_pool
         x = data.test.images[:10]
-        cold = gateway.predict(x, ["pets"])
+        gateway.predict(x, ["pets"])  # first sighting: remembered only
+        cold = gateway.predict(x, ["pets"])  # second: computed and stored
         warm = gateway.predict(x, ["pets", "fish"])  # other composite, same trunk
         assert not cold.trunk_cache_hit
         assert warm.trunk_cache_hit  # features reused *across* composites
@@ -72,6 +149,7 @@ class TestPredict:
         _, data, _ = named_pool
         first, second = data.test.images[:10], data.test.images[10:20]
         gateway.predict(first, ["pets"])
+        gateway.predict(first, ["pets"])  # resident from its second sighting
         response = gateway.predict(second, ["pets"])
         assert not response.trunk_cache_hit
         # and its ids are correct for the *second* batch
@@ -108,6 +186,7 @@ class TestPredict:
         x = data.test.images[:10]
         with ServingGateway(pool) as gw:
             gw.predict(x, query)
+            gw.predict(x, query)  # the second sighting stores the features
             assert len(gw.trunk_cache) == 1 and len(gw.model_cache) == 1
             pool.extract_library(data.train.images)  # new frozen trunk
             assert len(gw.trunk_cache) == 0 and len(gw.model_cache) == 0
@@ -194,6 +273,8 @@ class TestMicroBatching:
         other = data.test.images[6:12]
         release = threading.Event()
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
+            for x in (same, other):  # first sightings: the drain is the second
+                gw.predict(x, ["fish"])
             blocker = gw._ensure_executor().submit(release.wait)
             futures = [
                 gw.submit_predict(same, ["pets"]),
@@ -222,6 +303,8 @@ class TestMicroBatching:
         batches = [data.test.images[i * 4 : (i + 1) * 4] for i in range(3)]
         release = threading.Event()
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
+            for x in batches:  # first sightings: the drain is the second
+                gw.predict(x, ["fish"])
             blocker = gw._ensure_executor().submit(release.wait)
             futures = [gw.submit_predict(x, ["pets"]) for x in batches]
             release.set()
@@ -230,6 +313,7 @@ class TestMicroBatching:
             blocker.result(timeout=30)
             assert gw.metrics.counter("predict_batches") == 1
             cached = [gw.trunk_cache.get(array_digest(x)) for x in batches]
+            gw.predict(data.test.images[12:16], ["pets"])
             alone = gw.predict(data.test.images[12:16], ["pets"])
             assert not alone.trunk_cache_hit
             passed_through = gw.trunk_cache.get(array_digest(data.test.images[12:16]))
@@ -344,6 +428,7 @@ class TestResultCache:
         pool, data, _ = named_pool
         x = data.test.images[:10]
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
+            gw.predict(x, ["pets", "birds"])  # first sighting: remembered only
             cold = gw.predict(x, ["pets", "birds"])
             heads_runs = gw.metrics.snapshot()["stages"]["predict_heads"]["count"]
             warm = gw.predict(x, ["pets", "birds"])
@@ -362,6 +447,7 @@ class TestResultCache:
         pool, data, _ = named_pool
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
             gw.predict(data.test.images[:10], ["pets"])
+            gw.predict(data.test.images[:10], ["pets"])  # resident from here
             other_images = gw.predict(data.test.images[10:20], ["pets"])
             other_tasks = gw.predict(data.test.images[:10], ["pets", "fish"])
             assert not other_images.result_cache_hit
@@ -376,6 +462,7 @@ class TestResultCache:
         x = data.test.images[:8]
         with ServingGateway(pool) as gw:
             gw.predict(x, query)
+            gw.predict(x, query)  # the second sighting stores the answer
             assert len(gw.result_cache) == 1
             pool.extract_expert(name, data.train.images)
             assert len(gw.result_cache) == 0  # listener released the bytes
@@ -395,6 +482,7 @@ class TestResultCache:
         query = sorted(pool.expert_names())[:2]
         with ServingGateway(pool) as gw:
             gw.predict(data.test.images[:8], query)
+            gw.predict(data.test.images[:8], query)  # stored on the second sighting
             assert len(gw.result_cache) == 1
             pool.extract_library(data.train.images)
             assert len(gw.result_cache) == 0
@@ -406,10 +494,11 @@ class TestResultCache:
             pool, GatewayConfig(max_workers=1, result_cache_bytes=0)
         ) as gw:
             first = gw.predict(x, ["pets"])
-            second = gw.predict(x, ["pets"])
-            assert not first.result_cache_hit and not second.result_cache_hit
-            assert second.trunk_cache_hit  # the feature tier still works
-            assert np.array_equal(first.class_ids, second.class_ids)
+            gw.predict(x, ["pets"])  # the second sighting stores the features
+            third = gw.predict(x, ["pets"])
+            assert not first.result_cache_hit and not third.result_cache_hit
+            assert third.trunk_cache_hit  # the feature tier still works
+            assert np.array_equal(first.class_ids, third.class_ids)
 
     def test_micro_batched_repeat_hits_result_cache(self, named_pool):
         """A drained request whose answer is cached resolves without trunk work."""
@@ -417,6 +506,7 @@ class TestResultCache:
         x = data.test.images[:6]
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
             gw.predict(x, ["pets"])
+            gw.predict(x, ["pets"])  # the second sighting stores the answer
             trunk_runs = gw.metrics.snapshot()["stages"]["predict_trunk_fused"]["count"]
             response = gw.submit_predict(x, ["pets"]).result(timeout=30)
             assert response.result_cache_hit
@@ -425,6 +515,6 @@ class TestResultCache:
                 == trunk_runs
             )
             # the drain's presence peek is stats-neutral: exactly one
-            # counted lookup per request (1 miss inline, 1 hit drained)
+            # counted lookup per request (2 misses inline, 1 hit drained)
             stats = gw.cache_stats()["result"]
-            assert stats.hits == 1 and stats.misses == 1
+            assert stats.hits == 1 and stats.misses == 2
