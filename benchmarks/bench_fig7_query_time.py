@@ -2,14 +2,14 @@
 
 Shape to reproduce: training-based methods' time-to-best-accuracy grows
 with n(Q) (more data, bigger students); PoE stays flat at ~0 regardless of
-n(Q).  Timed kernel: serving a query end-to-end through ModelQueryEngine.
+n(Q).  Timed kernel: building a query's model through ServingGateway.get_model
+with its model cache off, so every call consolidates.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import ModelQueryEngine
 from repro.eval import consolidation_times, render_table
+from repro.serving import GatewayConfig, ServingGateway
 
 
 @pytest.mark.parametrize("track_idx", [0, 1], ids=["synth-cifar", "synth-tiny"])
@@ -48,5 +48,5 @@ def test_fig7(benchmark, tracks, store, emit, track_idx):
     pool = store.pool(track)
     data = store.dataset(track)
     tasks = list(track.selected_tasks(data.hierarchy)[:5])
-    engine = ModelQueryEngine(pool, cache_models=False)
-    benchmark(lambda: engine.query(tasks))
+    with ServingGateway(pool, GatewayConfig(model_cache_bytes=0)) as gateway:
+        benchmark(lambda: gateway.get_model(tasks))

@@ -12,7 +12,7 @@ Run:  python examples/incremental_expert_addition.py
 
 import numpy as np
 
-from repro.core import ModelQueryEngine, PoEConfig, PoolOfExperts
+from repro.core import PoEConfig, PoolOfExperts
 from repro.data import ClassHierarchy
 from repro.data.synthetic import (
     HierarchicalImageDataset,
@@ -21,6 +21,7 @@ from repro.data.synthetic import (
 )
 from repro.distill import TrainConfig, train_scratch
 from repro.eval.metrics import accuracy, specialized_accuracy
+from repro.serving import ServingGateway
 
 
 def main() -> None:
@@ -60,29 +61,29 @@ def main() -> None:
 
     # Day 1: the service launches with three tasks.
     pool.preprocess(data.train, tasks=["fruit", "tools", "instruments"])
-    engine = ModelQueryEngine(pool)
-    print(f"\nday 1 pool: {engine.available_tasks()}")
-    day1_model = engine.query(["fruit", "tools"])
-    day1_logits = day1_model.logits(data.test.images[:16]).copy()
+    with ServingGateway(pool) as gateway:
+        print(f"\nday 1 pool: {gateway.available_tasks()}")
+        day1_model = gateway.get_model(["fruit", "tools"])
+        day1_logits = day1_model.logits(data.test.images[:16]).copy()
 
-    # Day 2: product asks for furniture recognition.  One extraction call:
-    print("\nday 2: extracting the 'furniture' expert (library untouched) ...")
-    snapshot = {k: v.copy() for k, v in pool.experts["fruit"].state_dict().items()}
-    pool.extract_expert("furniture", data.train.images)
-    print(f"day 2 pool: {engine.available_tasks()}")
+        # Day 2: product asks for furniture recognition.  One extraction call:
+        print("\nday 2: extracting the 'furniture' expert (library untouched) ...")
+        snapshot = {k: v.copy() for k, v in pool.experts["fruit"].state_dict().items()}
+        pool.extract_expert("furniture", data.train.images)
+        print(f"day 2 pool: {gateway.available_tasks()}")
 
-    # Existing experts and already-served models are bit-identical:
-    after = pool.experts["fruit"].state_dict()
-    untouched = all(np.array_equal(snapshot[k], after[k]) for k in snapshot)
-    print(f"existing experts untouched: {untouched}")
-    same = np.allclose(day1_logits, day1_model.logits(data.test.images[:16]), atol=1e-6)
-    print(f"previously served model unchanged: {same}")
+        # Existing experts and already-served models are bit-identical:
+        after = pool.experts["fruit"].state_dict()
+        untouched = all(np.array_equal(snapshot[k], after[k]) for k in snapshot)
+        print(f"existing experts untouched: {untouched}")
+        same = np.allclose(day1_logits, day1_model.logits(data.test.images[:16]), atol=1e-6)
+        print(f"previously served model unchanged: {same}")
 
-    # And the new task composes with the old ones immediately:
-    model = engine.query(["furniture", "fruit"])
-    acc = specialized_accuracy(model.network, data.test, model.task)
-    print(f"new composite furniture+fruit: accuracy {acc:.3f}, "
-          f"{model.num_params():,} params")
+        # And the new task composes with the old ones immediately:
+        model = gateway.get_model(["furniture", "fruit"])
+        acc = specialized_accuracy(model.network, data.test, model.task)
+        print(f"new composite furniture+fruit: accuracy {acc:.3f}, "
+              f"{model.num_params():,} params")
 
 
 if __name__ == "__main__":

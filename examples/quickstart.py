@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.core import ModelQueryEngine, PoEConfig, PoolOfExperts
+from repro.core import PoEConfig, PoolOfExperts
 from repro.data import ClassHierarchy
 from repro.data.synthetic import (
     HierarchicalImageDataset,
@@ -24,6 +24,7 @@ from repro.data.synthetic import (
 from repro.distill import TrainConfig, train_scratch
 from repro.eval.metrics import accuracy, specialized_accuracy
 from repro.models import WideResNet, count_params
+from repro.serving import ServingGateway
 
 
 def main() -> None:
@@ -77,23 +78,23 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Service phase: realtime model queries.
     # ------------------------------------------------------------------
-    engine = ModelQueryEngine(pool)
-    for query in (["pets"], ["pets", "birds"], ["wild", "fish", "birds"]):
-        start = time.perf_counter()
-        model = engine.query(query)
-        built_ms = 1000 * (time.perf_counter() - start)
-        composite = model.task
-        acc = specialized_accuracy(model.network, data.test, composite)
-        print(
-            f"query {'+'.join(query):<18} -> {model.network.arch_name():<28} "
-            f"{count_params(model.network):>7,} params, built in {built_ms:6.2f} ms, "
-            f"accuracy {acc:.3f}"
-        )
+    with ServingGateway(pool) as gateway:
+        for query in (["pets"], ["pets", "birds"], ["wild", "fish", "birds"]):
+            start = time.perf_counter()
+            model = gateway.get_model(query)
+            built_ms = 1000 * (time.perf_counter() - start)
+            acc = specialized_accuracy(model.network, data.test, model.task)
+            print(
+                f"query {'+'.join(query):<18} -> {model.network.arch_name():<28} "
+                f"{count_params(model.network):>7,} params, built in {built_ms:6.2f} ms, "
+                f"accuracy {acc:.3f}"
+            )
 
-    # A model predicts global class names directly:
-    sample = data.test.images[:5]
-    model = engine.query(["pets", "birds"])
-    print("sample predictions:", model.predict_names(sample))
+        # A model predicts global class names directly (a repeat query is
+        # served from the gateway's model cache):
+        sample = data.test.images[:5]
+        model = gateway.get_model(["pets", "birds"])
+        print("sample predictions:", model.predict_names(sample))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Layered architecture (see DESIGN.md):
 """
 
 from . import core, data, distill, eval, models, nn, optim, serving, tensor
-from .core import ModelQueryEngine, PoEConfig, PoolOfExperts, TaskSpecificModel
+from .core import PoEConfig, PoolOfExperts, TaskSpecificModel
 from .serving import ServingGateway
 
 __version__ = "1.0.0"
@@ -36,7 +36,6 @@ __all__ = [
     "PoolOfExperts",
     "ServingGateway",
     "PoEConfig",
-    "ModelQueryEngine",
     "TaskSpecificModel",
     "__version__",
 ]

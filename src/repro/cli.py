@@ -137,16 +137,16 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from .core import ModelQueryEngine
+    from .serving import ServingGateway
 
     store = ArtifactStore(args.root)
     track = get_track(args.track, fast=args.fast or None)
     pool = store.pool(track)
-    engine = ModelQueryEngine(pool)
     tasks = args.tasks.split(",")
-    start = time.perf_counter()
-    model = engine.query(tasks)
-    ms = 1000 * (time.perf_counter() - start)
+    with ServingGateway(pool) as gateway:
+        start = time.perf_counter()
+        model = gateway.get_model(tasks)
+        ms = 1000 * (time.perf_counter() - start)
     print(f"query {'+'.join(tasks)} served in {ms:.2f} ms")
     print(f"  architecture : {model.network.arch_name()}")
     print(f"  parameters   : {model.num_params():,}")

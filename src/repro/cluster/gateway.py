@@ -112,8 +112,10 @@ from .shard import PoolShard
 
 __all__ = ["ClusterConfig", "ClusterGateway", "RebalanceReport"]
 
-#: Head-fetch transports that reconstruct weights bit-exactly.
-_EXACT_TRANSPORTS = ("float32", "raw+zlib")
+#: Wire codec for cross-shard head fetches, migrations and library
+#: pushes.  It must be float-exact (``float32`` or ``raw+zlib``, never
+#: ``uint8``) so a cross-shard composite matches a single pool bit-for-bit.
+_FETCH_TRANSPORT = "raw+zlib"
 #: Shard id → the task group it answers for one query.
 Plan = Dict[int, Tuple[str, ...]]
 
@@ -164,11 +166,6 @@ class ClusterConfig:
     #: images per ``submit_predict`` drain, and the adaptive window floor.
     max_batch_images: int = 2048
     min_batch_images: int = 64
-    ttl_seconds: Optional[float] = None
-    #: Wire codec for cross-shard head fetches; must be float-exact so
-    #: cross-shard consolidation matches a single pool bit-for-bit.
-    fetch_transport: str = "raw+zlib"
-    router_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -177,10 +174,6 @@ class ClusterConfig:
             raise ValueError("workers_per_shard must be >= 1")
         if self.replicas_per_shard < 1:
             raise ValueError("replicas_per_shard must be >= 1")
-        if self.fetch_transport not in _EXACT_TRANSPORTS:
-            raise ValueError(
-                f"fetch_transport must be float-exact, one of {_EXACT_TRANSPORTS}"
-            )
 
     def shard_gateway_config(self) -> GatewayConfig:
         return GatewayConfig(
@@ -191,7 +184,6 @@ class ClusterConfig:
             result_cache_bytes=self.result_cache_bytes,
             max_batch_images=self.max_batch_images,
             min_batch_images=self.min_batch_images,
-            ttl_seconds=self.ttl_seconds,
         )
 
 
@@ -205,7 +197,7 @@ class RebalanceReport:
     drops: int
     composite_entries_dropped: int
     #: Serialized payload bytes shipped shard-to-shard for the migrations
-    #: (in the float-exact ``fetch_transport``, ``raw+zlib`` by default).
+    #: (in the float-exact ``raw+zlib`` codec).
     migrated_bytes: int = 0
     #: Topology epoch the commit phase installed (0 when nothing moved —
     #: a no-op plan never bumps the fence).
@@ -229,7 +221,6 @@ class ClusterGateway:
         self.router = router or ShardRouter(
             self.config.num_shards,
             replication=self.config.replication,
-            seed=self.config.router_seed,
             replicas_per_shard=self.config.replicas_per_shard,
         )
         if self.router.num_shards != self.config.num_shards:
@@ -258,9 +249,7 @@ class ClusterGateway:
                 assignment[shard_id].append(name)
         # one shared trunk-feature cache: every shard view runs the same
         # frozen library, so features are reusable cluster-wide
-        self.trunk_cache = TrunkFeatureCache(
-            self.config.trunk_cache_bytes, ttl_seconds=self.config.ttl_seconds
-        )
+        self.trunk_cache = TrunkFeatureCache(self.config.trunk_cache_bytes)
         # shard_factory(shard_id, task_names, gateway_config, trunk_cache)
         # decides the backend: in-process PoolShards by default, or remote
         # worker processes via repro.net's ShardWorkerFleet.shard_factory.
@@ -306,7 +295,6 @@ class ClusterGateway:
                 model_cache_bytes=self.config.composite_model_cache_bytes,
                 payload_cache_bytes=self.config.composite_payload_cache_bytes,
                 result_cache_bytes=self.config.result_cache_bytes,
-                ttl_seconds=self.config.ttl_seconds,
             ),
             metrics=self.metrics,
             trunk_cache=self.trunk_cache,
@@ -319,9 +307,7 @@ class ClusterGateway:
         self.result_cache = self._front.result_cache
         # deserialized remote heads, keyed (task, version): a version bump
         # can never hit a stale entry, and updates also drop bytes eagerly
-        self.remote_head_cache = ByteBudgetLRU(
-            self.config.remote_head_cache_bytes, ttl_seconds=self.config.ttl_seconds
-        )
+        self.remote_head_cache = ByteBudgetLRU(self.config.remote_head_cache_bytes)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -821,7 +807,7 @@ class ClusterGateway:
         plain references when it is in-process; every other group — and
         the home group too, when the shard is remote — comes out of the
         remote-head LRU, else a ``fetch_heads`` round trip in the
-        float-exact ``fetch_transport`` codec.  The LRU is keyed
+        float-exact ``raw+zlib`` codec.  The LRU is keyed
         ``(task, version)``: a version bump can never hit a stale entry, so
         repeat cross-shard builds skip the refetch without staleness risk.
         """
@@ -845,7 +831,7 @@ class ClusterGateway:
                 continue
             fetch_start = perf_counter()
             try:
-                raw = shard.fetch_heads(missing, self.config.fetch_transport)
+                raw = shard.fetch_heads(missing, _FETCH_TRANSPORT)
             except BaseException as error:
                 raise _tag_shard_error(error, shard_id)
             seconds = perf_counter() - fetch_start
@@ -936,9 +922,7 @@ class ClusterGateway:
                 if shard.is_remote():
                     if payload is None:
                         payload = serialize_library_state(
-                            self.pool,
-                            self.config.fetch_transport,
-                            store=self.pool.segments,
+                            self.pool, _FETCH_TRANSPORT, store=self.pool.segments
                         )
                     shard.push_library(
                         payload,
@@ -967,10 +951,7 @@ class ClusterGateway:
                 if shard.is_remote():
                     if payload is None:
                         payload = serialize_expert_heads(
-                            self.pool,
-                            (name,),
-                            self.config.fetch_transport,
-                            store=self.pool.segments,
+                            self.pool, (name,), _FETCH_TRANSPORT, store=self.pool.segments
                         )
                     shard.install_heads(
                         payload,
@@ -999,7 +980,7 @@ class ClusterGateway:
         """Bulk-serialize ``names`` off their source for a migration.
 
         This is the shard-to-shard wire boundary: one float-exact payload
-        (``config.fetch_transport``) per (source, destination) pair, joined
+        (``raw+zlib``) per (source, destination) pair, joined
         from the source pool's already-encoded head segments.  A remote destination receives the
         bytes verbatim inside an ``INSTALL_HEADS`` frame; a local one
         rebuilds head *copies* from them.  The codec is float-exact, so a
@@ -1017,7 +998,7 @@ class ClusterGateway:
             ):
                 source_pool = shard_pool
         payload = serialize_expert_heads(
-            source_pool, names, self.config.fetch_transport, store=source_pool.segments
+            source_pool, names, _FETCH_TRANSPORT, store=source_pool.segments
         )
         self.metrics.increment("migrated_bytes", len(payload))
         self.metrics.increment("expert_migrations", len(names))
@@ -1175,7 +1156,7 @@ class ClusterGateway:
         Call after mutating the router (``pin``/``replicate``) or pass a
         replacement router (same shard count).  Experts ship shard-to-shard
         as bulk serialized head payloads in the float-exact
-        ``fetch_transport`` codec (one payload per source/destination pair),
+        ``raw+zlib`` codec (one payload per source/destination pair),
         so answers never change; every cache entry that depended on a moved
         expert — on the old shard, the new shard, or the cluster composite
         tiers — is dropped explicitly.
@@ -1262,7 +1243,6 @@ class ClusterGateway:
         new_router = ShardRouter(
             new_num_shards,
             replication=new_replication,
-            seed=self.config.router_seed,
             replicas_per_shard=self.config.replicas_per_shard,
         )
         for task, shard_id in self.router.pins.items():

@@ -1,8 +1,11 @@
 """Pool of Experts — the paper's core contribution.
 
 * :class:`~repro.core.pool.PoolOfExperts` — preprocessing phase (library
-  extraction by KD, expert extraction by CKD) and train-free consolidation.
-* :class:`~repro.core.query.ModelQueryEngine` — the realtime service phase.
+  extraction by KD, expert extraction by CKD) and train-free consolidation;
+  :class:`~repro.core.query.TaskSpecificModel` binds a consolidated ``M(Q)``
+  to its composite task.  :class:`repro.serving.ServingGateway` serves it.
+* :mod:`~repro.core.server` — the self-contained payload container a
+  model ships in.
 * :class:`~repro.core.storage.ExpertStore` — persistence + Table 4 volumes.
 * :mod:`~repro.core.confidence` — Figure 5 overconfidence analysis.
 """
@@ -10,14 +13,10 @@
 from .confidence import ConfidenceProfile, max_confidences, ood_confidence_profile
 from .features import TrunkFeatureCache, array_digest
 from .pool import PoEConfig, PoolOfExperts, SegmentStore
-from .query import ModelQueryEngine, QueryRecord, TaskSpecificModel
+from .query import TaskSpecificModel
 from .server import (
     TRANSPORTS,
-    ModelQueryRequest,
-    ModelQueryResponse,
     PayloadError,
-    PoEClient,
-    PoEServer,
     RemoteExpert,
     deserialize_expert_heads,
     deserialize_task_model,
@@ -32,19 +31,13 @@ __all__ = [
     "SegmentStore",
     "TrunkFeatureCache",
     "array_digest",
-    "ModelQueryEngine",
     "TaskSpecificModel",
-    "QueryRecord",
     "ExpertStore",
     "VolumeReport",
     "estimate_all_specialists_volume",
     "ConfidenceProfile",
     "max_confidences",
     "ood_confidence_profile",
-    "PoEServer",
-    "PoEClient",
-    "ModelQueryRequest",
-    "ModelQueryResponse",
     "serialize_task_model",
     "deserialize_task_model",
     "serialize_expert_heads",

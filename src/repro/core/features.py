@@ -95,10 +95,10 @@ class TrunkFeatureCache:
     explicit :meth:`put` is not gated.
     """
 
-    def __init__(self, budget_bytes: int, ttl_seconds: Optional[float] = None) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         from ..serving.cache import ByteBudgetLRU
 
-        self._lru = ByteBudgetLRU(budget_bytes, ttl_seconds=ttl_seconds)
+        self._lru = ByteBudgetLRU(budget_bytes)
         # guards the generation and the digest memory
         self._lock = threading.Lock()
         # generation guard: clear() bumps it, and inserts computed against

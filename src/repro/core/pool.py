@@ -205,7 +205,7 @@ class PoolOfExperts:
         """Register ``callback(task_name, new_version)`` for expert updates.
 
         Serving layers use this to drop dependent cache entries the moment
-        an expert is re-extracted, instead of waiting for a TTL to expire.
+        an expert is re-extracted.
         """
         if callback not in self._listeners:
             self._listeners.append(callback)

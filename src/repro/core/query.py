@@ -1,23 +1,16 @@
-"""The service phase: realtime model querying (paper Fig. 1b).
+"""A consolidated model bound to its composite task (paper Fig. 1b).
 
-:class:`ModelQueryEngine` is the server-side component of the AIaaS scenario
-the paper motivates: clients submit a composite task (a set of primitive
-task names), the engine assembles the task-specific model from the pool
-without any training and returns a :class:`TaskSpecificModel` handle that
-predicts *global* class ids / names directly.
-
-The engine is a thin shim over :mod:`repro.serving`: cache keys are the
-canonical (sorted) task set, so permutations of the same query share one
-cache entry, and the memo itself is a byte-budgeted LRU rather than an
-unbounded dict.  For concurrent serving, payload delivery and load
-tooling, use :class:`repro.serving.ServingGateway` directly.
+:class:`TaskSpecificModel` is what the service phase hands out: the
+train-free ``M(Q)`` from :meth:`~repro.core.pool.PoolOfExperts.consolidate`
+plus the map from its unified-logit positions to *global* class ids and
+names.  :meth:`repro.serving.ServingGateway.get_model` serves one (cached,
+in canonical task order); :func:`~repro.core.server.deserialize_task_model`
+rebuilds one from payload bytes.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,14 +24,8 @@ from ..models import (
 )
 from ..tensor import Tensor, no_grad
 from ..tensor.functional import softmax
-from .pool import PoolOfExperts
 
-__all__ = ["TaskSpecificModel", "QueryRecord", "ModelQueryEngine"]
-
-# A cache entry keeps at most this many head-order variants of one
-# consolidated model; a 6-task query has 720 permutations and the byte
-# budget only charges the weights once, so wrapper growth must be bounded.
-_MAX_ORDER_VARIANTS = 8
+__all__ = ["TaskSpecificModel"]
 
 
 class TaskSpecificModel:
@@ -144,103 +131,3 @@ class TaskSpecificModel:
 
     def num_flops(self, input_shape: Tuple[int, int, int]) -> int:
         return count_flops(self.network, input_shape)
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """Bookkeeping for one model query served by the engine."""
-
-    query: Tuple[str, ...]
-    seconds: float  # wall-clock consolidation latency
-    params: int
-    cached: bool
-
-
-class ModelQueryEngine:
-    """Serves task-specific models out of a :class:`PoolOfExperts`.
-
-    Consolidation is train-free, so serving a query is dominated by pure
-    Python object construction — microseconds, versus the minutes of
-    training that Scratch/Transfer/SD/UHC/CKD would need (Fig. 6-7).
-
-    The memo cache is keyed on the *canonical* task set
-    (:func:`repro.serving.canonical_tasks`), so ``query(["a", "b"])`` and
-    ``query(["b", "a"])`` share one consolidation; each requested head
-    order is materialised at most once per entry (weights are shared by
-    reference, so an order variant costs a wrapper, not a copy).  The cache
-    is byte-budgeted LRU — hot queries stay, cold ones age out.
-    """
-
-    def __init__(
-        self,
-        pool: PoolOfExperts,
-        cache_models: bool = True,
-        cache_bytes: int = 64 << 20,
-    ) -> None:
-        from ..serving.cache import ByteBudgetLRU
-
-        self.pool = pool
-        self.cache_models = cache_models
-        self._cache = ByteBudgetLRU(cache_bytes if cache_models else 0)
-        self.records: List[QueryRecord] = []
-
-    def available_tasks(self) -> Tuple[str, ...]:
-        """Primitive tasks that can currently be queried."""
-        return self.pool.expert_names()
-
-    def query(self, tasks: Union[CompositeTask, Sequence[str]]) -> TaskSpecificModel:
-        """Assemble (or fetch) the task-specific model for ``tasks``.
-
-        The returned model's logit layout follows the *requested* task
-        order; caching happens at canonical-key granularity underneath.
-        """
-        from ..serving.canonical import canonical_tasks
-
-        order = tuple(tasks.names) if isinstance(tasks, CompositeTask) else tuple(tasks)
-        key = canonical_tasks(order) if order else order  # empty -> consolidate raises
-        start = time.perf_counter()
-        entry: Optional[Dict[Tuple[str, ...], TaskSpecificModel]] = self._cache.get(key)
-        cached = entry is not None
-        if entry is None:
-            network, composite = self.pool.consolidate(tasks)
-            model = TaskSpecificModel(network, composite)
-            self._cache.put(key, {order: model}, model.cache_nbytes())
-        elif order in entry:
-            model = entry[order]
-        else:
-            model = self._rewrap(entry, order, tasks)
-            if len(entry) < _MAX_ORDER_VARIANTS:
-                entry[order] = model
-        elapsed = time.perf_counter() - start
-        self.records.append(
-            QueryRecord(query=key, seconds=elapsed, params=model.num_params(), cached=cached)
-        )
-        return model
-
-    def _rewrap(
-        self,
-        entry: Dict[Tuple[str, ...], TaskSpecificModel],
-        order: Tuple[str, ...],
-        tasks: Union[CompositeTask, Sequence[str]],
-    ) -> TaskSpecificModel:
-        """Materialise a cached entry under a different head order.
-
-        Reuses the cached model's trunk and heads by reference — no pool
-        access, no weight movement, just a new wrapper in ``order``.
-        """
-        sibling = next(iter(entry.values()))
-        heads = dict(zip(sibling.network.head_names, sibling.network.heads))
-        composite = (
-            tasks
-            if isinstance(tasks, CompositeTask)
-            else self.pool.hierarchy.composite(order)
-        )
-        network = BranchedSpecialistNet(
-            sibling.network.trunk, [(name, heads[name]) for name in order]
-        )
-        return TaskSpecificModel(network.eval_over_frozen(), composite)
-
-    def mean_latency(self) -> Optional[float]:
-        """Mean consolidation latency over non-cached queries, in seconds."""
-        fresh = [r.seconds for r in self.records if not r.cached]
-        return float(np.mean(fresh)) if fresh else None

@@ -1,14 +1,14 @@
-"""Client/server model delivery (paper Figure 1b).
+"""Model payloads: what model delivery ships (paper Figure 1b).
 
 In the paper's AIaaS picture the server does not run inference for the
 client — it *ships the task-specific model* so the client can run it
-on-device.  This module implements that protocol boundary:
-
-* :class:`PoEServer` — holds the pool; answers :class:`ModelQueryRequest`
-  with a :class:`ModelQueryResponse` whose payload is a self-contained,
-  serialized ``M(Q)`` (library + the queried expert heads + a manifest).
-* :class:`PoEClient` — reconstructs a runnable :class:`TaskSpecificModel`
-  from the payload bytes, with no access to the server's pool object.
+on-device.  This module is that boundary's format:
+:func:`serialize_task_model` packs a consolidated ``M(Q)`` (library + the
+queried expert heads + a manifest) into self-contained bytes, and
+:func:`deserialize_task_model` rebuilds a runnable
+:class:`~repro.core.query.TaskSpecificModel` from them with no access to
+the server's pool.  :meth:`repro.serving.ServingGateway.serve` is the
+server side (cached, coalesced).
 
 Every payload — a whole model, a set of expert heads
 (:func:`serialize_expert_heads`, what :mod:`repro.cluster` fetches and
@@ -49,7 +49,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,17 +57,13 @@ from ..compress import dequantize_tensor, quantize_tensor
 from ..compress.quantize import QuantizedTensor
 from ..data.hierarchy import CompositeTask, PrimitiveTask
 from ..models import BranchedSpecialistNet, WRNHead, WRNTrunk
-from .pool import LIBRARY_TASK, PoolOfExperts, SegmentStore
+from .pool import LIBRARY_TASK, SegmentStore
 from .query import TaskSpecificModel
 
 __all__ = [
     "TRANSPORTS",
     "MAX_SEGMENT_RAW_BYTES",
     "PayloadError",
-    "ModelQueryRequest",
-    "ModelQueryResponse",
-    "PoEServer",
-    "PoEClient",
     "serialize_task_model",
     "deserialize_task_model",
     "serialize_expert_heads",
@@ -97,37 +93,6 @@ class PayloadError(ValueError):
 def _check_transport(transport: str) -> None:
     if transport not in TRANSPORTS:
         raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-
-
-@dataclass(frozen=True)
-class ModelQueryRequest:
-    """A client's composite-task query."""
-
-    tasks: Tuple[str, ...]
-    transport: str = "float32"
-
-    def __post_init__(self) -> None:
-        if not self.tasks:
-            raise ValueError("a query needs at least one primitive task")
-        _check_transport(self.transport)
-
-
-@dataclass(frozen=True)
-class ModelQueryResponse:
-    """The served model: payload bytes + service metadata.
-
-    ``tasks`` is the *canonical* (sorted) task order — the payload's head
-    and logit layout.  ``cache_hit``/``coalesced`` report whether the bytes
-    came from the payload cache or from another request's in-flight build.
-    """
-
-    payload: bytes
-    tasks: Tuple[str, ...]
-    transport: str
-    build_seconds: float
-    payload_bytes: int
-    cache_hit: bool = False
-    coalesced: bool = False
 
 
 def _encode_segment(state: Dict[str, np.ndarray], quantize: bool) -> bytes:
@@ -434,56 +399,3 @@ def deserialize_library_state(payload) -> Tuple[WRNTrunk, int]:
         raise ValueError("payload is not a library-state payload")
     with _malformed():
         return _build_trunk(manifest["arch"], states["library"]), int(manifest["version"])
-
-
-class PoEServer:
-    """Server side of the realtime model-delivery service.
-
-    A thin shim over :class:`repro.serving.ServingGateway`: queries are
-    canonicalized, repeated shipments of the same model are served from a
-    byte-budgeted payload cache keyed on ``(canonical tasks, transport)``
-    and concurrent duplicates coalesce onto a single in-flight build; a
-    miss assembles the payload from the pool's encoded segments.  Pass a
-    preconfigured gateway to share caches/metrics across servers or to
-    tune budgets; by default each server owns one.
-    """
-
-    def __init__(self, pool: PoolOfExperts, gateway=None) -> None:
-        from ..serving.gateway import ServingGateway
-
-        self.pool = pool
-        self.gateway = gateway if gateway is not None else ServingGateway(pool)
-        self.served: List[ModelQueryResponse] = []
-
-    def available_tasks(self) -> Tuple[str, ...]:
-        return self.gateway.available_tasks()
-
-    def handle(self, request: ModelQueryRequest) -> ModelQueryResponse:
-        """Serve the queried model (train-free, cached, coalesced)."""
-        served = self.gateway.serve(request.tasks, transport=request.transport)
-        response = ModelQueryResponse(
-            payload=served.payload,
-            tasks=served.tasks,
-            transport=served.transport,
-            build_seconds=served.service_seconds,
-            payload_bytes=served.payload_bytes,
-            cache_hit=served.payload_cache_hit,
-            coalesced=served.coalesced,
-        )
-        self.served.append(response)
-        return response
-
-
-class PoEClient:
-    """Client side: requests a model and materialises it locally."""
-
-    def __init__(self, server: PoEServer) -> None:
-        self.server = server
-
-    def request_model(
-        self, tasks: Sequence[str], transport: str = "float32"
-    ) -> TaskSpecificModel:
-        response = self.server.handle(
-            ModelQueryRequest(tasks=tuple(tasks), transport=transport)
-        )
-        return deserialize_task_model(response.payload)

@@ -274,11 +274,6 @@ class ArtifactStore:
         self._write_json(path, record)
         return record
 
-    def has_result(self, track: TrackConfig, section: str, name: str) -> bool:
-        return os.path.exists(
-            os.path.join(self._result_dir(track), section, f"{name}.json")
-        )
-
     # ------------------------------------------------------------------
     # Paths / JSON helpers
     # ------------------------------------------------------------------

@@ -107,14 +107,6 @@ class BranchedSpecialistNet(Module):
         """
         return fused_trunk_for(self.trunk)
 
-    def fused_forward(self, images: np.ndarray) -> np.ndarray:
-        """Unified logits from raw NCHW images, fully fused (no autograd).
-
-        Compiled trunk + stacked head bank; matches :meth:`forward` to
-        float32 round-off.
-        """
-        return self.fused_bank()(self.fused_trunk()(images))
-
     def invalidate_fused(self) -> None:
         """Drop the stacked bank (and the trunk compile) so the next
         fast-path call rebuilds them — required after mutating weights in

@@ -93,15 +93,6 @@ class FusedHeadBank:
             pooled = mean_pool(self._final_bn(x), slot=0)
             return self._fc.concatenate(self._fc(pooled, slot=1))
 
-    def logits_per_head(self, features: np.ndarray) -> List[np.ndarray]:
-        """Per-head sub-logit blocks (diagnostics), in bank order."""
-        unified = self(features)
-        out, offset = [], 0
-        for width in self.class_widths:
-            out.append(unified[:, offset : offset + width])
-            offset += width
-        return out
-
     def nbytes(self) -> int:
         """Resident size of the stacked arrays."""
         return (

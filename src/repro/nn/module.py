@@ -64,9 +64,6 @@ class Module:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def named_children(self) -> Iterator[Tuple[str, "Module"]]:
-        yield from self._modules.items()
-
     def children(self) -> Iterator["Module"]:
         yield from self._modules.values()
 

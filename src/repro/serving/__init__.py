@@ -5,8 +5,8 @@ microseconds; this package makes that hold *under concurrent traffic*:
 
 * :mod:`~repro.serving.canonical` — one canonical query identity shared by
   every cache layer (sorted, deduplicated task names).
-* :mod:`~repro.serving.cache` — byte-budgeted LRU tiers with TTL and
-  eviction stats for consolidated models and serialized payloads.
+* :mod:`~repro.serving.cache` — byte-budgeted LRU tiers with eviction
+  stats for consolidated models and serialized payloads.
 * :mod:`~repro.serving.gateway` — :class:`ServingGateway`: request
   coalescing (single flight), cache tiers, worker-pool dispatch.
 * :mod:`~repro.serving.metrics` — per-stage latency histograms with
@@ -16,9 +16,10 @@ microseconds; this package makes that hold *under concurrent traffic*:
 * :mod:`~repro.serving.demo` — a self-contained micro pool so benchmarks
   and demos run without prebuilt artifacts.
 
-:class:`~repro.core.server.PoEServer` and
-:class:`~repro.core.query.ModelQueryEngine` remain the stable public API;
-both are thin shims over this package.
+:class:`ServingGateway` is the service API: :meth:`~ServingGateway.serve`
+ships a model's payload, :meth:`~ServingGateway.get_model` hands out the
+consolidated :class:`~repro.core.query.TaskSpecificModel`, and
+:meth:`~ServingGateway.predict` runs it.
 """
 
 from .cache import ByteBudgetLRU, CacheStats, merge_cache_stats

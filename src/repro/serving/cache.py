@@ -3,10 +3,10 @@
 :class:`ByteBudgetLRU` is a thread-safe LRU keyed on canonical query keys
 (:mod:`repro.serving.canonical`) whose capacity is expressed in *bytes*, not
 entries — consolidated models and serialized payloads vary wildly in size,
-so an entry-count bound would make memory use unpredictable.  Optional TTL
-expires stale entries (a pool that re-extracts an expert should not keep
-serving yesterday's weights forever), and :class:`CacheStats` exposes the
-hit/eviction accounting the metrics layer reports.
+so an entry-count bound would make memory use unpredictable.  Stale
+entries are dropped by their owner (the gateways' version listeners
+discard what a re-extracted expert invalidates), and :class:`CacheStats`
+exposes the hit/eviction accounting the metrics layer reports.
 
 A budget of ``0`` disables the cache: every ``get`` misses and every ``put``
 is rejected.  That is how the gateway (and the throughput benchmark's
@@ -24,7 +24,6 @@ anything about popularity or cost.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, List, Optional, Tuple
@@ -48,7 +47,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    expirations: int = 0
     rejections: int = 0
     #: Subset of ``evictions`` chosen by a score hook rather than pure LRU.
     score_evictions: int = 0
@@ -75,23 +73,18 @@ def merge_cache_stats(parts: List[CacheStats]) -> CacheStats:
         misses=sum(p.misses for p in parts),
         insertions=sum(p.insertions for p in parts),
         evictions=sum(p.evictions for p in parts),
-        expirations=sum(p.expirations for p in parts),
         rejections=sum(p.rejections for p in parts),
         score_evictions=sum(p.score_evictions for p in parts),
     )
 
 
 class ByteBudgetLRU:
-    """Thread-safe LRU cache bounded by total byte size, with optional TTL.
+    """Thread-safe LRU cache bounded by total byte size.
 
     Parameters
     ----------
     budget_bytes:
         Maximum total size of cached values.  ``0`` disables the cache.
-    ttl_seconds:
-        If set, entries older than this are treated as misses and dropped.
-    clock:
-        Monotonic time source; injectable for deterministic TTL tests.
     name:
         Optional tier label; when set, budget-pressure evictions emit a
         ``cache_evict`` event into the process journal (one aggregated
@@ -112,29 +105,22 @@ class ByteBudgetLRU:
     def __init__(
         self,
         budget_bytes: int,
-        ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         name: Optional[str] = None,
         evict_score: Optional[Callable[[Hashable], float]] = None,
     ) -> None:
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None)")
         self.budget_bytes = int(budget_bytes)
-        self.ttl_seconds = ttl_seconds
         self.name = name
         self.evict_score = evict_score
-        self._clock = clock
         self._lock = threading.Lock()
-        # key -> (value, size_bytes, stored_at)
-        self._entries: "OrderedDict[Hashable, Tuple[Any, int, float]]" = OrderedDict()
+        # key -> (value, size_bytes)
+        self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._insertions = 0
         self._evictions = 0
-        self._expirations = 0
         self._rejections = 0
         self._score_evictions = 0
 
@@ -170,16 +156,9 @@ class ByteBudgetLRU:
             if entry is None:
                 self._misses += 1
                 return default
-            value, size, stored_at = entry
-            if self.ttl_seconds is not None and self._clock() - stored_at > self.ttl_seconds:
-                del self._entries[key]
-                self._bytes -= size
-                self._expirations += 1
-                self._misses += 1
-                return default
             self._entries.move_to_end(key)
             self._hits += 1
-            return value
+            return entry[0]
 
     def put(self, key: Hashable, value: Any, size_bytes: int) -> bool:
         """Insert ``value``; evict entries until within budget.
@@ -199,7 +178,7 @@ class ByteBudgetLRU:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
-            self._entries[key] = (value, size_bytes, self._clock())
+            self._entries[key] = (value, size_bytes)
             self._bytes += size_bytes
             self._insertions += 1
             admitted = True
@@ -207,7 +186,7 @@ class ByteBudgetLRU:
             evicted_bytes = 0
             while self._bytes > self.budget_bytes:
                 victim = self._pick_victim()
-                _, victim_size, _ = self._entries.pop(victim)
+                _, victim_size = self._entries.pop(victim)
                 self._bytes -= victim_size
                 if victim == key:
                     # The new entry itself scored lowest: undo the insert
@@ -238,7 +217,7 @@ class ByteBudgetLRU:
             self._rejections += 1
 
     def contains(self, key: Hashable) -> bool:
-        """Whether a live (non-expired) entry exists for ``key``.
+        """Whether an entry exists for ``key``.
 
         A stats-neutral peek: no hit/miss accounting and no recency
         refresh, for callers that only *plan* around an entry's presence
@@ -246,15 +225,7 @@ class ByteBudgetLRU:
         and leave the counted lookup to the serving path itself.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            if (
-                self.ttl_seconds is not None
-                and self._clock() - entry[2] > self.ttl_seconds
-            ):
-                return False
-            return True
+            return key in self._entries
 
     def discard(self, key: Hashable) -> bool:
         """Drop one entry if present; returns whether it existed."""
@@ -295,7 +266,6 @@ class ByteBudgetLRU:
                 misses=self._misses,
                 insertions=self._insertions,
                 evictions=self._evictions,
-                expirations=self._expirations,
                 rejections=self._rejections,
                 score_evictions=self._score_evictions,
             )
@@ -305,7 +275,7 @@ class ByteBudgetLRU:
         with self._lock:
             self._hits = self._misses = 0
             self._insertions = self._evictions = 0
-            self._expirations = self._rejections = 0
+            self._rejections = 0
             self._score_evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover

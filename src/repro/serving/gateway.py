@@ -175,7 +175,6 @@ class GatewayConfig:
     #: Floor of the adaptive drain window (the window starts here, doubles
     #: while drains leave a backlog, and halves back when drains run light).
     min_batch_images: int = 64
-    ttl_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -377,16 +376,8 @@ class ServingGateway:
         #: eviction in every tier, learns build costs, and prefetches hot
         #: payloads through :meth:`prefetch`.
         self.controller = controller
-        self.model_cache = ByteBudgetLRU(
-            self.config.model_cache_bytes,
-            ttl_seconds=self.config.ttl_seconds,
-            name="model",
-        )
-        self.payload_cache = ByteBudgetLRU(
-            self.config.payload_cache_bytes,
-            ttl_seconds=self.config.ttl_seconds,
-            name="payload",
-        )
+        self.model_cache = ByteBudgetLRU(self.config.model_cache_bytes, name="model")
+        self.payload_cache = ByteBudgetLRU(self.config.payload_cache_bytes, name="payload")
         # trunk features depend only on the frozen library (never on expert
         # versions), so this tier survives expert re-extraction; pass a
         # shared instance to pool hit rates across gateways over one library
@@ -395,16 +386,10 @@ class ServingGateway:
         self.trunk_cache = (
             trunk_cache
             if trunk_cache is not None
-            else TrunkFeatureCache(
-                self.config.trunk_cache_bytes, ttl_seconds=self.config.ttl_seconds
-            )
+            else TrunkFeatureCache(self.config.trunk_cache_bytes)
         )
         # fully-materialized answers: logits keyed (digest, tasks, versions)
-        self.result_cache = ByteBudgetLRU(
-            self.config.result_cache_bytes,
-            ttl_seconds=self.config.ttl_seconds,
-            name="result",
-        )
+        self.result_cache = ByteBudgetLRU(self.config.result_cache_bytes, name="result")
         self._flights = SingleFlight()
         self._predict_lock = threading.Lock()
         # deque: window-bounded drains pop from the head while submitters
@@ -423,7 +408,7 @@ class ServingGateway:
         # artifact can never survive the listener.
         self._invalidate_lock = threading.Lock()
         # Explicit invalidation: when the pool re-extracts an expert, drop
-        # every dependent cache entry now instead of waiting for TTL.
+        # every dependent cache entry now.
         self._listener = lambda name, version: self._on_pool_update(name)
         add_listener = getattr(pool, "add_listener", None)
         if add_listener is not None:

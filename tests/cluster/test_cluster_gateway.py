@@ -87,10 +87,6 @@ class TestServe:
         with pytest.raises(ValueError, match="transport"):
             cluster.serve([cluster.available_tasks()[0]], transport="float16")
 
-    def test_fetch_transport_must_be_exact(self):
-        with pytest.raises(ValueError, match="float-exact"):
-            ClusterConfig(fetch_transport="uint8")
-
     def test_get_model_matches_consolidate(self, cluster, wide_pool):
         pool, data = wide_pool
         query = _cross_shard_query(cluster)

@@ -1,51 +1,47 @@
-"""Client/server model delivery (paper Fig. 1b)."""
+"""Model delivery (paper Fig. 1b): gateway payloads and client-side rebuilds."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ModelQueryRequest,
-    PoEClient,
-    PoEServer,
-    deserialize_task_model,
-    serialize_task_model,
-)
+from repro.core import deserialize_task_model, serialize_task_model
 from repro.distill import batched_forward
+from repro.serving import ServingGateway
+
+
+@pytest.fixture()
+def gateway(named_pool):
+    pool, _, _ = named_pool
+    gw = ServingGateway(pool)
+    yield gw
+    gw.close()
 
 
 class TestRequestValidation:
-    def test_empty_query_rejected(self):
+    def test_empty_query_rejected(self, gateway):
         with pytest.raises(ValueError):
-            ModelQueryRequest(tasks=())
+            gateway.serve(())
 
-    def test_unknown_transport_rejected(self):
+    def test_unknown_transport_rejected(self, gateway):
         with pytest.raises(ValueError):
-            ModelQueryRequest(tasks=("pets",), transport="float16")
+            gateway.serve(("pets",), transport="float16")
 
 
 class TestServer:
-    def test_available_tasks(self, named_pool):
-        pool, _, _ = named_pool
-        server = PoEServer(pool)
-        assert set(server.available_tasks()) == {"pets", "birds", "fish"}
+    def test_available_tasks(self, gateway):
+        assert set(gateway.available_tasks()) == {"pets", "birds", "fish"}
 
-    def test_handle_returns_payload(self, named_pool):
-        pool, _, _ = named_pool
-        server = PoEServer(pool)
-        response = server.handle(ModelQueryRequest(tasks=("pets", "fish")))
+    def test_handle_returns_payload(self, gateway):
+        response = gateway.serve(("pets", "fish"))
         assert response.payload_bytes == len(response.payload) > 0
-        assert response.build_seconds < 2.0
-        assert server.served[-1] is response
+        assert response.service_seconds < 2.0
 
-    def test_unknown_task_propagates(self, named_pool):
-        pool, _, _ = named_pool
-        server = PoEServer(pool)
+    def test_unknown_task_propagates(self, gateway):
         with pytest.raises(KeyError):
-            server.handle(ModelQueryRequest(tasks=("dragons",)))
+            gateway.serve(("dragons",))
 
 
 class TestRoundtrip:
-    def test_client_model_matches_server_model(self, named_pool):
+    def test_client_model_matches_server_model(self, gateway, named_pool):
         """The shipped model must compute exactly the server-side logits.
 
         Payloads are laid out in canonical (sorted) task order, so the
@@ -55,9 +51,7 @@ class TestRoundtrip:
         from repro.serving import canonical_tasks
 
         pool, data, _ = named_pool
-        server = PoEServer(pool)
-        client = PoEClient(server)
-        model = client.request_model(["pets", "birds"])
+        model = deserialize_task_model(gateway.serve(["pets", "birds"]).payload)
         canonical_net, _ = pool.consolidate(list(canonical_tasks(["pets", "birds"])))
         request_net, request_comp = pool.consolidate(["pets", "birds"])
         x = data.test.images[:10]
@@ -71,20 +65,15 @@ class TestRoundtrip:
             model.predict(x), batched_forward(request_net, x), request_comp.classes
         )
 
-    def test_class_names_travel(self, named_pool):
-        pool, _, _ = named_pool
-        client = PoEClient(PoEServer(pool))
-        model = client.request_model(["fish"])
+    def test_class_names_travel(self, gateway):
+        model = deserialize_task_model(gateway.serve(["fish"]).payload)
         assert model.class_names == ("eel", "cod")
         assert tuple(model.classes) == (4, 5)
 
-    def test_uint8_transport_smaller_and_close(self, named_pool):
-        pool, data, _ = named_pool
-        server = PoEServer(pool)
-        full = server.handle(ModelQueryRequest(tasks=("pets", "birds")))
-        packed = server.handle(
-            ModelQueryRequest(tasks=("pets", "birds"), transport="uint8")
-        )
+    def test_uint8_transport_smaller_and_close(self, gateway, named_pool):
+        _, data, _ = named_pool
+        full = gateway.serve(("pets", "birds"))
+        packed = gateway.serve(("pets", "birds"), transport="uint8")
         assert packed.payload_bytes < full.payload_bytes
         model_full = deserialize_task_model(full.payload)
         model_packed = deserialize_task_model(packed.payload)
@@ -92,10 +81,10 @@ class TestRoundtrip:
         agreement = (model_full.predict(x) == model_packed.predict(x)).mean()
         assert agreement > 0.9  # quantization costs little accuracy
 
-    def test_payload_is_self_contained(self, named_pool):
+    def test_payload_is_self_contained(self, gateway, named_pool):
         """Deserialization must not touch the pool — only the bytes."""
-        pool, data, _ = named_pool
-        payload = PoEServer(pool).handle(ModelQueryRequest(tasks=("pets",))).payload
+        _, data, _ = named_pool
+        payload = gateway.serve(("pets",)).payload
         model = deserialize_task_model(bytes(payload))
         preds = model.predict(data.test.images[:5])
         assert set(np.unique(preds)).issubset({0, 1})

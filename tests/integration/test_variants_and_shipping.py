@@ -4,10 +4,10 @@ on the shared micro track (artifacts reused from test_end_to_end)."""
 import numpy as np
 import pytest
 
-from repro.core import ModelQueryRequest, PoEClient, PoEServer
+from repro.core import deserialize_task_model
 from repro.distill import batched_forward
-from repro.eval import select_combos
 from repro.eval.metrics import specialized_accuracy
+from repro.serving import ServingGateway
 
 
 class TestPoolVariants:
@@ -62,8 +62,8 @@ class TestShippingOnRealPool:
         pool = store.pool(micro_track)
         data = store.dataset(micro_track)
         tasks = list(micro_track.selected_tasks(data.hierarchy)[:2])
-        client = PoEClient(PoEServer(pool))
-        shipped = client.request_model(tasks)
+        with ServingGateway(pool) as gateway:
+            shipped = deserialize_task_model(gateway.serve(tasks).payload)
         local, composite = pool.consolidate(tasks)
         x = data.test.images[:20]
         assert np.allclose(shipped.logits(x), batched_forward(local, x), atol=1e-4)
@@ -73,9 +73,9 @@ class TestShippingOnRealPool:
         data = store.dataset(micro_track)
         tasks = list(micro_track.selected_tasks(data.hierarchy)[:2])
         composite = data.hierarchy.composite(tasks)
-        client = PoEClient(PoEServer(pool))
-        full = client.request_model(tasks, transport="float32")
-        packed = client.request_model(tasks, transport="uint8")
+        with ServingGateway(pool) as gateway:
+            full = deserialize_task_model(gateway.serve(tasks, "float32").payload)
+            packed = deserialize_task_model(gateway.serve(tasks, "uint8").payload)
         acc_full = specialized_accuracy(full.network, data.test, composite)
         acc_packed = specialized_accuracy(packed.network, data.test, composite)
         assert acc_packed > acc_full - 0.05

@@ -52,10 +52,10 @@ class TestFusedEquivalence:
 
     def test_end_to_end_fused_logits_match(self, micro_pool):
         """TaskSpecificModel.fused_logits == .logits (loop) within round-off."""
-        from repro.core import ModelQueryEngine
+        from repro.core import TaskSpecificModel
 
         pool, data, _ = micro_pool
-        model = ModelQueryEngine(pool).query(sorted(pool.expert_names()))
+        model = TaskSpecificModel(*pool.consolidate(sorted(pool.expert_names())))
         x = data.test.images[:25]
         assert np.allclose(model.fused_logits(x), model.logits(x), rtol=1e-4, atol=1e-5)
         # chunked execution must agree with single-shot

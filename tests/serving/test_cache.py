@@ -1,21 +1,10 @@
-"""ByteBudgetLRU: byte accounting, LRU order, TTL, stats, thread safety."""
+"""ByteBudgetLRU: byte accounting, LRU order, stats, thread safety."""
 
 import threading
 
 import pytest
 
 from repro.serving import ByteBudgetLRU
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class TestBasics:
@@ -88,33 +77,6 @@ class TestEviction:
         assert stats.hits == 0 and stats.misses == 1 and stats.rejections == 2
 
 
-class TestTTL:
-    def test_entries_expire(self):
-        clock = FakeClock()
-        cache = ByteBudgetLRU(100, ttl_seconds=10, clock=clock)
-        cache.put("k", "v", 1)
-        clock.advance(9)
-        assert cache.get("k") == "v"
-        clock.advance(2)  # now 11s since (re-put refreshed? no: stored_at fixed)
-        assert cache.get("k") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.current_entries == 0
-
-    def test_put_refreshes_ttl(self):
-        clock = FakeClock()
-        cache = ByteBudgetLRU(100, ttl_seconds=10, clock=clock)
-        cache.put("k", "v1", 1)
-        clock.advance(8)
-        cache.put("k", "v2", 1)
-        clock.advance(8)
-        assert cache.get("k") == "v2"
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            ByteBudgetLRU(100, ttl_seconds=0)
-
-
 class TestStats:
     def test_hit_rate(self):
         cache = ByteBudgetLRU(100)
@@ -183,13 +145,3 @@ class TestContains:
         assert not cache.contains("missing")
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0  # peeks counted nothing
-
-    def test_contains_respects_ttl(self):
-        from repro.serving.cache import ByteBudgetLRU
-
-        now = [0.0]
-        cache = ByteBudgetLRU(1 << 10, ttl_seconds=5.0, clock=lambda: now[0])
-        cache.put("k", b"v", 1)
-        assert cache.contains("k")
-        now[0] = 10.0
-        assert not cache.contains("k")

@@ -115,20 +115,10 @@ class TestCacheControl:
             assert not second.payload_cache_hit and not second.model_cache_hit
             assert first.payload_bytes == second.payload_bytes
 
-    def test_ttl_expires_payloads(self, named_pool):
-        pool, _, _ = named_pool
-        config = GatewayConfig(ttl_seconds=0.05)
-        with ServingGateway(pool, config) as gateway:
-            gateway.serve(["pets"])
-            time.sleep(0.1)
-            response = gateway.serve(["pets"])
-            assert not response.payload_cache_hit
-            assert gateway.payload_cache.stats().expirations >= 1
-
 
 class TestInvalidation:
     def test_reextraction_drops_dependent_entries(self, named_pool):
-        """A version bump invalidates immediately — no waiting for TTL."""
+        """A version bump invalidates dependent entries immediately."""
         pool, _, _ = named_pool
         with ServingGateway(pool) as gateway:
             gateway.serve(["pets", "birds"])

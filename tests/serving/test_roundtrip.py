@@ -148,10 +148,11 @@ class TestUint8Roundtrip:
         assert np.allclose(once.logits(x), twice.logits(x), atol=1e-4)
 
     def test_unknown_transport_rejected_by_gateway(self, named_pool):
-        from repro.core import ModelQueryRequest
+        from repro.serving import ServingGateway
 
-        with pytest.raises(ValueError):
-            ModelQueryRequest(tasks=("pets",), transport="float16")
+        pool, _, _ = named_pool
+        with ServingGateway(pool) as gateway, pytest.raises(ValueError):
+            gateway.serve(("pets",), transport="float16")
 
 
 def test_transports_are_what_exists(named_pool):
