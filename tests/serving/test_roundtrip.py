@@ -148,8 +148,6 @@ class TestUint8Roundtrip:
         assert np.allclose(once.logits(x), twice.logits(x), atol=1e-4)
 
     def test_unknown_transport_rejected_by_gateway(self, named_pool):
-        from repro.serving import ServingGateway
-
         pool, _, _ = named_pool
         with ServingGateway(pool) as gateway, pytest.raises(ValueError):
             gateway.serve(("pets",), transport="float16")
