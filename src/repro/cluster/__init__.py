@@ -10,9 +10,9 @@ The serving gateway (PR 1) scales one process; this package scales *out*:
   :class:`~repro.serving.ServingGateway`, plus the serialized head-fetch
   boundary remote consolidation crosses.
 * :mod:`~repro.cluster.gateway` — :class:`ClusterGateway`: splits a
-  canonical query by shard, serves single-shard queries on the owning
-  shard's fast path, consolidates cross-shard queries by fetching remote
-  heads, and caches assembled composites.  ``rebalance()`` migrates
+  canonical query by shard, relays single-shard queries to the owning
+  shard, consolidates cross-shard queries by fetching remote heads, and
+  caches every composite's payload at the front end.  ``rebalance()`` migrates
   experts without changing answers.
 * :mod:`~repro.cluster.metrics` — :class:`ClusterMetrics`: per-shard
   traffic and the cross-shard fan-out histogram on top of the serving

@@ -2,25 +2,26 @@
 
 :class:`ClusterGateway` scales the serving tier horizontally.  Experts are
 partitioned across N :class:`~repro.cluster.shard.PoolShard`\\ s by a
-:class:`~repro.cluster.router.ShardRouter`; a query travels one of two
-paths:
+:class:`~repro.cluster.router.ShardRouter`.  Every served query runs
+through the *front tier*: one :class:`~repro.serving.ServingGateway` over
+the parent pool (its payload/model/result tiers, single flight, version
+guards, build cost).  A payload-tier miss is answered one of two ways:
 
-* **single-shard fast path** — the router's plan touches one shard, which
-  serves the query entirely through its own gateway (caches, coalescing,
-  metrics) exactly as a standalone deployment would.
-* **cross-shard consolidation** — the plan spans shards, and the request
-  runs through the *front tier*: one
-  :class:`~repro.serving.ServingGateway` over the parent pool (its
-  payload/model/result tiers, single flight, version guards, build cost)
-  whose consolidate step is this class's — pick the *home* shard (largest
-  task group), fetch the other shards' expert heads as serialized
-  payloads (the UniPool view: any expert is queryable regardless of
-  placement), rebuild them, and assemble one
+* **single-shard relay** — the router's plan touches one shard, which
+  serves the query through its own gateway (caches, coalescing,
+  metrics) exactly as a standalone deployment would; the front tier
+  keeps the answer, its segments shared with the parent pool's, if the
+  shard answered at the versions the front end snapshotted.
+* **cross-shard consolidation** — the plan spans shards, and the front
+  tier's consolidate step is this class's — pick the *home* shard
+  (largest task group), fetch the other shards' expert heads as
+  serialized payloads (the UniPool view: any expert is queryable
+  regardless of placement), rebuild them, and assemble one
   :class:`~repro.models.BranchedSpecialistNet` over the shared library in
   canonical task order.
 
 What is written here is what only a cluster has: placement and planning,
-single-shard delegation, the replan-once rule, the remote-head tier and
+the single-shard relay, the replan-once rule, the remote-head tier and
 the mutations.  Accounting, tiers and responses are ``ServingGateway``'s.
 
 Because head payloads use a float-exact transport, a cross-shard composite
@@ -97,7 +98,7 @@ from ..core.server import (
 from ..models import BranchedSpecialistNet, frozen_param_count
 from ..obs.journal import JOURNAL
 from ..serving.cache import BYTES_PER_PARAM, ByteBudgetLRU, CacheStats, merge_cache_stats
-from ..serving.canonical import TaskQuery, canonical_tasks, payload_key
+from ..serving.canonical import TaskQuery, canonical_tasks
 from ..serving.gateway import (
     GatewayConfig,
     GatewayResponse,
@@ -152,6 +153,10 @@ class ClusterConfig:
     shard_model_cache_bytes: int = 64 << 20
     shard_payload_cache_bytes: int = 64 << 20
     composite_model_cache_bytes: int = 64 << 20
+    #: The front end's payload tier: every composite, single-shard ones
+    #: (relayed from their shard on a miss) and cross-shard ones (built
+    #: here).  An entry is charged its container head plus any segment
+    #: that is not the parent pool's own; 0 makes the tier a pass-through.
     composite_payload_cache_bytes: int = 64 << 20
     #: One content-addressed trunk-feature cache shared by every shard and
     #: the cluster front end (all shard views share one frozen library).
@@ -415,22 +420,21 @@ class ClusterGateway:
         return self._front.get_model(names)
 
     def prefetch(self, tasks: TaskQuery, transport: str = "float32") -> bool:
-        """Warm the payload cache for ``tasks`` without serving a request.
+        """Warm the front tier's payload cache for ``tasks`` without
+        serving a request (counted as ``prefetch_builds``).
 
-        Single-shard plans delegate to the owning in-process shard
-        gateway (its cache is the one a future serve will consult); plans
-        landing on a *remote* single shard return False — prefetch must
-        not push build work over the wire.  Cross-shard plans build into
-        the front tier's composite payload cache, counted as
-        ``prefetch_builds``.
+        Cross-shard plans build there; single-shard plans relay to their
+        in-process shard, and plans landing on a *remote* single shard
+        return False — prefetch must not push work over the wire.
         """
         names = canonical_tasks(tasks)
         plan = self._plan(names)
         if len(plan) > 1:
             return self._front.prefetch(names, transport)
         (shard_id,) = plan
-        shard = self.shards[shard_id]
-        return not shard.is_remote() and shard.prefetch(names, transport)
+        if self.shards[shard_id].is_remote():
+            return False
+        return self._front.prefetch(names, transport, relay=partial(self._relay, shard_id))
 
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Prediction through the fused fast path, routed like :meth:`serve`.
@@ -708,37 +712,29 @@ class ClusterGateway:
         return plan
 
     def _serve_planned(self, request) -> GatewayResponse:
+        """Every plan goes through the front tier's payload tier (after
+        routing, so the remote-staleness refusal comes first): a miss is
+        consolidated across shards, or relayed to the one shard that owns
+        the whole query."""
         with self.metrics.stage("route"):
             plan = self._route(request.names)
+        names, transport, front = request.names, request.transport, self._front
         if len(plan) > 1:
-            front = self._front
             consolidate = partial(self._consolidate, plan=plan)
-            return front._served(
-                request, *front._payload_tiers(request.names, request.transport, consolidate)
-            )
+            return front._served(request, *front._payload_tiers(names, transport, consolidate))
         (shard_id,) = plan
+        relay = partial(self._relay, shard_id)
+        return front._served(request, *front._payload_tiers(names, transport, relay=relay))
+
+    def _relay(self, shard_id: int, names: Tuple[str, ...], transport: str) -> GatewayResponse:
+        """A single-shard plan's payload-tier miss: its shard serves it."""
         # per-shard traffic counts requests that actually reach a shard
-        # (composite-cache hits and coalesced followers touch none)
+        # (front-tier hits and coalesced followers touch none)
         self.metrics.record_shard_requests((shard_id,))
         try:
-            response = self.shards[shard_id].serve(request.names, request.transport)
+            return self.shards[shard_id].serve(names, transport)
         except BaseException as error:
             raise _tag_shard_error(error, shard_id)
-        return self._relay_served(request, response)
-
-    def _relay_served(self, request, response: GatewayResponse) -> GatewayResponse:
-        """Front-end accounting of a serve that one shard answered."""
-        if response.coalesced:
-            self.metrics.increment("coalesced")
-        if response.payload_cache_hit and self.controller is not None:
-            # single-shard payloads live in the shard gateway's cache,
-            # but its key recipe is the same (names, transport) pair
-            self._front._note_payload_hit(payload_key(request.names, request.transport))
-        if request.queue_seconds:
-            # the shard didn't see the front end's queue wait
-            response = replace(response, queue_seconds=request.queue_seconds)
-        self.metrics.observe("total", perf_counter() - request.start)
-        return response
 
     def _check_remote_stale(self) -> None:
         """Refuse to serve once the pool diverged from networked workers.
@@ -782,25 +778,26 @@ class ClusterGateway:
     # ------------------------------------------------------------------
     def _consolidate(
         self, names: Tuple[str, ...], plan: Optional[Plan] = None
-    ) -> TaskSpecificModel:
+    ) -> Tuple[TaskSpecificModel, bool]:
         """Plan → gather the heads across shards → one branched net over
         the shared library (what the front tier runs on a model-tier miss).
 
         A composite-cache hit touches no shard; a build asks every shard
-        in the plan.  A request hands its routed ``plan`` down.
+        in the plan.  A request hands its routed ``plan`` down.  Returns
+        ``(model, fresh)``, as the seam does (see :meth:`_gather_heads`).
         """
         if plan is None:
             plan = self._plan(names)
         self.metrics.record_shard_requests(list(plan))
         with self.metrics.stage("fetch"):
-            heads = self._gather_heads(plan)
+            heads, fresh = self._gather_heads(plan)
         with self.metrics.stage("assemble"):
             network = BranchedSpecialistNet(
                 self.pool.library, [(name, heads[name]) for name in names]
             ).eval_over_frozen()
-            return TaskSpecificModel(network, self.pool.hierarchy.composite(names))
+            return TaskSpecificModel(network, self.pool.hierarchy.composite(names)), fresh
 
-    def _gather_heads(self, plan: Plan) -> Dict[str, object]:
+    def _gather_heads(self, plan: Plan) -> Tuple[Dict[str, object], bool]:
         """Collect every planned expert head, local or over the wire.
 
         The home shard (largest task group, ties → lowest id) contributes
@@ -810,20 +807,27 @@ class ClusterGateway:
         float-exact ``raw+zlib`` codec.  The LRU is keyed
         ``(task, version)``: a version bump can never hit a stale entry, so
         repeat cross-shard builds skip the refetch without staleness risk.
+
+        Returns ``(heads, fresh)``.  A worker may answer a fetch before it
+        applies an update this pool already counts: a head fetched at
+        another version than the pool's is still used for this answer, but
+        ``fresh`` is False, so the build is cached in no tier.
         """
         home = max(plan, key=lambda shard_id: (len(plan[shard_id]), -shard_id))
         heads: Dict[str, object] = {}
+        fresh = True
         for shard_id, group in plan.items():
             shard = self.shards[shard_id]
             local = shard.local_heads() if shard_id == home else None
             if local is not None:
                 heads.update(local)
                 continue
-            missing: List[str] = []
+            missing: Dict[str, int] = {}
             for name in group:
-                head = self.remote_head_cache.get((name, self.pool.expert_version(name)))
+                version = self.pool.expert_version(name)
+                head = self.remote_head_cache.get((name, version))
                 if head is None:
-                    missing.append(name)
+                    missing[name] = version
                     continue
                 self.metrics.increment("remote_head_hits")
                 heads[name] = head
@@ -831,7 +835,7 @@ class ClusterGateway:
                 continue
             fetch_start = perf_counter()
             try:
-                raw = shard.fetch_heads(missing, _FETCH_TRANSPORT)
+                raw = shard.fetch_heads(list(missing), _FETCH_TRANSPORT)
             except BaseException as error:
                 raise _tag_shard_error(error, shard_id)
             seconds = perf_counter() - fetch_start
@@ -840,15 +844,16 @@ class ClusterGateway:
             if self.controller is not None:
                 # wire roundtrip + bytes, amortized over the fetched tasks:
                 # the remote-head tier's eviction cost signal
-                self.controller.record_wire_cost(missing, seconds, len(raw))
+                self.controller.record_wire_cost(list(missing), seconds, len(raw))
             for name, remote in deserialize_expert_heads(raw).items():
                 heads[name] = remote.head.eval()  # held like a pool module: eval from here on
+                fresh = fresh and remote.version == missing.get(name)
                 self.remote_head_cache.put(
                     (name, remote.version),
                     remote.head,
                     frozen_param_count(remote.head) * BYTES_PER_PARAM,
                 )
-        return heads
+        return heads, fresh
 
     # ------------------------------------------------------------------
     # Invalidation + rebalance

@@ -110,7 +110,13 @@ class PoolShard:
     # Serving surface (delegated to the private gateway)
     # ------------------------------------------------------------------
     def serve(self, tasks: "TaskQuery", transport: str = "float32") -> GatewayResponse:
-        """Serve one model-delivery query entirely inside this shard."""
+        """Serve one model-delivery query entirely inside this shard.
+
+        The response carries this shard's versions of the tasks, taken
+        before the gateway looks at its tiers: a front end that has moved
+        past them (an update this shard has not applied yet) relays the
+        answer but does not keep it.
+        """
         return self.gateway.serve(tasks, transport)
 
     def predict(self, images: "np.ndarray", tasks: "TaskQuery") -> PredictionResponse:

@@ -362,9 +362,8 @@ class CacheController:
         the lowest resident score — a build below it would be denied
         admission (or evicted straight back out) by the very hooks this
         controller installed, so the serialize work would be pure waste.
-        For a cluster the floor comes from the cross-shard composite
-        cache (single-shard prefetches delegate to per-shard caches with
-        their own budgets; a slightly conservative floor is fine there).
+        For a cluster the floor comes from the front end's payload tier,
+        which every composite's prefetch warms.
         Reads cache state without holding the controller lock.
         """
         cache = getattr(target, "payload_cache", None)

@@ -260,6 +260,9 @@ class PoolOfExperts:
         view = PoolOfExperts(self.oracle, self.hierarchy, self.config)
         view.library = self.library
         view.library_student = self.library_student
+        # the same trunk object, so the same version: a view's answers
+        # compare equal to the parent's under expert_versions()
+        view._set_version(LIBRARY_TASK, self.expert_version(LIBRARY_TASK))
         for name in names:
             if name not in self.experts:
                 raise KeyError(

@@ -66,6 +66,7 @@ __all__ = [
     "PayloadError",
     "serialize_task_model",
     "deserialize_task_model",
+    "share_segments",
     "serialize_expert_heads",
     "deserialize_expert_heads",
     "serialize_library_state",
@@ -207,23 +208,33 @@ def _malformed():
         raise PayloadError(f"malformed payload: {type(error).__name__}: {error}") from error
 
 
+def _split(payload) -> Tuple[Dict, Tuple[memoryview, ...]]:
+    """``(header, (container head, *segments))``: ``payload`` cut along its
+    header's segment lengths, as views into it."""
+    view = memoryview(payload).cast("B")
+    if view[: len(_MAGIC)] != _MAGIC:
+        raise PayloadError("not a payload container (bad magic)")
+    header, body = _take_json(view[len(_MAGIC) :], "header")
+    segments = header["segments"]
+    if sum(nbytes for _, nbytes in segments) != len(body) or any(n < 0 for _, n in segments):
+        raise PayloadError("segment lengths do not sum to the bytes after the header")
+    offset = len(view) - len(body)
+    parts = [view[:offset]]
+    for _name, nbytes in segments:
+        parts.append(view[offset : offset + nbytes])
+        offset += nbytes
+    return header, tuple(parts)
+
+
 def _decode_payload(payload) -> Tuple[Dict, Dict[str, Dict[str, np.ndarray]]]:
     """Unpack any bytes-like payload into ``(manifest, {segment name: state})``."""
     with _malformed():
-        view = memoryview(payload).cast("B")
-        if view[: len(_MAGIC)] != _MAGIC:
-            raise PayloadError("not a payload container (bad magic)")
-        header, body = _take_json(view[len(_MAGIC) :], "header")
-        manifest, segments = header["manifest"], header["segments"]
+        header, parts = _split(payload)
+        manifest = header["manifest"]
         if not isinstance(manifest, dict):
             raise PayloadError("manifest is not a JSON object")
-        if sum(nbytes for _, nbytes in segments) != len(body) or any(n < 0 for _, n in segments):
-            raise PayloadError("segment lengths do not sum to the bytes after the header")
-        states, offset = {}, 0
-        for name, nbytes in segments:
-            states[name] = _decode_segment(body[offset : offset + nbytes])
-            offset += nbytes
-        return manifest, states
+        names = [name for name, _ in header["segments"]]
+        return manifest, {name: _decode_segment(part) for name, part in zip(names, parts[1:])}
 
 
 def _arch_manifest(config) -> Dict[str, object]:
@@ -295,6 +306,41 @@ def serialize_task_model(
     }
     parts = _payload_parts(manifest, segments)
     return parts if as_parts else b"".join(parts)
+
+
+def share_segments(
+    parts: Sequence, pool, names: Sequence[str], transport: str
+) -> Tuple[Tuple[bytes, ...], int]:
+    """``(parts, owned)``: a served payload of ``names``, ready to be held
+    next to ``pool``.
+
+    ``parts`` is the payload in :func:`serialize_task_model`'s layout —
+    joined, or as ``(container head, library segment, *head segments)`` —
+    as ``bytes`` or as views into a receive buffer.  A segment that is
+    byte-identical to ``pool``'s own encoding of the module it carries
+    (out of ``pool.segments``, encoded there on first use) is replaced by
+    that store object; the head and any other segment are copied out to
+    ``bytes``, and ``owned`` counts those copies: what the parts alone
+    keep alive.
+    """
+    if len(parts) == 1:
+        with _malformed():
+            parts = _split(parts[0])[1]  # views: nothing copied yet
+    store = getattr(pool, "segments", None)
+    if store is None or len(parts) != len(names) + 2:
+        held = tuple(map(bytes, parts))
+        return held, sum(map(len, held))
+    modules = [pool.library] + [pool.experts.get(name) for name in names]
+    held, owned = [bytes(parts[0])], len(parts[0])
+    for key, module, part in zip((LIBRARY_TASK, *names), modules, parts[1:]):
+        blob = None if module is None else _segment(store, key, module, transport)
+        # startswith compares a view in place: == on a memoryview goes byte by byte
+        if blob is not None and len(blob) == len(part) and (blob is part or blob.startswith(part)):
+            held.append(blob)
+        else:
+            held.append(bytes(part))
+            owned += len(part)
+    return tuple(held), owned
 
 
 def deserialize_task_model(payload) -> TaskSpecificModel:

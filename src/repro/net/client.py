@@ -146,11 +146,15 @@ def raise_remote_error(info: Dict) -> None:
 
 
 def gateway_response_from_body(meta: Dict, blob) -> GatewayResponse:
-    """Rebuild a :class:`GatewayResponse` from a ``SERVED`` body."""
+    """Rebuild a :class:`GatewayResponse` from a ``SERVED`` body.
+
+    The payload stays where the kernel put it: one view into the frame's
+    own receive buffer, joined into ``bytes`` only if the caller reads
+    ``payload`` (a front end keeping it cuts it into its parts instead).
+    """
+    versions = meta.get("versions")
     return GatewayResponse(
-        # the one user-space copy of a received payload: out of the frame's
-        # receive buffer, into the immutable bytes the caller keeps
-        parts=(bytes(blob),),
+        parts=(blob,),
         tasks=tuple(meta["tasks"]),
         transport=meta["transport"],
         queue_seconds=float(meta["queue_seconds"]),
@@ -158,6 +162,7 @@ def gateway_response_from_body(meta: Dict, blob) -> GatewayResponse:
         model_cache_hit=bool(meta["model_cache_hit"]),
         payload_cache_hit=bool(meta["payload_cache_hit"]),
         coalesced=bool(meta["coalesced"]),
+        versions=None if versions is None else tuple(versions),
     )
 
 

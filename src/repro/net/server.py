@@ -600,6 +600,8 @@ class ShardServer:
             "payload_cache_hit": response.payload_cache_hit,
             "coalesced": response.coalesced,
         }
+        if response.versions is not None:
+            meta["versions"] = list(response.versions)
         if spans:
             meta["trace_spans"] = spans
         self._send(

@@ -13,7 +13,8 @@ four stages, each one metered:
 2. **payload cache** — a byte-budgeted LRU keyed on ``(canonical tasks,
    transport)`` returns repeated shipments without rebuilding them.  An
    entry is the payload unjoined — its container head plus the pool's
-   own encoded segments — and is charged only the head.
+   own encoded segments — and is charged only the head.  With no budget
+   the tier is skipped outright (no key, no snapshot, no flight).
 3. **single flight** — concurrent duplicate requests coalesce onto one
    in-flight build; followers block on the leader's result instead of
    consolidating/serializing the same model N times.
@@ -95,7 +96,7 @@ import numpy as np
 from ..core.features import TrunkFeatureCache, array_digest, fused_trunk_features
 from ..core.pool import LIBRARY_TASK
 from ..core.query import TaskSpecificModel
-from ..core.server import TRANSPORTS, serialize_task_model
+from ..core.server import TRANSPORTS, serialize_task_model, share_segments
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
 from .canonical import TaskQuery, canonical_tasks, payload_key
@@ -112,7 +113,11 @@ __all__ = [
 
 T = TypeVar("T")
 #: Stands in for ``_consolidate`` on one build (a cluster hands its plan / fetched heads down).
-Seam = Optional[Callable[[Tuple[str, ...]], TaskSpecificModel]]
+Seam = Optional[Callable[[Tuple[str, ...]], Tuple[TaskSpecificModel, bool]]]
+#: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard.
+Relay = Optional[Callable[[Tuple[str, ...], str], "GatewayResponse"]]
+#: ``(payload parts, model_hit, payload_hit, coalesced)`` of one serve.
+Served = Tuple[Tuple[bytes, ...], bool, bool, bool]
 
 
 def expert_versions(pool, names: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
@@ -192,7 +197,8 @@ class GatewayResponse:
     ``tasks`` is the canonical task order — the payload's head/logit layout.
     ``parts`` is the payload as it was served: a container head plus the
     pool's own segment objects when it was assembled (or hit) here, one
-    part when it arrived joined.  :attr:`payload` joins them on first read.
+    view into the frame's receive buffer when it arrived over a socket.
+    :attr:`payload` joins them into ``bytes`` on first read.
     """
 
     parts: Tuple[bytes, ...]
@@ -205,6 +211,11 @@ class GatewayResponse:
     model_cache_hit: bool
     payload_cache_hit: bool
     coalesced: bool
+    #: The answering gateway's :func:`expert_versions` of ``tasks``, taken
+    #: before its tier lookup: a cluster front end keeps a payload relayed
+    #: from a shard only when these equal its own snapshot.  None when a
+    #: front end answered.
+    versions: Optional[Tuple[int, ...]] = None
 
     @property
     def payload(self) -> bytes:
@@ -219,6 +230,11 @@ class GatewayResponse:
     @property
     def payload_bytes(self) -> int:
         return sum(map(len, self.parts))
+
+
+def _relayed(response: GatewayResponse) -> Served:
+    """What a response another gateway answered reports to the tier work."""
+    return response.parts, response.model_cache_hit, response.payload_cache_hit, response.coalesced
 
 
 @dataclass(frozen=True)
@@ -460,16 +476,18 @@ class ServingGateway:
     def get_model(self, tasks: TaskQuery) -> TaskSpecificModel:
         """The consolidated model for ``tasks``, in canonical task order."""
         names = canonical_tasks(tasks)
-        model, _ = self._model_for(names, expert_versions(self.pool, names))
+        model, _, _ = self._model_for(names, expert_versions(self.pool, names))
         return model
 
-    def prefetch(self, tasks: TaskQuery, transport: str = "float32") -> bool:
+    def prefetch(
+        self, tasks: TaskQuery, transport: str = "float32", relay: Relay = None
+    ) -> bool:
         """Warm the payload cache for ``tasks`` without serving a request.
 
-        The self-tuning controller's actuator: builds (and caches) the
-        serialized payload exactly like a served miss would — single
-        flight, version guard and all — but counts under
-        ``prefetch_builds``/the ``prefetch`` stage instead of
+        The self-tuning controller's actuator: fills the payload tier
+        exactly like a served miss would — single flight, version guard
+        and all, through ``relay`` when a cluster hands one down — but
+        counts under ``prefetch_builds``/the ``prefetch`` stage instead of
         ``requests``, so prefetch traffic stays separable in every
         snapshot.  Returns True when a payload was built, False when one
         was already resident.
@@ -479,7 +497,7 @@ class ServingGateway:
         if self.payload_cache.contains(key):
             return False
         with self.metrics.stage("prefetch"):
-            self._flights.run(key, lambda: self._build_payload(names, transport, key))
+            self._flights.run(key, lambda: self._fill(names, transport, key, relay=relay))
         self.metrics.increment("prefetch_builds")
         return True
 
@@ -605,6 +623,7 @@ class ServingGateway:
         model_hit: bool,
         payload_hit: bool,
         coalesced: bool,
+        versions: Optional[Tuple[int, ...]] = None,
     ) -> GatewayResponse:
         """Close one serve's accounting into its response."""
         request.span.tag("payload_cache_hit", payload_hit)
@@ -620,6 +639,7 @@ class ServingGateway:
             model_cache_hit=model_hit,
             payload_cache_hit=payload_hit,
             coalesced=coalesced,
+            versions=versions,
         )
 
     def _predicted(
@@ -656,42 +676,104 @@ class ServingGateway:
         self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
     ) -> GatewayResponse:
         with _Request(self, "gateway.serve", "requests", tasks, transport, enqueued_at) as request:
-            return self._served(request, *self._payload_tiers(request.names, transport))
+            versions = expert_versions(self.pool, request.names)
+            return self._served(request, *self._payload_tiers(request.names, transport), versions)
 
     # ------------------------------------------------------------------
     # Tier work: payload tier → single flight → versions snapshot → model
-    # tier → consolidate → serialize → build cost → version-guarded put
+    # tier → consolidate → serialize (or a relay) → build cost →
+    # version-guarded put
     # ------------------------------------------------------------------
     def _payload_tiers(
-        self, names: Tuple[str, ...], transport: str, consolidate: Seam = None
-    ) -> Tuple[Tuple[bytes, ...], bool, bool, bool]:
+        self, names: Tuple[str, ...], transport: str, consolidate: Seam = None, relay: Relay = None
+    ) -> Served:
         """``(payload parts, model_hit, payload_hit, coalesced)`` for one serve:
-        a payload-tier hit, else one build per key across concurrent callers."""
-        key = payload_key(names, transport)
-        parts = self.payload_cache.get(key)
-        if parts is not None:
-            if self.controller is not None:
-                self._note_payload_hit(key)
-            # the model tier was never consulted
-            return parts, False, True, False
-        (parts, model_hit), coalesced = self._flights.run(
-            key, lambda: self._build_payload(names, transport, key, consolidate)
-        )
-        if coalesced:
+        a payload-tier hit, else one fill per key across concurrent callers.
+
+        ``relay`` answers a miss instead of a build here (a cluster's
+        single-shard plan).  A tier with no budget is a pass-through: no
+        key, no version snapshot, no flight.
+        """
+        if not self.payload_cache.budget_bytes:
+            if relay is not None:
+                served = _relayed(relay(names, transport))
+            else:
+                parts, model_hit, _ = self._build_payload(
+                    names, transport, expert_versions(self.pool, names), consolidate
+                )
+                served = (parts, model_hit, False, False)
+        else:
+            key = payload_key(names, transport)
+            parts = self.payload_cache.get(key)
+            if parts is not None:
+                if self.controller is not None:
+                    self._note_payload_hit(key)
+                # the model tier was never consulted
+                return parts, False, True, False
+            served, coalesced = self._flights.run(
+                key, lambda: self._fill(names, transport, key, consolidate, relay)
+            )
+            if coalesced:
+                served = (*served[:3], True)
+        if served[3]:
             self.metrics.increment("coalesced")
-        return parts, model_hit, False, coalesced
+        return served
 
     def _note_payload_hit(self, key: Hashable) -> None:
         """With a controller: a payload hit is its prefetch loop's if it put the entry there."""
         if self.controller.was_prefetched(key):
             self.metrics.increment("prefetch_hits")
 
-    def _build_payload(
-        self, names: Tuple[str, ...], transport: str, key: Hashable, consolidate: Seam = None
-    ) -> Tuple[Tuple[bytes, ...], bool]:
-        build_start = perf_counter()
+    def _fill(
+        self,
+        names: Tuple[str, ...],
+        transport: str,
+        key: Hashable,
+        consolidate: Seam = None,
+        relay: Relay = None,
+    ) -> Served:
+        """One payload-tier miss, built here or relayed, and its
+        version-guarded put.
+
+        An entry is charged only what it alone holds: a built one its
+        container head (the segments are the store's, which is bounded on
+        its own; fresh ones, with no store, are not), a relayed one
+        whatever of it :func:`~repro.core.server.share_segments` could not
+        replace by this pool's own segments.
+        """
         versions = expert_versions(self.pool, names)
-        model, model_hit = self._model_for(names, versions, consolidate)
+        if relay is None:
+            parts, model_hit, fresh = self._build_payload(names, transport, versions, consolidate)
+            served = (parts, model_hit, False, False)
+            store = getattr(self.pool, "segments", None)
+            owned = len(parts[0]) if store is not None else sum(map(len, parts))
+        else:
+            response = relay(names, transport)
+            parts, owned = share_segments(response.parts, self.pool, names, transport)
+            served = (parts, *_relayed(response)[1:])
+            # a shard still answering from versions this pool moved past
+            # (a push it has not applied yet) is relayed, not kept
+            fresh = response.versions == versions
+        # don't cache if an expert was re-extracted while we were filling:
+        # the invalidation listener fired before this entry existed (the
+        # lock makes check+put atomic against that listener)
+        if fresh:
+            with self._invalidate_lock:
+                if versions == expert_versions(self.pool, names):
+                    self.payload_cache.put(key, parts, owned)
+        return served
+
+    def _build_payload(
+        self,
+        names: Tuple[str, ...],
+        transport: str,
+        versions: Optional[Tuple[int, ...]],
+        consolidate: Seam = None,
+    ) -> Tuple[Tuple[bytes, ...], bool, bool]:
+        """``(payload parts, model_hit, fresh)``: consolidate (or hit the
+        model tier) and serialize; ``versions`` is the caller's snapshot."""
+        build_start = perf_counter()
+        model, model_hit, fresh = self._model_for(names, versions, consolidate)
         # an unversioned pool-shaped object has nothing to invalidate a
         # memoised segment with: encode fresh
         store = getattr(self.pool, "segments", None)
@@ -710,46 +792,42 @@ class ServingGateway:
             self.controller.record_build_cost(
                 names, max(perf_counter() - build_start - once, 0.0), sum(map(len, parts))
             )
-        # don't cache if an expert was re-extracted while we were building:
-        # the invalidation listener fired before this entry existed (the
-        # lock makes check+put atomic against that listener).  An entry is
-        # charged only the head it owns: the segments are the store's,
-        # which is bounded on its own (fresh ones, with no store, are not)
-        owned = len(parts[0]) if store is not None else sum(map(len, parts))
-        with self._invalidate_lock:
-            if versions == expert_versions(self.pool, names):
-                self.payload_cache.put(key, parts, owned)
-        return parts, model_hit
+        return parts, model_hit, fresh
 
     def _model_for(
         self, names: Tuple[str, ...], versions: Optional[Tuple[int, ...]], consolidate: Seam = None
-    ) -> Tuple[TaskSpecificModel, bool]:
-        """The model for ``names``; ``versions`` is the caller's
-        :func:`expert_versions` snapshot, which guards the cache put."""
+    ) -> Tuple[TaskSpecificModel, bool, bool]:
+        """``(model, model_hit, fresh)`` for ``names``; ``versions`` is the
+        caller's :func:`expert_versions` snapshot, which guards the cache
+        put.  A model that is not ``fresh`` is answered with but must be
+        cached in no tier."""
         model = self.model_cache.get(names)
         if model is not None:
-            return model, True
+            return model, True, True
 
-        def build() -> TaskSpecificModel:
-            built = (consolidate or self._consolidate)(names)
-            with self._invalidate_lock:
-                if versions == expert_versions(self.pool, names):
-                    self.model_cache.put(names, built, built.cache_nbytes())
-            return built
+        def build() -> Tuple[TaskSpecificModel, bool]:
+            built, fresh = (consolidate or self._consolidate)(names)
+            if fresh:
+                with self._invalidate_lock:
+                    if versions == expert_versions(self.pool, names):
+                        self.model_cache.put(names, built, built.cache_nbytes())
+            return built, fresh
 
-        built, _ = self._flights.run(("model", names), build)
-        return built, False
+        (built, fresh), _ = self._flights.run(("model", names), build)
+        return built, False, fresh
 
-    def _consolidate(self, names: Tuple[str, ...]) -> TaskSpecificModel:
+    def _consolidate(self, names: Tuple[str, ...]) -> Tuple[TaskSpecificModel, bool]:
         """The pipeline's one seam: how a model for ``names`` is put together.
 
-        Train-free consolidation out of ``self.pool`` here; a
+        Returns ``(model, fresh)``.  Train-free consolidation out of
+        ``self.pool`` here, always fresh; a
         :class:`~repro.cluster.ClusterGateway` rebinds this on its front
-        tier to gather the heads across shards first.
+        tier to gather the heads across shards first, and a model built
+        from a fetched head at another version than the pool's is not.
         """
         with self.metrics.stage("consolidate"):
             network, composite = self.pool.consolidate(list(names))
-            return TaskSpecificModel(network, composite)
+            return TaskSpecificModel(network, composite), True
 
     # ------------------------------------------------------------------
     # Prediction fast path
@@ -821,7 +899,9 @@ class ServingGateway:
             if admitted is None:
                 # this request's one sighting, taken before the trunk store
                 admitted = self.trunk_cache.admit(digest)
-        model, model_hit = self._model_for(names, expert_versions(self.pool, names), consolidate)
+        model, model_hit, fresh = self._model_for(
+            names, expert_versions(self.pool, names), consolidate
+        )
         if features is None:
             # the miss path runs the *compiled* eval-mode trunk, not autograd
             features, trunk_hit = self.trunk_cache.get_or_compute(
@@ -836,7 +916,7 @@ class ServingGateway:
             ids = model.classes[logits.argmax(axis=1)]
         if key is not None and not admitted:
             self.result_cache.refuse()
-        elif key is not None:
+        elif key is not None and fresh:
             # the standard stale-put guard: the key was snapshotted before
             # the model was acquired and is re-derived under the lock — a
             # re-extraction in between changes it and the answer is not

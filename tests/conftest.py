@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,6 +17,32 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def followers_joined(monkeypatch):
+    """``followers_joined(n)``: an Event set once ``n`` callers wait on
+    another caller's single flight.  A leader gated on it is released
+    with every follower already coalesced — no sleep decides the race."""
+    import repro.serving.gateway as serving_gateway
+
+    real_wait = serving_gateway._Inflight.wait
+    lock, joined, target, event = threading.Lock(), [0], [None], threading.Event()
+
+    def wait(flight):
+        with lock:
+            joined[0] += 1
+            if joined[0] == target[0]:
+                event.set()
+        return real_wait(flight)
+
+    monkeypatch.setattr(serving_gateway._Inflight, "wait", wait)
+
+    def arm(followers: int) -> threading.Event:
+        target[0] = followers
+        return event
+
+    return arm
 
 
 @pytest.fixture

@@ -196,9 +196,10 @@ class TestGoldenBits:
 
 class TestHarnessCatalogue:
     def test_four_mib_composite_tiers_hold_every_harness_key(self, harness_build, monkeypatch):
-        """``mixed_zipf_net``'s 4 MiB payload tiers hold all 64 composites x 3
-        transports without an eviction: an entry is charged its container
-        head, not a joined copy of the library trunk."""
+        """``mixed_zipf_net``'s 4 MiB front payload tier holds all 64
+        composites x 3 transports, and no payload tier evicts: an entry is
+        charged its container head, not a joined copy of the library trunk
+        (a relayed single-shard payload's segments are the front pool's)."""
         import importlib.util
         import sys
         from pathlib import Path
@@ -219,7 +220,9 @@ class TestHarnessCatalogue:
             for names in catalogue:
                 for transport in opgen.TRANSPORTS:
                     cluster.serve(names, transport)
-            stats = cluster.cache_stats()["payload"]
+            front = cluster.cache_stats()["composite_payload"]
+            tiers = [front] + [shard.cache_stats()["payload"] for shard in cluster.shards]
         assert len(catalogue) * len(opgen.TRANSPORTS) == 192
-        assert stats.current_entries == 192
-        assert stats.evictions == stats.rejections == 0
+        assert front.current_entries == 192
+        assert front.current_bytes < 192 * 1024  # heads only
+        assert all(stats.evictions == stats.rejections == 0 for stats in tiers)

@@ -12,6 +12,7 @@ import os
 import socket
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
 from repro.control import CacheController
 from repro.core import deserialize_task_model, serialize_task_model
 from repro.distill import batched_forward
+from repro.models import WRNHead
 from repro.net import (
     MsgType,
     NetworkedCluster,
@@ -108,6 +110,63 @@ def test_every_entry_path_ships_the_plain_pool_bytes(net_pool, in_process, entry
 def test_single_shard_payload_bit_identical(networked, in_process):
     task = sorted(in_process.available_tasks())[0]
     assert networked.gateway.serve((task,)).payload == in_process.serve((task,)).payload
+
+
+def _count_frames(monkeypatch, gateway) -> Counter:
+    """Requests each remote shard client puts on the wire, by message type."""
+    sent = Counter()
+    for shard in gateway.shards:
+
+        def counted(msg_type, *args, real=shard._request):
+            sent[msg_type] += 1
+            return real(msg_type, *args)
+
+        monkeypatch.setattr(shard, "_request", counted)
+    return sent
+
+
+def test_a_repeated_single_shard_serve_sends_one_serve_frame(net_pool, monkeypatch):
+    """The front tier keeps a single-shard payload: a repeat is a front-end
+    hit, byte-identical to what one plain pool serialises."""
+    pool, _data = net_pool
+    with NetworkedCluster(pool, CONFIG) as deployment:
+        gateway = deployment.gateway
+        sent = _count_frames(monkeypatch, gateway)
+        task = sorted(gateway.available_tasks())[0]
+        for count, transport in enumerate(("float32", "uint8", "raw+zlib"), start=1):
+            expected = serialize_task_model(*pool.consolidate([task]), pool.config, transport)
+            responses = [gateway.serve((task,), transport) for _ in range(3)]
+            assert [r.payload for r in responses] == [expected] * 3
+            assert [r.payload_cache_hit for r in responses[1:]] == [True, True]
+            assert sent[MsgType.SERVE] == count
+        assert gateway.cache_stats()["composite_payload"].current_entries == 3
+
+
+def test_a_reextraction_reaches_the_worker_and_ships_the_new_bytes(net_pool, monkeypatch):
+    base, _data = net_pool
+    pool = base.subset(sorted(base.expert_names()))  # this test re-extracts
+    task = sorted(pool.expert_names())[0]
+    with NetworkedCluster(pool, CONFIG) as deployment:
+        gateway = deployment.gateway
+        sent = _count_frames(monkeypatch, gateway)
+        old = gateway.serve((task,)).payload
+        assert gateway.serve((task,)).payload_cache_hit and sent[MsgType.SERVE] == 1
+        config = pool.config
+        head = WRNHead(
+            config.library_depth,
+            config.library_k,
+            config.expert_ks,
+            num_classes=len(pool.hierarchy.task(task)),
+            library_level=config.library_level,
+        )
+        head.load_state_dict({k: 1.5 * v for k, v in pool.experts[task].state_dict().items()})
+        pool.attach_expert(task, head)  # version bump: pushed to the worker
+        expected = serialize_task_model(*pool.consolidate([task]), pool.config)
+        assert expected != old
+        fresh = gateway.serve((task,))
+        assert sent[MsgType.SERVE] == 2 and not fresh.payload_cache_hit
+        assert fresh.payload == expected
+        assert gateway.serve((task,)).payload_cache_hit and sent[MsgType.SERVE] == 2
 
 
 def test_get_model_logits_bit_identical(networked, in_process, net_pool):

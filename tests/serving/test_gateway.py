@@ -1,7 +1,6 @@
 """ServingGateway: canonicalization, cache tiers, single-flight coalescing."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -18,11 +17,12 @@ def gateway(named_pool):
 
 
 class CountingPool:
-    """Wraps a trained pool, counting (and optionally slowing) consolidations."""
+    """Wraps a trained pool, counting (and optionally gating) consolidations."""
 
-    def __init__(self, pool, delay=0.0):
+    def __init__(self, pool, gate=None):
         self._pool = pool
-        self.delay = delay
+        #: A ``threading.Event`` every consolidation waits for, if given.
+        self.gate = gate
         self.consolidations = 0
         self._lock = threading.Lock()
         self.config = pool.config
@@ -31,8 +31,8 @@ class CountingPool:
     def consolidate(self, query):
         with self._lock:
             self.consolidations += 1
-        if self.delay:
-            time.sleep(self.delay)
+        if self.gate is not None:
+            assert self.gate.wait(timeout=60), "the gate was never opened"
         return self._pool.consolidate(query)
 
     def expert_names(self):
@@ -149,11 +149,11 @@ class TestInvalidation:
 
 
 class TestCoalescing:
-    def test_concurrent_duplicates_consolidate_exactly_once(self, named_pool):
+    def test_concurrent_duplicates_consolidate_exactly_once(self, named_pool, followers_joined):
         """The satellite guarantee: N concurrent identical queries, 1 build."""
         pool, _, _ = named_pool
-        counting = CountingPool(pool, delay=0.15)
         clients = 6
+        counting = CountingPool(pool, gate=followers_joined(clients - 1))
         with ServingGateway(counting) as gateway:
             responses = [None] * clients
             barrier = threading.Barrier(clients)
@@ -177,7 +177,7 @@ class TestCoalescing:
         assert len(coalesced) == clients - 1
         assert gateway.metrics.counter("coalesced") == clients - 1
 
-    def test_coalesced_error_propagates_to_all_waiters(self, named_pool):
+    def test_coalesced_error_propagates_to_all_waiters(self, named_pool, followers_joined):
         pool, _, _ = named_pool
 
         class FailingPool(CountingPool):
@@ -185,8 +185,8 @@ class TestCoalescing:
                 super().consolidate(query)
                 raise KeyError("boom")
 
-        failing = FailingPool(pool, delay=0.1)
         clients = 4
+        failing = FailingPool(pool, gate=followers_joined(clients - 1))
         errors = []
         with ServingGateway(failing) as gateway:
             barrier = threading.Barrier(clients)

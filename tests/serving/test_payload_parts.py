@@ -121,6 +121,12 @@ def test_served_bytes_follow_every_mutation(named_pool, steps):
                 for serving in (gateway, cluster):
                     for _ in range(2):  # a build, then a payload-tier hit
                         assert serving.serve(names, transport).payload == expected
+                # the cluster's single-shard arm: each shard's share of the
+                # query, relayed on a miss and held by the front tier
+                for group in cluster._plan(tuple(sorted(names))).values():
+                    expected = _fresh_bytes(pool, group, transport)
+                    for _ in range(2):
+                        assert cluster.serve(group, transport).payload == expected
             elif kind == "extract":
                 pool.extract_expert(name, images, train_config=_QUICK)
                 detached.pop(name, None)
