@@ -1,10 +1,11 @@
 """Extension bench: stacking quantization/pruning on PoE (paper §2 claim).
 
 The paper positions KD as orthogonal to quantization and pruning.  This
-bench extends Table 4: experts shipped as affine-uint8 shrink the pool a
-further ~4x with negligible prediction churn, and magnitude-pruned experts
-shrink the sparse encoding further.  Timed kernel: serializing a model
-payload for shipping (the server's per-query byte cost).
+bench extends Table 4 (artifacts ``ext_compression`` and ``ext_pruning``
+in ``repro.eval.claims``): experts shipped as affine-uint8 shrink the
+pool a further ~4x with negligible prediction churn, and magnitude-pruned
+experts shrink the sparse encoding further.  Timed kernel: serializing a
+model payload for shipping (the server's per-query byte cost).
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.compress import (
     sparse_nbytes,
 )
 from repro.core import deserialize_task_model
-from repro.eval import render_table
+from repro.eval import claims
 from repro.nn import state_dict_nbytes
 from repro.serving import ServingGateway
 
@@ -37,35 +38,18 @@ def test_compression_stacks_with_poe(benchmark, tracks, store, emit, track_idx):
     model_full = deserialize_task_model(full.payload)
     model_packed = deserialize_task_model(packed.payload)
     x = data.test.images[:200]
-    agreement = float((model_full.predict(x) == model_packed.predict(x)).mean())
 
     # raw state-dict accounting per expert
-    name = tasks[0]
-    expert_state = pool.experts[name].state_dict()
-    raw = state_dict_nbytes(expert_state)
-    quant = quantized_nbytes(quantize_state(expert_state))
-
-    rows = [
-        ["float32 payload", f"{full.payload_bytes / 1024:.1f}KB", "1.00"],
-        [
-            "uint8 payload",
-            f"{packed.payload_bytes / 1024:.1f}KB",
-            f"{agreement:.3f}",
-        ],
-        ["expert state raw", f"{raw / 1024:.1f}KB", "-"],
-        ["expert state uint8", f"{quant / 1024:.1f}KB", "-"],
-    ]
-    emit(
-        f"ext_compression_{track.name}",
-        render_table(
-            ["Representation", "Bytes", "Prediction agreement"],
-            rows,
-            title=f"Extension ({track.name}): quantization stacked on PoE",
-        ),
-    )
-    assert packed.payload_bytes < full.payload_bytes
-    assert quant < raw / 3.5
-    assert agreement > 0.9
+    expert_state = pool.experts[tasks[0]].state_dict()
+    result = {
+        "float32_bytes": full.payload_bytes,
+        "uint8_bytes": packed.payload_bytes,
+        "agreement": float((model_full.predict(x) == model_packed.predict(x)).mean()),
+        "expert_raw_bytes": state_dict_nbytes(expert_state),
+        "expert_uint8_bytes": quantized_nbytes(quantize_state(expert_state)),
+    }
+    emit(f"ext_compression_{track.name}", claims.render("ext_compression", result))
+    claims.check("ext_compression", result)
 
 
 @pytest.mark.parametrize("track_idx", [0], ids=["synth-cifar"])
@@ -73,7 +57,7 @@ def test_pruning_shrinks_expert_storage(benchmark, tracks, store, emit, track_id
     """Magnitude pruning at 50% halves the sparse encoding of an expert
     while keeping its standalone accuracy close (orthogonality claim)."""
     from repro.eval.metrics import specialized_accuracy
-    from repro.models import WRNHead
+    from repro.models import BranchedSpecialistNet, WRNHead
 
     if track_idx >= len(tracks):
         pytest.skip("track not selected via REPRO_BENCH_TRACKS")
@@ -89,29 +73,17 @@ def test_pruning_shrinks_expert_storage(benchmark, tracks, store, emit, track_id
         library_level=track.library_level,
     )
     clone.load_state_dict(pool.experts[name].state_dict())
-    from repro.models import BranchedSpecialistNet
-
     base_model = BranchedSpecialistNet(pool.library, [(name, clone)])
     base_model.eval()
-    acc_before = specialized_accuracy(base_model, data.test, task)
-    dense = sparse_nbytes(clone.state_dict())
+    result = {
+        "acc_before": specialized_accuracy(base_model, data.test, task),
+        "dense_bytes": sparse_nbytes(clone.state_dict()),
+    }
     magnitude_prune(clone, 0.5)
-    acc_after = specialized_accuracy(base_model, data.test, task)
-    sparse = sparse_nbytes(clone.state_dict())
-
-    emit(
-        f"ext_pruning_{track.name}",
-        render_table(
-            ["Variant", "Sparse bytes", "Accuracy"],
-            [
-                ["dense expert", f"{dense / 1024:.1f}KB", f"{acc_before:.3f}"],
-                ["50% pruned", f"{sparse / 1024:.1f}KB", f"{acc_after:.3f}"],
-            ],
-            title=f"Extension ({track.name}): magnitude pruning on one expert",
-        ),
-    )
-    assert sparse < dense
-    assert acc_after > acc_before - 0.15
+    result["acc_after"] = specialized_accuracy(base_model, data.test, task)
+    result["sparse_bytes"] = sparse_nbytes(clone.state_dict())
+    emit(f"ext_pruning_{track.name}", claims.render("ext_pruning", result))
+    claims.check("ext_pruning", result)
 
     state = pool.experts[name].state_dict()
     benchmark(lambda: sparse_nbytes(state))

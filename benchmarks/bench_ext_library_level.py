@@ -5,8 +5,9 @@ keeps — as "a hyperparameter that controls the tradeoff between the size
 of a task-specific model and its accuracy" but evaluates only ℓ=3
 (conv1-conv3).  This ablation builds a second pool at ℓ=2 (conv1-conv2
 shared; experts own conv3+conv4) on the fast track and quantifies the
-tradeoff: bigger per-expert components (more params per branch), more
-capacity per expert.
+tradeoff (artifact ``ext_library_level`` in ``repro.eval.claims``):
+bigger per-expert components (more params per branch), more capacity
+per expert.
 
 Runs on the fast track so the extra pool costs seconds, not minutes.
 """
@@ -16,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.eval import ArtifactStore, cifar_track, render_table
+from repro.eval import ArtifactStore, cifar_track, claims
 from repro.eval.metrics import specialized_accuracy
 from repro.models import count_params
 
@@ -34,9 +35,7 @@ def build_level_pool(track, store_, level):
 
 def test_library_level_tradeoff(benchmark, emit, fast_store):
     base = cifar_track(fast=True)
-    rows = []
-    accs = {}
-    params = {}
+    levels = []
     for level in (3, 2):
         track_l, pool = build_level_pool(base, fast_store, level)
         data = fast_store.dataset(track_l)
@@ -45,29 +44,15 @@ def test_library_level_tradeoff(benchmark, emit, fast_store):
             model, composite = pool.consolidate([name])
             task_accs.append(specialized_accuracy(model, data.test, composite))
         model, _ = pool.consolidate(list(track_l.selected_tasks(data.hierarchy)[:3]))
-        accs[level] = float(np.mean(task_accs))
-        params[level] = count_params(model)
-        rows.append(
-            [
-                f"l={level} ({'conv1-3' if level == 3 else 'conv1-2'} shared)",
-                f"{100 * accs[level]:.2f}",
-                f"{count_params(pool.library):,}",
-                f"{params[level]:,}",
-            ]
-        )
-    emit(
-        "ext_library_level",
-        render_table(
-            ["Library level", "Expert acc (mean)", "Library params", "M(Q) params (n=3)"],
-            rows,
-            title="Extension: library depth l — size/accuracy tradeoff (fast track)",
-        ),
-    )
-    # The tradeoff direction: shallower library => bigger task-specific
-    # models (each expert owns one more conv group).
-    assert params[2] > params[3]
-    # Both settings must produce working experts.
-    assert min(accs.values()) > 0.5
+        levels.append({
+            "level": level,
+            "accuracy": float(np.mean(task_accs)),
+            "library_params": count_params(pool.library),
+            "model_params": count_params(model),
+        })
+    result = {"levels": levels}
+    emit("ext_library_level", claims.render("ext_library_level", result))
+    claims.check("ext_library_level", result)
 
     track_l3, pool3 = build_level_pool(base, fast_store, 3)
     tasks = list(track_l3.selected_tasks(fast_store.dataset(track_l3).hierarchy)[:3])

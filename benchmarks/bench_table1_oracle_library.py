@@ -1,66 +1,16 @@
 """Table 1: oracles vs library students — accuracy, FLOPs, params.
 
-Regenerates the paper's Table 1 rows for both tracks and benchmarks the
-inference cost gap between oracle and library (the wall-clock counterpart
-of the FLOPs column).
+Regenerates the paper's Table 1 rows for both tracks (claims:
+``repro.eval.claims``, artifact ``table1``) and benchmarks the inference
+cost gap between oracle and library (the wall-clock counterpart of the
+FLOPs column).
 """
 
-import numpy as np
 import pytest
 
 from repro.distill import batched_forward
-from repro.eval import accuracy, format_count, render_table
-from repro.models import count_flops, count_params
-
-
-def table1_rows(track, store):
-    data = store.dataset(track)
-    oracle_model, meta = store.oracle(track)
-    pool = store.pool(track)
-    rows = [
-        [
-            "Oracle (teacher)",
-            meta["arch"],
-            f"{100 * meta['test_accuracy']:.2f}",
-            format_count(meta["flops"]),
-            format_count(meta["params"]),
-        ]
-    ]
-    student = pool.library_student
-    if student is not None:
-        shape = (3, track.image_size, track.image_size)
-        rows.append(
-            [
-                "Library model (student)",
-                student.arch_name(),
-                f"{100 * accuracy(student, data.test):.2f}",
-                format_count(count_flops(student, shape)),
-                format_count(count_params(student)),
-            ]
-        )
-    else:
-        # Pool was loaded from disk (student head not persisted): report
-        # the library row from the build-time summary record.
-        import json
-        import os
-
-        summary_path = os.path.join(
-            store.root, "results", track.cache_key(), "summary.json"
-        )
-        if os.path.exists(summary_path):
-            with open(summary_path) as fh:
-                lib = json.load(fh).get("table1", {}).get("library")
-            if lib:
-                rows.append(
-                    [
-                        "Library model (student)",
-                        lib["arch"],
-                        f"{100 * lib['test_accuracy']:.2f}",
-                        format_count(lib["flops"]),
-                        format_count(lib["params"]),
-                    ]
-                )
-    return rows
+from repro.eval import claims
+from repro.eval.specialization import library_table
 
 
 @pytest.mark.parametrize("track_idx", [0, 1], ids=["synth-cifar", "synth-tiny"])
@@ -68,15 +18,9 @@ def test_table1(benchmark, tracks, store, emit, track_idx):
     if track_idx >= len(tracks):
         pytest.skip("track not selected via REPRO_BENCH_TRACKS")
     track = tracks[track_idx]
-    rows = table1_rows(track, store)
-    emit(
-        f"table1_{track.name}",
-        render_table(
-            ["Model", "Arch", "Acc.", "FLOPs", "Params"],
-            rows,
-            title=f"Table 1 ({track.name}): generic oracle vs library student",
-        ),
-    )
+    result = library_table(track, store)
+    emit(f"table1_{track.name}", claims.render("table1", result, track.kind))
+    claims.check("table1", result)
     # Timed kernel: oracle inference over one test batch (the cost the
     # library/specialists avoid).
     data = store.dataset(track)

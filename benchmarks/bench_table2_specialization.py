@@ -1,35 +1,18 @@
 """Table 2: model specialization — Oracle / KD / Scratch / Transfer / CKD.
 
 Regenerates the accuracy (mean±std over the six primitive tasks) and model
-cost columns; the expected *shape* is the paper's ordering
-
-    CKD > Transfer > Scratch > KD   (specialists),  Oracle on top,
-
-with specialists roughly two orders of magnitude smaller than the oracle.
-The timed kernel is specialist inference (the deployment-side win).
+cost columns.  The gated shapes (artifact ``table2`` in
+``repro.eval.claims``): CKD above Transfer above Scratch, CKD above KD,
+the oracle on top, and specialists over an order of magnitude smaller
+than the oracle.  The paper's Scratch above KD is a known deviation
+(docs/paper-claims.md).  The timed kernel is specialist inference (the
+deployment-side win).
 """
 
-import numpy as np
 import pytest
 
 from repro.distill import batched_forward
-from repro.eval import format_count, render_table, specialization_table
-
-
-def rows_for(track, store):
-    rows = []
-    for r in specialization_table(track, store):
-        rows.append(
-            [
-                r["method"].upper() if r["method"] != "oracle" else "Oracle",
-                r["type"],
-                r["arch"],
-                f"{100 * r['accuracy_mean']:.2f}±{100 * r['accuracy_std']:.1f}",
-                format_count(r["flops"]),
-                format_count(r["params"]),
-            ]
-        )
-    return rows
+from repro.eval import claims, specialization_table
 
 
 @pytest.mark.parametrize("track_idx", [0, 1], ids=["synth-cifar", "synth-tiny"])
@@ -37,21 +20,9 @@ def test_table2(benchmark, tracks, store, emit, track_idx):
     if track_idx >= len(tracks):
         pytest.skip("track not selected via REPRO_BENCH_TRACKS")
     track = tracks[track_idx]
-    rows = rows_for(track, store)
-    emit(
-        f"table2_{track.name}",
-        render_table(
-            ["Method", "Type", "Architecture", "Acc.", "FLOPs", "Params"],
-            rows,
-            title=f"Table 2 ({track.name}): specialization methods over 6 primitive tasks",
-        ),
-    )
-    # Shape assertions: the paper's method ordering must hold.
-    table = {r["method"]: r for r in specialization_table(track, store)}
-    assert table["ckd"]["accuracy_mean"] > table["scratch"]["accuracy_mean"]
-    assert table["ckd"]["accuracy_mean"] > table["kd"]["accuracy_mean"]
-    assert table["oracle"]["accuracy_mean"] >= table["ckd"]["accuracy_mean"] - 0.02
-    assert table["ckd"]["params"] * 10 < table["oracle"]["params"]
+    result = specialization_table(track, store)
+    emit(f"table2_{track.name}", claims.render("table2", result, track.kind))
+    claims.check("table2", result)
 
     # Timed kernel: CKD specialist inference over a test batch.
     pool = store.pool(track)

@@ -1,40 +1,17 @@
 """Table 4: storage volume of the PoE framework.
 
-Shape to reproduce: pool (library + all experts) ≪ oracle (paper: 20-30×
-smaller), and the estimate for materialising all 2^n composite specialists
-explodes past everything else.  Timed kernel: persisting the pool.
+Shape to reproduce (artifact ``table4`` in ``repro.eval.claims``): pool
+(library + all experts) ≪ oracle (paper: 20-30× smaller), and the estimate
+for materialising all 2^n composite specialists explodes past everything
+else.  Timed kernel: persisting the pool.
 """
 
 import os
 
 import pytest
 
-from repro.core import ExpertStore, estimate_all_specialists_volume
-from repro.eval import render_table
-
-
-def volume_rows(track, store):
-    pool = store.pool(track)
-    oracle_model, _ = store.oracle(track)
-    expert_store = ExpertStore(
-        os.path.join(store.root, "models", track.cache_key(), "pool")
-    )
-    report = expert_store.volume_report(pool, oracle_model)
-    fmt = lambda b: f"{b / 1024:.1f}KB" if b < 1 << 20 else f"{b / (1 << 20):.2f}MB"
-    big = report.all_specialists_bytes
-    big_fmt = f"{big / (1 << 40):.2f}TB" if big > 1 << 40 else f"{big / (1 << 30):.2f}GB" if big > 1 << 30 else fmt(big)
-    rows = [
-        [
-            track.name,
-            fmt(report.oracle_bytes),
-            fmt(report.library_bytes),
-            fmt(int(report.mean_expert_bytes)),
-            fmt(report.pool_bytes),
-            f">= {big_fmt}",
-            f"{report.oracle_to_pool_ratio:.1f}x",
-        ]
-    ]
-    return rows, report
+from repro.core import ExpertStore
+from repro.eval import claims
 
 
 @pytest.mark.parametrize("track_idx", [0, 1], ids=["synth-cifar", "synth-tiny"])
@@ -42,22 +19,13 @@ def test_table4(benchmark, tracks, store, emit, track_idx):
     if track_idx >= len(tracks):
         pytest.skip("track not selected via REPRO_BENCH_TRACKS")
     track = tracks[track_idx]
-    rows, report = volume_rows(track, store)
-    emit(
-        f"table4_{track.name}",
-        render_table(
-            ["Dataset", "Oracle", "Library", "Expert(avg)", "PoE all", "All specialized (est.)", "Oracle/PoE"],
-            rows,
-            title=f"Table 4 ({track.name}): volumes of the entire PoE framework",
-        ),
-    )
-    # Shape assertions.
-    assert report.pool_bytes < report.oracle_bytes
-    assert report.library_bytes < report.oracle_bytes / 5
-    per_specialist = int(report.mean_expert_bytes) + report.library_bytes
-    assert estimate_all_specialists_volume(20, per_specialist) > 50 * report.oracle_bytes
+    pool = store.pool(track)
+    oracle_model, _ = store.oracle(track)
+    expert_store = ExpertStore(os.path.join(store.root, "models", track.cache_key(), "pool"))
+    result = expert_store.volume_report(pool, oracle_model).as_dict()
+    emit(f"table4_{track.name}", claims.render("table4", result, track.kind))
+    claims.check("table4", result)
 
     # Timed kernel: serializing the whole pool to disk.
-    pool = store.pool(track)
     target = os.path.join(store.root, "bench-tmp", f"pool-{track.name}")
     benchmark(lambda: ExpertStore(target).save(pool))

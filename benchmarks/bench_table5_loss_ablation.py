@@ -1,16 +1,19 @@
 """Table 5: ablation of the CKD loss — L_soft only / L_scale only / both.
 
-Shape to reproduce (paper §5.3): L_soft+L_scale > L_soft only > L_scale
-only, at every n(Q).  An extra design ablation compares the paper's L1
-scale loss against an L2 variant (DESIGN.md §5).  Timed kernel: a single
-CKD loss evaluation (the inner loop of expert extraction).
+Shape to reproduce (paper §5.3; artifact ``table5`` in
+``repro.eval.claims``): L_soft+L_scale beats either term alone.  The
+paper's secondary ordering, L_soft only > L_scale only, is a claim with
+a known deviation on this substrate (docs/paper-claims.md).  An extra
+design ablation compares the paper's L1 scale loss against an L2 variant
+(artifact ``table5_l2``).  Timed kernel: a single CKD loss evaluation
+(the inner loop of expert extraction).
 """
 
 import numpy as np
 import pytest
 
 from repro.distill import ckd_loss
-from repro.eval import ablation_table, render_table
+from repro.eval import ablation_table, claims
 from repro.tensor import Tensor
 
 
@@ -19,40 +22,9 @@ def test_table5(benchmark, tracks, store, emit, track_idx):
     if track_idx >= len(tracks):
         pytest.skip("track not selected via REPRO_BENCH_TRACKS")
     track = tracks[track_idx]
-    rows = ablation_table(track, store)
-    by_method = {}
-    for row in rows:
-        by_method.setdefault(row["method"], {})[row["n_q"]] = row
-    label = {"poe-soft": "L_soft only", "poe-scale": "L_scale only", "poe": "L_soft + L_scale"}
-    cells = []
-    for method in ("poe-soft", "poe-scale", "poe"):
-        per_n = by_method[method]
-        cells.append(
-            [label[method]]
-            + [
-                f"{100 * per_n[n]['accuracy_mean']:.1f}±{100 * per_n[n]['accuracy_std']:.1f}"
-                for n in (2, 3, 4, 5)
-            ]
-        )
-    emit(
-        f"table5_{track.name}",
-        render_table(
-            ["Variant", "n(Q)=2", "n(Q)=3", "n(Q)=4", "n(Q)=5"],
-            cells,
-            title=f"Table 5 ({track.name}): L_soft vs L_scale ablation",
-        ),
-    )
-
-    acc = {(r["method"], r["n_q"]): r["accuracy_mean"] for r in rows}
-    both = np.mean([acc[("poe", n)] for n in (2, 3, 4, 5)])
-    soft = np.mean([acc[("poe-soft", n)] for n in (2, 3, 4, 5)])
-    scale = np.mean([acc[("poe-scale", n)] for n in (2, 3, 4, 5)])
-    # The robust paper shape: the combined loss beats either term alone.
-    # (The paper also finds soft-only > scale-only; on this substrate the
-    # near-saturated oracle makes raw-logit regression unusually strong, so
-    # that secondary ordering can flip — recorded in EXPERIMENTS.md.)
-    assert both >= soft - 0.01  # L_scale helps on top of L_soft
-    assert both >= scale - 0.01  # L_soft helps on top of L_scale
+    result = ablation_table(track, store)
+    emit(f"table5_{track.name}", claims.render("table5", result, track.kind))
+    claims.check("table5", result)
 
     # Timed kernel: one CKD loss evaluation on a realistic batch.
     rng = np.random.default_rng(0)
@@ -70,20 +42,8 @@ def test_l1_vs_l2_scale_norm(benchmark, tracks, store, emit, track_idx):
     if track_idx >= len(tracks):
         pytest.skip("track not selected via REPRO_BENCH_TRACKS")
     track = tracks[track_idx]
-    rows = ablation_table(track, store, n_q_values=(3, 5), variants=("poe-l2", "poe"))
-    acc = {(r["method"], r["n_q"]): r["accuracy_mean"] for r in rows}
-    cells = [
-        ["L_scale = L2", f"{100 * acc[('poe-l2', 3)]:.1f}", f"{100 * acc[('poe-l2', 5)]:.1f}"],
-        ["L_scale = L1 (paper)", f"{100 * acc[('poe', 3)]:.1f}", f"{100 * acc[('poe', 5)]:.1f}"],
-    ]
-    emit(
-        f"table5b_l1_vs_l2_{track.name}",
-        render_table(
-            ["Variant", "n(Q)=3", "n(Q)=5"],
-            cells,
-            title=f"Design ablation ({track.name}): L1 vs L2 scale regularizer",
-        ),
-    )
+    result = ablation_table(track, store, n_q_values=(3, 5), variants=("poe-l2", "poe"))
+    emit(f"table5b_l1_vs_l2_{track.name}", claims.render("table5_l2", result))
     rng = np.random.default_rng(0)
     teacher = Tensor(rng.standard_normal((256, 30)).astype(np.float32))
     student = Tensor(rng.standard_normal((256, 3)).astype(np.float32), requires_grad=True)

@@ -1,7 +1,7 @@
 """repro — reproduction of "Pool of Experts: Realtime Querying Specialized
 Knowledge in Massive Neural Networks" (Kim & Choi, SIGMOD 2021).
 
-Layered architecture (see DESIGN.md):
+Layered architecture (see ``docs/architecture.md``):
 
 * ``repro.tensor``  — numpy autograd engine (PyTorch substitute)
 * ``repro.nn``      — layers / modules / serialization

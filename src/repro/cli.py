@@ -3,7 +3,7 @@
 Subcommands::
 
     python -m repro.cli build   [--tracks ...] [--fast]   # train artifacts
-    python -m repro.cli tables  [--tracks ...]            # print all tables
+    python -m repro.cli tables  [--fast] [--out FILE]     # paper vs measured
     python -m repro.cli query   --track T --tasks a,b     # serve one query
     python -m repro.cli serve-bench [--mode closed|open]  # gateway load test
     python -m repro.cli cluster-bench --shards 4          # sharded-pool load test
@@ -15,7 +15,6 @@ Subcommands::
     python -m repro.cli scrape  [--networked]             # Prometheus text scrape
     python -m repro.cli top     [--networked]             # live telemetry dashboard
     python -m repro.cli trace-dump --file trace.jsonl     # render recorded span trees
-    python -m repro.cli report  [--out EXPERIMENTS.md]    # paper-vs-measured
     python -m repro.cli info                              # registry overview
 
 The bench subcommands accept ``--trace FILE`` (JSONL span log, readable
@@ -32,16 +31,10 @@ import argparse
 import os
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
-from .eval import (
-    ArtifactStore,
-    format_count,
-    get_track,
-    render_table,
-    service_table,
-    specialization_table,
-)
+from .eval import ArtifactStore, get_track, render_table
 from .models import EXPERIMENT_ARCHS, PAPER_ARCHS
 
 __all__ = ["main"]
@@ -105,34 +98,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    store = ArtifactStore(args.root)
-    for name in args.tracks.split(","):
-        track = get_track(name, fast=args.fast or None)
-        rows = [
-            [
-                r["method"],
-                r["type"],
-                r["arch"],
-                f"{100 * r['accuracy_mean']:.2f}±{100 * r['accuracy_std']:.1f}",
-                format_count(r["params"]),
-            ]
-            for r in specialization_table(track, store)
-        ]
-        print(render_table(
-            ["Method", "Type", "Arch", "Acc.", "Params"],
-            rows,
-            title=f"\nTable 2 — {track.name}",
-        ))
-        srows = service_table(track, store, methods=("ckd", "poe"))
-        cells = [
-            [r["method"], str(r["n_q"]), f"{100 * r['accuracy_mean']:.2f}", format_count(r["params"])]
-            for r in srows
-        ]
-        print(render_table(
-            ["Method", "n(Q)", "Acc.", "Params"],
-            cells,
-            title=f"\nTable 3 (ckd/poe excerpt) — {track.name}",
-        ))
+    from .eval.claims import render_tracks
+
+    text = render_tracks(args.tracks.split(","), fast=args.fast or None, root=args.root)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -935,14 +907,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0 if series else 1
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from .eval.report import generate_report
-
-    generate_report(args.root, args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     rows = [[name, cfg.name, str(cfg.num_classes), f"{cfg.image_size}px"]
             for name, cfg in PAPER_ARCHS.items()]
@@ -963,8 +927,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_common(p_build)
     p_build.set_defaults(fn=cmd_build)
 
-    p_tables = sub.add_parser("tables", help="print headline tables from the cache")
+    p_tables = sub.add_parser("tables", help="paper vs measured, with every claim's verdict")
     _add_common(p_tables)
+    p_tables.add_argument("--out", default=None, help="also write the markdown here")
     p_tables.set_defaults(fn=cmd_tables)
 
     p_query = sub.add_parser("query", help="serve one composite-task query")
@@ -1203,11 +1168,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="persist journal events to this JSONL file (size-rotated)",
     )
     p_top.set_defaults(fn=cmd_top)
-
-    p_report = sub.add_parser("report", help="write EXPERIMENTS.md")
-    p_report.add_argument("--root", default=None)
-    p_report.add_argument("--out", default="EXPERIMENTS.md")
-    p_report.set_defaults(fn=cmd_report)
 
     p_info = sub.add_parser("info", help="architecture registry overview")
     p_info.set_defaults(fn=cmd_info)

@@ -1,7 +1,7 @@
 """Datasets, class hierarchies, loaders and transforms.
 
 The synthetic generators substitute for CIFAR-100 / Tiny-ImageNet (offline
-environment); see DESIGN.md §2 for the substitution argument.
+environment); see ``docs/paper-claims.md`` for the substitution argument.
 """
 
 from .dataloader import DataLoader

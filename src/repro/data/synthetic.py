@@ -4,7 +4,7 @@ The paper evaluates on CIFAR-100 (100 classes in 20 superclasses) and
 Tiny-ImageNet (200 classes grouped into 3-10-class primitive tasks via the
 ImageNet semantic tree).  Neither dataset is available offline, so we
 generate images procedurally while preserving exactly the structure PoE
-exploits (see DESIGN.md §2):
+exploits (see ``docs/paper-claims.md``):
 
 * **hierarchical similarity** — every superclass has a smooth *prototype
   pattern*; its classes share it and differ by a finer class pattern.

@@ -30,7 +30,7 @@ from .specialization import (
     run_specialization,
     specialization_table,
 )
-from .tables import format_count, render_curves, render_histogram, render_table
+from .tables import format_count, render_histogram, render_table
 
 __all__ = [
     "accuracy",
@@ -59,5 +59,4 @@ __all__ = [
     "format_count",
     "render_table",
     "render_histogram",
-    "render_curves",
 ]

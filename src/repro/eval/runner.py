@@ -1,16 +1,12 @@
 """End-to-end experiment runner: builds every table/figure artifact.
 
-Usage::
-
-    python -m repro.eval.runner [--fast] [--tracks synth-cifar,synth-tiny]
-
-Results land in the artifact store (``.artifacts/`` or ``$REPRO_ARTIFACTS``)
-and are reused by the pytest benchmarks and by EXPERIMENTS.md generation.
+``python -m repro.cli build [--fast] [--tracks ...]`` drives it.  Results
+land in the artifact store (``.artifacts/`` or ``$REPRO_ARTIFACTS``) and are
+reused by the pytest benchmarks and by ``repro tables``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import time
@@ -25,9 +21,9 @@ from .service import (
     learning_curves,
     service_table,
 )
-from .specialization import confidence_figure, specialization_table
+from .specialization import confidence_figure, library_table, specialization_table
 
-__all__ = ["build_track", "build_all", "main"]
+__all__ = ["build_track", "build_all"]
 
 
 def build_track(track: TrackConfig, store: ArtifactStore, verbose: bool = True) -> Dict:
@@ -46,22 +42,7 @@ def build_track(track: TrackConfig, store: ArtifactStore, verbose: bool = True) 
     log(f"pool ready: experts={list(pool.expert_names())}")
 
     summary: Dict = {"track": track.name, "oracle": oracle_meta}
-
-    # Table 1: oracle vs library model.
-    library_student = pool.library_student
-    if library_student is not None:
-        from .metrics import accuracy
-        from ..models import count_flops, count_params
-
-        summary["table1"] = {
-            "oracle": oracle_meta,
-            "library": {
-                "test_accuracy": accuracy(library_student, data.test),
-                "params": count_params(library_student),
-                "flops": count_flops(library_student, (3, track.image_size, track.image_size)),
-                "arch": library_student.arch_name(),
-            },
-        }
+    summary["table1"] = library_table(track, store)
     log("table 1 done")
 
     summary["table2"] = specialization_table(track, store)
@@ -103,20 +84,3 @@ def build_all(
     store = ArtifactStore(root)
     names = tracks or ["synth-cifar", "synth-tiny"]
     return {name: build_track(get_track(name, fast), store) for name in names}
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true", help="reduced budgets (CI)")
-    parser.add_argument(
-        "--tracks",
-        default="synth-cifar,synth-tiny",
-        help="comma-separated track names",
-    )
-    parser.add_argument("--root", default=None, help="artifact store root")
-    args = parser.parse_args(argv)
-    build_all(args.tracks.split(","), fast=args.fast or None, root=args.root)
-
-
-if __name__ == "__main__":
-    main()

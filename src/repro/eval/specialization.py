@@ -1,6 +1,7 @@
-"""Table 2 + Figure 5 runners: model specialization experiments (§5.2).
+"""Table 1, Table 2 + Figure 5 runners: model specialization experiments (§5.2).
 
-For each of the track's six primitive tasks, build a specialist with every
+Table 1 scores the oracle and the library student distilled from it.  For
+each of the track's six primitive tasks, build a specialist with every
 method and score it:
 
 * **Oracle**   — task-specific accuracy of the generic oracle (upper bound).
@@ -28,16 +29,40 @@ from ..distill import batched_forward, train_transfer
 from ..models import BranchedSpecialistNet, WRNHead, count_flops, count_params
 from .artifacts import ArtifactStore
 from .experiments import TrackConfig
-from .metrics import accuracy_from_logits, specialized_accuracy, task_specific_accuracy
+from .metrics import accuracy, accuracy_from_logits, specialized_accuracy, task_specific_accuracy
 
 __all__ = [
     "SPECIALIZATION_METHODS",
+    "library_table",
     "run_specialization",
     "specialization_table",
     "confidence_figure",
 ]
 
 SPECIALIZATION_METHODS = ("oracle", "kd", "scratch", "transfer", "ckd")
+
+
+def library_table(track: TrackConfig, store: ArtifactStore) -> Dict[str, Dict]:
+    """Table 1: the oracle and its library student (a pool loaded from disk
+    keeps only the trunk: the student is distilled again, bit-identically)."""
+    _, oracle_meta = store.oracle(track)
+
+    def compute() -> Dict:
+        pool = store.pool(track)
+        data = store.dataset(track)
+        student = pool.library_student
+        if student is None:
+            rebuilt = PoolOfExperts(pool.oracle, pool.hierarchy, pool.config)
+            rebuilt.extract_library(data.train.images)
+            student = rebuilt.library_student
+        return {
+            "test_accuracy": accuracy(student, data.test),
+            "params": count_params(student),
+            "flops": count_flops(student, (3, track.image_size, track.image_size)),
+            "arch": student.arch_name(),
+        }
+
+    return {"oracle": oracle_meta, "library": store.result(track, "table1", "library", compute)}
 
 
 def _branched_single(pool: PoolOfExperts, task_name: str) -> BranchedSpecialistNet:

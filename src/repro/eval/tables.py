@@ -1,18 +1,16 @@
-"""Plain-text rendering of experiment tables and figures.
+"""Plain-text rendering helpers for the CLI, the benches and the examples.
 
-Benchmarks print these so the reproduced rows/series can be compared to the
-paper's tables at a glance (EXPERIMENTS.md records the comparison).
+The paper's tables and figures render through :mod:`repro.eval.claims`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 __all__ = [
     "render_table",
     "format_count",
     "render_histogram",
-    "render_curves",
 ]
 
 
@@ -55,24 +53,4 @@ def render_histogram(
         lo, hi = bin_edges[i], bin_edges[i + 1]
         bar = "#" * int(round(width * freq / peak))
         lines.append(f"  [{lo:.1f},{hi:.1f}) {freq:5.2f} {bar}")
-    return "\n".join(lines)
-
-
-def render_curves(
-    curves: Dict[str, List[Tuple[float, float]]], title: str = ""
-) -> str:
-    """Textual learning curves: per method the (t, acc) milestones."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for method, points in curves.items():
-        if not points:
-            lines.append(f"  {method:>12}: (no curve)")
-            continue
-        best = max(a for _, a in points)
-        final_t = points[-1][0]
-        milestones = ", ".join(f"{t:.1f}s:{a:.3f}" for t, a in points[:: max(1, len(points) // 5)])
-        lines.append(
-            f"  {method:>12}: best={best:.3f} total={final_t:.1f}s  [{milestones}]"
-        )
     return "\n".join(lines)

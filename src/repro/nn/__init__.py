@@ -1,4 +1,4 @@
-"""Neural-network layer substrate (replaces ``torch.nn``, see DESIGN.md)."""
+"""Neural-network layer substrate (replaces ``torch.nn``, see ``docs/paper-claims.md``)."""
 
 from . import fused, init
 from .containers import ModuleList, Sequential

@@ -1,7 +1,7 @@
 """From-scratch numpy tensor engine with reverse-mode autodiff.
 
 This package replaces PyTorch as the substrate for the reproduction (see
-DESIGN.md §2).  Public surface:
+``docs/paper-claims.md``).  Public surface:
 
 * :class:`~repro.tensor.tensor.Tensor` — the autograd array type.
 * :mod:`~repro.tensor.functional` — activations and the paper's losses.

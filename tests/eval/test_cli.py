@@ -95,10 +95,22 @@ class TestTop:
                 assert "kind" in json.loads(line)
 
 
-class TestReport:
-    def test_report_without_artifacts(self, tmp_path, capsys):
-        out_file = str(tmp_path / "EXP.md")
-        assert main(["report", "--root", str(tmp_path / "none"), "--out", out_file]) == 0
+class TestTables:
+    def test_tables_without_artifacts(self, tmp_path, capsys):
+        out_file = str(tmp_path / "paper.md")
+        assert main(["tables", "--root", str(tmp_path / "none"), "--out", out_file]) == 0
         with open(out_file) as fh:
             text = fh.read()
         assert "artifacts not built yet" in text
+        assert text in capsys.readouterr().out
+
+    def test_fast_flag_reads_the_fast_build(self, paper_summary, write_summary, tmp_path, capsys):
+        root = write_summary(paper_summary("cifar"), fast=True)
+        assert main(["tables", "--fast", "--tracks", "synth-cifar", "--root", root]) == 0
+        out = capsys.readouterr().out
+        assert "## Track `synth-cifar-fast`" in out
+        assert "artifacts not built yet" not in out
+
+    def test_report_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["report"])

@@ -1,139 +1,55 @@
-"""EXPERIMENTS.md report generator (driven by a fabricated summary)."""
+"""`repro tables`: paper vs measured, rendered from fabricated summaries."""
 
-import json
-import os
-
-import numpy as np
-import pytest
-
-from repro.eval.experiments import get_track
-from repro.eval.report import PAPER, generate_report
-
-
-def fake_summary(track):
-    """A structurally complete summary with paper-shaped numbers."""
-    t3 = {}
-    methods3 = PAPER["table3"]["cifar"]
-    table3 = []
-    for method, series in methods3.items():
-        for n_q, acc in zip((2, 3, 4, 5), series):
-            table3.append(
-                {
-                    "method": method,
-                    "n_q": n_q,
-                    "accuracy_mean": acc / 100,
-                    "accuracy_std": 0.02,
-                    "params": 50_000,
-                    "flops": 2e7,
-                    "arch": "WRN-10-(1, 0.25)",
-                    "combos": [["a", "b"]],
-                }
-            )
-    table5 = []
-    for label, key in (("soft", "poe-soft"), ("scale", "poe-scale"), ("both", "poe")):
-        for n_q, acc in zip((2, 3, 4, 5), PAPER["table5"]["cifar"][label]):
-            table5.append(
-                {"method": key, "n_q": n_q, "accuracy_mean": acc / 100, "accuracy_std": 0.02}
-            )
-    conf = {
-        "histogram": [0.1] * 10,
-        "bin_edges": list(np.linspace(0, 1, 11)),
-        "mean": 0.9,
-        "median": 0.9,
-        "overconfident_rate": 0.6,
-        "mode_bin": [0.9, 1.0],
-    }
-    ckd_conf = dict(conf, mean=0.35, overconfident_rate=0.0, mode_bin=[0.3, 0.4])
-    return {
-        "track": track.name,
-        "oracle": {
-            "test_accuracy": 0.858,
-            "seconds": 60.0,
-            "params": 1_200_000,
-            "flops": 2e8,
-            "arch": "WRN-10-(4, 4)",
-        },
-        "table1": {
-            "oracle": {"test_accuracy": 0.858, "params": 1_200_000, "flops": 2e8, "arch": "o"},
-            "library": {"test_accuracy": 0.64, "params": 80_000, "flops": 1e7, "arch": "l"},
-        },
-        "table2": [
-            {
-                "method": m,
-                "type": "generic" if m in ("oracle", "kd") else "special",
-                "arch": "x",
-                "accuracy_mean": PAPER["table2"]["cifar"][m] / 100,
-                "accuracy_std": 0.1,
-                "params": 1_200_000 if m == "oracle" else 27_000,
-                "flops": 1e7,
-            }
-            for m in ("oracle", "kd", "scratch", "transfer", "ckd")
-        ],
-        "figure5": {"task": "sc0", "scratch": conf, "transfer": conf, "ckd": ckd_conf},
-        "table3": table3,
-        "table4": {
-            "oracle_bytes": 4_800_000,
-            "library_bytes": 180_000,
-            "mean_expert_bytes": 55_000,
-            "experts_total_bytes": 330_000,
-            "pool_bytes": 510_000,
-            "all_specialists_bytes": int(54e9),
-            "oracle_to_pool_ratio": 9.4,
-            "n_primitives": 10,
-        },
-        "table5": table5,
-        "figure6": {
-            "poe": [[0.001, 0.722]],
-            "scratch": [[5.0, 0.5], [60.0, 0.702]],
-            "sd+scratch": [[5.0, 0.2], [60.0, 0.39]],
-            "uhc+scratch": [[5.0, 0.2], [60.0, 0.41]],
-        },
-        "figure7": [
-            {"method": m, "n_q": n, "time_to_best_mean": 0.001 if m == "poe" else 30.0 + n,
-             "train_seconds_mean": 0.001 if m == "poe" else 60.0}
-            for m in ("poe", "scratch", "ckd")
-            for n in (2, 3, 4, 5)
-        ],
-        "seconds": 100.0,
-    }
-
-
-@pytest.fixture
-def artifact_root(tmp_path):
-    root = str(tmp_path / "artifacts")
-    for name in ("synth-cifar",):
-        track = get_track(name, fast=False)
-        d = os.path.join(root, "results", track.cache_key())
-        os.makedirs(d)
-        with open(os.path.join(d, "summary.json"), "w") as fh:
-            json.dump(fake_summary(track), fh)
-    return root
+from repro.cli import main
+from repro.eval.claims import ARTIFACTS, render_tracks, verdicts
 
 
 class TestGenerateReport:
-    def test_writes_file(self, artifact_root, tmp_path):
-        out = str(tmp_path / "EXPERIMENTS.md")
-        text = generate_report(artifact_root, out)
-        assert os.path.exists(out)
-        assert text.startswith("# EXPERIMENTS")
+    def test_writes_file(self, paper_summary, write_summary, tmp_path):
+        root = write_summary(paper_summary("cifar"))
+        out = str(tmp_path / "paper.md")
+        assert main(["tables", "--tracks", "synth-cifar", "--root", root, "--out", out]) == 0
+        with open(out) as fh:
+            assert fh.read().startswith("# Paper vs. measured")
 
-    def test_contains_all_sections(self, artifact_root, tmp_path):
-        text = generate_report(artifact_root, str(tmp_path / "e.md"))
-        for section in ("Table 1", "Table 2", "Table 3", "Table 4", "Table 5",
-                        "Figure 5", "Figure 6", "Figure 7"):
-            assert section in text
+    def test_contains_all_sections(self, paper_summary, write_summary):
+        root = write_summary(paper_summary("cifar"))
+        text = render_tracks(["synth-cifar"], fast=False, root=root)
+        for artifact in ARTIFACTS.values():
+            assert artifact.title in text
 
-    def test_paper_shaped_summary_all_shapes_hold(self, artifact_root, tmp_path):
-        """Feeding the paper's own numbers through the verdict logic must
-        produce no deviations — validates the shape checks themselves."""
-        text = generate_report(artifact_root, str(tmp_path / "e.md"))
-        cifar_section = text.split("## Track `synth-tiny`")[0]
-        assert "DEVIATES" not in cifar_section
+    def test_paper_shaped_summary_all_shapes_hold(self, paper_summary):
+        """The paper's own numbers satisfy every registered claim, on both
+        datasets — validates the predicates themselves."""
+        checked = set()
+        for kind in ("cifar", "tiny"):
+            summary = paper_summary(kind)
+            for key in ARTIFACTS:
+                for claim, ok, measured in verdicts(key, summary[key]):
+                    assert ok, f"{kind}: {claim.id} fails on the paper's numbers ({measured})"
+                    checked.add(claim.id)
+        gated = {c.id for a in ARTIFACTS.values() for c in a.claims if not c.deviation}
+        assert gated <= checked
 
-    def test_missing_track_noted(self, artifact_root, tmp_path):
-        text = generate_report(artifact_root, str(tmp_path / "e.md"))
-        assert "artifacts not built yet" in text  # synth-tiny absent
+    def test_missing_track_noted(self, paper_summary, write_summary):
+        root = write_summary(paper_summary("cifar"))
+        text = render_tracks(["synth-cifar", "synth-tiny"], fast=False, root=root)
+        cifar, tiny = text.split("## Track `synth-tiny`")
+        assert "artifacts not built yet" not in cifar
+        assert "artifacts not built yet" in tiny
 
     def test_empty_root_graceful(self, tmp_path):
-        text = generate_report(str(tmp_path / "nothing"), str(tmp_path / "e.md"))
+        text = render_tracks(["synth-cifar"], root=str(tmp_path / "nothing"))
         assert "artifacts not built yet" in text
+
+    def test_fast_build_is_found(self, paper_summary, write_summary, monkeypatch):
+        """After `repro build --fast` (or under REPRO_FAST=1) the report reads
+        the fast track's summary instead of claiming nothing was built."""
+        root = write_summary(paper_summary("cifar"), fast=True)
+        monkeypatch.setenv("REPRO_FAST", "1")
+        text = render_tracks(["synth-cifar"], root=root)
+        assert "## Track `synth-cifar-fast`" in text
+        assert "artifacts not built yet" not in text
+        assert "`table2.ckd_above_kd` CKD specialists beat the generic KD student: holds" in text
+        monkeypatch.delenv("REPRO_FAST")
+        assert "artifacts not built yet" in render_tracks(["synth-cifar"], root=root)

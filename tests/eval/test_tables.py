@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import format_count, render_curves, render_histogram, render_table
+from repro.eval import format_count, render_histogram, render_table
 
 
 class TestFormatCount:
@@ -48,14 +48,3 @@ class TestRenderHistogram:
     def test_handles_all_zero(self):
         out = render_histogram([0.0, 0.0], [0, 0.5, 1.0])
         assert "#" not in out
-
-
-class TestRenderCurves:
-    def test_shows_best_and_total(self):
-        out = render_curves({"poe": [(0.0, 0.72)], "ckd": [(1.0, 0.5), (2.0, 0.74)]})
-        assert "poe" in out and "best=0.720" in out
-        assert "ckd" in out and "best=0.740" in out
-
-    def test_empty_curve(self):
-        out = render_curves({"kd": []})
-        assert "no curve" in out
