@@ -1,4 +1,4 @@
-"""The cluster front end: route → (fetch + consolidate across shards) → serve.
+"""The cluster front end: route → (fetch + snapshot across shards) → serve.
 
 :class:`ClusterGateway` scales the serving tier horizontally.  Experts are
 partitioned across N :class:`~repro.cluster.shard.PoolShard`\\ s by a
@@ -12,13 +12,15 @@ guards, build cost).  A payload-tier miss is answered one of two ways:
   metrics) exactly as a standalone deployment would; the front tier
   keeps the answer, its segments shared with the parent pool's, if the
   shard answered at the versions the front end snapshotted.
-* **cross-shard consolidation** — the plan spans shards, and the front
-  tier's consolidate step is this class's — pick the *home* shard
+* **cross-shard snapshot** — the plan spans shards, and the front
+  tier's snapshot step is this class's — pick the *home* shard
   (largest task group), fetch the other shards' expert heads as
   serialized payloads (the UniPool view: any expert is queryable
-  regardless of placement), rebuild them, and assemble one
-  :class:`~repro.models.BranchedSpecialistNet` over the shared library in
-  canonical task order.
+  regardless of placement), rebuild them, and select them over the
+  shared library in canonical task order: one
+  :class:`~repro.core.pool.PoolSnapshot`, serialized as it is for a
+  payload and assembled into a
+  :class:`~repro.models.BranchedSpecialistNet` only for a model.
 
 What is written here is what only a cluster has: placement and planning,
 the single-shard relay, the replan-once rule, the remote-head tier and
@@ -88,14 +90,14 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.features import TrunkFeatureCache
-from ..core.pool import LIBRARY_TASK, PoolOfExperts
+from ..core.pool import LIBRARY_TASK, PoolOfExperts, PoolSnapshot
 from ..core.query import TaskSpecificModel
 from ..core.server import (
     deserialize_expert_heads,
     serialize_expert_heads,
     serialize_library_state,
 )
-from ..models import BranchedSpecialistNet, frozen_param_count
+from ..models import frozen_param_count
 from ..obs.journal import JOURNAL
 from ..serving.cache import BYTES_PER_PARAM, ByteBudgetLRU, CacheStats, merge_cache_stats
 from ..serving.canonical import TaskQuery, canonical_tasks
@@ -290,8 +292,8 @@ class ClusterGateway:
         self._mutation_seq = itertools.count(1)
         # The cross-shard tier is ServingGateway's pipeline over the parent
         # pool — accounting, payload/model/result tiers, single flight,
-        # version guards, build cost — with one step rebound: a composite is
-        # consolidated from heads gathered across shards.  It shares this
+        # version guards, build cost — with one step rebound: a composite's
+        # snapshot holds heads gathered across shards.  It shares this
         # front end's metrics and trunk cache and is entered below its
         # public serve()/predict(), so each request is counted once, here.
         self._front = ServingGateway(
@@ -304,7 +306,7 @@ class ClusterGateway:
             metrics=self.metrics,
             trunk_cache=self.trunk_cache,
         )
-        self._front._consolidate = self._consolidate
+        self._front._snapshot = self._snapshot
         self.model_cache = self._front.model_cache
         self.payload_cache = self._front.payload_cache
         #: Cross-shard prediction answers, keyed (digest, tasks, versions) —
@@ -536,7 +538,7 @@ class ClusterGateway:
         if len(plan) > 1:
             front = self._front
             tiers = front._predict_tiers(
-                images, request.names, consolidate=partial(self._consolidate, plan=plan)
+                images, request.names, snapshot=partial(self._snapshot, plan=plan)
             )
             return front._predicted(request, images, False, *tiers)
         (shard_id,) = plan
@@ -714,14 +716,14 @@ class ClusterGateway:
     def _serve_planned(self, request) -> GatewayResponse:
         """Every plan goes through the front tier's payload tier (after
         routing, so the remote-staleness refusal comes first): a miss is
-        consolidated across shards, or relayed to the one shard that owns
+        snapshotted across shards, or relayed to the one shard that owns
         the whole query."""
         with self.metrics.stage("route"):
             plan = self._route(request.names)
         names, transport, front = request.names, request.transport, self._front
         if len(plan) > 1:
-            consolidate = partial(self._consolidate, plan=plan)
-            return front._served(request, *front._payload_tiers(names, transport, consolidate))
+            snapshot = partial(self._snapshot, plan=plan)
+            return front._served(request, *front._payload_tiers(names, transport, snapshot))
         (shard_id,) = plan
         relay = partial(self._relay, shard_id)
         return front._served(request, *front._payload_tiers(names, transport, relay=relay))
@@ -774,17 +776,18 @@ class ClusterGateway:
         return plan_groups(candidates)
 
     # ------------------------------------------------------------------
-    # The front tier's consolidate step
+    # The front tier's snapshot step
     # ------------------------------------------------------------------
-    def _consolidate(
+    def _snapshot(
         self, names: Tuple[str, ...], plan: Optional[Plan] = None
-    ) -> Tuple[TaskSpecificModel, bool]:
-        """Plan → gather the heads across shards → one branched net over
-        the shared library (what the front tier runs on a model-tier miss).
+    ) -> Tuple[PoolSnapshot, bool]:
+        """Plan → gather the heads across shards → one snapshot over the
+        shared library (what the front tier serializes on a payload miss
+        and wraps on a model-tier miss).
 
         A composite-cache hit touches no shard; a build asks every shard
         in the plan.  A request hands its routed ``plan`` down.  Returns
-        ``(model, fresh)``, as the seam does (see :meth:`_gather_heads`).
+        ``(snapshot, fresh)``, as the seam does (see :meth:`_gather_heads`).
         """
         if plan is None:
             plan = self._plan(names)
@@ -792,10 +795,9 @@ class ClusterGateway:
         with self.metrics.stage("fetch"):
             heads, fresh = self._gather_heads(plan)
         with self.metrics.stage("assemble"):
-            network = BranchedSpecialistNet(
-                self.pool.library, [(name, heads[name]) for name in names]
-            ).eval_over_frozen()
-            return TaskSpecificModel(network, self.pool.hierarchy.composite(names)), fresh
+            composite = self.pool.hierarchy.composite(names)
+            selected = tuple(heads[name] for name in names)
+            return PoolSnapshot(self.pool.library, names, selected, composite), fresh
 
     def _gather_heads(self, plan: Plan) -> Tuple[Dict[str, object], bool]:
         """Collect every planned expert head, local or over the wire.

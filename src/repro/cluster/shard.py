@@ -161,7 +161,7 @@ class PoolShard:
         """
         from ..core.pool import LIBRARY_TASK
 
-        self.pool.library = library.eval()
+        self.pool.library = library.requires_grad_(False).eval()
         self.pool.library_student = library_student
         self.pool._set_version(LIBRARY_TASK, version)
 

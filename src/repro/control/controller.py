@@ -227,7 +227,7 @@ class CacheController:
     def record_build_cost(
         self, names: Tuple[str, ...], seconds: float, nbytes: int
     ) -> None:
-        """One measured composite build: consolidate/assemble + serialize."""
+        """One measured composite build: snapshot (or gather) + serialize."""
         with self._lock:
             self._build.observe(names, seconds, nbytes)
 

@@ -1,7 +1,8 @@
 """Pool of Experts — the paper's core contribution.
 
 * :class:`~repro.core.pool.PoolOfExperts` — preprocessing phase (library
-  extraction by KD, expert extraction by CKD) and train-free consolidation;
+  extraction by KD, expert extraction by CKD) and train-free consolidation
+  (a :class:`~repro.core.pool.PoolSnapshot` of the queried modules);
   :class:`~repro.core.query.TaskSpecificModel` binds a consolidated ``M(Q)``
   to its composite task.  :class:`repro.serving.ServingGateway` serves it.
 * :mod:`~repro.core.server` — the self-contained payload container a
@@ -12,7 +13,7 @@
 
 from .confidence import ConfidenceProfile, max_confidences, ood_confidence_profile
 from .features import TrunkFeatureCache, array_digest
-from .pool import PoEConfig, PoolOfExperts, SegmentStore
+from .pool import PoEConfig, PoolOfExperts, PoolSnapshot, SegmentStore
 from .query import TaskSpecificModel
 from .server import (
     TRANSPORTS,
@@ -28,6 +29,7 @@ from .storage import ExpertStore, VolumeReport, estimate_all_specialists_volume
 __all__ = [
     "PoolOfExperts",
     "PoEConfig",
+    "PoolSnapshot",
     "SegmentStore",
     "TrunkFeatureCache",
     "array_digest",

@@ -10,8 +10,9 @@
    lockstep bank.
 
 The resulting pool is the queryable "neural database": the service phase
-(:meth:`PoolOfExperts.consolidate`) assembles any composite task's model
-from it in microseconds, with no training.
+selects a composite task's library and experts from it
+(:meth:`PoolOfExperts.snapshot`) and assembles them into a model
+(:meth:`PoolOfExperts.consolidate`) in microseconds, with no training.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 import weakref
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "LIBRARY_TASK",
     "PoEConfig",
     "PoolOfExperts",
+    "PoolSnapshot",
     "SegmentStore",
     "expert_init_seed",
 ]
@@ -152,6 +154,29 @@ class PoEConfig:
         )
 
 
+class PoolSnapshot(NamedTuple):
+    """What one query selects from the pool: the library trunk, the heads in
+    the composite's task order, and the composite (its logit layout).
+
+    Every module is the pool's own object, taken by reference, so a
+    snapshot builds no network, copies nothing and walks no module tree.
+    It has the ``trunk`` / ``head_names`` / ``heads`` that
+    :func:`~repro.core.server.serialize_task_model` reads, so a payload is
+    serialized straight from it; :meth:`assemble` builds the runnable net.
+    """
+
+    trunk: WRNTrunk
+    head_names: Tuple[str, ...]
+    heads: Tuple[WRNHead, ...]
+    composite: CompositeTask
+
+    def assemble(self) -> BranchedSpecialistNet:
+        """The branched ``M(Q)`` over these modules, in eval mode."""
+        return BranchedSpecialistNet(
+            self.trunk, list(zip(self.head_names, self.heads))
+        ).eval_over_frozen()
+
+
 class PoolOfExperts:
     """The PoE framework: library + pool of experts + train-free assembly.
 
@@ -232,10 +257,11 @@ class PoolOfExperts:
 
         Used by the cluster tier to place experts on shard views (and to
         migrate them during rebalance) and by incremental-addition flows.
-        Notifies listeners, so dependent cache entries invalidate.
+        The head is frozen and put in eval mode, like every pool-held
+        module.  Notifies listeners, so dependent cache entries invalidate.
         """
         task = self._resolve(task)
-        self.experts[task.name] = head.eval()
+        self.experts[task.name] = head.requires_grad_(False).eval()
         self._set_version(
             task.name, version if version is not None else self.expert_version(task.name) + 1
         )
@@ -369,7 +395,7 @@ class PoolOfExperts:
                 settings=settings or cfg.ckd_settings(),
             )
             for task, head, history in zip(members, bank.unstack(), trained):
-                heads[task.name] = head.eval()
+                heads[task.name] = head.requires_grad_(False).eval()
                 histories[task.name] = history
         for name in resolved:
             self.experts[name] = heads[name]
@@ -402,6 +428,31 @@ class PoolOfExperts:
     # ------------------------------------------------------------------
     # Service phase
     # ------------------------------------------------------------------
+    def snapshot(self, query: Union[CompositeTask, Sequence[str]]) -> PoolSnapshot:
+        """Select the library and the queried experts (paper §4.2), by reference.
+
+        O(heads): no network is built and nothing is walked.  Raises
+        ``KeyError`` naming the first queried task without an expert.
+        """
+        if self.library is None:
+            raise RuntimeError("pool is empty: run preprocess() first")
+        composite = (
+            query
+            if isinstance(query, CompositeTask)
+            else self.hierarchy.composite(query)
+        )
+        names = tuple(task.name for task in composite.tasks)
+        heads: List[WRNHead] = []
+        for name in names:
+            try:
+                heads.append(self.experts[name])
+            except KeyError:
+                raise KeyError(
+                    f"no expert extracted for primitive task {name!r}; "
+                    f"available: {sorted(self.experts)}"
+                ) from None
+        return PoolSnapshot(self.library, names, tuple(heads), composite)
+
     def consolidate(
         self, query: Union[CompositeTask, Sequence[str]]
     ) -> Tuple[BranchedSpecialistNet, CompositeTask]:
@@ -414,23 +465,8 @@ class PoolOfExperts:
         its output layout.  O(heads): pool-held modules stay frozen and in
         eval mode from install to replacement, so nothing is walked here.
         """
-        if self.library is None:
-            raise RuntimeError("pool is empty: run preprocess() first")
-        composite = (
-            query
-            if isinstance(query, CompositeTask)
-            else self.hierarchy.composite(query)
-        )
-        heads: List[Tuple[str, WRNHead]] = []
-        for task in composite.tasks:
-            try:
-                heads.append((task.name, self.experts[task.name]))
-            except KeyError:
-                raise KeyError(
-                    f"no expert extracted for primitive task {task.name!r}; "
-                    f"available: {sorted(self.experts)}"
-                ) from None
-        return BranchedSpecialistNet(self.library, heads).eval_over_frozen(), composite
+        snapshot = self.snapshot(query)
+        return snapshot.assemble(), snapshot.composite
 
     # ------------------------------------------------------------------
     # Internals

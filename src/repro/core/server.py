@@ -57,7 +57,7 @@ from ..compress import dequantize_tensor, quantize_tensor
 from ..compress.quantize import QuantizedTensor
 from ..data.hierarchy import CompositeTask, PrimitiveTask
 from ..models import BranchedSpecialistNet, WRNHead, WRNTrunk
-from .pool import LIBRARY_TASK, SegmentStore
+from .pool import LIBRARY_TASK, PoolSnapshot, SegmentStore
 from .query import TaskSpecificModel
 
 __all__ = [
@@ -274,7 +274,7 @@ def _build_head(arch: Dict, entry: Dict, states: Dict) -> Tuple[PrimitiveTask, W
 
 
 def serialize_task_model(
-    network: BranchedSpecialistNet,
+    network: Union[BranchedSpecialistNet, PoolSnapshot],
     composite: CompositeTask,
     config,
     transport: str = "float32",
@@ -286,9 +286,11 @@ def serialize_task_model(
 
     The payload holds the library trunk's segment, one segment per head,
     and a JSON manifest describing the architecture so the client can
-    rebuild the modules without the server's objects.  ``store`` is the
-    owning pool's :attr:`~repro.core.pool.PoolOfExperts.segments`; it only
-    saves the encoding work, the bytes are the same without it.
+    rebuild the modules without the server's objects.  Only ``network``'s
+    ``trunk`` / ``head_names`` / ``heads`` are read, so a
+    :class:`~repro.core.pool.PoolSnapshot` serializes as is.  ``store`` is
+    the owning pool's :attr:`~repro.core.pool.PoolOfExperts.segments`; it
+    only saves the encoding work, the bytes are the same without it.
 
     ``as_parts=True`` returns the payload unjoined, as ``(container head,
     library segment, *head segments)`` whose concatenation is the bytes:

@@ -148,8 +148,7 @@ class ExpertStore:
                 library_level=config.library_level,
             )
             head.load_state_dict(load_state(self._path(f"expert_{name}")))
-            head.eval()
-            pool.experts[name] = head
+            pool.experts[name] = head.requires_grad_(False).eval()
         return pool
 
     # ------------------------------------------------------------------

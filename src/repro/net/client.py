@@ -159,7 +159,6 @@ def gateway_response_from_body(meta: Dict, blob) -> GatewayResponse:
         transport=meta["transport"],
         queue_seconds=float(meta["queue_seconds"]),
         service_seconds=float(meta["service_seconds"]),
-        model_cache_hit=bool(meta["model_cache_hit"]),
         payload_cache_hit=bool(meta["payload_cache_hit"]),
         coalesced=bool(meta["coalesced"]),
         versions=None if versions is None else tuple(versions),

@@ -596,7 +596,6 @@ class ShardServer:
             "payload_bytes": response.payload_bytes,
             "queue_seconds": response.queue_seconds,
             "service_seconds": response.service_seconds,
-            "model_cache_hit": response.model_cache_hit,
             "payload_cache_hit": response.payload_cache_hit,
             "coalesced": response.coalesced,
         }

@@ -1,4 +1,4 @@
-"""The serving gateway: canonicalize → coalesce → cache → consolidate.
+"""The serving gateway: canonicalize → coalesce → cache → snapshot → serialize.
 
 :class:`ServingGateway` is the concurrent front door of the model-delivery
 service (paper Fig. 1b at production traffic).  A request travels through
@@ -17,13 +17,14 @@ four stages, each one metered:
    the tier is skipped outright (no key, no snapshot, no flight).
 3. **single flight** — concurrent duplicate requests coalesce onto one
    in-flight build; followers block on the leader's result instead of
-   consolidating/serializing the same model N times.
-4. **model cache + build** — a second LRU tier holds consolidated
-   :class:`~repro.core.query.TaskSpecificModel`\\ s (cheap: weights are
-   shared by reference with the pool, the cache bounds wrapper count), and
-   a miss falls through to train-free consolidation + a container head
-   in front of the pool's encoded segments (``pool.segments``: nothing is
-   compressed or joined on the request path).
+   serializing the same payload N times.
+4. **build** — a :class:`~repro.core.pool.PoolSnapshot` of the queried
+   modules (the library and one head per task, by reference: no network
+   is built) and a container head in front of the pool's encoded
+   segments (``pool.segments``: nothing is compressed or joined on the
+   request path).  The model tier is not on this path: it holds
+   consolidated :class:`~repro.core.query.TaskSpecificModel`\\ s for
+   :meth:`ServingGateway.predict` and :meth:`ServingGateway.get_model`.
 
 ``serve()`` runs the pipeline inline on the caller's thread (single-flight
 still applies across threads); ``submit()`` dispatches onto a worker pool
@@ -61,7 +62,7 @@ cluster tier calls after migrating an expert), ``cache_stats()`` /
 **One pipeline.**  Every request is *accounting* (``with _Request(...)``
 around the tier work, closed by ``_served`` / ``_predicted``) around *tier work*
 (``_payload_tiers`` / ``_predict_tiers``), and the tier work has one
-seam: ``_consolidate``, how a model for canonical names is put together.
+seam: ``_snapshot``, how the modules for canonical names are selected.
 :class:`repro.cluster.ClusterGateway` runs its cross-shard tier as an
 instance of this class with that seam rebound, and opens the same
 accounting around its routing, so there is no second copy of either to
@@ -94,7 +95,7 @@ from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple, TypeV
 import numpy as np
 
 from ..core.features import TrunkFeatureCache, array_digest, fused_trunk_features
-from ..core.pool import LIBRARY_TASK
+from ..core.pool import LIBRARY_TASK, PoolSnapshot
 from ..core.query import TaskSpecificModel
 from ..core.server import TRANSPORTS, serialize_task_model, share_segments
 from ..obs.journal import JOURNAL
@@ -112,12 +113,12 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-#: Stands in for ``_consolidate`` on one build (a cluster hands its plan / fetched heads down).
-Seam = Optional[Callable[[Tuple[str, ...]], Tuple[TaskSpecificModel, bool]]]
+#: Stands in for ``_snapshot`` on one build (a cluster hands its plan / fetched heads down).
+Seam = Optional[Callable[[Tuple[str, ...]], Tuple[PoolSnapshot, bool]]]
 #: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard.
 Relay = Optional[Callable[[Tuple[str, ...], str], "GatewayResponse"]]
-#: ``(payload parts, model_hit, payload_hit, coalesced)`` of one serve.
-Served = Tuple[Tuple[bytes, ...], bool, bool, bool]
+#: ``(payload parts, payload_hit, coalesced)`` of one serve.
+Served = Tuple[Tuple[bytes, ...], bool, bool]
 
 
 def expert_versions(pool, names: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
@@ -206,9 +207,6 @@ class GatewayResponse:
     transport: str
     queue_seconds: float
     service_seconds: float
-    #: True only when the model tier was consulted and hit; a payload-tier
-    #: hit short-circuits before the model tier, leaving this False.
-    model_cache_hit: bool
     payload_cache_hit: bool
     coalesced: bool
     #: The answering gateway's :func:`expert_versions` of ``tasks``, taken
@@ -234,7 +232,7 @@ class GatewayResponse:
 
 def _relayed(response: GatewayResponse) -> Served:
     """What a response another gateway answered reports to the tier work."""
-    return response.parts, response.model_cache_hit, response.payload_cache_hit, response.coalesced
+    return response.parts, response.payload_cache_hit, response.coalesced
 
 
 @dataclass(frozen=True)
@@ -475,9 +473,7 @@ class ServingGateway:
 
     def get_model(self, tasks: TaskQuery) -> TaskSpecificModel:
         """The consolidated model for ``tasks``, in canonical task order."""
-        names = canonical_tasks(tasks)
-        model, _, _ = self._model_for(names, expert_versions(self.pool, names))
-        return model
+        return self._model_for(canonical_tasks(tasks))[0]
 
     def prefetch(
         self, tasks: TaskQuery, transport: str = "float32", relay: Relay = None
@@ -504,7 +500,7 @@ class ServingGateway:
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Run prediction through the fused fast path, on the calling thread.
 
-        Pipeline: consolidated model (model cache + single flight) →
+        Pipeline: consolidated model (model tier) →
         trunk features (content-addressed cache, else one trunk forward) →
         fused multi-head pass → argmax mapped to global class ids.
         """
@@ -620,14 +616,12 @@ class ServingGateway:
         self,
         request: _Request,
         parts: Tuple[bytes, ...],
-        model_hit: bool,
         payload_hit: bool,
         coalesced: bool,
         versions: Optional[Tuple[int, ...]] = None,
     ) -> GatewayResponse:
         """Close one serve's accounting into its response."""
         request.span.tag("payload_cache_hit", payload_hit)
-        request.span.tag("model_cache_hit", model_hit)
         service_seconds = perf_counter() - request.start
         self.metrics.observe("total", service_seconds)
         return GatewayResponse(
@@ -636,7 +630,6 @@ class ServingGateway:
             transport=request.transport,
             queue_seconds=request.queue_seconds,
             service_seconds=service_seconds,
-            model_cache_hit=model_hit,
             payload_cache_hit=payload_hit,
             coalesced=coalesced,
             versions=versions,
@@ -680,14 +673,13 @@ class ServingGateway:
             return self._served(request, *self._payload_tiers(request.names, transport), versions)
 
     # ------------------------------------------------------------------
-    # Tier work: payload tier → single flight → versions snapshot → model
-    # tier → consolidate → serialize (or a relay) → build cost →
-    # version-guarded put
+    # Tier work: payload tier → single flight → versions snapshot → pool
+    # snapshot → serialize (or a relay) → build cost → version-guarded put
     # ------------------------------------------------------------------
     def _payload_tiers(
-        self, names: Tuple[str, ...], transport: str, consolidate: Seam = None, relay: Relay = None
+        self, names: Tuple[str, ...], transport: str, snapshot: Seam = None, relay: Relay = None
     ) -> Served:
-        """``(payload parts, model_hit, payload_hit, coalesced)`` for one serve:
+        """``(payload parts, payload_hit, coalesced)`` for one serve:
         a payload-tier hit, else one fill per key across concurrent callers.
 
         ``relay`` answers a miss instead of a build here (a cluster's
@@ -698,24 +690,20 @@ class ServingGateway:
             if relay is not None:
                 served = _relayed(relay(names, transport))
             else:
-                parts, model_hit, _ = self._build_payload(
-                    names, transport, expert_versions(self.pool, names), consolidate
-                )
-                served = (parts, model_hit, False, False)
+                served = (self._build_payload(names, transport, snapshot)[0], False, False)
         else:
             key = payload_key(names, transport)
             parts = self.payload_cache.get(key)
             if parts is not None:
                 if self.controller is not None:
                     self._note_payload_hit(key)
-                # the model tier was never consulted
-                return parts, False, True, False
+                return parts, True, False
             served, coalesced = self._flights.run(
-                key, lambda: self._fill(names, transport, key, consolidate, relay)
+                key, lambda: self._fill(names, transport, key, snapshot, relay)
             )
             if coalesced:
-                served = (*served[:3], True)
-        if served[3]:
+                served = (*served[:2], True)
+        if served[2]:
             self.metrics.increment("coalesced")
         return served
 
@@ -729,7 +717,7 @@ class ServingGateway:
         names: Tuple[str, ...],
         transport: str,
         key: Hashable,
-        consolidate: Seam = None,
+        snapshot: Seam = None,
         relay: Relay = None,
     ) -> Served:
         """One payload-tier miss, built here or relayed, and its
@@ -743,8 +731,8 @@ class ServingGateway:
         """
         versions = expert_versions(self.pool, names)
         if relay is None:
-            parts, model_hit, fresh = self._build_payload(names, transport, versions, consolidate)
-            served = (parts, model_hit, False, False)
+            parts, fresh = self._build_payload(names, transport, snapshot)
+            served = (parts, False, False)
             store = getattr(self.pool, "segments", None)
             owned = len(parts[0]) if store is not None else sum(map(len, parts))
         else:
@@ -764,26 +752,21 @@ class ServingGateway:
         return served
 
     def _build_payload(
-        self,
-        names: Tuple[str, ...],
-        transport: str,
-        versions: Optional[Tuple[int, ...]],
-        consolidate: Seam = None,
-    ) -> Tuple[Tuple[bytes, ...], bool, bool]:
-        """``(payload parts, model_hit, fresh)``: consolidate (or hit the
-        model tier) and serialize; ``versions`` is the caller's snapshot."""
+        self, names: Tuple[str, ...], transport: str, snapshot: Seam = None
+    ) -> Tuple[Tuple[bytes, ...], bool]:
+        """``(payload parts, fresh)``: snapshot the pool and serialize."""
         build_start = perf_counter()
-        model, model_hit, fresh = self._model_for(names, versions, consolidate)
+        taken, fresh = (snapshot or self._snapshot)(names)
         # an unversioned pool-shaped object has nothing to invalidate a
         # memoised segment with: encode fresh
         store = getattr(self.pool, "segments", None)
         encoded = getattr(store, "encode_seconds", 0.0)
         with self.metrics.stage("serialize"):
             parts = serialize_task_model(
-                model.network, model.task, self.pool.config, transport, store, as_parts=True
+                taken, taken.composite, self.pool.config, transport, store, as_parts=True
             )
         if self.controller is not None:
-            # measured consolidate+serialize cost: the rebuild price the
+            # measured snapshot+serialize cost: the rebuild price the
             # eviction scores weigh against popularity — so less what this
             # build spent encoding a segment for the first time, which the
             # store keeps and no rebuild pays again (the total is shared: a
@@ -792,21 +775,31 @@ class ServingGateway:
             self.controller.record_build_cost(
                 names, max(perf_counter() - build_start - once, 0.0), sum(map(len, parts))
             )
-        return parts, model_hit, fresh
+        return parts, fresh
 
     def _model_for(
-        self, names: Tuple[str, ...], versions: Optional[Tuple[int, ...]], consolidate: Seam = None
+        self, names: Tuple[str, ...], snapshot: Seam = None
     ) -> Tuple[TaskSpecificModel, bool, bool]:
-        """``(model, model_hit, fresh)`` for ``names``; ``versions`` is the
-        caller's :func:`expert_versions` snapshot, which guards the cache
-        put.  A model that is not ``fresh`` is answered with but must be
-        cached in no tier."""
+        """``(model, model_hit, fresh)`` for ``names``: a model-tier hit, else
+        one snapshot wrapped per key across concurrent callers.  A model
+        that is not ``fresh`` is answered with but must be cached in no
+        tier.  A tier with no budget is a pass-through: no key, no version
+        snapshot, no flight."""
+
+        def wrap() -> Tuple[TaskSpecificModel, bool]:
+            taken, fresh = (snapshot or self._snapshot)(names)
+            return TaskSpecificModel(taken.assemble(), taken.composite), fresh
+
+        if not self.model_cache.budget_bytes:
+            built, fresh = wrap()
+            return built, False, fresh
         model = self.model_cache.get(names)
         if model is not None:
             return model, True, True
+        versions = expert_versions(self.pool, names)
 
         def build() -> Tuple[TaskSpecificModel, bool]:
-            built, fresh = (consolidate or self._consolidate)(names)
+            built, fresh = wrap()
             if fresh:
                 with self._invalidate_lock:
                     if versions == expert_versions(self.pool, names):
@@ -816,18 +809,15 @@ class ServingGateway:
         (built, fresh), _ = self._flights.run(("model", names), build)
         return built, False, fresh
 
-    def _consolidate(self, names: Tuple[str, ...]) -> Tuple[TaskSpecificModel, bool]:
-        """The pipeline's one seam: how a model for ``names`` is put together.
+    def _snapshot(self, names: Tuple[str, ...]) -> Tuple[PoolSnapshot, bool]:
+        """The pipeline's one seam: the pool modules ``names`` select.
 
-        Returns ``(model, fresh)``.  Train-free consolidation out of
-        ``self.pool`` here, always fresh; a
-        :class:`~repro.cluster.ClusterGateway` rebinds this on its front
-        tier to gather the heads across shards first, and a model built
-        from a fetched head at another version than the pool's is not.
+        Returns ``(snapshot, fresh)``.  Out of ``self.pool`` here, always
+        fresh; a :class:`~repro.cluster.ClusterGateway` rebinds this on its
+        front tier to gather the heads across shards first, and a snapshot
+        holding a fetched head at another version than the pool's is not.
         """
-        with self.metrics.stage("consolidate"):
-            network, composite = self.pool.consolidate(list(names))
-            return TaskSpecificModel(network, composite), True
+        return self.pool.snapshot(names), True
 
     # ------------------------------------------------------------------
     # Prediction fast path
@@ -874,7 +864,7 @@ class ServingGateway:
         features: Optional[np.ndarray] = None,
         trunk_hit: bool = False,
         digest: Optional[str] = None,
-        consolidate: Seam = None,
+        snapshot: Seam = None,
         admitted: Optional[bool] = None,
     ) -> Tuple[np.ndarray, bool, bool, bool]:
         """``(class_ids, model_hit, trunk_hit, result_hit)`` for one prediction.
@@ -899,9 +889,7 @@ class ServingGateway:
             if admitted is None:
                 # this request's one sighting, taken before the trunk store
                 admitted = self.trunk_cache.admit(digest)
-        model, model_hit, fresh = self._model_for(
-            names, expert_versions(self.pool, names), consolidate
-        )
+        model, model_hit, fresh = self._model_for(names, snapshot)
         if features is None:
             # the miss path runs the *compiled* eval-mode trunk, not autograd
             features, trunk_hit = self.trunk_cache.get_or_compute(

@@ -124,7 +124,6 @@ class LoadReport:
     latency: Dict[str, float]
     coalesced: int
     payload_hit_rate: float
-    model_hit_rate: float
     offered_qps: Optional[float] = None
     extras: Dict[str, float] = field(default_factory=dict)
 
@@ -140,7 +139,7 @@ class LoadReport:
                 if k in self.latency
             ),
             f"  cache: payload_hit_rate={self.payload_hit_rate:.1%} "
-            f"model_hit_rate={self.model_hit_rate:.1%} coalesced={self.coalesced}",
+            f"coalesced={self.coalesced}",
         ]
         if self.errors:
             lines.append(f"  errors: {self.errors}")
@@ -185,7 +184,6 @@ def _summarize(
         latency=summary,
         coalesced=gateway.metrics.counter("coalesced") - coalesced_before,
         payload_hit_rate=_delta_hit_rate(stats_before["payload"], stats["payload"]),
-        model_hit_rate=_delta_hit_rate(stats_before["model"], stats["model"]),
         offered_qps=offered_qps,
     )
 

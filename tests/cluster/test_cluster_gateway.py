@@ -313,8 +313,9 @@ class TestInvalidation:
         original = pool.experts[task]
         try:
             single = (task,)
-            cluster.serve(query)
-            cluster.serve(single)
+            for tasks in (query, single):
+                cluster.serve(tasks)
+                cluster.get_model(tasks)  # a model-tier entry too
             version = pool.expert_version(task)
             # swap in a structurally identical head with different weights
             donor = next(n for n in pool.expert_names() if n != task)
@@ -322,13 +323,14 @@ class TestInvalidation:
             assert pool.expert_version(task) == version + 1
             cross = cluster.serve(query)
             local = cluster.serve(single)
-            assert not cross.payload_cache_hit and not cross.model_cache_hit
-            assert not local.payload_cache_hit and not local.model_cache_hit
-            # the served payloads really contain the new weights
-            rebuilt = deserialize_task_model(cross.payload)
-            network, _ = pool.consolidate(list(query))
+            assert not cross.payload_cache_hit and not local.payload_cache_hit
+            # the served payloads and the models really hold the new weights
             x = data.test.images[:16]
-            assert np.array_equal(rebuilt.logits(x), batched_forward(network, x))
+            for tasks, served in ((query, cross), (single, local)):
+                network, _ = pool.consolidate(list(tasks))
+                expected = batched_forward(network, x)
+                assert np.array_equal(deserialize_task_model(served.payload).logits(x), expected)
+                assert np.array_equal(cluster.get_model(tasks).logits(x), expected)
         finally:
             cluster.close()
             pool.attach_expert(task, original)  # undo for other tests

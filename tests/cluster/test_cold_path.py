@@ -1,9 +1,10 @@
 """The payload-miss path: O(heads) work, no module-tree walk, same charge.
 
-A cold serve consolidates by reference, so nothing on it may traverse a
-module tree: the cache charge comes from per-module constants, eval state
-is set where modules enter the pool, and the version guard snapshots once
-per build.  Counted, not timed.
+A cold serve snapshots the pool by reference and builds no model, so
+nothing on it may traverse a module tree; a model build's cache charge
+comes from per-module constants, eval state is set where modules enter
+the pool, and the version guard snapshots once per build.  Counted, not
+timed.
 """
 
 from collections import Counter
@@ -53,13 +54,14 @@ def calls(monkeypatch):
     return counts
 
 
-def _assert_walk_free(serve, model_caches, composites, calls):
-    """After one serve per composite, further misses walk nothing."""
+def _assert_walk_free(serve, get_model, model_caches, composites, calls):
+    """After one serve per composite, further misses walk nothing, and no
+    serve consults a model tier, whatever its budget.  Likewise, after one
+    ``get_model`` per composite (which memoizes each module's parameter
+    count), further model-tier misses walk nothing, and each charges one
+    put when the tier has a budget."""
     for query in composites:
         serve(query)
-    for cache in model_caches:
-        cache.clear()  # a tier that is on misses again, and so charges a put
-    puts = sum(cache.stats().insertions for cache in model_caches)
     calls.clear()
     for _ in range(2):
         for query in composites:
@@ -68,6 +70,21 @@ def _assert_walk_free(serve, model_caches, composites, calls):
     assert calls["named_parameters"] == 0
     assert calls["train"] == 0
     assert 0 < calls["expert_versions"] <= 3 * misses
+    for cache in model_caches:
+        stats = cache.stats()
+        assert (stats.insertions, stats.rejections, stats.requests) == (0, 0, 0)
+
+    for query in composites:
+        get_model(query)
+    for cache in model_caches:
+        cache.clear()  # a tier that is on misses again, and so charges a put
+    puts = sum(cache.stats().insertions for cache in model_caches)
+    calls.clear()
+    for _ in range(2):
+        for query in composites:
+            get_model(query)
+    assert calls["named_parameters"] == 0
+    assert calls["train"] == 0
     puts = sum(cache.stats().insertions for cache in model_caches) - puts
     assert puts == (len(composites) if model_caches[0].budget_bytes else 0)
 
@@ -78,7 +95,9 @@ def test_serving_gateway_miss_walks_no_module_tree(
 ):
     config = GatewayConfig(model_cache_bytes=model_cache_bytes, payload_cache_bytes=0)
     with ServingGateway(wide_pool[0].subset(names), config) as gateway:
-        _assert_walk_free(gateway.serve, [gateway.model_cache], composites, calls)
+        _assert_walk_free(
+            gateway.serve, gateway.get_model, [gateway.model_cache], composites, calls
+        )
 
 
 @pytest.mark.parametrize("model_cache_bytes", [0, 64 << 20])
@@ -96,7 +115,7 @@ def test_cluster_gateway_miss_walks_no_module_tree(
     try:
         assert any(len(gateway._plan(tuple(query))) > 1 for query in composites)
         caches = [gateway.model_cache] + [shard.gateway.model_cache for shard in gateway.shards]
-        _assert_walk_free(gateway.serve, caches, composites, calls)
+        _assert_walk_free(gateway.serve, gateway.get_model, caches, composites, calls)
     finally:
         gateway.close()
 

@@ -167,6 +167,7 @@ class TestLockstepBanks:
         for task in pool.hierarchy.primitive_tasks():
             assert pool.experts[task.name].num_classes == len(task)
             assert not pool.experts[task.name].training
+            assert not any(p.requires_grad for p in pool.experts[task.name].parameters())
             assert pool.expert_version(task.name) == 1
             assert len(pool.histories[f"expert/{task.name}"].points) == 2
 

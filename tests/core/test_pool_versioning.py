@@ -1,5 +1,6 @@
 """Expert versioning, invalidation listeners, subset views, stable seeding."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -36,6 +37,15 @@ class TestVersioning:
         pool, _, _ = named_pool
         pool.attach_expert("fish", pool.experts["fish"], version=41)
         assert pool.expert_version("fish") == 41
+
+    def test_attached_head_is_frozen_and_in_eval_mode(self, named_pool):
+        pool, _, _ = named_pool
+        view = pool.subset(["pets"])
+        arrived = copy.deepcopy(pool.experts["pets"]).requires_grad_(True).train()
+        view.attach_expert("pets", arrived)  # as a deserialized or trained head arrives
+        assert view.experts["pets"] is arrived
+        assert not any(module.training for module in arrived.modules())
+        assert not any(param.requires_grad for param in arrived.parameters())
 
     def test_detach_notifies_and_removes(self, named_pool):
         pool, _, _ = named_pool

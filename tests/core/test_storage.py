@@ -39,8 +39,9 @@ class TestPersistence:
         store = ExpertStore(str(tmp_path / "pool2"))
         store.save(pool)
         loaded = store.load(oracle, pool.hierarchy)
-        assert all(not p.requires_grad for p in loaded.library.parameters())
-        assert not loaded.library.training
+        for module in (loaded.library, *loaded.experts.values()):
+            assert all(not p.requires_grad for p in module.parameters())
+            assert not module.training
 
     def test_manifest_written(self, tmp_path, micro_pool):
         pool, _, _ = micro_pool

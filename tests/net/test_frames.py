@@ -446,7 +446,7 @@ def test_served_payload_reaches_sendmsg_by_identity():
             return GatewayResponse(
                 parts=(payload,), tasks=tuple(tasks), transport=transport,
                 queue_seconds=0.0, service_seconds=0.0,
-                model_cache_hit=True, payload_cache_hit=True, coalesced=False,
+                payload_cache_hit=True, coalesced=False,
             )
 
     server = ShardServer(_Shard(), request_workers=1)
@@ -509,8 +509,8 @@ def test_receiving_a_large_message_allocates_its_buffer_and_one_copy(monkeypatch
     served = encode_frame(
         MsgType.SERVED, 1,
         pack_body({"tasks": ["a"], "transport": "float32", "queue_seconds": 0,
-                   "service_seconds": 0, "model_cache_hit": True,
-                   "payload_cache_hit": True, "coalesced": False}, blob),
+                   "service_seconds": 0, "payload_cache_hit": True,
+                   "coalesced": False}, blob),
         CODEC_BINARY,
     )
     channel, _sock = _channel(monkeypatch, served, recv_step=1 << 16)

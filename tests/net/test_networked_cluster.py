@@ -481,6 +481,7 @@ def test_remote_mutation_poisons_when_workers_lack_the_feature(net_pool, in_proc
         gateway = deployment.gateway
         query = _cross_shard_query(in_process)
         gateway.serve(query)
+        gateway.get_model(query)  # serving builds no model: fill that tier
         assert len(gateway.payload_cache) == 1
         assert len(gateway.model_cache) == 1
         gateway.shards[0].info["features"] = []  # simulate a legacy worker

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs import (
@@ -256,19 +258,14 @@ class TestTelemetryPoller:
         assert produced["serving"]["rate.requests"] == pytest.approx(50.0)
 
     def test_background_thread_polls_and_stops(self):
-        import time
-
-        polled = []
+        polled = threading.Event()
         poller = TelemetryPoller(
-            {"serving": lambda: (polled.append(1), _snap())[1]},
+            {"serving": lambda: (polled.set(), _snap())[1]},
             interval_s=0.01,
             journal=EventJournal(),
         )
         with poller:
-            deadline = time.monotonic() + 5.0
-            while not polled and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert polled
+            assert polled.wait(timeout=5.0), "the poller thread never polled"
         assert poller._thread is None
 
 

@@ -1,10 +1,13 @@
 """ServingGateway: canonicalization, cache tiers, single-flight coalescing."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core import TaskSpecificModel, serialize_task_model
+from repro.models import BranchedSpecialistNet
 from repro.serving import GatewayConfig, ServingGateway, canonical_tasks
 
 
@@ -16,24 +19,28 @@ def gateway(named_pool):
     gw.close()
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("reached on a path that must not reach it")
+
+
 class CountingPool:
-    """Wraps a trained pool, counting (and optionally gating) consolidations."""
+    """Wraps a trained pool, counting (and optionally gating) its snapshots."""
 
     def __init__(self, pool, gate=None):
         self._pool = pool
-        #: A ``threading.Event`` every consolidation waits for, if given.
+        #: A ``threading.Event`` every snapshot waits for, if given.
         self.gate = gate
         self.consolidations = 0
         self._lock = threading.Lock()
         self.config = pool.config
         self.hierarchy = pool.hierarchy
 
-    def consolidate(self, query):
+    def snapshot(self, query):
         with self._lock:
             self.consolidations += 1
         if self.gate is not None:
             assert self.gate.wait(timeout=60), "the gate was never opened"
-        return self._pool.consolidate(query)
+        return self._pool.snapshot(query)
 
     def expert_names(self):
         return self._pool.expert_names()
@@ -59,10 +66,36 @@ class TestServe:
         assert not packed.payload_cache_hit
         assert packed.payload_bytes < full.payload_bytes
 
-    def test_model_tier_shared_across_transports(self, gateway):
-        gateway.serve(["pets", "birds"], transport="float32")
+    def test_cold_serve_snapshots_the_pool_and_builds_no_model(self, named_pool, monkeypatch):
+        pool, _, _ = named_pool
+        network, composite = pool.consolidate(["birds", "pets"])
+        calls = Counter()
+        for method in ("snapshot", "consolidate"):
+            real = getattr(pool, method)
+
+            def counted(query, method=method, real=real):
+                calls[method] += 1
+                return real(query)
+
+            monkeypatch.setattr(pool, method, counted)
+        with ServingGateway(pool) as gateway:
+            for cold, transport in enumerate(("float32", "raw+zlib", "uint8"), 1):
+                response = gateway.serve(["pets", "birds"], transport=transport)
+                assert calls == {"snapshot": cold}  # and consolidate never
+                assert len(gateway.model_cache) == 0
+                assert gateway.model_cache.stats().misses == 0
+                expected = serialize_task_model(network, composite, pool.config, transport)
+                assert response.payload == expected
+
+    def test_a_filled_model_tier_stays_off_the_serve_path(self, gateway, monkeypatch):
+        model = gateway.get_model(["pets", "birds"])
+        assert len(gateway.model_cache) == 1
+        monkeypatch.setattr(TaskSpecificModel, "__init__", _forbidden)
+        monkeypatch.setattr(BranchedSpecialistNet, "__init__", _forbidden)
         response = gateway.serve(["pets", "birds"], transport="uint8")
-        assert response.model_cache_hit  # consolidation reused, only serialize redone
+        assert not response.payload_cache_hit
+        assert gateway.model_cache.stats().hits == 0  # serve never looked
+        assert gateway.get_model(["birds", "pets"]) is model
 
     def test_unknown_task_raises_keyerror(self, gateway):
         with pytest.raises(KeyError):
@@ -93,8 +126,8 @@ class TestServe:
         snap = gateway.metrics.snapshot()
         assert snap["counters"]["requests"] == 2
         assert snap["stages"]["total"]["count"] == 2
-        assert snap["stages"]["consolidate"]["count"] == 1
-        assert snap["stages"]["serialize"]["count"] == 1
+        assert snap["stages"]["serialize"]["count"] == 1  # the one miss
+        assert "consolidate" not in snap["stages"]
         stats = gateway.cache_stats()
         assert stats["payload"].hits == 1
 
@@ -112,8 +145,20 @@ class TestCacheControl:
         with ServingGateway(pool, config) as gateway:
             first = gateway.serve(["pets"])
             second = gateway.serve(["pets"])
-            assert not second.payload_cache_hit and not second.model_cache_hit
+            assert not second.payload_cache_hit
             assert first.payload_bytes == second.payload_bytes
+
+    def test_zero_budget_model_tier_is_a_pass_through(self, named_pool, monkeypatch):
+        pool, data, _ = named_pool
+        config = GatewayConfig(model_cache_bytes=0, result_cache_bytes=0)
+        with ServingGateway(pool, config) as gateway:
+            monkeypatch.setattr(TaskSpecificModel, "cache_nbytes", _forbidden)
+            first = gateway.get_model(["pets", "fish"])
+            assert gateway.get_model(["fish", "pets"]) is not first  # nothing kept
+            predicted = gateway.predict(data.test.images[:4], ["pets", "fish"])
+            assert np.array_equal(predicted.class_ids, first.predict(data.test.images[:4]))
+            stats = gateway.model_cache.stats()
+            assert (stats.insertions, stats.rejections, stats.requests) == (0, 0, 0)
 
 
 class TestInvalidation:
@@ -123,17 +168,21 @@ class TestInvalidation:
         with ServingGateway(pool) as gateway:
             gateway.serve(["pets", "birds"])
             gateway.serve(["fish"])
+            gateway.get_model(["pets", "birds"])
             pool.attach_expert("pets", pool.experts["pets"])  # version bump
+            assert not gateway.model_cache.contains(("birds", "pets"))
             hit = gateway.serve(["fish"])
             missed = gateway.serve(["pets", "birds"])
             assert hit.payload_cache_hit  # unrelated entry untouched
-            assert not missed.payload_cache_hit and not missed.model_cache_hit
+            assert not missed.payload_cache_hit
 
     def test_invalidate_task_reports_dropped_count(self, named_pool):
         pool, _, _ = named_pool
         with ServingGateway(pool) as gateway:
             gateway.serve(["pets", "birds"])
             gateway.serve(["pets"], transport="uint8")
+            gateway.get_model(["pets", "birds"])
+            gateway.get_model(["pets"])
             # 2 payload entries + 2 model entries mention pets
             assert gateway.invalidate_task("pets") == 4
             assert gateway.invalidate_task("pets") == 0
@@ -181,8 +230,8 @@ class TestCoalescing:
         pool, _, _ = named_pool
 
         class FailingPool(CountingPool):
-            def consolidate(self, query):
-                super().consolidate(query)
+            def snapshot(self, query):
+                super().snapshot(query)
                 raise KeyError("boom")
 
         clients = 4
