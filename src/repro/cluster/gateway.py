@@ -4,23 +4,23 @@
 partitioned across N :class:`~repro.cluster.shard.PoolShard`\\ s by a
 :class:`~repro.cluster.router.ShardRouter`.  Every served query runs
 through the *front tier*: one :class:`~repro.serving.ServingGateway` over
-the parent pool (its payload/model/result tiers, single flight, version
-guards, build cost).  A payload-tier miss is answered one of two ways:
+the parent pool (its payload/model/result tiers, single flight, versioned
+keys, build cost).  A payload-tier miss is answered one of two ways:
 
 * **single-shard relay** — the router's plan touches one shard, which
   serves the query through its own gateway (caches, coalescing,
   metrics) exactly as a standalone deployment would; the front tier
-  keeps the answer, its segments shared with the parent pool's, if the
-  shard answered at the versions the front end snapshotted.
+  keeps the answer, its segments shared with the parent pool's, under
+  the versions the shard reports for it.
 * **cross-shard snapshot** — the plan spans shards, and the front
   tier's snapshot step is this class's — pick the *home* shard
   (largest task group), fetch the other shards' expert heads as
   serialized payloads (the UniPool view: any expert is queryable
   regardless of placement), rebuild them, and select them over the
   shared library in canonical task order: one
-  :class:`~repro.core.pool.PoolSnapshot`, serialized as it is for a
-  payload and assembled into a
-  :class:`~repro.models.BranchedSpecialistNet` only for a model.
+  :class:`~repro.core.pool.PoolSnapshot` holding each head at the version
+  its shard reports, serialized as it is for a payload and assembled
+  into a :class:`~repro.models.BranchedSpecialistNet` only for a model.
 
 What is written here is what only a cluster has: placement and planning,
 the single-shard relay, the replan-once rule, the remote-head tier and
@@ -30,12 +30,16 @@ Because head payloads use a float-exact transport, a cross-shard composite
 is **bit-identical** to single-pool :meth:`~repro.core.PoolOfExperts
 .consolidate` — sharding changes where work happens, never the answer.
 
-The cluster registers an invalidation listener on the source pool: when an
-expert is re-extracted (version bump), the holding shards refresh their
-references and every dependent cache entry — shard-local and cluster-level
-— is dropped immediately.  :meth:`rebalance` migrates experts to the
-router's current placement (after :meth:`~ShardRouter.pin` /
-:meth:`~ShardRouter.replicate` changes) with the same guarantee.
+Every tier, shard-local and cluster-level, follows the serving gateway's
+one staleness rule: an entry is stored under the versions of the modules
+it was built from and looked up under the pool's current ones, so nothing
+is dropped on an update.  The cluster registers one listener on the source
+pool, to resync the shards: when an expert is re-extracted (version bump),
+the holding shards install the new head at the pool's version.
+:meth:`rebalance` migrates experts to the router's current placement
+(after :meth:`~ShardRouter.pin` / :meth:`~ShardRouter.replicate` changes);
+a migrated head keeps its version and its bytes, so every entry stays
+valid.
 
 **Public entry points.**  Model delivery: :meth:`ClusterGateway.serve`
 (blocking) and :meth:`ClusterGateway.submit` (cluster worker pool).
@@ -53,7 +57,7 @@ shards live: the default builds in-process
 in a forked worker process behind a socket
 (:class:`~repro.net.client.RemoteShardClient`).  The gateway only uses
 the narrow surface both implement — ``is_remote()`` is the capability
-probe, ``local_heads()`` the home-shard fast path — everything else,
+probe, ``local_snapshot()`` the home-shard fast path — everything else,
 including bit-exact cross-shard consolidation, is backend-agnostic.  Errors raised while a shard
 executes a request carry a ``[shard N]`` prefix so a failure inside a
 remote worker is attributable from the front end.
@@ -62,7 +66,7 @@ remote worker is attributable from the front end.
 of threads: cache tiers are individually locked
 (:class:`~repro.serving.cache.ByteBudgetLRU`), placement reads/writes
 take ``_placement_lock``, and the front tier brings ``ServingGateway``'s
-single flight and version-guarded puts.  Mutating entry points (:meth:`rebalance`,
+single flight and versioned keys.  Mutating entry points (:meth:`rebalance`,
 :meth:`reshard`, a pool re-extraction firing ``_on_expert_update``) may
 run concurrently with serving: readers see the old or the new placement,
 never a torn one.  Networked backends mutate through the fenced wire
@@ -97,7 +101,7 @@ from ..core.server import (
     serialize_expert_heads,
     serialize_library_state,
 )
-from ..models import frozen_param_count
+from ..models import WRNHead, frozen_param_count
 from ..obs.journal import JOURNAL
 from ..serving.cache import BYTES_PER_PARAM, ByteBudgetLRU, CacheStats, merge_cache_stats
 from ..serving.canonical import TaskQuery, canonical_tasks
@@ -202,7 +206,6 @@ class RebalanceReport:
     moved: Tuple[Tuple[str, Tuple[int, ...], Tuple[int, ...]], ...]
     installs: int
     drops: int
-    composite_entries_dropped: int
     #: Serialized payload bytes shipped shard-to-shard for the migrations
     #: (in the float-exact ``raw+zlib`` codec).
     migrated_bytes: int = 0
@@ -292,7 +295,7 @@ class ClusterGateway:
         self._mutation_seq = itertools.count(1)
         # The cross-shard tier is ServingGateway's pipeline over the parent
         # pool — accounting, payload/model/result tiers, single flight,
-        # version guards, build cost — with one step rebound: a composite's
+        # versioned keys, build cost — with one step rebound: a composite's
         # snapshot holds heads gathered across shards.  It shares this
         # front end's metrics and trunk cache and is entered below its
         # public serve()/predict(), so each request is counted once, here.
@@ -313,7 +316,7 @@ class ClusterGateway:
         #: single-shard predictions use the owning shard gateway's tier.
         self.result_cache = self._front.result_cache
         # deserialized remote heads, keyed (task, version): a version bump
-        # can never hit a stale entry, and updates also drop bytes eagerly
+        # can never hit a stale entry
         self.remote_head_cache = ByteBudgetLRU(self.config.remote_head_cache_bytes)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
@@ -751,9 +754,9 @@ class ClusterGateway:
         if stale is not None:
             raise RuntimeError(
                 f"pool update for {stale!r} could not propagate to networked "
-                "shard workers; this gateway dropped its caches and refuses "
-                "to serve potentially inconsistent answers — restart the "
-                "worker fleet to recover (see docs/fault-tolerance.md)"
+                "shard workers; this gateway refuses to serve potentially "
+                "inconsistent answers — restart the worker fleet to recover "
+                "(see docs/fault-tolerance.md)"
             )
 
     def _plan(self, names: Tuple[str, ...]) -> Plan:
@@ -778,61 +781,64 @@ class ClusterGateway:
     # ------------------------------------------------------------------
     # The front tier's snapshot step
     # ------------------------------------------------------------------
-    def _snapshot(
-        self, names: Tuple[str, ...], plan: Optional[Plan] = None
-    ) -> Tuple[PoolSnapshot, bool]:
+    def _snapshot(self, names: Tuple[str, ...], plan: Optional[Plan] = None) -> PoolSnapshot:
         """Plan → gather the heads across shards → one snapshot over the
         shared library (what the front tier serializes on a payload miss
         and wraps on a model-tier miss).
 
         A composite-cache hit touches no shard; a build asks every shard
-        in the plan.  A request hands its routed ``plan`` down.  Returns
-        ``(snapshot, fresh)``, as the seam does (see :meth:`_gather_heads`).
+        in the plan.  A request hands its routed ``plan`` down.  Each head
+        is held at the version its holder reports (see
+        :meth:`_gather_heads`), so a build from a shard that has not yet
+        applied an update is stored under the versions it really holds.
         """
         if plan is None:
             plan = self._plan(names)
         self.metrics.record_shard_requests(list(plan))
         with self.metrics.stage("fetch"):
-            heads, fresh = self._gather_heads(plan)
+            heads = self._gather_heads(plan)
         with self.metrics.stage("assemble"):
             composite = self.pool.hierarchy.composite(names)
-            selected = tuple(heads[name] for name in names)
-            return PoolSnapshot(self.pool.library, names, selected, composite), fresh
+            trunk, library = self.pool.library_snapshot()
+            selected = [heads[name] for name in names]
+            return PoolSnapshot(
+                trunk,
+                names,
+                tuple(head for head, _ in selected),
+                composite,
+                tuple(version for _, version in selected) + (library,),
+            )
 
-    def _gather_heads(self, plan: Plan) -> Tuple[Dict[str, object], bool]:
-        """Collect every planned expert head, local or over the wire.
+    def _gather_heads(self, plan: Plan) -> Dict[str, Tuple[WRNHead, int]]:
+        """Collect every planned expert head with its version, local or over
+        the wire.
 
         The home shard (largest task group, ties → lowest id) contributes
-        plain references when it is in-process; every other group — and
-        the home group too, when the shard is remote — comes out of the
-        remote-head LRU, else a ``fetch_heads`` round trip in the
-        float-exact ``raw+zlib`` codec.  The LRU is keyed
-        ``(task, version)``: a version bump can never hit a stale entry, so
-        repeat cross-shard builds skip the refetch without staleness risk.
-
-        Returns ``(heads, fresh)``.  A worker may answer a fetch before it
-        applies an update this pool already counts: a head fetched at
-        another version than the pool's is still used for this answer, but
-        ``fresh`` is False, so the build is cached in no tier.
+        a snapshot of its own references when it is in-process; every
+        other group — and the home group too, when the shard is remote —
+        comes out of the remote-head LRU at the pool's current version,
+        else a ``fetch_heads`` round trip in the float-exact ``raw+zlib``
+        codec.  The LRU is keyed ``(task, version)``: a version bump can
+        never hit a stale entry, so repeat cross-shard builds skip the
+        refetch without staleness risk.  A fetched head is held (and kept
+        in the LRU) at the version the worker reports for it.
         """
         home = max(plan, key=lambda shard_id: (len(plan[shard_id]), -shard_id))
-        heads: Dict[str, object] = {}
-        fresh = True
+        heads: Dict[str, Tuple[WRNHead, int]] = {}
         for shard_id, group in plan.items():
             shard = self.shards[shard_id]
-            local = shard.local_heads() if shard_id == home else None
+            local = shard.local_snapshot(group) if shard_id == home else None
             if local is not None:
-                heads.update(local)
+                heads.update(zip(local.head_names, zip(local.heads, local.versions)))
                 continue
-            missing: Dict[str, int] = {}
-            for name in group:
-                version = self.pool.expert_version(name)
+            missing: List[str] = []
+            for name, version in zip(group, self.pool.versions(group)):
                 head = self.remote_head_cache.get((name, version))
                 if head is None:
-                    missing[name] = version
+                    missing.append(name)
                     continue
                 self.metrics.increment("remote_head_hits")
-                heads[name] = head
+                heads[name] = (head, version)
             if not missing:
                 continue
             fetch_start = perf_counter()
@@ -848,49 +854,25 @@ class ClusterGateway:
                 # the remote-head tier's eviction cost signal
                 self.controller.record_wire_cost(list(missing), seconds, len(raw))
             for name, remote in deserialize_expert_heads(raw).items():
-                heads[name] = remote.head.eval()  # held like a pool module: eval from here on
-                fresh = fresh and remote.version == missing.get(name)
+                head = remote.head.eval()  # held like a pool module: eval from here on
+                heads[name] = (head, remote.version)
                 self.remote_head_cache.put(
-                    (name, remote.version),
-                    remote.head,
-                    frozen_param_count(remote.head) * BYTES_PER_PARAM,
+                    (name, remote.version), head, frozen_param_count(head) * BYTES_PER_PARAM
                 )
-        return heads, fresh
+        return heads
 
     # ------------------------------------------------------------------
-    # Invalidation + rebalance
+    # Pool updates + rebalance
     # ------------------------------------------------------------------
-    def _invalidate_composites(self, name: str) -> int:
-        """Drop cluster-level entries that include expert ``name``.
-
-        Remote-head and prediction-result entries are version-keyed, so a
-        stale one can never be *served* — dropping here just releases the
-        bytes immediately.
-        """
-        dropped = 0
-        for key in self.remote_head_cache.keys():
-            if key[0] == name:
-                dropped += self.remote_head_cache.discard(key)
-        return dropped + self._front.invalidate_task(name)
-
     def _on_expert_update(self, name: str, version: int) -> None:
         """Source pool re-extracted (or removed) an expert: resync shards."""
         has_remote = any(shard.is_remote() for shard in self.shards)
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "library_update" if name == LIBRARY_TASK else "expert_update",
-                task=name,
-                version=version,
-                remote=has_remote,
-            )
         # Legacy networked backend: a pool mutation cannot propagate into
-        # workers that lack the mutation frames.  Do the only safe things —
-        # drop the front-end tiers (this gateway must not keep serving
-        # cached artifacts of the superseded state) and POISON the gateway,
-        # WITHOUT touching the placement map or the workers and without
-        # raising here: an exception from inside the pool's listener loop
-        # would skip every listener registered after this one, corrupting
-        # *their* caches.  The next serving call fails loudly instead (see
+        # workers that lack the mutation frames.  Do the only safe thing —
+        # POISON the gateway, WITHOUT touching the placement map or the
+        # workers and without raising here: an exception from inside the
+        # pool's listener loop would skip every listener registered after
+        # this one.  The next serving call fails loudly instead (see
         # _check_remote_stale); restart the fleet to recover.
         poisoned = has_remote and not self._all_remote_mutation_capable()
         if not poisoned:
@@ -900,13 +882,6 @@ class ClusterGateway:
                 if not has_remote:
                     raise
                 poisoned = True  # a wire push failed after retries: same contract
-        if poisoned or name == LIBRARY_TASK:
-            # everything was computed against the old library (or may have
-            # been); the trunk cache is shared with every local shard gateway
-            self._front._clear_tiers()
-            self.remote_head_cache.clear()
-        else:
-            self._invalidate_composites(name)
         self.metrics.increment("invalidations")
         if poisoned:
             self.metrics.increment("remote_updates_unapplied")
@@ -921,9 +896,8 @@ class ClusterGateway:
         fence admits epoch >= its own).
         """
         if name == LIBRARY_TASK:
-            # the trunk changed: repoint every shard view at the new library
-            # (propagating the sentinel fires each shard gateway's own
-            # listener, which clears caches and bumps its version guard)
+            # the trunk changed: repoint every shard view at the new library,
+            # at the pool's version
             payload = None
             for shard in self.shards:
                 if shard.is_remote():
@@ -1053,9 +1027,7 @@ class ClusterGateway:
         transfers: Dict[Tuple[Optional[int], int], List[str]],
         retiring: Set[int] = frozenset(),
         force_epoch: bool = False,
-    ) -> Tuple[
-        List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]], int, int, int, int, int
-    ]:
+    ) -> Tuple[List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]], int, int, int, int]:
         """Execute a migration plan as prepare → commit.
 
         **Prepare** serializes each route once and installs on every
@@ -1070,13 +1042,16 @@ class ClusterGateway:
         ``retiring`` are skipped for drops and fences — they close right
         after commit.
 
-        Returns ``(moved, installs, drops, composites_dropped,
-        migrated_bytes, epoch)`` with ``epoch`` 0 when nothing committed.
+        A migrated head keeps its version and its bytes (the codec is
+        float-exact), so no cache entry anywhere needs to go.
+
+        Returns ``(moved, installs, drops, migrated_bytes, epoch)`` with
+        ``epoch`` 0 when nothing committed.
         """
         moved: List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = []
-        installs = drops = composites_dropped = migrated_bytes = 0
+        installs = drops = migrated_bytes = 0
         if not plans and not force_epoch:
-            return moved, installs, drops, composites_dropped, migrated_bytes, 0
+            return moved, installs, drops, migrated_bytes, 0
         next_epoch = self._epoch + 1
         # ---- prepare -------------------------------------------------
         for route, names in transfers.items():
@@ -1133,9 +1108,7 @@ class ClusterGateway:
                 shard.drop_heads(
                     [], epoch=next_epoch, mutation_id=self._mutation_id("fence")
                 )
-        for name, _old, _new, _source in plans:
-            composites_dropped += self._invalidate_composites(name)
-        return moved, installs, drops, composites_dropped, migrated_bytes, next_epoch
+        return moved, installs, drops, migrated_bytes, next_epoch
 
     def _sync_fleet_assignment(self) -> None:
         """Push the committed placement into the fleet's respawn specs.
@@ -1164,9 +1137,8 @@ class ClusterGateway:
         replacement router (same shard count).  Experts ship shard-to-shard
         as bulk serialized head payloads in the float-exact
         ``raw+zlib`` codec (one payload per source/destination pair),
-        so answers never change; every cache entry that depended on a moved
-        expert — on the old shard, the new shard, or the cluster composite
-        tiers — is dropped explicitly.
+        so answers never change: a moved expert keeps its version, and
+        every cache entry built from it stays valid.
 
         Works over in-process shards and networked workers alike: remote
         destinations receive ``INSTALL_HEADS``/``DROP_HEADS`` frames under
@@ -1188,9 +1160,7 @@ class ClusterGateway:
             for name in self.pool.expert_names()
         }
         plans, transfers = self._plan_moves(target, born=set())
-        moved, installs, drops, composites_dropped, migrated_bytes, epoch = (
-            self._apply_two_phase(plans, transfers)
-        )
+        moved, installs, drops, migrated_bytes, epoch = self._apply_two_phase(plans, transfers)
         self._sync_fleet_assignment()
         if moved:
             self.metrics.increment("rebalances")
@@ -1207,7 +1177,6 @@ class ClusterGateway:
             moved=tuple(moved),
             installs=installs,
             drops=drops,
-            composite_entries_dropped=composites_dropped,
             migrated_bytes=migrated_bytes,
             epoch=epoch,
         )
@@ -1234,9 +1203,7 @@ class ClusterGateway:
             raise ValueError("new_num_shards must be >= 1")
         old_n = len(self.shards)
         if new_num_shards == old_n:
-            return RebalanceReport(
-                moved=(), installs=0, drops=0, composite_entries_dropped=0
-            )
+            return RebalanceReport(moved=(), installs=0, drops=0)
         has_remote = any(shard.is_remote() for shard in self.shards)
         if has_remote:
             self._require_mutation_capable("reshard()")
@@ -1283,10 +1250,8 @@ class ClusterGateway:
         # a reshard always commits an epoch, even when no expert moved —
         # the *shape* of the cluster changed, and stale frames addressed
         # at the old shape must fence out
-        moved, installs, drops, composites_dropped, migrated_bytes, epoch = (
-            self._apply_two_phase(
-                plans, transfers, retiring=retiring, force_epoch=True
-            )
+        moved, installs, drops, migrated_bytes, epoch = self._apply_two_phase(
+            plans, transfers, retiring=retiring, force_epoch=True
         )
         self.router = new_router
         self.config = replace(
@@ -1319,7 +1284,6 @@ class ClusterGateway:
             moved=tuple(moved),
             installs=installs,
             drops=drops,
-            composite_entries_dropped=composites_dropped,
             migrated_bytes=migrated_bytes,
             epoch=epoch,
         )

@@ -11,16 +11,18 @@ boundary a networked deployment would cross.
 This class is also the reference implementation of the **shard backend
 surface** :class:`~repro.cluster.gateway.ClusterGateway` consumes —
 ``task_names``/``holds``, ``serve``/``predict``/``submit_predict``/
-``get_model``, ``fetch_heads``, ``cache_stats`` and ``local_heads`` —
+``get_model``, ``fetch_heads``, ``cache_stats`` and ``local_snapshot`` —
 which :class:`repro.net.client.RemoteShardClient` mirrors over a socket.
 A gateway built with a networked ``shard_factory`` runs the same code
-paths against worker processes; :meth:`local_heads` returning a real dict
-(vs. ``None`` remotely) is the one capability probe the gateway uses.
+paths against worker processes; :meth:`local_snapshot` returning a real
+snapshot (vs. ``None`` remotely) is the home-shard fast path.
 
 Expert migration (rebalance) and re-extraction flow through
-:meth:`install_expert` / :meth:`drop_expert`, which update the view pool
-and therefore notify the shard gateway's invalidation listener — moved or
-refreshed experts drop their dependent cache entries immediately.
+:meth:`install_expert` / :meth:`drop_expert` / :meth:`refresh_library`,
+which install into the view pool at the parent's versions.  The shard
+gateway's tiers key on the view's versions, so a refreshed expert's old
+entries can never answer again; a migrated one keeps its version and its
+bytes, so its entries stay valid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..core.features import TrunkFeatureCache
-from ..core.pool import PoolOfExperts
+from ..core.pool import PoolOfExperts, PoolSnapshot
 from ..core.server import serialize_expert_heads
 from ..models import WRNHead
 from ..serving.cache import CacheStats
@@ -90,20 +92,17 @@ class PoolShard:
         self.gateway.metrics.increment("head_fetches")
         return payload
 
-    def local_heads(self) -> Dict[str, WRNHead]:
-        """In-process head references (``None`` on a remote shard client).
+    def local_snapshot(self, names: Iterable[str]) -> PoolSnapshot:
+        """In-process head references with their versions (``None`` on a
+        remote shard client).
 
         The cluster's composite builder uses this as its home-shard fast
         path: local references need no serialization round trip.
         """
-        return dict(self.pool.experts)
+        return self.pool.snapshot(tuple(names))
 
     def is_remote(self) -> bool:
-        """Capability probe: does reaching this shard cross a socket?
-
-        Cheaper than ``local_heads() is None`` (which copies the head
-        dict) for call sites that only need the answer, not the heads.
-        """
+        """Capability probe: does reaching this shard cross a socket?"""
         return False
 
     # ------------------------------------------------------------------
@@ -112,10 +111,9 @@ class PoolShard:
     def serve(self, tasks: "TaskQuery", transport: str = "float32") -> GatewayResponse:
         """Serve one model-delivery query entirely inside this shard.
 
-        The response carries this shard's versions of the tasks, taken
-        before the gateway looks at its tiers: a front end that has moved
-        past them (an update this shard has not applied yet) relays the
-        answer but does not keep it.
+        The response carries the versions of the entry that answered (its
+        snapshot's, or its key's on a hit): a front end keeps the relayed
+        payload under them.
         """
         return self.gateway.serve(tasks, transport)
 
@@ -145,25 +143,16 @@ class PoolShard:
     # Membership changes (rebalance / re-extraction)
     # ------------------------------------------------------------------
     def install_expert(self, name: str, head: WRNHead, version: int) -> None:
-        """Place (or refresh) one expert on this shard; invalidates caches."""
+        """Place (or refresh) one expert on this shard at ``version``."""
         self.pool.attach_expert(name, head, version)
 
     def drop_expert(self, name: str) -> None:
-        """Remove one expert from this shard; invalidates caches."""
+        """Remove one expert from this shard (its version bumps)."""
         self.pool.detach_expert(name)
 
     def refresh_library(self, library, library_student, version: int) -> None:
-        """Repoint the view at a re-extracted library trunk.
-
-        Propagates the library sentinel version through the view pool so
-        the shard gateway's invalidation listener clears its caches and
-        in-flight builds against the old trunk fail their version guard.
-        """
-        from ..core.pool import LIBRARY_TASK
-
-        self.pool.library = library.requires_grad_(False).eval()
-        self.pool.library_student = library_student
-        self.pool._set_version(LIBRARY_TASK, version)
+        """Repoint the view at a re-extracted library trunk, at ``version``."""
+        self.pool.install_library(library, library_student, version)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -269,10 +269,10 @@ class CacheController:
             return self._tasks.score(task) * (1.0 + self._wire.seconds(task))
 
     def _score_model_key(self, key) -> float:
-        return self.composite_score(key)  # model tier keys ARE names tuples
+        return self.composite_score(key[0])  # (names, versions)
 
     def _score_payload_key(self, key) -> float:
-        return self.composite_score(key[0])  # (names, transport)
+        return self.composite_score(key[0])  # (names, transport, versions)
 
     def _score_result_key(self, key) -> float:
         # (digest, names, versions); results are cheap to rebuild (one
@@ -319,9 +319,11 @@ class CacheController:
         if target is not None and plan:
             cache = getattr(target, "payload_cache", None)
             floor = self._prefetch_floor(target)
-            for names, transport, key in plan:
+            for names, transport in plan:
                 if len(prefetched) >= self.config.prefetch_limit:
                     break
+                # the key the target's payload tier looks up right now
+                key = payload_key(names, transport, target.pool.versions(names))
                 if cache is not None and cache.contains(key):
                     continue  # already resident: nothing to warm
                 if self.composite_score(names, boost=1.0) <= floor:
@@ -379,17 +381,18 @@ class CacheController:
             return 0.0  # room for another typical payload
         return min(self._score_payload_key(key) for key in cache.keys())
 
-    def _prefetch_plan_locked(self) -> List[Tuple[Tuple[str, ...], str, Hashable]]:
-        """Hot composites worth warming, hottest first (lock held)."""
+    def _prefetch_plan_locked(self) -> List[Tuple[Tuple[str, ...], str]]:
+        """Hot ``(composite, transport)`` pairs worth warming, hottest first
+        (lock held)."""
         cfg = self.config
-        plan: List[Tuple[Tuple[str, ...], str, Hashable]] = []
+        plan: List[Tuple[Tuple[str, ...], str]] = []
         for names, score in self._queries.top(max(cfg.prefetch_limit, 1) * 4):
             if score < cfg.prefetch_min_score:
                 break  # top() is sorted: everything below is colder
             transport = self._transports.get(names)
             if transport is None:
                 continue  # prediction-only traffic: nothing to serialize
-            plan.append((names, transport, payload_key(names, transport)))
+            plan.append((names, transport))
         return plan
 
     def _maybe_replicate(self) -> Tuple[Tuple[Tuple[str, int], ...], float]:

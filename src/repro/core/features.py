@@ -12,8 +12,8 @@ extraction, and every repeated prediction request.  This module provides:
   as an earlier memo did) is what makes "different batch, same row count"
   a miss instead of silently returning the previous batch's features.
 * :class:`TrunkFeatureCache` — a byte-budgeted LRU of feature arrays
-  keyed on image digests, shared by the prediction fast path
-  (:meth:`~repro.serving.ServingGateway.predict`) so repeated or
+  keyed on ``(library version, image digest)``, shared by the prediction
+  fast path (:meth:`~repro.serving.ServingGateway.predict`) so repeated or
   cross-composite predictions on the same images run the shared trunk
   once.  Its admission gate (:meth:`TrunkFeatureCache.admit`) also
   decides what the prediction-result tier keeps.
@@ -30,14 +30,15 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["array_digest", "fused_trunk_features", "TrunkFeatureCache"]
 
-#: How many image digests a :class:`TrunkFeatureCache` remembers for its
-#: admission gate (~0.6 MiB with the digest strings), oldest forgotten first.
+#: How many sightings (``(library version, digest)`` keys) a
+#: :class:`TrunkFeatureCache` remembers for its admission gate (~0.6 MiB
+#: with the digest strings), oldest forgotten first.
 SEEN_DIGESTS = 4096
 
 
@@ -79,18 +80,22 @@ def fused_trunk_features(
 
 
 class TrunkFeatureCache:
-    """Byte-budgeted LRU of trunk feature maps, keyed on image digests.
+    """Byte-budgeted LRU of trunk feature maps, keyed ``(library version,
+    image digest)``.
 
     A thin, purpose-named wrapper over
     :class:`~repro.serving.cache.ByteBudgetLRU`: entries are the raw
     feature arrays, charged at ``features.nbytes``.  A budget of 0
     disables caching (every lookup misses), mirroring the serving tiers.
+    The library version in the key is the one of the trunk that computed
+    the features, so a feature map of a superseded trunk can never match
+    a lookup at the current one; it ages out of the LRU.
 
     Serving stores pass an admission gate, TinyLFU's doorkeeper: a batch's
-    first sighting is computed, answered and only *remembered* (its digest
-    joins a memory of the last :data:`SEEN_DIGESTS` digests), its second
-    is stored, its third hits.  A stream of never-repeated batches so
-    leaves the tier empty.  The prediction-result tier, keyed on the same
+    first sighting is computed, answered and only *remembered* (its key
+    joins a memory of the last :data:`SEEN_DIGESTS` keys), its second is
+    stored, its third hits.  A stream of never-repeated batches so leaves
+    the tier empty.  The prediction-result tier, keyed on the same
     digests, keeps an answer on the same verdict (:meth:`admit`).  An
     explicit :meth:`put` is not gated.
     """
@@ -99,97 +104,78 @@ class TrunkFeatureCache:
         from ..serving.cache import ByteBudgetLRU
 
         self._lru = ByteBudgetLRU(budget_bytes)
-        # guards the generation and the digest memory
+        # guards the sighting memory
         self._lock = threading.Lock()
-        # generation guard: clear() bumps it, and inserts computed against
-        # an older generation are refused — a trunk forward in flight
-        # across a library re-extraction cannot cache stale features
-        self._generation = 0
-        # recently sighted digests, least recent first
-        self._seen: "OrderedDict[str, None]" = OrderedDict()
+        # recently sighted keys, least recent first
+        self._seen: "OrderedDict[Hashable, None]" = OrderedDict()
 
-    def get(self, digest: str) -> Optional[np.ndarray]:
-        return self._lru.get(digest)
+    def get(self, key: Hashable) -> Optional[np.ndarray]:
+        return self._lru.get(key)
 
-    def put(self, digest: str, features: np.ndarray) -> bool:
-        return self._lru.put(digest, features, int(features.nbytes))
+    def put(self, key: Hashable, features: np.ndarray, admitted: bool = True) -> bool:
+        """Store ``features`` under ``key`` if ``admitted`` (a refused
+        sighting counts as a rejection)."""
+        if not admitted:
+            self._lru.refuse()
+            return False
+        return self._lru.put(key, features, int(features.nbytes))
 
-    def admit(self, digest: str) -> bool:
-        """One sighting of ``digest``: may a serving store keep an entry for it?
+    def admit(self, key: Hashable) -> bool:
+        """One sighting of ``key``: may a serving store keep an entry for it?
 
-        True when the digest is resident or remembered from an earlier
+        True when the key is resident or remembered from an earlier
         sighting; otherwise it is remembered and the store is refused.
         Take the verdict once per request and hand it to every store the
         request makes: a second call would read the first one's memory.
         """
         with self._lock:
-            if digest in self._seen:
-                self._seen.move_to_end(digest)
+            if key in self._seen:
+                self._seen.move_to_end(key)
                 return True
-            if self._lru.contains(digest):
+            if self._lru.contains(key):
                 return True
-            self._seen[digest] = None
+            self._seen[key] = None
             if len(self._seen) > SEEN_DIGESTS:
                 self._seen.popitem(last=False)
             return False
-
-    def generation(self) -> int:
-        """Token to snapshot before computing features (see :meth:`put_guarded`)."""
-        with self._lock:
-            return self._generation
-
-    def put_guarded(
-        self, digest: str, features: np.ndarray, token: int, admitted: bool
-    ) -> bool:
-        """Insert only if :meth:`admit` said so and no :meth:`clear` ran
-        since ``token`` was taken; a refused sighting counts as a rejection."""
-        if not admitted:
-            self._lru.refuse()
-            return False
-        with self._lock:
-            if self._generation != token:
-                return False
-            return self.put(digest, features)
 
     def get_or_compute(
         self,
         images: np.ndarray,
         compute: Callable[[np.ndarray], np.ndarray],
+        version: int,
         digest: Optional[str] = None,
         admitted: Optional[bool] = None,
     ) -> Tuple[np.ndarray, bool]:
         """``(features, was_hit)`` for ``images`` — the one lookup protocol.
 
-        Misses run ``compute(images)`` and insert the result under the
-        content digest when admitted; every caller (gateway, cluster,
-        micro-batcher) shares this sequence so digesting and insertion
-        can't drift apart.  Pass ``digest`` when the caller already hashed
-        the images (e.g. for a prediction-result lookup) to avoid hashing
-        twice, and ``admitted`` when it already took the request's
-        :meth:`admit` verdict; without one a miss takes it here.
+        ``compute`` runs the trunk at library ``version``; a miss runs it
+        and stores the result under ``(version, digest)`` when admitted.
+        Every caller (gateway, cluster, micro-batcher) shares this sequence
+        so digesting and insertion can't drift apart.  Pass ``digest`` when
+        the caller already hashed the images (e.g. for a prediction-result
+        lookup) to avoid hashing twice, and ``admitted`` when it already
+        took the request's :meth:`admit` verdict; without one a miss takes
+        it here.
         """
         if self._lru.budget_bytes == 0:
             # disabled cache: skip the digest, it could never hit anyway
             return compute(images), False
         if digest is None:
             digest = array_digest(images)
-        features = self.get(digest)
+        key = (version, digest)
+        features = self.get(key)
         if features is not None:
             return features, True
         if admitted is None:
-            admitted = self.admit(digest)
-        token = self.generation()
+            admitted = self.admit(key)
         features = compute(images)
-        self.put_guarded(digest, features, token, admitted)
+        self.put(key, features, admitted)
         return features, False
 
     def clear(self) -> None:
-        """Drop everything, remembered digests included — the serving
-        listeners call this when the backing trunk changes
-        (``LIBRARY_TASK`` version bump).  Inserts whose compute started
-        before the clear are refused afterwards."""
+        """Drop everything, remembered keys included."""
         with self._lock:
-            self._generation += 1
             self._seen.clear()
             self._lru.clear()
 

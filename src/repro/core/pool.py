@@ -13,6 +13,12 @@ The resulting pool is the queryable "neural database": the service phase
 selects a composite task's library and experts from it
 (:meth:`PoolOfExperts.snapshot`) and assembles them into a model
 (:meth:`PoolOfExperts.consolidate`) in microseconds, with no training.
+
+Every module carries a version, and a snapshot carries the versions of
+the modules it holds, read with them under the pool's lock.  A served
+artifact is a pure function of ``(tasks, transport, versions)``, so the
+serving tiers store each one under its snapshot's versions and look up
+under the pool's current ones: a superseded entry can never match.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from ..distill import (
 )
 from ..models import BranchedSpecialistNet, WideResNet, WRNHead, WRNHeadBank, WRNTrunk
 from ..nn import Module
+from ..obs.journal import JOURNAL
 from .features import array_digest
 
 __all__ = [
@@ -50,10 +57,8 @@ __all__ = [
 
 TaskRef = Union[str, PrimitiveTask]
 
-#: Sentinel "task name" used in version-listener notifications when the
-#: *library trunk* is (re-)extracted.  Serving layers treat it as a
-#: whole-pool invalidation: every consolidated model and every cached
-#: trunk feature was computed against the old trunk.
+#: Version name of the *library trunk*: it versions like an expert, and
+#: its version closes every versions tuple (:meth:`PoolOfExperts.versions`).
 LIBRARY_TASK = "__library__"
 
 
@@ -156,7 +161,8 @@ class PoEConfig:
 
 class PoolSnapshot(NamedTuple):
     """What one query selects from the pool: the library trunk, the heads in
-    the composite's task order, and the composite (its logit layout).
+    the composite's task order, the composite (its logit layout) and the
+    versions of those modules.
 
     Every module is the pool's own object, taken by reference, so a
     snapshot builds no network, copies nothing and walks no module tree.
@@ -169,6 +175,9 @@ class PoolSnapshot(NamedTuple):
     head_names: Tuple[str, ...]
     heads: Tuple[WRNHead, ...]
     composite: CompositeTask
+    #: Each head's version in ``head_names`` order, then the library's: the
+    #: key every tier stores what it builds from this snapshot under.
+    versions: Tuple[int, ...]
 
     def assemble(self) -> BranchedSpecialistNet:
         """The branched ``M(Q)`` over these modules, in eval mode."""
@@ -214,24 +223,39 @@ class PoolOfExperts:
         self._features_digest: Optional[str] = None
         self._features_images: Optional["weakref.ref[np.ndarray]"] = None
         self._versions: Dict[str, int] = {}
+        # taken by every install (module write + version bump) and by every
+        # read that pairs modules with versions (snapshot, versions)
+        self._lock = threading.Lock()
         self._listeners: List[Callable[[str, int], None]] = []
         #: Encoded payload segments of this pool's own modules (a view
         #: from :meth:`subset` owns its own); see ``repro.core.server``.
         self.segments = SegmentStore()
 
     # ------------------------------------------------------------------
-    # Expert versioning + invalidation
+    # Versions and installs
     # ------------------------------------------------------------------
     def expert_version(self, name: str) -> int:
         """Monotonic version of one expert; 0 before first extraction."""
         return self._versions.get(name, 0)
 
-    def add_listener(self, callback: Callable[[str, int], None]) -> None:
-        """Register ``callback(task_name, new_version)`` for expert updates.
+    def versions(self, names: Sequence[str]) -> Tuple[int, ...]:
+        """The current versions of ``names``, then the library's.
 
-        Serving layers use this to drop dependent cache entries the moment
-        an expert is re-extracted.
+        What a serving tier looks up under: an entry stored under a
+        snapshot's :attr:`PoolSnapshot.versions` matches only while every
+        module it was built from is still installed.
         """
+        with self._lock:
+            return self._versions_of(names)
+
+    def _versions_of(self, names: Sequence[str]) -> Tuple[int, ...]:
+        get = self._versions.get  # the caller holds _lock
+        return tuple(get(name, 0) for name in names) + (get(LIBRARY_TASK, 0),)
+
+    def add_listener(self, callback: Callable[[str, int], None]) -> None:
+        """Register ``callback(task_name, new_version)``, called after every
+        install (outside the pool's lock).  A cluster resyncs its shards
+        through this."""
         if callback not in self._listeners:
             self._listeners.append(callback)
 
@@ -241,14 +265,24 @@ class PoolOfExperts:
         except ValueError:
             pass
 
-    def _set_version(self, name: str, version: int) -> None:
+    def _set_version(self, name: str, version: Optional[int] = None) -> int:
+        """Set (default: bump) ``name``'s version right after its module was
+        written, with ``_lock`` held; returns the new version."""
+        if version is None:
+            version = self._versions.get(name, 0) + 1
         self._versions[name] = version
         self.segments.drop(name)
+        if JOURNAL.enabled:
+            JOURNAL.emit(
+                "library_update" if name == LIBRARY_TASK else "expert_update",
+                task=name,
+                version=version,
+            )
+        return version
+
+    def _notify(self, name: str, version: int) -> None:
         for callback in list(self._listeners):
             callback(name, version)
-
-    def _bump_version(self, name: str) -> None:
-        self._set_version(name, self._versions.get(name, 0) + 1)
 
     def attach_expert(
         self, task: TaskRef, head: WRNHead, version: Optional[int] = None
@@ -258,21 +292,48 @@ class PoolOfExperts:
         Used by the cluster tier to place experts on shard views (and to
         migrate them during rebalance) and by incremental-addition flows.
         The head is frozen and put in eval mode, like every pool-held
-        module.  Notifies listeners, so dependent cache entries invalidate.
+        module, and installed with its version (default: a bump) in one
+        step under the pool's lock.
         """
-        task = self._resolve(task)
-        self.experts[task.name] = head.requires_grad_(False).eval()
-        self._set_version(
-            task.name, version if version is not None else self.expert_version(task.name) + 1
-        )
+        name = self._resolve(task).name
+        head.requires_grad_(False).eval()
+        with self._lock:
+            self.experts[name] = head
+            version = self._set_version(name, version)
+        self._notify(name, version)
 
     def detach_expert(self, task: TaskRef) -> Optional[WRNHead]:
-        """Remove an expert (if present), notifying listeners."""
+        """Remove an expert (if present), bumping its version."""
         name = self._resolve(task).name
-        head = self.experts.pop(name, None)
-        if head is not None:
-            self._bump_version(name)
+        with self._lock:
+            head = self.experts.pop(name, None)
+            if head is None:
+                return None
+            version = self._set_version(name)
+        self._notify(name, version)
         return head
+
+    def install_library(
+        self,
+        trunk: WRNTrunk,
+        student: Optional[WideResNet] = None,
+        version: Optional[int] = None,
+    ) -> None:
+        """Install a library trunk (frozen, eval mode) with its version
+        (default: a bump) in one step under the pool's lock.
+
+        :meth:`extract_library` ends here; a shard view repoints at its
+        parent's re-extracted trunk through it.
+        """
+        trunk.requires_grad_(False).eval()
+        # the preprocessing memos were computed by the old trunk
+        self._library_features = None
+        self._features_digest = None
+        self._features_images = None
+        with self._lock:
+            self.library, self.library_student = trunk, student
+            version = self._set_version(LIBRARY_TASK, version)
+        self._notify(LIBRARY_TASK, version)
 
     def subset(self, names: Iterable[str]) -> "PoolOfExperts":
         """A view pool holding the shared library plus a subset of experts.
@@ -284,18 +345,19 @@ class PoolOfExperts:
         if self.library is None:
             raise RuntimeError("pool is empty: run preprocess() first")
         view = PoolOfExperts(self.oracle, self.hierarchy, self.config)
-        view.library = self.library
-        view.library_student = self.library_student
-        # the same trunk object, so the same version: a view's answers
-        # compare equal to the parent's under expert_versions()
-        view._set_version(LIBRARY_TASK, self.expert_version(LIBRARY_TASK))
-        for name in names:
-            if name not in self.experts:
-                raise KeyError(
-                    f"no expert extracted for primitive task {name!r}; "
-                    f"available: {sorted(self.experts)}"
-                )
-            view.attach_expert(name, self.experts[name], self.expert_version(name))
+        with self._lock:
+            for name in names:
+                if name not in self.experts:
+                    raise KeyError(
+                        f"no expert extracted for primitive task {name!r}; "
+                        f"available: {sorted(self.experts)}"
+                    )
+                view.experts[name] = self.experts[name]
+                view._versions[name] = self.expert_version(name)
+            # the same modules at the same versions: a view's answers are
+            # keyed exactly like the parent's
+            view.library, view.library_student = self.library, self.library_student
+            view._versions[LIBRARY_TASK] = self.expert_version(LIBRARY_TASK)
         return view
 
     # ------------------------------------------------------------------
@@ -332,18 +394,8 @@ class PoolOfExperts:
             temperature=cfg.temperature,
             eval_fn=eval_fn,
         )
-        self.library_student = student
-        self.library = student.trunk
-        self.library.requires_grad_(False)
-        self.library.eval()
         self.histories["library"] = history
-        # invalidate any cached features: the trunk they came from is gone
-        self._library_features = None
-        self._features_digest = None
-        self._features_images = None
-        # and tell serving listeners the trunk itself changed — dependent
-        # models and trunk-feature caches must drop everything
-        self._bump_version(LIBRARY_TASK)
+        self.install_library(student.trunk, student)
         return history
 
     def extract_experts(
@@ -360,7 +412,8 @@ class PoolOfExperts:
         step per minibatch for all of them.  Each head starts from its own
         :func:`expert_init_seed` weights and ends where training it alone
         would (up to float32 rounding).  Experts are installed, and their
-        versions bumped, in task order once every bank has trained.
+        versions bumped, in one step under the pool's lock once every bank
+        has trained.
         """
         if self.library is None:
             raise RuntimeError("extract_library() must run before extract_experts()")
@@ -397,10 +450,14 @@ class PoolOfExperts:
             for task, head, history in zip(members, bank.unstack(), trained):
                 heads[task.name] = head.requires_grad_(False).eval()
                 histories[task.name] = history
-        for name in resolved:
-            self.experts[name] = heads[name]
-            self.histories[f"expert/{name}"] = histories[name]
-            self._bump_version(name)
+        with self._lock:
+            bumped = []
+            for name in resolved:
+                self.experts[name] = heads[name]
+                self.histories[f"expert/{name}"] = histories[name]
+                bumped.append((name, self._set_version(name)))
+        for name, version in bumped:
+            self._notify(name, version)
         return histories
 
     def extract_expert(
@@ -429,29 +486,39 @@ class PoolOfExperts:
     # Service phase
     # ------------------------------------------------------------------
     def snapshot(self, query: Union[CompositeTask, Sequence[str]]) -> PoolSnapshot:
-        """Select the library and the queried experts (paper §4.2), by reference.
+        """Select the library and the queried experts (paper §4.2), by reference,
+        with their versions, in one read under the pool's lock.
 
         O(heads): no network is built and nothing is walked.  Raises
         ``KeyError`` naming the first queried task without an expert.
         """
-        if self.library is None:
-            raise RuntimeError("pool is empty: run preprocess() first")
         composite = (
             query
             if isinstance(query, CompositeTask)
             else self.hierarchy.composite(query)
         )
         names = tuple(task.name for task in composite.tasks)
-        heads: List[WRNHead] = []
-        for name in names:
+        with self._lock:
+            if self.library is None:
+                raise RuntimeError("pool is empty: run preprocess() first")
             try:
-                heads.append(self.experts[name])
-            except KeyError:
-                raise KeyError(
-                    f"no expert extracted for primitive task {name!r}; "
-                    f"available: {sorted(self.experts)}"
-                ) from None
-        return PoolSnapshot(self.library, names, tuple(heads), composite)
+                heads = tuple([self.experts[name] for name in names])
+            except KeyError as error:
+                missing = error.args[0]
+            else:
+                versions = self._versions_of(names)
+                return PoolSnapshot(self.library, names, heads, composite, versions)
+        raise KeyError(
+            f"no expert extracted for primitive task {missing!r}; "
+            f"available: {sorted(self.experts)}"
+        )
+
+    def library_snapshot(self) -> Tuple[WRNTrunk, int]:
+        """The library trunk and its version, read together."""
+        with self._lock:
+            if self.library is None:
+                raise RuntimeError("pool is empty: run preprocess() first")
+            return self.library, self._versions.get(LIBRARY_TASK, 0)
 
     def consolidate(
         self, query: Union[CompositeTask, Sequence[str]]

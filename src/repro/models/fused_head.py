@@ -12,8 +12,8 @@ all classifiers — against the calling thread's workspace, so a warm call
 allocates only the logits it returns.
 
 The bank is a *derived* artifact: it copies weights at build time, so a
-re-extracted expert must invalidate it (the serving tiers do this through
-the same version listeners that drop their model caches;
+re-extracted expert must not be served from an old one (the serving
+tiers key their models on the versions they were built from;
 :meth:`BranchedSpecialistNet.fused_bank` builds lazily per consolidated
 model, and consolidation always sees current heads).  Numerically the bank
 matches the per-head loop to float32 round-off (``allclose``), not bit

@@ -640,7 +640,7 @@ class RemoteShardClient:
     def holds(self, task: str) -> bool:
         return task in self.info["tasks"]
 
-    def local_heads(self) -> None:
+    def local_snapshot(self, names) -> None:
         """Remote shards have no in-process head references (see gateway)."""
         return None
 

@@ -63,7 +63,7 @@ from ..cluster.shard import PoolShard
 from ..core.server import deserialize_expert_heads, deserialize_library_state
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
-from ..serving.canonical import payload_key
+from ..serving.canonical import canonical_tasks, payload_key
 from ..serving.gateway import GatewayConfig
 from .client import RemoteShardClient
 from .retry import (
@@ -362,15 +362,20 @@ class ShardServer:
             ).start()
             return
         # answered here, on the reader thread, when the response is already
-        # in memory; a lost race (entry evicted or invalidated between this
-        # stats-neutral peek and shard.serve) builds on this thread — still
-        # correct, and bounded by that one miss
+        # in memory: a stats-neutral peek at the key the gateway will look
+        # up (the shard's current versions).  A lost race (entry evicted, or
+        # versions bumped, between this peek and shard.serve) builds on
+        # this thread — still correct, and bounded by that one miss
         inline = msg_type == MsgType.PING
         if msg_type == MsgType.SERVE:
             try:
                 request = parse_json(payload)
-                inline = self.shard.gateway.payload_cache.contains(
-                    payload_key(tuple(request["tasks"]), request.get("transport", "float32"))
+                gateway = self.shard.gateway
+                names = canonical_tasks(request["tasks"])
+                inline = gateway.payload_cache.contains(
+                    payload_key(
+                        names, request.get("transport", "float32"), gateway.pool.versions(names)
+                    )
                 )
                 payload = request  # parsed once: the handler takes the dict
             except (KeyError, TypeError, ValueError):  # FrameError is a ValueError
@@ -747,7 +752,7 @@ class ShardServer:
         with self._mutation_lock:
             replayed = self._fence_and_dedup(mutation_id, epoch)
             if not replayed:
-                held = set(self.shard.local_heads())
+                held = set(self.shard.task_names())
                 for name in names:
                     # tolerate absent names: a respawned worker may have
                     # forked past the drop already, and the commit

@@ -52,9 +52,8 @@ classifier weights; k×k conv weights need a layout transform (a copy),
 and folded batch norms, folded conv weights and tiled biases are derived
 by construction.  Either way a compiled artifact must be treated as
 frozen: mutate a module's weights in place (``load_state_dict``) and you
-must recompile (the serving tiers do this through the
-``expert_version``/``LIBRARY_TASK`` listeners, which install *new*
-module objects on re-extraction).
+must recompile (a pool re-extraction never does this: it installs *new*
+module objects, at new versions).
 
 **Public entry points.**  Layer builders: :func:`stack_conv`,
 :func:`stack_affine` (+ :func:`fold_batchnorm`), :func:`stack_linear`,

@@ -10,6 +10,11 @@ entry instead of rebuilding (and re-serializing) an equivalent model.
 Anything that serves a cached artifact in canonical order must advertise
 that order (e.g. :class:`~repro.serving.gateway.GatewayResponse.tasks`),
 because the logit layout follows it.
+
+A key also carries the versions of the modules the artifact was built
+from (:meth:`~repro.core.pool.PoolOfExperts.versions` of the canonical
+tasks, library last), so it certifies its own entry: a lookup at the
+pool's current versions never matches a superseded one.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ def canonical_tasks(tasks: TaskQuery) -> Tuple[str, ...]:
     return tuple(sorted(set(names)))
 
 
-def model_key(tasks: TaskQuery) -> Tuple[str, ...]:
-    """Cache key for a consolidated in-memory model."""
-    return canonical_tasks(tasks)
+def model_key(tasks: TaskQuery, versions: Sequence[int]) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+    """Cache key for a consolidated in-memory model: ``(canonical tasks, versions)``."""
+    return (canonical_tasks(tasks), tuple(versions))
 
 
-def payload_key(tasks: TaskQuery, transport: str) -> Tuple[Tuple[str, ...], str]:
-    """Cache key for a serialized payload: ``(canonical tasks, transport)``."""
-    return (canonical_tasks(tasks), transport)
+def payload_key(
+    tasks: TaskQuery, transport: str, versions: Sequence[int]
+) -> Tuple[Tuple[str, ...], str, Tuple[int, ...]]:
+    """Cache key for a serialized payload: ``(canonical tasks, transport, versions)``."""
+    return (canonical_tasks(tasks), transport, tuple(versions))

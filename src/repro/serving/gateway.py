@@ -11,20 +11,29 @@ four stages, each one metered:
    :attr:`GatewayResponse.tasks`; predictions are global class ids either
    way, so clients are order-agnostic.
 2. **payload cache** — a byte-budgeted LRU keyed on ``(canonical tasks,
-   transport)`` returns repeated shipments without rebuilding them.  An
-   entry is the payload unjoined — its container head plus the pool's
-   own encoded segments — and is charged only the head.  With no budget
-   the tier is skipped outright (no key, no snapshot, no flight).
-3. **single flight** — concurrent duplicate requests coalesce onto one
-   in-flight build; followers block on the leader's result instead of
-   serializing the same payload N times.
+   transport, versions)`` returns repeated shipments without rebuilding
+   them.  An entry is the payload unjoined — its container head plus the
+   pool's own encoded segments — and is charged only the head.  With no
+   budget the tier is skipped outright (no key, no flight).
+3. **single flight** — concurrent duplicate requests (same key, versions
+   included) coalesce onto one in-flight build; followers block on the
+   leader's result instead of serializing the same payload N times.
 4. **build** — a :class:`~repro.core.pool.PoolSnapshot` of the queried
-   modules (the library and one head per task, by reference: no network
-   is built) and a container head in front of the pool's encoded
-   segments (``pool.segments``: nothing is compressed or joined on the
-   request path).  The model tier is not on this path: it holds
-   consolidated :class:`~repro.core.query.TaskSpecificModel`\\ s for
-   :meth:`ServingGateway.predict` and :meth:`ServingGateway.get_model`.
+   modules (the library and one head per task, by reference, with their
+   versions: no network is built) and a container head in front of the
+   pool's encoded segments (``pool.segments``: nothing is compressed or
+   joined on the request path).  The model tier is not on this path: it
+   holds consolidated :class:`~repro.core.query.TaskSpecificModel`\\ s
+   for :meth:`ServingGateway.predict` and :meth:`ServingGateway.get_model`.
+
+**One staleness rule.**  Every tier stores what it builds under the
+versions of the snapshot it built it from, and looks up under the pool's
+current versions (:meth:`~repro.core.pool.PoolOfExperts.versions`).  A
+served artifact is a pure function of its tasks, transport and versions,
+so an entry certifies itself: one built before a re-extraction, detach or
+library swap can never match a lookup after it, and ages out of its LRU
+inside the tier's budget.  Nothing is dropped on a pool update, and the
+gateway registers no listener on the pool.
 
 ``serve()`` runs the pipeline inline on the caller's thread (single-flight
 still applies across threads); ``submit()`` dispatches onto a worker pool
@@ -54,10 +63,9 @@ window (grow under load, shrink when idle).
 telemetry).  Prediction: :meth:`ServingGateway.predict` (inline fused
 path) and :meth:`ServingGateway.submit_predict` (micro-batched).
 Consolidation without serving: :meth:`ServingGateway.get_model`.
-Operations: :meth:`ServingGateway.invalidate_task` (also the hook the
-cluster tier calls after migrating an expert), ``cache_stats()`` /
-``render_stats()`` / the :attr:`predict_window` probe, and ``close()``
-(the gateway is a context manager).
+Operations: ``cache_stats()`` / ``render_stats()`` / the
+:attr:`predict_window` probe, and ``close()`` (the gateway is a context
+manager).
 
 **One pipeline.**  Every request is *accounting* (``with _Request(...)``
 around the tier work, closed by ``_served`` / ``_predicted``) around *tier work*
@@ -73,14 +81,12 @@ threads concurrently.  Cache tiers are individually locked
 (:class:`~repro.serving.cache.ByteBudgetLRU` /
 :class:`~repro.core.features.TrunkFeatureCache`); duplicate concurrent
 builds coalesce through :class:`SingleFlight`; the micro-batch queue and
-adaptive window are guarded by ``_predict_lock``; and version-guarded
-cache puts serialize against the pool's invalidation listener via
-``_invalidate_lock`` (a build snapshots expert versions before touching
-weights and re-checks under that lock before caching, so a stale
-artifact can never survive a concurrent re-extraction).  The pool object
-itself is treated as read-mostly: mutations must go through
-``PoolOfExperts`` (which fires the listeners), never by poking
-``pool.experts`` directly.
+adaptive window are guarded by ``_predict_lock``.  A pool mutation may
+run concurrently with any of it: a build reads modules and versions in
+one locked :meth:`~repro.core.pool.PoolOfExperts.snapshot`, so what it
+stores is keyed by what it holds.  Mutations must go through
+``PoolOfExperts``' install methods (which take that lock), never by
+poking ``pool.experts`` directly.
 """
 
 from __future__ import annotations
@@ -95,12 +101,11 @@ from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple, TypeV
 import numpy as np
 
 from ..core.features import TrunkFeatureCache, array_digest, fused_trunk_features
-from ..core.pool import LIBRARY_TASK, PoolSnapshot
+from ..core.pool import PoolOfExperts, PoolSnapshot
 from ..core.query import TaskSpecificModel
 from ..core.server import TRANSPORTS, serialize_task_model, share_segments
-from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
-from .canonical import TaskQuery, canonical_tasks, payload_key
+from .canonical import TaskQuery, canonical_tasks
 from .cache import ByteBudgetLRU, CacheStats
 from .metrics import ServingMetrics
 
@@ -114,27 +119,11 @@ __all__ = [
 
 T = TypeVar("T")
 #: Stands in for ``_snapshot`` on one build (a cluster hands its plan / fetched heads down).
-Seam = Optional[Callable[[Tuple[str, ...]], Tuple[PoolSnapshot, bool]]]
+Seam = Optional[Callable[[Tuple[str, ...]], PoolSnapshot]]
 #: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard.
 Relay = Optional[Callable[[Tuple[str, ...], str], "GatewayResponse"]]
-#: ``(payload parts, payload_hit, coalesced)`` of one serve.
-Served = Tuple[Tuple[bytes, ...], bool, bool]
-
-
-def expert_versions(pool, names: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
-    """Snapshot the pool's versions for ``names`` (None if unversioned).
-
-    Builds capture this before touching expert weights and re-check it
-    before caching: if an expert was re-extracted mid-build, the stale
-    artifact must not be cached (the invalidation listener fired while the
-    entry didn't exist yet, so it had nothing to drop).  The library
-    version rides along for the same reason — a consolidation in flight
-    across a trunk re-extraction must not survive the listener's clear.
-    """
-    getter = getattr(pool, "expert_version", None)
-    if getter is None:
-        return None
-    return tuple(getter(name) for name in names) + (getter(LIBRARY_TASK),)
+#: ``(payload parts, payload_hit, coalesced, versions)`` of one serve.
+Served = Tuple[Tuple[bytes, ...], bool, bool, Optional[Tuple[int, ...]]]
 
 
 def run_trunk_forward(trunk, images, metrics) -> "np.ndarray":
@@ -172,7 +161,7 @@ class GatewayConfig:
     #: Budget of the content-addressed trunk-feature cache (0 disables).
     trunk_cache_bytes: int = 64 << 20
     #: Budget of the prediction-result (logits) cache, keyed on
-    #: ``(image digest, canonical tasks, expert versions)`` — a fully
+    #: ``(image digest, canonical tasks, versions)`` — a fully
     #: repeated request skips even the fused heads (0 disables).
     result_cache_bytes: int = 8 << 20
     #: Hard cap on images per ``submit_predict`` micro-batch drain; bounds
@@ -209,10 +198,9 @@ class GatewayResponse:
     service_seconds: float
     payload_cache_hit: bool
     coalesced: bool
-    #: The answering gateway's :func:`expert_versions` of ``tasks``, taken
-    #: before its tier lookup: a cluster front end keeps a payload relayed
-    #: from a shard only when these equal its own snapshot.  None when a
-    #: front end answered.
+    #: The versions of the modules the payload was built from (each task's,
+    #: then the library's): its snapshot's on a build, its key's on a hit.
+    #: A cluster front end keeps a payload relayed from a shard under these.
     versions: Optional[Tuple[int, ...]] = None
 
     @property
@@ -232,7 +220,7 @@ class GatewayResponse:
 
 def _relayed(response: GatewayResponse) -> Served:
     """What a response another gateway answered reports to the tier work."""
-    return response.parts, response.payload_cache_hit, response.coalesced
+    return response.parts, response.payload_cache_hit, response.coalesced, response.versions
 
 
 @dataclass(frozen=True)
@@ -377,7 +365,7 @@ class ServingGateway:
 
     def __init__(
         self,
-        pool,
+        pool: PoolOfExperts,
         config: Optional[GatewayConfig] = None,
         metrics: Optional[ServingMetrics] = None,
         trunk_cache: Optional[TrunkFeatureCache] = None,
@@ -392,9 +380,9 @@ class ServingGateway:
         self.controller = controller
         self.model_cache = ByteBudgetLRU(self.config.model_cache_bytes, name="model")
         self.payload_cache = ByteBudgetLRU(self.config.payload_cache_bytes, name="payload")
-        # trunk features depend only on the frozen library (never on expert
-        # versions), so this tier survives expert re-extraction; pass a
-        # shared instance to pool hit rates across gateways over one library
+        # trunk features depend only on the frozen library (keyed on its
+        # version, never on expert versions); pass a shared instance to pool
+        # hit rates across gateways over one library
         # explicit None check: an empty cache is falsy (len() == 0), and a
         # shared instance usually arrives empty
         self.trunk_cache = (
@@ -415,42 +403,8 @@ class ServingGateway:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
-        # Serializes invalidation against version-guarded cache puts: a
-        # build checks the expert versions and inserts under this lock, so
-        # a concurrent re-extraction either bumps the version before the
-        # check (put skipped) or drops the entry after the put — a stale
-        # artifact can never survive the listener.
-        self._invalidate_lock = threading.Lock()
-        # Explicit invalidation: when the pool re-extracts an expert, drop
-        # every dependent cache entry now.
-        self._listener = lambda name, version: self._on_pool_update(name)
-        add_listener = getattr(pool, "add_listener", None)
-        if add_listener is not None:
-            add_listener(self._listener)
         if controller is not None:
             controller.attach_gateway(self)
-
-    def _on_pool_update(self, name: str) -> None:
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "library_update" if name == LIBRARY_TASK else "expert_update",
-                task=name,
-            )
-        if name == LIBRARY_TASK:
-            self._clear_tiers()
-        else:
-            self.invalidate_task(name)
-
-    def _clear_tiers(self) -> None:
-        """Drop every tier: the trunk itself changed, so every consolidated
-        model, payload, cached feature map and cached answer was computed
-        against the old library (the compiled trunk program needs no drop —
-        it is memoized on the old trunk *object* and dies with it)."""
-        with self._invalidate_lock:
-            self.model_cache.clear()
-            self.payload_cache.clear()
-            self.result_cache.clear()
-        self.trunk_cache.clear()
 
     # ------------------------------------------------------------------
     # Public API
@@ -481,7 +435,7 @@ class ServingGateway:
         """Warm the payload cache for ``tasks`` without serving a request.
 
         The self-tuning controller's actuator: fills the payload tier
-        exactly like a served miss would — single flight, version guard
+        exactly like a served miss would — single flight, versioned key
         and all, through ``relay`` when a cluster hands one down — but
         counts under ``prefetch_builds``/the ``prefetch`` stage instead of
         ``requests``, so prefetch traffic stays separable in every
@@ -489,19 +443,20 @@ class ServingGateway:
         was already resident.
         """
         names = canonical_tasks(tasks)
-        key = payload_key(names, transport)
+        key = (names, transport, self.pool.versions(names))
         if self.payload_cache.contains(key):
             return False
         with self.metrics.stage("prefetch"):
-            self._flights.run(key, lambda: self._fill(names, transport, key, relay=relay))
+            self._flights.run(key, lambda: self._fill(names, transport, relay=relay))
         self.metrics.increment("prefetch_builds")
         return True
 
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Run prediction through the fused fast path, on the calling thread.
 
-        Pipeline: consolidated model (model tier) →
-        trunk features (content-addressed cache, else one trunk forward) →
+        Pipeline: cached answer (result tier) → consolidated model (model
+        tier) → trunk features (content-addressed cache, else one forward
+        of the model's own trunk) →
         fused multi-head pass → argmax mapped to global class ids.
         """
         return self._predict_one(
@@ -555,31 +510,7 @@ class ServingGateway:
     def render_stats(self) -> str:
         return self.metrics.render(cache_stats=self.cache_stats())
 
-    def invalidate_task(self, name: str) -> int:
-        """Drop every cached model/payload/result that includes expert ``name``.
-
-        Returns the number of entries dropped.  Called automatically when
-        the backing pool re-extracts an expert (version bump); also the hook
-        the cluster tier uses after migrating an expert between shards.
-        Result entries are version-keyed so a stale one could never be
-        *served* — dropping here releases the bytes eagerly, like the other
-        tiers.
-        """
-
-        def drop(cache: ByteBudgetLRU, names_of) -> int:
-            return sum(cache.discard(key) for key in cache.keys() if name in names_of(key))
-
-        with self._invalidate_lock:
-            return (
-                drop(self.model_cache, lambda key: key)  # canonical names
-                + drop(self.payload_cache, lambda key: key[0])  # (names, transport)
-                + drop(self.result_cache, lambda key: key[1])  # (digest, names, versions)
-            )
-
     def close(self) -> None:
-        remove_listener = getattr(self.pool, "remove_listener", None)
-        if remove_listener is not None:
-            remove_listener(self._listener)
         with self._executor_lock:
             self._closed = True
             executor, self._executor = self._executor, None
@@ -618,7 +549,7 @@ class ServingGateway:
         parts: Tuple[bytes, ...],
         payload_hit: bool,
         coalesced: bool,
-        versions: Optional[Tuple[int, ...]] = None,
+        versions: Optional[Tuple[int, ...]],
     ) -> GatewayResponse:
         """Close one serve's accounting into its response."""
         request.span.tag("payload_cache_hit", payload_hit)
@@ -669,40 +600,43 @@ class ServingGateway:
         self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
     ) -> GatewayResponse:
         with _Request(self, "gateway.serve", "requests", tasks, transport, enqueued_at) as request:
-            versions = expert_versions(self.pool, request.names)
-            return self._served(request, *self._payload_tiers(request.names, transport), versions)
+            return self._served(request, *self._payload_tiers(request.names, transport))
 
     # ------------------------------------------------------------------
-    # Tier work: payload tier → single flight → versions snapshot → pool
-    # snapshot → serialize (or a relay) → build cost → version-guarded put
+    # Tier work: payload tier at the current versions → single flight →
+    # pool snapshot → serialize (or a relay) → build cost → put under the
+    # snapshot's versions
     # ------------------------------------------------------------------
     def _payload_tiers(
         self, names: Tuple[str, ...], transport: str, snapshot: Seam = None, relay: Relay = None
     ) -> Served:
-        """``(payload parts, payload_hit, coalesced)`` for one serve:
-        a payload-tier hit, else one fill per key across concurrent callers.
+        """``(payload parts, payload_hit, coalesced, versions)`` for one
+        serve: a payload-tier hit at the pool's current versions, else one
+        fill per key across concurrent callers.
 
         ``relay`` answers a miss instead of a build here (a cluster's
         single-shard plan).  A tier with no budget is a pass-through: no
-        key, no version snapshot, no flight.
+        key, no flight.
         """
         if not self.payload_cache.budget_bytes:
             if relay is not None:
                 served = _relayed(relay(names, transport))
             else:
-                served = (self._build_payload(names, transport, snapshot)[0], False, False)
+                parts, versions = self._build_payload(names, transport, snapshot)
+                served = (parts, False, False, versions)
         else:
-            key = payload_key(names, transport)
+            versions = self.pool.versions(names)
+            key = (names, transport, versions)
             parts = self.payload_cache.get(key)
             if parts is not None:
                 if self.controller is not None:
                     self._note_payload_hit(key)
-                return parts, True, False
+                return parts, True, False, versions
             served, coalesced = self._flights.run(
-                key, lambda: self._fill(names, transport, key, snapshot, relay)
+                key, lambda: self._fill(names, transport, snapshot, relay)
             )
             if coalesced:
-                served = (*served[:2], True)
+                served = served[:2] + (True,) + served[3:]
         if served[2]:
             self.metrics.increment("coalesced")
         return served
@@ -716,51 +650,39 @@ class ServingGateway:
         self,
         names: Tuple[str, ...],
         transport: str,
-        key: Hashable,
         snapshot: Seam = None,
         relay: Relay = None,
     ) -> Served:
-        """One payload-tier miss, built here or relayed, and its
-        version-guarded put.
+        """One payload-tier miss, built here or relayed, put under the
+        versions of the modules it was built from.
 
         An entry is charged only what it alone holds: a built one its
         container head (the segments are the store's, which is bounded on
-        its own; fresh ones, with no store, are not), a relayed one
-        whatever of it :func:`~repro.core.server.share_segments` could not
-        replace by this pool's own segments.
+        its own), a relayed one whatever of it
+        :func:`~repro.core.server.share_segments` could not replace by this
+        pool's own segments.  A relayed answer that names no versions
+        certifies nothing and is not kept.
         """
-        versions = expert_versions(self.pool, names)
         if relay is None:
-            parts, fresh = self._build_payload(names, transport, snapshot)
-            served = (parts, False, False)
-            store = getattr(self.pool, "segments", None)
-            owned = len(parts[0]) if store is not None else sum(map(len, parts))
+            parts, versions = self._build_payload(names, transport, snapshot)
+            served, owned = (parts, False, False, versions), len(parts[0])
         else:
             response = relay(names, transport)
+            if response.versions is None:
+                return _relayed(response)
             parts, owned = share_segments(response.parts, self.pool, names, transport)
             served = (parts, *_relayed(response)[1:])
-            # a shard still answering from versions this pool moved past
-            # (a push it has not applied yet) is relayed, not kept
-            fresh = response.versions == versions
-        # don't cache if an expert was re-extracted while we were filling:
-        # the invalidation listener fired before this entry existed (the
-        # lock makes check+put atomic against that listener)
-        if fresh:
-            with self._invalidate_lock:
-                if versions == expert_versions(self.pool, names):
-                    self.payload_cache.put(key, parts, owned)
+        self.payload_cache.put((names, transport, served[3]), parts, owned)
         return served
 
     def _build_payload(
         self, names: Tuple[str, ...], transport: str, snapshot: Seam = None
-    ) -> Tuple[Tuple[bytes, ...], bool]:
-        """``(payload parts, fresh)``: snapshot the pool and serialize."""
+    ) -> Tuple[Tuple[bytes, ...], Tuple[int, ...]]:
+        """``(payload parts, versions)``: snapshot the pool and serialize."""
         build_start = perf_counter()
-        taken, fresh = (snapshot or self._snapshot)(names)
-        # an unversioned pool-shaped object has nothing to invalidate a
-        # memoised segment with: encode fresh
-        store = getattr(self.pool, "segments", None)
-        encoded = getattr(store, "encode_seconds", 0.0)
+        taken = (snapshot or self._snapshot)(names)
+        store = self.pool.segments
+        encoded = store.encode_seconds
         with self.metrics.stage("serialize"):
             parts = serialize_task_model(
                 taken, taken.composite, self.pool.config, transport, store, as_parts=True
@@ -771,53 +693,49 @@ class ServingGateway:
             # build spent encoding a segment for the first time, which the
             # store keeps and no rebuild pays again (the total is shared: a
             # concurrent build's encode can make this one sample read low)
-            once = getattr(store, "encode_seconds", 0.0) - encoded
+            once = store.encode_seconds - encoded
             self.controller.record_build_cost(
                 names, max(perf_counter() - build_start - once, 0.0), sum(map(len, parts))
             )
-        return parts, fresh
+        return parts, taken.versions
 
     def _model_for(
         self, names: Tuple[str, ...], snapshot: Seam = None
-    ) -> Tuple[TaskSpecificModel, bool, bool]:
-        """``(model, model_hit, fresh)`` for ``names``: a model-tier hit, else
-        one snapshot wrapped per key across concurrent callers.  A model
-        that is not ``fresh`` is answered with but must be cached in no
-        tier.  A tier with no budget is a pass-through: no key, no version
-        snapshot, no flight."""
+    ) -> Tuple[TaskSpecificModel, bool, Tuple[int, ...]]:
+        """``(model, model_hit, versions)`` for ``names``: a model-tier hit
+        at the pool's current versions, else one snapshot wrapped per key
+        across concurrent callers and put under its own versions.  A tier
+        with no budget is a pass-through: no key, no flight."""
 
-        def wrap() -> Tuple[TaskSpecificModel, bool]:
-            taken, fresh = (snapshot or self._snapshot)(names)
-            return TaskSpecificModel(taken.assemble(), taken.composite), fresh
+        def wrap() -> Tuple[TaskSpecificModel, Tuple[int, ...]]:
+            taken = (snapshot or self._snapshot)(names)
+            return TaskSpecificModel(taken.assemble(), taken.composite), taken.versions
 
         if not self.model_cache.budget_bytes:
-            built, fresh = wrap()
-            return built, False, fresh
-        model = self.model_cache.get(names)
+            built, versions = wrap()
+            return built, False, versions
+        versions = self.pool.versions(names)
+        model = self.model_cache.get((names, versions))
         if model is not None:
-            return model, True, True
-        versions = expert_versions(self.pool, names)
+            return model, True, versions
 
-        def build() -> Tuple[TaskSpecificModel, bool]:
-            built, fresh = wrap()
-            if fresh:
-                with self._invalidate_lock:
-                    if versions == expert_versions(self.pool, names):
-                        self.model_cache.put(names, built, built.cache_nbytes())
-            return built, fresh
+        def build() -> Tuple[TaskSpecificModel, Tuple[int, ...]]:
+            built, versions = wrap()
+            self.model_cache.put((names, versions), built, built.cache_nbytes())
+            return built, versions
 
-        (built, fresh), _ = self._flights.run(("model", names), build)
-        return built, False, fresh
+        (built, versions), _ = self._flights.run(("model", names, versions), build)
+        return built, False, versions
 
-    def _snapshot(self, names: Tuple[str, ...]) -> Tuple[PoolSnapshot, bool]:
-        """The pipeline's one seam: the pool modules ``names`` select.
+    def _snapshot(self, names: Tuple[str, ...]) -> PoolSnapshot:
+        """The pipeline's one seam: the pool modules ``names`` select, with
+        their versions.
 
-        Returns ``(snapshot, fresh)``.  Out of ``self.pool`` here, always
-        fresh; a :class:`~repro.cluster.ClusterGateway` rebinds this on its
-        front tier to gather the heads across shards first, and a snapshot
-        holding a fetched head at another version than the pool's is not.
+        Out of ``self.pool`` here; a :class:`~repro.cluster.ClusterGateway`
+        rebinds this on its front tier to gather the heads across shards,
+        each at the version its holder reports.
         """
-        return self.pool.snapshot(names), True
+        return self.pool.snapshot(names)
 
     # ------------------------------------------------------------------
     # Prediction fast path
@@ -825,23 +743,19 @@ class ServingGateway:
     def _result_key(
         self, names: Tuple[str, ...], digest: str
     ) -> Optional[Tuple[str, Tuple[str, ...], object]]:
-        """Result-cache key for one request, or None when the tier is off.
-
-        ``(image digest, canonical tasks, expert versions)``: versions ride
-        in the key, so an entry inserted before a re-extraction can never
-        satisfy a lookup after it — the eager drop in
-        :meth:`invalidate_task` only reclaims the bytes sooner.
+        """Result-cache lookup key for one request, or None when the tier is
+        off: ``(image digest, canonical tasks, the pool's current versions)``.
         """
         if self.result_cache.budget_bytes == 0:
             return None
-        return (digest, names, expert_versions(self.pool, names))
+        return (digest, names, self.pool.versions(names))
 
     def _predict_one(
         self,
         images: np.ndarray,
         tasks: TaskQuery,
         enqueued_at: Optional[float],
-        features: Optional[np.ndarray] = None,
+        features: Optional[Tuple[int, np.ndarray]] = None,
         trunk_hit: bool = False,
         coalesced: bool = False,
         digest: Optional[str] = None,
@@ -861,7 +775,7 @@ class ServingGateway:
         self,
         images: np.ndarray,
         names: Tuple[str, ...],
-        features: Optional[np.ndarray] = None,
+        features: Optional[Tuple[int, np.ndarray]] = None,
         trunk_hit: bool = False,
         digest: Optional[str] = None,
         snapshot: Seam = None,
@@ -869,13 +783,14 @@ class ServingGateway:
     ) -> Tuple[np.ndarray, bool, bool, bool]:
         """``(class_ids, model_hit, trunk_hit, result_hit)`` for one prediction.
 
-        ``admitted`` is the request's admission verdict when a drain
-        already took it; both content-keyed stores follow it.
+        ``features`` is ``(library version, feature map)`` when a drain
+        already ran the trunk; they are used only if the model's snapshot
+        holds that library.  ``admitted`` is the request's admission
+        verdict when a drain already took it; both content-keyed stores
+        follow it.
         """
-        # result lookup FIRST: the key snapshots expert versions before any
-        # model/trunk work (check-before-build, like the other tiers — a key
-        # built after the model could pair stale logits with fresh versions),
-        # and a hit touches no other tier at all
+        # result lookup FIRST, at the current versions: a hit touches no
+        # other tier at all
         key = None
         if self.result_cache.budget_bytes:
             if digest is None:
@@ -888,15 +803,20 @@ class ServingGateway:
                 return ids, False, trunk_hit, True
             if admitted is None:
                 # this request's one sighting, taken before the trunk store
-                admitted = self.trunk_cache.admit(digest)
-        model, model_hit, fresh = self._model_for(names, snapshot)
-        if features is None:
-            # the miss path runs the *compiled* eval-mode trunk, not autograd
+                admitted = self.trunk_cache.admit((key[2][-1], digest))
+        model, model_hit, versions = self._model_for(names, snapshot)
+        library = versions[-1]
+        if features is not None and features[0] == library:
+            features = features[1]
+        else:
+            # the miss path runs the snapshot's own trunk, *compiled*
+            trunk = model.network.trunk
             features, trunk_hit = self.trunk_cache.get_or_compute(
                 images,
-                lambda batch: run_trunk_forward(self.pool.library, batch, self.metrics),
-                digest=digest,
-                admitted=admitted,
+                lambda batch: run_trunk_forward(trunk, batch, self.metrics),
+                library,
+                digest,
+                admitted,
             )
         with self.metrics.stage("predict_heads"):
             logits = model.logits_from_features(features)
@@ -904,14 +824,11 @@ class ServingGateway:
             ids = model.classes[logits.argmax(axis=1)]
         if key is not None and not admitted:
             self.result_cache.refuse()
-        elif key is not None and fresh:
-            # the standard stale-put guard: the key was snapshotted before
-            # the model was acquired and is re-derived under the lock — a
-            # re-extraction in between changes it and the answer is not
-            # cached.  Entries hold (logits, class ids): a hit needs no model
-            with self._invalidate_lock:
-                if key == self._result_key(names, digest):
-                    self.result_cache.put(key, (logits, ids), int(logits.nbytes + ids.nbytes))
+        elif key is not None:
+            # (logits, class ids) under the model's versions: a hit needs no model
+            self.result_cache.put(
+                (digest, names, versions), (logits, ids), int(logits.nbytes + ids.nbytes)
+            )
         return ids, model_hit, trunk_hit, False
 
     def _take_drain_batch(self) -> Tuple[List[_PendingPrediction], int]:
@@ -964,11 +881,13 @@ class ServingGateway:
         if coalesced:
             self.metrics.increment("predict_coalesced", len(batch) - 1)
 
-        # id(item) -> (features|None, trunk_hit, digest, admitted) | error
+        # id(item) -> ((library version, features)|None, trunk_hit, digest,
+        # admitted) | error
         resolved: Dict[int, object] = {}
         # dedupe by content digest: byte-identical request batches share
         # one representative in the stacked forward (and one cache entry)
         by_digest: Dict[str, List[_PendingPrediction]] = {}
+        (library,) = self.pool.versions(())
         for item in batch:
             digest = array_digest(item.images)
             key = self._result_key(item.names, digest)
@@ -977,10 +896,10 @@ class ServingGateway:
             if key is not None and self.result_cache.contains(key):
                 resolved[id(item)] = (None, False, digest, None)
                 continue
-            cached = self.trunk_cache.get(digest)
+            cached = self.trunk_cache.get((library, digest))
             if cached is not None:
                 # resident, so admitted
-                resolved[id(item)] = (cached, True, digest, True)
+                resolved[id(item)] = ((library, cached), True, digest, True)
             else:
                 by_digest.setdefault(digest, []).append(item)
         groups: Dict[Tuple[int, ...], List[str]] = {}
@@ -990,9 +909,9 @@ class ServingGateway:
             stacked = np.concatenate(
                 [by_digest[d][0].images for d in digests], axis=0
             )
-            token = self.trunk_cache.generation()
             try:
-                features = run_trunk_forward(self.pool.library, stacked, self.metrics)
+                trunk, library = self.pool.library_snapshot()
+                features = run_trunk_forward(trunk, stacked, self.metrics)
             except BaseException as error:
                 for digest in digests:
                     for item in by_digest[digest]:
@@ -1010,10 +929,10 @@ class ServingGateway:
                     chunk = chunk.copy(order="K")
                 offset += count
                 # byte-identical requests in one drain are one sighting
-                admitted = self.trunk_cache.admit(digest)
-                self.trunk_cache.put_guarded(digest, chunk, token, admitted)
+                admitted = self.trunk_cache.admit((library, digest))
+                self.trunk_cache.put((library, digest), chunk, admitted)
                 for item in sharers:
-                    resolved[id(item)] = (chunk, False, digest, admitted)
+                    resolved[id(item)] = ((library, chunk), False, digest, admitted)
 
         for item in batch:
             entry = resolved[id(item)]

@@ -238,25 +238,29 @@ class TestRebalance:
             assert cluster.shards[new_primary].holds(task)
             assert not cluster.shards[old_primary].holds(task)
             after_response = cluster.serve(query)
-            assert not after_response.payload_cache_hit  # moved entry was dropped
+            assert after_response.payload_cache_hit  # a move keeps versions and bytes
+            cluster.payload_cache.clear()  # rebuilt from the moved head
+            assert cluster.serve(query).payload == after_response.payload
             after = deserialize_task_model(after_response.payload)
             x = data.test.images[:24]
             assert np.array_equal(before.logits(x), after.logits(x))
         finally:
             cluster.close()
 
-    def test_rebalance_invalidates_moved_composites(self, wide_pool):
+    def test_rebalance_keeps_moved_composites(self, wide_pool):
+        """A migrated head keeps its version and its bytes, so every entry
+        built from it stays valid: the front tier still answers it."""
         pool, _ = wide_pool
         cluster = _make(pool)
         try:
             query = _cross_shard_query(cluster)
-            cluster.serve(query)
+            first = cluster.serve(query)
             assert len(cluster.payload_cache) == 1
             task = query[0]
             cluster.router.pin(task, (cluster.shards_of(task)[0] + 1) % 4)
-            report = cluster.rebalance()
-            assert report.composite_entries_dropped >= 1
-            assert len(cluster.payload_cache) == 0
+            assert any(m[0] == task for m in cluster.rebalance().moved)
+            again = cluster.serve(query)
+            assert again.payload_cache_hit and again.parts is first.parts
         finally:
             cluster.close()
 

@@ -145,19 +145,19 @@ class TestRemoteHeadCache:
             cached_names = {key[0] for key in cluster.remote_head_cache.keys()}
             victim = next(iter(cached_names))
             pool.attach_expert(victim, pool.experts[victim])  # version bump
-            assert all(
-                key[0] != victim for key in cluster.remote_head_cache.keys()
-            )
-            # a rebuild fetches the new version and still predicts correctly
-            cluster.model_cache.clear()
-            cluster.payload_cache.clear()
+            # the old entry is keyed on the old version: a rebuild fetches
+            # the new version and still predicts correctly
+            fetches = cluster.metrics.counter("remote_fetches")
             response = cluster.predict(data.test.images[:8], query)
+            assert cluster.metrics.counter("remote_fetches") == fetches + 1
+            assert (victim, pool.expert_version(victim)) in cluster.remote_head_cache.keys()
             _assert_matches_reference(
                 response.class_ids, pool, query, data.test.images[:8]
             )
 
     def test_library_reextraction_resyncs_shards_and_clears_tiers(self, tiny_hierarchy):
-        """A trunk swap repoints every shard view and drops every tier."""
+        """A trunk swap repoints every shard view and takes every tier's
+        entries out of service (they are keyed on the old library version)."""
         from tests.conftest import build_micro_pool
 
         pool, data, _ = build_micro_pool(tiny_hierarchy, seed=8, train_per_class=15)
@@ -168,12 +168,12 @@ class TestRemoteHeadCache:
             cluster.predict(x, query)  # the second sighting stores the features
             assert len(cluster.trunk_cache) >= 1
             pool.extract_library(data.train.images)  # new frozen trunk
-            assert len(cluster.trunk_cache) == 0
-            assert len(cluster.model_cache) == 0 and len(cluster.remote_head_cache) == 0
             for shard in cluster.shards:
                 assert shard.pool.library is pool.library
-                assert len(shard.gateway.model_cache) == 0
+                assert shard.pool.versions(()) == pool.versions(())
             response = cluster.predict(x, query)
+            assert not (response.result_cache_hit or response.trunk_cache_hit)
+            assert not response.model_cache_hit
             _assert_matches_reference(response.class_ids, pool, query, x)
 
     def test_zero_budget_disables_remote_head_cache(self, wide_pool):
@@ -222,7 +222,6 @@ class TestClusterResultCache:
             cluster.predict(x, query)  # the second sighting stores the answer
             assert len(cluster.result_cache) == 1
             pool.extract_expert(query[0], data.train.images)
-            assert len(cluster.result_cache) == 0
             response = cluster.predict(x, query)
             assert not response.result_cache_hit
             _assert_matches_reference(response.class_ids, pool, query, x)

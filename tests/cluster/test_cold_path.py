@@ -3,8 +3,8 @@
 A cold serve snapshots the pool by reference and builds no model, so
 nothing on it may traverse a module tree; a model build's cache charge
 comes from per-module constants, eval state is set where modules enter
-the pool, and the version guard snapshots once per build.  Counted, not
-timed.
+the pool, and a build reads the versions with its snapshot (no second
+read to guard its put).  Counted, not timed.
 """
 
 from collections import Counter
@@ -14,9 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.serving.gateway as serving_gateway
 from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
-from repro.core import TaskSpecificModel, deserialize_task_model, serialize_task_model
+from repro.core import (
+    PoolOfExperts,
+    TaskSpecificModel,
+    deserialize_task_model,
+    serialize_task_model,
+)
 from repro.distill import TrainConfig
 from repro.models import BranchedSpecialistNet, FusedHeadBank, WRNHead, WRNTrunk, count_params
 from repro.nn import Module
@@ -36,21 +40,23 @@ def composites(names):
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Counts of ``Module.named_parameters`` / ``Module.train`` / ``expert_versions``."""
+    """Counts of ``Module.named_parameters`` / ``Module.train`` and of the
+    pool's version reads (``PoolOfExperts.snapshot`` / ``.versions``)."""
     counts = Counter()
 
-    def counted(owner, attribute):
+    def counted(owner, attribute, name=None):
         real = getattr(owner, attribute)
 
         def wrapper(*args, **kwargs):
-            counts[attribute] += 1
+            counts[name or attribute] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, attribute, wrapper)
 
     counted(Module, "named_parameters")
     counted(Module, "train")  # eval() goes through it
-    counted(serving_gateway, "expert_versions")
+    counted(PoolOfExperts, "snapshot", "version_reads")
+    counted(PoolOfExperts, "versions", "version_reads")
     return counts
 
 
@@ -69,7 +75,7 @@ def _assert_walk_free(serve, get_model, model_caches, composites, calls):
     misses = 2 * len(composites)
     assert calls["named_parameters"] == 0
     assert calls["train"] == 0
-    assert 0 < calls["expert_versions"] <= 3 * misses
+    assert 0 < calls["version_reads"] <= 3 * misses
     for cache in model_caches:
         stats = cache.stats()
         assert (stats.insertions, stats.rejections, stats.requests) == (0, 0, 0)

@@ -1,11 +1,12 @@
-"""The front tier holds single-shard payloads too, and only current ones.
+"""The front tier holds single-shard payloads too, each under its own versions.
 
 A single-shard plan's payload-tier miss is relayed to the owning shard
 inside the front tier's single flight, and the answer is kept — its
-segments the parent pool's own — only when the shard answered at the
-versions the front end snapshotted.  A cross-shard build that used a head
-fetched at another version is answered but cached in no tier.  The
-superseded answers here come from stub shards, so no race is timed.
+segments the parent pool's own — under the versions the shard reports for
+it.  A cross-shard build that used a head fetched at another version is
+kept under that version.  Either way a lookup at the pool's current
+versions never matches a superseded answer.  The superseded answers here
+come from stub shards or from a held-open shard entry, so no race is timed.
 """
 
 from dataclasses import replace
@@ -104,7 +105,7 @@ def test_a_single_shard_payload_is_relayed_once_and_held_as_the_pools_segments(c
     front = cluster.cache_stats()["composite_payload"]
     assert front.current_entries == 3
     assert front.current_bytes == sum(
-        len(cluster.payload_cache.get(payload_key(names, t))[0])
+        len(cluster.payload_cache.get(payload_key(names, t, pool.versions(names)))[0])
         for t in ("float32", "uint8", "raw+zlib")
     )
 
@@ -134,19 +135,20 @@ def test_concurrent_single_shard_serves_relay_once(cluster, followers_joined):
     assert responses[0].payload == _fresh_bytes(cluster.pool, names)
 
 
-def test_a_relay_at_superseded_versions_is_answered_but_not_kept(cluster):
+def test_a_relay_at_superseded_versions_is_kept_only_under_them(cluster):
     names, shard_id = _single(cluster)
     shard = cluster.shards[shard_id] = _Shard(cluster.shards[shard_id], versions_behind=1)
     expected = _fresh_bytes(cluster.pool, names)
     assert [cluster.serve(names).payload for _ in range(2)] == [expected] * 2
-    assert shard.serves == 2
-    assert len(cluster.payload_cache) == 0
+    assert shard.serves == 2  # the front tier answered neither
+    behind = tuple(v - 1 for v in cluster.pool.versions(names))
+    assert cluster.payload_cache.keys() == [(names, "float32", behind)]
     shard.versions_behind = 0  # the worker caught up: its answer is kept
     cluster.serve(names)
     assert cluster.serve(names).payload_cache_hit and shard.serves == 3
 
 
-def test_a_build_from_a_head_fetched_at_another_version_is_cached_nowhere(cluster):
+def test_a_build_from_a_head_fetched_at_another_version_is_cached_only_at_it(cluster):
     names = _cross(cluster)
     plan = cluster._plan(names)
     home = max(plan, key=lambda shard_id: (len(plan[shard_id]), -shard_id))
@@ -156,5 +158,29 @@ def test_a_build_from_a_head_fetched_at_another_version_is_cached_nowhere(cluste
     for _ in range(2):
         response = cluster.serve(names)
         assert response.payload == expected and not response.payload_cache_hit
-    assert len(cluster.payload_cache) == len(cluster.model_cache) == 0
     assert cluster.metrics.counter("remote_fetches") == 2
+    behind = tuple(
+        version - (name in plan[other])
+        for name, version in zip(names, cluster.pool.versions(names))
+    ) + cluster.pool.versions(())
+    assert cluster.payload_cache.keys() == [(names, "float32", behind)]
+    assert all(key[1] == cluster.pool.expert_version(key[0]) - 1
+               for key in cluster.remote_head_cache.keys())
+
+
+def test_a_shard_entry_of_a_superseded_head_is_never_relayed(cluster):
+    """The shard's tier still holds its entry of the old head after the
+    update (nothing drops it), and a relay right after the bump must not
+    be answered from it: the shard looks up under its new versions."""
+    names, shard_id = _single(cluster)
+    pool, shard = cluster.pool, cluster.shards[shard_id]
+    old = cluster.serve(names)
+    donor = next(name for name in pool.expert_names() if name not in names)
+    pool.attach_expert(names[0], pool.experts[donor])  # new weights, same shape
+    assert shard.gateway.payload_cache.contains(payload_key(names, "float32", old.versions))
+    new = cluster.serve(names)
+    assert not new.payload_cache_hit
+    assert new.versions == pool.versions(names) != old.versions
+    assert new.payload == _fresh_bytes(pool, names) != old.payload
+    again = cluster.serve(names)
+    assert again.payload_cache_hit and again.parts is new.parts

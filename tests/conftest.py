@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -16,7 +17,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,
 )
-settings.load_profile("repro")
+# The same, drawn from ``--hypothesis-seed`` instead of one fixed draw per
+# test (a derandomized test ignores the seed): select it with
+# ``HYPOTHESIS_PROFILE=repro-seeded`` to widen what a property test sees.
+settings.register_profile(
+    "repro-seeded", settings.get_profile("repro"), derandomize=False, database=None
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
 
 @pytest.fixture

@@ -10,6 +10,11 @@ import pytest
 from repro.control import CacheController, ControllerConfig, CostEWMA
 from repro.obs.journal import JOURNAL
 from repro.serving.canonical import payload_key
+
+
+def _key(sim, names):
+    """The payload-tier key ``names`` is looked up under right now."""
+    return payload_key(names, "float32", sim.gateway.pool.versions(names))
 from repro.serving.gateway import GatewayConfig
 
 from .sim import FakeClock, SimHarness
@@ -82,7 +87,7 @@ class TestEvictionBias:
             # one-off cold queries would evict the hot payload under LRU
             for cold in (("c2",), ("c3",), ("c2", "c3"), ("c0", "c3")):
                 sim.serve(cold)
-            key = payload_key(HOT, "float32")
+            key = _key(sim, HOT)
             assert sim.gateway.payload_cache.contains(key)
             stats = sim.payload_stats()
             assert stats.rejections + stats.score_evictions > 0
@@ -152,7 +157,7 @@ class TestPrefetch:
     def test_tick_rebuilds_discarded_hot_payload(self, sim):
         for _ in range(5):
             sim.serve(HOT)
-        key = payload_key(HOT, "float32")
+        key = _key(sim, HOT)
         # simulate an invalidation (e.g. a version bump dropping payloads)
         assert sim.gateway.payload_cache.discard(key)
         report = sim.tick()
@@ -177,12 +182,12 @@ class TestPrefetch:
         with SimHarness(control_pool, controller_config=config) as sim:
             for _ in range(5):
                 sim.serve(HOT)
-            sim.gateway.payload_cache.discard(payload_key(HOT, "float32"))
+            sim.gateway.payload_cache.discard(_key(sim, HOT))
             assert sim.tick().prefetched == ()
 
     def test_cold_queries_never_prefetched(self, sim):
         sim.serve(("c2", "c3"))  # one hit, then idle past many half-lives
-        sim.gateway.payload_cache.discard(payload_key(("c2", "c3"), "float32"))
+        sim.gateway.payload_cache.discard(_key(sim, ("c2", "c3")))
         sim.clock.advance(60.0)
         assert sim.tick().prefetched == ()
 
@@ -218,7 +223,7 @@ class TestJournal:
         try:
             for _ in range(5):
                 sim.serve(HOT)
-            sim.gateway.payload_cache.discard(payload_key(HOT, "float32"))
+            sim.gateway.payload_cache.discard(_key(sim, HOT))
             sim.tick()
             kinds = [e["kind"] for e in JOURNAL.events()]
             assert "autotune" in kinds
@@ -264,7 +269,7 @@ class TestTelemetry:
         sim.poll()  # baseline
         for _ in range(5):
             sim.serve(HOT)
-        sim.gateway.payload_cache.discard(payload_key(HOT, "float32"))
+        sim.gateway.payload_cache.discard(_key(sim, HOT))
         sim.tick()
         sim.serve(HOT)  # a prefetch hit
         produced = sim.poll()

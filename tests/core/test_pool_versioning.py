@@ -1,4 +1,4 @@
-"""Expert versioning, invalidation listeners, subset views, stable seeding."""
+"""Expert versioning, install listeners, subset views, stable seeding."""
 
 import copy
 import os
@@ -32,6 +32,28 @@ class TestVersioning:
             assert events == [("birds", pool.expert_version("birds"))]
         finally:
             pool.remove_listener(listener)
+
+    def test_each_install_journals_one_update(self, named_pool):
+        """One emitter: the pool journals each version bump once, however
+        many gateways serve from it."""
+        from repro.core.pool import LIBRARY_TASK
+        from repro.obs import JOURNAL
+        from repro.serving import ServingGateway
+
+        pool = named_pool[0].subset(["pets", "birds"])
+        JOURNAL.reset()
+        JOURNAL.enable()
+        try:
+            with ServingGateway(pool), ServingGateway(pool):
+                pool.attach_expert("pets", pool.experts["pets"])
+                pool.install_library(pool.library, pool.library_student)
+            events = [(e["kind"], e["task"], e["version"]) for e in JOURNAL.events()]
+        finally:
+            JOURNAL.reset()
+        assert events == [
+            ("expert_update", "pets", pool.expert_version("pets")),
+            ("library_update", LIBRARY_TASK, pool.expert_version(LIBRARY_TASK)),
+        ]
 
     def test_attach_with_explicit_version(self, named_pool):
         pool, _, _ = named_pool

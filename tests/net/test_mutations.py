@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 
 import pytest
 
@@ -246,25 +245,36 @@ def test_chaos_reshard_grow_and_shrink_is_invisible_to_clients(net_pool):
             monkey = ChaosMonkey(deployment.fleet, random.Random(7))
             stop = threading.Event()
             errors: list = []
-            results: list = []
+            wrong: list = []
+            served = threading.Condition()
+            count = [0]
 
             def drive() -> None:
                 i = 0
                 while not stop.is_set():
                     query = queries[i % len(queries)]
                     try:
-                        results.append((query, gateway.serve(query).payload))
+                        if gateway.serve(query).payload != expected[query]:
+                            wrong.append(query)
                     except Exception as exc:  # noqa: BLE001 - the assertion
                         errors.append(exc)
                     i += 1
-                    time.sleep(0.02)  # keep traffic flowing, don't saturate
+                    with served:
+                        count[0] += 1
+                        served.notify_all()
+
+            def serves_on_this_topology(k: int = 20) -> None:
+                """Wait until the drivers have sent ``k`` more queries."""
+                with served:
+                    target = count[0] + k
+                    assert served.wait_for(lambda: count[0] >= target, timeout=60.0)
 
             threads = [threading.Thread(target=drive) for _ in range(2)]
             for thread in threads:
                 thread.start()
             killed = []
             try:
-                time.sleep(0.2)
+                serves_on_this_topology()
                 # SIGKILL one worker *while* the reshard broadcast runs:
                 # the mutation retry loop must ride out the respawn
                 killer = threading.Timer(0.05, lambda: killed.append(monkey.kill_one()))
@@ -273,18 +283,16 @@ def test_chaos_reshard_grow_and_shrink_is_invisible_to_clients(net_pool):
                 killer.join()
                 assert killed and killed[0] is not None
                 assert monkey.wait_respawned(killed[0], timeout=60.0)
-                time.sleep(0.3)  # load on the grown topology
+                serves_on_this_topology()  # load on the grown topology
                 report_shrink = gateway.reshard(2)
-                time.sleep(0.3)  # load after the shrink
+                serves_on_this_topology()  # load after the shrink
             finally:
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=60.0)
 
-            assert errors == []
-            assert len(results) > len(queries)
-            for query, payload in results:
-                assert payload == expected[query], query
+            assert errors == [] and wrong == []
+            assert count[0] > 3 * len(queries)
 
             # epochs advanced monotonically; both reshards journaled
             assert report_grow.epoch >= 1

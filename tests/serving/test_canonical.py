@@ -34,8 +34,10 @@ class TestCanonicalTasks:
 
 class TestKeys:
     def test_model_key_is_canonical(self):
-        assert model_key(["b", "a"]) == ("a", "b")
+        assert model_key(["b", "a"], [1, 2, 3]) == (("a", "b"), (1, 2, 3))
+        assert model_key(["a", "b"], (1, 2, 3)) != model_key(["a", "b"], (1, 2, 4))
 
     def test_payload_key_includes_transport(self):
-        assert payload_key(["b", "a"], "uint8") == (("a", "b"), "uint8")
-        assert payload_key(["a", "b"], "float32") != payload_key(["a", "b"], "uint8")
+        assert payload_key(["b", "a"], "uint8", [1, 1, 1]) == (("a", "b"), "uint8", (1, 1, 1))
+        assert payload_key(["a", "b"], "float32", ()) != payload_key(["a", "b"], "uint8", ())
+        assert payload_key(["a"], "uint8", (1, 1)) != payload_key(["a"], "uint8", (2, 1))

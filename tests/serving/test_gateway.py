@@ -24,26 +24,25 @@ def _forbidden(*args, **kwargs):
 
 
 class CountingPool:
-    """Wraps a trained pool, counting (and optionally gating) its snapshots."""
+    """Wraps a trained pool, counting (and optionally gating) its snapshots;
+    everything else is the real pool's."""
 
     def __init__(self, pool, gate=None):
         self._pool = pool
         #: A ``threading.Event`` every snapshot waits for, if given.
         self.gate = gate
         self.consolidations = 0
-        self._lock = threading.Lock()
-        self.config = pool.config
-        self.hierarchy = pool.hierarchy
+        self._count_lock = threading.Lock()
+
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
 
     def snapshot(self, query):
-        with self._lock:
+        with self._count_lock:
             self.consolidations += 1
         if self.gate is not None:
             assert self.gate.wait(timeout=60), "the gate was never opened"
         return self._pool.snapshot(query)
-
-    def expert_names(self):
-        return self._pool.expert_names()
 
 
 class TestServe:
@@ -163,38 +162,31 @@ class TestCacheControl:
 
 class TestInvalidation:
     def test_reextraction_drops_dependent_entries(self, named_pool):
-        """A version bump invalidates dependent entries immediately."""
+        """A version bump takes every dependent entry out of service at once:
+        lookups key on the new version, which no entry was stored under."""
         pool, _, _ = named_pool
         with ServingGateway(pool) as gateway:
             gateway.serve(["pets", "birds"])
             gateway.serve(["fish"])
-            gateway.get_model(["pets", "birds"])
+            model = gateway.get_model(["pets", "birds"])
             pool.attach_expert("pets", pool.experts["pets"])  # version bump
-            assert not gateway.model_cache.contains(("birds", "pets"))
+            assert gateway.get_model(["birds", "pets"]) is not model
             hit = gateway.serve(["fish"])
             missed = gateway.serve(["pets", "birds"])
             assert hit.payload_cache_hit  # unrelated entry untouched
             assert not missed.payload_cache_hit
-
-    def test_invalidate_task_reports_dropped_count(self, named_pool):
-        pool, _, _ = named_pool
-        with ServingGateway(pool) as gateway:
-            gateway.serve(["pets", "birds"])
-            gateway.serve(["pets"], transport="uint8")
-            gateway.get_model(["pets", "birds"])
-            gateway.get_model(["pets"])
-            # 2 payload entries + 2 model entries mention pets
-            assert gateway.invalidate_task("pets") == 4
-            assert gateway.invalidate_task("pets") == 0
+            assert missed.versions == pool.versions(("birds", "pets"))
 
     def test_closed_gateway_stops_listening(self, named_pool):
+        """Open or closed, a gateway registers no listener on the pool: its
+        tiers need no notification to stay correct."""
         pool, _, _ = named_pool
+        listeners = list(pool._listeners)
         gateway = ServingGateway(pool)
         gateway.serve(["pets"])
+        assert pool._listeners == listeners
         gateway.close()
-        entries = len(gateway.payload_cache)
-        pool.attach_expert("pets", pool.experts["pets"])
-        assert len(gateway.payload_cache) == entries  # listener removed
+        assert pool._listeners == listeners
 
 
 class TestCoalescing:

@@ -119,8 +119,8 @@ class TestAdmission:
             gw.predict(x, query)
             assert len(gw.trunk_cache._seen) == 1
             pool.extract_library(data.train.images)
-            assert len(gw.trunk_cache._seen) == 0
-            gw.predict(x, query)  # a first sighting again: nothing stored
+            # sightings key on the library version: a first sighting again
+            gw.predict(x, query)
             assert len(gw.trunk_cache) == 0 and len(gw.result_cache) == 0
 
 
@@ -157,7 +157,7 @@ class TestPredict:
         assert_fused_ids_match(response.class_ids, model.logits(second), model.classes)
 
     def test_reextraction_invalidates_fused_model(self, tiny_hierarchy):
-        """Version bump → cached model dropped → fresh bank serves new weights."""
+        """Version bump → cached model out of service → fresh bank serves new weights."""
         from tests.conftest import build_micro_pool
 
         pool, data, _ = build_micro_pool(tiny_hierarchy, seed=5, train_per_class=15)
@@ -168,8 +168,8 @@ class TestPredict:
             gw.predict(x, query)
             assert len(gw.model_cache) == 1
             pool.extract_expert(name, data.train.images)
-            assert len(gw.model_cache) == 0  # listener dropped the model
             response = gw.predict(x, query)
+            assert not response.model_cache_hit  # keyed on the old version
             network, composite = pool.consolidate(query)
             from repro.distill import batched_forward
 
@@ -189,11 +189,11 @@ class TestPredict:
             gw.predict(x, query)  # the second sighting stores the features
             assert len(gw.trunk_cache) == 1 and len(gw.model_cache) == 1
             pool.extract_library(data.train.images)  # new frozen trunk
-            assert len(gw.trunk_cache) == 0 and len(gw.model_cache) == 0
             # old experts still attach to the pool; a fresh predict runs
-            # the *new* trunk and matches the new reference end to end
+            # the *new* trunk and matches the new reference end to end: the
+            # old entries are keyed on the old library version
             response = gw.predict(x, query)
-            assert not response.trunk_cache_hit
+            assert not response.trunk_cache_hit and not response.model_cache_hit
             network, composite = pool.consolidate(query)
             from repro.distill import batched_forward
 
@@ -312,11 +312,12 @@ class TestMicroBatching:
                 future.result(timeout=30)
             blocker.result(timeout=30)
             assert gw.metrics.counter("predict_batches") == 1
-            cached = [gw.trunk_cache.get(array_digest(x)) for x in batches]
+            (library,) = pool.versions(())
+            cached = [gw.trunk_cache.get((library, array_digest(x))) for x in batches]
             gw.predict(data.test.images[12:16], ["pets"])
             alone = gw.predict(data.test.images[12:16], ["pets"])
             assert not alone.trunk_cache_hit
-            passed_through = gw.trunk_cache.get(array_digest(data.test.images[12:16]))
+            passed_through = gw.trunk_cache.get((library, array_digest(data.test.images[12:16])))
         for chunk in cached:
             assert chunk.base is None
             # a copy keeps the compiled trunk's channels-last memory
@@ -454,6 +455,8 @@ class TestResultCache:
             assert not other_tasks.result_cache_hit
 
     def test_version_bump_evicts_eagerly_and_recomputes(self, tiny_hierarchy):
+        """A version bump takes the answer out of service at once (its key
+        carries the old versions) and the next request recomputes it."""
         from tests.conftest import build_micro_pool
 
         pool, data, _ = build_micro_pool(tiny_hierarchy, seed=8, train_per_class=15)
@@ -465,7 +468,6 @@ class TestResultCache:
             gw.predict(x, query)  # the second sighting stores the answer
             assert len(gw.result_cache) == 1
             pool.extract_expert(name, data.train.images)
-            assert len(gw.result_cache) == 0  # listener released the bytes
             response = gw.predict(x, query)
             assert not response.result_cache_hit
             network, composite = pool.consolidate(query)
@@ -485,7 +487,8 @@ class TestResultCache:
             gw.predict(data.test.images[:8], query)  # stored on the second sighting
             assert len(gw.result_cache) == 1
             pool.extract_library(data.train.images)
-            assert len(gw.result_cache) == 0
+            # the entry is keyed on the old library version: out of service
+            assert not gw.predict(data.test.images[:8], query).result_cache_hit
 
     def test_zero_budget_disables(self, named_pool):
         pool, data, _ = named_pool
