@@ -744,7 +744,7 @@ class ClusterGateway:
     def _check_remote_stale(self) -> None:
         """Refuse to serve once the pool diverged from networked workers.
 
-        Set by the invalidation listener when a pool mutation could not be
+        Set by the pool listener when a pool mutation could not be
         pushed into running worker processes; failing at the serving
         boundary (instead of raising from inside the listener loop, which
         would skip later listeners) keeps every other gateway on the pool

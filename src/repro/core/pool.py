@@ -224,7 +224,7 @@ class PoolOfExperts:
         self._features_images: Optional["weakref.ref[np.ndarray]"] = None
         self._versions: Dict[str, int] = {}
         # taken by every install (module write + version bump) and by every
-        # read that pairs modules with versions (snapshot, versions)
+        # read that pairs modules with versions (snapshot, library_snapshot)
         self._lock = threading.Lock()
         self._listeners: List[Callable[[str, int], None]] = []
         #: Encoded payload segments of this pool's own modules (a view
@@ -243,14 +243,16 @@ class PoolOfExperts:
 
         What a serving tier looks up under: an entry stored under a
         snapshot's :attr:`PoolSnapshot.versions` matches only while every
-        module it was built from is still installed.
+        module it was built from is still installed.  Read without the
+        lock: entries are stored only under versions read together with
+        their modules, so a key read across a concurrent install can only
+        match an entry of a state that was once current.
         """
-        with self._lock:
-            return self._versions_of(names)
+        return self._versions_of(names)
 
     def _versions_of(self, names: Sequence[str]) -> Tuple[int, ...]:
-        get = self._versions.get  # the caller holds _lock
-        return tuple(get(name, 0) for name in names) + (get(LIBRARY_TASK, 0),)
+        get = self._versions.get
+        return tuple([get(name, 0) for name in names]) + (get(LIBRARY_TASK, 0),)
 
     def add_listener(self, callback: Callable[[str, int], None]) -> None:
         """Register ``callback(task_name, new_version)``, called after every

@@ -3,10 +3,10 @@
 :class:`ByteBudgetLRU` is a thread-safe LRU keyed on canonical query keys
 (:mod:`repro.serving.canonical`) whose capacity is expressed in *bytes*, not
 entries — consolidated models and serialized payloads vary wildly in size,
-so an entry-count bound would make memory use unpredictable.  Stale
-entries are dropped by their owner (the gateways' version listeners
-discard what a re-extracted expert invalidates), and :class:`CacheStats`
-exposes the hit/eviction accounting the metrics layer reports.
+so an entry-count bound would make memory use unpredictable.  Keys carry
+the versions an entry was built from, so a superseded entry is never
+matched and simply ages out; :class:`CacheStats` exposes the
+hit/eviction accounting the metrics layer reports.
 
 A budget of ``0`` disables the cache: every ``get`` misses and every ``put``
 is rejected.  That is how the gateway (and the throughput benchmark's

@@ -46,7 +46,9 @@ def canonical_tasks(tasks: TaskQuery) -> Tuple[str, ...]:
     return tuple(sorted(set(names)))
 
 
-def model_key(tasks: TaskQuery, versions: Sequence[int]) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+def model_key(
+    tasks: TaskQuery, versions: Sequence[int]
+) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
     """Cache key for a consolidated in-memory model: ``(canonical tasks, versions)``."""
     return (canonical_tasks(tasks), tuple(versions))
 

@@ -626,7 +626,7 @@ class ServingGateway:
                 served = (parts, False, False, versions)
         else:
             versions = self.pool.versions(names)
-            key = (names, transport, versions)
+            key = (names, transport, versions)  # payload_key's shape: names are canonical
             parts = self.payload_cache.get(key)
             if parts is not None:
                 if self.controller is not None:

@@ -264,7 +264,7 @@ def test_chaos_reshard_grow_and_shrink_is_invisible_to_clients(net_pool):
                         served.notify_all()
 
             def serves_on_this_topology(k: int = 20) -> None:
-                """Wait until the drivers have sent ``k`` more queries."""
+                """Wait until the client threads have sent ``k`` more queries."""
                 with served:
                     target = count[0] + k
                     assert served.wait_for(lambda: count[0] >= target, timeout=60.0)
