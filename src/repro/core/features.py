@@ -53,7 +53,7 @@ def array_digest(array: np.ndarray) -> str:
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(str(array.shape).encode())
     hasher.update(str(array.dtype).encode())
-    hasher.update(np.ascontiguousarray(array).tobytes())
+    hasher.update(np.ascontiguousarray(array))  # a C-order batch is hashed in place
     return hasher.hexdigest()
 
 

@@ -33,6 +33,14 @@ with ``as_parts=True`` nothing is joined either (the serving tiers hold
 and send the parts as they are).  Without a store the same code encodes
 fresh and yields the same bytes.
 
+The header is written from JSON text encoded once (:func:`_write_parts`):
+each task's manifest entry, the arch block, the quoted transport and the
+segment names come from bounded memos keyed on the value they encode, and
+only the segment lengths (and a head fetch's versions) are formatted per
+call.  Its bytes are unchanged: exactly what one ``json.dumps`` of the
+header writes with the default separators, which makes those defaults
+part of the format (``docs/wire-protocol.md``).
+
 ``float32`` and ``raw+zlib`` both ship float32 tensors (bit-exact);
 ``uint8`` ships per-tensor affine-quantised ones (``repro.compress``:
 about a quarter of the bytes at a small accuracy cost).  Payloads are
@@ -48,6 +56,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -133,17 +142,67 @@ def _segment(store: Optional[SegmentStore], key: str, module, transport: str) ->
     return blob
 
 
-def _payload_parts(manifest: Dict, segments: Sequence[Tuple[str, bytes]]) -> Tuple[bytes, ...]:
-    """``(container head, *segment blobs)``: a payload, its parts unjoined.
+#: Distinct values each header-fragment memo keeps encoded: the tasks,
+#: the composites (as task tuples) and the segment-name lists a pool
+#: serves, one arch and three transports.
+_FRAGMENTS = 4096
 
-    The head (magic, header length, header JSON) is the only new object;
-    the blobs are passed through as given, so with a store they are the
-    store's own ``bytes``.
-    """
-    header = json.dumps(
-        {"manifest": manifest, "segments": [[name, len(blob)] for name, blob in segments]}
+
+@lru_cache(maxsize=_FRAGMENTS)
+def _quoted(text: str) -> bytes:
+    """``text`` as a JSON string (``json.dumps`` escapes all but ASCII)."""
+    return json.dumps(text).encode()
+
+
+@lru_cache(maxsize=_FRAGMENTS)
+def _task_json(prim: PrimitiveTask) -> bytes:
+    """One manifest ``tasks`` entry, keyed on the whole task (class ids are ints)."""
+    return json.dumps(
+        {"name": prim.name, "classes": list(prim.classes), "class_names": list(prim.class_names)}
     ).encode()
-    return (b"".join((_MAGIC, _U32.pack(len(header)), header)), *(blob for _, blob in segments))
+
+
+@lru_cache(maxsize=_FRAGMENTS)
+def _tasks_json(tasks: Tuple[PrimitiveTask, ...]) -> bytes:
+    """The manifest ``tasks`` list, joined from each task's entry."""
+    return b"[%b]" % b", ".join([_task_json(prim) for prim in tasks])
+
+
+@lru_cache(maxsize=_FRAGMENTS, typed=True)  # typed: 1 and 1.0 encode differently
+def _arch_numbers_json(depth, k_c, k_s, library_level) -> bytes:
+    return json.dumps(
+        {"depth": depth, "k_c": k_c, "k_s": k_s, "library_level": library_level}
+    ).encode()
+
+
+def _arch_json(config) -> bytes:
+    """The manifest ``arch`` block: what a client needs to rebuild the modules."""
+    return _arch_numbers_json(
+        config.library_depth, config.library_k, config.expert_ks, config.library_level
+    )
+
+
+@lru_cache(maxsize=_FRAGMENTS)
+def _segments_format(library: bool, heads: Tuple[str, ...]) -> bytes:
+    """The header's ``segments`` list — ``library`` if shipped, then
+    ``expert:<task>`` per head — with a ``%d`` for each length."""
+    names = ["library"] * library + [f"expert:{name}" for name in heads]
+    escaped = [_quoted(name).replace(b"%", b"%%") for name in names]
+    return b"[%b]" % b", ".join([b"[%b, %%d]" % name for name in escaped])
+
+
+def _write_parts(manifest: bytes, segments: bytes, blobs: Sequence[bytes]) -> Tuple[bytes, ...]:
+    """``(container head, *blobs)``: a payload, its parts unjoined.
+
+    ``manifest`` is the manifest object's JSON text and ``segments`` the
+    :func:`_segments_format` the blobs fill in; the header written from
+    them is byte for byte ``json.dumps({"manifest": ..., "segments":
+    [[name, nbytes], ...]})``.  The head is the only new object; the blobs
+    are passed through as given, so with a store they are the store's own
+    ``bytes``.
+    """
+    header = b'{"manifest": %b, "segments": %b}' % (manifest, segments % tuple(map(len, blobs)))
+    return (_MAGIC + _U32.pack(len(header)) + header, *blobs)
 
 
 def _take_json(view: memoryview, what: str) -> Tuple[Dict, memoryview]:
@@ -237,19 +296,6 @@ def _decode_payload(payload) -> Tuple[Dict, Dict[str, Dict[str, np.ndarray]]]:
         return manifest, {name: _decode_segment(part) for name, part in zip(names, parts[1:])}
 
 
-def _arch_manifest(config) -> Dict[str, object]:
-    return {
-        "depth": config.library_depth,
-        "k_c": config.library_k,
-        "k_s": config.expert_ks,
-        "library_level": config.library_level,
-    }
-
-
-def _task_manifest(prim: PrimitiveTask) -> Dict[str, object]:
-    return {"name": prim.name, "classes": list(prim.classes), "class_names": list(prim.class_names)}
-
-
 def _build_trunk(arch: Dict, state: Dict[str, np.ndarray]) -> WRNTrunk:
     trunk = WRNTrunk(
         int(arch["depth"]), float(arch["k_c"]), float(arch["k_s"]), int(arch["library_level"])
@@ -298,15 +344,15 @@ def serialize_task_model(
     owns only the head.
     """
     _check_transport(transport)
-    segments = [("library", _segment(store, LIBRARY_TASK, network.trunk, transport))]
-    for name, head in zip(network.head_names, network.heads):
-        segments.append((f"expert:{name}", _segment(store, name, head, transport)))
-    manifest = {
-        "transport": transport,
-        "tasks": [_task_manifest(prim) for prim in composite.tasks],
-        "arch": _arch_manifest(config),
-    }
-    parts = _payload_parts(manifest, segments)
+    names = tuple(network.head_names)
+    blobs = [_segment(store, LIBRARY_TASK, network.trunk, transport)]
+    blobs += [_segment(store, name, head, transport) for name, head in zip(names, network.heads)]
+    manifest = b'{"transport": %b, "tasks": %b, "arch": %b}' % (
+        _quoted(transport),
+        _tasks_json(composite.tasks),
+        _arch_json(config),
+    )
+    parts = _write_parts(manifest, _segments_format(True, names), blobs)
     return parts if as_parts else b"".join(parts)
 
 
@@ -374,30 +420,31 @@ def serialize_expert_heads(
 ) -> bytes:
     """Pack expert *heads only* (no library trunk) for cross-shard fetch.
 
-    ``pool`` is anything pool-shaped: ``experts``, ``hierarchy``, ``config``
-    and ``expert_version`` are read.  The cluster tier calls this on the
-    owning shard and rebuilds the heads with
-    :func:`deserialize_expert_heads` on the consolidating shard; with a
-    float-exact transport (``float32``/``raw+zlib``) the round trip is
-    bit-identical, so cross-shard consolidation matches a single pool.
+    ``pool`` is anything with :meth:`~repro.core.pool.PoolOfExperts.snapshot`
+    and a ``config``: the heads and the versions the manifest names are
+    read together, so a concurrent re-extraction cannot ship a new head
+    under its old version.  The cluster tier calls this on the owning
+    shard and rebuilds the heads with :func:`deserialize_expert_heads` on
+    the consolidating shard; with a float-exact transport
+    (``float32``/``raw+zlib``) the round trip is bit-identical, so
+    cross-shard consolidation matches a single pool.
     """
     _check_transport(transport)
-    missing = [n for n in names if n not in pool.experts]
-    if missing:
-        raise KeyError(
-            f"no expert extracted for primitive task(s) {missing}; "
-            f"available: {sorted(pool.experts)}"
-        )
-    manifest = {
-        "kind": "expert_heads",
-        "transport": transport,
-        "tasks": [_task_manifest(pool.hierarchy.task(name)) for name in names],
-        "versions": {name: pool.expert_version(name) for name in names},
-        "arch": _arch_manifest(pool.config),
-    }
-    heads = pool.experts
-    segments = [(f"expert:{n}", _segment(store, n, heads[n], transport)) for n in names]
-    return b"".join(_payload_parts(manifest, segments))
+    snapshot = pool.snapshot(names)
+    versions = zip(snapshot.head_names, snapshot.versions)
+    manifest = (
+        b'{"kind": "expert_heads", "transport": %b, "tasks": %b, "versions": {%b}, "arch": %b}'
+    ) % (
+        _quoted(transport),
+        _tasks_json(snapshot.composite.tasks),
+        b", ".join([b"%b: %d" % (_quoted(name), version) for name, version in versions]),
+        _arch_json(pool.config),
+    )
+    blobs = [
+        _segment(store, name, head, transport)
+        for name, head in zip(snapshot.head_names, snapshot.heads)
+    ]
+    return b"".join(_write_parts(manifest, _segments_format(False, snapshot.head_names), blobs))
 
 
 def deserialize_expert_heads(payload) -> Dict[str, RemoteExpert]:
@@ -423,21 +470,20 @@ def serialize_library_state(
     The wire complement of :func:`serialize_expert_heads`: when the pool
     re-extracts its library, networked workers need the new trunk weights
     plus the library sentinel version so their view pools invalidate
-    exactly like an in-process shard's would.  Only the trunk travels —
-    serving never touches ``library_student``, so the distillation-side
-    student stays behind.
+    exactly like an in-process shard's would.  The trunk and its version
+    are read together (:meth:`~repro.core.pool.PoolOfExperts.library_snapshot`).
+    Only the trunk travels — serving never touches ``library_student``, so
+    the distillation-side student stays behind.
     """
     _check_transport(transport)
-    if pool.library is None:
-        raise ValueError("pool has no library trunk to serialize")
-    manifest = {
-        "kind": "library_state",
-        "transport": transport,
-        "version": int(pool.expert_version(LIBRARY_TASK)),
-        "arch": _arch_manifest(pool.config),
-    }
-    segments = [("library", _segment(store, LIBRARY_TASK, pool.library, transport))]
-    return b"".join(_payload_parts(manifest, segments))
+    library, version = pool.library_snapshot()
+    manifest = b'{"kind": "library_state", "transport": %b, "version": %d, "arch": %b}' % (
+        _quoted(transport),
+        version,
+        _arch_json(pool.config),
+    )
+    blob = _segment(store, LIBRARY_TASK, library, transport)
+    return b"".join(_write_parts(manifest, _segments_format(True, ()), [blob]))
 
 
 def deserialize_library_state(payload) -> Tuple[WRNTrunk, int]:

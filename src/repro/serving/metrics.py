@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from array import array
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -119,7 +120,8 @@ class LatencyHistogram:
             raise ValueError("max_samples must be positive")
         self.max_samples = max_samples
         self._rng = random.Random(seed)
-        self._samples: List[float] = []
+        # raw doubles: 8 bytes a sample where a list holds a 32-byte float object
+        self._samples = array("d")
         self._buckets = [0] * self._NUM_BUCKETS
         self._count = 0
         self._total = 0.0
@@ -204,7 +206,7 @@ class LatencyHistogram:
         if len(combined) > self.max_samples:
             step = len(combined) / self.max_samples
             combined = [combined[int(i * step)] for i in range(self.max_samples)]
-        self._samples = combined
+        self._samples = array("d", combined)
 
     _MAX_WIRE_SAMPLES = 512  # reservoir slice shipped in to_dict()
 
@@ -238,7 +240,7 @@ class LatencyHistogram:
         buckets = list(data.get("buckets") or [])
         for i, n in enumerate(buckets[: cls._NUM_BUCKETS]):
             hist._buckets[i] = int(n)
-        hist._samples = [float(s) for s in (data.get("samples") or [])]
+        hist._samples = array("d", map(float, data.get("samples") or []))
         return hist
 
 

@@ -60,8 +60,9 @@ class _Behind:
     def __getattr__(self, name):
         return getattr(self._pool, name)
 
-    def expert_version(self, name):
-        return self._pool.expert_version(name) - self._behind
+    def snapshot(self, names):
+        snapshot = self._pool.snapshot(names)
+        return snapshot._replace(versions=tuple(v - self._behind for v in snapshot.versions))
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 """Head-level payloads: the cross-shard fetch boundary must be float-exact."""
 
+import copy
 import zlib
 
 import numpy as np
@@ -14,6 +15,9 @@ from repro.core import (
     serialize_expert_heads,
     serialize_task_model,
 )
+from repro.core import server
+from repro.core.pool import LIBRARY_TASK
+from repro.core.server import deserialize_library_state, serialize_library_state
 from repro.net import NetworkedCluster
 
 
@@ -89,6 +93,69 @@ class TestHeadSegments:
                 assert part == serialize_expert_heads(shard.pool, [name], store=shard.pool.segments)
             assert shard.fetch_heads(names) == whole
             assert compressions == []
+
+
+def _retrained(module):
+    """A copy of ``module`` with different weights: a re-extraction's result."""
+    fresh = copy.deepcopy(module)
+    fresh.load_state_dict({key: value + 1.0 for key, value in module.state_dict().items()})
+    return fresh
+
+
+def _assert_state(module, expected) -> None:
+    for key, value in module.state_dict().items():
+        np.testing.assert_array_equal(value, expected[key], err_msg=key)
+
+
+class TestModulesAndVersionsReadTogether:
+    """A fetch or push ships each module under the version it was installed at,
+    even when a re-extraction lands while the payload is being encoded."""
+
+    def _re_extract_during_first_encode(self, monkeypatch, re_extract) -> None:
+        encode = server._segment
+
+        def first_encode(*args):
+            monkeypatch.setattr(server, "_segment", encode)
+            re_extract()
+            return encode(*args)
+
+        monkeypatch.setattr(server, "_segment", first_encode)
+
+    def test_expert_heads(self, wide_pool, monkeypatch):
+        pool, _ = wide_pool
+        names = pool.expert_names()[:3]
+        view = pool.subset(names)
+        states = {(n, view.expert_version(n)): view.experts[n].state_dict() for n in names}
+
+        def re_extract():
+            for name in names:
+                view.attach_expert(name, _retrained(view.experts[name]))
+                states[name, view.expert_version(name)] = view.experts[name].state_dict()
+
+        self._re_extract_during_first_encode(monkeypatch, re_extract)
+        remotes = deserialize_expert_heads(serialize_expert_heads(view, names))
+        assert len(states) == 2 * len(names)  # the re-extraction ran
+        for name, remote in remotes.items():
+            _assert_state(remote.head, states[name, remote.version])
+
+    def test_library_state(self, wide_pool):
+        """The push reads the pool more than once (the trunk and its version,
+        the arch); a library swap lands at its arch read."""
+        pool, _ = wide_pool
+        view = pool.subset(pool.expert_names())
+        library, version = view.library_snapshot()
+        states = {version: library.state_dict()}
+
+        class SwapAtConfigRead:
+            def __getattr__(self, name):
+                if name == "config" and len(states) == 1:
+                    view.install_library(_retrained(view.library))
+                    states[view.expert_version(LIBRARY_TASK)] = view.library.state_dict()
+                return getattr(view, name)
+
+        trunk, shipped = deserialize_library_state(serialize_library_state(SwapAtConfigRead()))
+        assert len(states) == 2  # the swap ran
+        _assert_state(trunk, states[shipped])
 
 
 def _cross_shard_query(cluster):

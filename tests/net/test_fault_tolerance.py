@@ -370,6 +370,7 @@ def test_chaos_kill_is_invisible_to_clients(net_pool):
             stop = threading.Event()
             errors: list = []
             results: list = []
+            served = threading.Condition()
 
             def drive() -> None:
                 i = 0
@@ -380,21 +381,27 @@ def test_chaos_kill_is_invisible_to_clients(net_pool):
                     except Exception as exc:  # noqa: BLE001 - the assertion
                         errors.append(exc)
                     i += 1
-                    # think time: keep traffic flowing across the kill window
-                    # without saturating the box — on a small runner a
-                    # closed loop would starve the respawned worker of the
-                    # CPU it needs to finish starting up
-                    time.sleep(0.02)
+                    with served:
+                        served.notify_all()
+
+            def serves(k: int = 20) -> None:
+                """Wait until the client threads have completed ``k`` more queries."""
+                with served:
+                    target = len(results) + len(errors) + k
+                    assert served.wait_for(
+                        lambda: len(results) + len(errors) >= target, timeout=60.0
+                    )
 
             threads = [threading.Thread(target=drive) for _ in range(2)]
             for thread in threads:
                 thread.start()
             try:
-                time.sleep(0.3)
+                serves()  # traffic is flowing before the kill
                 handle = monkey.kill_one()
                 assert handle is not None
+                serves()  # and across the kill window
                 assert monkey.wait_respawned(handle, timeout=60.0)
-                time.sleep(0.3)  # keep load on the refilled fleet
+                serves()  # load on the refilled fleet
             finally:
                 # stop the load even when an assertion above fails — live
                 # drive threads would otherwise outlast the test

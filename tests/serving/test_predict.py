@@ -1,5 +1,6 @@
 """The prediction serving tier: trunk cache, fused path, micro-batching."""
 
+import hashlib
 import threading
 
 import numpy as np
@@ -32,6 +33,26 @@ class TestArrayDigest:
         a = rng.standard_normal((6, 4)).astype(np.float32)
         assert array_digest(a) != array_digest(a.reshape(4, 6))
         assert array_digest(a) != array_digest(a.astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: a,
+            np.asfortranarray,
+            lambda a: a[::2, :, 1:5, ::-1],
+            lambda a: a[:0],
+            lambda a: a[0, 0, 0, 0],
+        ],
+        ids=["c-order", "f-order", "strided-view", "empty", "scalar"],
+    )
+    def test_digest_hashes_the_c_order_bytes(self, rng, layout):
+        """Hashing the buffer in place gives the digest of its C-order bytes."""
+        array = layout(rng.standard_normal((4, 3, 6, 6)).astype(np.float32))
+        reference = hashlib.blake2b(digest_size=16)
+        for chunk in (str(array.shape), str(array.dtype)):
+            reference.update(chunk.encode())
+        reference.update(np.ascontiguousarray(array).tobytes())
+        assert array_digest(array) == reference.hexdigest()
 
 
 class TestTrunkFeatureCache:
