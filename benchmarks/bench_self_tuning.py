@@ -29,8 +29,13 @@ import os
 
 import pytest
 
-from repro.control import run_self_tuning_benchmark, verify_report
-from repro.serving import append_benchmark_record, build_demo_pool, run_metadata
+from repro.control import (
+    append_benchmark_record,
+    run_metadata,
+    run_self_tuning_benchmark,
+    verify_report,
+)
+from repro.serving import build_demo_pool
 
 RELAXED = bool(os.environ.get("REPRO_BENCH_RELAX"))
 OUT = os.environ.get("REPRO_BENCH_OUT", "BENCH_self_tuning.json")

@@ -13,16 +13,12 @@ Run::
     PYTHONPATH=src python examples/concurrent_clients.py
 """
 
+import random
 import threading
+from itertools import combinations
 
 from repro.core import deserialize_task_model
-from repro.serving import (
-    GatewayConfig,
-    ServingGateway,
-    ZipfianWorkload,
-    build_demo_pool,
-    run_closed_loop,
-)
+from repro.serving import GatewayConfig, ServingGateway, build_demo_pool
 
 
 def main() -> None:
@@ -30,15 +26,26 @@ def main() -> None:
     pool, data = build_demo_pool(num_tasks=5, seed=13)
     print(f"pool ready with experts: {', '.join(pool.expert_names())}\n")
 
-    workload = ZipfianWorkload(
-        pool.expert_names(), max_query_size=3, skew=1.2, universe_size=16, seed=1
-    )
+    # 16 composite queries of 1-3 tasks; the k-th most popular is asked
+    # with weight 1 / k^1.2 (Zipf), so a few hot composites dominate
+    names = pool.expert_names()
+    queries = [list(q) for size in (1, 2, 3) for q in combinations(names, size)]
+    random.Random(1).shuffle(queries)
+    queries = queries[:16]
+    weights = [1.0 / rank**1.2 for rank in range(1, len(queries) + 1)]
 
     print("=== 8 concurrent clients, Zipf-skewed queries, caches on ===")
     with ServingGateway(pool, GatewayConfig(max_workers=8)) as gateway:
-        report = run_closed_loop(gateway, workload, clients=8, requests_per_client=40)
-        print(report.render())
-        print()
+
+        def zipf_client(seed):
+            for tasks in random.Random(seed).choices(queries, weights, k=40):
+                gateway.serve(tasks)
+
+        clients = [threading.Thread(target=zipf_client, args=(i,)) for i in range(8)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join()
         print(gateway.render_stats())
         print()
 

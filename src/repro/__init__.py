@@ -10,7 +10,7 @@ Layered architecture (see ``docs/architecture.md``):
 * ``repro.models``  — WRN-l-(k_c, k_s) zoo + branched PoE architecture
 * ``repro.distill`` — KD / CKD / Transfer / Scratch / SD / UHC
 * ``repro.core``    — Pool of Experts (the paper's contribution)
-* ``repro.serving`` — realtime serving gateway: caches, coalescing, loadgen
+* ``repro.serving`` — realtime serving gateway: caches, coalescing, metrics
 * ``repro.cluster`` — sharded pools: routing, cross-shard consolidation
 * ``repro.net``     — networked shards: wire protocol, worker processes,
   replica-failover client (imported on demand; see ``docs/architecture.md``)

@@ -5,21 +5,17 @@ Subcommands::
     python -m repro.cli build   [--tracks ...] [--fast]   # train artifacts
     python -m repro.cli tables  [--fast] [--out FILE]     # paper vs measured
     python -m repro.cli query   --track T --tasks a,b     # serve one query
-    python -m repro.cli serve-bench [--mode closed|open]  # gateway load test
-    python -m repro.cli cluster-bench --shards 4          # sharded-pool load test
-    python -m repro.cli cluster-bench --networked         # shards in worker processes
-    python -m repro.cli cluster-bench --networked --replicas 2 --chaos  # failover drill
+    python -m repro.cli reshard --to 3 [--networked]      # online reshard under load
     python -m repro.cli shard-serve --port 7070           # host one shard over TCP
-    python -m repro.cli predict-bench --heads 8           # fused-inference bench
     python -m repro.cli autotune-bench                    # self-tuning vs static budgets
     python -m repro.cli scrape  [--networked]             # Prometheus text scrape
     python -m repro.cli top     [--networked]             # live telemetry dashboard
     python -m repro.cli trace-dump --file trace.jsonl     # render recorded span trees
     python -m repro.cli info                              # registry overview
 
-The bench subcommands accept ``--trace FILE`` (JSONL span log, readable
-by ``trace-dump``) and ``--slow-ms T`` (slow-query log at ``FILE.slow``);
-``predict-bench --profile-ops`` prints the per-op profiling arena.
+``scrape`` accepts ``--trace FILE`` (JSONL span log, readable by
+``trace-dump``) and ``--slow-ms T`` (slow-query log at ``FILE.slow``).
+The request-path benchmark is ``benchmarks/harness/run.py``.
 
 The CLI is a thin veneer over :mod:`repro.eval` so scripted and interactive
 use share one code path.
@@ -126,338 +122,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Load-test the serving gateway and print latency/cache statistics."""
-    from .serving import (
-        GatewayConfig,
-        ServingGateway,
-        ZipfianWorkload,
-        build_demo_pool,
-        run_closed_loop,
-        run_open_loop,
-    )
-
-    from .core.server import TRANSPORTS
-
-    transports = tuple(args.transports.split(","))
-    unknown = [t for t in transports if t not in TRANSPORTS]
-    if unknown:
-        print(f"error: unknown transport(s) {unknown}; choose from {', '.join(TRANSPORTS)}")
-        return 2
-
-    writer = _enable_tracing(args)
-    if args.track == "micro":
-        print("building self-contained micro pool (seconds)...")
-        pool, _ = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
-    else:
-        store = ArtifactStore(args.root)
-        track = get_track(args.track, fast=args.fast or None)
-        pool = store.pool(track)
-
-    config = GatewayConfig(
-        max_workers=args.workers,
-        model_cache_bytes=0 if args.no_cache else args.model_cache_mb << 20,
-        payload_cache_bytes=0 if args.no_cache else args.payload_cache_mb << 20,
-    )
-    workload = ZipfianWorkload(
-        pool.expert_names(),
-        max_query_size=min(args.max_tasks, len(pool.expert_names())),
-        skew=args.skew,
-        universe_size=args.universe,
-        transports=transports,
-        seed=args.seed,
-    )
-    with ServingGateway(pool, config) as gateway:
-        if args.mode == "closed":
-            report = run_closed_loop(
-                gateway,
-                workload,
-                clients=args.clients,
-                requests_per_client=args.requests,
-                seed=args.seed,
-            )
-        else:
-            report = run_open_loop(
-                gateway,
-                workload,
-                rate_qps=args.rate,
-                duration_seconds=args.duration,
-                seed=args.seed,
-            )
-        print()
-        print(report.render())
-        print()
-        print(gateway.render_stats())
-        print()
-        print(_codec_comparison(gateway, workload))
-    _finish_tracing(args, writer)
-    return 0
-
-
-def _codec_comparison(gateway, workload) -> str:
-    """Bytes, first-encode and warm-assemble cost per transport, one hot query.
-
-    Measures :func:`repro.core.serialize_task_model` directly (no caches):
-    once with no segment store — every segment encoded and compressed —
-    and then over a store the first call warmed, which is what a payload
-    miss costs in steady state.
-    """
-    from .core.pool import SegmentStore
-    from .core.server import TRANSPORTS, serialize_task_model
-
-    tasks, _ = workload.sample(1, seed=5)[0]
-    model = gateway.get_model(tasks)
-    store, repeats, rows = SegmentStore(), 200, []
-    for transport in TRANSPORTS:
-        args = (model.network, model.task, gateway.pool.config, transport)
-        start = time.perf_counter()
-        payload = serialize_task_model(*args)
-        first = time.perf_counter() - start
-        serialize_task_model(*args, store=store)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            serialize_task_model(*args, store=store)
-        warm = (time.perf_counter() - start) / repeats
-        rows.append([transport, f"{len(payload):,}", f"{1e3 * first:.2f}", f"{1e6 * warm:.1f}"])
-    return render_table(
-        ["Transport", "Bytes", "First encode ms", "Warm assemble us"],
-        rows,
-        title=f"Payload codecs for query {'+'.join(tasks)}",
-    )
-
-
-def cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """Load-test a sharded cluster and print per-shard/fan-out statistics.
-
-    With ``--networked``, shards run as forked worker processes behind the
-    ``repro.net`` socket protocol; the command then also verifies a clean
-    worker shutdown — no leaked processes, exit code 0 — and can append a
-    JSON summary for CI artifacts via ``--out``.
-    """
-    from .cluster import ClusterConfig, ClusterGateway
-    from .core.server import TRANSPORTS
-    from .serving import ZipfianWorkload, build_demo_pool, run_closed_loop, run_open_loop
-
-    transports = tuple(args.transports.split(","))
-    unknown = [t for t in transports if t not in TRANSPORTS]
-    if unknown:
-        print(f"error: unknown transport(s) {unknown}; choose from {', '.join(TRANSPORTS)}")
-        return 2
-    if args.replicas > 1 and not args.networked:
-        print("error: --replicas > 1 requires --networked (in-process shards have no replicas)")
-        return 2
-    if args.chaos and not args.networked:
-        print("error: --chaos requires --networked")
-        return 2
-    if args.chaos and args.replicas < 2:
-        print("error: --chaos needs --replicas >= 2 so siblings absorb the kill")
-        return 2
-
-    journal_writer = None
-    if args.journal:
-        from .obs import JOURNAL, RotatingJsonlWriter
-
-        journal_writer = RotatingJsonlWriter(args.journal)
-        JOURNAL.reset()
-        JOURNAL.enable(writer=journal_writer, service="cli")
-
-    writer = _enable_tracing(args)
-    print("building self-contained micro pool (seconds)...")
-    pool, _ = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
-    config = ClusterConfig(
-        num_shards=args.shards,
-        replication=args.replication,
-        workers_per_shard=args.workers_per_shard,
-        replicas_per_shard=args.replicas,
-        shard_model_cache_bytes=0 if args.no_cache else args.model_cache_mb << 20,
-        shard_payload_cache_bytes=0 if args.no_cache else args.payload_cache_mb << 20,
-        composite_model_cache_bytes=0 if args.no_cache else args.model_cache_mb << 20,
-        composite_payload_cache_bytes=0 if args.no_cache else args.payload_cache_mb << 20,
-    )
-    workload = ZipfianWorkload(
-        pool.expert_names(),
-        max_query_size=min(args.max_tasks, len(pool.expert_names())),
-        skew=args.skew,
-        universe_size=args.universe,
-        transports=transports,
-        seed=args.seed,
-    )
-    networked = None
-    if args.networked:
-        from .net import NetworkedCluster
-
-        networked = NetworkedCluster(pool, config)
-        cluster = networked.gateway
-    else:
-        cluster = ClusterGateway(pool, config)
-    chaos = None
-    chaos_thread = None
-    chaos_outcome: dict = {}
-    reshard_thread = None
-    reshard_outcome: dict = {}
-    try:
-        if getattr(args, "reshard_to", None):
-            import threading
-
-            def _reshard_mid_bench() -> None:
-                time.sleep(args.reshard_delay)
-                try:
-                    report = cluster.reshard(args.reshard_to)
-                except Exception as exc:  # noqa: BLE001 - surfaced below
-                    reshard_outcome["error"] = f"{type(exc).__name__}: {exc}"
-                else:
-                    reshard_outcome["epoch"] = report.epoch
-                    reshard_outcome["moved"] = len(report.moved)
-
-            reshard_thread = threading.Thread(
-                target=_reshard_mid_bench, name="bench-reshard", daemon=True
-            )
-            reshard_thread.start()
-        if args.chaos:
-            import random as random_mod
-            import threading
-
-            from .net import ChaosMonkey
-
-            chaos = ChaosMonkey(networked.fleet, random_mod.Random(args.seed))
-
-            def _unleash() -> None:
-                time.sleep(args.chaos_delay)
-                handle = chaos.kill_one()
-                if handle is not None:
-                    chaos_outcome["killed"] = [
-                        handle.shard_id,
-                        handle.replica_id,
-                    ]
-                    # generous deadline: on a small saturated runner the
-                    # respawned fork competes with the bench for CPU
-                    chaos_outcome["respawned"] = chaos.wait_respawned(
-                        handle, timeout=60.0
-                    )
-
-            chaos_thread = threading.Thread(
-                target=_unleash, name="chaos-monkey", daemon=True
-            )
-            chaos_thread.start()
-        if args.mode == "closed":
-            report = run_closed_loop(
-                cluster,
-                workload,
-                clients=args.clients,
-                requests_per_client=args.requests,
-                seed=args.seed,
-                via_submit=args.networked,
-            )
-        else:
-            report = run_open_loop(
-                cluster,
-                workload,
-                rate_qps=args.rate,
-                duration_seconds=args.duration,
-                seed=args.seed,
-            )
-        if chaos_thread is not None:
-            # cover chaos_delay + the kill + the full respawn deadline
-            chaos_thread.join(timeout=args.chaos_delay + 90.0)
-        if reshard_thread is not None:
-            reshard_thread.join(timeout=args.reshard_delay + 120.0)
-        print()
-        print(report.render())
-        print()
-        print(cluster.render_stats())
-        fanout = cluster.metrics.fanout_histogram()
-        snapshot = cluster.unified_snapshot()
-    finally:
-        if networked is not None:
-            networked.close()
-        else:
-            cluster.close()
-
-    if networked is not None:
-        leaked = networked.fleet.leaked_processes()
-        exit_codes = [h.process.exitcode for h in networked.fleet.workers]
-        if leaked or any(code != 0 for code in exit_codes):
-            print(
-                f"error: unclean worker shutdown (leaked={len(leaked)}, "
-                f"exit codes={exit_codes})"
-            )
-            return 1
-        print(f"\nworkers exited cleanly (exit codes {exit_codes}, no leaks)")
-
-    if args.journal:
-        from .obs import JOURNAL
-
-        print(f"journal: {len(JOURNAL)} event(s) -> {args.journal}")
-        JOURNAL.disable()
-
-    if getattr(args, "reshard_to", None):
-        if "error" in reshard_outcome:
-            print(f"error: mid-bench reshard failed: {reshard_outcome['error']}")
-            return 1
-        if "epoch" not in reshard_outcome:
-            print("error: mid-bench reshard never completed")
-            return 1
-        print(
-            f"reshard: {args.shards} -> {args.reshard_to} shards mid-bench "
-            f"(epoch {reshard_outcome['epoch']}, "
-            f"{reshard_outcome['moved']} expert(s) moved, "
-            f"{report.errors} client-visible errors)"
-        )
-
-    if chaos is not None:
-        if not chaos.kills:
-            print("error: chaos monkey found no live worker to kill")
-            return 1
-        if not chaos_outcome.get("respawned"):
-            print(f"error: killed worker {chaos_outcome.get('killed')} never respawned")
-            return 1
-        shard_id, replica_id = chaos_outcome["killed"]
-        print(
-            f"chaos: killed shard {shard_id} replica {replica_id} mid-bench; "
-            f"supervisor respawned it ({report.errors} client-visible errors)"
-        )
-
-    if args.out:
-        from .serving import append_benchmark_record, run_metadata
-
-        append_benchmark_record(
-            args.out,
-            {
-                "bench": "cluster",
-                "networked": bool(args.networked),
-                "shards": args.shards,
-                "mode": args.mode,
-                "requests": report.requests,
-                "errors": report.errors,
-                "throughput_qps": report.throughput_qps,
-                "latency": report.latency,
-                "payload_hit_rate": report.payload_hit_rate,
-                "fanout": {str(k): v for k, v in fanout.items()},
-                "snapshot": snapshot,
-                "meta": run_metadata(
-                    replicas_per_shard=args.replicas,
-                    hedge_enabled=bool(args.networked) and args.replicas > 1,
-                    chaos=bool(args.chaos),
-                    chaos_kills=[list(k) for k in chaos.kills] if chaos else [],
-                    reshard_to=getattr(args, "reshard_to", None),
-                    # 1-core runners serialize the worker processes, so
-                    # throughput comparisons against multi-core entries are
-                    # noise — flag the entry instead of suppressing it
-                    **(
-                        {"skip_reason": "single-core runner: parallel shard "
-                         "throughput not meaningful"}
-                        if (os.cpu_count() or 1) < 2
-                        else {}
-                    ),
-                ),
-            },
-            label=args.label,
-        )
-        print(f"appended run to {args.out}")
-    _finish_tracing(args, writer)
-    return 0 if report.errors == 0 else 1
-
-
 def cmd_reshard(args: argparse.Namespace) -> int:
     """Grow/shrink a live cluster online and prove answers never change.
 
@@ -499,13 +163,14 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     stop = threading.Event()
 
     def drive(worker_id: int) -> None:
+        # ``stop`` is read only between requests and the cluster stays open
+        # until every client thread has joined, so every failure is a real one
         i = worker_id
         while not stop.is_set():
             try:
                 cluster.serve((names[i % len(names)],))
             except Exception as exc:  # noqa: BLE001 - tallied below
-                if not stop.is_set():
-                    errors.append(f"{type(exc).__name__}: {exc}")
+                errors.append(f"{type(exc).__name__}: {exc}")
             i += 1
 
     try:
@@ -519,7 +184,6 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         report = cluster.reshard(args.to)
         elapsed = time.perf_counter() - start
-        time.sleep(0.2)  # let in-flight retries settle before stopping
         stop.set()
         for thread in threads:
             thread.join(timeout=10.0)
@@ -606,66 +270,15 @@ def cmd_shard_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict_bench(args: argparse.Namespace) -> int:
-    """Benchmark the fused prediction fast path; append to the trajectory."""
-    from .serving import (
-        append_benchmark_record,
-        build_demo_pool,
-        run_predict_benchmark,
-    )
-
-    if args.heads > args.micro_tasks:
-        print(
-            f"error: --heads {args.heads} exceeds --micro-tasks {args.micro_tasks}"
-        )
-        return 2
-    writer = _enable_tracing(args)
-    if args.profile_ops:
-        from .obs import ARENA
-
-        ARENA.enable()
-    print("building self-contained micro pool (seconds)...")
-    pool, data = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
-    record = run_predict_benchmark(
-        pool,
-        data.test.images,
-        n_heads=args.heads,
-        batch_size=args.batch,
-        reps=args.reps,
-    )
-    from .serving import predict_report_rows
-
-    rows, title = predict_report_rows(record)
-    print()
-    print(render_table(["Path", "ms/call", "speedup"], rows, title=title))
-    if args.profile_ops:
-        from .obs import ARENA
-
-        print()
-        print(ARENA.render())
-    _finish_tracing(args, writer)
-    doc = append_benchmark_record(args.out, record, label=args.label)
-    print(f"\nappended run {len(doc['runs'])} to {args.out}")
-    if not record["allclose"]:
-        print(
-            "error: fused execution diverged from the reference path "
-            f"(heads max abs diff {record['max_abs_diff']:.2e}, "
-            f"trunk max abs diff {record['trunk']['max_abs_diff']:.2e})"
-        )
-        return 1
-    # sanity gate: the compiled trunk must beat the autograd trunk (the
-    # absolute-milliseconds gate lives in bench_predict_throughput.py)
-    trunk_speedup = record["trunk"]["speedup"]
-    if trunk_speedup <= 1.0:
-        print(f"error: compiled trunk slower than autograd ({trunk_speedup:.2f}x)")
-        return 1
-    return 0
-
-
 def cmd_autotune_bench(args: argparse.Namespace) -> int:
     """Self-tuning controller vs static budgets on a shifting workload."""
-    from .control import run_self_tuning_benchmark, verify_report
-    from .serving import append_benchmark_record, build_demo_pool, run_metadata
+    from .control import (
+        append_benchmark_record,
+        run_metadata,
+        run_self_tuning_benchmark,
+        verify_report,
+    )
+    from .serving import build_demo_pool
 
     print("building self-contained micro pool (seconds)...")
     pool, _data = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
@@ -939,95 +552,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_query.add_argument("--root", default=None)
     p_query.set_defaults(fn=cmd_query)
 
-    p_bench = sub.add_parser(
-        "serve-bench", help="load-test the serving gateway (Zipfian workload)"
-    )
-    p_bench.add_argument(
-        "--track",
-        default="micro",
-        help="'micro' builds a tiny pool inline; otherwise an artifact-store track",
-    )
-    p_bench.add_argument("--fast", action="store_true")
-    p_bench.add_argument("--root", default=None)
-    p_bench.add_argument("--mode", choices=("closed", "open"), default="closed")
-    p_bench.add_argument("--clients", type=int, default=8, help="closed-loop client threads")
-    p_bench.add_argument("--requests", type=int, default=100, help="requests per client")
-    p_bench.add_argument("--rate", type=float, default=200.0, help="open-loop offered qps")
-    p_bench.add_argument("--duration", type=float, default=2.0, help="open-loop seconds")
-    p_bench.add_argument("--workers", type=int, default=4, help="gateway worker threads")
-    p_bench.add_argument("--skew", type=float, default=1.1, help="Zipf skew exponent")
-    p_bench.add_argument("--max-tasks", type=int, default=3, help="max primitives per query")
-    p_bench.add_argument("--universe", type=int, default=32, help="distinct queries in workload")
-    p_bench.add_argument("--transports", default="float32", help="comma-separated transports")
-    p_bench.add_argument("--model-cache-mb", type=int, default=128)
-    p_bench.add_argument("--payload-cache-mb", type=int, default=128)
-    p_bench.add_argument("--no-cache", action="store_true", help="disable both cache tiers")
-    p_bench.add_argument("--micro-tasks", type=int, default=5, help="tasks in the micro pool")
-    p_bench.add_argument("--seed", type=int, default=0)
-    _add_trace_flags(p_bench)
-    p_bench.set_defaults(fn=cmd_serve_bench)
-
-    p_cluster = sub.add_parser(
-        "cluster-bench", help="load-test a sharded pool cluster (Zipfian workload)"
-    )
-    p_cluster.add_argument("--shards", type=int, default=4, help="number of pool shards")
-    p_cluster.add_argument("--replication", type=int, default=1, help="copies per expert")
-    p_cluster.add_argument(
-        "--replicas", type=int, default=1,
-        help="worker replicas per shard slot (needs --networked for >1; "
-        "enables failover + hedged reads)",
-    )
-    p_cluster.add_argument("--workers-per-shard", type=int, default=2)
-    p_cluster.add_argument("--mode", choices=("closed", "open"), default="closed")
-    p_cluster.add_argument("--clients", type=int, default=8, help="closed-loop client threads")
-    p_cluster.add_argument("--requests", type=int, default=100, help="requests per client")
-    p_cluster.add_argument("--rate", type=float, default=200.0, help="open-loop offered qps")
-    p_cluster.add_argument("--duration", type=float, default=2.0, help="open-loop seconds")
-    p_cluster.add_argument("--skew", type=float, default=1.1, help="Zipf skew exponent")
-    p_cluster.add_argument("--max-tasks", type=int, default=3, help="max primitives per query")
-    p_cluster.add_argument("--universe", type=int, default=32, help="distinct queries in workload")
-    p_cluster.add_argument("--transports", default="float32", help="comma-separated transports")
-    p_cluster.add_argument("--model-cache-mb", type=int, default=64)
-    p_cluster.add_argument("--payload-cache-mb", type=int, default=64)
-    p_cluster.add_argument("--no-cache", action="store_true", help="disable every cache tier")
-    p_cluster.add_argument("--micro-tasks", type=int, default=8, help="tasks in the micro pool")
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument(
-        "--networked",
-        action="store_true",
-        help="run each shard in a forked worker process behind repro.net sockets",
-    )
-    p_cluster.add_argument(
-        "--chaos",
-        action="store_true",
-        help="SIGKILL a random worker mid-bench and require a clean respawn "
-        "(needs --networked and --replicas >= 2)",
-    )
-    p_cluster.add_argument(
-        "--chaos-delay", type=float, default=0.5,
-        help="seconds into the bench before the chaos kill fires",
-    )
-    p_cluster.add_argument(
-        "--reshard-to", type=int, default=None, metavar="N",
-        help="grow/shrink the cluster to N shards ONLINE mid-bench "
-        "(two-phase epoch-fenced migration; requests must keep succeeding)",
-    )
-    p_cluster.add_argument(
-        "--reshard-delay", type=float, default=1.0,
-        help="seconds into the bench before the online reshard fires",
-    )
-    p_cluster.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="persist journal events (worker_death/worker_respawn/...) to "
-        "this JSONL file",
-    )
-    p_cluster.add_argument(
-        "--out", default=None, help="append a JSON summary record to this path"
-    )
-    p_cluster.add_argument("--label", default="cli", help="label stored with --out records")
-    _add_trace_flags(p_cluster)
-    p_cluster.set_defaults(fn=cmd_cluster_bench)
-
     p_reshard = sub.add_parser(
         "reshard",
         help="grow/shrink a live demo cluster online (two-phase epoch-fenced "
@@ -1066,26 +590,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_shard.add_argument("--micro-tasks", type=int, default=8, help="tasks in the micro pool")
     p_shard.add_argument("--seed", type=int, default=0)
     p_shard.set_defaults(fn=cmd_shard_serve)
-
-    p_predict = sub.add_parser(
-        "predict-bench", help="benchmark the fused prediction fast path"
-    )
-    p_predict.add_argument("--heads", type=int, default=8, help="n(Q): experts per query")
-    p_predict.add_argument("--batch", type=int, default=64, help="images per prediction")
-    p_predict.add_argument("--reps", type=int, default=30, help="timing repetitions (median)")
-    p_predict.add_argument("--micro-tasks", type=int, default=8, help="tasks in the micro pool")
-    p_predict.add_argument("--seed", type=int, default=13)
-    p_predict.add_argument(
-        "--out", default="BENCH_predict.json", help="JSON trajectory to append to"
-    )
-    p_predict.add_argument("--label", default="cli", help="label stored with this run")
-    p_predict.add_argument(
-        "--profile-ops",
-        action="store_true",
-        help="enable the per-op profiling arena and print its table",
-    )
-    _add_trace_flags(p_predict)
-    p_predict.set_defaults(fn=cmd_predict_bench)
 
     p_autotune = sub.add_parser(
         "autotune-bench",

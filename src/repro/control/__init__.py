@@ -14,6 +14,8 @@ See ``docs/self-tuning.md`` for the signal → controller → actuator map.
 from .bench import (
     SelfTuningReport,
     StepClock,
+    append_benchmark_record,
+    run_metadata,
     run_self_tuning_benchmark,
     shifting_workload_trace,
     verify_report,
@@ -27,6 +29,8 @@ __all__ = [
     "SelfTuningReport",
     "StepClock",
     "TickReport",
+    "append_benchmark_record",
+    "run_metadata",
     "run_self_tuning_benchmark",
     "shifting_workload_trace",
     "verify_report",

@@ -16,15 +16,20 @@ evict hot payloads and pays a rebuild on every rotation re-request; the
 controller denies admission to cold one-offs, protects hot entries, and
 prefetches the new hot set as its popularity overtakes the decaying old
 one.  ``repro autotune-bench`` and ``benchmarks/bench_self_tuning.py``
-both run through :func:`run_self_tuning_benchmark` and gate on
-:func:`verify_report`.
+both run through :func:`run_self_tuning_benchmark`, gate on
+:func:`verify_report` and append their run to ``BENCH_self_tuning.json``
+with :func:`append_benchmark_record`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import platform
 import random
 from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +40,8 @@ __all__ = [
     "ArmReport",
     "SelfTuningReport",
     "StepClock",
+    "append_benchmark_record",
+    "run_metadata",
     "run_self_tuning_benchmark",
     "shifting_workload_trace",
     "verify_report",
@@ -322,3 +329,51 @@ def verify_report(report: SelfTuningReport, relaxed: bool) -> None:
             f"controller qps {tuned.qps} must beat static {static.qps} "
             f"({report.qps_ratio:.2f}x)"
         )
+
+
+def run_metadata() -> Dict[str, object]:
+    """Environment stamp for one benchmark run entry.
+
+    Makes a trajectory interpretable after the fact: *when* the run
+    happened, on how many cores, under which Python, and whether the
+    relaxed-gates escape hatch (``REPRO_BENCH_RELAX``, set on shared CI
+    runners) was active — a slow relaxed entry is noise, not a regression.
+    """
+    return {
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "relax": bool(os.environ.get("REPRO_BENCH_RELAX")),
+    }
+
+
+def append_benchmark_record(
+    path: str, record: Dict[str, object], label: Optional[str] = None
+) -> Dict[str, object]:
+    """Append ``record`` to the JSON trajectory at ``path`` (created if new).
+
+    The file holds ``{"runs": [...]}`` so successive benchmark runs (one
+    per CI run) accumulate into a perf trajectory instead of overwriting
+    each other.  Every appended entry is stamped with :func:`run_metadata`
+    under ``"meta"`` (unless the record already carries one); entries
+    written before the stamp existed are left untouched — readers must
+    treat ``"meta"`` as optional.  Returns the full document written.
+    """
+    doc: Dict[str, object] = {"runs": []}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                loaded = json.load(fh)
+            if isinstance(loaded, dict) and isinstance(loaded.get("runs"), list):
+                doc = loaded
+        except (OSError, ValueError):
+            pass  # corrupt trajectory: start fresh rather than crash a bench
+    entry = dict(record)
+    if label is not None:
+        entry["label"] = label
+    entry.setdefault("meta", run_metadata())
+    doc["runs"].append(entry)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return doc

@@ -34,7 +34,6 @@ from ..nn.fused import (
     stack_affine,
     stack_linear,
 )
-from ..obs.arena import ARENA
 from .wrn import WRNHead
 
 __all__ = ["FusedHeadBank", "bank_share_nbytes"]
@@ -83,15 +82,14 @@ class FusedHeadBank:
         features = np.asarray(features, dtype=np.float32)
         if features.ndim != 4:
             raise ValueError(f"expected NCHW features, got shape {features.shape}")
-        with ARENA.scope("heads"):
-            # compiled-trunk features are NHWC in memory already, so this is
-            # a view; plain NCHW arrays (the autograd fallback) pay one copy
-            x = np.ascontiguousarray(features.transpose(0, 2, 3, 1))[None]
-            for slot, block in enumerate(self._blocks):
-                x = block(x, slot % 2)
-            # the final affine leaves both output slabs idle for pool and FC
-            pooled = mean_pool(self._final_bn(x), slot=0)
-            return self._fc.concatenate(self._fc(pooled, slot=1))
+        # compiled-trunk features are NHWC in memory already, so this is
+        # a view; plain NCHW arrays (the autograd fallback) pay one copy
+        x = np.ascontiguousarray(features.transpose(0, 2, 3, 1))[None]
+        for slot, block in enumerate(self._blocks):
+            x = block(x, slot % 2)
+        # the final affine leaves both output slabs idle for pool and FC
+        pooled = mean_pool(self._final_bn(x), slot=0)
+        return self._fc.concatenate(self._fc(pooled, slot=1))
 
     def nbytes(self) -> int:
         """Resident size of the stacked arrays."""

@@ -95,7 +95,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.arena import ARENA
 from ..tensor.conv import conv_output_size
 
 __all__ = [
@@ -288,14 +287,13 @@ class FusedAffine:
         next conv's padded interior) or, without one, left in the affine
         temp; n_x ∈ {1, n}.
         """
-        with ARENA.op("affine"):
-            n_x, batch, h, w, c = x.shape
-            temp, rows, width = _WORKSPACE.plan(
-                _activation_plan, "affine", self.scale.shape[0], batch, h, w, c
-            )
-            np.multiply(x.reshape(n_x, -1, width), self.scale[:, :, :width], out=rows)
-            np.add(rows, self.shift[:, :, :width], out=rows)
-            return np.maximum(temp, 0.0, out=temp if out is None else out)
+        n_x, batch, h, w, c = x.shape
+        temp, rows, width = _WORKSPACE.plan(
+            _activation_plan, "affine", self.scale.shape[0], batch, h, w, c
+        )
+        np.multiply(x.reshape(n_x, -1, width), self.scale[:, :, :width], out=rows)
+        np.add(rows, self.shift[:, :, :width], out=rows)
+        return np.maximum(temp, 0.0, out=temp if out is None else out)
 
     def nbytes(self) -> int:
         return self.scale.nbytes + self.shift.nbytes
@@ -354,38 +352,33 @@ class FusedConv:
         if k == 1 and self.padding == 0:
             # shortcut path: a 1x1 conv is a channel mix over a strided
             # slice, gathered first so the GEMM gets a contiguous operand
-            with ARENA.op("conv1x1"):
-                out5d, rows, width = _WORKSPACE.plan(
-                    _activation_plan, ("out", slot), n, batch, oh, ow, self.out_channels
-                )
-                (pixels,) = _WORKSPACE.plan(_view_plan, "cols", n_x, batch, oh, ow, c)
-                np.copyto(pixels, x[:, :, :: self.stride, :: self.stride, :])
-                np.matmul(
-                    pixels.reshape(n_x, -1, c),
-                    self.weight,
-                    out=out5d.reshape(n, -1, self.out_channels),
-                )
-                if self.bias is not None:
-                    np.add(rows, self.bias[:, :, :width], out=rows)
-                return out5d
+            out5d, rows, width = _WORKSPACE.plan(
+                _activation_plan, ("out", slot), n, batch, oh, ow, self.out_channels
+            )
+            (pixels,) = _WORKSPACE.plan(_view_plan, "cols", n_x, batch, oh, ow, c)
+            np.copyto(pixels, x[:, :, :: self.stride, :: self.stride, :])
+            np.matmul(
+                pixels.reshape(n_x, -1, c),
+                self.weight,
+                out=out5d.reshape(n, -1, self.out_channels),
+            )
+            if self.bias is not None:
+                np.add(rows, self.bias[:, :, :width], out=rows)
+            return out5d
         interior = self.staged(batch, h, w)
         if x is not interior:  # not staged: copy in (a shared input broadcasts)
-            with ARENA.op("im2col"):
-                np.copyto(interior, x)
+            np.copyto(interior, x)
         steps, out5d, rows, width = _WORKSPACE.plan(
             _conv_plan, slot, n, batch, h, w, c, self.out_channels, k, self.stride, self.padding
         )
         for window, cols6d, cols2d, member, out2d in steps:
-            with ARENA.op("im2col"):
-                np.copyto(cols6d, window)
-            with ARENA.op("conv_gemm"):
-                np.matmul(cols2d, self.weight[member], out=out2d)
-        with ARENA.op("conv_gemm"):
-            if self.bias is not None:
-                np.add(rows, self.bias[:, :, :width], out=rows)
-            if relu_to is None:
-                return out5d
-            return np.maximum(out5d, 0.0, out=relu_to.staged(batch, oh, ow))
+            np.copyto(cols6d, window)
+            np.matmul(cols2d, self.weight[member], out=out2d)
+        if self.bias is not None:
+            np.add(rows, self.bias[:, :, :width], out=rows)
+        if relu_to is None:
+            return out5d
+        return np.maximum(out5d, 0.0, out=relu_to.staged(batch, oh, ow))
 
     def nbytes(self) -> int:
         return self.weight.nbytes + (0 if self.bias is None else self.bias.nbytes)
@@ -458,11 +451,10 @@ class FusedLinearBank:
 
     def __call__(self, feats: np.ndarray, slot: int = 0) -> np.ndarray:
         """(n, N, C) -> padded logits (n, N, max_out), a view of output slab ``slot``."""
-        with ARENA.op("linear_gemm"):
-            n, _, max_out = self.weight.shape
-            (out,) = _WORKSPACE.plan(_view_plan, ("out", slot), n, feats.shape[1], max_out)
-            np.matmul(feats, self.weight, out=out)
-            return np.add(out, self.bias, out=out)
+        n, _, max_out = self.weight.shape
+        (out,) = _WORKSPACE.plan(_view_plan, ("out", slot), n, feats.shape[1], max_out)
+        np.matmul(feats, self.weight, out=out)
+        return np.add(out, self.bias, out=out)
 
     def concatenate(self, padded: np.ndarray) -> np.ndarray:
         """Slice padded logits back to true widths and join along classes
@@ -616,17 +608,16 @@ class FusedTrunk:
         if total == 0:
             raise ValueError("expected at least one image")
         features = None
-        with ARENA.scope("trunk"):
-            for start in range(0, total, batch_size):
-                chunk = images[start : start + batch_size]
-                # NCHW -> NHWC happens inside conv1's copy into its padded
-                # input; the interior flows channels-last with no layout copies
-                x = self.conv1(chunk.transpose(0, 2, 3, 1)[None], 0)
-                for i, block in enumerate(self._blocks, start=1):
-                    x = block(x, i % 2)
-                if features is None:  # the one allocation of a warm forward
-                    features = np.empty((total, *x.shape[2:]), dtype=np.float32)
-                np.copyto(features[start : start + batch_size], x[0])
+        for start in range(0, total, batch_size):
+            chunk = images[start : start + batch_size]
+            # NCHW -> NHWC happens inside conv1's copy into its padded
+            # input; the interior flows channels-last with no layout copies
+            x = self.conv1(chunk.transpose(0, 2, 3, 1)[None], 0)
+            for i, block in enumerate(self._blocks, start=1):
+                x = block(x, i % 2)
+            if features is None:  # the one allocation of a warm forward
+                features = np.empty((total, *x.shape[2:]), dtype=np.float32)
+            np.copyto(features[start : start + batch_size], x[0])
         return features.transpose(0, 3, 1, 2)
 
     def verify(

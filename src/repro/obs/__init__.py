@@ -1,14 +1,13 @@
-"""repro.obs — request tracing, continuous telemetry, per-op profiling.
+"""repro.obs — request tracing and continuous telemetry.
 
 Stdlib-only foundation layer: every other repro package may import from
-here (serving metrics hook stage timings into the tracer, the fused
-primitives record into the arena, the net layer stitches cross-process
-spans and ships journal events), and :mod:`repro.obs` imports none of
-them back.
+here (serving metrics hook stage timings into the tracer, the net layer
+stitches cross-process spans and ships journal events), and
+:mod:`repro.obs` imports none of them back.
 
-Point-in-time observability (PR 6): :data:`TRACER` spans, the
-:class:`ProfilingArena`, JSONL/Prometheus exporters.  Continuous
-telemetry (PR 7): the :class:`TelemetryPoller` diffs unified snapshots
+Point-in-time observability: :data:`TRACER` spans and the
+JSONL/Prometheus exporters.  Continuous
+telemetry: the :class:`TelemetryPoller` diffs unified snapshots
 into windowed rate series (:mod:`~repro.obs.timeline`), the
 :data:`JOURNAL` records the discrete events behind metric movement
 (:mod:`~repro.obs.journal`), and the :class:`HealthScorer` turns both
@@ -16,7 +15,6 @@ into per-shard health states (:mod:`~repro.obs.health`) that the
 ``repro top`` dashboard renders (:mod:`~repro.obs.dashboard`).
 """
 
-from .arena import ARENA, ProfilingArena
 from .dashboard import CLEAR_SCREEN, render_dashboard, sparkline
 from .export import (
     JsonlTraceWriter,
@@ -35,8 +33,6 @@ from .timeline import SeriesWindow, TelemetryPoller, TimelineStore, snapshot_rat
 from .trace import TRACER, Span, SpanCollector, Tracer, new_id
 
 __all__ = [
-    "ARENA",
-    "ProfilingArena",
     "CLEAR_SCREEN",
     "render_dashboard",
     "sparkline",

@@ -9,7 +9,7 @@ event is one JSON-safe dict::
      "kind": "cache_evict", ...event fields...}
 
 There is one module-level :data:`JOURNAL` per process, mirroring
-``TRACER``/``ARENA``: disabled it costs one attribute load and one
+``TRACER``: disabled it costs one attribute load and one
 boolean check per emit site, enabled it appends to a bounded in-memory
 ring (oldest dropped and counted) and, when configured, streams to a
 size-rotated JSONL file (:class:`~repro.obs.export.RotatingJsonlWriter`).
@@ -187,5 +187,5 @@ class EventJournal:
             return len(self._events)
 
 
-#: Process-wide journal, mirroring ``TRACER``/``ARENA``.
+#: Process-wide journal, mirroring ``TRACER``.
 JOURNAL = EventJournal()

@@ -11,10 +11,9 @@ microseconds; this package makes that hold *under concurrent traffic*:
   coalescing (single flight), cache tiers, worker-pool dispatch.
 * :mod:`~repro.serving.metrics` — per-stage latency histograms with
   p50/p95/p99 summaries and cache hit-rate reporting.
-* :mod:`~repro.serving.loadgen` — Zipfian workload generation plus
-  closed-loop and open-loop load drivers.
-* :mod:`~repro.serving.demo` — a self-contained micro pool so benchmarks
-  and demos run without prebuilt artifacts.
+* :mod:`~repro.serving.demo` — a self-contained micro pool so the
+  request-path harness, the examples and the CLI demos run without
+  prebuilt artifacts.
 
 :class:`ServingGateway` is the service API: :meth:`~ServingGateway.serve`
 ships a model's payload, :meth:`~ServingGateway.get_model` hands out the
@@ -32,7 +31,6 @@ from .gateway import (
     ServingGateway,
     SingleFlight,
 )
-from .loadgen import LoadReport, ZipfianWorkload, run_closed_loop, run_open_loop
 from .metrics import (
     DOCUMENTED_STAGES,
     SNAPSHOT_SCHEMA,
@@ -41,12 +39,6 @@ from .metrics import (
     ServingMetrics,
     merge_snapshots,
     percentile,
-)
-from .predict_bench import (
-    append_benchmark_record,
-    predict_report_rows,
-    run_metadata,
-    run_predict_benchmark,
 )
 
 __all__ = [
@@ -61,10 +53,6 @@ __all__ = [
     "PredictionResponse",
     "ServingGateway",
     "SingleFlight",
-    "ZipfianWorkload",
-    "LoadReport",
-    "run_closed_loop",
-    "run_open_loop",
     "LatencyHistogram",
     "PopularityEWMA",
     "ServingMetrics",
@@ -73,8 +61,4 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "DOCUMENTED_STAGES",
     "build_demo_pool",
-    "run_predict_benchmark",
-    "append_benchmark_record",
-    "predict_report_rows",
-    "run_metadata",
 ]

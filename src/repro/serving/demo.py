@@ -1,6 +1,7 @@
 """A self-contained micro pool for serving demos and benchmarks.
 
-``repro serve-bench``, ``benchmarks/bench_serving_throughput.py`` and
+The request-path harness (``benchmarks/harness/``), the CLI's demo
+commands (``reshard``, ``scrape``, ``top``, ``autotune-bench``) and
 ``examples/concurrent_clients.py`` all need a *ready* pool without
 depending on the artifact store having been built: the serving layer's
 costs (serialization, locking, cache management) are independent of model

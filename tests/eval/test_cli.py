@@ -19,10 +19,17 @@ class TestParsing:
             main(["query"])
 
 
-class TestServeBench:
-    def test_rejects_unknown_mode(self):
+class TestReshard:
+    def test_rejects_missing_target(self):
         with pytest.raises(SystemExit):
-            main(["serve-bench", "--mode", "sideways"])
+            main(["reshard", "--shards", "2"])
+
+    def test_grow_under_load_keeps_payloads_bit_identical(self, capsys):
+        argv = ["reshard", "--shards", "2", "--to", "3", "--micro-tasks", "4", "--clients", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "reshard 2 -> 3: epoch" in out
+        assert "all 4 task payloads bit-identical; zero client-visible errors" in out
 
 
 class TestInfo:

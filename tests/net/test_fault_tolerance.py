@@ -13,6 +13,7 @@ from __future__ import annotations
 import fcntl
 import random
 import resource
+import select
 import socket
 import threading
 import time
@@ -43,15 +44,23 @@ NO_HEDGE = HedgePolicy(enabled=False)
 
 
 class SlowShardServer(ShardServer):
-    """A replica with injected service latency (tail-latency stand-in)."""
+    """A replica with injected service latency (tail-latency stand-in).
+
+    ``entered`` is set when a pooled request starts, ``finished`` when it
+    has been answered: tests wait on these instead of on the clock.
+    """
 
     def __init__(self, *args, delay: float = 0.15, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.delay = delay
+        self.entered = threading.Event()
+        self.finished = threading.Event()
 
     def _run_request(self, *args, **kwargs) -> None:
+        self.entered.set()
         time.sleep(self.delay)
         super()._run_request(*args, **kwargs)
+        self.finished.set()
 
 
 @pytest.fixture()
@@ -128,7 +137,13 @@ def test_sync_pool_evicts_corpse_channels(shard_setup):
             conns = list(server._connections)
         for conn in conns:
             conn.shutdown(2)
-        time.sleep(0.05)  # let the FIN arrive so the peek sees EOF
+        # wait, bounded, until the FIN has reached every pooled socket
+        [endpoint] = client._replicas
+        assert endpoint.idle
+        for channel in endpoint.idle:
+            probe = select.poll()
+            probe.register(channel.sock, select.POLLIN)
+            assert probe.poll(5000), "no EOF within 5 s"
         # the pooled channel is a corpse: the MSG_PEEK probe must evict it
         # and dial fresh — no error, no retry spent
         assert client.fetch_heads((names[0],), "raw+zlib") == expected
@@ -190,10 +205,12 @@ def test_hedged_read_beats_slow_primary(shard_setup):
         expected = shard.fetch_heads((names[0],), "raw+zlib")
         elapsed = []
         for _ in range(3):
+            slow.finished.clear()
             t0 = time.perf_counter()
             assert client.fetch_heads((names[0],), "raw+zlib") == expected
             elapsed.append(time.perf_counter() - t0)
-            time.sleep(0.2)  # let the losing slow attempt drain
+            # the losing slow attempt drains before the next read
+            assert slow.finished.wait(timeout=10.0)
         # every read finished well under the slow replica's 150 ms floor:
         # the hedge fired and the sibling's answer won
         assert min(elapsed) < 0.12
@@ -220,7 +237,8 @@ def test_drain_waits_for_inflight_and_sheds_new_requests(shard_setup):
 
         worker = threading.Thread(target=inflight)
         worker.start()
-        time.sleep(0.1)  # request is in flight on the slow primary
+        # the request is in flight on the slow primary
+        assert primary.entered.wait(timeout=10.0)
         primary.drain()  # returns only after in-flight work completed
         worker.join(timeout=10.0)
         assert inflight_result == [expected]
@@ -424,9 +442,16 @@ def test_chaos_kill_is_invisible_to_clients(net_pool):
             assert slot.process.pid != killed_pid
             assert slot.process.is_alive()
 
-            kinds = [e["kind"] for e in JOURNAL.events()]
+            # the journal names the dead process and the one that replaced it
+            events = JOURNAL.events()
+            kinds = [e["kind"] for e in events]
             assert "worker_death" in kinds
             assert "worker_respawn" in kinds
+            death = next(e for e in events if e["kind"] == "worker_death")
+            respawn = next(e for e in events if e["kind"] == "worker_respawn")
+            assert death["pid"] == killed_pid
+            assert respawn["old_pid"] == death["pid"]
+            assert respawn["pid"] != death["pid"]
 
             # breaker states ride in the unified snapshot, per shard/replica
             snapshot = gateway.unified_snapshot()

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.serving import append_benchmark_record, run_metadata
+from repro.control import append_benchmark_record, run_metadata
 
 
 class TestRunMetadata:
