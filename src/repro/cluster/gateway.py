@@ -369,15 +369,18 @@ class ClusterGateway:
         """A unique id for one mutation frame (dedup key on the workers)."""
         return f"{kind}-{next(self._mutation_seq)}-{secrets.token_hex(4)}"
 
-    def _require_mutation_capable(self, operation: str) -> None:
-        """Raise the typed capability error if any remote shard lacks the
-        mutation frames (feature negotiation said no, or the worker
-        predates the protocol)."""
-        lagging = [
+    def _lagging_shards(self) -> List[int]:
+        """Remote shards without the mutation frames (feature negotiation
+        said no, or the worker predates the protocol)."""
+        return [
             shard.shard_id
             for shard in self.shards
             if shard.is_remote() and not getattr(shard, "supports_mutations", False)
         ]
+
+    def _require_mutation_capable(self, operation: str) -> None:
+        """Raise the typed capability error if any remote shard lags."""
+        lagging = self._lagging_shards()
         if lagging:
             from ..net.client import RemoteOperationUnsupported
 
@@ -388,13 +391,6 @@ class ClusterGateway:
                 "upgrade the workers or authenticate with the fleet's "
                 "shared token in HELLO"
             )
-
-    def _all_remote_mutation_capable(self) -> bool:
-        return all(
-            getattr(shard, "supports_mutations", False)
-            for shard in self.shards
-            if shard.is_remote()
-        )
 
     def serve(self, tasks: TaskQuery, transport: str = "float32") -> GatewayResponse:
         """Serve one query on the calling thread (blocking)."""
@@ -604,35 +600,22 @@ class ClusterGateway:
             else:
                 parts.append(shard.gateway.metrics.snapshot(include_histograms=True))
         merged = merge_snapshots(parts)
-        # circuit-breaker states are front-end client state, not worker
-        # state, so they attach *after* the merge (merge_snapshots drops
-        # keys it doesn't know — deliberately, for forward compat)
-        breakers: Dict[str, Dict[str, str]] = {}
-        for shard in self.shards:
-            states = getattr(shard, "breaker_states", None)
-            if callable(states):
-                breakers[str(shard.shard_id)] = {
-                    str(replica): state for replica, state in states().items()
-                }
-        if breakers:
-            merged["breakers"] = breakers
-        # same post-merge treatment for the topology epoch: the committed
-        # epoch is front-end state, per-replica epochs are client-observed
-        # acks (skew across replicas of one shard = a mutation only
-        # partially landed — the health scorer flags it)
+        # front-end state attaches *after* the merge (merge_snapshots drops
+        # keys it doesn't know): the committed epoch, breaker states, and the
+        # client-observed epoch acks (skew across replicas of one shard = a
+        # mutation only partially landed — the health scorer flags it)
         merged["epoch"] = self._epoch
-        epochs: Dict[str, Dict[str, int]] = {}
-        for shard in self.shards:
-            replica_epochs = getattr(shard, "replica_epochs", None)
-            if callable(replica_epochs):
-                observed = replica_epochs()
+        for key, reader in (("breakers", "breaker_states"), ("epochs", "replica_epochs")):
+            table: Dict[str, Dict[str, object]] = {}
+            for shard in self.shards:
+                read = getattr(shard, reader, None)
+                observed = read() if callable(read) else None
                 if observed:
-                    epochs[str(shard.shard_id)] = {
-                        str(replica): int(value)
-                        for replica, value in observed.items()
+                    table[str(shard.shard_id)] = {
+                        str(replica): value for replica, value in observed.items()
                     }
-        if epochs:
-            merged["epochs"] = epochs
+            if table:
+                merged[key] = table
         return merged
 
     def render_stats(self) -> str:
@@ -721,8 +704,7 @@ class ClusterGateway:
         routing, so the remote-staleness refusal comes first): a miss is
         snapshotted across shards, or relayed to the one shard that owns
         the whole query."""
-        with self.metrics.stage("route"):
-            plan = self._route(request.names)
+        plan = self._route(request.names)
         names, transport, front = request.names, request.transport, self._front
         if len(plan) > 1:
             snapshot = partial(self._snapshot, plan=plan)
@@ -731,7 +713,7 @@ class ClusterGateway:
         relay = partial(self._relay, shard_id)
         return front._served(request, *front._payload_tiers(names, transport, relay=relay))
 
-    def _relay(self, shard_id: int, names: Tuple[str, ...], transport: str) -> GatewayResponse:
+    def _relay(self, shard_id: int, names: Tuple[str, ...], transport: str):
         """A single-shard plan's payload-tier miss: its shard serves it."""
         # per-shard traffic counts requests that actually reach a shard
         # (front-tier hits and coalesced followers touch none)
@@ -874,7 +856,7 @@ class ClusterGateway:
         # pool's listener loop would skip every listener registered after
         # this one.  The next serving call fails loudly instead (see
         # _check_remote_stale); restart the fleet to recover.
-        poisoned = has_remote and not self._all_remote_mutation_capable()
+        poisoned = has_remote and bool(self._lagging_shards())
         if not poisoned:
             try:
                 self._resync_shards(name, version)

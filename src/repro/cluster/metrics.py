@@ -11,11 +11,11 @@ two things only a cluster can see:
   live measure of how well routing + hot-expert replication keep composite
   queries local.
 
-Latency stages (``route``, ``fetch``, ``assemble``, ``serialize``,
-``total``) and counters reuse :class:`~repro.serving.ServingMetrics`, so
-the render shape matches the single-gateway tooling.  Networked
-deployments (:mod:`repro.net`) add the wire's own telemetry into the same
-instance: a ``net_roundtrip`` latency stage plus ``net_requests`` /
+Latency stages (``fetch``, ``assemble``, ``serialize``, ``total``) and
+counters reuse :class:`~repro.serving.ServingMetrics`, so the render shape
+matches the single-gateway tooling.  Networked deployments
+(:mod:`repro.net`) add the wire's own telemetry into the same instance: a
+``net_roundtrip`` latency stage (its count is the requests sent) plus
 ``net_bytes_tx`` / ``net_bytes_rx`` counters, recorded by every
 :class:`~repro.net.client.RemoteShardClient` the cluster owns.
 """

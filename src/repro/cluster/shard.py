@@ -12,7 +12,8 @@ This class is also the reference implementation of the **shard backend
 surface** :class:`~repro.cluster.gateway.ClusterGateway` consumes —
 ``task_names``/``holds``, ``serve``/``predict``/``submit_predict``/
 ``get_model``, ``fetch_heads``, ``cache_stats`` and ``local_snapshot`` —
-which :class:`repro.net.client.RemoteShardClient` mirrors over a socket.
+which :class:`repro.net.client.RemoteShardClient` mirrors over a socket
+(its ``serve`` answers a :class:`~repro.serving.gateway.Served`: no query).
 A gateway built with a networked ``shard_factory`` runs the same code
 paths against worker processes; :meth:`local_snapshot` returning a real
 snapshot (vs. ``None`` remotely) is the home-shard fast path.
@@ -35,6 +36,7 @@ from ..core.server import serialize_expert_heads
 from ..models import WRNHead
 from ..serving.cache import CacheStats
 from ..serving.gateway import (
+    Found,
     GatewayConfig,
     GatewayResponse,
     PredictionResponse,
@@ -108,14 +110,17 @@ class PoolShard:
     # ------------------------------------------------------------------
     # Serving surface (delegated to the private gateway)
     # ------------------------------------------------------------------
-    def serve(self, tasks: "TaskQuery", transport: str = "float32") -> GatewayResponse:
+    def serve(
+        self, tasks: "TaskQuery", transport: str = "float32", found: Optional[Found] = None
+    ) -> GatewayResponse:
         """Serve one model-delivery query entirely inside this shard.
 
         The response carries the versions of the entry that answered (its
         snapshot's, or its key's on a hit): a front end keeps the relayed
-        payload under them.
+        payload under them.  ``found`` is the payload-tier lookup a worker's
+        reader thread already made (:meth:`ServingGateway.lookup`).
         """
-        return self.gateway.serve(tasks, transport)
+        return self.gateway.serve(tasks, transport, found)
 
     def predict(self, images: "np.ndarray", tasks: "TaskQuery") -> PredictionResponse:
         """Run one prediction through this shard's fused fast path."""

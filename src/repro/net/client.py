@@ -58,7 +58,7 @@ import numpy as np
 from ..obs.trace import TRACER
 from ..serving.cache import CacheStats
 from ..serving.canonical import TaskQuery, canonical_tasks
-from ..serving.gateway import GatewayResponse, PredictionResponse
+from ..serving.gateway import PredictionResponse, Served
 from .frame import (
     Buffer,
     CODEC_BINARY,
@@ -77,8 +77,10 @@ from .frame import (
     json_payload,
     pack_body_parts,
     parse_json,
+    parse_served,
     payload_digest,
     send_buffers,
+    serve_request,
     unpack_body,
 )
 from .retry import (
@@ -142,26 +144,6 @@ def raise_remote_error(info: Dict) -> None:
         raise exc_type(message)
     raise RemoteShardError(
         f"{message} (remote type {info.get('type', '?')})", shard_id=shard_id
-    )
-
-
-def gateway_response_from_body(meta: Dict, blob) -> GatewayResponse:
-    """Rebuild a :class:`GatewayResponse` from a ``SERVED`` body.
-
-    The payload stays where the kernel put it: one view into the frame's
-    own receive buffer, joined into ``bytes`` only if the caller reads
-    ``payload`` (a front end keeping it cuts it into its parts instead).
-    """
-    versions = meta.get("versions")
-    return GatewayResponse(
-        parts=(blob,),
-        tasks=tuple(meta["tasks"]),
-        transport=meta["transport"],
-        queue_seconds=float(meta["queue_seconds"]),
-        service_seconds=float(meta["service_seconds"]),
-        payload_cache_hit=bool(meta["payload_cache_hit"]),
-        coalesced=bool(meta["coalesced"]),
-        versions=None if versions is None else tuple(versions),
     )
 
 
@@ -486,10 +468,10 @@ class RemoteShardClient:
             self._release(endpoint, channel)
         endpoint.breaker.record_success()
         elapsed = perf_counter() - start
-        self._latency.observe(elapsed)
+        if len(self._replicas) > 1:  # the samples feed only the hedge delay
+            self._latency.observe(elapsed)
         if self.metrics is not None:
-            self.metrics.observe("net_roundtrip", elapsed)
-            self.metrics.increment("net_requests")
+            self.metrics.observe("net_roundtrip", elapsed)  # its count: the requests
             self.metrics.increment("net_bytes_tx", sum(map(len, parts)))
             self.metrics.increment("net_bytes_rx", len(response[2]))
         return response
@@ -684,20 +666,18 @@ class RemoteShardClient:
             return None
         return ctx
 
-    def serve(self, tasks: TaskQuery, transport: str = "float32") -> GatewayResponse:
+    def serve(self, tasks: TaskQuery, transport: str = "float32") -> Served:
+        """One ``SERVE``: the payload (a view into the receive buffer) and
+        what the worker's tiers did.  The worker canonicalizes, so a tuple
+        of names (what a front end relays) goes as it is."""
         with TRACER.span("net.serve", {"shard": self.address[1]}):
-            request: Dict[str, object] = {
-                "tasks": list(canonical_tasks(tasks)),
-                "transport": transport,
-            }
-            ctx = self._trace_ctx()
-            if ctx is not None:
-                request["trace"] = ctx
-            _msg, _codec, payload = self._request(MsgType.SERVE, (json_payload(request),))
-            meta, blob = unpack_body(payload)
-            if meta.get("trace_spans"):
-                TRACER.attach(meta["trace_spans"])
-            return gateway_response_from_body(meta, blob)
+            names = tasks if isinstance(tasks, tuple) else canonical_tasks(tasks)
+            request = serve_request(names, transport, self._trace_ctx())
+            _msg, _codec, payload = self._request(MsgType.SERVE, (request,))
+            hit, coalesced, versions, spans, blob = parse_served(payload)
+            if spans:
+                TRACER.attach(spans)
+            return Served((blob,), hit, coalesced, versions)
 
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         images = np.ascontiguousarray(images, dtype=np.float32)
@@ -751,14 +731,10 @@ class RemoteShardClient:
             # negotiated features (and the replica id) come from the
             # handshake, not STATS — carry them over so tracing keeps
             # working after a stats sweep
-            previous = self._info or {}
             self._info = {
-                "shard_id": info["shard_id"],
-                "tasks": info["tasks"],
-                "pid": info["pid"],
-                "protocol": PROTOCOL_VERSION,
-                "features": previous.get("features", []),
-                "replica": previous.get("replica", 0),
+                "protocol": PROTOCOL_VERSION, "features": [], "replica": 0,
+                **(self._info or {}),
+                "shard_id": info["shard_id"], "tasks": info["tasks"], "pid": info["pid"],
             }
         return info
 
@@ -769,8 +745,8 @@ class RemoteShardClient:
     def supports_mutations(self) -> bool:
         """Whether the worker negotiated the ``"mutations"`` feature.
 
-        False means the peer is either an old (v1-read-only) server or
-        this client did not present the server's auth token — either way
+        False means the peer is either a read-only server or this client
+        did not present the server's auth token — either way
         the gateway must not plan mutations against this shard.
         """
         return FEATURE_MUTATIONS in (self.info.get("features") or ())
@@ -851,18 +827,10 @@ class RemoteShardClient:
     ) -> List[Dict]:
         """Install serialized expert heads on every replica (INSTALL_HEADS).
 
-        ``payload`` is ``serialize_expert_heads`` output; its blake2b
-        digest rides in the frame so a worker never installs a corrupted
-        payload.  Returns one ack dict per replica.
+        ``payload`` is ``serialize_expert_heads`` output.  Returns one ack
+        dict per replica.
         """
-        meta = {
-            "mutation_id": str(mutation_id),
-            "epoch": int(epoch),
-            "digest": payload_digest(payload),
-        }
-        return self._broadcast_mutation(
-            MsgType.INSTALL_HEADS, pack_body_parts(meta, payload), CODEC_BINARY
-        )
+        return self._broadcast_payload(MsgType.INSTALL_HEADS, payload, epoch, mutation_id)
 
     def drop_heads(
         self, names: Sequence[str], *, epoch: int, mutation_id: str
@@ -886,14 +854,17 @@ class RemoteShardClient:
         self, payload: bytes, *, epoch: int, mutation_id: str
     ) -> List[Dict]:
         """Replace the library trunk on every replica (REFRESH_LIBRARY)."""
+        return self._broadcast_payload(MsgType.REFRESH_LIBRARY, payload, epoch, mutation_id)
+
+    def _broadcast_payload(self, msg_type: int, payload: bytes, epoch, mutation_id) -> List[Dict]:
+        """A payload-carrying mutation: the payload's blake2b digest rides
+        in its meta, so a worker never applies a corrupted payload."""
         meta = {
             "mutation_id": str(mutation_id),
             "epoch": int(epoch),
             "digest": payload_digest(payload),
         }
-        return self._broadcast_mutation(
-            MsgType.REFRESH_LIBRARY, pack_body_parts(meta, payload), CODEC_BINARY
-        )
+        return self._broadcast_mutation(msg_type, pack_body_parts(meta, payload), CODEC_BINARY)
 
     # ------------------------------------------------------------------
     # In-process-shaped mutation signatures: still unsupported — they

@@ -9,7 +9,7 @@ each a fixed 20-byte header followed by a payload:
 
     offset  size  field
     0       4     magic          b"POEN"
-    4       1     protocol version (currently 1)
+    4       1     protocol version (currently 2)
     5       1     message type   (MsgType)
     6       1     flags          (bit 0 = FLAG_END: last frame of message)
     7       1     codec tag      (payload encoding, see below)
@@ -72,11 +72,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from functools import lru_cache
 from time import monotonic
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..core.server import TRANSPORTS
+from ..serving.canonical import canonical_tasks
 
 __all__ = [
     "MAGIC",
@@ -111,11 +112,15 @@ __all__ = [
     "pack_body",
     "pack_body_parts",
     "unpack_body",
+    "serve_request",
+    "parse_serve_request",
+    "served_meta",
+    "parse_served",
     "payload_digest",
 ]
 
 MAGIC = b"POEN"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Optional-capability names negotiable in HELLO (see module docstring).
 FEATURE_TRACE = "trace"
@@ -231,8 +236,7 @@ def transport_for_codec(codec: int) -> str:
         raise FrameError(f"unknown payload codec tag {codec}") from None
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded frame: header fields + the payload's own buffer.
 
     A decoded ``payload`` is the ``bytearray`` the decoder allocated for
@@ -528,10 +532,14 @@ def json_payload(obj: object) -> bytes:
 
 
 def parse_json(payload: Buffer) -> Dict:
+    """A control payload: one JSON object, else :class:`FrameError`."""
     try:
-        return json.loads(str(payload, "utf-8"))
+        obj = json.loads(str(payload, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise FrameError(f"malformed JSON payload: {error}") from None
+    if not isinstance(obj, dict):
+        raise FrameError(f"a control payload is a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def pack_body_parts(meta: Dict, *blobs: Buffer) -> Tuple[Buffer, ...]:
@@ -562,13 +570,113 @@ def unpack_body(payload: Buffer) -> Tuple[Dict, memoryview]:
     ``blob`` is a memoryview into ``payload`` — no copy; the consumer
     that needs it to outlive or be independent of ``payload`` copies it.
     """
+    meta, blob = _split_body(payload)
+    return parse_json(meta), blob
+
+
+def _split_body(payload: Buffer) -> Tuple[memoryview, memoryview]:
     view = memoryview(payload)
     if len(view) < 4:
         raise FrameError("binary body shorter than its meta-length prefix")
     (meta_len,) = struct.unpack_from("<I", view)
     if 4 + meta_len > len(view):
         raise FrameError("binary body truncated inside its meta header")
-    return parse_json(view[4 : 4 + meta_len]), view[4 + meta_len :]
+    return view[4 : 4 + meta_len], view[4 + meta_len :]
+
+
+# ----------------------------------------------------------------------
+# SERVE / SERVED (protocol 2): encoded once, checked on read
+# ----------------------------------------------------------------------
+#: An untraced request or meta up to this size (every real one) is decoded
+#: once per distinct bytes; a longer one every time, so no peer pins memory.
+_MEMO_MAX_BYTES = 1024
+
+
+@lru_cache(maxsize=4096)
+def _serve_request(tasks: Tuple[str, ...], transport: str) -> bytes:
+    return json_payload({"tasks": list(tasks), "transport": transport})
+
+
+def serve_request(tasks: Tuple[str, ...], transport: str, trace: Optional[Dict] = None) -> bytes:
+    """A ``SERVE`` request; untraced, encoded once per ``(tasks, transport)``."""
+    if trace is None:
+        return _serve_request(tasks, transport)
+    return json_payload({"tasks": list(tasks), "transport": transport, "trace": trace})
+
+
+def parse_serve_request(payload: Buffer) -> Tuple[Tuple[str, ...], str, Optional[Dict]]:
+    """``(canonical task names, transport, trace or None)``; :class:`FrameError`
+    on a mistyped field.  An untraced request repeats byte for byte (its
+    client encodes it once), so it is decoded once."""
+    raw = bytes(payload)
+    if len(raw) > _MEMO_MAX_BYTES or b'"trace"' in raw:
+        return _decode_serve_request(raw)
+    return _untraced_serve_request(raw)
+
+
+def _decode_serve_request(raw: bytes) -> Tuple[Tuple[str, ...], str, Optional[Dict]]:
+    request = parse_json(raw)
+    tasks, transport, trace = request.get("tasks"), request.get("transport"), request.get("trace")
+    if not (isinstance(tasks, list) and all(isinstance(name, str) for name in tasks)):
+        raise FrameError("SERVE: 'tasks' must be a list of task names")
+    if transport not in TRANSPORTS:
+        raise FrameError(f"SERVE: 'transport' must be one of {TRANSPORTS}, got {transport!r}")
+    if not isinstance(trace, (dict, type(None))):
+        raise FrameError("SERVE: 'trace' must be an object")
+    return canonical_tasks(tasks), transport, trace
+
+
+_untraced_serve_request = lru_cache(maxsize=4096)(_decode_serve_request)
+
+
+def _served_meta(payload_cache_hit, coalesced, versions, trace_spans=None) -> bytes:
+    meta: Dict[str, object] = {"coalesced": coalesced, "payload_cache_hit": payload_cache_hit}
+    if versions is not None:
+        meta["versions"] = list(versions)
+    if trace_spans:
+        meta["trace_spans"] = trace_spans
+    return pack_body_parts(meta)[0]
+
+
+_untraced_served_meta = lru_cache(maxsize=4096)(_served_meta)
+
+
+def served_meta(payload_cache_hit: bool, coalesced: bool, versions, trace_spans=None) -> bytes:
+    """A ``SERVED`` body's meta prefix: what the requester cannot know (the
+    flags, the entry's versions, the worker's spans when traced).  Untraced,
+    it is encoded once per ``(flags, versions)``: once per payload entry."""
+    if trace_spans:
+        return _served_meta(payload_cache_hit, coalesced, versions, trace_spans)
+    return _untraced_served_meta(payload_cache_hit, coalesced, versions)
+
+
+def parse_served(payload: Buffer) -> Tuple[bool, bool, Optional[Tuple[int, ...]], Sequence, memoryview]:
+    """``(payload_cache_hit, coalesced, versions, trace spans, payload view)``
+    of a ``SERVED`` body; :class:`FrameError` on a mistyped field.  An
+    untraced meta is one of a few per worker entry, and is decoded once."""
+    meta, blob = _split_body(payload)
+    meta = bytes(meta)
+    if len(meta) > _MEMO_MAX_BYTES or b'"trace_spans"' in meta:
+        return (*_decode_served(meta), blob)
+    return (*_untraced_served(meta), blob)
+
+
+def _decode_served(meta: bytes) -> Tuple[bool, bool, Optional[Tuple[int, ...]], Sequence]:
+    fields = parse_json(meta)
+    hit, coalesced = fields.get("payload_cache_hit"), fields.get("coalesced")
+    versions, spans = fields.get("versions"), fields.get("trace_spans", ())
+    if type(hit) is not bool or type(coalesced) is not bool:
+        raise FrameError("SERVED: 'payload_cache_hit' and 'coalesced' must be booleans")
+    if versions is not None:
+        if not (isinstance(versions, list) and all(type(v) is int for v in versions)):
+            raise FrameError("SERVED: 'versions' must be a list of integers")
+        versions = tuple(versions)
+    if not isinstance(spans, (list, tuple)):
+        raise FrameError("SERVED: 'trace_spans' must be a list")
+    return hit, coalesced, versions, spans
+
+
+_untraced_served = lru_cache(maxsize=4096)(_decode_served)
 
 
 def payload_digest(blob: bytes) -> str:

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 
 from ..cluster.gateway import ClusterConfig, ClusterGateway
 from ..cluster.metrics import ClusterMetrics
@@ -63,7 +63,6 @@ from ..cluster.shard import PoolShard
 from ..core.server import deserialize_expert_heads, deserialize_library_state
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
-from ..serving.canonical import canonical_tasks, payload_key
 from ..serving.gateway import GatewayConfig
 from .client import RemoteShardClient
 from .retry import (
@@ -89,8 +88,10 @@ from .frame import (
     negotiate_features,
     pack_body_parts,
     parse_json,
+    parse_serve_request,
     payload_digest,
     send_buffers,
+    served_meta,
     unpack_body,
 )
 
@@ -148,7 +149,7 @@ class ShardServer:
     *replay* without touching the pool.  When ``auth_token`` is set, only
     connections that presented the matching token in ``HELLO``
     (constant-time compare) may mutate; everyone else keeps the read-only
-    v1 surface.
+    surface.
     """
 
     def __init__(
@@ -244,10 +245,8 @@ class ShardServer:
                 pid=os.getpid(),
             )
         if self._listener is not None:
-            try:
+            with suppress(OSError):  # already closed
                 self._listener.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
         with self._inflight_cond:
             while self._inflight > 0:
                 self._inflight_cond.wait(timeout=0.5)
@@ -263,21 +262,15 @@ class ShardServer:
         self._draining.set()
         self._drained.set()
         if self._listener is not None:
-            try:
+            with suppress(OSError):
                 self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
         with self._conn_lock:
             conns, self._connections = self._connections, []
         for conn in conns:
-            try:
+            with suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:  # pragma: no cover
-                pass
         self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
@@ -362,32 +355,25 @@ class ShardServer:
             ).start()
             return
         # answered here, on the reader thread, when the response is already
-        # in memory: a stats-neutral peek at the key the gateway will look
-        # up (the shard's current versions).  A lost race (entry evicted, or
-        # versions bumped, between this peek and shard.serve) builds on
-        # this thread — still correct, and bounded by that one miss
+        # in memory: a SERVE is parsed and looked up once, here, and a hit
+        # is served from the entry this lookup found
         inline = msg_type == MsgType.PING
         if msg_type == MsgType.SERVE:
             try:
-                request = parse_json(payload)
-                gateway = self.shard.gateway
-                names = canonical_tasks(request["tasks"])
-                inline = gateway.payload_cache.contains(
-                    payload_key(
-                        names, request.get("transport", "float32"), gateway.pool.versions(names)
-                    )
-                )
-                payload = request  # parsed once: the handler takes the dict
-            except (KeyError, TypeError, ValueError):  # FrameError is a ValueError
-                pass  # malformed: the handler re-reads it on the typed ERROR path
+                names, transport, trace = parse_serve_request(payload)
+            except ValueError:  # FrameError is one: the handler re-reads it and answers ERROR
+                pass
+            else:
+                found = self.shard.gateway.lookup(names, transport)
+                inline = found is not None and found[1] is not None
+                payload = (names, transport, trace, found)
         with self._inflight_cond:
             draining = self._draining.is_set()
             if not draining:
                 self._inflight += 1
         if draining:
             # typed so replica-aware clients fail over instead of surfacing
-            # an error; subclasses RuntimeError, so old clients see exactly
-            # what they used to.  Sent outside the lock drain() waits on.
+            # an error.  Sent outside the lock drain() waits on.
             self._send_error(
                 conn, write_lock, request_id,
                 ShardDrainingError("shard server is draining"),
@@ -406,7 +392,8 @@ class ShardServer:
     def _finish_request(self) -> None:
         with self._inflight_cond:
             self._inflight -= 1
-            self._inflight_cond.notify_all()
+            if self._draining.is_set():  # drain() sets it before it reads the count
+                self._inflight_cond.notify_all()
 
     def _run_request(
         self,
@@ -467,19 +454,8 @@ class ShardServer:
         self, conn, write_lock, request_id: int, error: BaseException
     ) -> None:
         message = str(error.args[0]) if error.args else str(error)
-        self._send(
-            conn,
-            write_lock,
-            MsgType.ERROR,
-            request_id,
-            json_payload(
-                {
-                    "type": type(error).__name__,
-                    "message": message,
-                    "shard_id": self.shard.shard_id,
-                }
-            ),
-        )
+        info = {"type": type(error).__name__, "message": message, "shard_id": self.shard.shard_id}
+        self._send(conn, write_lock, MsgType.ERROR, request_id, json_payload(info))
 
     # ------------------------------------------------------------------
     # Handlers
@@ -499,10 +475,8 @@ class ShardServer:
                     f"server speaks {PROTOCOL_VERSION}"
                 ),
             )
-            try:
+            with suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:  # pragma: no cover
-                pass
             return
         # shared-token auth: constant-time compare; a server with no token
         # configured trusts every local peer (the single-host default).
@@ -540,7 +514,6 @@ class ShardServer:
             ),
         )
 
-    @contextmanager
     def _traced(self, ctx, name: str, spans_out: List[Dict]):
         """Continue a caller's trace around one shard call.
 
@@ -549,9 +522,10 @@ class ShardServer:
         server-side spans are pulled out of the collector into
         ``spans_out`` for the response to carry back.
         """
-        if not ctx:
-            yield
-            return
+        return self._continue_trace(ctx, name, spans_out) if ctx else nullcontext()
+
+    @contextmanager
+    def _continue_trace(self, ctx, name: str, spans_out: List[Dict]):
         tags = {"shard_id": self.shard.shard_id, "pid": os.getpid()}
         with TRACER.continue_from(ctx, name, tags) as span:
             yield
@@ -589,28 +563,18 @@ class ShardServer:
         )
 
     def _handle_serve(self, conn, write_lock, request_id, payload, codec) -> None:
-        request = payload if isinstance(payload, dict) else parse_json(payload)
+        if not isinstance(payload, tuple):  # else the reader parsed it and looked up
+            payload = (*parse_serve_request(payload), None)
+        names, transport, trace, found = payload
         spans: List[Dict] = []
-        with self._traced(request.get("trace"), "shard.serve", spans):
-            response = self.shard.serve(
-                tuple(request["tasks"]), request.get("transport", "float32")
-            )
-        meta = {
-            "tasks": list(response.tasks),
-            "transport": response.transport,
-            "payload_bytes": response.payload_bytes,
-            "queue_seconds": response.queue_seconds,
-            "service_seconds": response.service_seconds,
-            "payload_cache_hit": response.payload_cache_hit,
-            "coalesced": response.coalesced,
-        }
-        if response.versions is not None:
-            meta["versions"] = list(response.versions)
-        if spans:
-            meta["trace_spans"] = spans
+        with self._traced(trace, "shard.serve", spans):
+            response = self.shard.serve(names, transport, found)
+        meta = served_meta(
+            response.payload_cache_hit, response.coalesced, response.versions, spans
+        )
         self._send(
-            conn, write_lock, MsgType.SERVED, request_id,
-            *pack_body_parts(meta, *response.parts), codec=CODEC_BINARY,
+            conn, write_lock, MsgType.SERVED, request_id, meta, *response.parts,
+            codec=CODEC_BINARY,
         )
 
     def _handle_predict(self, conn, write_lock, request_id, payload, codec) -> None:
@@ -707,114 +671,84 @@ class ShardServer:
                 replica=self.replica_id,
             )
 
-    def _handle_install_heads(self, conn, write_lock, request_id, payload, codec) -> None:
-        self._require_mutation_auth(conn)
-        meta, blob = unpack_body(payload)
-        mutation_id = str(meta["mutation_id"])
-        epoch = int(meta["epoch"])
-        installed: List[str] = []
+    def _mutate(self, conn, write_lock, request_id, meta, blob, kind, reply, apply) -> None:
+        """Apply one fenced, idempotent mutation and ack it with ``reply``:
+        unless ``meta``'s id is a replay, ``apply(blob)`` runs under the
+        mutation lock after the blob's digest check (if ``meta`` names one)
+        and answers ``(ack fields, journal detail)``; a replay acks only the
+        flags and the epoch."""
+        mutation_id, epoch = str(meta["mutation_id"]), int(meta["epoch"])
+        fields: Dict[str, object] = {}
         with self._mutation_lock:
             replayed = self._fence_and_dedup(mutation_id, epoch)
-            if not replayed:
+            if replayed:
+                self._record_replayed(mutation_id, kind)
+            else:
                 digest = meta.get("digest")
                 if digest is not None and payload_digest(blob) != digest:
                     raise FrameError(
-                        "INSTALL_HEADS payload digest mismatch: "
-                        "refusing to install corrupted heads"
+                        f"{kind} payload digest mismatch: refusing to apply a corrupted payload"
                     )
-                for name, remote in deserialize_expert_heads(blob).items():
-                    # attach overwrites an existing head of the same name,
-                    # so a crash-and-retry mid-apply converges (idempotent)
-                    self.shard.install_expert(name, remote.head, remote.version)
-                    installed.append(name)
-                self._record_applied(
-                    mutation_id, epoch, "install_heads", tasks=len(installed)
-                )
-            else:
-                self._record_replayed(mutation_id, "install_heads")
-            out = {
-                "applied": not replayed,
-                "replayed": replayed,
-                "epoch": self.epoch,
-                "installed": installed,
-            }
-        self._send(
-            conn, write_lock, MsgType.HEADS_INSTALLED, request_id, json_payload(out)
+                fields, detail = apply(blob)
+                self._record_applied(mutation_id, epoch, kind, **detail)
+            out = {"applied": not replayed, "replayed": replayed, "epoch": self.epoch, **fields}
+        self._send(conn, write_lock, reply, request_id, json_payload(out))
+
+    def _handle_install_heads(self, conn, write_lock, request_id, payload, codec) -> None:
+        self._require_mutation_auth(conn)
+
+        def install(blob):
+            heads = deserialize_expert_heads(blob)
+            for name, remote in heads.items():
+                # attach overwrites an existing head of the same name,
+                # so a crash-and-retry mid-apply converges (idempotent)
+                self.shard.install_expert(name, remote.head, remote.version)
+            return {"installed": list(heads)}, {"tasks": len(heads)}
+
+        meta, blob = unpack_body(payload)
+        self._mutate(
+            conn, write_lock, request_id, meta, blob, "install_heads",
+            MsgType.HEADS_INSTALLED, install,
         )
 
     def _handle_drop_heads(self, conn, write_lock, request_id, payload, codec) -> None:
         self._require_mutation_auth(conn)
         request = parse_json(payload)
-        mutation_id = str(request["mutation_id"])
-        epoch = int(request["epoch"])
         names = [str(n) for n in request.get("names", ())]
-        dropped: List[str] = []
-        with self._mutation_lock:
-            replayed = self._fence_and_dedup(mutation_id, epoch)
-            if not replayed:
-                held = set(self.shard.task_names())
-                for name in names:
-                    # tolerate absent names: a respawned worker may have
-                    # forked past the drop already, and the commit
-                    # broadcast uses an empty list as a pure epoch fence
-                    if name in held:
-                        self.shard.drop_expert(name)
-                        dropped.append(name)
-                self._record_applied(
-                    mutation_id, epoch, "drop_heads",
-                    tasks=len(dropped), requested=len(names),
-                )
-            else:
-                self._record_replayed(mutation_id, "drop_heads")
-            out = {
-                "applied": not replayed,
-                "replayed": replayed,
-                "epoch": self.epoch,
-                "dropped": dropped,
-            }
-        self._send(
-            conn, write_lock, MsgType.HEADS_DROPPED, request_id, json_payload(out)
+
+        def drop(_blob):
+            # tolerate absent names: a respawned worker may have forked past
+            # the drop already, and the commit broadcast uses an empty list
+            # as a pure epoch fence
+            held = set(self.shard.task_names())
+            dropped = [name for name in names if name in held]
+            for name in dropped:
+                self.shard.drop_expert(name)
+            return {"dropped": dropped}, {"tasks": len(dropped), "requested": len(names)}
+
+        self._mutate(
+            conn, write_lock, request_id, request, None, "drop_heads",
+            MsgType.HEADS_DROPPED, drop,
         )
 
     def _handle_refresh_library(self, conn, write_lock, request_id, payload, codec) -> None:
         self._require_mutation_auth(conn)
+
+        def refresh(blob):
+            library, version = deserialize_library_state(blob)
+            # the student stays behind the gateway that distilled it;
+            # workers only ever serve through the consolidated trunk
+            self.shard.refresh_library(library, None, version)
+            return {"version": version}, {"version": version}
+
         meta, blob = unpack_body(payload)
-        mutation_id = str(meta["mutation_id"])
-        epoch = int(meta["epoch"])
-        version = None
-        with self._mutation_lock:
-            replayed = self._fence_and_dedup(mutation_id, epoch)
-            if not replayed:
-                digest = meta.get("digest")
-                if digest is not None and payload_digest(blob) != digest:
-                    raise FrameError(
-                        "REFRESH_LIBRARY payload digest mismatch: "
-                        "refusing to install a corrupted trunk"
-                    )
-                library, version = deserialize_library_state(blob)
-                # the student stays behind the gateway that distilled it;
-                # workers only ever serve through the consolidated trunk
-                self.shard.refresh_library(library, None, version)
-                self._record_applied(
-                    mutation_id, epoch, "refresh_library", version=version
-                )
-            else:
-                self._record_replayed(mutation_id, "refresh_library")
-            out = {
-                "applied": not replayed,
-                "replayed": replayed,
-                "epoch": self.epoch,
-                "version": version,
-            }
-        self._send(
-            conn, write_lock, MsgType.LIBRARY_REFRESHED, request_id, json_payload(out)
+        self._mutate(
+            conn, write_lock, request_id, meta, blob, "refresh_library",
+            MsgType.LIBRARY_REFRESHED, refresh,
         )
 
     def _handle_stats(self, conn, write_lock, request_id, payload, codec) -> None:
-        try:
-            request = parse_json(payload) if payload else {}
-        except Exception:  # legacy/foreign payloads: serve the full view
-            request = {}
+        request = parse_json(payload) if payload else {}
         journal_since = int(request.get("journal_since", 0) or 0)
         stats = {
             tier: dataclasses.asdict(s) for tier, s in self.shard.cache_stats().items()

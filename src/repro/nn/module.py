@@ -126,11 +126,14 @@ class Module:
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
+        """A snapshot of every parameter and buffer: copies, so training
+        the module on (an optimizer updates parameters in place) never
+        rewrites a state dict a caller holds."""
         state: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for name, param in self.named_parameters():
-            state[name] = param.data
+            state[name] = param.data.copy()
         for name, buf in self.named_buffers():
-            state[name] = buf
+            state[name] = buf.copy()
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:

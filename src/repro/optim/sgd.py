@@ -22,11 +22,10 @@ class SGD:
     which is how the frozen library component stays untouched during expert
     extraction.
 
-    Each parameter owns one velocity buffer, updated in place.  The
-    parameter itself is *rebound* to a new array every step, never written
-    into: ``Module.state_dict()`` hands out the parameter arrays by
-    reference, and an in-place update would rewrite every snapshot a caller
-    holds.
+    Each parameter owns one velocity buffer, and both the buffer and
+    ``param.data`` are updated in place.  Snapshots stay safe because
+    ``Module.state_dict()`` hands out copies, never the arrays a step
+    writes into.
     """
 
     def __init__(
@@ -69,7 +68,7 @@ class SGD:
                 velocity *= self.momentum
                 velocity += grad
                 grad = grad + self.momentum * velocity if self.nesterov else velocity
-            param.data = param.data - self.lr * grad
+            param.data -= self.lr * grad
 
     def state_dict(self) -> dict:
         return {

@@ -96,7 +96,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple, TypeVar
+from typing import Callable, Deque, Dict, Hashable, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -113,6 +113,7 @@ __all__ = [
     "GatewayConfig",
     "GatewayResponse",
     "PredictionResponse",
+    "Served",
     "ServingGateway",
     "SingleFlight",
 ]
@@ -120,10 +121,30 @@ __all__ = [
 T = TypeVar("T")
 #: Stands in for ``_snapshot`` on one build (a cluster hands its plan / fetched heads down).
 Seam = Optional[Callable[[Tuple[str, ...]], PoolSnapshot]]
-#: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard.
-Relay = Optional[Callable[[Tuple[str, ...], str], "GatewayResponse"]]
-#: ``(payload parts, payload_hit, coalesced, versions)`` of one serve.
-Served = Tuple[Tuple[bytes, ...], bool, bool, Optional[Tuple[int, ...]]]
+#: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard,
+#: which answers a :class:`GatewayResponse` (in process) or a :class:`Served` (over a socket).
+Relay = Optional[Callable[[Tuple[str, ...], str], "GatewayResponse | Served"]]
+#: ``(versions, payload parts or None)``: one serve's payload-tier lookup
+#: (:meth:`ServingGateway.lookup`).
+Found = Tuple[Tuple[int, ...], Optional[Tuple[bytes, ...]]]
+
+
+class Served(NamedTuple):
+    """What the tier work of one serve answers: the payload and what the
+    tiers did, without the query the requester already knows.
+
+    The gateway accounting for the request wraps it into its one
+    :class:`GatewayResponse`; a remote shard client returns it as it is.
+    """
+
+    parts: Tuple[bytes, ...]
+    payload_cache_hit: bool
+    coalesced: bool
+    versions: Optional[Tuple[int, ...]]
+
+    @property
+    def payload(self) -> bytes:
+        return b"".join(self.parts)
 
 
 def run_trunk_forward(trunk, images, metrics) -> "np.ndarray":
@@ -218,9 +239,13 @@ class GatewayResponse:
         return sum(map(len, self.parts))
 
 
-def _relayed(response: GatewayResponse) -> Served:
+def _relayed(response) -> Served:
     """What a response another gateway answered reports to the tier work."""
-    return response.parts, response.payload_cache_hit, response.coalesced, response.versions
+    if isinstance(response, Served):
+        return response
+    return Served(
+        response.parts, response.payload_cache_hit, response.coalesced, response.versions
+    )
 
 
 @dataclass(frozen=True)
@@ -412,9 +437,29 @@ class ServingGateway:
     def available_tasks(self) -> Tuple[str, ...]:
         return self.pool.expert_names()
 
-    def serve(self, tasks: TaskQuery, transport: str = "float32") -> GatewayResponse:
-        """Serve one query on the calling thread (blocking)."""
-        return self._serve(tasks, transport, enqueued_at=None)
+    def serve(
+        self, tasks: TaskQuery, transport: str = "float32", found: Optional[Found] = None
+    ) -> GatewayResponse:
+        """Serve one query on the calling thread (blocking).
+
+        ``found`` is this query's :meth:`lookup` when the caller already
+        made it: the serve then makes none of its own.
+        """
+        return self._serve(tasks, transport, None, found)
+
+    def lookup(self, names: Tuple[str, ...], transport: str) -> Optional[Found]:
+        """The payload-tier lookup of one serve of canonical ``names``, at
+        the pool's current versions: ``(versions, parts or None)``, or None
+        when the tier has no budget.
+
+        Counted as the serve's one hit or miss, whichever thread makes it:
+        a shard worker's reader thread looks up here and answers a hit
+        itself, then hands the result to :meth:`serve`.
+        """
+        if not self.payload_cache.budget_bytes:
+            return None
+        versions = self.pool.versions(names)
+        return versions, self.payload_cache.get((names, transport, versions))
 
     def submit(self, tasks: TaskQuery, transport: str = "float32") -> "Future[GatewayResponse]":
         """Dispatch one query onto the worker pool; returns a future.
@@ -556,14 +601,8 @@ class ServingGateway:
         service_seconds = perf_counter() - request.start
         self.metrics.observe("total", service_seconds)
         return GatewayResponse(
-            parts=parts,
-            tasks=request.names,
-            transport=request.transport,
-            queue_seconds=request.queue_seconds,
-            service_seconds=service_seconds,
-            payload_cache_hit=payload_hit,
-            coalesced=coalesced,
-            versions=versions,
+            parts, request.names, request.transport, request.queue_seconds,
+            service_seconds, payload_hit, coalesced, versions,
         )
 
     def _predicted(
@@ -597,10 +636,16 @@ class ServingGateway:
         )
 
     def _serve(
-        self, tasks: TaskQuery, transport: str, enqueued_at: Optional[float]
+        self,
+        tasks: TaskQuery,
+        transport: str,
+        enqueued_at: Optional[float],
+        found: Optional[Found] = None,
     ) -> GatewayResponse:
         with _Request(self, "gateway.serve", "requests", tasks, transport, enqueued_at) as request:
-            return self._served(request, *self._payload_tiers(request.names, transport))
+            return self._served(
+                request, *self._payload_tiers(request.names, transport, found=found)
+            )
 
     # ------------------------------------------------------------------
     # Tier work: payload tier at the current versions → single flight →
@@ -608,11 +653,16 @@ class ServingGateway:
     # snapshot's versions
     # ------------------------------------------------------------------
     def _payload_tiers(
-        self, names: Tuple[str, ...], transport: str, snapshot: Seam = None, relay: Relay = None
+        self,
+        names: Tuple[str, ...],
+        transport: str,
+        snapshot: Seam = None,
+        relay: Relay = None,
+        found: Optional[Found] = None,
     ) -> Served:
-        """``(payload parts, payload_hit, coalesced, versions)`` for one
-        serve: a payload-tier hit at the pool's current versions, else one
-        fill per key across concurrent callers.
+        """One serve's tier work: a payload-tier hit at the pool's current
+        versions (``found``, when the caller already looked), else one fill
+        per key across concurrent callers.
 
         ``relay`` answers a miss instead of a build here (a cluster's
         single-shard plan).  A tier with no budget is a pass-through: no
@@ -622,22 +672,20 @@ class ServingGateway:
             if relay is not None:
                 served = _relayed(relay(names, transport))
             else:
-                parts, versions = self._build_payload(names, transport, snapshot)
-                served = (parts, False, False, versions)
+                served = self._build_payload(names, transport, snapshot)
         else:
-            versions = self.pool.versions(names)
+            versions, parts = found or self.lookup(names, transport)
             key = (names, transport, versions)  # payload_key's shape: names are canonical
-            parts = self.payload_cache.get(key)
             if parts is not None:
                 if self.controller is not None:
                     self._note_payload_hit(key)
-                return parts, True, False, versions
+                return Served(parts, True, False, versions)
             served, coalesced = self._flights.run(
                 key, lambda: self._fill(names, transport, snapshot, relay)
             )
             if coalesced:
-                served = served[:2] + (True,) + served[3:]
-        if served[2]:
+                served = served._replace(coalesced=True)
+        if served.coalesced:
             self.metrics.increment("coalesced")
         return served
 
@@ -664,21 +712,21 @@ class ServingGateway:
         certifies nothing and is not kept.
         """
         if relay is None:
-            parts, versions = self._build_payload(names, transport, snapshot)
-            served, owned = (parts, False, False, versions), len(parts[0])
+            served = self._build_payload(names, transport, snapshot)
+            owned = len(served.parts[0])
         else:
-            response = relay(names, transport)
-            if response.versions is None:
-                return _relayed(response)
-            parts, owned = share_segments(response.parts, self.pool, names, transport)
-            served = (parts, *_relayed(response)[1:])
-        self.payload_cache.put((names, transport, served[3]), parts, owned)
+            served = _relayed(relay(names, transport))
+            if served.versions is None:
+                return served
+            parts, owned = share_segments(served.parts, self.pool, names, transport)
+            served = served._replace(parts=parts)
+        self.payload_cache.put((names, transport, served.versions), served.parts, owned)
         return served
 
     def _build_payload(
         self, names: Tuple[str, ...], transport: str, snapshot: Seam = None
-    ) -> Tuple[Tuple[bytes, ...], Tuple[int, ...]]:
-        """``(payload parts, versions)``: snapshot the pool and serialize."""
+    ) -> Served:
+        """Snapshot the pool and serialize: a build, neither a hit nor coalesced."""
         build_start = perf_counter()
         taken = (snapshot or self._snapshot)(names)
         store = self.pool.segments
@@ -697,7 +745,7 @@ class ServingGateway:
             self.controller.record_build_cost(
                 names, max(perf_counter() - build_start - once, 0.0), sum(map(len, parts))
             )
-        return parts, taken.versions
+        return Served(parts, False, False, taken.versions)
 
     def _model_for(
         self, names: Tuple[str, ...], snapshot: Seam = None

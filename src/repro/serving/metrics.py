@@ -134,8 +134,10 @@ class LatencyHistogram:
             raise ValueError("latency cannot be negative")
         self._count += 1
         self._total += seconds
-        self._min = min(self._min, seconds)
-        self._max = max(self._max, seconds)
+        if seconds < self._min:
+            self._min = seconds
+        if seconds > self._max:
+            self._max = seconds
         self._buckets[self._bucket_index(seconds)] += 1
         if len(self._samples) < self.max_samples:
             self._samples.append(seconds)

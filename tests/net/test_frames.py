@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import struct
 import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.net import client as net_client
@@ -31,10 +32,16 @@ from repro.net.frame import (
     json_payload,
     pack_body,
     pack_body_parts,
+    parse_served,
+    parse_serve_request,
     send_buffers,
+    serve_request,
+    served_meta,
     transport_for_codec,
     unpack_body,
 )
+from repro.core.server import TRANSPORTS
+from repro.serving.gateway import Served
 
 _MSG_TYPES = st.sampled_from(
     [MsgType.HELLO, MsgType.FETCH_HEADS, MsgType.SERVE, MsgType.PREDICTED]
@@ -442,7 +449,7 @@ def test_served_payload_reaches_sendmsg_by_identity():
     class _Shard:
         shard_id = 0
 
-        def serve(self, tasks, transport):
+        def serve(self, tasks, transport, found=None):
             return GatewayResponse(
                 parts=(payload,), tasks=tuple(tasks), transport=transport,
                 queue_seconds=0.0, service_seconds=0.0,
@@ -460,7 +467,8 @@ def test_served_payload_reaches_sendmsg_by_identity():
     assert buffers[-1] is payload
     (frame,) = FrameDecoder().feed(bytes(sock.sent))
     meta, blob = unpack_body(frame.payload)
-    assert frame.msg_type == MsgType.SERVED and meta["tasks"] == ["a"]
+    assert frame.msg_type == MsgType.SERVED
+    assert meta == {"coalesced": False, "payload_cache_hit": True}
     assert blob == payload
 
 
@@ -499,7 +507,7 @@ def test_a_worker_payload_hit_reaches_send_buffers_as_the_stores_segments(
     (hit,) = sent[1:]  # one frame: the payload is under the chunk size
     assert [b for b in hit if any(b is s for s in segments)] == segments
     meta, blob = unpack_body(b"".join(bytes(b) for b in hit)[HEADER_BYTES:])
-    assert meta["payload_cache_hit"] and meta["payload_bytes"] == len(blob)
+    assert meta["payload_cache_hit"] and meta["versions"] == list(shard.pool.versions(names))
     assert [task.name for task in deserialize_task_model(blob).task.tasks] == names
 
 
@@ -507,19 +515,147 @@ def test_receiving_a_large_message_allocates_its_buffer_and_one_copy(monkeypatch
     size = 1 << 20
     blob = bytes(size)
     served = encode_frame(
-        MsgType.SERVED, 1,
-        pack_body({"tasks": ["a"], "transport": "float32", "queue_seconds": 0,
-                   "service_seconds": 0, "payload_cache_hit": True,
-                   "coalesced": False}, blob),
-        CODEC_BINARY,
+        MsgType.SERVED, 1, served_meta(True, False, (1, 2)) + blob, CODEC_BINARY
     )
     channel, _sock = _channel(monkeypatch, served, recv_step=1 << 16)
     tracemalloc.start()
     try:
         _msg, _codec, body = channel.request(MsgType.SERVE, (json_payload({}),))
-        response = net_client.gateway_response_from_body(*unpack_body(body))
+        hit, coalesced, versions, _spans, view = parse_served(body)
+        response = Served((view,), hit, coalesced, versions)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert type(response.payload) is bytes and response.payload == blob
     assert peak < 2.2 * size
+
+
+# ----------------------------------------------------------------------
+# SERVE / SERVED: round trips and hostile input on both ends
+# ----------------------------------------------------------------------
+_TRACES = st.none() | st.fixed_dictionaries(
+    {"trace_id": st.text(max_size=16), "parent_id": st.text(max_size=16)}
+)
+
+
+@given(
+    names=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=5),
+    transport=st.sampled_from(TRANSPORTS),
+    trace=_TRACES,
+)
+@example(
+    names=["tâche", "任务", 'q"\\'], transport="uint8", trace={"trace_id": "é", "parent_id": ""}
+)
+def test_serve_request_round_trip(names, transport, trace):
+    payload = serve_request(tuple(names), transport, trace)
+    assert parse_serve_request(bytearray(payload)) == (tuple(sorted(set(names))), transport, trace)
+
+
+@given(
+    hit=st.booleans(),
+    coalesced=st.booleans(),
+    versions=st.none() | st.lists(st.integers(min_value=0, max_value=2**53), max_size=6),
+    spans=st.lists(st.dictionaries(st.text(max_size=6), st.integers()), max_size=3),
+    blob=st.binary(max_size=512),
+)
+def test_served_round_trip(hit, coalesced, versions, spans, blob):
+    versions = None if versions is None else tuple(versions)
+    body = bytearray(served_meta(hit, coalesced, versions, spans) + blob)
+    got_hit, got_coalesced, got_versions, got_spans, got_blob = parse_served(body)
+    got = (got_hit, got_coalesced, got_versions, list(got_spans))
+    assert got == (hit, coalesced, versions, spans)
+    assert bytes(got_blob) == blob
+
+
+def test_an_untraced_served_meta_is_encoded_once_per_entry():
+    assert served_meta(True, False, (3, 1)) is served_meta(True, False, (3, 1))
+    assert serve_request(("a",), "float32") is serve_request(("a",), "float32")
+
+
+def test_only_short_untraced_requests_are_decoded_once():
+    from repro.net import frame
+
+    short, long = serve_request(("a",), "uint8"), serve_request(("b" * 2000,), "uint8")
+    assert parse_serve_request(short) is parse_serve_request(bytearray(short))
+    assert parse_serve_request(long) is not parse_serve_request(long)
+    before = frame._untraced_serve_request.cache_info().currsize
+    parse_serve_request(serve_request(("c",), "uint8", {"trace_id": "t", "parent_id": "p"}))
+    assert frame._untraced_serve_request.cache_info().currsize == before
+
+
+_HOSTILE_SERVES = [
+    b"",
+    b"\xff\xfe",
+    b"[1, 2]",
+    b'{"transport": "float32"}',
+    b'{"tasks": "a", "transport": "float32"}',
+    b'{"tasks": ["a", 7], "transport": "float32"}',
+    b'{"tasks": ["a"]}',
+    b'{"tasks": ["a"], "transport": 5}',
+    b'{"tasks": ["a"], "transport": "bogus"}',
+    b'{"tasks": ["a"], "transport": "float32", "trace": [1]}',
+]
+
+
+@pytest.mark.parametrize("payload", _HOSTILE_SERVES)
+def test_a_hostile_serve_request_is_a_frame_error(payload):
+    with pytest.raises(FrameError):
+        parse_serve_request(payload)
+
+
+def _meta(text: bytes) -> bytes:
+    return struct.pack("<I", len(text)) + text
+
+
+_HOSTILE_SERVEDS = [
+    b"",  # shorter than the meta-length prefix
+    b"\x10\x00",
+    struct.pack("<I", 64) + b'{"coalesced":false}',  # meta length past the body
+    _meta(b'{"coalesced":false,"payload_cache_hit":tr'),  # truncated meta
+    _meta(b"[]"),
+    _meta(b'{"coalesced":false}'),
+    _meta(b'{"coalesced":0,"payload_cache_hit":true}'),
+    _meta(b'{"coalesced":false,"payload_cache_hit":"yes"}'),
+    _meta(b'{"coalesced":false,"payload_cache_hit":true,"versions":"1,2"}'),
+    _meta(b'{"coalesced":false,"payload_cache_hit":true,"versions":[1,"2"]}'),
+    _meta(b'{"coalesced":false,"payload_cache_hit":true,"versions":[true]}'),
+    _meta(b'{"coalesced":false,"payload_cache_hit":true,"trace_spans":{}}'),
+]
+
+
+@pytest.mark.parametrize("body", _HOSTILE_SERVEDS)
+def test_a_hostile_served_body_is_a_frame_error(body):
+    with pytest.raises(FrameError):
+        parse_served(body)
+
+
+@pytest.mark.parametrize("body", _HOSTILE_SERVEDS[:4])
+def test_a_served_body_cut_short_fails_the_client_and_never_hangs(monkeypatch, body):
+    from repro.net.client import RemoteShardClient
+
+    served = encode_frame(MsgType.SERVED, 1, body, CODEC_BINARY)
+    _channel(monkeypatch, served)
+    monkeypatch.setattr(RemoteShardClient, "_channel_alive", staticmethod(lambda _c: True))
+    with RemoteShardClient(("fake", 0)) as client, pytest.raises(FrameError):
+        client.serve(("a",))
+
+
+@pytest.mark.parametrize("payload", _HOSTILE_SERVES)
+def test_a_worker_answers_a_hostile_serve_with_a_typed_error(net_pool, payload):
+    """Dispatched as the reader thread would: the reader survives, and the
+    request pool answers one ``ERROR`` frame naming a ``FrameError``."""
+    from repro.cluster import PoolShard
+    from repro.net.server import ShardServer
+
+    shard = PoolShard(0, net_pool[0], sorted(net_pool[0].expert_names())[:1])
+    server = ShardServer(shard, request_workers=1)
+    sock = _FakeSocket()
+    try:
+        server._dispatch(sock, threading.Lock(), MsgType.SERVE, 9, bytearray(payload), CODEC_JSON)
+    finally:
+        server.close()  # waits for the pooled request
+        shard.close()
+    (frame,) = FrameDecoder().feed(bytes(sock.sent))
+    error = json.loads(bytes(frame.payload))
+    assert (frame.msg_type, frame.request_id, error["type"]) == (MsgType.ERROR, 9, "FrameError")
+    assert shard.gateway.payload_cache.stats().misses == 0  # nothing was looked up

@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterGateway
 from repro.cluster.shard import PoolShard
 from repro.net import RemoteShardClient, ShardDrainingError, ShardServer
 from repro.net.client import _SyncChannel
@@ -66,9 +67,9 @@ class _RecordingShard:
     def ran_on(self, operation: str):
         return [thread for op, thread in self.threads if op == operation]
 
-    def serve(self, tasks, transport="float32"):
+    def serve(self, tasks, transport="float32", found=None):
         self._enter("serve")
-        return self._shard.serve(tasks, transport)
+        return self._shard.serve(tasks, transport, found)
 
     def predict(self, images, tasks):
         self._enter("predict")
@@ -233,44 +234,54 @@ def test_drain_waits_for_a_request_running_on_the_reader(served):
 
 
 # ----------------------------------------------------------------------
-# (iv) the lost race: peek says yes, the lookup then misses
+# (iv) one lookup: the reader's lookup is the serve's
 # ----------------------------------------------------------------------
-class _VanishingCache:
-    """Every entry is evicted between ``contains`` and ``get``."""
+class _CountingCache:
+    """A payload tier that counts its lookups: ``get`` and the stats-neutral ``contains``."""
 
     def __init__(self, cache) -> None:
         self._cache = cache
+        self.lookups = 0
 
     def __getattr__(self, name):
         return getattr(self._cache, name)
 
-    def contains(self, key) -> bool:
-        return True
-
     def get(self, key):
-        return None
+        self.lookups += 1
+        return self._cache.get(key)
+
+    def contains(self, key) -> bool:
+        self.lookups += 1
+        return self._cache.contains(key)
 
 
-def test_lost_race_builds_on_the_reader_and_serves_identical_bytes(served, net_pool):
+def test_a_hit_is_one_lookup_one_request_on_each_side(served):
     shard, names, _images, start = served
-    pool, _data = net_pool
-    plain = PoolShard(1, pool, names, GatewayConfig(max_workers=1))
-    try:
-        expected = plain.serve(names[:3], "raw+zlib").payload
-    finally:
-        plain.close()
-    gateway = shard.gateway
-    gateway.payload_cache = _VanishingCache(gateway.payload_cache)
     server = start()
-    with RemoteShardClient(server.address) as client:
-        response = client.serve(names[:3], "raw+zlib")
-    assert shard.ran_on("serve") == [READER]
-    assert not response.payload_cache_hit
-    assert response.payload == expected
+    front = ClusterGateway(
+        shard.pool,
+        ClusterConfig(num_shards=1, composite_payload_cache_bytes=0),
+        shard_factory=lambda *_args: RemoteShardClient(server.address),
+    )
+    try:
+        expected = front.serve(names[:2]).payload  # a miss: built in the pool
+        cache = shard.gateway.payload_cache = _CountingCache(shard.gateway.payload_cache)
+        before = cache.stats()
+        requests = (shard.gateway.metrics.counter("requests"), front.metrics.counter("requests"))
+        response = front.serve(names[:2])
+        after = cache.stats()
+    finally:
+        front.close()
+    assert response.payload_cache_hit and response.payload == expected
+    assert shard.ran_on("serve")[-1] == READER
+    assert cache.lookups == 1
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert shard.gateway.metrics.counter("requests") == requests[0] + 1
+    assert front.metrics.counter("requests") == requests[1] + 1
 
 
 # ----------------------------------------------------------------------
-# (v) the peek is stats-neutral
+# (v) hits and misses count once
 # ----------------------------------------------------------------------
 def test_hot_serves_count_once_in_cache_stats_and_requests(served):
     shard, names, _images, start = served
