@@ -146,9 +146,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     print("building self-contained micro pool (seconds)...", file=sys.stderr)
     pool, _data = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
     replicas = args.replicas if args.networked else 1
-    config = ClusterConfig(
-        num_shards=args.shards, workers_per_shard=2, replicas_per_shard=replicas
-    )
+    config = ClusterConfig(num_shards=args.shards, replicas_per_shard=replicas)
     networked = None
     if args.networked:
         from .net import NetworkedCluster
@@ -366,7 +364,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
     print("building self-contained micro pool (seconds)...", file=sys.stderr)
     pool, data = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
     names = sorted(pool.expert_names())
-    config = ClusterConfig(num_shards=args.shards, workers_per_shard=2)
+    config = ClusterConfig(num_shards=args.shards)
     networked = None
     if args.networked:
         from .net import NetworkedCluster
@@ -434,9 +432,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     pool, data = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
     names = sorted(pool.expert_names())
     replicas = args.replicas if args.networked else 1
-    config = ClusterConfig(
-        num_shards=args.shards, workers_per_shard=2, replicas_per_shard=replicas
-    )
+    config = ClusterConfig(num_shards=args.shards, replicas_per_shard=replicas)
     networked = None
     if args.networked:
         from .net import NetworkedCluster

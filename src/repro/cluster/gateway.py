@@ -106,6 +106,7 @@ from ..obs.journal import JOURNAL
 from ..serving.cache import BYTES_PER_PARAM, ByteBudgetLRU, CacheStats, merge_cache_stats
 from ..serving.canonical import TaskQuery, canonical_tasks
 from ..serving.gateway import (
+    TRUNK_CACHE_BYTES,
     GatewayConfig,
     GatewayResponse,
     PredictionResponse,
@@ -123,6 +124,9 @@ __all__ = ["ClusterConfig", "ClusterGateway", "RebalanceReport"]
 #: pushes.  It must be float-exact (``float32`` or ``raw+zlib``, never
 #: ``uint8``) so a cross-shard composite matches a single pool bit-for-bit.
 _FETCH_TRANSPORT = "raw+zlib"
+#: Request threads of each shard gateway; the cluster's own ``submit``
+#: pool runs this many per shard.
+WORKERS_PER_SHARD = 2
 #: Shard id → the task group it answers for one query.
 Plan = Dict[int, Tuple[str, ...]]
 
@@ -150,51 +154,35 @@ class ClusterConfig:
     """Operating envelope of a :class:`ClusterGateway`."""
 
     num_shards: int = 4
-    replication: int = 1
-    workers_per_shard: int = 2
     #: Process-level worker replicas per shard slot (networked fleets):
     #: >1 enables failover and hedged reads.  In-process clusters ignore
     #: it — a thread crash takes the whole process with it anyway.
     replicas_per_shard: int = 1
+    #: Every shard gateway's model and payload tiers.
     shard_model_cache_bytes: int = 64 << 20
     shard_payload_cache_bytes: int = 64 << 20
+    #: The front end's model tier (cross-shard ``predict`` / ``get_model``).
     composite_model_cache_bytes: int = 64 << 20
     #: The front end's payload tier: every composite, single-shard ones
     #: (relayed from their shard on a miss) and cross-shard ones (built
     #: here).  An entry is charged its container head plus any segment
     #: that is not the parent pool's own; 0 makes the tier a pass-through.
     composite_payload_cache_bytes: int = 64 << 20
-    #: One content-addressed trunk-feature cache shared by every shard and
-    #: the cluster front end (all shard views share one frozen library).
-    trunk_cache_bytes: int = 64 << 20
     #: Version-keyed LRU of deserialized remote heads, so cross-shard
     #: composites stop refetching the same expert payload per build.
     remote_head_cache_bytes: int = 32 << 20
-    #: Prediction-result (logits) cache budget — per shard gateway *and*
-    #: for the cluster-level cross-shard predict path (0 disables).
-    result_cache_bytes: int = 8 << 20
-    #: Micro-batch knobs forwarded to every shard gateway: hard cap on
-    #: images per ``submit_predict`` drain, and the adaptive window floor.
-    max_batch_images: int = 2048
-    min_batch_images: int = 64
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.workers_per_shard < 1:
-            raise ValueError("workers_per_shard must be >= 1")
         if self.replicas_per_shard < 1:
             raise ValueError("replicas_per_shard must be >= 1")
 
     def shard_gateway_config(self) -> GatewayConfig:
         return GatewayConfig(
-            max_workers=self.workers_per_shard,
+            max_workers=WORKERS_PER_SHARD,
             model_cache_bytes=self.shard_model_cache_bytes,
             payload_cache_bytes=self.shard_payload_cache_bytes,
-            trunk_cache_bytes=self.trunk_cache_bytes,
-            result_cache_bytes=self.result_cache_bytes,
-            max_batch_images=self.max_batch_images,
-            min_batch_images=self.min_batch_images,
         )
 
 
@@ -229,20 +217,12 @@ class ClusterGateway:
         self.pool = pool
         self.config = config or ClusterConfig()
         self.router = router or ShardRouter(
-            self.config.num_shards,
-            replication=self.config.replication,
-            replicas_per_shard=self.config.replicas_per_shard,
+            self.config.num_shards, replicas_per_shard=self.config.replicas_per_shard
         )
         if self.router.num_shards != self.config.num_shards:
             raise ValueError(
                 f"router has {self.router.num_shards} shards, "
                 f"config says {self.config.num_shards}"
-            )
-        if router is not None and router.replication != self.config.replication:
-            raise ValueError(
-                f"router replicates {router.replication}x, "
-                f"config says {self.config.replication}x — make them agree "
-                "(per-task overrides go through router.replicate())"
             )
         self.metrics = metrics or ClusterMetrics()
         self._placement_lock = threading.Lock()
@@ -259,7 +239,7 @@ class ClusterGateway:
                 assignment[shard_id].append(name)
         # one shared trunk-feature cache: every shard view runs the same
         # frozen library, so features are reusable cluster-wide
-        self.trunk_cache = TrunkFeatureCache(self.config.trunk_cache_bytes)
+        self.trunk_cache = TrunkFeatureCache(TRUNK_CACHE_BYTES)
         # shard_factory(shard_id, task_names, gateway_config, trunk_cache)
         # decides the backend: in-process PoolShards by default, or remote
         # worker processes via repro.net's ShardWorkerFleet.shard_factory.
@@ -304,7 +284,6 @@ class ClusterGateway:
             GatewayConfig(
                 model_cache_bytes=self.config.composite_model_cache_bytes,
                 payload_cache_bytes=self.config.composite_payload_cache_bytes,
-                result_cache_bytes=self.config.result_cache_bytes,
             ),
             metrics=self.metrics,
             trunk_cache=self.trunk_cache,
@@ -401,8 +380,8 @@ class ClusterGateway:
     ) -> "Future[GatewayResponse]":
         """Dispatch one query onto the cluster worker pool.
 
-        The pool is sized ``workers_per_shard * num_shards`` — serving
-        capacity grows with the cluster.
+        The pool is sized :data:`WORKERS_PER_SHARD` ``* num_shards`` —
+        serving capacity grows with the cluster.
         """
         enqueued_at = perf_counter()
         return self._ensure_executor().submit(self._serve, tasks, transport, enqueued_at)
@@ -1236,11 +1215,7 @@ class ClusterGateway:
             plans, transfers, retiring=retiring, force_epoch=True
         )
         self.router = new_router
-        self.config = replace(
-            self.config,
-            num_shards=new_num_shards,
-            replication=new_replication,
-        )
+        self.config = replace(self.config, num_shards=new_num_shards)
         # retiring slots are the tail, so popping from the end keeps
         # self.shards index-aligned with shard ids throughout
         for shard_id in sorted(retiring, reverse=True):
@@ -1277,7 +1252,7 @@ class ClusterGateway:
                 raise RuntimeError("cluster gateway is closed")
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers_per_shard * len(self.shards),
+                    max_workers=WORKERS_PER_SHARD * len(self.shards),
                     thread_name_prefix="poe-cluster",
                 )
             return self._executor

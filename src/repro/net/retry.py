@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from .frame import IDEMPOTENT_MSG_TYPES, MUTATION_MSG_TYPES, MsgType
@@ -108,6 +108,13 @@ DEFAULT_OP_TIMEOUTS: Mapping[int, float] = {
     MsgType.DROP_HEADS: 30.0,
     MsgType.REFRESH_LIBRARY: 120.0,
 }
+#: Deadline (seconds) of a message type the table does not name.
+DEFAULT_TIMEOUT = 30.0
+#: Backoff ceiling (seconds) before the first retry; it doubles per retry.
+BASE_DELAY = 0.05
+#: Latency observations a hedge delay needs before it follows their
+#: quantile; until then it is the policy's ``min_delay``.
+HEDGE_MIN_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -116,22 +123,18 @@ class RetryPolicy:
 
     ``max_attempts`` counts total tries (1 = no retry).  Sleep before
     attempt ``k`` (k >= 1) is uniformly drawn from
-    ``[0, min(base_delay * 2**(k-1), max_delay)]`` — full jitter, so a
+    ``[0, min(BASE_DELAY * 2**(k-1), max_delay)]`` — full jitter, so a
     fleet of clients hammered by the same dead replica doesn't
     resynchronize into retry waves.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.05
     max_delay: float = 2.0
-    op_timeouts: Mapping[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_OP_TIMEOUTS)
-    )
-    default_timeout: float = 30.0
 
     def timeout_for(self, msg_type: int) -> float:
-        """The deadline for one attempt of ``msg_type``."""
-        return float(self.op_timeouts.get(msg_type, self.default_timeout))
+        """The deadline for one attempt of ``msg_type``: its
+        :data:`DEFAULT_OP_TIMEOUTS` entry, else :data:`DEFAULT_TIMEOUT`."""
+        return DEFAULT_OP_TIMEOUTS.get(msg_type, DEFAULT_TIMEOUT)
 
     def attempts_for(self, msg_type: int) -> int:
         """Total delivery attempts allowed: 1 unless idempotent or a
@@ -165,7 +168,7 @@ class RetryPolicy:
         """Sleep before retry number ``attempt`` (1-based); full jitter."""
         if attempt < 1:
             return 0.0
-        ceiling = min(self.base_delay * (2.0 ** (attempt - 1)), self.max_delay)
+        ceiling = min(BASE_DELAY * (2.0 ** (attempt - 1)), self.max_delay)
         draw = (rng or random).uniform(0.0, ceiling)
         return draw
 
@@ -261,16 +264,15 @@ class HedgePolicy:
 
     The hedge fires once the first attempt has been in flight longer
     than the ``quantile`` of recently observed latencies (clamped to
-    ``[min_delay, max_delay]``); before ``min_samples`` observations the
-    clamp floor is used.  ``enabled=False`` turns hedging off without
-    ripping out the call sites.
+    ``[min_delay, max_delay]``); before :data:`HEDGE_MIN_SAMPLES`
+    observations the clamp floor is used.  ``enabled=False`` turns
+    hedging off without ripping out the call sites.
     """
 
     enabled: bool = True
     quantile: float = 0.95
     min_delay: float = 0.01
     max_delay: float = 1.0
-    min_samples: int = 8
 
 
 class LatencyTracker:
@@ -309,7 +311,7 @@ class LatencyTracker:
 
     def hedge_delay(self, policy: HedgePolicy) -> float:
         """The in-flight duration after which a hedge should fire."""
-        if len(self) < policy.min_samples:
+        if len(self) < HEDGE_MIN_SAMPLES:
             return policy.min_delay
         value = self.quantile(policy.quantile)
         if value is None:

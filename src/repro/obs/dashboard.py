@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .health import HealthScorer
+from .health import SLO_STAGE, HealthScorer
 from .journal import EventJournal
 from .timeline import TimelineStore
 
@@ -93,7 +93,7 @@ def render_dashboard(
     lines: List[str] = []
     lines.append(
         f"{title} — SLO p{scorer.policy.objective_quantile * 100:.0f} "
-        f"{scorer.policy.slo_stage} < {scorer.policy.latency_slo_s * 1e3:.0f}ms"
+        f"{SLO_STAGE} < {scorer.policy.latency_slo_s * 1e3:.0f}ms"
         f" — {len(health)} sources"
     )
     lines.append("-" * min(width, 100))
@@ -107,10 +107,7 @@ def render_dashboard(
         badge = _STATE_BADGES.get(str(verdict["state"]), "?? ")
         hit = _best_hit_rate(store, source)
         qps_hist = sparkline(store.values(f"{source}.qps"), spark_w)
-        stage = scorer.policy.slo_stage
-        p95_hist = sparkline(
-            store.values(f"{source}.stage.{stage}.p95"), spark_w
-        )
+        p95_hist = sparkline(store.values(f"{source}.stage.{SLO_STAGE}.p95"), spark_w)
         epoch = store.last(f"{source}.epoch")
         lines.append(
             f"{source:<10} {badge:<4} {_fmt_rate(verdict.get('qps')):>5} "

@@ -6,9 +6,9 @@ it reads a source's recent series out of a
 
 * ``unreachable`` — the latest ``<source>.up`` sample is 0 (the poller
   could not collect a snapshot), or no poll has landed at all;
-* ``degraded`` — the SLO burn rate over the window is ≥ the policy's
-  ``burn_threshold``, or the error-rate share of traffic exceeds
-  ``max_error_rate``;
+* ``degraded`` — the SLO burn rate over the window is ≥
+  :data:`BURN_THRESHOLD`, or the error-rate share of traffic reaches
+  :data:`MAX_ERROR_RATE`;
 * ``healthy`` — otherwise.
 
 **Burn rate** follows the SRE convention: the fraction of requests
@@ -37,6 +37,14 @@ from .timeline import TimelineStore
 
 __all__ = ["HealthPolicy", "HealthScorer", "estimate_breach_fraction"]
 
+#: The stage whose latency the objective covers: the whole request.
+SLO_STAGE = "total"
+#: Mean burn rate over the window at/above which a source is degraded:
+#: the error budget is being spent faster than the objective allows.
+BURN_THRESHOLD = 1.0
+#: Errors-per-request share at/above which a source is degraded.
+MAX_ERROR_RATE = 0.05
+
 #: Known quantile gauge points, highest quantile first.
 _QUANTILE_POINTS: Tuple[Tuple[str, float], ...] = (
     ("p99", 0.99),
@@ -47,19 +55,13 @@ _QUANTILE_POINTS: Tuple[Tuple[str, float], ...] = (
 
 @dataclass(frozen=True)
 class HealthPolicy:
-    """The latency objective and thresholds a deployment scores against."""
+    """The latency objective a deployment scores against."""
 
     #: Latency objective in seconds: ``objective_quantile`` of requests
-    #: should finish within this.
+    #: (of the :data:`SLO_STAGE` stage) should finish within this.
     latency_slo_s: float = 0.25
-    #: Which stage's latency the SLO covers.
-    slo_stage: str = "total"
     #: Quantile the objective targets (0.95 → 5 % error budget).
     objective_quantile: float = 0.95
-    #: Mean burn rate over the window at/above which a shard is degraded.
-    burn_threshold: float = 1.0
-    #: Errors-per-request share at/above which a shard is degraded.
-    max_error_rate: float = 0.05
 
     def __post_init__(self) -> None:
         if self.latency_slo_s <= 0:
@@ -126,10 +128,9 @@ class HealthScorer:
     def burn_rate(self, source: str) -> float:
         """Mean SLO burn rate for ``source`` over its window."""
         policy = self.policy
-        stage = policy.slo_stage
-        p50s = self.store.values(f"{source}.stage.{stage}.p50")
-        p95s = self.store.values(f"{source}.stage.{stage}.p95")
-        p99s = self.store.values(f"{source}.stage.{stage}.p99")
+        p50s = self.store.values(f"{source}.stage.{SLO_STAGE}.p50")
+        p95s = self.store.values(f"{source}.stage.{SLO_STAGE}.p95")
+        p99s = self.store.values(f"{source}.stage.{SLO_STAGE}.p99")
         n = max(len(p50s), len(p95s), len(p99s))
         if n == 0:
             return 0.0
@@ -169,14 +170,14 @@ class HealthScorer:
         burn = self.burn_rate(source)
         err = self.error_rate(source)
         if state == "healthy":
-            if burn >= self.policy.burn_threshold:
+            if burn >= BURN_THRESHOLD:
                 state = "degraded"
                 reasons.append(
                     f"SLO burn {burn:.2f}x over "
                     f"{self.policy.latency_slo_s * 1e3:.0f}ms "
                     f"p{self.policy.objective_quantile * 100:.0f} objective"
                 )
-            if err >= self.policy.max_error_rate:
+            if err >= MAX_ERROR_RATE:
                 state = "degraded"
                 reasons.append(f"error rate {err:.1%}")
             open_breakers = self.store.last(f"{source}.breakers.open")
@@ -197,10 +198,7 @@ class HealthScorer:
             "burn_rate": round(burn, 4),
             "error_rate": round(err, 4),
             "qps": round(self.store.last(f"{source}.qps") or 0.0, 3),
-            "p95": self.store.last(
-                f"{source}.stage.{self.policy.slo_stage}.p95"
-            )
-            or 0.0,
+            "p95": self.store.last(f"{source}.stage.{SLO_STAGE}.p95") or 0.0,
             "reasons": reasons,
         }
 

@@ -55,7 +55,7 @@ never-repeated traffic computes and answers but stores nothing.
 ``submit_predict()`` adds cross-request micro-batching: concurrent small
 prediction requests coalesce so the shared trunk runs **once** per drain
 over the union of their images, whatever composite each request asked
-for; drains are capped at ``max_batch_images`` and sized by an adaptive
+for; drains are capped at :data:`MAX_BATCH_IMAGES` and sized by an adaptive
 window (grow under load, shrink when idle).
 
 **Public entry points.**  Model delivery: :meth:`ServingGateway.serve`
@@ -119,6 +119,12 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+#: Budget of the content-addressed trunk-feature cache a gateway makes
+#: when none is passed in; a cluster shares one of this size.
+TRUNK_CACHE_BYTES = 64 << 20
+#: Hard cap on images per ``submit_predict`` micro-batch drain; bounds
+#: the worst-case latency one drain can add to a small request.
+MAX_BATCH_IMAGES = 2048
 #: Stands in for ``_snapshot`` on one build (a cluster hands its plan / fetched heads down).
 Seam = Optional[Callable[[Tuple[str, ...]], PoolSnapshot]]
 #: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard,
@@ -179,26 +185,20 @@ class GatewayConfig:
     max_workers: int = 4
     model_cache_bytes: int = 128 << 20
     payload_cache_bytes: int = 128 << 20
-    #: Budget of the content-addressed trunk-feature cache (0 disables).
-    trunk_cache_bytes: int = 64 << 20
     #: Budget of the prediction-result (logits) cache, keyed on
     #: ``(image digest, canonical tasks, versions)`` — a fully
     #: repeated request skips even the fused heads (0 disables).
     result_cache_bytes: int = 8 << 20
-    #: Hard cap on images per ``submit_predict`` micro-batch drain; bounds
-    #: the worst-case latency one drain can add to a small request.
-    max_batch_images: int = 2048
     #: Floor of the adaptive drain window (the window starts here, doubles
-    #: while drains leave a backlog, and halves back when drains run light).
+    #: while drains leave a backlog up to :data:`MAX_BATCH_IMAGES`, and
+    #: halves back when drains run light).
     min_batch_images: int = 64
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.min_batch_images < 1:
-            raise ValueError("min_batch_images must be >= 1")
-        if self.max_batch_images < self.min_batch_images:
-            raise ValueError("max_batch_images must be >= min_batch_images")
+        if not 1 <= self.min_batch_images <= MAX_BATCH_IMAGES:
+            raise ValueError(f"min_batch_images must be within [1, {MAX_BATCH_IMAGES}]")
 
 
 @dataclass(frozen=True)
@@ -411,9 +411,7 @@ class ServingGateway:
         # explicit None check: an empty cache is falsy (len() == 0), and a
         # shared instance usually arrives empty
         self.trunk_cache = (
-            trunk_cache
-            if trunk_cache is not None
-            else TrunkFeatureCache(self.config.trunk_cache_bytes)
+            trunk_cache if trunk_cache is not None else TrunkFeatureCache(TRUNK_CACHE_BYTES)
         )
         # fully-materialized answers: logits keyed (digest, tasks, versions)
         self.result_cache = ByteBudgetLRU(self.config.result_cache_bytes, name="result")
@@ -423,7 +421,7 @@ class ServingGateway:
         # append to the tail — O(1) each, under the same hot lock
         self._pending_predictions: Deque[_PendingPrediction] = deque()
         # adaptive micro-batch window (images per drain), bounded by
-        # [min_batch_images, max_batch_images]; guarded by _predict_lock
+        # [min_batch_images, MAX_BATCH_IMAGES]; guarded by _predict_lock
         self._predict_window = self.config.min_batch_images
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
@@ -887,7 +885,7 @@ class ServingGateway:
         oversized request is still taken whole — it cannot be split.
         Leftover requests stay queued and are picked up by the drain tasks
         their own submissions scheduled.  The window doubles (up to
-        ``max_batch_images``) when a drain leaves a backlog and halves
+        :data:`MAX_BATCH_IMAGES`) when a drain leaves a backlog and halves
         (down to ``min_batch_images``) when a drain runs at under half the
         window — batch more under load, less when idle.
         """
@@ -902,7 +900,7 @@ class ServingGateway:
                 batch.append(self._pending_predictions.popleft())
                 total += size
             if self._pending_predictions:
-                self._predict_window = min(window * 2, self.config.max_batch_images)
+                self._predict_window = min(window * 2, MAX_BATCH_IMAGES)
             elif batch and total <= window // 2:
                 self._predict_window = max(window // 2, self.config.min_batch_images)
         return batch, total

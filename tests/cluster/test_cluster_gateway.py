@@ -9,7 +9,7 @@ from repro.distill import batched_forward
 
 
 def _make(pool, **overrides):
-    defaults = dict(num_shards=4, workers_per_shard=1)
+    defaults = dict(num_shards=4)
     defaults.update(overrides)
     return ClusterGateway(pool, ClusterConfig(**defaults))
 
@@ -196,9 +196,7 @@ class TestReplication:
         hot = names[0]
         router = ShardRouter(num_shards=4)
         router.replicate(hot, 4)
-        cluster = ClusterGateway(
-            pool, ClusterConfig(num_shards=4, workers_per_shard=1), router=router
-        )
+        cluster = ClusterGateway(pool, ClusterConfig(num_shards=4), router=router)
         try:
             partner = next(
                 n for n in names[1:] if router.shard_for(n) != router.shard_for(hot)
@@ -209,16 +207,6 @@ class TestReplication:
             assert len(cluster.shards_of(hot)) == 4
         finally:
             cluster.close()
-
-
-    def test_router_replication_must_match_config(self, wide_pool):
-        pool, _ = wide_pool
-        with pytest.raises(ValueError, match="replicates"):
-            ClusterGateway(
-                pool,
-                ClusterConfig(num_shards=4),
-                router=ShardRouter(4, replication=2),
-            )
 
 
 class TestRebalance:

@@ -9,7 +9,7 @@ from tests.conftest import assert_fused_ids_match
 
 
 def _make(pool, **overrides):
-    defaults = dict(num_shards=4, workers_per_shard=1)
+    defaults = dict(num_shards=4)
     defaults.update(overrides)
     return ClusterGateway(pool, ClusterConfig(**defaults))
 

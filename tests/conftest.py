@@ -52,6 +52,37 @@ def followers_joined(monkeypatch):
     return arm
 
 
+@pytest.fixture(scope="module")
+def poisoned_workspace():
+    """Fused walkers whose scratch is NaN-filled after every call.
+
+    After each ``FusedTrunk`` / ``FusedHeadBank`` call, the calling
+    thread's workspace slabs are overwritten with NaN, the padded-input
+    slabs excepted (the walkers rely on their zero border).  An answer
+    still viewing a slab then reads NaN, so a test that passes under this
+    shows that no result handed out is a live workspace view.  Module
+    scope: a hypothesis test may not take a function-scoped fixture.
+    """
+    from repro.models import fused_head
+    from repro.nn import fused
+
+    def poisoning(call):
+        def poisoned(self, *args, **kwargs):
+            try:
+                return call(self, *args, **kwargs)
+            finally:
+                for key, slab in fused._WORKSPACE._slabs.items():
+                    if not (isinstance(key, tuple) and key[0] == "padded"):
+                        slab.fill(np.nan)
+
+        return poisoned
+
+    with pytest.MonkeyPatch.context() as patch:
+        for walker in (fused.FusedTrunk, fused_head.FusedHeadBank):
+            patch.setattr(walker, "__call__", poisoning(walker.__call__))
+        yield
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -294,7 +294,7 @@ class TestReplication:
         )
         gateway = ClusterGateway(
             control_pool,
-            ClusterConfig(num_shards=2, workers_per_shard=1),
+            ClusterConfig(num_shards=2),
             controller=controller,
         )
         try:

@@ -345,14 +345,12 @@ def test_missing_malloc_trim_is_a_no_op(monkeypatch):
 # ----------------------------------------------------------------------
 CHAOS_CONFIG = ClusterConfig(
     num_shards=2,
-    workers_per_shard=2,
     replicas_per_shard=2,
     # front-end caches off so queries keep crossing the wire through the
     # kill window instead of being absorbed by the composite cache
     composite_model_cache_bytes=0,
     composite_payload_cache_bytes=0,
     remote_head_cache_bytes=0,
-    result_cache_bytes=0,
 )
 
 
@@ -367,9 +365,7 @@ def _queries(cluster):
 
 def test_chaos_kill_is_invisible_to_clients(net_pool):
     pool, _data = net_pool
-    with ClusterGateway(
-        pool, ClusterConfig(num_shards=2, workers_per_shard=2)
-    ) as local:
+    with ClusterGateway(pool, ClusterConfig(num_shards=2)) as local:
         queries = _queries(local)
         expected = {q: local.serve(q).payload for q in queries}
     JOURNAL.reset()
@@ -431,6 +427,9 @@ def test_chaos_kill_is_invisible_to_clients(net_pool):
             assert len(results) > len(queries)
             for query, payload in results:
                 assert payload == expected[query], query
+            # the front tiers are off: every serve crossed the wire
+            roundtrips = deployment.metrics.snapshot()["stages"]["net_roundtrip"]
+            assert roundtrips["count"] >= len(results)
 
             # the killed slot holds a fresh, live process
             killed_shard, killed_replica, killed_pid = monkey.kills[0]

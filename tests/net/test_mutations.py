@@ -89,7 +89,7 @@ def test_retried_mutation_is_acked_as_replay_not_reapplied(mutable_shard):
 def test_replay_across_process_boundary_applies_exactly_once(net_pool):
     """The two-process version: a forked worker journals mutation ids."""
     pool, _data = net_pool
-    config = ClusterConfig(num_shards=1, workers_per_shard=2)
+    config = ClusterConfig(num_shards=1)
     with NetworkedCluster(pool, config) as deployment:
         gateway = deployment.gateway
         remote = gateway.shards[0]
@@ -218,22 +218,18 @@ def test_networked_cluster_auto_provisions_a_shared_token(net_pool):
 # ----------------------------------------------------------------------
 RESHARD_CONFIG = ClusterConfig(
     num_shards=2,
-    workers_per_shard=2,
     replicas_per_shard=2,
     # front-end caches off so queries keep crossing the wire through the
     # reshard + kill window instead of being absorbed by caches
     composite_model_cache_bytes=0,
     composite_payload_cache_bytes=0,
     remote_head_cache_bytes=0,
-    result_cache_bytes=0,
 )
 
 
 def test_chaos_reshard_grow_and_shrink_is_invisible_to_clients(net_pool):
     pool, _data = net_pool
-    with ClusterGateway(
-        pool, ClusterConfig(num_shards=2, workers_per_shard=2)
-    ) as local:
+    with ClusterGateway(pool, ClusterConfig(num_shards=2)) as local:
         names = sorted(local.available_tasks())
         queries = [(n,) for n in names] + [(names[0], names[1])]
         expected = {q: local.serve(q).payload for q in queries}
@@ -293,6 +289,9 @@ def test_chaos_reshard_grow_and_shrink_is_invisible_to_clients(net_pool):
 
             assert errors == [] and wrong == []
             assert count[0] > 3 * len(queries)
+            # the front tiers are off: every serve crossed the wire
+            roundtrips = deployment.metrics.snapshot()["stages"]["net_roundtrip"]
+            assert roundtrips["count"] >= count[0]
 
             # epochs advanced monotonically; both reshards journaled
             assert report_grow.epoch >= 1

@@ -34,7 +34,7 @@ from repro.net import (
 from repro.net.frame import FrameDecoder, encode_frame, json_payload, parse_json
 from repro.serving import GatewayConfig
 
-CONFIG = ClusterConfig(num_shards=2, workers_per_shard=2)
+CONFIG = ClusterConfig(num_shards=2)
 
 
 def _cross_shard_query(cluster) -> tuple:

@@ -22,7 +22,13 @@ from repro.net import (
     ShardDrainingError,
 )
 from repro.net.frame import FrameError
-from repro.net.retry import DEFAULT_OP_TIMEOUTS, RETRYABLE_EXCEPTIONS
+from repro.net.retry import (
+    BASE_DELAY,
+    DEFAULT_OP_TIMEOUTS,
+    DEFAULT_TIMEOUT,
+    HEDGE_MIN_SAMPLES,
+    RETRYABLE_EXCEPTIONS,
+)
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +57,7 @@ def test_per_op_timeouts_replace_the_single_socket_timeout():
     assert policy.timeout_for(MsgType.PING) == DEFAULT_OP_TIMEOUTS[MsgType.PING]
     assert policy.timeout_for(MsgType.PING) < policy.timeout_for(MsgType.SERVE)
     # unknown types fall back to the default deadline
-    assert policy.timeout_for(MsgType.HELLO) == policy.default_timeout
+    assert policy.timeout_for(MsgType.HELLO) == DEFAULT_TIMEOUT
 
 
 @pytest.mark.parametrize(
@@ -82,11 +88,11 @@ def test_frame_error_excluded_despite_being_a_value_error():
 
 
 def test_backoff_is_bounded_exponential_with_full_jitter():
-    policy = RetryPolicy(base_delay=0.1, max_delay=0.5)
+    policy = RetryPolicy(max_delay=3 * BASE_DELAY)
     rng = random.Random(7)
-    for attempt, ceiling in ((1, 0.1), (2, 0.2), (3, 0.4), (4, 0.5), (10, 0.5)):
+    for attempt, ceiling in ((1, 1), (2, 2), (3, 3), (4, 3), (10, 3)):
         draws = [policy.backoff(attempt, rng) for _ in range(50)]
-        assert all(0.0 <= d <= ceiling for d in draws)
+        assert all(0.0 <= d <= ceiling * BASE_DELAY for d in draws)
     # full jitter: draws actually vary (not a fixed schedule)
     assert len({round(policy.backoff(3, rng), 9) for _ in range(20)}) > 1
     assert policy.backoff(0) == 0.0
@@ -184,11 +190,11 @@ def test_breaker_rejects_bad_threshold():
 # ----------------------------------------------------------------------
 def test_hedge_delay_uses_floor_until_enough_samples():
     tracker = LatencyTracker()
-    policy = HedgePolicy(min_delay=0.02, min_samples=8)
+    policy = HedgePolicy(min_delay=0.02)
     assert tracker.hedge_delay(policy) == 0.02
-    for _ in range(7):
+    for _ in range(HEDGE_MIN_SAMPLES - 1):
         tracker.observe(0.5)
-    assert tracker.hedge_delay(policy) == 0.02  # still below min_samples
+    assert tracker.hedge_delay(policy) == 0.02  # still below HEDGE_MIN_SAMPLES
 
 
 def test_hedge_delay_tracks_quantile_clamped():

@@ -16,7 +16,7 @@ from repro.cluster import ClusterConfig
 from repro.net import NetworkedCluster
 from repro.obs import EventJournal, HealthScorer, TelemetryPoller, render_dashboard
 
-CONFIG = ClusterConfig(num_shards=2, workers_per_shard=2)
+CONFIG = ClusterConfig(num_shards=2)
 
 
 class TestNetworkedTelemetry:

@@ -39,7 +39,7 @@ from repro.net.frame import (
 from repro.obs import TRACER, JsonlTraceWriter, build_trace_tree, load_jsonl_spans
 from repro.serving import SNAPSHOT_SCHEMA, GatewayConfig
 
-CONFIG = ClusterConfig(num_shards=2, workers_per_shard=2)
+CONFIG = ClusterConfig(num_shards=2)
 
 
 @pytest.fixture(autouse=True)

@@ -106,6 +106,16 @@ class TestHealthScorer:
         assert verdict["state"] == "degraded"
         assert any("SLO burn" in r for r in verdict["reasons"])
 
+    def test_the_objective_decides_the_verdict(self):
+        # one series: its p95 of 100 ms keeps a 250 ms objective (burn 0.7)
+        # and breaks a 20 ms one (burn ~9)
+        store = _store_with("shard0", p50=0.01, p95=0.1, p99=0.5)
+        loose = self._scorer(store, latency_slo_s=0.25).score("shard0")
+        tight = self._scorer(store, latency_slo_s=0.02).score("shard0")
+        assert loose["state"] == "healthy"
+        assert tight["state"] == "degraded"
+        assert tight["burn_rate"] > 1.0 > loose["burn_rate"]
+
     def test_error_share_degrades(self):
         store = _store_with("shard0", errors=2.0, qps=10.0)  # 20% errors
         verdict = self._scorer(store, latency_slo_s=0.25).score("shard0")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import repro.serving.gateway as serving_gateway
 from repro.cluster import ClusterConfig, ClusterGateway, ShardRouter
 from repro.core import array_digest, serialize_task_model
+from repro.core.features import TrunkFeatureCache
 from repro.core.pool import LIBRARY_TASK, PoolSnapshot
 from repro.distill import TrainConfig, batched_forward
 from repro.models import FusedHeadBank, bank_share_nbytes, frozen_param_count
@@ -26,6 +27,10 @@ from repro.nn.fused import FusedTrunk, fused_trunk_for
 from repro.serving import GatewayConfig, ServingGateway
 from repro.serving.canonical import payload_key
 from tests.conftest import assert_fused_ids_match
+
+# every fused walker's scratch is NaN-filled after each call: no answer
+# handed out may be a live workspace view
+pytestmark = pytest.mark.usefixtures("poisoned_workspace")
 
 TRANSPORTS = ("float32", "raw+zlib", "uint8")
 _QUICK = TrainConfig(epochs=1, batch_size=64, lr=0.05, seed=0)
@@ -99,11 +104,9 @@ _STEP = st.tuples(
 #: KiB here, a payload head 250-440 B, a feature map 7 KiB, an answer
 #: 100 B): superseded entries must age out inside it.
 _TIGHT = GatewayConfig(
-    model_cache_bytes=320 << 10,
-    payload_cache_bytes=1 << 10,
-    trunk_cache_bytes=16 << 10,
-    result_cache_bytes=256,
+    model_cache_bytes=320 << 10, payload_cache_bytes=1 << 10, result_cache_bytes=256
 )
+_TIGHT_TRUNK_BYTES = 16 << 10
 
 
 def _assert_pool_frozen(holders):
@@ -186,7 +189,7 @@ def test_served_bytes_follow_every_mutation(named_pool, steps):
     gateway = ServingGateway(pool)
     # every tier off: a serve is snapshot + serialize, as on serve_cold_inproc
     cold = ServingGateway(pool, GatewayConfig(model_cache_bytes=0, payload_cache_bytes=0))
-    tight = ServingGateway(pool, _TIGHT)
+    tight = ServingGateway(pool, _TIGHT, trunk_cache=TrunkFeatureCache(_TIGHT_TRUNK_BYTES))
     cluster = ClusterGateway(pool, ClusterConfig(num_shards=2))
     detached, fresh = {}, {}
     try:

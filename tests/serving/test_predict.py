@@ -6,9 +6,14 @@ import threading
 import numpy as np
 import pytest
 
+import repro.serving.gateway as serving_gateway
 from repro.core.features import TrunkFeatureCache, array_digest
 from repro.serving import GatewayConfig, ServingGateway
 from tests.conftest import assert_fused_ids_match
+
+# every fused walker's scratch is NaN-filled after each call: no answer
+# handed out may be a live workspace view
+pytestmark = pytest.mark.usefixtures("poisoned_workspace")
 
 
 @pytest.fixture()
@@ -82,9 +87,9 @@ class TestAdmission:
     def test_never_repeated_stream_stores_nothing(self, named_pool, entry):
         pool, data, _ = named_pool
         stream = [data.test.images[i * 5 : (i + 1) * 5] for i in range(6)]
-        off = GatewayConfig(max_workers=1, trunk_cache_bytes=0, result_cache_bytes=0)
+        off = GatewayConfig(max_workers=1, result_cache_bytes=0)
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw, ServingGateway(
-            pool, off
+            pool, off, trunk_cache=TrunkFeatureCache(0)
         ) as bare:
             for x in stream:
                 gated = _ask(gw, entry, x, ["pets", "birds"])
@@ -368,26 +373,29 @@ class TestAdaptiveMicroBatching:
             pool, GatewayConfig(max_workers=1, **config_kwargs)
         )
         release = threading.Event()
-        blocker = gw._ensure_executor().submit(release.wait)
+        # bounded: an assertion failing before release.set() must not hang
+        # the gateway's close on this blocker
+        blocker = gw._ensure_executor().submit(release.wait, 60)
         return gw, release, blocker
 
-    def test_drains_capped_at_max_batch_images(self, named_pool):
-        """No drain gathers more images than max_batch_images."""
+    def test_drains_capped_at_max_batch_images(self, named_pool, monkeypatch):
+        """No drain gathers more images than MAX_BATCH_IMAGES."""
         pool, data, _ = named_pool
-        gw, release, blocker = self._blocked_gateway(
-            pool, min_batch_images=8, max_batch_images=8
-        )
+        monkeypatch.setattr(serving_gateway, "MAX_BATCH_IMAGES", 8)
+        gw, release, blocker = self._blocked_gateway(pool, min_batch_images=4)
         with gw:
+            # 24 images: drains of 4 and 8 leave a backlog each, so an
+            # uncapped window would take the last 12 in one drain
             futures = [
                 gw.submit_predict(data.test.images[i * 4 : (i + 1) * 4], ["fish"])
-                for i in range(4)  # 16 images against an 8-image cap
+                for i in range(6)
             ]
             release.set()
             results = [f.result(timeout=30) for f in futures]
             blocker.result(timeout=30)
-            assert gw.metrics.counter("predict_batches") >= 2
+            assert gw.metrics.counter("predict_batches") >= 3
             drain_sizes = gw.metrics.snapshot()["stages"]["predict_drain_images"]
-            assert drain_sizes["max"] <= 8
+            assert drain_sizes["max"] == 8
         network, composite = pool.consolidate(["fish"])
         from repro.distill import batched_forward
 
@@ -400,9 +408,7 @@ class TestAdaptiveMicroBatching:
     def test_window_grows_under_load(self, named_pool):
         """A drain that leaves a backlog doubles the window (up to the cap)."""
         pool, data, _ = named_pool
-        gw, release, blocker = self._blocked_gateway(
-            pool, min_batch_images=4, max_batch_images=64
-        )
+        gw, release, blocker = self._blocked_gateway(pool, min_batch_images=4)
         with gw:
             assert gw.predict_window == 4
             futures = [
@@ -420,7 +426,7 @@ class TestAdaptiveMicroBatching:
         pool, data, _ = named_pool
         with ServingGateway(
             pool,
-            GatewayConfig(max_workers=1, min_batch_images=4, max_batch_images=64),
+            GatewayConfig(max_workers=1, min_batch_images=4),
         ) as gw:
             with gw._predict_lock:
                 gw._predict_window = 64  # as if a burst just ended
@@ -433,7 +439,7 @@ class TestAdaptiveMicroBatching:
         pool, data, _ = named_pool
         with ServingGateway(
             pool,
-            GatewayConfig(max_workers=1, min_batch_images=4, max_batch_images=4),
+            GatewayConfig(max_workers=1, min_batch_images=4),
         ) as gw:
             response = gw.submit_predict(data.test.images[:12], ["pets"]).result(
                 timeout=30
@@ -441,8 +447,8 @@ class TestAdaptiveMicroBatching:
             assert response.batch_size == 12
 
     def test_config_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError, match="max_batch_images"):
-            GatewayConfig(min_batch_images=128, max_batch_images=8)
+        with pytest.raises(ValueError, match="min_batch_images"):
+            GatewayConfig(min_batch_images=serving_gateway.MAX_BATCH_IMAGES + 1)
 
 
 class TestResultCache:
