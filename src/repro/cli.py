@@ -7,7 +7,6 @@ Subcommands::
     python -m repro.cli query   --track T --tasks a,b     # serve one query
     python -m repro.cli reshard --to 3 [--networked]      # online reshard under load
     python -m repro.cli shard-serve --port 7070           # host one shard over TCP
-    python -m repro.cli autotune-bench                    # self-tuning vs static budgets
     python -m repro.cli scrape  [--networked]             # Prometheus text scrape
     python -m repro.cli top     [--networked]             # live telemetry dashboard
     python -m repro.cli trace-dump --file trace.jsonl     # render recorded span trees
@@ -24,7 +23,6 @@ use share one code path.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -265,53 +263,6 @@ def cmd_shard_serve(args: argparse.Namespace) -> int:
     print(json.dumps(snap, sort_keys=True))
     shard.close()
     print("drained cleanly")
-    return 0
-
-
-def cmd_autotune_bench(args: argparse.Namespace) -> int:
-    """Self-tuning controller vs static budgets on a shifting workload."""
-    from .control import (
-        append_benchmark_record,
-        run_metadata,
-        run_self_tuning_benchmark,
-        verify_report,
-    )
-    from .serving import build_demo_pool
-
-    print("building self-contained micro pool (seconds)...")
-    pool, _data = build_demo_pool(num_tasks=args.micro_tasks, seed=args.seed)
-    report = run_self_tuning_benchmark(
-        pool,
-        requests=args.requests,
-        hot_size=args.hot_size,
-        budget_payloads=args.budget_payloads,
-        tick_every=args.tick_every,
-        seed=args.seed,
-    )
-    print()
-    print(report.render())
-    relaxed = bool(os.environ.get("REPRO_BENCH_RELAX"))
-    if args.out:
-        doc = append_benchmark_record(
-            args.out,
-            {
-                "bench": "self_tuning",
-                **report.to_dict(),
-                "meta": run_metadata(),
-            },
-            label=args.label,
-        )
-        print(f"\nappended run {len(doc['runs'])} to {args.out}")
-    try:
-        verify_report(report, relaxed=relaxed)
-    except AssertionError as failure:
-        print(f"error: {failure}")
-        return 1
-    print(
-        f"controller beats static budgets: hit rate "
-        f"{report.tuned.payload_hit_rate:.1%} vs "
-        f"{report.static.payload_hit_rate:.1%}, qps {report.qps_ratio:.2f}x"
-    )
     return 0
 
 
@@ -586,25 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_shard.add_argument("--micro-tasks", type=int, default=8, help="tasks in the micro pool")
     p_shard.add_argument("--seed", type=int, default=0)
     p_shard.set_defaults(fn=cmd_shard_serve)
-
-    p_autotune = sub.add_parser(
-        "autotune-bench",
-        help="self-tuning cache controller vs static budgets (shifting workload)",
-    )
-    p_autotune.add_argument("--micro-tasks", type=int, default=8, help="tasks in the micro pool")
-    p_autotune.add_argument("--requests", type=int, default=600, help="trace length")
-    p_autotune.add_argument("--hot-size", type=int, default=8, help="hot composites per phase")
-    p_autotune.add_argument(
-        "--budget-payloads", type=int, default=6,
-        help="payload cache budget, in measured payloads (deliberately < hot size)",
-    )
-    p_autotune.add_argument("--tick-every", type=int, default=25, help="requests per controller tick")
-    p_autotune.add_argument("--seed", type=int, default=0)
-    p_autotune.add_argument(
-        "--out", default="BENCH_self_tuning.json", help="JSON trajectory to append to"
-    )
-    p_autotune.add_argument("--label", default="cli", help="label stored with this run")
-    p_autotune.set_defaults(fn=cmd_autotune_bench)
 
     p_trace = sub.add_parser(
         "trace-dump", help="render span trees from a JSONL trace log"

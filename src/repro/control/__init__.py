@@ -11,27 +11,6 @@ histogram back into hot-expert replication.
 See ``docs/self-tuning.md`` for the signal → controller → actuator map.
 """
 
-from .bench import (
-    SelfTuningReport,
-    StepClock,
-    append_benchmark_record,
-    run_metadata,
-    run_self_tuning_benchmark,
-    shifting_workload_trace,
-    verify_report,
-)
 from .controller import CacheController, ControllerConfig, CostEWMA, TickReport
 
-__all__ = [
-    "CacheController",
-    "ControllerConfig",
-    "CostEWMA",
-    "SelfTuningReport",
-    "StepClock",
-    "TickReport",
-    "append_benchmark_record",
-    "run_metadata",
-    "run_self_tuning_benchmark",
-    "shifting_workload_trace",
-    "verify_report",
-]
+__all__ = ["CacheController", "ControllerConfig", "CostEWMA", "TickReport"]

@@ -1,7 +1,7 @@
 """A self-contained micro pool for serving demos and benchmarks.
 
 The request-path harness (``benchmarks/harness/``), the CLI's demo
-commands (``reshard``, ``scrape``, ``top``, ``autotune-bench``) and
+commands (``reshard``, ``scrape``, ``top``) and
 ``examples/concurrent_clients.py`` all need a *ready* pool without
 depending on the artifact store having been built: the serving layer's
 costs (serialization, locking, cache management) are independent of model

@@ -5,21 +5,24 @@ whole stack — gateway (or cluster), :class:`repro.control.CacheController`,
 and :class:`repro.obs.timeline.TelemetryPoller` — can be stepped
 synchronously from a single :class:`FakeClock`.  Nothing here sleeps and
 no background thread runs: a test *is* the scheduler.  ``serve`` advances
-simulated time by one fixed ``dt`` per request (the same convention the
-``bench_self_tuning`` benchmark uses), and ``run`` interleaves controller
-ticks and telemetry polls at fixed request strides, recording every
-:class:`~repro.control.TickReport` and poll diff for assertions.
+simulated time by one fixed ``dt`` per request, and ``run`` interleaves
+controller ticks and telemetry polls at fixed request strides, recording
+every :class:`~repro.control.TickReport` and poll diff for assertions.
+:func:`shifting_zipf_trace` is the seeded workload the controller's
+end-to-end gate (``test_shifting_replay.py``) replays.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control import CacheController, ControllerConfig, TickReport
 from repro.obs.timeline import TelemetryPoller
 from repro.serving.gateway import GatewayConfig, ServingGateway
 
-__all__ = ["FakeClock", "SimHarness"]
+__all__ = ["FakeClock", "SimHarness", "shifting_zipf_trace"]
 
 
 class FakeClock:
@@ -37,6 +40,48 @@ class FakeClock:
         return self.now
 
 
+def shifting_zipf_trace(
+    task_names: Sequence[str], seed: int = 0
+) -> List[Tuple[Tuple[str, ...], str]]:
+    """A seeded shifting-Zipf trace of 600 ``(names, "float32")`` requests.
+
+    Three in four requests draw Zipf-weighted (skew 1.1) from a hot set of
+    8 task pairs, which rotates to a disjoint set at the midpoint.  The
+    rest cycle a large pool of cold composites (singles, pairs, triples),
+    so each cold query is a near-certain cache miss with or without a
+    controller.
+    """
+    requests, hot_size = 600, 8
+    names = sorted(task_names)
+    pairs = list(itertools.combinations(names, 2))
+    if len(pairs) < 2 * hot_size:
+        raise ValueError(
+            f"need >= {2 * hot_size} task pairs for two disjoint hot sets, "
+            f"got {len(pairs)} from {len(names)} tasks"
+        )
+    rng = random.Random(seed)
+    rng.shuffle(pairs)
+    hot_a = pairs[:hot_size]
+    hot_b = pairs[hot_size : 2 * hot_size]
+    cold_pool = (
+        [(name,) for name in names]
+        + pairs[2 * hot_size :]
+        + list(itertools.combinations(names, 3))
+    )
+    rng.shuffle(cold_pool)
+    cold = itertools.cycle(cold_pool)
+    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(hot_size)]
+    trace: List[Tuple[Tuple[str, ...], str]] = []
+    for i in range(requests):
+        hot = hot_a if i < requests // 2 else hot_b
+        if rng.random() < 0.75:
+            query = rng.choices(hot, weights=weights)[0]
+        else:
+            query = next(cold)
+        trace.append((tuple(query), "float32"))
+    return trace
+
+
 class SimHarness:
     """One gateway + controller + poller stepped on one fake clock.
 
@@ -48,7 +93,10 @@ class SimHarness:
         Defaults to a single-worker gateway (deterministic build order).
     controller_config:
         Defaults to a 2.5 sim-second popularity half-life (50 requests at
-        the default ``dt``), matching the self-tuning benchmark.
+        the default ``dt``).
+    static:
+        Serve with no controller attached: plain LRU tiers, and ``run``
+        takes no ticks.  The baseline arm of a controller comparison.
     dt:
         Simulated seconds each ``serve``/``predict`` advances the clock.
     """
@@ -61,14 +109,17 @@ class SimHarness:
         controller_config: Optional[ControllerConfig] = None,
         dt: float = 0.05,
         seed: int = 0,
+        static: bool = False,
     ) -> None:
         self.clock = FakeClock()
         self.dt = dt
-        self.controller = CacheController(
-            controller_config or ControllerConfig(popularity_halflife_s=2.5),
-            clock=self.clock,
-            seed=seed,
-        )
+        self.controller: Optional[CacheController] = None
+        if not static:
+            self.controller = CacheController(
+                controller_config or ControllerConfig(popularity_halflife_s=2.5),
+                clock=self.clock,
+                seed=seed,
+            )
         self.gateway = ServingGateway(
             pool,
             gateway_config or GatewayConfig(max_workers=1),
@@ -110,14 +161,14 @@ class SimHarness:
     ) -> List[TickReport]:
         """Drive a ``[(names, transport), ...]`` trace through the loop.
 
-        Ticks the controller every ``tick_every`` requests and (when
+        Ticks the controller (if any) every ``tick_every`` requests and (when
         ``poll_every`` > 0) polls telemetry every ``poll_every`` requests,
         exactly as a deployed stack would — minus the threads.
         """
         started = len(self.reports)
         for i, (names, transport) in enumerate(trace):
             self.serve(names, transport)
-            if tick_every and (i + 1) % tick_every == 0:
+            if self.controller is not None and tick_every and (i + 1) % tick_every == 0:
                 self.tick()
             if poll_every and (i + 1) % poll_every == 0:
                 self.poll()

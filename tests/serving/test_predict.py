@@ -269,8 +269,9 @@ class TestMicroBatching:
         pool, data, _ = named_pool
         release = threading.Event()
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            # occupy the single worker so submissions pile up behind it
-            blocker = gw._ensure_executor().submit(release.wait)
+            # occupy the single worker so submissions pile up behind it;
+            # bounded, so a failure before release.set() cannot hang close
+            blocker = gw._ensure_executor().submit(release.wait, 60)
             futures = [
                 gw.submit_predict(data.test.images[i * 4 : (i + 1) * 4], ["fish"])
                 for i in range(4)
@@ -301,7 +302,7 @@ class TestMicroBatching:
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
             for x in (same, other):  # first sightings: the drain is the second
                 gw.predict(x, ["fish"])
-            blocker = gw._ensure_executor().submit(release.wait)
+            blocker = gw._ensure_executor().submit(release.wait, 60)
             futures = [
                 gw.submit_predict(same, ["pets"]),
                 gw.submit_predict(same.copy(), ["birds"]),  # same bytes, new array
@@ -331,7 +332,7 @@ class TestMicroBatching:
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
             for x in batches:  # first sightings: the drain is the second
                 gw.predict(x, ["fish"])
-            blocker = gw._ensure_executor().submit(release.wait)
+            blocker = gw._ensure_executor().submit(release.wait, 60)
             futures = [gw.submit_predict(x, ["pets"]) for x in batches]
             release.set()
             for future in futures:
@@ -357,7 +358,7 @@ class TestMicroBatching:
         pool, data, _ = named_pool
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
             release = threading.Event()
-            blocker = gw._ensure_executor().submit(release.wait)
+            blocker = gw._ensure_executor().submit(release.wait, 60)
             good = gw.submit_predict(data.test.images[:4], ["pets"])
             bad = gw.submit_predict(data.test.images[:4], ["dragons"])
             release.set()
