@@ -9,20 +9,30 @@ simulated time by one fixed ``dt`` per request, and ``run`` interleaves
 controller ticks and telemetry polls at fixed request strides, recording
 every :class:`~repro.control.TickReport` and poll diff for assertions.
 :func:`shifting_zipf_trace` is the seeded workload the controller's
-end-to-end gate (``test_shifting_replay.py``) replays.
+end-to-end gate (``test_shifting_replay.py``) replays, and
+:func:`verify_report` is that gate, over a :class:`ReplayReport` of the
+static and tuned arms.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control import CacheController, ControllerConfig, TickReport
 from repro.obs.timeline import TelemetryPoller
 from repro.serving.gateway import GatewayConfig, ServingGateway
 
-__all__ = ["FakeClock", "SimHarness", "shifting_zipf_trace"]
+__all__ = [
+    "ArmReport",
+    "FakeClock",
+    "ReplayReport",
+    "SimHarness",
+    "shifting_zipf_trace",
+    "verify_report",
+]
 
 
 class FakeClock:
@@ -41,17 +51,23 @@ class FakeClock:
 
 
 def shifting_zipf_trace(
-    task_names: Sequence[str], seed: int = 0
+    task_names: Sequence[str],
+    *,
+    requests: int = 600,
+    hot_size: int = 8,
+    hot_fraction: float = 0.75,
+    seed: int = 0,
 ) -> List[Tuple[Tuple[str, ...], str]]:
-    """A seeded shifting-Zipf trace of 600 ``(names, "float32")`` requests.
+    """A seeded shifting-Zipf trace of ``(names, "float32")`` requests.
 
-    Three in four requests draw Zipf-weighted (skew 1.1) from a hot set of
-    8 task pairs, which rotates to a disjoint set at the midpoint.  The
-    rest cycle a large pool of cold composites (singles, pairs, triples),
-    so each cold query is a near-certain cache miss with or without a
-    controller.
+    ``hot_fraction`` of the requests draw Zipf-weighted (skew 1.1) from a
+    hot set of ``hot_size`` task pairs, which rotates to a disjoint set at
+    the midpoint (``requests // 2``).  The rest cycle a large pool of cold
+    composites (singles, pairs, triples), so each cold query is a
+    near-certain cache miss with or without a controller.
     """
-    requests, hot_size = 600, 8
+    if requests < 2:
+        raise ValueError("requests must be >= 2")
     names = sorted(task_names)
     pairs = list(itertools.combinations(names, 2))
     if len(pairs) < 2 * hot_size:
@@ -74,13 +90,97 @@ def shifting_zipf_trace(
     trace: List[Tuple[Tuple[str, ...], str]] = []
     for i in range(requests):
         hot = hot_a if i < requests // 2 else hot_b
-        if rng.random() < 0.75:
+        if rng.random() < hot_fraction:
             query = rng.choices(hot, weights=weights)[0]
         else:
             query = next(cold)
         trace.append((tuple(query), "float32"))
     return trace
 
+
+
+@dataclass(frozen=True)
+class ArmReport:
+    """One replay arm's payload-tier counts (and, for the record, its time).
+
+    ``elapsed_s`` is wall clock: reported, never gated, and left out of
+    equality so two replays compare on their counts alone.
+    """
+
+    label: str
+    requests: int
+    hit_rate: float
+    misses: int
+    score_evictions: int
+    rejections: int
+    prefetch_builds: int
+    prefetch_hits: int
+    elapsed_s: float = field(default=0.0, compare=False)
+
+    @property
+    def builds(self) -> int:
+        """Payloads built in all: a client's miss or a tick's prefetch."""
+        return self.misses + self.prefetch_builds
+
+    @property
+    def qps(self) -> float:
+        return self.requests / self.elapsed_s if self.elapsed_s else 0.0
+
+
+@dataclass(frozen=True)
+class ReplayReport:
+    """The static (plain LRU) and tuned (controller) arms of one replay."""
+
+    static: ArmReport
+    tuned: ArmReport
+
+    @property
+    def hit_rate_gain(self) -> float:
+        """Absolute payload hit-rate advantage of the controller arm."""
+        return self.tuned.hit_rate - self.static.hit_rate
+
+    @property
+    def qps_ratio(self) -> float:
+        return self.tuned.qps / self.static.qps if self.static.qps else 0.0
+
+    def render(self) -> str:
+        header = "arm         |      qps | hit_rate | miss | score |  rej | pbuild |  phit"
+        lines = [header, "-" * len(header)]
+        for arm in (self.static, self.tuned):
+            lines.append(
+                f"{arm.label:<12}| {arm.qps:8.1f} | {arm.hit_rate:8.1%} | "
+                f"{arm.misses:4d} | {arm.score_evictions:5d} | {arm.rejections:4d} | "
+                f"{arm.prefetch_builds:6d} | {arm.prefetch_hits:5d}"
+            )
+        lines.append(
+            f"gain={self.hit_rate_gain:+.1%} qps_ratio={self.qps_ratio:.2f}x "
+            f"builds={self.tuned.builds} vs {self.static.builds}"
+        )
+        return "\n".join(lines)
+
+
+def verify_report(report: ReplayReport) -> None:
+    """The controller's gate, on counts alone.
+
+    The tuned arm must serve a strictly higher payload hit rate, must have
+    acted (prefetched, served a prefetch, and evicted or refused by score),
+    and must build fewer payloads in all than the static arm misses.  The
+    wall-clock qps ratio is reported and never gated: both arms together
+    run in well under a second, where it reads noise.
+    """
+    static, tuned = report.static, report.tuned
+    assert tuned.hit_rate > static.hit_rate, (
+        f"controller hit rate {tuned.hit_rate:.1%} must beat static {static.hit_rate:.1%}"
+    )
+    assert tuned.prefetch_builds > 0, "controller never prefetched"
+    assert tuned.prefetch_hits > 0, "no prefetched payload was ever served"
+    assert tuned.score_evictions + tuned.rejections > 0, (
+        "score hook never influenced eviction/admission"
+    )
+    assert tuned.builds < static.builds, (
+        f"controller built {tuned.misses} + {tuned.prefetch_builds} payloads, "
+        f"static {static.builds}"
+    )
 
 class SimHarness:
     """One gateway + controller + poller stepped on one fake clock.

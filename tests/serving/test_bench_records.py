@@ -1,22 +1,23 @@
-"""Benchmark trajectory files: metadata stamping and back-compat."""
+"""Benchmark trajectory files (``benchmarks/records.py``): metadata
+stamping and back-compat."""
 
 import json
+import sys
+from pathlib import Path
 
-from repro.control import append_benchmark_record, run_metadata
+ROOT = str(Path(__file__).resolve().parents[2])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from benchmarks.records import append_benchmark_record, run_metadata  # noqa: E402
 
 
 class TestRunMetadata:
-    def test_stamp_fields(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_RELAX", raising=False)
+    def test_stamp_fields(self):
         meta = run_metadata()
         assert meta["cpu_count"] >= 1
-        assert meta["relax"] is False
         assert "T" in meta["timestamp"]  # ISO-8601 with a time part
         assert meta["python"].count(".") == 2
-
-    def test_relax_flag_reflected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_RELAX", "1")
-        assert run_metadata()["relax"] is True
 
 
 class TestAppendBenchmarkRecord:
