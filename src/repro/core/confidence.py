@@ -35,6 +35,7 @@ class ConfidenceProfile:
     mean: float
     median: float
     overconfident_rate: float  # fraction of samples with max prob > 0.9
+    confidences: np.ndarray  # the max probability of each sample, in dataset order
 
     @property
     def mode_bin(self) -> Tuple[float, float]:
@@ -78,4 +79,5 @@ def ood_confidence_profile(
         mean=float(confidences.mean()),
         median=float(np.median(confidences)),
         overconfident_rate=float((confidences > 0.9).mean()),
+        confidences=confidences,
     )

@@ -14,9 +14,9 @@ from .metrics import (
     accuracy_from_logits,
     specialized_accuracy,
     task_specific_accuracy,
+    unpack_correct,
 )
 from .service import (
-    ABLATION_VARIANTS,
     SERVICE_METHODS,
     ablation_table,
     consolidation_times,
@@ -37,6 +37,7 @@ __all__ = [
     "accuracy_from_logits",
     "task_specific_accuracy",
     "specialized_accuracy",
+    "unpack_correct",
     "TrackConfig",
     "cifar_track",
     "tiny_track",
@@ -50,7 +51,6 @@ __all__ = [
     "specialization_table",
     "confidence_figure",
     "SERVICE_METHODS",
-    "ABLATION_VARIANTS",
     "run_service_method",
     "service_table",
     "ablation_table",

@@ -8,7 +8,10 @@ track's cache key) and persists:
 * ``models/<key>/oracle.npz``      — oracle weights + metadata JSON
 * ``models/<key>/pool/``           — the PoE library + experts (ExpertStore)
 * ``models/<key>/teacher_<t>.npz`` — per-primitive Scratch teachers (SD/UHC)
-* ``results/<key>/...json``        — per-experiment result records
+* ``results/<key>/summary.json``   — every table/figure of the track
+* ``results/<key>/v2/...json``     — per-experiment result records; ``v2``
+  is :data:`RESULT_FORMAT`, so a record of an older format (one without
+  per-image bits) is recomputed, never read
 
 Set ``REPRO_ARTIFACTS`` to relocate the store (default: ``.artifacts/``
 under the repository root / current directory).
@@ -32,7 +35,10 @@ from ..models import WideResNet, count_flops, count_params
 from ..nn import load_state, save_module
 from .experiments import TrackConfig
 
-__all__ = ["ArtifactStore", "default_artifact_root"]
+__all__ = ["ArtifactStore", "RESULT_FORMAT", "default_artifact_root"]
+
+#: Version of the result-record layout, part of every record's path.
+RESULT_FORMAT = 2
 
 
 def default_artifact_root() -> str:
@@ -98,7 +104,7 @@ class ArtifactStore:
             "test_accuracy": history.final_accuracy,
             "seconds": seconds,
             "params": count_params(model),
-            "flops": count_flops(model, (3, track.image_size, track.image_size)),
+            "flops": count_flops(model, track.input_shape),
             "arch": model.arch_name(),
         }
         save_module(model, weights_path)
@@ -280,8 +286,13 @@ class ArtifactStore:
     def _model_dir(self, track: TrackConfig) -> str:
         return os.path.join(self.root, "models", track.cache_key())
 
+    def summary_path(self, track: TrackConfig) -> str:
+        """Where ``repro build`` writes the track's summary and ``repro
+        tables`` reads it."""
+        return os.path.join(self.root, "results", track.cache_key(), "summary.json")
+
     def _result_dir(self, track: TrackConfig) -> str:
-        return os.path.join(self.root, "results", track.cache_key())
+        return os.path.join(self.root, "results", track.cache_key(), f"v{RESULT_FORMAT}")
 
     def _pool_dir(self, track: TrackConfig) -> str:
         return os.path.join(self._model_dir(track), "pool")

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import estimate_all_specialists_volume
-from .artifacts import default_artifact_root
+from .artifacts import ArtifactStore
 from .experiments import get_track
 from .tables import format_count
 
@@ -373,12 +373,12 @@ def render_tracks(names: Sequence[str], fast: Optional[bool] = None,
                   root: Optional[str] = None) -> str:
     """Every artifact of each built track's ``summary.json``, with verdicts;
     ``fast=None`` follows ``REPRO_FAST``, as ``repro build`` does."""
-    root = root or default_artifact_root()
+    store = ArtifactStore(root)
     lines = ["# Paper vs. measured", "", "Claims and known deviations: docs/paper-claims.md.", ""]
     for name in names:
         track = get_track(name, fast)
         lines += [f"## Track `{track.name}`", ""]
-        path = os.path.join(root, "results", track.cache_key(), "summary.json")
+        path = store.summary_path(track)
         if not os.path.exists(path):
             flag = " --fast" if track.name.endswith("-fast") else ""
             lines += [f"*(artifacts not built yet — run `python -m repro.cli build "
@@ -416,10 +416,26 @@ every failed claim, and a known deviation is rendered, never asserted.
 """
 
 
+RECORDS = """\
+## What a result records besides its means
+
+Every Table 2, 3 and 5 result keeps which test images each method got
+right.  `correct` is the base64 of `np.packbits` over the task's test
+images in test-set order (the first image is the first byte's high bit),
+`n_images` is their count, and `repro.eval.unpack_correct(correct,
+n_images)` decodes them.  A Table 2 row lists them per task (aligned with
+`tasks`), a Table 3 or 5 row per composite (aligned with `combos`).  Every
+method is scored on the same images, so two methods pair image by image.
+Figure 5 keeps each OOD test image's max-softmax as `confidences` (base64
+of little-endian float32).  The claims below still read only the means.
+"""
+
+
 def claims_doc() -> str:
     """The text of ``docs/paper-claims.md``."""
     lines = ["# Paper claims", "", "Generated from `src/repro/eval/claims.py` by "
-             "`PYTHONPATH=src python -m repro.eval.claims`; do not edit by hand.", "", SUBSTRATE]
+             "`PYTHONPATH=src python -m repro.eval.claims`; do not edit by hand.", "", SUBSTRATE,
+             RECORDS]
     for key, artifact in ARTIFACTS.items():
         lines += [f"## {artifact.title}", "",
                   f"Artifact `{key}`, checked by `benchmarks/{artifact.bench}`.", ""]

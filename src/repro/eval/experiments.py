@@ -119,6 +119,11 @@ class TrackConfig:
             return self.num_superclasses * self.classes_per_super
         return int(sum(self.group_sizes))
 
+    @property
+    def input_shape(self) -> Tuple[int, int, int]:
+        """One image's (channels, height, width), as FLOP counts take it."""
+        return (3, self.image_size, self.image_size)
+
     def selected_tasks(self, hierarchy: ClassHierarchy) -> Tuple[str, ...]:
         """The six primitive tasks used by the experiments (seeded choice)."""
         names = [t.name for t in hierarchy.primitive_tasks()]

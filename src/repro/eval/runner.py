@@ -67,7 +67,7 @@ def build_track(track: TrackConfig, store: ArtifactStore, verbose: bool = True) 
     log("figure 7 done")
 
     summary["seconds"] = time.perf_counter() - started
-    path = os.path.join(store.root, "results", track.cache_key(), "summary.json")
+    path = store.summary_path(track)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, default=float)

@@ -1,8 +1,9 @@
 """Table 3-5 + Figure 6-7 runners: model consolidation experiments (§5.3).
 
 For a queried composite task ``Q`` (a tuple of primitive task names), build
-``M(Q)`` with every compared method and record accuracy, model cost, the
-wall-clock learning curve and time-to-best-accuracy:
+``M(Q)`` with every compared method, then score it once
+(:func:`~repro.eval.metrics.score`) and record its wall-clock learning curve
+and time-to-best-accuracy:
 
 * **oracle**       — task-specific accuracy of the oracle itself.
 * **kd**           — oracle's entire knowledge -> ``WRN-(k_c, 0.25·n(Q))``
@@ -26,26 +27,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..data import task_subset
-from ..distill import (
-    batched_forward,
-    distill_ckd,
-    merge_sd,
-    merge_uhc,
-    train_scratch,
-    train_transfer,
-)
-from ..models import BranchedSpecialistNet, WideResNet, WRNHead, count_flops, count_params
+from ..distill import merge_sd, merge_uhc, train_scratch
+from ..models import WideResNet
 from .artifacts import ArtifactStore
 from .experiments import TrackConfig, select_combos
-from .metrics import (
-    accuracy_from_logits,
-    specialized_accuracy,
-    task_specific_accuracy,
-)
+from .metrics import score, specialized_accuracy
+from .specialization import GENERIC_METHODS, library_head
 
 __all__ = [
     "SERVICE_METHODS",
-    "ABLATION_VARIANTS",
     "run_service_method",
     "service_table",
     "ablation_table",
@@ -65,22 +55,15 @@ SERVICE_METHODS = (
     "ckd",
     "poe",
 )
-
-ABLATION_VARIANTS = ("soft", "scale", "both")
+N_Q = (2, 3, 4, 5)
+# Figures 6-7 follow the paper in plotting only the methods that build M(Q).
+CURVE_METHODS = tuple(m for m in SERVICE_METHODS if m not in GENERIC_METHODS)
+TABLE_FIELDS = ("method", "n_q", "accuracy_mean", "accuracy_std", "params", "flops", "arch",
+                "combos", "correct", "n_images")
 
 
 def _combo_key(combo: Sequence[str]) -> str:
     return "+".join(combo)
-
-
-def _history_payload(history) -> Dict:
-    return {
-        "train_seconds": history.total_seconds,
-        "time_to_best": history.time_to_best(tolerance=0.005),
-        "curve": history.curve(),
-        "final_accuracy": history.final_accuracy,
-        "best_accuracy": history.best_accuracy,
-    }
 
 
 def run_service_method(
@@ -93,197 +76,92 @@ def run_service_method(
     if method not in SERVICE_METHODS and not method.startswith("poe-"):
         raise ValueError(f"unknown service method {method!r}")
     data = store.dataset(track)
-    hierarchy = data.hierarchy
-    composite = hierarchy.composite(combo)
+    composite = data.hierarchy.composite(combo)
     n_q = composite.n_primitives
-    shape = (3, track.image_size, track.image_size)
     cfg = track.train_config(track.service_epochs, seed_offset=13 + n_q)
+    ks = track.expert_ks * n_q
 
-    def student_arch(num_classes: int) -> WideResNet:
-        return WideResNet(
+    def probe(model) -> float:
+        return specialized_accuracy(model, data.test, composite)
+
+    def build():
+        """``M(Q)`` and its history: none for a generic model (trained
+        outside the query), the consolidation seconds for PoE."""
+        if method == "oracle":
+            return store.oracle(track)[0], None
+        if method == "kd":
+            # The generic student depends only on n(Q) (its conv4 width), so
+            # it is trained once per n(Q) and reused across combos.
+            return store.kd_generic(track, ks_multiplier=n_q), None
+        if method in ("transfer", "ckd"):
+            seed = track.seed + 131 + n_q
+            return library_head(
+                track, store, composite, _combo_key(combo), ks, seed, cfg, method, probe=True
+            )
+        if method.startswith("poe"):  # train-free consolidation, or a loss-ablated pool's
+            variant = method.split("-", 1)[1] if method.startswith("poe-") else "both"
+            variant_pool = store.pool_variant(track, variant)
+            start = time.perf_counter()
+            model, _ = variant_pool.consolidate(combo)
+            return model, time.perf_counter() - start
+        model = WideResNet(
             track.depth,
             track.library_k,
-            track.expert_ks * n_q,
-            num_classes,
+            ks,
+            len(composite),
             library_level=track.library_level,
             rng=np.random.default_rng(track.seed + 101 + n_q),
         )
-
-    def wide_head(num_classes: int) -> WRNHead:
-        return WRNHead(
-            track.depth,
-            track.library_k,
-            track.expert_ks * n_q,
-            num_classes,
-            library_level=track.library_level,
-            rng=np.random.default_rng(track.seed + 131 + n_q),
+        train = task_subset(data.train, composite)
+        if method == "scratch":
+            return model, train_scratch(
+                model, train.images, train.labels, config=cfg, eval_fn=probe
+            )
+        if method.endswith("scratch"):
+            teachers = [store.scratch_teacher(track, name) for name in combo]
+        else:
+            teachers = [store.pool(track).consolidate([name])[0] for name in combo]
+        merge = merge_sd if method.startswith("sd") else merge_uhc
+        return model, merge(
+            teachers, model, train.images, config=cfg, temperature=track.temperature,
+            eval_fn=probe,
         )
 
-    test_subset = task_subset(data.test, composite)
-
-    def spec_eval(model) -> float:
-        logits = batched_forward(model, test_subset.images)
-        return accuracy_from_logits(logits, test_subset.labels)
-
     def compute() -> Dict:
-        record: Dict = {
-            "method": method,
-            "combo": list(combo),
-            "n_q": n_q,
-            "num_classes": len(composite),
-        }
-        if method == "oracle":
-            oracle_model, meta = store.oracle(track)
-            record["accuracy"] = task_specific_accuracy(oracle_model, data.test, composite)
-            record["params"], record["flops"] = meta["params"], meta["flops"]
-            record["arch"] = meta["arch"]
-            record["train_seconds"] = 0.0
-            record["time_to_best"] = 0.0
-            record["curve"] = []
-            record["type"] = "generic"
-            return record
-
-        if method == "kd":
-            # The generic student depends only on n(Q) (its conv4 width), so
-            # it is trained once per n(Q) and reused across combos; its
-            # accuracy is measured task-specifically per combo.  Figures 6-7
-            # follow the paper in not plotting KD, so no curve is recorded.
-            student = store.kd_generic(track, ks_multiplier=n_q)
-            record["accuracy"] = task_specific_accuracy(student, data.test, composite)
-            record["params"] = count_params(student)
-            record["flops"] = count_flops(student, shape)
-            record["arch"] = student.arch_name()
-            record["type"] = "generic"
-            record["train_seconds"] = None
-            record["time_to_best"] = None
-            record["curve"] = []
-            return record
-
-        if method == "scratch":
-            model = student_arch(len(composite))
-            subset = task_subset(data.train, composite)
-            history = train_scratch(
-                model, subset.images, subset.labels, config=cfg, eval_fn=spec_eval
+        model, history = build()
+        record = {"method": method, "combo": list(combo), "n_q": n_q,
+                  "num_classes": len(composite)}
+        record.update(score(model, data.test, composite, method in GENERIC_METHODS,
+                            track.input_shape))
+        if history is None:
+            record.update(train_seconds=None, time_to_best=None, curve=[])
+        elif isinstance(history, float):  # PoE: consolidation is the whole curve
+            record.update(train_seconds=history, time_to_best=history,
+                          curve=[[history, record["accuracy"]]], build_seconds=history)
+        else:
+            record.update(
+                train_seconds=history.total_seconds,
+                time_to_best=history.time_to_best(tolerance=0.005),
+                curve=history.curve(),
+                final_accuracy=history.final_accuracy,
+                best_accuracy=history.best_accuracy,
             )
-            record["accuracy"] = specialized_accuracy(model, data.test, composite)
-            record["params"] = count_params(model)
-            record["flops"] = count_flops(model, shape)
-            record["arch"] = model.arch_name()
-            record["type"] = "special"
-            record.update(_history_payload(history))
-            return record
-
-        pool = store.pool(track)
-
-        if method == "transfer":
-            head = wide_head(len(composite))
-            subset = task_subset(data.train, composite)
-            test_features = batched_forward(pool.library, test_subset.images)
-
-            def head_eval(model) -> float:
-                return accuracy_from_logits(
-                    batched_forward(model, test_features), test_subset.labels
-                )
-
-            history = train_transfer(
-                pool.library, head, subset.images, subset.labels, config=cfg, eval_fn=head_eval
-            )
-            model = BranchedSpecialistNet(pool.library, [(_combo_key(combo), head)])
-            model.eval()
-            record["accuracy"] = specialized_accuracy(model, data.test, composite)
-            record["params"] = count_params(model)
-            record["flops"] = count_flops(model, shape)
-            record["arch"] = model.arch_name()
-            record["type"] = "special"
-            record.update(_history_payload(history))
-            return record
-
-        if method == "ckd":
-            head = wide_head(len(composite))
-            oracle_logits = pool._oracle_logits_for(data.train.images)
-            test_features = batched_forward(pool.library, test_subset.images)
-
-            def head_eval(model) -> float:
-                return accuracy_from_logits(
-                    batched_forward(model, test_features), test_subset.labels
-                )
-
-            (history,) = distill_ckd(
-                oracle_logits,
-                head,
-                pool._features_for(data.train.images),
-                class_ids=composite.classes,
-                config=cfg,
-                settings=pool.config.ckd_settings(),
-                eval_fn=head_eval,
-            )
-            model = BranchedSpecialistNet(pool.library, [(_combo_key(combo), head)])
-            model.eval()
-            record["accuracy"] = specialized_accuracy(model, data.test, composite)
-            record["params"] = count_params(model)
-            record["flops"] = count_flops(model, shape)
-            record["arch"] = model.arch_name()
-            record["type"] = "special"
-            record.update(_history_payload(history))
-            return record
-
-        if method in ("sd+scratch", "uhc+scratch", "sd+ckd", "uhc+ckd"):
-            if method.endswith("scratch"):
-                teachers = [store.scratch_teacher(track, name) for name in combo]
-            else:
-                teachers = []
-                for name in combo:
-                    network, _ = pool.consolidate([name])
-                    teachers.append(network)
-            student = student_arch(len(composite))
-            subset = task_subset(data.train, composite)
-            merge = merge_sd if method.startswith("sd") else merge_uhc
-            history = merge(
-                teachers,
-                student,
-                subset.images,
-                config=cfg,
-                temperature=track.temperature,
-                eval_fn=spec_eval,
-            )
-            record["accuracy"] = specialized_accuracy(student, data.test, composite)
-            record["params"] = count_params(student)
-            record["flops"] = count_flops(student, shape)
-            record["arch"] = student.arch_name()
-            record["type"] = "special"
-            record.update(_history_payload(history))
-            return record
-
-        # PoE and its loss-ablation variants: train-free consolidation.
-        variant = method.split("-", 1)[1] if method.startswith("poe-") else "both"
-        variant_pool = store.pool_variant(track, variant)
-        start = time.perf_counter()
-        model, _ = variant_pool.consolidate(combo)
-        build_seconds = time.perf_counter() - start
-        acc = specialized_accuracy(model, data.test, composite)
-        record["accuracy"] = acc
-        record["params"] = count_params(model)
-        record["flops"] = count_flops(model, shape)
-        record["arch"] = model.arch_name()
-        record["type"] = "special"
-        record["train_seconds"] = build_seconds
-        record["time_to_best"] = build_seconds
-        record["curve"] = [[build_seconds, acc]]
-        record["build_seconds"] = build_seconds
         return record
 
     return store.result(track, "service", f"{method}_{_combo_key(combo)}", compute)
 
 
-def service_table(
+def _sweep(
     track: TrackConfig,
     store: ArtifactStore,
-    methods: Sequence[str] = SERVICE_METHODS,
-    n_q_values: Sequence[int] = (2, 3, 4, 5),
+    methods: Sequence[str],
+    n_q_values: Sequence[int],
+    fields: Sequence[str],
 ) -> List[Dict]:
-    """Table 3: per (method, n(Q)) aggregates over the sampled combos."""
-    data = store.dataset(track)
-    tasks = track.selected_tasks(data.hierarchy)
+    """The one (method × n(Q) × combo) loop: one row per (method, n(Q)) of
+    aggregates over its sampled combos' records, projected onto ``fields``.
+    ``correct`` / ``n_images`` list each combo's bits in ``combos`` order."""
+    tasks = track.selected_tasks(store.dataset(track).hierarchy)
     rows: List[Dict] = []
     for method in methods:
         for n_q in n_q_values:
@@ -292,109 +170,67 @@ def service_table(
                 continue
             records = [run_service_method(track, store, method, c) for c in combos]
             accs = np.asarray([r["accuracy"] for r in records])
-            rows.append(
-                {
-                    "method": method,
-                    "n_q": n_q,
-                    "accuracy_mean": float(accs.mean()),
-                    "accuracy_std": float(accs.std()),
-                    "params": float(np.mean([r["params"] for r in records])),
-                    "flops": float(np.mean([r["flops"] for r in records])),
-                    "arch": records[0]["arch"],
-                    "combos": [list(c) for c in combos],
-                }
-            )
+            row = {
+                "method": method,
+                "n_q": n_q,
+                "accuracy_mean": float(accs.mean()),
+                "accuracy_std": float(accs.std()),
+                "params": float(np.mean([r["params"] for r in records])),
+                "flops": float(np.mean([r["flops"] for r in records])),
+                "arch": records[0]["arch"],
+                "combos": [list(c) for c in combos],
+                "correct": [r["correct"] for r in records],
+                "n_images": [r["n_images"] for r in records],
+                "time_to_best_mean": float(np.mean([r["time_to_best"] or 0.0 for r in records])),
+                "train_seconds_mean": float(
+                    np.mean([r["train_seconds"] or 0.0 for r in records])
+                ),
+            }
+            rows.append({field: row[field] for field in fields})
     return rows
+
+
+def service_table(
+    track: TrackConfig,
+    store: ArtifactStore,
+    methods: Sequence[str] = SERVICE_METHODS,
+    n_q_values: Sequence[int] = N_Q,
+) -> List[Dict]:
+    """Table 3: per (method, n(Q)) aggregates over the sampled combos."""
+    return _sweep(track, store, methods, n_q_values, TABLE_FIELDS)
 
 
 def ablation_table(
     track: TrackConfig,
     store: ArtifactStore,
-    n_q_values: Sequence[int] = (2, 3, 4, 5),
+    n_q_values: Sequence[int] = N_Q,
     variants: Sequence[str] = ("poe-soft", "poe-scale", "poe"),
 ) -> List[Dict]:
-    """Table 5: L_soft / L_scale / both, averaged like Table 3."""
-    data = store.dataset(track)
-    tasks = track.selected_tasks(data.hierarchy)
-    rows: List[Dict] = []
-    for method in variants:
-        for n_q in n_q_values:
-            combos = select_combos(tasks, n_q, track.combos_per_nq, seed=track.seed)
-            if not combos:
-                continue
-            records = [run_service_method(track, store, method, c) for c in combos]
-            accs = np.asarray([r["accuracy"] for r in records])
-            rows.append(
-                {
-                    "method": method,
-                    "n_q": n_q,
-                    "accuracy_mean": float(accs.mean()),
-                    "accuracy_std": float(accs.std()),
-                }
-            )
-    return rows
+    """Table 5: L_soft / L_scale / both, with Table 3's row fields."""
+    return _sweep(track, store, variants, n_q_values, TABLE_FIELDS)
 
 
 def learning_curves(
     track: TrackConfig,
     store: ArtifactStore,
     n_q: int = 5,
-    methods: Sequence[str] = (
-        "scratch",
-        "transfer",
-        "sd+scratch",
-        "uhc+scratch",
-        "sd+ckd",
-        "uhc+ckd",
-        "ckd",
-        "poe",
-    ),
+    methods: Sequence[str] = CURVE_METHODS,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Figure 6: wall-clock learning curves at ``n(Q)`` (first combo)."""
-    data = store.dataset(track)
-    tasks = track.selected_tasks(data.hierarchy)
+    tasks = track.selected_tasks(store.dataset(track).hierarchy)
     combo = select_combos(tasks, n_q, 1, seed=track.seed)[0]
-    curves: Dict[str, List[Tuple[float, float]]] = {}
-    for method in methods:
-        record = run_service_method(track, store, method, combo)
-        curves[method] = [tuple(point) for point in record["curve"]]
-    return curves
+    return {
+        method: [tuple(point) for point in run_service_method(track, store, method, combo)["curve"]]
+        for method in methods
+    }
 
 
 def consolidation_times(
     track: TrackConfig,
     store: ArtifactStore,
-    n_q_values: Sequence[int] = (2, 3, 4, 5),
-    methods: Sequence[str] = (
-        "scratch",
-        "transfer",
-        "sd+scratch",
-        "uhc+scratch",
-        "sd+ckd",
-        "uhc+ckd",
-        "ckd",
-        "poe",
-    ),
+    n_q_values: Sequence[int] = N_Q,
+    methods: Sequence[str] = CURVE_METHODS,
 ) -> List[Dict]:
     """Figure 7: mean time-to-best-accuracy per method as n(Q) grows."""
-    data = store.dataset(track)
-    tasks = track.selected_tasks(data.hierarchy)
-    rows: List[Dict] = []
-    for method in methods:
-        for n_q in n_q_values:
-            combos = select_combos(tasks, n_q, track.combos_per_nq, seed=track.seed)
-            if not combos:
-                continue
-            records = [run_service_method(track, store, method, c) for c in combos]
-            times = [r.get("time_to_best") or 0.0 for r in records]
-            rows.append(
-                {
-                    "method": method,
-                    "n_q": n_q,
-                    "time_to_best_mean": float(np.mean(times)),
-                    "train_seconds_mean": float(
-                        np.mean([r.get("train_seconds") or 0.0 for r in records])
-                    ),
-                }
-            )
-    return rows
+    fields = ("method", "n_q", "time_to_best_mean", "train_seconds_mean")
+    return _sweep(track, store, methods, n_q_values, fields)

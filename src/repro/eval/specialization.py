@@ -2,37 +2,43 @@
 
 Table 1 scores the oracle and the library student distilled from it.  For
 each of the track's six primitive tasks, build a specialist with every
-method and score it:
+method, then score it once (:func:`~repro.eval.metrics.score`):
 
 * **Oracle**   — task-specific accuracy of the generic oracle (upper bound).
 * **KD**       — the oracle's *entire* knowledge distilled into the tiny
   expert architecture; scored task-specifically (fails: capacity).
 * **Scratch**  — tiny architecture trained on task data only.
-* **Transfer** — frozen library + expert head trained on task data.
+* **Transfer** — frozen library + expert head trained on task data
+  (:func:`library_head`, head seed ``seed + 57``, training seed offset 5).
 * **CKD**      — the paper's conditional distillation (the pool's experts).
 
-Figure 5 reuses the Scratch/Transfer/CKD specialists of one task and
-profiles their confidence on out-of-distribution samples.
+Figure 5 profiles the confidence of one task's Scratch, Transfer and CKD
+specialists on out-of-distribution samples.  Scratch and CKD are the models
+Table 2 scores; the Transfer head is trained for the figure alone by the same
+:func:`library_head`, from head seed ``seed + 91`` and training seed offset 7.
 """
 
 from __future__ import annotations
 
+import base64
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core import ood_confidence_profile
 from ..core.pool import PoolOfExperts
 from ..data import task_subset
-from ..distill import batched_forward, train_transfer
+from ..distill import History, TrainConfig, batched_forward, distill_ckd, train_transfer
 from ..models import BranchedSpecialistNet, WRNHead, count_flops, count_params
 from .artifacts import ArtifactStore
 from .experiments import TrackConfig
-from .metrics import accuracy, accuracy_from_logits, specialized_accuracy, task_specific_accuracy
+from .metrics import TaskLike, accuracy, accuracy_from_logits, score
 
 __all__ = [
+    "GENERIC_METHODS",
     "SPECIALIZATION_METHODS",
+    "library_head",
     "library_table",
     "run_specialization",
     "specialization_table",
@@ -40,6 +46,7 @@ __all__ = [
 ]
 
 SPECIALIZATION_METHODS = ("oracle", "kd", "scratch", "transfer", "ckd")
+GENERIC_METHODS = ("oracle", "kd")  # scored task-specifically (paper §5.2)
 
 
 def library_table(track: TrackConfig, store: ArtifactStore) -> Dict[str, Dict]:
@@ -58,27 +65,65 @@ def library_table(track: TrackConfig, store: ArtifactStore) -> Dict[str, Dict]:
         return {
             "test_accuracy": accuracy(student, data.test),
             "params": count_params(student),
-            "flops": count_flops(student, (3, track.image_size, track.image_size)),
+            "flops": count_flops(student, track.input_shape),
             "arch": student.arch_name(),
         }
 
     return {"oracle": oracle_meta, "library": store.result(track, "table1", "library", compute)}
 
 
-def _branched_single(pool: PoolOfExperts, task_name: str) -> BranchedSpecialistNet:
-    """A pool expert packaged as a standalone specialist model."""
-    model, _ = pool.consolidate([task_name])
-    return model
+def library_head(
+    track: TrackConfig,
+    store: ArtifactStore,
+    task: TaskLike,
+    branch: str,
+    ks: float,
+    seed: int,
+    config: TrainConfig,
+    method: str = "transfer",
+    probe: bool = False,
+) -> Tuple[BranchedSpecialistNet, History]:
+    """A head of conv4 width ``ks`` over the pool's frozen library, packaged
+    as a one-branch specialist: the Transfer baseline (hard labels of the
+    task's training images) or, with ``method="ckd"``, conditional
+    distillation from the oracle.  The head's weights start from ``seed``;
+    ``probe`` records a learning curve on the task's test images, read
+    through the library's features of them."""
+    data, pool = store.dataset(track), store.pool(track)
+    head = WRNHead(
+        track.depth,
+        track.library_k,
+        ks,
+        len(task),
+        library_level=track.library_level,
+        rng=np.random.default_rng(seed),
+    )
+    eval_fn = None
+    if probe:
+        test = task_subset(data.test, task)
+        features = batched_forward(pool.library, test.images)
 
+        def eval_fn(model) -> float:
+            return accuracy_from_logits(batched_forward(model, features), test.labels)
 
-def _feature_eval(head: WRNHead, features: np.ndarray, labels: np.ndarray):
-    """Accuracy closure over pre-computed library features (head-only)."""
-
-    def _eval(model) -> float:
-        logits = batched_forward(model, features)
-        return accuracy_from_logits(logits, labels)
-
-    return _eval
+    if method == "ckd":
+        (history,) = distill_ckd(
+            pool._oracle_logits_for(data.train.images),
+            head,
+            pool._features_for(data.train.images),
+            class_ids=task.classes,
+            config=config,
+            settings=pool.config.ckd_settings(),
+            eval_fn=eval_fn,
+        )
+    else:
+        train = task_subset(data.train, task)
+        history = train_transfer(
+            pool.library, head, train.images, train.labels, config=config, eval_fn=eval_fn
+        )
+    model = BranchedSpecialistNet(pool.library, [(branch, head)])
+    model.eval()
+    return model, history
 
 
 def run_specialization(
@@ -88,73 +133,36 @@ def run_specialization(
     if method not in SPECIALIZATION_METHODS:
         raise ValueError(f"unknown specialization method {method!r}")
     data = store.dataset(track)
-    hierarchy = data.hierarchy
-    task = hierarchy.task(task_name)
-    shape = (3, track.image_size, track.image_size)
+    task = data.hierarchy.task(task_name)
+
+    def build():
+        if method == "oracle":
+            return store.oracle(track)[0]
+        if method == "kd":
+            return store.kd_generic(track, ks_multiplier=1)
+        if method == "scratch":
+            return store.scratch_teacher(track, task_name)
+        if method == "transfer":
+            config = track.train_config(track.expert_epochs, seed_offset=5)
+            return library_head(
+                track, store, task, task_name, track.expert_ks, track.seed + 57, config
+            )[0]
+        return store.pool(track).consolidate([task_name])[0]  # ckd — the pool's expert
 
     def compute() -> Dict:
         start = time.perf_counter()
-        if method == "oracle":
-            oracle_model, meta = store.oracle(track)
-            acc = task_specific_accuracy(oracle_model, data.test, task)
-            params, flops = meta["params"], meta["flops"]
-            arch = meta["arch"]
-        elif method == "kd":
-            student = store.kd_generic(track, ks_multiplier=1)
-            acc = task_specific_accuracy(student, data.test, task)
-            params, flops = count_params(student), count_flops(student, shape)
-            arch = student.arch_name()
-        elif method == "scratch":
-            model = store.scratch_teacher(track, task_name)
-            acc = specialized_accuracy(model, data.test, task)
-            params, flops = count_params(model), count_flops(model, shape)
-            arch = model.arch_name()
-        elif method == "transfer":
-            pool = store.pool(track)
-            head = WRNHead(
-                track.depth,
-                track.library_k,
-                track.expert_ks,
-                len(task),
-                library_level=track.library_level,
-                rng=np.random.default_rng(track.seed + 57),
-            )
-            subset = task_subset(data.train, task)
-            train_transfer(
-                pool.library,
-                head,
-                subset.images,
-                subset.labels,
-                config=track.train_config(track.expert_epochs, seed_offset=5),
-            )
-            model = BranchedSpecialistNet(pool.library, [(task_name, head)])
-            model.eval()
-            acc = specialized_accuracy(model, data.test, task)
-            params, flops = count_params(model), count_flops(model, shape)
-            arch = model.arch_name()
-        else:  # ckd — the pool's expert
-            pool = store.pool(track)
-            model = _branched_single(pool, task_name)
-            acc = specialized_accuracy(model, data.test, task)
-            params, flops = count_params(model), count_flops(model, shape)
-            arch = model.arch_name()
-        return {
-            "method": method,
-            "task": task_name,
-            "accuracy": acc,
-            "params": params,
-            "flops": flops,
-            "arch": arch,
-            "seconds": time.perf_counter() - start,
-        }
+        record = {"method": method, "task": task_name}
+        record.update(score(build(), data.test, task, method in GENERIC_METHODS, track.input_shape))
+        record["seconds"] = time.perf_counter() - start
+        return record
 
     return store.result(track, "specialization", f"{method}_{task_name}", compute)
 
 
 def specialization_table(track: TrackConfig, store: ArtifactStore) -> List[Dict]:
-    """Table 2: mean±std accuracy per method over the six selected tasks."""
-    data = store.dataset(track)
-    tasks = track.selected_tasks(data.hierarchy)
+    """Table 2: mean±std accuracy per method over the six selected tasks,
+    with each task's per-image bits (``correct``, ``n_images``)."""
+    tasks = track.selected_tasks(store.dataset(track).hierarchy)
     rows: List[Dict] = []
     for method in SPECIALIZATION_METHODS:
         records = [run_specialization(track, store, method, t) for t in tasks]
@@ -162,12 +170,15 @@ def specialization_table(track: TrackConfig, store: ArtifactStore) -> List[Dict]
         rows.append(
             {
                 "method": method,
-                "type": "generic" if method in ("oracle", "kd") else "special",
+                "type": records[0]["type"],
                 "arch": records[0]["arch"],
                 "accuracy_mean": float(accs.mean()),
                 "accuracy_std": float(accs.std()),
                 "params": records[0]["params"],
                 "flops": records[0]["flops"],
+                "tasks": list(tasks),
+                "correct": [r["correct"] for r in records],
+                "n_images": [r["n_images"] for r in records],
             }
         )
     return rows
@@ -181,8 +192,10 @@ def confidence_figure(
 ) -> Dict[str, Dict]:
     """Figure 5: OOD max-confidence histograms for Scratch/Transfer/CKD.
 
-    Returns per-method records with the histogram, mode bin and the
-    overconfidence rate (fraction of OOD predictions above 0.9).
+    Returns per-method records with the histogram, mode bin, the
+    overconfidence rate (fraction of OOD predictions above 0.9) and every
+    OOD image's max-softmax (``confidences``: base64 of little-endian
+    float32, in test-set order).
     """
     data = store.dataset(track)
     hierarchy = data.hierarchy
@@ -191,35 +204,14 @@ def confidence_figure(
     task = hierarchy.task(task_name)
 
     def compute() -> Dict:
+        models = {"scratch": store.scratch_teacher(track, task_name)}
+        config = track.train_config(track.expert_epochs, seed_offset=7)
+        models["transfer"], _ = library_head(
+            track, store, task, task_name, track.expert_ks, track.seed + 91, config
+        )
+        models["ckd"], _ = store.pool(track).consolidate([task_name])
         out: Dict[str, Dict] = {}
-        # Scratch specialist (cached teacher).
-        scratch_model = store.scratch_teacher(track, task_name)
-        # Transfer specialist: fresh head over the frozen library.
-        pool = store.pool(track)
-        transfer_head = WRNHead(
-            track.depth,
-            track.library_k,
-            track.expert_ks,
-            len(task),
-            library_level=track.library_level,
-            rng=np.random.default_rng(track.seed + 91),
-        )
-        subset = task_subset(data.train, task)
-        train_transfer(
-            pool.library,
-            transfer_head,
-            subset.images,
-            subset.labels,
-            config=track.train_config(track.expert_epochs, seed_offset=7),
-        )
-        transfer_model = BranchedSpecialistNet(pool.library, [(task_name, transfer_head)])
-        transfer_model.eval()
-        ckd_model = _branched_single(pool, task_name)
-        for method, model in (
-            ("scratch", scratch_model),
-            ("transfer", transfer_model),
-            ("ckd", ckd_model),
-        ):
+        for method, model in models.items():
             profile = ood_confidence_profile(model, data.test, task, bins=bins)
             out[method] = {
                 "histogram": profile.histogram.tolist(),
@@ -228,6 +220,9 @@ def confidence_figure(
                 "median": profile.median,
                 "overconfident_rate": profile.overconfident_rate,
                 "mode_bin": list(profile.mode_bin),
+                "confidences": base64.b64encode(
+                    profile.confidences.astype("<f4").tobytes()
+                ).decode("ascii"),
             }
         out["task"] = task_name
         return out

@@ -10,7 +10,9 @@ from repro.eval import (
     accuracy_from_logits,
     specialized_accuracy,
     task_specific_accuracy,
+    unpack_correct,
 )
+from repro.eval.metrics import pack_correct, task_correct
 from repro.tensor import Tensor
 
 
@@ -114,3 +116,40 @@ class TestSpecializedAccuracy:
         data = indexed_dataset([0, 1])
         with pytest.raises(ValueError):
             specialized_accuracy(LookupModel(np.zeros((2, 2))), data, task)
+
+
+class TestPerImageVector:
+    """Both accuracies are means of one vector over the task's images, in
+    dataset order, so two methods' vectors pair image by image."""
+
+    def test_generic_model(self, hierarchy):
+        task = hierarchy.task("e1")  # global classes (2, 3)
+        data = indexed_dataset([2, 0, 3, 3, 5])  # task images: rows 0, 2, 3
+        logits = np.zeros((5, 6), dtype=np.float32)
+        logits[:, 5] = 100.0  # outside the task's columns: never read
+        logits[0, 2] = 1.0  # right
+        logits[2, 2] = 1.0  # wrong: label 3
+        logits[3, 3] = 1.0  # right
+        model = LookupModel(logits)
+        correct = task_correct(model, data, task, generic=True)
+        assert correct.tolist() == [True, False, True]
+        assert task_specific_accuracy(model, data, task) == correct.mean()
+
+    def test_specialized_model(self, hierarchy):
+        task = hierarchy.task("e1")  # global (2, 3) -> local (0, 1)
+        data = indexed_dataset([3, 4, 2, 2])  # task images: rows 0, 2, 3
+        logits = np.zeros((4, 2), dtype=np.float32)
+        logits[0, 1] = 1.0  # right
+        logits[2, 1] = 1.0  # wrong: label 2 is local 0
+        logits[3, 0] = 1.0  # right
+        model = LookupModel(logits)
+        correct = task_correct(model, data, task, generic=False)
+        assert correct.tolist() == [True, False, True]
+        assert specialized_accuracy(model, data, task) == correct.mean()
+
+    def test_bits_round_trip_first_image_high_bit(self):
+        correct = np.random.default_rng(0).random(13) < 0.5
+        assert np.array_equal(unpack_correct(pack_correct(correct), 13), correct)
+        first = np.zeros(9, dtype=bool)
+        first[0] = True
+        assert pack_correct(first) == "gAA="  # bytes 0x80 0x00
