@@ -5,7 +5,7 @@ partitioned across N :class:`~repro.cluster.shard.PoolShard`\\ s by a
 :class:`~repro.cluster.router.ShardRouter`.  Every served query runs
 through the *front tier*: one :class:`~repro.serving.ServingGateway` over
 the parent pool (its payload/model/result tiers, single flight, versioned
-keys, build cost).  A payload-tier miss is answered one of two ways:
+keys, doorkeeper).  A payload-tier miss is answered one of two ways:
 
 * **single-shard relay** — the router's plan touches one shard, which
   serves the query through its own gateway (caches, coalescing,
@@ -212,7 +212,6 @@ class ClusterGateway:
         router: Optional[ShardRouter] = None,
         metrics: Optional[ClusterMetrics] = None,
         shard_factory=None,
-        controller=None,
     ) -> None:
         self.pool = pool
         self.config = config or ClusterConfig()
@@ -275,7 +274,7 @@ class ClusterGateway:
         self._mutation_seq = itertools.count(1)
         # The cross-shard tier is ServingGateway's pipeline over the parent
         # pool — accounting, payload/model/result tiers, single flight,
-        # versioned keys, build cost — with one step rebound: a composite's
+        # versioned keys, doorkeeper — with one step rebound: a composite's
         # snapshot holds heads gathered across shards.  It shares this
         # front end's metrics and trunk cache and is entered below its
         # public serve()/predict(), so each request is counted once, here.
@@ -302,21 +301,6 @@ class ClusterGateway:
         self._closed = False
         self._listener = self._on_expert_update
         pool.add_listener(self._listener)
-        self.controller = controller
-        if controller is not None:
-            controller.attach_cluster(self)
-
-    @property
-    def controller(self):
-        """Optional repro.control.CacheController: biases eviction in the
-        composite tiers, learns build/wire costs, prefetches hot payloads
-        and replicates hot experts through the router.  Held by the front
-        tier, whose accounting feeds it."""
-        return self._front.controller
-
-    @controller.setter
-    def controller(self, controller) -> None:
-        self._front.controller = controller
 
     # ------------------------------------------------------------------
     # Public API
@@ -399,23 +383,6 @@ class ClusterGateway:
             # (the composite builder handles a one-group plan fine)
         return self._front.get_model(names)
 
-    def prefetch(self, tasks: TaskQuery, transport: str = "float32") -> bool:
-        """Warm the front tier's payload cache for ``tasks`` without
-        serving a request (counted as ``prefetch_builds``).
-
-        Cross-shard plans build there; single-shard plans relay to their
-        in-process shard, and plans landing on a *remote* single shard
-        return False — prefetch must not push work over the wire.
-        """
-        names = canonical_tasks(tasks)
-        plan = self._plan(names)
-        if len(plan) > 1:
-            return self._front.prefetch(names, transport)
-        (shard_id,) = plan
-        if self.shards[shard_id].is_remote():
-            return False
-        return self._front.prefetch(names, transport, relay=partial(self._relay, shard_id))
-
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Prediction through the fused fast path, routed like :meth:`serve`.
 
@@ -454,7 +421,7 @@ class ClusterGateway:
         def fail(error: BaseException) -> None:
             # count the request too, so errors/predictions stays a rate
             self.metrics.increment("predictions")
-            self._front._record_popularity(names)
+            self.metrics.record_tasks(names)
             self.metrics.increment("errors")
             result.set_exception(error)
 
@@ -500,7 +467,7 @@ class ClusterGateway:
                 self.metrics.record_fanout(1)
                 self.metrics.record_shard_requests((shard_id,))
                 self.metrics.increment("predictions")
-                self._front._record_popularity(names)
+                self.metrics.record_tasks(names)
                 self.metrics.observe("predict_total", perf_counter() - start)
                 result.set_result(done.result())
             elif self._should_replan(error, names, epoch):
@@ -802,18 +769,12 @@ class ClusterGateway:
                 heads[name] = (head, version)
             if not missing:
                 continue
-            fetch_start = perf_counter()
             try:
                 raw = shard.fetch_heads(list(missing), _FETCH_TRANSPORT)
             except BaseException as error:
                 raise _tag_shard_error(error, shard_id)
-            seconds = perf_counter() - fetch_start
             self.metrics.increment("remote_fetches")
             self.metrics.increment("remote_fetch_bytes", len(raw))
-            if self.controller is not None:
-                # wire roundtrip + bytes, amortized over the fetched tasks:
-                # the remote-head tier's eviction cost signal
-                self.controller.record_wire_cost(list(missing), seconds, len(raw))
             for name, remote in deserialize_expert_heads(raw).items():
                 head = remote.head.eval()  # held like a pool module: eval from here on
                 heads[name] = (head, remote.version)

@@ -143,9 +143,9 @@ class ShardRouter:
     def hot(self) -> Mapping[str, int]:
         """Per-task replication overrides (``task -> copies``).
 
-        Installed by :meth:`replicate` — operators by hand, or the
-        self-tuning controller (:mod:`repro.control`) reacting to the
-        fan-out histogram.  Read-only snapshot for introspection.
+        Installed by :meth:`replicate` (an operator's call, carried across
+        a :meth:`~repro.cluster.ClusterGateway.reshard`).  Read-only
+        snapshot for introspection.
         """
         return dict(self._hot)
 

@@ -136,10 +136,6 @@ class PoolShard:
         """The consolidated model for ``tasks`` from this shard's caches."""
         return self.gateway.get_model(tasks)
 
-    def prefetch(self, tasks: "TaskQuery", transport: str = "float32") -> bool:
-        """Warm this shard's payload cache (self-tuning prefetch actuator)."""
-        return self.gateway.prefetch(tasks, transport)
-
     def cache_stats(self) -> Dict[str, CacheStats]:
         """This shard's cache tiers (model/payload/trunk/result)."""
         return self.gateway.cache_stats()

@@ -15,8 +15,8 @@ extraction, and every repeated prediction request.  This module provides:
   keyed on ``(library version, image digest)``, shared by the prediction
   fast path (:meth:`~repro.serving.ServingGateway.predict`) so repeated or
   cross-composite predictions on the same images run the shared trunk
-  once.  Its admission gate (:meth:`TrunkFeatureCache.admit`) also
-  decides what the prediction-result tier keeps.
+  once.  Its doorkeeper (:meth:`TrunkFeatureCache.admit`) also decides
+  what the prediction-result tier keeps.
 * :func:`fused_trunk_features` — the cache's **miss path**: one trunk
   forward through the compiled eval-mode program
   (:class:`repro.nn.fused.FusedTrunk` — NHWC GEMMs, folded BN, no
@@ -28,18 +28,11 @@ extraction, and every repeated prediction request.  This module provides:
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from typing import Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["array_digest", "fused_trunk_features", "TrunkFeatureCache"]
-
-#: How many sightings (``(library version, digest)`` keys) a
-#: :class:`TrunkFeatureCache` remembers for its admission gate (~0.6 MiB
-#: with the digest strings), oldest forgotten first.
-SEEN_DIGESTS = 4096
 
 
 def array_digest(array: np.ndarray) -> str:
@@ -91,23 +84,20 @@ class TrunkFeatureCache:
     the features, so a feature map of a superseded trunk can never match
     a lookup at the current one; it ages out of the LRU.
 
-    Serving stores pass an admission gate, TinyLFU's doorkeeper: a batch's
-    first sighting is computed, answered and only *remembered* (its key
-    joins a memory of the last :data:`SEEN_DIGESTS` keys), its second is
-    stored, its third hits.  A stream of never-repeated batches so leaves
-    the tier empty.  The prediction-result tier, keyed on the same
-    digests, keeps an answer on the same verdict (:meth:`admit`).  An
-    explicit :meth:`put` is not gated.
+    Serving stores pass the serving tiers' one admission policy, a
+    :class:`~repro.serving.cache.Doorkeeper`: a batch's first sighting is
+    computed, answered and only remembered, its second is stored, its
+    third hits.  A stream of never-repeated batches so leaves the tier
+    empty.  The prediction-result tier, keyed on the same digests, keeps
+    an answer on the same verdict (:meth:`admit`).  An explicit
+    :meth:`put` is not gated.
     """
 
     def __init__(self, budget_bytes: int) -> None:
-        from ..serving.cache import ByteBudgetLRU
+        from ..serving.cache import ByteBudgetLRU, Doorkeeper
 
         self._lru = ByteBudgetLRU(budget_bytes)
-        # guards the sighting memory
-        self._lock = threading.Lock()
-        # recently sighted keys, least recent first
-        self._seen: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._doorkeeper = Doorkeeper(self._lru)
 
     def get(self, key: Hashable) -> Optional[np.ndarray]:
         return self._lru.get(key)
@@ -115,29 +105,12 @@ class TrunkFeatureCache:
     def put(self, key: Hashable, features: np.ndarray, admitted: bool = True) -> bool:
         """Store ``features`` under ``key`` if ``admitted`` (a refused
         sighting counts as a rejection)."""
-        if not admitted:
-            self._lru.refuse()
-            return False
-        return self._lru.put(key, features, int(features.nbytes))
+        return self._doorkeeper.put(key, features, int(features.nbytes), admitted)
 
     def admit(self, key: Hashable) -> bool:
-        """One sighting of ``key``: may a serving store keep an entry for it?
-
-        True when the key is resident or remembered from an earlier
-        sighting; otherwise it is remembered and the store is refused.
-        Take the verdict once per request and hand it to every store the
-        request makes: a second call would read the first one's memory.
-        """
-        with self._lock:
-            if key in self._seen:
-                self._seen.move_to_end(key)
-                return True
-            if self._lru.contains(key):
-                return True
-            self._seen[key] = None
-            if len(self._seen) > SEEN_DIGESTS:
-                self._seen.popitem(last=False)
-            return False
+        """One sighting of ``key`` (:meth:`Doorkeeper.admit
+        <repro.serving.cache.Doorkeeper.admit>`)."""
+        return self._doorkeeper.admit(key)
 
     def get_or_compute(
         self,
@@ -175,9 +148,8 @@ class TrunkFeatureCache:
 
     def clear(self) -> None:
         """Drop everything, remembered keys included."""
-        with self._lock:
-            self._seen.clear()
-            self._lru.clear()
+        self._doorkeeper.clear()
+        self._lru.clear()
 
     def stats(self):
         return self._lru.stats()

@@ -83,23 +83,17 @@ class SegmentStore:
         self._entries: Dict[str, Dict[str, "weakref.WeakKeyDictionary[Module, bytes]"]] = {}
         # a dropped module's weak entry may vanish on any thread, mid-walk
         self._lock = threading.Lock()
-        #: Running total of seconds spent encoding what was put here: paid
-        #: once per module, so not part of a payload's *rebuild* price.
-        self.encode_seconds = 0.0
 
     def get(self, name: str, encoding: str, module: Module) -> Optional[bytes]:
         with self._lock:
             blobs = self._entries.get(name, {}).get(encoding)
             return None if blobs is None else blobs.get(module)
 
-    def put(
-        self, name: str, encoding: str, module: Module, blob: bytes, seconds: float
-    ) -> None:
-        """Memoise ``blob``, which took ``seconds`` to encode from ``module``."""
+    def put(self, name: str, encoding: str, module: Module, blob: bytes) -> None:
+        """Memoise ``blob``, ``module`` encoded."""
         with self._lock:
             per_name = self._entries.setdefault(name, {})
             per_name.setdefault(encoding, weakref.WeakKeyDictionary())[module] = blob
-            self.encode_seconds += seconds
 
     def drop(self, name: str) -> None:
         with self._lock:

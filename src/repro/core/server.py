@@ -57,7 +57,6 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from time import perf_counter
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -135,10 +134,9 @@ def _segment(store: Optional[SegmentStore], key: str, module, transport: str) ->
     encoding = "uint8" if transport == "uint8" else "float32"
     blob = None if store is None else store.get(key, encoding, module)
     if blob is None:
-        start = perf_counter()
         blob = _encode_segment(module.state_dict(), encoding == "uint8")
         if store is not None:
-            store.put(key, encoding, module, blob, perf_counter() - start)
+            store.put(key, encoding, module, blob)
     return blob
 
 

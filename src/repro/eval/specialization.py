@@ -161,7 +161,11 @@ def run_specialization(
 
 def specialization_table(track: TrackConfig, store: ArtifactStore) -> List[Dict]:
     """Table 2: mean±std accuracy per method over the six selected tasks,
-    with each task's per-image bits (``correct``, ``n_images``)."""
+    with each task's per-image bits (``correct``, ``n_images``).
+
+    ``params`` and ``flops`` are means over the tasks too, as Table 3's
+    are over its combos: a specialist's output layer follows its task's
+    class count, so its size differs from task to task."""
     tasks = track.selected_tasks(store.dataset(track).hierarchy)
     rows: List[Dict] = []
     for method in SPECIALIZATION_METHODS:
@@ -174,8 +178,8 @@ def specialization_table(track: TrackConfig, store: ArtifactStore) -> List[Dict]
                 "arch": records[0]["arch"],
                 "accuracy_mean": float(accs.mean()),
                 "accuracy_std": float(accs.std()),
-                "params": records[0]["params"],
-                "flops": records[0]["flops"],
+                "params": float(np.mean([r["params"] for r in records])),
+                "flops": float(np.mean([r["flops"] for r in records])),
                 "tasks": list(tasks),
                 "correct": [r["correct"] for r in records],
                 "n_images": [r["n_images"] for r in records],

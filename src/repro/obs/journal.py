@@ -34,7 +34,6 @@ __all__ = ["EventJournal", "JOURNAL"]
 
 #: Event kinds the stack is documented to emit (docs/observability.md).
 EVENT_KINDS = (
-    "autotune",
     "cache_evict",
     "expert_update",
     "library_update",

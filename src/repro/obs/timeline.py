@@ -51,10 +51,6 @@ KEY_COUNTERS = (
     "hedge_won",
     "net_retries",
     "net_failovers",
-    # self-tuning controller actions (repro.control)
-    "prefetch_builds",
-    "prefetch_hits",
-    "autotune_replications",
 )
 
 #: Stages whose quantile gauges are tracked per poll.
@@ -186,13 +182,6 @@ def snapshot_rates(
         lookups = hits + misses
         if lookups > 0:
             out[f"cache.{tier}.hit_rate"] = hits / lookups
-        # cost-aware evictions only grow a series once a score hook has
-        # actually fired — plain-LRU tiers stay out of the store
-        if float(stats.get("score_evictions", 0)) > 0:
-            delta = float(stats.get("score_evictions", 0)) - float(
-                before.get("score_evictions", 0)
-            )
-            out[f"cache.{tier}.score_evictions"] = max(delta, 0.0) / dt
 
     open_breakers = 0.0
     for states in (curr.get("breakers") or {}).values():

@@ -12,13 +12,10 @@ A budget of ``0`` disables the cache: every ``get`` misses and every ``put``
 is rejected.  That is how the gateway (and the throughput benchmark's
 "caches off" arm) turn a tier off without branching at every call site.
 
-Eviction order is pluggable via :attr:`ByteBudgetLRU.evict_score`: when a
-scoring hook is installed, budget pressure removes the *lowest-scoring*
-entry instead of the least-recently-used one (ties and hook failures fall
-back to LRU).  The self-tuning controller (:mod:`repro.control`) uses this
-to keep hot, expensive-to-rebuild composites resident — a GDSF-style
-``popularity x rebuild_cost / size`` policy — without this module knowing
-anything about popularity or cost.
+:class:`Doorkeeper` is the one admission policy of the serving tiers:
+TinyLFU's doorkeeper, which keeps a key from its second sighting.  The
+payload tier and the trunk-feature tier (whose verdict the
+prediction-result tier shares) each hold one; eviction is plain LRU.
 """
 
 from __future__ import annotations
@@ -26,14 +23,24 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional, Tuple
 
 from ..obs.journal import JOURNAL
 
-__all__ = ["BYTES_PER_PARAM", "CacheStats", "ByteBudgetLRU", "merge_cache_stats"]
+__all__ = [
+    "BYTES_PER_PARAM",
+    "CacheStats",
+    "ByteBudgetLRU",
+    "Doorkeeper",
+    "merge_cache_stats",
+]
 
 #: Cache-sizing convention for in-memory models: float32 weights.
 BYTES_PER_PARAM = 4
+
+#: How many sighted keys a :class:`Doorkeeper` remembers (~0.6 MiB for
+#: the trunk tier's digest keys), oldest forgotten first.
+SEEN_KEYS = 4096
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,6 @@ class CacheStats:
     insertions: int = 0
     evictions: int = 0
     rejections: int = 0
-    #: Subset of ``evictions`` chosen by a score hook rather than pure LRU.
-    score_evictions: int = 0
 
     @property
     def requests(self) -> int:
@@ -74,7 +79,6 @@ def merge_cache_stats(parts: List[CacheStats]) -> CacheStats:
         insertions=sum(p.insertions for p in parts),
         evictions=sum(p.evictions for p in parts),
         rejections=sum(p.rejections for p in parts),
-        score_evictions=sum(p.score_evictions for p in parts),
     )
 
 
@@ -89,30 +93,13 @@ class ByteBudgetLRU:
         Optional tier label; when set, budget-pressure evictions emit a
         ``cache_evict`` event into the process journal (one aggregated
         event per inserting ``put``, not one per victim).
-    evict_score:
-        Optional ``key -> float`` hook consulted under budget pressure.
-        When set, the entry with the strictly lowest score is evicted
-        (ties broken by LRU order); when ``None`` (the default) eviction
-        is plain LRU, bit-for-bit identical to the unhooked cache.  If
-        the just-inserted key itself scores lowest it is removed and the
-        ``put`` counts as a rejection, not an insertion — cost-aware
-        admission control falls out of the same comparison.  The hook is
-        called with the cache lock held: it must not call back into this
-        cache and must be cheap.  A raising hook falls back to LRU for
-        that eviction.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        name: Optional[str] = None,
-        evict_score: Optional[Callable[[Hashable], float]] = None,
-    ) -> None:
+    def __init__(self, budget_bytes: int, name: Optional[str] = None) -> None:
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
         self.budget_bytes = int(budget_bytes)
         self.name = name
-        self.evict_score = evict_score
         self._lock = threading.Lock()
         # key -> (value, size_bytes)
         self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
@@ -122,31 +109,6 @@ class ByteBudgetLRU:
         self._insertions = 0
         self._evictions = 0
         self._rejections = 0
-        self._score_evictions = 0
-
-    # ------------------------------------------------------------------
-    def _pick_victim(self) -> Hashable:
-        """Key to evict next (lock held): lowest score, or the LRU head.
-
-        The LRU head is both the default policy and the fallback when the
-        hook is absent, raises, or only ties the head's own score — so a
-        ``None`` hook leaves behaviour bit-for-bit identical to the
-        pre-hook cache.
-        """
-        lru_key = next(iter(self._entries))
-        score = self.evict_score
-        if score is None:
-            return lru_key
-        try:
-            best_key = lru_key
-            best_score: Optional[float] = None
-            for key in self._entries:  # LRU -> MRU, so strict < keeps ties on LRU
-                s = float(score(key))
-                if best_score is None or s < best_score:
-                    best_key, best_score = key, s
-            return best_key
-        except Exception:
-            return lru_key
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, default: Any = None) -> Any:
@@ -164,9 +126,7 @@ class ByteBudgetLRU:
         """Insert ``value``; evict entries until within budget.
 
         Returns ``False`` (and caches nothing) when the value alone exceeds
-        the budget — oversized artifacts would only thrash the cache — or
-        when an installed :attr:`evict_score` hook ranks the new entry
-        below everything already resident (admission denied).
+        the budget: oversized artifacts would only thrash the cache.
         """
         if size_bytes < 0:
             raise ValueError("size_bytes must be >= 0")
@@ -181,23 +141,12 @@ class ByteBudgetLRU:
             self._entries[key] = (value, size_bytes)
             self._bytes += size_bytes
             self._insertions += 1
-            admitted = True
             evicted = 0
             evicted_bytes = 0
             while self._bytes > self.budget_bytes:
-                victim = self._pick_victim()
-                _, victim_size = self._entries.pop(victim)
+                _, (_, victim_size) = self._entries.popitem(last=False)
                 self._bytes -= victim_size
-                if victim == key:
-                    # The new entry itself scored lowest: undo the insert
-                    # and report it as a rejection (admission denied).
-                    self._insertions -= 1
-                    self._rejections += 1
-                    admitted = False
-                    break
                 self._evictions += 1
-                if self.evict_score is not None:
-                    self._score_evictions += 1
                 evicted += 1
                 evicted_bytes += victim_size
         if evicted and self.name is not None and JOURNAL.enabled:
@@ -208,10 +157,10 @@ class ByteBudgetLRU:
                 freed_bytes=evicted_bytes,
                 budget_bytes=self.budget_bytes,
             )
-        return admitted
+        return True
 
     def refuse(self) -> None:
-        """Count a store the caller declined to make (an admission gate's
+        """Count a store the caller declined to make (a :class:`Doorkeeper`'s
         refusal) as a rejection."""
         with self._lock:
             self._rejections += 1
@@ -267,7 +216,6 @@ class ByteBudgetLRU:
                 insertions=self._insertions,
                 evictions=self._evictions,
                 rejections=self._rejections,
-                score_evictions=self._score_evictions,
             )
 
     def reset_stats(self) -> None:
@@ -276,7 +224,6 @@ class ByteBudgetLRU:
             self._hits = self._misses = 0
             self._insertions = self._evictions = 0
             self._rejections = 0
-            self._score_evictions = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         s = self.stats()
@@ -285,3 +232,51 @@ class ByteBudgetLRU:
             f"bytes={s.current_bytes}/{s.budget_bytes}, "
             f"hit_rate={s.hit_rate:.2f})"
         )
+
+
+class Doorkeeper:
+    """TinyLFU's doorkeeper over one :class:`ByteBudgetLRU`: a key is kept
+    from its second sighting.
+
+    A first sighting is built, answered and only *remembered* (the key
+    joins a memory of the last ``memory`` keys); the second is stored, the
+    third hits.  A stream of one-offs so leaves the tier to the keys that
+    repeat.
+    """
+
+    def __init__(self, cache: ByteBudgetLRU) -> None:
+        self.cache = cache
+        self._lock = threading.Lock()
+        # recently sighted keys, least recent first
+        self._seen: "OrderedDict[Hashable, None]" = OrderedDict()
+
+    def admit(self, key: Hashable) -> bool:
+        """One sighting of ``key``: may a store keep an entry for it?
+
+        True when the key is resident or remembered from an earlier
+        sighting; otherwise it is remembered and the store is refused.
+        Take the verdict once per request and hand it to every store the
+        request makes: a second call would read the first one's memory.
+        """
+        with self._lock:
+            if key in self._seen:
+                self._seen.move_to_end(key)
+                return True
+            if self.cache.contains(key):
+                return True
+            self._seen[key] = None
+            if len(self._seen) > SEEN_KEYS:
+                self._seen.popitem(last=False)
+            return False
+
+    def put(self, key: Hashable, value: Any, size_bytes: int, admitted: bool) -> bool:
+        """Store ``value`` if ``admitted``; a refusal counts as a rejection."""
+        if not admitted:
+            self.cache.refuse()
+            return False
+        return self.cache.put(key, value, size_bytes)
+
+    def clear(self) -> None:
+        """Forget every sighting (the cache's entries stay)."""
+        with self._lock:
+            self._seen.clear()

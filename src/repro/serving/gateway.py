@@ -13,8 +13,10 @@ four stages, each one metered:
 2. **payload cache** — a byte-budgeted LRU keyed on ``(canonical tasks,
    transport, versions)`` returns repeated shipments without rebuilding
    them.  An entry is the payload unjoined — its container head plus the
-   pool's own encoded segments — and is charged only the head.  With no
-   budget the tier is skipped outright (no key, no flight).
+   pool's own encoded segments — and is charged only the head.  A key is
+   kept from its second sighting (:class:`~repro.serving.cache.Doorkeeper`),
+   so one-off composites never displace repeated ones.  With no budget
+   the tier is skipped outright (no key, no flight).
 3. **single flight** — concurrent duplicate requests (same key, versions
    included) coalesce onto one in-flight build; followers block on the
    leader's result instead of serializing the same payload N times.
@@ -106,7 +108,7 @@ from ..core.query import TaskSpecificModel
 from ..core.server import TRANSPORTS, serialize_task_model, share_segments
 from ..obs.trace import TRACER
 from .canonical import TaskQuery, canonical_tasks
-from .cache import ByteBudgetLRU, CacheStats
+from .cache import ByteBudgetLRU, CacheStats, Doorkeeper
 from .metrics import ServingMetrics
 
 __all__ = [
@@ -280,7 +282,7 @@ class _Request:
     Construction checks the transport (None for a prediction: nothing
     ships), observes the queue wait and bumps ``counter``; entering opens
     the span, canonicalizes the task names and feeds their popularity to
-    the metrics and the controller; leaving on an exception counts
+    the metrics; leaving on an exception counts
     ``errors``.  A plain class, not a generator: this runs per request.
     """
 
@@ -303,7 +305,7 @@ class _Request:
         self.span = self._scope.__enter__()
         try:
             self.names = canonical_tasks(self.names)
-            self.gateway._record_popularity(self.names, self.transport)
+            self.gateway.metrics.record_tasks(self.names)
             self.span.tag("tasks", len(self.names))
             if self.transport is not None:
                 self.span.tag("transport", self.transport)
@@ -394,17 +396,13 @@ class ServingGateway:
         config: Optional[GatewayConfig] = None,
         metrics: Optional[ServingMetrics] = None,
         trunk_cache: Optional[TrunkFeatureCache] = None,
-        controller=None,
     ) -> None:
         self.pool = pool
         self.config = config or GatewayConfig()
         self.metrics = metrics or ServingMetrics()
-        #: Optional repro.control.CacheController: when attached it biases
-        #: eviction in every tier, learns build costs, and prefetches hot
-        #: payloads through :meth:`prefetch`.
-        self.controller = controller
         self.model_cache = ByteBudgetLRU(self.config.model_cache_bytes, name="model")
         self.payload_cache = ByteBudgetLRU(self.config.payload_cache_bytes, name="payload")
+        self._payload_doorkeeper = Doorkeeper(self.payload_cache)
         # trunk features depend only on the frozen library (keyed on its
         # version, never on expert versions); pass a shared instance to pool
         # hit rates across gateways over one library
@@ -426,8 +424,6 @@ class ServingGateway:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
-        if controller is not None:
-            controller.attach_gateway(self)
 
     # ------------------------------------------------------------------
     # Public API
@@ -471,28 +467,6 @@ class ServingGateway:
     def get_model(self, tasks: TaskQuery) -> TaskSpecificModel:
         """The consolidated model for ``tasks``, in canonical task order."""
         return self._model_for(canonical_tasks(tasks))[0]
-
-    def prefetch(
-        self, tasks: TaskQuery, transport: str = "float32", relay: Relay = None
-    ) -> bool:
-        """Warm the payload cache for ``tasks`` without serving a request.
-
-        The self-tuning controller's actuator: fills the payload tier
-        exactly like a served miss would — single flight, versioned key
-        and all, through ``relay`` when a cluster hands one down — but
-        counts under ``prefetch_builds``/the ``prefetch`` stage instead of
-        ``requests``, so prefetch traffic stays separable in every
-        snapshot.  Returns True when a payload was built, False when one
-        was already resident.
-        """
-        names = canonical_tasks(tasks)
-        key = (names, transport, self.pool.versions(names))
-        if self.payload_cache.contains(key):
-            return False
-        with self.metrics.stage("prefetch"):
-            self._flights.run(key, lambda: self._fill(names, transport, relay=relay))
-        self.metrics.increment("prefetch_builds")
-        return True
 
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Run prediction through the fused fast path, on the calling thread.
@@ -578,14 +552,6 @@ class ServingGateway:
     # same scope around its own routing and closes it through the same
     # responders.
     # ------------------------------------------------------------------
-    def _record_popularity(
-        self, names: Tuple[str, ...], transport: Optional[str] = None
-    ) -> None:
-        """Both popularity signals of one request (no transport: a prediction)."""
-        self.metrics.record_tasks(names)
-        if self.controller is not None:
-            self.controller.record_request(names, transport)
-
     def _served(
         self,
         request: _Request,
@@ -675,8 +641,6 @@ class ServingGateway:
             versions, parts = found or self.lookup(names, transport)
             key = (names, transport, versions)  # payload_key's shape: names are canonical
             if parts is not None:
-                if self.controller is not None:
-                    self._note_payload_hit(key)
                 return Served(parts, True, False, versions)
             served, coalesced = self._flights.run(
                 key, lambda: self._fill(names, transport, snapshot, relay)
@@ -687,11 +651,6 @@ class ServingGateway:
             self.metrics.increment("coalesced")
         return served
 
-    def _note_payload_hit(self, key: Hashable) -> None:
-        """With a controller: a payload hit is its prefetch loop's if it put the entry there."""
-        if self.controller.was_prefetched(key):
-            self.metrics.increment("prefetch_hits")
-
     def _fill(
         self,
         names: Tuple[str, ...],
@@ -700,7 +659,8 @@ class ServingGateway:
         relay: Relay = None,
     ) -> Served:
         """One payload-tier miss, built here or relayed, put under the
-        versions of the modules it was built from.
+        versions of the modules it was built from if the tier's doorkeeper
+        admits it.
 
         An entry is charged only what it alone holds: a built one its
         container head (the segments are the store's, which is bounded on
@@ -718,30 +678,21 @@ class ServingGateway:
                 return served
             parts, owned = share_segments(served.parts, self.pool, names, transport)
             served = served._replace(parts=parts)
-        self.payload_cache.put((names, transport, served.versions), served.parts, owned)
+        key = (names, transport, served.versions)
+        self._payload_doorkeeper.put(
+            key, served.parts, owned, self._payload_doorkeeper.admit(key)
+        )
         return served
 
     def _build_payload(
         self, names: Tuple[str, ...], transport: str, snapshot: Seam = None
     ) -> Served:
         """Snapshot the pool and serialize: a build, neither a hit nor coalesced."""
-        build_start = perf_counter()
         taken = (snapshot or self._snapshot)(names)
-        store = self.pool.segments
-        encoded = store.encode_seconds
         with self.metrics.stage("serialize"):
             parts = serialize_task_model(
-                taken, taken.composite, self.pool.config, transport, store, as_parts=True
-            )
-        if self.controller is not None:
-            # measured snapshot+serialize cost: the rebuild price the
-            # eviction scores weigh against popularity — so less what this
-            # build spent encoding a segment for the first time, which the
-            # store keeps and no rebuild pays again (the total is shared: a
-            # concurrent build's encode can make this one sample read low)
-            once = store.encode_seconds - encoded
-            self.controller.record_build_cost(
-                names, max(perf_counter() - build_start - once, 0.0), sum(map(len, parts))
+                taken, taken.composite, self.pool.config, transport, self.pool.segments,
+                as_parts=True,
             )
         return Served(parts, False, False, taken.versions)
 

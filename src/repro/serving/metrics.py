@@ -252,7 +252,7 @@ class PopularityEWMA:
     Each recorded task bumps its score by 1 after decaying it by
     ``2 ** (-elapsed / halflife_s)``, so a task's score approximates its
     request rate weighted toward the last ``halflife_s`` seconds — the
-    live popularity estimate adaptive cache/prefetch policies rank by.
+    live popularity estimate the dashboards rank tasks by.
     Raw lifetime counts ride along for absolute volume.  Not thread-safe
     on its own; :class:`ServingMetrics` records under its lock.
     """

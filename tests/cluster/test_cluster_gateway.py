@@ -74,6 +74,7 @@ class TestServe:
 
     def test_permuted_cross_shard_queries_share_payload(self, cluster):
         query = _cross_shard_query(cluster)
+        cluster.serve(query)  # first sighting: remembered, not kept
         first = cluster.serve(query)
         second = cluster.serve(tuple(reversed(query)))
         assert second.payload_cache_hit
@@ -107,6 +108,7 @@ class TestServe:
     def test_composite_cache_hits_do_not_inflate_shard_traffic(self, cluster):
         query = _cross_shard_query(cluster)
         cluster.serve(query)
+        cluster.serve(query)  # the second sighting is kept
         before = cluster.metrics.shard_requests()
         cluster.serve(query)  # composite payload hit: no shard is touched
         assert cluster.metrics.shard_requests() == before
@@ -124,8 +126,8 @@ class TestServe:
 
     def test_cache_stats_aggregate_shard_tiers(self, cluster):
         query = _cross_shard_query(cluster)
-        cluster.serve(query)
-        cluster.serve(query)
+        for _ in range(3):  # refused, kept, hit
+            cluster.serve(query)
         stats = cluster.cache_stats()
         assert set(stats) == {
             "model",
@@ -215,6 +217,7 @@ class TestRebalance:
         cluster = _make(pool)
         try:
             query = _cross_shard_query(cluster)
+            cluster.serve(query)  # first sighting: remembered, not kept
             before = deserialize_task_model(cluster.serve(query).payload)
             task = query[0]
             old_primary = cluster.shards_of(task)[0]
@@ -242,6 +245,7 @@ class TestRebalance:
         cluster = _make(pool)
         try:
             query = _cross_shard_query(cluster)
+            cluster.serve(query)  # first sighting: remembered, not kept
             first = cluster.serve(query)
             assert len(cluster.payload_cache) == 1
             task = query[0]

@@ -21,6 +21,7 @@ from repro.core import (
     deserialize_task_model,
     serialize_task_model,
 )
+from repro.core import server as core_server
 from repro.distill import TrainConfig
 from repro.models import BranchedSpecialistNet, FusedHeadBank, WRNHead, WRNTrunk, count_params
 from repro.nn import Module
@@ -235,7 +236,7 @@ def test_cross_shard_assembled_networks_are_in_eval_mode(cluster, names, picks, 
 # ----------------------------------------------------------------------
 # Segments: the pool's head and a fetched copy of it do not evict each other
 # ----------------------------------------------------------------------
-def test_alternating_cross_shard_serves_encode_nothing_new(wide_pool):
+def test_alternating_cross_shard_serves_encode_nothing_new(wide_pool, monkeypatch):
     """Composite A gathers head ``x`` as a fetched copy (its home shard is
     the other one), composite B as the pool's own object (``x``'s shard is
     its home).  The store keeps a blob per module object, so serving A and
@@ -252,11 +253,15 @@ def test_alternating_cross_shard_serves_encode_nothing_new(wide_pool):
         second = tuple(sorted((*on[0][:2], on[1][0])))  # home shard 0
         for query in (first, second):
             gateway.serve(query)
-        encoded = pool.segments.encode_seconds
+        encodes = []
+        real_encode = core_server._encode_segment
+        monkeypatch.setattr(
+            core_server, "_encode_segment", lambda *args: encodes.append(1) or real_encode(*args)
+        )
         for _ in range(3):
             for query in (first, second):
                 assert not gateway.serve(query).payload_cache_hit
-        assert pool.segments.encode_seconds == encoded
+        assert encodes == []
     finally:
         gateway.close()
 

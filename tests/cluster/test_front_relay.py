@@ -94,6 +94,7 @@ def test_a_single_shard_payload_is_relayed_once_and_held_as_the_pools_segments(c
     shard = cluster.shards[shard_id] = _Shard(cluster.shards[shard_id])
     pool = cluster.pool
     for transport in ("float32", "uint8", "raw+zlib"):
+        cluster.serve(names, transport)  # first sighting: relayed, not kept
         first = cluster.serve(names, transport)
         second = cluster.serve(names, transport)
         assert second.payload_cache_hit and second.parts is first.parts
@@ -102,7 +103,7 @@ def test_a_single_shard_payload_is_relayed_once_and_held_as_the_pools_segments(c
         segments = [pool.segments.get(LIBRARY_TASK, encoding, pool.library)]
         segments += [pool.segments.get(name, encoding, pool.experts[name]) for name in names]
         assert all(part is segment for part, segment in zip(first.parts[1:], segments))
-    assert shard.serves == 3
+    assert shard.serves == 6  # two relays per transport, then hits
     front = cluster.cache_stats()["composite_payload"]
     assert front.current_entries == 3
     assert front.current_bytes == sum(
@@ -145,8 +146,9 @@ def test_a_relay_at_superseded_versions_is_kept_only_under_them(cluster):
     behind = tuple(v - 1 for v in cluster.pool.versions(names))
     assert cluster.payload_cache.keys() == [(names, "float32", behind)]
     shard.versions_behind = 0  # the worker caught up: its answer is kept
+    cluster.serve(names)  # first sighting at the current versions
     cluster.serve(names)
-    assert cluster.serve(names).payload_cache_hit and shard.serves == 3
+    assert cluster.serve(names).payload_cache_hit and shard.serves == 4
 
 
 def test_a_build_from_a_head_fetched_at_another_version_is_cached_only_at_it(cluster):
@@ -175,6 +177,7 @@ def test_a_shard_entry_of_a_superseded_head_is_never_relayed(cluster):
     be answered from it: the shard looks up under its new versions."""
     names, shard_id = _single(cluster)
     pool, shard = cluster.pool, cluster.shards[shard_id]
+    cluster.serve(names)  # first sighting: remembered, not kept
     old = cluster.serve(names)
     donor = next(name for name in pool.expert_names() if name not in names)
     pool.attach_expert(names[0], pool.experts[donor])  # new weights, same shape
@@ -183,5 +186,6 @@ def test_a_shard_entry_of_a_superseded_head_is_never_relayed(cluster):
     assert not new.payload_cache_hit
     assert new.versions == pool.versions(names) != old.versions
     assert new.payload == _fresh_bytes(pool, names) != old.payload
+    new = cluster.serve(names)  # the new versions' second sighting is kept
     again = cluster.serve(names)
     assert again.payload_cache_hit and again.parts is new.parts

@@ -1,1 +1,1 @@
-"""Control-plane tests: a package so suites can share the sim harness."""
+"""Payload-tier policy tests: a package so suites can share the replay."""

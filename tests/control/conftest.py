@@ -1,15 +1,8 @@
-"""Fixtures for the self-tuning control-plane tests."""
+"""Fixtures for the payload tier's replay."""
 
 from __future__ import annotations
 
 import pytest
-
-
-@pytest.fixture(scope="session")
-def control_pool(micro_pool):
-    """The shared micro pool (4 primitive tasks → 6 distinct pairs)."""
-    pool, _data, _oracle = micro_pool
-    return pool
 
 
 @pytest.fixture(scope="session")

@@ -1,53 +1,36 @@
-"""Deterministic simulation harness for the self-tuning control plane.
+"""Deterministic replay of the payload tier's admission policy.
 
-Every moving part of the control loop takes an injected clock, so the
-whole stack — gateway (or cluster), :class:`repro.control.CacheController`,
-and :class:`repro.obs.timeline.TelemetryPoller` — can be stepped
-synchronously from a single :class:`FakeClock`.  Nothing here sleeps and
-no background thread runs: a test *is* the scheduler.  ``serve`` advances
-simulated time by one fixed ``dt`` per request, and ``run`` interleaves
-controller ticks and telemetry polls at fixed request strides, recording
-every :class:`~repro.control.TickReport` and poll diff for assertions.
-:func:`shifting_zipf_trace` is the seeded workload the controller's
-end-to-end gate (``test_shifting_replay.py``) replays, and
-:func:`verify_report` is that gate, over a :class:`ReplayReport` of the
-static and tuned arms.
+:func:`shifting_zipf_trace` is the seeded workload.  Two of the replay's
+arms serve it through a real :class:`~repro.serving.ServingGateway`:
+*static* (plain LRU: every miss is stored) and *doorkeeper* (the shipped
+gateway, whose payload tier keeps a key from its second sighting,
+:class:`~repro.serving.cache.Doorkeeper`).  The third arm is offline:
+:func:`belady_builds`, the furthest-next-use schedule under the tier's
+own byte charges.  Every count is a payload build (a tier miss), so each
+arm reads as its share of the gap between LRU and the bound
+(:meth:`SeedReport.share`), and :func:`verify_report` is the gate.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from repro.control import CacheController, ControllerConfig, TickReport
-from repro.obs.timeline import TelemetryPoller
+from repro.serving.cache import Doorkeeper
 from repro.serving.gateway import GatewayConfig, ServingGateway
 
 __all__ = [
-    "ArmReport",
-    "FakeClock",
     "ReplayReport",
-    "SimHarness",
+    "SeedReport",
+    "belady_builds",
+    "replay_builds",
     "shifting_zipf_trace",
     "verify_report",
 ]
 
-
-class FakeClock:
-    """Explicitly-advanced monotonic clock shared by every sim component."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("simulated time cannot go backwards")
-        self.now += seconds
-
-    def __call__(self) -> float:
-        return self.now
+Query = Tuple[Tuple[str, ...], str]
 
 
 def shifting_zipf_trace(
@@ -57,14 +40,14 @@ def shifting_zipf_trace(
     hot_size: int = 8,
     hot_fraction: float = 0.75,
     seed: int = 0,
-) -> List[Tuple[Tuple[str, ...], str]]:
+) -> List[Query]:
     """A seeded shifting-Zipf trace of ``(names, "float32")`` requests.
 
     ``hot_fraction`` of the requests draw Zipf-weighted (skew 1.1) from a
     hot set of ``hot_size`` task pairs, which rotates to a disjoint set at
     the midpoint (``requests // 2``).  The rest cycle a large pool of cold
     composites (singles, pairs, triples), so each cold query is a
-    near-certain cache miss with or without a controller.
+    near-certain cache miss under any online policy.
     """
     if requests < 2:
         raise ValueError("requests must be >= 2")
@@ -87,7 +70,7 @@ def shifting_zipf_trace(
     rng.shuffle(cold_pool)
     cold = itertools.cycle(cold_pool)
     weights = [1.0 / (rank + 1) ** 1.1 for rank in range(hot_size)]
-    trace: List[Tuple[Tuple[str, ...], str]] = []
+    trace: List[Query] = []
     for i in range(requests):
         hot = hot_a if i < requests // 2 else hot_b
         if rng.random() < hot_fraction:
@@ -98,194 +81,113 @@ def shifting_zipf_trace(
     return trace
 
 
+class _AdmitAll(Doorkeeper):
+    """The static arm's payload tier: every miss is stored (plain LRU)."""
+
+    def admit(self, key) -> bool:
+        return True
+
+
+def replay_builds(
+    pool, trace: Sequence[Query], budget_bytes: int, *, doorkeeper: bool
+) -> Tuple[int, Dict[Query, int]]:
+    """``(builds, charges)``: serve ``trace`` through one single-worker
+    gateway with a payload tier of ``budget_bytes``.
+
+    ``builds`` is the tier's miss count.  ``charges`` maps each query to
+    the bytes the tier charges its entry (the container head: the
+    segments are the pool's), the sizes :func:`belady_builds` schedules.
+    With ``doorkeeper`` False the tier admits every miss.
+    """
+    charges: Dict[Query, int] = {}
+    config = GatewayConfig(max_workers=1, payload_cache_bytes=budget_bytes)
+    with ServingGateway(pool, config) as gateway:
+        if not doorkeeper:
+            gateway._payload_doorkeeper = _AdmitAll(gateway.payload_cache)
+        for query in trace:
+            charges[query] = len(gateway.serve(*query).parts[0])
+        return gateway.payload_cache.stats().misses, charges
+
+
+def belady_builds(
+    trace: Sequence[Query], charges: Dict[Query, int], budget_bytes: int
+) -> int:
+    """Builds of Belady's MIN with bypass under byte charges, offline.
+
+    On a miss the new entry joins the residents, and while they exceed
+    the budget the one whose next use is furthest away leaves (the new
+    entry itself included: a bypass; among entries never used again the
+    largest leaves first).  With equal charges this is the optimum, exact.
+    With unequal charges the optimum is NP-hard and this is an estimate:
+    a feasible offline schedule, so the optimum builds no more than it,
+    and possibly fewer.
+    """
+    n = len(trace)
+    next_use = [0] * n
+    upcoming: Dict[Query, int] = {}
+    for i in range(n - 1, -1, -1):
+        next_use[i] = upcoming.get(trace[i], n)  # n: never used again
+        upcoming[trace[i]] = i
+    resident: Dict[Query, int] = {}  # query -> its next use
+    used = builds = 0
+    for i, query in enumerate(trace):
+        if query in resident:
+            resident[query] = next_use[i]
+            continue
+        builds += 1
+        resident[query] = next_use[i]
+        used += charges[query]
+        while used > budget_bytes:
+            victim = max(resident, key=lambda q: (resident[q], charges[q]))
+            used -= charges[victim]
+            del resident[victim]
+    return builds
+
 
 @dataclass(frozen=True)
-class ArmReport:
-    """One replay arm's payload-tier counts (and, for the record, its time).
+class SeedReport:
+    """One seed's payload builds under each arm (counts only)."""
 
-    ``elapsed_s`` is wall clock: reported, never gated, and left out of
-    equality so two replays compare on their counts alone.
-    """
+    seed: int
+    static: int
+    doorkeeper: int
+    bound: int
 
-    label: str
-    requests: int
-    hit_rate: float
-    misses: int
-    score_evictions: int
-    rejections: int
-    prefetch_builds: int
-    prefetch_hits: int
-    elapsed_s: float = field(default=0.0, compare=False)
-
-    @property
-    def builds(self) -> int:
-        """Payloads built in all: a client's miss or a tick's prefetch."""
-        return self.misses + self.prefetch_builds
-
-    @property
-    def qps(self) -> float:
-        return self.requests / self.elapsed_s if self.elapsed_s else 0.0
+    def share(self, builds: int) -> float:
+        """The share of LRU's gap to the bound that ``builds`` closes
+        (0.0 when there is no gap to close)."""
+        gap = self.static - self.bound
+        return (self.static - builds) / gap if gap else 0.0
 
 
 @dataclass(frozen=True)
 class ReplayReport:
-    """The static (plain LRU) and tuned (controller) arms of one replay."""
+    """The replay's arms on every seed."""
 
-    static: ArmReport
-    tuned: ArmReport
-
-    @property
-    def hit_rate_gain(self) -> float:
-        """Absolute payload hit-rate advantage of the controller arm."""
-        return self.tuned.hit_rate - self.static.hit_rate
-
-    @property
-    def qps_ratio(self) -> float:
-        return self.tuned.qps / self.static.qps if self.static.qps else 0.0
+    seeds: Tuple[SeedReport, ...]
 
     def render(self) -> str:
-        header = "arm         |      qps | hit_rate | miss | score |  rej | pbuild |  phit"
+        header = "seed | static-lru | doorkeeper | bound | doorkeeper share"
         lines = [header, "-" * len(header)]
-        for arm in (self.static, self.tuned):
+        for row in self.seeds:
             lines.append(
-                f"{arm.label:<12}| {arm.qps:8.1f} | {arm.hit_rate:8.1%} | "
-                f"{arm.misses:4d} | {arm.score_evictions:5d} | {arm.rejections:4d} | "
-                f"{arm.prefetch_builds:6d} | {arm.prefetch_hits:5d}"
+                f"{row.seed:4d} | {row.static:10d} | {row.doorkeeper:10d} | "
+                f"{row.bound:5d} | {row.share(row.doorkeeper):16.3f}"
             )
-        lines.append(
-            f"gain={self.hit_rate_gain:+.1%} qps_ratio={self.qps_ratio:.2f}x "
-            f"builds={self.tuned.builds} vs {self.static.builds}"
-        )
         return "\n".join(lines)
 
 
-def verify_report(report: ReplayReport) -> None:
-    """The controller's gate, on counts alone.
-
-    The tuned arm must serve a strictly higher payload hit rate, must have
-    acted (prefetched, served a prefetch, and evicted or refused by score),
-    and must build fewer payloads in all than the static arm misses.  The
-    wall-clock qps ratio is reported and never gated: both arms together
-    run in well under a second, where it reads noise.
-    """
-    static, tuned = report.static, report.tuned
-    assert tuned.hit_rate > static.hit_rate, (
-        f"controller hit rate {tuned.hit_rate:.1%} must beat static {static.hit_rate:.1%}"
-    )
-    assert tuned.prefetch_builds > 0, "controller never prefetched"
-    assert tuned.prefetch_hits > 0, "no prefetched payload was ever served"
-    assert tuned.score_evictions + tuned.rejections > 0, (
-        "score hook never influenced eviction/admission"
-    )
-    assert tuned.builds < static.builds, (
-        f"controller built {tuned.misses} + {tuned.prefetch_builds} payloads, "
-        f"static {static.builds}"
-    )
-
-class SimHarness:
-    """One gateway + controller + poller stepped on one fake clock.
-
-    Parameters
-    ----------
-    pool:
-        The trained pool to serve.
-    gateway_config:
-        Defaults to a single-worker gateway (deterministic build order).
-    controller_config:
-        Defaults to a 2.5 sim-second popularity half-life (50 requests at
-        the default ``dt``).
-    static:
-        Serve with no controller attached: plain LRU tiers, and ``run``
-        takes no ticks.  The baseline arm of a controller comparison.
-    dt:
-        Simulated seconds each ``serve``/``predict`` advances the clock.
-    """
-
-    def __init__(
-        self,
-        pool,
-        *,
-        gateway_config: Optional[GatewayConfig] = None,
-        controller_config: Optional[ControllerConfig] = None,
-        dt: float = 0.05,
-        seed: int = 0,
-        static: bool = False,
-    ) -> None:
-        self.clock = FakeClock()
-        self.dt = dt
-        self.controller: Optional[CacheController] = None
-        if not static:
-            self.controller = CacheController(
-                controller_config or ControllerConfig(popularity_halflife_s=2.5),
-                clock=self.clock,
-                seed=seed,
-            )
-        self.gateway = ServingGateway(
-            pool,
-            gateway_config or GatewayConfig(max_workers=1),
-            controller=self.controller,
+def verify_report(report: ReplayReport, floor: float) -> None:
+    """The gate: on every seed there is a gap to close, and the doorkeeper
+    closes at least ``floor`` of it."""
+    assert report.seeds, "the replay ran no seed"
+    for row in report.seeds:
+        assert row.static > row.bound, (
+            f"seed {row.seed}: LRU's {row.static} builds leave no gap to the "
+            f"bound's {row.bound}"
         )
-        self.poller = TelemetryPoller.for_gateway(self.gateway, clock=self.clock)
-        self.reports: List[TickReport] = []
-        self.polls: List[Dict[str, Dict[str, float]]] = []
-
-    # ------------------------------------------------------------------
-    def serve(self, names: Sequence[str], transport: str = "float32"):
-        """Advance one ``dt`` and serve one request."""
-        self.clock.advance(self.dt)
-        return self.gateway.serve(names, transport)
-
-    def tick(self) -> TickReport:
-        """One synchronous control-loop step (recorded in ``reports``)."""
-        report = self.controller.tick()
-        self.reports.append(report)
-        return report
-
-    def poll(self) -> Dict[str, Dict[str, float]]:
-        """One synchronous telemetry sweep (recorded in ``polls``).
-
-        Advances a minimal step first so consecutive polls never see a
-        zero-elapsed diff window.
-        """
-        self.clock.advance(self.dt)
-        produced = self.poller.poll_once()
-        self.polls.append(produced)
-        return produced
-
-    def run(
-        self,
-        trace: Sequence[Tuple[Sequence[str], str]],
-        *,
-        tick_every: int = 25,
-        poll_every: int = 0,
-    ) -> List[TickReport]:
-        """Drive a ``[(names, transport), ...]`` trace through the loop.
-
-        Ticks the controller (if any) every ``tick_every`` requests and (when
-        ``poll_every`` > 0) polls telemetry every ``poll_every`` requests,
-        exactly as a deployed stack would — minus the threads.
-        """
-        started = len(self.reports)
-        for i, (names, transport) in enumerate(trace):
-            self.serve(names, transport)
-            if self.controller is not None and tick_every and (i + 1) % tick_every == 0:
-                self.tick()
-            if poll_every and (i + 1) % poll_every == 0:
-                self.poll()
-        return self.reports[started:]
-
-    # ------------------------------------------------------------------
-    def payload_stats(self):
-        return self.gateway.payload_cache.stats()
-
-    def counter(self, name: str) -> int:
-        return self.gateway.metrics.counter(name)
-
-    def close(self) -> None:
-        self.gateway.close()
-
-    def __enter__(self) -> "SimHarness":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        share = row.share(row.doorkeeper)
+        assert share >= floor, (
+            f"seed {row.seed}: the doorkeeper closes {share:.3f} of the gap, "
+            f"under the floor {floor}"
+        )

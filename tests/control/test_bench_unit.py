@@ -1,36 +1,28 @@
 """Unit tests for the shifting replay's pieces (no pool, no serving).
 
-The two-arm replay runs in ``test_shifting_replay.py``; here the pure
-pieces it stands on — the explicitly stepped clock, the shifting-Zipf
-trace generator, the two-arm report and the :func:`verify_report` gate —
-are pinned down with hand-built inputs, so a gate that stops rejecting
-shows here and not as a silently passing replay.
+The replay runs in ``test_shifting_replay.py``; here the pure pieces it
+stands on — the shifting-Zipf trace generator, the offline Belady bound,
+the per-seed report and the :func:`verify_report` gate — are pinned down
+with hand-built inputs, so a gate that stops rejecting shows here and not
+as a silently passing replay.
 """
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from .sim import (
-    ArmReport,
-    FakeClock,
     ReplayReport,
+    SeedReport,
+    belady_builds,
     shifting_zipf_trace,
     verify_report,
 )
 
 TASKS = [f"t{i}" for i in range(8)]
-
-
-class TestStepClock:
-    def test_advances_explicitly(self):
-        clock = FakeClock(start=2.0)
-        assert clock() == 2.0
-        clock.advance(0.5)
-        clock.advance(0.5)
-        assert clock() == 3.0
-        with pytest.raises(ValueError, match="backwards"):
-            clock.advance(-0.1)
 
 
 class TestShiftingWorkloadTrace:
@@ -75,92 +67,93 @@ class TestShiftingWorkloadTrace:
             shifting_zipf_trace(TASKS, requests=1)
 
 
-def _arm(label, hit_rate, elapsed_s=1.0, **overrides):
-    fields = dict(
-        label=label,
-        requests=100,
-        hit_rate=hit_rate,
-        misses=100 - int(100 * hit_rate),
-        score_evictions=0,
-        rejections=0,
-        prefetch_builds=0,
-        prefetch_hits=0,
-        elapsed_s=elapsed_s,
+def _exhaustive_builds(trace, capacity):
+    """The fewest builds any offline policy pays for ``trace`` with room for
+    ``capacity`` equal entries: every choice at every miss, tried."""
+
+    @lru_cache(maxsize=None)
+    def best(i, resident):
+        if i == len(trace):
+            return 0
+        query = trace[i]
+        if query in resident:
+            return best(i + 1, resident)
+        options = [best(i + 1, resident)]  # bypass
+        if len(resident) < capacity:
+            options.append(best(i + 1, resident | {query}))
+        else:
+            options.extend(
+                best(i + 1, (resident - {victim}) | {query}) for victim in resident
+            )
+        return 1 + min(options)
+
+    return best(0, frozenset())
+
+
+class TestBelady:
+    @given(
+        trace=st.lists(st.sampled_from("abcde"), max_size=14),
+        capacity=st.integers(1, 3),
     )
-    fields.update(overrides)
-    return ArmReport(**fields)
+    def test_equal_charges_match_the_exhaustive_optimum(self, trace, capacity):
+        charges = {query: 10 for query in "abcde"}
+        assert belady_builds(trace, charges, 10 * capacity) == _exhaustive_builds(
+            tuple(trace), capacity
+        )
+
+    def test_bypasses_the_entry_used_furthest_away(self):
+        # room for one: c is never used again, so it never displaces a
+        trace = ["a", "c", "a", "a"]
+        assert belady_builds(trace, {"a": 5, "c": 5}, 5) == 2
+
+    def test_unequal_charges_free_the_larger_dead_entry_first(self):
+        # b and c are never used again; dropping b (the larger) makes
+        # room for d while c stays
+        trace = ["b", "c", "d", "d"]
+        charges = {"b": 6, "c": 2, "d": 5}
+        assert belady_builds(trace, charges, 8) == 3
+
+    def test_oversized_entry_is_a_build_every_time(self):
+        assert belady_builds(["x", "x", "x"], {"x": 11}, 10) == 3
 
 
-# 40 misses + 5 prefetch builds against the static arm's 50 misses
-GOOD_TUNED = dict(score_evictions=20, rejections=30, prefetch_builds=5, prefetch_hits=9)
+GOOD = (SeedReport(0, static=300, doorkeeper=260, bound=180), SeedReport(1, 310, 270, 190))
 
 
 class TestReport:
     def test_derived_ratios(self):
-        report = ReplayReport(
-            _arm("s", 0.5), _arm("t", 0.6, elapsed_s=100 / 120, **GOOD_TUNED)
-        )
-        assert report.hit_rate_gain == pytest.approx(0.1)
-        assert report.qps_ratio == pytest.approx(1.2)
-        assert report.static.builds == 50
-        assert report.tuned.builds == 45
-        # two replays are equal on their counts, whatever the wall clock read
-        assert report == ReplayReport(
-            _arm("s", 0.5, elapsed_s=9.0), _arm("t", 0.6, elapsed_s=0.1, **GOOD_TUNED)
-        )
+        row = GOOD[0]
+        assert row.share(row.doorkeeper) == pytest.approx(40 / 120)
+        assert row.share(row.static) == 0.0
+        assert row.share(row.bound) == 1.0
+        assert row.share(row.static + 12) == pytest.approx(-0.1)  # worse than LRU
 
-    def test_zero_static_qps_is_safe(self):
-        report = ReplayReport(_arm("s", 0.5, elapsed_s=0.0), _arm("t", 0.6))
-        assert report.static.qps == 0.0
-        assert report.qps_ratio == 0.0
+    def test_zero_gap_is_safe(self):
+        assert SeedReport(0, static=50, doorkeeper=50, bound=50).share(50) == 0.0
 
-    def test_render_is_a_two_arm_table(self):
-        report = ReplayReport(
-            _arm("s", 0.5), _arm("t", 0.6, elapsed_s=100 / 120, **GOOD_TUNED)
-        )
-        text = report.render()
-        assert "static-lru" not in text  # labels come from the arms
-        lines = text.splitlines()
-        assert lines[2].startswith("s ") and lines[3].startswith("t ")
-        assert "qps_ratio=1.20x" in text
-        assert "gain=+10.0%" in text
-        assert "builds=45 vs 50" in text
+    def test_render_is_a_row_per_seed(self):
+        lines = ReplayReport(GOOD).render().splitlines()
+        assert len(lines) == 2 + len(GOOD)
+        assert lines[0].split(" | ") == [
+            "seed", "static-lru", "doorkeeper", "bound", "doorkeeper share"
+        ]
+        assert lines[2].split() == ["0", "|", "300", "|", "260", "|", "180", "|", "0.333"]
 
 
 class TestVerifyReport:
     def test_winning_report_passes_unrelaxed(self):
-        verify_report(ReplayReport(_arm("s", 0.5), _arm("t", 0.6, **GOOD_TUNED)))
+        verify_report(ReplayReport(GOOD), 1 / 3)
 
-    def test_wall_clock_is_never_gated(self):
-        slower = _arm("t", 0.6, elapsed_s=10.0, **GOOD_TUNED)
-        verify_report(ReplayReport(_arm("s", 0.5), slower))
+    def test_share_must_reach_the_floor_on_every_seed(self):
+        short = SeedReport(2, static=300, doorkeeper=271, bound=180)  # 29 / 120
+        with pytest.raises(AssertionError, match="seed 2: the doorkeeper closes 0.242"):
+            verify_report(ReplayReport(GOOD + (short,)), 0.25)
 
-    def test_hit_rate_must_strictly_improve(self):
-        report = ReplayReport(_arm("s", 0.6), _arm("t", 0.6, **GOOD_TUNED))
-        with pytest.raises(AssertionError, match="hit rate"):
-            verify_report(report)
+    def test_a_replay_without_a_gap_fails(self):
+        flat = SeedReport(3, static=180, doorkeeper=180, bound=180)
+        with pytest.raises(AssertionError, match="seed 3: LRU's 180 builds leave no gap"):
+            verify_report(ReplayReport((flat,)), 0.0)
 
-    def test_controller_must_prefetch(self):
-        tuned = dict(GOOD_TUNED, prefetch_builds=0)
-        report = ReplayReport(_arm("s", 0.5), _arm("t", 0.6, **tuned))
-        with pytest.raises(AssertionError, match="never prefetched"):
-            verify_report(report)
-
-    def test_prefetches_must_be_served(self):
-        tuned = dict(GOOD_TUNED, prefetch_hits=0)
-        report = ReplayReport(_arm("s", 0.5), _arm("t", 0.6, **tuned))
-        with pytest.raises(AssertionError, match="prefetched payload"):
-            verify_report(report)
-
-    def test_score_hook_must_act(self):
-        tuned = dict(GOOD_TUNED, score_evictions=0, rejections=0)
-        report = ReplayReport(_arm("s", 0.5), _arm("t", 0.6, **tuned))
-        with pytest.raises(AssertionError, match="score hook"):
-            verify_report(report)
-
-    def test_builds_must_undercut_static_misses(self):
-        # 40 misses + 10 prefetches ties the static arm's 50 misses
-        tuned = dict(GOOD_TUNED, prefetch_builds=10)
-        report = ReplayReport(_arm("s", 0.5), _arm("t", 0.6, **tuned))
-        with pytest.raises(AssertionError, match="built 40 \\+ 10"):
-            verify_report(report)
+    def test_a_replay_of_no_seed_fails(self):
+        with pytest.raises(AssertionError, match="no seed"):
+            verify_report(ReplayReport(()), 0.0)

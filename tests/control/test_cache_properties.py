@@ -1,13 +1,10 @@
-"""Property tests: ByteBudgetLRU invariants, with and without score hooks.
+"""Property tests: ByteBudgetLRU and its Doorkeeper against reference models.
 
 A tiny reference model re-implements the *documented* semantics — LRU
-recency, byte budget, lowest-score victim with strict-``<`` LRU tie-break,
-admission denial when the new entry itself scores lowest — and hypothesis
-drives both the model and the real cache through arbitrary op sequences.
-Any divergence in contents, order, or counters is a bug in one of them.
-The ``scores=None`` case doubles as the regression that an unhooked cache
-is plain LRU, and the constant-score case pins the tie-break: a hook that
-cannot distinguish entries must reproduce LRU eviction order exactly.
+recency, byte budget, and the doorkeeper's second-sighting admission over
+a bounded memory of sighted keys — and hypothesis drives both the model
+and the real cache through arbitrary op sequences.  Any divergence in
+contents, order, or counters is a bug in one of them.
 """
 
 from collections import OrderedDict
@@ -16,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serving.cache import ByteBudgetLRU
+from repro.serving import cache as serving_cache
+from repro.serving.cache import ByteBudgetLRU, Doorkeeper
 
 KEYS = "abcdef"
 BUDGET = 100
@@ -33,34 +31,15 @@ OPS = st.lists(
     max_size=40,
 )
 
-#: None → unhooked cache; otherwise a fixed key → score table.  Scores are
-#: small integers so ties are common (the tie-break path gets exercised).
-SCORE_TABLES = st.one_of(
-    st.none(),
-    st.fixed_dictionaries({k: st.integers(0, 3) for k in KEYS}),
-)
-
-
 class ModelLRU:
     """Reference implementation of the documented ByteBudgetLRU semantics."""
 
-    def __init__(self, budget, score=None):
+    def __init__(self, budget):
         self.budget = budget
-        self.score = score
         self.entries = OrderedDict()  # key -> size
         self.hits = self.misses = 0
         self.insertions = self.evictions = 0
-        self.rejections = self.score_evictions = 0
-
-    def _victim(self):
-        if self.score is None:
-            return next(iter(self.entries))
-        best_key, best_score = None, None
-        for key in self.entries:  # LRU -> MRU; strict < keeps ties on LRU
-            s = float(self.score(key))
-            if best_score is None or s < best_score:
-                best_key, best_score = key, s
-        return best_key
+        self.rejections = 0
 
     def get(self, key):
         if key not in self.entries:
@@ -78,15 +57,8 @@ class ModelLRU:
         self.entries[key] = size
         self.insertions += 1
         while sum(self.entries.values()) > self.budget:
-            victim = self._victim()
-            del self.entries[victim]
-            if victim == key:
-                self.insertions -= 1
-                self.rejections += 1
-                return False
+            del self.entries[next(iter(self.entries))]  # the LRU head
             self.evictions += 1
-            if self.score is not None:
-                self.score_evictions += 1
         return True
 
     def discard(self, key):
@@ -122,81 +94,69 @@ def _apply(cache, model, ops):
         assert stats.insertions == model.insertions
         assert stats.evictions == model.evictions
         assert stats.rejections == model.rejections
-        assert stats.score_evictions == model.score_evictions
-        assert stats.score_evictions <= stats.evictions or stats.evictions == 0
 
 
 @pytest.mark.parametrize("tier", [None, "model", "payload", "result"])
-@given(ops=OPS, scores=SCORE_TABLES)
-def test_cache_matches_reference_model(tier, ops, scores):
-    hook = None if scores is None else (lambda key: scores[key])
-    cache = ByteBudgetLRU(BUDGET, name=tier, evict_score=hook)
-    _apply(cache, ModelLRU(BUDGET, hook), ops)
-
-
 @given(ops=OPS)
-def test_constant_score_hook_is_plain_lru(ops):
-    """A hook that cannot rank entries must evict in exact LRU order."""
-    plain = ByteBudgetLRU(BUDGET)
-    hooked = ByteBudgetLRU(BUDGET, evict_score=lambda key: 1.0)
+def test_cache_matches_reference_model(tier, ops):
+    _apply(ByteBudgetLRU(BUDGET, name=tier), ModelLRU(BUDGET), ops)
+
+
+#: A stream of misses (each one the doorkeeper is asked about) and gets.
+SIGHTINGS = st.lists(
+    st.one_of(
+        st.tuples(st.just("miss"), st.sampled_from(KEYS), st.integers(0, 60)),
+        st.tuples(st.just("get"), st.sampled_from(KEYS)),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=SIGHTINGS, memory=st.integers(0, 4))
+def test_doorkeeper_admits_a_key_from_its_second_sighting(ops, memory):
+    """A miss is stored iff its key is resident or among the last
+    ``SEEN_KEYS`` keys sighted and refused (a refusal is a rejection)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serving_cache, "SEEN_KEYS", memory)
+        _check_doorkeeper(ops, memory)
+
+
+def _check_doorkeeper(ops, memory):
+    cache = ByteBudgetLRU(BUDGET)
+    doorkeeper = Doorkeeper(cache)
+    model = ModelLRU(BUDGET)
+    seen = OrderedDict()
     for op in ops:
-        if op[0] == "put":
-            _, key, size = op
-            assert plain.put(key, size, size) == hooked.put(key, size, size)
-        elif op[0] == "get":
-            assert plain.get(op[1]) == hooked.get(op[1])
-        elif op[0] == "discard":
-            assert plain.discard(op[1]) == hooked.discard(op[1])
+        if op[0] == "get":
+            assert cache.get(op[1]) == model.get(op[1])
+            continue
+        _, key, size = op
+        admitted = key in seen or key in model.entries
+        if key in seen:
+            seen.move_to_end(key)
+        elif not admitted:
+            seen[key] = None
+            if len(seen) > memory:
+                seen.popitem(last=False)
+        assert doorkeeper.admit(key) == admitted
+        if admitted:
+            assert doorkeeper.put(key, size, size, True) == model.put(key, size)
         else:
-            plain.clear()
-            hooked.clear()
-        assert plain.keys() == hooked.keys()
-        p, h = plain.stats(), hooked.stats()
-        # every counter agrees except score attribution: the hooked cache
-        # routes the same evictions through its (tied) score scan
-        assert (p.hits, p.misses, p.insertions, p.evictions, p.rejections) == (
-            h.hits,
-            h.misses,
-            h.insertions,
-            h.evictions,
-            h.rejections,
-        )
-        assert p.score_evictions == 0
-        assert h.score_evictions == h.evictions
+            assert not doorkeeper.put(key, size, size, False)
+            model.rejections += 1
+        assert cache.keys() == list(model.entries)
+        assert cache.stats().rejections == model.rejections
 
 
-@given(ops=OPS, scores=st.fixed_dictionaries({k: st.integers(0, 3) for k in KEYS}))
-def test_raising_hook_degrades_to_lru(ops, scores):
-    """A hook that blows up must leave the cache behaving like plain LRU."""
-
-    def bomb(key):
-        raise RuntimeError("scorer down")
-
-    plain = ByteBudgetLRU(BUDGET)
-    hooked = ByteBudgetLRU(BUDGET, evict_score=bomb)
-    for op in ops:
-        if op[0] == "put":
-            _, key, size = op
-            assert plain.put(key, size, size) == hooked.put(key, size, size)
-        elif op[0] == "get":
-            assert plain.get(op[1]) == hooked.get(op[1])
-        elif op[0] == "discard":
-            assert plain.discard(op[1]) == hooked.discard(op[1])
-        else:
-            plain.clear()
-            hooked.clear()
-        assert plain.keys() == hooked.keys()
-
-
-def test_self_eviction_is_admission_denial():
-    """A new key scoring below everything resident is rejected, not cached."""
-    scores = {"hot": 5.0, "warm": 3.0, "cold": 0.1}
-    cache = ByteBudgetLRU(100, evict_score=lambda k: scores[k])
-    assert cache.put("hot", b"x", 50)
-    assert cache.put("warm", b"y", 50)
-    assert not cache.put("cold", b"z", 50)
+def test_first_sighting_is_admission_denial():
+    """A one-off never displaces a repeated key; its second sighting is kept."""
+    cache = ByteBudgetLRU(100)
+    doorkeeper = Doorkeeper(cache)
+    for key in ("hot", "hot", "warm", "warm"):
+        doorkeeper.put(key, b"x", 50, doorkeeper.admit(key))
+    assert not doorkeeper.put("cold", b"z", 50, doorkeeper.admit("cold"))
     assert cache.keys() == ["hot", "warm"]
+    assert doorkeeper.put("cold", b"z", 50, doorkeeper.admit("cold"))
+    assert cache.keys() == ["warm", "cold"]
     stats = cache.stats()
-    assert stats.rejections == 1
-    assert stats.insertions == 2
-    assert stats.evictions == 0
+    assert (stats.rejections, stats.insertions, stats.evictions) == (3, 3, 1)

@@ -57,7 +57,7 @@ class SegmentStoreModel(RuleBasedStateMachine):
     def put(self, data, name, encoding):
         token, module = self._module(data)
         blob = f"{name}/{encoding}/{token}/{next(self.serial)}".encode()
-        self.store.put(name, encoding, module, blob, 0.0)
+        self.store.put(name, encoding, module, blob)
         self.model.setdefault((name, encoding), {})[token] = blob
 
     @precondition(lambda self: self.modules)

@@ -48,3 +48,28 @@ class TestRenderHistogram:
     def test_handles_all_zero(self):
         out = render_histogram([0.0, 0.0], [0, 0.5, 1.0])
         assert "#" not in out
+
+
+class TestSpecializationRow:
+    def test_params_and_flops_are_means_over_the_tasks(self, monkeypatch):
+        """Table 2's row averages its tasks' sizes, as Table 3 does over its
+        combos: specialists of 2- and 3-class tasks differ in size."""
+        from types import SimpleNamespace
+
+        from repro.eval import specialization
+
+        sizes = {"two": (85_187, 1_000), "three": (85_204, 1_034)}
+
+        def record(track, store, method, task):
+            params, flops = sizes[task]
+            return {"method": method, "task": task, "type": "specialist", "arch": "WRN",
+                    "accuracy": 0.5, "params": params, "flops": flops,
+                    "correct": "", "n_images": 0}
+
+        monkeypatch.setattr(specialization, "run_specialization", record)
+        track = SimpleNamespace(selected_tasks=lambda hierarchy: ("two", "three"))
+        store = SimpleNamespace(dataset=lambda track: SimpleNamespace(hierarchy=None))
+        rows = specialization.specialization_table(track, store)
+        assert [row["method"] for row in rows] == list(specialization.SPECIALIZATION_METHODS)
+        for row in rows:
+            assert row["params"] == 85_195.5 and row["flops"] == 1_017.0

@@ -496,7 +496,7 @@ def test_a_worker_payload_hit_reaches_send_buffers_as_the_stores_segments(
     monkeypatch.setattr(net_server, "send_buffers", capture)
     request = json_payload({"tasks": names, "transport": "uint8"})
     try:
-        for _ in range(2):  # a build, then a payload-tier hit
+        for _ in range(3):  # a refused build, a kept one, then a payload-tier hit
             server._handle_serve(_FakeSocket(), threading.Lock(), 1, request, CODEC_JSON)
     finally:
         server.close()
@@ -504,7 +504,7 @@ def test_a_worker_payload_hit_reaches_send_buffers_as_the_stores_segments(
     store = shard.pool.segments
     segments = [store.get(LIBRARY_TASK, "uint8", shard.pool.library)]
     segments += [store.get(name, "uint8", shard.pool.experts[name]) for name in names]
-    (hit,) = sent[1:]  # one frame: the payload is under the chunk size
+    (hit,) = sent[2:]  # one frame: the payload is under the chunk size
     assert [b for b in hit if any(b is s for s in segments)] == segments
     meta, blob = unpack_body(b"".join(bytes(b) for b in hit)[HEADER_BYTES:])
     assert meta["payload_cache_hit"] and meta["versions"] == list(shard.pool.versions(names))

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
-from repro.control import CacheController
 from repro.core import deserialize_task_model, serialize_task_model
 from repro.distill import batched_forward
 from repro.models import WRNHead
@@ -95,7 +94,8 @@ def test_every_entry_path_ships_the_plain_pool_bytes(net_pool, in_process, entry
             return [future.result(timeout=120) for future in futures]
 
         for tasks, expected in reference.items():
-            assert [r.payload for r in ask(tasks)] == [expected] * 3
+            for _ in range(2):  # concurrent submits share one first sighting
+                assert [r.payload for r in ask(tasks)] == [expected] * 3
         assert gateway.metrics.counter("cross_shard") >= 3
         assert bool(len(gateway.payload_cache)) == bool(budget)
         with pytest.raises(KeyError):
@@ -125,9 +125,10 @@ def _count_frames(monkeypatch, gateway) -> Counter:
     return sent
 
 
-def test_a_repeated_single_shard_serve_sends_one_serve_frame(net_pool, monkeypatch):
-    """The front tier keeps a single-shard payload: a repeat is a front-end
-    hit, byte-identical to what one plain pool serialises."""
+def test_a_repeated_single_shard_serve_sends_two_serve_frames(net_pool, monkeypatch):
+    """The front tier keeps a single-shard payload from its second sighting:
+    a repeat after that is a front-end hit, byte-identical to what one
+    plain pool serialises."""
     pool, _data = net_pool
     with NetworkedCluster(pool, CONFIG) as deployment:
         gateway = deployment.gateway
@@ -135,10 +136,10 @@ def test_a_repeated_single_shard_serve_sends_one_serve_frame(net_pool, monkeypat
         task = sorted(gateway.available_tasks())[0]
         for count, transport in enumerate(("float32", "uint8", "raw+zlib"), start=1):
             expected = serialize_task_model(*pool.consolidate([task]), pool.config, transport)
-            responses = [gateway.serve((task,), transport) for _ in range(3)]
-            assert [r.payload for r in responses] == [expected] * 3
-            assert [r.payload_cache_hit for r in responses[1:]] == [True, True]
-            assert sent[MsgType.SERVE] == count
+            responses = [gateway.serve((task,), transport) for _ in range(4)]
+            assert [r.payload for r in responses] == [expected] * 4
+            assert [r.payload_cache_hit for r in responses] == [False, False, True, True]
+            assert sent[MsgType.SERVE] == 2 * count
         assert gateway.cache_stats()["composite_payload"].current_entries == 3
 
 
@@ -149,8 +150,9 @@ def test_a_reextraction_reaches_the_worker_and_ships_the_new_bytes(net_pool, mon
     with NetworkedCluster(pool, CONFIG) as deployment:
         gateway = deployment.gateway
         sent = _count_frames(monkeypatch, gateway)
+        gateway.serve((task,))  # first sighting: relayed, not kept
         old = gateway.serve((task,)).payload
-        assert gateway.serve((task,)).payload_cache_hit and sent[MsgType.SERVE] == 1
+        assert gateway.serve((task,)).payload_cache_hit and sent[MsgType.SERVE] == 2
         config = pool.config
         head = WRNHead(
             config.library_depth,
@@ -163,10 +165,11 @@ def test_a_reextraction_reaches_the_worker_and_ships_the_new_bytes(net_pool, mon
         pool.attach_expert(task, head)  # version bump: pushed to the worker
         expected = serialize_task_model(*pool.consolidate([task]), pool.config)
         assert expected != old
-        fresh = gateway.serve((task,))
-        assert sent[MsgType.SERVE] == 2 and not fresh.payload_cache_hit
-        assert fresh.payload == expected
-        assert gateway.serve((task,)).payload_cache_hit and sent[MsgType.SERVE] == 2
+        for count in (3, 4):  # the new versions' first and second sightings
+            fresh = gateway.serve((task,))
+            assert sent[MsgType.SERVE] == count and not fresh.payload_cache_hit
+            assert fresh.payload == expected
+        assert gateway.serve((task,)).payload_cache_hit and sent[MsgType.SERVE] == 4
 
 
 def test_get_model_logits_bit_identical(networked, in_process, net_pool):
@@ -301,24 +304,19 @@ def test_rebalance_requires_the_mutations_feature(networked):
 # ----------------------------------------------------------------------
 # submit(): the cluster executor over remote shards
 # ----------------------------------------------------------------------
-def test_submitted_serves_feed_the_controller(net_pool, in_process):
-    """Submitted serves leave the controller its signals: popularity,
-    build and wire costs."""
+def test_submitted_serves_feed_task_popularity(net_pool, in_process):
+    """Submitted serves, single-shard and cross-shard, feed the front
+    end's per-task popularity."""
     pool, _data = net_pool
     names = sorted(in_process.available_tasks())
     query = _cross_shard_query(in_process)
     with NetworkedCluster(pool, CONFIG) as deployment:
         gateway = deployment.gateway
-        controller = CacheController()
-        gateway.controller = controller
-        controller.attach_cluster(gateway)
         for tasks in (query, (names[0],), query, tuple(names)):
             gateway.submit(tasks).result(timeout=120)
-        snapshot = controller.snapshot()
-        popularity = sorted(gateway.metrics.popularity.snapshot())
-    assert snapshot["tracked_queries"] == 3 and snapshot["build_costs"] == 2
-    assert snapshot["wire_costs"] == len(names)
-    assert popularity == names
+        popularity = gateway.metrics.popularity.snapshot()
+    assert sorted(popularity) == names
+    assert popularity[names[0]]["count"] == 2 + 2 * (names[0] in query)
 
 
 @pytest.mark.parametrize("cross", [False, True], ids=["single", "cross"])
@@ -457,6 +455,7 @@ def test_remote_mutation_pushes_into_running_workers(net_pool, in_process):
     with NetworkedCluster(pool, CONFIG) as deployment:
         gateway = deployment.gateway
         query = _cross_shard_query(in_process)
+        gateway.serve(query)  # first sighting: remembered, not kept
         reference = gateway.serve(query).payload
         assert len(gateway.payload_cache) == 1
         task = query[0]
@@ -480,6 +479,7 @@ def test_remote_mutation_poisons_when_workers_lack_the_feature(net_pool, in_proc
         gateway = deployment.gateway
         query = _cross_shard_query(in_process)
         gateway.serve(query)
+        gateway.serve(query)  # the second sighting is kept
         gateway.get_model(query)  # serving builds no model: fill that tier
         assert len(gateway.payload_cache) == 1
         assert len(gateway.model_cache) == 1
@@ -508,6 +508,7 @@ def test_remote_library_bump_pushes_library_state(net_pool, in_process):
     with NetworkedCluster(pool, CONFIG) as deployment:
         gateway = deployment.gateway
         query = _cross_shard_query(in_process)
+        gateway.serve(query)  # first sighting: remembered, not kept
         reference = gateway.serve(query).payload
         assert len(gateway.payload_cache) == 1
         gateway._on_expert_update(LIBRARY_TASK, pool.expert_version(LIBRARY_TASK))

@@ -130,6 +130,7 @@ def test_in_memory_requests_run_on_the_reader_the_rest_in_the_pool(served):
     shard, names, images, start = served
     server = start()
     with RemoteShardClient(server.address) as client:
+        client.serve(names[:2])  # first sighting: built, not kept
         miss = client.serve(names[:2])
         hit = client.serve(names[:2])
         client.ping()
@@ -138,8 +139,9 @@ def test_in_memory_requests_run_on_the_reader_the_rest_in_the_pool(served):
         client.stats()
     assert (miss.payload_cache_hit, hit.payload_cache_hit) == (False, True)
     assert hit.payload == miss.payload
-    first, second = shard.ran_on("serve")
-    assert first.startswith(POOL) and second == READER
+    *misses, hit_thread = shard.ran_on("serve")
+    assert len(misses) == 2 and all(t.startswith(POOL) for t in misses)
+    assert hit_thread == READER
     (ping,) = [t for msg, t in server.request_threads if msg == MsgType.PING]
     assert ping == READER
     for operation in ("predict", "fetch_heads", "stats"):
@@ -164,6 +166,7 @@ def test_hit_overtakes_a_parked_predict_on_one_connection(served):
     shard, names, images, start = served
     # one pool thread: were the hit dispatched, it would wait for the predict
     server = start(request_workers=1)
+    shard.serve(names[:2], "float32")  # first sighting: remembered, not kept
     expected = shard.serve(names[:2], "float32").payload  # warms the cache
     gate = shard.gates["predict"] = _Gate()
     with socket.create_connection(server.address, timeout=WAIT) as sock:
@@ -210,6 +213,7 @@ def test_draining_server_rejects_in_memory_requests(served):
 def test_drain_waits_for_a_request_running_on_the_reader(served):
     shard, names, _images, start = served
     server = start()
+    shard.serve(names[:2], "float32")  # first sighting: remembered, not kept
     expected = shard.serve(names[:2], "float32").payload
     gate = shard.gates["serve"] = _Gate()
     results = []
@@ -264,7 +268,8 @@ def test_a_hit_is_one_lookup_one_request_on_each_side(served):
         shard_factory=lambda *_args: RemoteShardClient(server.address),
     )
     try:
-        expected = front.serve(names[:2]).payload  # a miss: built in the pool
+        front.serve(names[:2])  # first sighting: built in the pool, not kept
+        expected = front.serve(names[:2]).payload  # a kept miss
         cache = shard.gateway.payload_cache = _CountingCache(shard.gateway.payload_cache)
         before = cache.stats()
         requests = (shard.gateway.metrics.counter("requests"), front.metrics.counter("requests"))
@@ -288,9 +293,9 @@ def test_hot_serves_count_once_in_cache_stats_and_requests(served):
     server = start()
     hot = 7
     with RemoteShardClient(server.address) as client:
-        for _ in range(1 + hot):
+        for _ in range(2 + hot):  # a refused miss, a kept one, then hits
             client.serve(names[:2])
     stats = shard.gateway.payload_cache.stats()
-    assert (stats.hits, stats.misses) == (hot, 1)
-    assert shard.gateway.metrics.snapshot()["counters"]["requests"] == 1 + hot
-    assert shard.ran_on("serve")[1:] == [READER] * hot
+    assert (stats.hits, stats.misses) == (hot, 2)
+    assert shard.gateway.metrics.snapshot()["counters"]["requests"] == 2 + hot
+    assert shard.ran_on("serve")[2:] == [READER] * hot

@@ -132,30 +132,13 @@ class TestSnapshotRates:
         with pytest.raises(ValueError):
             snapshot_rates(_snap(), _snap(), dt=0.0)
 
-    def test_controller_counters_always_get_a_series(self):
-        # the self-tuning gauges are KEY_COUNTERS: a zero-rate series still
-        # appears, so dashboards show "0/s" rather than a missing line
+    def test_key_counters_always_get_a_series(self):
+        # a KEY_COUNTERS zero-rate series still appears, so dashboards show
+        # "0/s" rather than a missing line; other counters wait until they move
         rates = snapshot_rates(_snap(), _snap(), dt=1.0)
-        for name in ("prefetch_builds", "prefetch_hits", "autotune_replications"):
+        for name in ("hedge_fired", "net_failovers"):
             assert rates[f"rate.{name}"] == 0.0
-
-    def test_score_evictions_series_only_after_hook_fires(self):
-        prev = _snap(cache_stats={"payload": {"hits": 0, "misses": 0, "score_evictions": 0}})
-        curr = _snap(cache_stats={"payload": {"hits": 0, "misses": 0, "score_evictions": 0}})
-        rates = snapshot_rates(prev, curr, dt=1.0)
-        assert "cache.payload.score_evictions" not in rates  # plain-LRU tier
-
-        curr = _snap(cache_stats={"payload": {"hits": 0, "misses": 0, "score_evictions": 6}})
-        rates = snapshot_rates(prev, curr, dt=2.0)
-        assert rates["cache.payload.score_evictions"] == pytest.approx(3.0)
-
-    def test_score_evictions_reset_clamps_to_zero(self):
-        # a restarted shard's counter going backwards must not yield a
-        # negative rate
-        prev = _snap(cache_stats={"payload": {"hits": 0, "misses": 0, "score_evictions": 10}})
-        curr = _snap(cache_stats={"payload": {"hits": 0, "misses": 0, "score_evictions": 2}})
-        rates = snapshot_rates(prev, curr, dt=1.0)
-        assert rates["cache.payload.score_evictions"] == 0.0
+        assert "rate.remote_fetches" not in rates
 
 
 class TestTelemetryPoller:

@@ -53,6 +53,7 @@ class TestServe:
         assert not response.payload_cache_hit and not response.coalesced
 
     def test_permuted_requests_share_payload(self, gateway):
+        gateway.serve(["fish", "pets"])  # first sighting: remembered, not kept
         first = gateway.serve(["pets", "fish"])
         second = gateway.serve(["fish", "pets"])
         assert second.payload_cache_hit
@@ -120,15 +121,16 @@ class TestServe:
         assert set(np.unique(preds)).issubset({0, 1, 4, 5})
 
     def test_metrics_recorded(self, gateway):
-        gateway.serve(["pets"])
-        gateway.serve(["pets"])
+        for _ in range(3):
+            gateway.serve(["pets"])
         snap = gateway.metrics.snapshot()
-        assert snap["counters"]["requests"] == 2
-        assert snap["stages"]["total"]["count"] == 2
-        assert snap["stages"]["serialize"]["count"] == 1  # the one miss
+        assert snap["counters"]["requests"] == 3
+        assert snap["stages"]["total"]["count"] == 3
+        # the two misses: the first sighting (refused), the second (kept)
+        assert snap["stages"]["serialize"]["count"] == 2
         assert "consolidate" not in snap["stages"]
         stats = gateway.cache_stats()
-        assert stats["payload"].hits == 1
+        assert (stats["payload"].hits, stats["payload"].rejections) == (1, 1)
 
     def test_render_stats_mentions_tiers(self, gateway):
         gateway.serve(["pets"])
@@ -166,8 +168,9 @@ class TestInvalidation:
         lookups key on the new version, which no entry was stored under."""
         pool, _, _ = named_pool
         with ServingGateway(pool) as gateway:
-            gateway.serve(["pets", "birds"])
-            gateway.serve(["fish"])
+            for _ in range(2):  # the second sighting is kept
+                gateway.serve(["pets", "birds"])
+                gateway.serve(["fish"])
             model = gateway.get_model(["pets", "birds"])
             pool.attach_expert("pets", pool.experts["pets"])  # version bump
             assert gateway.get_model(["birds", "pets"]) is not model

@@ -59,6 +59,7 @@ def test_gateway_entry_holds_the_stores_segments_and_is_charged_its_head(
     pool = named_pool[0].subset(["pets", "fish", "birds"])  # a view owns a fresh store
     names = ("birds", "fish", "pets")
     with ServingGateway(pool) as gateway:
+        gateway.serve(names, transport)  # first sighting: remembered, not kept
         served = gateway.serve(["pets", "fish", "birds"], transport)
         head = _assert_entry_is_store_segments(
             gateway.payload_cache, pool.snapshot(names), pool.segments, names, transport, served
@@ -75,6 +76,7 @@ def test_cluster_composite_entry_holds_the_stores_segments(named_pool):
     try:
         names = ("birds", "fish", "pets")
         assert len(cluster._plan(names)) == 2
+        cluster.serve(names, "raw+zlib")  # first sighting: remembered, not kept
         served = cluster.serve(names, "raw+zlib")
         # the same modules the build used: the home shard's own heads and
         # the fetched copies the remote-head tier keeps
@@ -304,6 +306,8 @@ def test_served_bytes_follow_a_mutation_between_snapshot_and_put(
         # the probe's first sighting (another composite: no model of
         # ``names`` is built), so the racing predict stores in every tier
         serving.predict(probe, ("birds",))
+        # and the payload's, so the held build below is kept
+        serving.serve(names)
         # a payload build is held after its snapshot, before serializing; a
         # predict after its model's snapshot, before assembling it
         _hold_once(monkeypatch, serving_gateway, "serialize_task_model", held_serve, release)

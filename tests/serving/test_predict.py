@@ -119,16 +119,16 @@ class TestAdmission:
         assert np.array_equal(first.class_ids, third.class_ids)
 
     def test_digest_memory_stays_at_its_bound(self, monkeypatch):
-        from repro.core import features
+        from repro.serving import cache as serving_cache
 
-        monkeypatch.setattr(features, "SEEN_DIGESTS", 3)
+        monkeypatch.setattr(serving_cache, "SEEN_KEYS", 3)
         cache = TrunkFeatureCache(1 << 20)
         assert not any(cache.admit(digest) for digest in "abcde")
-        assert len(cache._seen) == 3
+        assert len(cache._doorkeeper._seen) == 3
         assert not cache.admit("a")  # forgotten: a first sighting again
         assert cache.admit("e")
         cache.clear()
-        assert len(cache._seen) == 0 and not cache.admit("e")
+        assert len(cache._doorkeeper._seen) == 0 and not cache.admit("e")
 
     def test_resident_digest_is_admitted(self, rng):
         cache = TrunkFeatureCache(1 << 20)
@@ -143,7 +143,7 @@ class TestAdmission:
         x = data.test.images[:10]
         with ServingGateway(pool) as gw:
             gw.predict(x, query)
-            assert len(gw.trunk_cache._seen) == 1
+            assert len(gw.trunk_cache._doorkeeper._seen) == 1
             pool.extract_library(data.train.images)
             # sightings key on the library version: a first sighting again
             gw.predict(x, query)

@@ -369,8 +369,7 @@ class TestPopularityEWMA:
         assert ewma.score("a") == pytest.approx(1.0)
 
     def test_tuple_keys_are_first_class(self):
-        # the self-tuning controller keys composites by canonical names
-        # tuples; any hashable must work
+        # any hashable is a key, a composite's canonical names tuple included
         ewma, _clock = self._ewma()
         ewma.record([("birds", "pets")])
         assert ewma.score(("birds", "pets")) == pytest.approx(1.0)
