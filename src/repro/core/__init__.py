@@ -9,6 +9,8 @@
   model ships in.
 * :class:`~repro.core.storage.ExpertStore` — persistence + Table 4 volumes.
 * :mod:`~repro.core.confidence` — Figure 5 overconfidence analysis.
+* :func:`~repro.core.heap.release_freed_heap` — the heap a training freed
+  goes back to the OS (every extraction ends with it).
 """
 
 from .confidence import ConfidenceProfile, max_confidences, ood_confidence_profile

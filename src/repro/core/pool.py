@@ -45,6 +45,7 @@ from ..models import BranchedSpecialistNet, WideResNet, WRNHead, WRNHeadBank, WR
 from ..nn import Module
 from ..obs.journal import JOURNAL
 from .features import array_digest
+from .heap import release_freed_heap
 
 __all__ = [
     "LIBRARY_TASK",
@@ -369,7 +370,8 @@ class PoolOfExperts:
 
         The trunk (conv1 … conv_ℓ) becomes the frozen library component
         shared by all experts; the student's head is kept around as the
-        "library model" reported in Table 1.
+        "library model" reported in Table 1.  The heap the distillation
+        freed goes back to the OS (:func:`~repro.core.heap.release_freed_heap`).
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
@@ -392,6 +394,7 @@ class PoolOfExperts:
         )
         self.histories["library"] = history
         self.install_library(student.trunk, student)
+        release_freed_heap()
         return history
 
     def extract_experts(
@@ -409,7 +412,7 @@ class PoolOfExperts:
         :func:`expert_init_seed` weights and ends where training it alone
         would (up to float32 rounding).  Experts are installed, and their
         versions bumped, in one step under the pool's lock once every bank
-        has trained.
+        has trained; then the heap the training freed goes back to the OS.
         """
         if self.library is None:
             raise RuntimeError("extract_library() must run before extract_experts()")
@@ -454,6 +457,7 @@ class PoolOfExperts:
                 bumped.append((name, self._set_version(name)))
         for name, version in bumped:
             self._notify(name, version)
+        release_freed_heap()
         return histories
 
     def extract_expert(

@@ -40,7 +40,6 @@ re-extractions, rebalances, and online reshards without a restart (see
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import hmac
 import multiprocessing
@@ -60,6 +59,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from ..cluster.gateway import ClusterConfig, ClusterGateway
 from ..cluster.metrics import ClusterMetrics
 from ..cluster.shard import PoolShard
+from ..core.heap import release_freed_heap
 from ..core.server import deserialize_expert_heads, deserialize_library_state
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
@@ -105,19 +105,6 @@ _MUTATION_JOURNAL_CAP = 1024
 #: for this long is to a peer that gave up: the connection is dropped.
 _SEND_TIMEOUT_S = max(DEFAULT_OP_TIMEOUTS.values())
 
-
-def _find_malloc_trim():
-    """glibc's ``malloc_trim``, or None where the C library lacks it."""
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return None
-
-
-#: Called before every worker fork: the heap a pool build freed but the
-#: allocator kept resident (~17 MiB) goes back to the OS instead of into
-#: every forked worker.
-_MALLOC_TRIM = _find_malloc_trim()
 
 __all__ = ["ShardServer", "ShardWorkerFleet", "NetworkedCluster"]
 
@@ -947,8 +934,8 @@ class ShardWorkerFleet:
             name=f"poe-shard-{shard_id}r{replica_id}",
             daemon=True,
         )
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
+        # freed heap goes back to the OS, not into every forked worker
+        release_freed_heap()
         process.start()
         child_conn.close()
         if not parent_conn.poll(self.startup_timeout):

@@ -3,7 +3,9 @@ the paper benches and the generated docs/paper-claims.md (static; nothing
 is trained)."""
 
 import ast
+import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,11 @@ from repro.eval import claims
 from repro.eval.claims import ARTIFACTS, check, render, render_tracks, verdicts
 
 REPO = Path(__file__).resolve().parents[2]
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+
+from benchmarks import paper_ratchet  # noqa: E402
+
 PAPER_BENCHES = sorted(
     path for pattern in ("bench_table*.py", "bench_fig*.py", "bench_ext_*.py")
     for path in (REPO / "benchmarks").glob(pattern)
@@ -113,3 +120,32 @@ class TestRegistryConsistency:
             "docs/paper-claims.md is stale; regenerate it with "
             "`PYTHONPATH=src python -m repro.eval.claims`"
         )
+
+
+class TestPaperRatchet:
+    def test_every_listed_id_is_a_registered_claim(self):
+        registered = {c.id for a in ARTIFACTS.values() for c in a.claims}
+        assert len(set(paper_ratchet.HOLDING)) == len(paper_ratchet.HOLDING)
+        assert set(paper_ratchet.HOLDING) <= registered
+
+    def test_a_listed_claim_that_stops_holding_fails(self, paper_summary, tmp_path, capsys):
+        summary = paper_summary("cifar")
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert paper_ratchet.main([str(path)]) == 0
+        summary["table3"] = _with_method(summary["table3"], "poe", accuracy_mean=0.3)
+        del summary["figure7"]
+        path.write_text(json.dumps(summary))
+        assert paper_ratchet.main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "stopped holding: table3.poe_above_sd_scratch: fails (poe=[0.3000" in out
+        assert "stopped holding: figure7.poe_flat: missing from the summary" in out
+        # two table3 claims read PoE's row, three figure7 claims are gone
+        assert f"{len(paper_ratchet.HOLDING) - 5} of {len(paper_ratchet.HOLDING)} " in out
+
+    def test_an_unlisted_failure_does_not_fail(self, paper_summary):
+        summary = paper_summary("cifar")
+        ckd = next(r for r in summary["table2"] if r["method"] == "ckd")["accuracy_mean"]
+        summary["table2"] = _with_method(summary["table2"], "kd", accuracy_mean=ckd)
+        assert "table2.ckd_above_kd" not in paper_ratchet.HOLDING
+        assert paper_ratchet.broken(summary) == []

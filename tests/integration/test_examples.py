@@ -1,8 +1,8 @@
 """Example scripts: compile cleanly; optionally run end-to-end.
 
-Full execution takes ~1 min per example, so by default we verify the
-scripts parse/compile and expose a ``main``; set ``REPRO_RUN_EXAMPLES=1``
-to execute them for real (the benchmark environment does this once).
+Executing all six takes ~70 s, so by default we verify the scripts
+parse/compile and expose a ``main``; ``REPRO_RUN_EXAMPLES=1`` executes
+them for real (CI's "Examples smoke" step runs this file with it set).
 """
 
 import os

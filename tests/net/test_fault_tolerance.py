@@ -24,6 +24,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterGateway, PoolShard
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.router import ShardRouter
+from repro.core import heap
 from repro.net import (
     BreakerOpenError,
     ChaosMonkey,
@@ -321,7 +322,7 @@ class _ForkRecorder:
 
 def test_heap_trimmed_before_every_fork(monkeypatch):
     events = []
-    monkeypatch.setattr(net_server, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
+    monkeypatch.setattr(heap, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
     fleet = net_server.ShardWorkerFleet(pool=None, supervise=False)
     fleet._context = _ForkRecorder(events)
     fleet.spawn(0, ("a",))  # start
@@ -330,10 +331,10 @@ def test_heap_trimmed_before_every_fork(monkeypatch):
 
 
 def test_missing_malloc_trim_is_a_no_op(monkeypatch):
-    monkeypatch.setattr(net_server.ctypes, "CDLL", lambda _name: object())
-    assert net_server._find_malloc_trim() is None
+    monkeypatch.setattr(heap.ctypes, "CDLL", lambda _name: object())
+    assert heap._find_malloc_trim() is None
     events = []
-    monkeypatch.setattr(net_server, "_MALLOC_TRIM", None)
+    monkeypatch.setattr(heap, "_MALLOC_TRIM", None)
     fleet = net_server.ShardWorkerFleet(pool=None, supervise=False)
     fleet._context = _ForkRecorder(events)
     assert fleet.spawn(0, ("a",)) == ("127.0.0.1", 1234)
