@@ -43,9 +43,8 @@ valid.
 
 **Public entry points.**  Model delivery: :meth:`ClusterGateway.serve`
 (blocking) and :meth:`ClusterGateway.submit` (cluster worker pool).
-Prediction:
-:meth:`ClusterGateway.predict` / :meth:`ClusterGateway.submit_predict`
-(micro-batched on the owning shard).  Consolidation without serving:
+Prediction: :meth:`ClusterGateway.predict` (blocking; a single-shard
+plan runs on the owning shard).  Consolidation without serving:
 :meth:`ClusterGateway.get_model`.  Operations: :meth:`rebalance`,
 :meth:`cache_stats`, :meth:`render_stats`, :meth:`close` (also a context
 manager).
@@ -401,83 +400,6 @@ class ClusterGateway:
                 request.names, lambda: self._predict_planned(request, images)
             )
 
-    def submit_predict(
-        self, images: np.ndarray, tasks: TaskQuery
-    ) -> "Future[PredictionResponse]":
-        """Dispatch a prediction onto the cluster, micro-batched where possible.
-
-        Single-shard queries join the owning shard gateway's micro-batcher
-        (coalescing their trunk forwards with other concurrent requests on
-        that shard); cross-shard queries run on the cluster executor.
-        Every failure — including a planning error — arrives through the
-        returned future, and a shard-path failure that :meth:`_should_replan`
-        blames on a stale plan is retried once through the replanning inline
-        path, the same contract :meth:`predict` gives synchronous callers.
-        """
-        images = np.asarray(images, dtype=np.float32)
-        names = canonical_tasks(tasks)
-        result: "Future[PredictionResponse]" = Future()
-
-        def fail(error: BaseException) -> None:
-            # count the request too, so errors/predictions stays a rate
-            self.metrics.increment("predictions")
-            self.metrics.record_tasks(names)
-            self.metrics.increment("errors")
-            result.set_exception(error)
-
-        def inline() -> None:
-            # predict() replans, routes and counts the request itself
-            try:
-                inner = self._ensure_executor().submit(self.predict, images, names)
-            except BaseException as error:  # closing: keep the future-only contract
-                result.set_exception(error)
-            else:
-                inner.add_done_callback(relay)
-
-        def relay(done: "Future[PredictionResponse]") -> None:
-            error = done.exception()
-            if error is None:
-                result.set_result(done.result())
-            else:
-                result.set_exception(error)
-
-        epoch = self._epoch
-        try:
-            plan = self._plan(names)
-        except KeyError as error:
-            fail(error)
-            return result
-        if len(plan) > 1:
-            inline()
-            return result
-        (shard_id,) = plan
-        start = perf_counter()
-        try:
-            batched = self.shards[shard_id].submit_predict(images, names)
-        except BaseException as error:  # shard closing: future-only contract
-            fail(_tag_shard_error(error, shard_id))
-            return result
-
-        # cluster-level counters are recorded at completion, not dispatch:
-        # the retry path delegates to predict(), which counts itself, so
-        # recording here too would tally one request twice
-        def account(done: "Future[PredictionResponse]") -> None:
-            error = done.exception()
-            if error is None:
-                self.metrics.record_fanout(1)
-                self.metrics.record_shard_requests((shard_id,))
-                self.metrics.increment("predictions")
-                self.metrics.record_tasks(names)
-                self.metrics.observe("predict_total", perf_counter() - start)
-                result.set_result(done.result())
-            elif self._should_replan(error, names, epoch):
-                inline()
-            else:
-                fail(_tag_shard_error(error, shard_id))
-
-        batched.add_done_callback(account)
-        return result
-
     def _predict_planned(self, request, images: np.ndarray) -> PredictionResponse:
         plan = self._route(request.names)
         if len(plan) > 1:
@@ -485,7 +407,7 @@ class ClusterGateway:
             tiers = front._predict_tiers(
                 images, request.names, snapshot=partial(self._snapshot, plan=plan)
             )
-            return front._predicted(request, images, False, *tiers)
+            return front._predicted(request, images, *tiers)
         (shard_id,) = plan
         self.metrics.record_shard_requests((shard_id,))
         try:
@@ -604,19 +526,8 @@ class ClusterGateway:
             return self._replanning(request.names, lambda: self._serve_planned(request))
 
     def _replanning(self, names: Tuple[str, ...], attempt):
-        """Run ``attempt`` (plan, then serve); once more if its plan went stale."""
-        epoch = self._epoch
-        try:
-            return attempt()
-        except Exception as error:
-            if not self._should_replan(error, names, epoch):
-                raise
-        return attempt()
-
-    def _should_replan(
-        self, error: BaseException, names: Tuple[str, ...], epoch_before: int
-    ) -> bool:
-        """The replan-once rule of every entry path (inline and micro-batched).
+        """Run ``attempt`` (plan, then serve or predict); once more if its
+        plan went stale — the replan-once rule of every entry path.
 
         A rebalance can drop an expert from the shard a concurrent plan
         chose between planning and serving: the shard's ``KeyError`` is
@@ -626,16 +537,19 @@ class ClusterGateway:
         the attempt planned (otherwise it is a real outage and the same
         plan cannot do better).
         """
-        if isinstance(error, KeyError):
+        epoch = self._epoch
+        try:
+            return attempt()
+        except KeyError:
             with self._placement_lock:
                 stale = all(name in self._placement for name in names)
-        else:
-            stale = self._epoch != epoch_before and isinstance(
-                error, (ConnectionError, OSError, RuntimeError, IndexError)
-            )
-        if stale:
-            self.metrics.increment("plan_retries")
-        return stale
+            if not stale:
+                raise
+        except (ConnectionError, OSError, RuntimeError, IndexError):
+            if self._epoch == epoch:
+                raise
+        self.metrics.increment("plan_retries")
+        return attempt()
 
     def _route(self, names: Tuple[str, ...]) -> Plan:
         """Plan ``names`` and record how far the request fans out."""
@@ -692,9 +606,8 @@ class ClusterGateway:
         router's — between a ``pin()`` and the ``rebalance()`` that applies
         it, the placement map is what matches shard contents).
 
-        Every serving path (inline and micro-batched) plans through
-        here, which makes it the one choke point for the remote-staleness
-        refusal."""
+        Every serving path plans through here, which makes it the one
+        choke point for the remote-staleness refusal."""
         self._check_remote_stale()
         with self._placement_lock:
             try:

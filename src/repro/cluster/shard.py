@@ -10,8 +10,8 @@ boundary a networked deployment would cross.
 
 This class is also the reference implementation of the **shard backend
 surface** :class:`~repro.cluster.gateway.ClusterGateway` consumes —
-``task_names``/``holds``, ``serve``/``predict``/``submit_predict``/
-``get_model``, ``fetch_heads``, ``cache_stats`` and ``local_snapshot`` —
+``task_names``/``holds``, ``serve``/``predict``/``get_model``,
+``fetch_heads``, ``cache_stats`` and ``local_snapshot`` —
 which :class:`repro.net.client.RemoteShardClient` mirrors over a socket
 (its ``serve`` answers a :class:`~repro.serving.gateway.Served`: no query).
 A gateway built with a networked ``shard_factory`` runs the same code
@@ -46,7 +46,6 @@ from ..serving.metrics import ServingMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
-    from concurrent.futures import Future
 
     from ..core.query import TaskSpecificModel
     from ..serving.canonical import TaskQuery
@@ -125,12 +124,6 @@ class PoolShard:
     def predict(self, images: "np.ndarray", tasks: "TaskQuery") -> PredictionResponse:
         """Run one prediction through this shard's fused fast path."""
         return self.gateway.predict(images, tasks)
-
-    def submit_predict(
-        self, images: "np.ndarray", tasks: "TaskQuery"
-    ) -> "Future[PredictionResponse]":
-        """Enqueue a prediction on this shard's micro-batching worker pool."""
-        return self.gateway.submit_predict(images, tasks)
 
     def get_model(self, tasks: "TaskQuery") -> "TaskSpecificModel":
         """The consolidated model for ``tasks`` from this shard's caches."""

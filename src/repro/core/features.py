@@ -124,7 +124,7 @@ class TrunkFeatureCache:
 
         ``compute`` runs the trunk at library ``version``; a miss runs it
         and stores the result under ``(version, digest)`` when admitted.
-        Every caller (gateway, cluster, micro-batcher) shares this sequence
+        Every caller (gateway, cluster) shares this sequence
         so digesting and insertion can't drift apart.  Pass ``digest`` when
         the caller already hashed the images (e.g. for a prediction-result
         lookup) to avoid hashing twice, and ``admitted`` when it already

@@ -3,9 +3,9 @@
 :class:`RemoteShardClient` implements the same surface the
 :class:`~repro.cluster.gateway.ClusterGateway` consumes from an
 in-process :class:`~repro.cluster.shard.PoolShard` — ``task_names`` /
-``holds``, ``fetch_heads``, ``serve``, ``predict`` / ``submit_predict``
-and ``cache_stats`` — by translating each call into one frame-protocol
-request against a :class:`~repro.net.server.ShardServer`.  Because head
+``holds``, ``fetch_heads``, ``serve``, ``predict`` and ``cache_stats`` —
+by translating each call into one frame-protocol request against a
+:class:`~repro.net.server.ShardServer`.  Because head
 payloads travel in the same float-exact codecs the in-process boundary
 already uses, a cluster running on remote shards is **bit-identical** to
 one running on local shards; only the process hosting the work changes.
@@ -158,11 +158,9 @@ def prediction_response_from_body(meta: Dict, blob: bytes) -> PredictionResponse
         class_ids=class_ids,
         tasks=tuple(meta["tasks"]),
         batch_size=int(meta["batch_size"]),
-        queue_seconds=float(meta["queue_seconds"]),
         service_seconds=float(meta["service_seconds"]),
         model_cache_hit=bool(meta["model_cache_hit"]),
         trunk_cache_hit=bool(meta["trunk_cache_hit"]),
-        coalesced=bool(meta["coalesced"]),
         result_cache_hit=bool(meta["result_cache_hit"]),
     )
 
@@ -332,7 +330,6 @@ class RemoteShardClient:
         self._max_idle = max(1, connections)
         self._pool_lock = threading.Lock()
         self._info: Optional[Dict] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._hedge_executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -698,17 +695,6 @@ class RemoteShardClient:
                 TRACER.attach(meta["trace_spans"])
             return prediction_response_from_body(meta, blob)
 
-    def submit_predict(
-        self, images: np.ndarray, tasks: TaskQuery
-    ) -> "Future[PredictionResponse]":
-        """Async-shaped predict: runs on the client's small dispatch pool.
-
-        Cross-request micro-batching happens **worker-side** only for
-        requests that land on the worker concurrently; the client does not
-        batch.
-        """
-        return self._ensure_executor().submit(self.predict, images, tasks)
-
     def cache_stats(self) -> Dict[str, CacheStats]:
         return {
             tier: CacheStats(**fields)
@@ -900,11 +886,9 @@ class RemoteShardClient:
         for channel in orphans:
             channel.close()
         with self._executor_lock:
-            executors = (self._executor, self._hedge_executor)
-            self._executor = self._hedge_executor = None
-        for executor in executors:
-            if executor is not None:
-                executor.shutdown(wait=True)
+            executor, self._hedge_executor = self._hedge_executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "RemoteShardClient":
         return self
@@ -923,20 +907,7 @@ class RemoteShardClient:
         finally:
             channel.close()
 
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._closed:
-                raise RuntimeError("remote shard client is closed")
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_idle, thread_name_prefix="poe-net-predict"
-                )
-            return self._executor
-
     def _ensure_hedge_executor(self) -> ThreadPoolExecutor:
-        # deliberately separate from the submit_predict pool: a hedged
-        # request issued *from* that pool would deadlock waiting for a
-        # worker slot its own caller occupies
         with self._executor_lock:
             if self._closed:
                 raise RuntimeError("remote shard client is closed")

@@ -9,7 +9,7 @@ each a fixed 20-byte header followed by a payload:
 
     offset  size  field
     0       4     magic          b"POEN"
-    4       1     protocol version (currently 2)
+    4       1     protocol version (currently 3)
     5       1     message type   (MsgType)
     6       1     flags          (bit 0 = FLAG_END: last frame of message)
     7       1     codec tag      (payload encoding, see below)
@@ -120,7 +120,7 @@ __all__ = [
 ]
 
 MAGIC = b"POEN"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Optional-capability names negotiable in HELLO (see module docstring).
 FEATURE_TRACE = "trace"

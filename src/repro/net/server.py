@@ -576,11 +576,9 @@ class ShardServer:
         out_meta = {
             "tasks": list(response.tasks),
             "batch_size": response.batch_size,
-            "queue_seconds": response.queue_seconds,
             "service_seconds": response.service_seconds,
             "model_cache_hit": response.model_cache_hit,
             "trunk_cache_hit": response.trunk_cache_hit,
-            "coalesced": response.coalesced,
             "result_cache_hit": response.result_cache_hit,
             "dtype": str(ids.dtype),
             "shape": list(ids.shape),

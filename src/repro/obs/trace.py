@@ -26,8 +26,7 @@ Design constraints, in order:
 
 The ambient active span rides a :class:`contextvars.ContextVar`, so
 nesting works across ``async`` tasks and within one thread; work handed
-to executor threads starts a fresh local root (documented behaviour for
-the micro-batch drain path).
+to executor threads starts a fresh local root.
 
 There is one module-level :data:`TRACER`; everything in the serving
 stack records through it so a single ``TRACER.enable()`` lights up the

@@ -35,7 +35,6 @@ from .metrics import (
     DOCUMENTED_STAGES,
     SNAPSHOT_SCHEMA,
     LatencyHistogram,
-    PopularityEWMA,
     ServingMetrics,
     merge_snapshots,
     percentile,
@@ -54,7 +53,6 @@ __all__ = [
     "ServingGateway",
     "SingleFlight",
     "LatencyHistogram",
-    "PopularityEWMA",
     "ServingMetrics",
     "percentile",
     "merge_snapshots",

@@ -170,7 +170,7 @@ class ByteBudgetLRU:
 
         A stats-neutral peek: no hit/miss accounting and no recency
         refresh, for callers that only *plan* around an entry's presence
-        (e.g. the micro-batch drain deciding whether to skip trunk work)
+        (e.g. a doorkeeper deciding whether a key is already resident)
         and leave the counted lookup to the serving path itself.
         """
         with self._lock:

@@ -54,20 +54,14 @@ autograd), then one batched pass over all expert heads
 Both content-keyed tiers keep an entry only from an image batch's second
 sighting on (:meth:`~repro.core.features.TrunkFeatureCache.admit`), so
 never-repeated traffic computes and answers but stores nothing.
-``submit_predict()`` adds cross-request micro-batching: concurrent small
-prediction requests coalesce so the shared trunk runs **once** per drain
-over the union of their images, whatever composite each request asked
-for; drains are capped at :data:`MAX_BATCH_IMAGES` and sized by an adaptive
-window (grow under load, shrink when idle).
 
 **Public entry points.**  Model delivery: :meth:`ServingGateway.serve`
 (inline) and :meth:`ServingGateway.submit` (worker pool + queue-wait
 telemetry).  Prediction: :meth:`ServingGateway.predict` (inline fused
-path) and :meth:`ServingGateway.submit_predict` (micro-batched).
-Consolidation without serving: :meth:`ServingGateway.get_model`.
-Operations: ``cache_stats()`` / ``render_stats()`` / the
-:attr:`predict_window` probe, and ``close()`` (the gateway is a context
-manager).
+path; concurrent callers share the tiers, not a batch).  Consolidation
+without serving: :meth:`ServingGateway.get_model`.  Operations:
+``cache_stats()`` / ``render_stats()`` and ``close()`` (the gateway is a
+context manager).
 
 **One pipeline.**  Every request is *accounting* (``with _Request(...)``
 around the tier work, closed by ``_served`` / ``_predicted``) around *tier work*
@@ -82,8 +76,8 @@ drift.
 threads concurrently.  Cache tiers are individually locked
 (:class:`~repro.serving.cache.ByteBudgetLRU` /
 :class:`~repro.core.features.TrunkFeatureCache`); duplicate concurrent
-builds coalesce through :class:`SingleFlight`; the micro-batch queue and
-adaptive window are guarded by ``_predict_lock``.  A pool mutation may
+builds coalesce through :class:`SingleFlight`; the worker pool is made
+once under ``_executor_lock``.  A pool mutation may
 run concurrently with any of it: a build reads modules and versions in
 one locked :meth:`~repro.core.pool.PoolOfExperts.snapshot`, so what it
 stores is keyed by what it holds.  Mutations must go through
@@ -94,11 +88,10 @@ poking ``pool.experts`` directly.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Deque, Dict, Hashable, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -124,9 +117,6 @@ T = TypeVar("T")
 #: Budget of the content-addressed trunk-feature cache a gateway makes
 #: when none is passed in; a cluster shares one of this size.
 TRUNK_CACHE_BYTES = 64 << 20
-#: Hard cap on images per ``submit_predict`` micro-batch drain; bounds
-#: the worst-case latency one drain can add to a small request.
-MAX_BATCH_IMAGES = 2048
 #: Stands in for ``_snapshot`` on one build (a cluster hands its plan / fetched heads down).
 Seam = Optional[Callable[[Tuple[str, ...]], PoolSnapshot]]
 #: Answers a payload-tier miss elsewhere: a cluster relays ``(names, transport)`` to a shard,
@@ -191,16 +181,10 @@ class GatewayConfig:
     #: ``(image digest, canonical tasks, versions)`` — a fully
     #: repeated request skips even the fused heads (0 disables).
     result_cache_bytes: int = 8 << 20
-    #: Floor of the adaptive drain window (the window starts here, doubles
-    #: while drains leave a backlog up to :data:`MAX_BATCH_IMAGES`, and
-    #: halves back when drains run light).
-    min_batch_images: int = 64
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if not 1 <= self.min_batch_images <= MAX_BATCH_IMAGES:
-            raise ValueError(f"min_batch_images must be within [1, {MAX_BATCH_IMAGES}]")
 
 
 @dataclass(frozen=True)
@@ -256,20 +240,16 @@ class PredictionResponse:
 
     ``class_ids`` are *global* hierarchy ids (the unified-logit argmax
     mapped through the composite's class table), so clients are agnostic
-    to head order.  ``coalesced`` is True when the request shared a
-    micro-batched trunk forward with other concurrent requests;
-    ``trunk_cache_hit`` when its features came out of the content-addressed
-    cache without running the trunk at all.
+    to head order.  ``trunk_cache_hit`` is True when its features came out
+    of the content-addressed cache without running the trunk at all.
     """
 
     class_ids: np.ndarray
     tasks: Tuple[str, ...]
     batch_size: int
-    queue_seconds: float
     service_seconds: float
     model_cache_hit: bool
     trunk_cache_hit: bool
-    coalesced: bool
     #: True when the whole answer came from the prediction-result cache —
     #: neither the trunk nor the fused heads ran for this request.
     result_cache_hit: bool = False
@@ -281,9 +261,8 @@ class _Request:
 
     Construction checks the transport (None for a prediction: nothing
     ships), observes the queue wait and bumps ``counter``; entering opens
-    the span, canonicalizes the task names and feeds their popularity to
-    the metrics; leaving on an exception counts
-    ``errors``.  A plain class, not a generator: this runs per request.
+    the span and canonicalizes the task names; leaving on an exception
+    counts ``errors``.  A plain class, not a generator: this runs per request.
     """
 
     __slots__ = ("gateway", "names", "transport", "start", "queue_seconds", "span", "_scope")
@@ -305,7 +284,6 @@ class _Request:
         self.span = self._scope.__enter__()
         try:
             self.names = canonical_tasks(self.names)
-            self.gateway.metrics.record_tasks(self.names)
             self.span.tag("tasks", len(self.names))
             if self.transport is not None:
                 self.span.tag("transport", self.transport)
@@ -318,16 +296,6 @@ class _Request:
         if exc_type is not None:
             self.gateway.metrics.increment("errors")
         return self._scope.__exit__(exc_type, exc, traceback)
-
-
-@dataclass
-class _PendingPrediction:
-    """One enqueued ``submit_predict`` request awaiting a micro-batch drain."""
-
-    images: np.ndarray
-    names: Tuple[str, ...]
-    future: "Future[PredictionResponse]"
-    enqueued_at: float = field(default_factory=perf_counter)
 
 
 class _Inflight:
@@ -414,13 +382,6 @@ class ServingGateway:
         # fully-materialized answers: logits keyed (digest, tasks, versions)
         self.result_cache = ByteBudgetLRU(self.config.result_cache_bytes, name="result")
         self._flights = SingleFlight()
-        self._predict_lock = threading.Lock()
-        # deque: window-bounded drains pop from the head while submitters
-        # append to the tail — O(1) each, under the same hot lock
-        self._pending_predictions: Deque[_PendingPrediction] = deque()
-        # adaptive micro-batch window (images per drain), bounded by
-        # [min_batch_images, MAX_BATCH_IMAGES]; guarded by _predict_lock
-        self._predict_window = self.config.min_batch_images
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -476,39 +437,10 @@ class ServingGateway:
         of the model's own trunk) →
         fused multi-head pass → argmax mapped to global class ids.
         """
-        return self._predict_one(
-            np.asarray(images, dtype=np.float32), tasks, enqueued_at=None
-        )
-
-    def submit_predict(
-        self, images: np.ndarray, tasks: TaskQuery
-    ) -> "Future[PredictionResponse]":
-        """Dispatch a prediction onto the worker pool, micro-batched.
-
-        Concurrent requests enqueue and are drained together by whichever
-        worker runs first: the drain runs the shared trunk **once** over
-        the union of all uncached images (every composite shares the
-        frozen library), then each request's fused heads on its own slice.
-        """
-        names = canonical_tasks(tasks)
-        item = _PendingPrediction(
-            np.asarray(images, dtype=np.float32), names, Future()
-        )
-        executor = self._ensure_executor()
-        with self._predict_lock:
-            self._pending_predictions.append(item)
-        try:
-            executor.submit(self._drain_predictions)
-        except BaseException:
-            # close() raced us between the append and the dispatch: take the
-            # item back out so it isn't orphaned with an unresolved future
-            with self._predict_lock:
-                try:
-                    self._pending_predictions.remove(item)
-                except ValueError:
-                    pass  # a concurrent drain (or close) already took it
-            raise
-        return item.future
+        images = np.asarray(images, dtype=np.float32)
+        with _Request(self, "gateway.predict", "predictions", tasks, None, None) as request:
+            tiers = self._predict_tiers(images, request.names)
+            return self._predicted(request, images, *tiers)
 
     def cache_stats(self) -> Dict[str, CacheStats]:
         return {
@@ -517,12 +449,6 @@ class ServingGateway:
             "trunk": self.trunk_cache.stats(),
             "result": self.result_cache.stats(),
         }
-
-    @property
-    def predict_window(self) -> int:
-        """Current adaptive micro-batch window, in images per drain."""
-        with self._predict_lock:
-            return self._predict_window
 
     def render_stats(self) -> str:
         return self.metrics.render(cache_stats=self.cache_stats())
@@ -533,13 +459,6 @@ class ServingGateway:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        # a submit_predict that raced close() may have enqueued after the
-        # last drain ran; fail its future instead of leaving it hanging
-        with self._predict_lock:
-            leftovers = list(self._pending_predictions)
-            self._pending_predictions = deque()
-        for item in leftovers:
-            item.future.set_exception(RuntimeError("gateway is closed"))
 
     def __enter__(self) -> "ServingGateway":
         return self
@@ -573,7 +492,6 @@ class ServingGateway:
         self,
         request: _Request,
         images: np.ndarray,
-        coalesced: bool,
         class_ids: np.ndarray,
         model_hit: bool,
         trunk_hit: bool,
@@ -591,11 +509,9 @@ class ServingGateway:
             class_ids=class_ids,
             tasks=request.names,
             batch_size=batch_size,
-            queue_seconds=request.queue_seconds,
             service_seconds=service_seconds,
             model_cache_hit=model_hit,
             trunk_cache_hit=trunk_hit,
-            coalesced=coalesced,
             result_cache_hit=result_hit,
         )
 
@@ -737,84 +653,37 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # Prediction fast path
     # ------------------------------------------------------------------
-    def _result_key(
-        self, names: Tuple[str, ...], digest: str
-    ) -> Optional[Tuple[str, Tuple[str, ...], object]]:
-        """Result-cache lookup key for one request, or None when the tier is
-        off: ``(image digest, canonical tasks, the pool's current versions)``.
-        """
-        if self.result_cache.budget_bytes == 0:
-            return None
-        return (digest, names, self.pool.versions(names))
-
-    def _predict_one(
-        self,
-        images: np.ndarray,
-        tasks: TaskQuery,
-        enqueued_at: Optional[float],
-        features: Optional[Tuple[int, np.ndarray]] = None,
-        trunk_hit: bool = False,
-        coalesced: bool = False,
-        digest: Optional[str] = None,
-        admitted: Optional[bool] = None,
-    ) -> PredictionResponse:
-        with _Request(self, "gateway.predict", "predictions", tasks, None, enqueued_at) as request:
-            return self._predicted(
-                request,
-                images,
-                coalesced,
-                *self._predict_tiers(
-                    images, request.names, features, trunk_hit, digest, admitted=admitted
-                ),
-            )
-
     def _predict_tiers(
-        self,
-        images: np.ndarray,
-        names: Tuple[str, ...],
-        features: Optional[Tuple[int, np.ndarray]] = None,
-        trunk_hit: bool = False,
-        digest: Optional[str] = None,
-        snapshot: Seam = None,
-        admitted: Optional[bool] = None,
+        self, images: np.ndarray, names: Tuple[str, ...], snapshot: Seam = None
     ) -> Tuple[np.ndarray, bool, bool, bool]:
         """``(class_ids, model_hit, trunk_hit, result_hit)`` for one prediction.
 
-        ``features`` is ``(library version, feature map)`` when a drain
-        already ran the trunk; they are used only if the model's snapshot
-        holds that library.  ``admitted`` is the request's admission
-        verdict when a drain already took it; both content-keyed stores
-        follow it.
+        The result tier is looked up first, under ``(image digest, canonical
+        tasks, the pool's current versions)``: a hit touches no other tier.
+        A miss takes the batch's one admission verdict before the trunk
+        tier stores anything, and both content-keyed stores follow it.
         """
-        # result lookup FIRST, at the current versions: a hit touches no
-        # other tier at all
-        key = None
+        key = digest = admitted = None
         if self.result_cache.budget_bytes:
-            if digest is None:
-                digest = array_digest(images)
-            key = self._result_key(names, digest)
+            digest = array_digest(images)
+            current = self.pool.versions(names)
+            key = (digest, names, current)
             cached = self.result_cache.get(key)
             if cached is not None:
                 self.metrics.increment("predict_result_hits")
                 _logits, ids = cached
-                return ids, False, trunk_hit, True
-            if admitted is None:
-                # this request's one sighting, taken before the trunk store
-                admitted = self.trunk_cache.admit((key[2][-1], digest))
+                return ids, False, False, True
+            admitted = self.trunk_cache.admit((current[-1], digest))
         model, model_hit, versions = self._model_for(names, snapshot)
-        library = versions[-1]
-        if features is not None and features[0] == library:
-            features = features[1]
-        else:
-            # the miss path runs the snapshot's own trunk, *compiled*
-            trunk = model.network.trunk
-            features, trunk_hit = self.trunk_cache.get_or_compute(
-                images,
-                lambda batch: run_trunk_forward(trunk, batch, self.metrics),
-                library,
-                digest,
-                admitted,
-            )
+        # the miss path runs the snapshot's own trunk, *compiled*
+        trunk = model.network.trunk
+        features, trunk_hit = self.trunk_cache.get_or_compute(
+            images,
+            lambda batch: run_trunk_forward(trunk, batch, self.metrics),
+            versions[-1],
+            digest,
+            admitted,
+        )
         with self.metrics.stage("predict_heads"):
             logits = model.logits_from_features(features)
         with self.metrics.stage("predict_argmax"):
@@ -827,136 +696,6 @@ class ServingGateway:
                 (digest, names, versions), (logits, ids), int(logits.nbytes + ids.nbytes)
             )
         return ids, model_hit, trunk_hit, False
-
-    def _take_drain_batch(self) -> Tuple[List[_PendingPrediction], int]:
-        """Pop one window-bounded micro-batch off the pending queue (FIFO).
-
-        The adaptive window bounds the images a single drain may gather
-        (worst-case added latency for the requests inside it); a lone
-        oversized request is still taken whole — it cannot be split.
-        Leftover requests stay queued and are picked up by the drain tasks
-        their own submissions scheduled.  The window doubles (up to
-        :data:`MAX_BATCH_IMAGES`) when a drain leaves a backlog and halves
-        (down to ``min_batch_images``) when a drain runs at under half the
-        window — batch more under load, less when idle.
-        """
-        with self._predict_lock:
-            window = self._predict_window
-            batch: List[_PendingPrediction] = []
-            total = 0
-            while self._pending_predictions:
-                size = int(self._pending_predictions[0].images.shape[0])
-                if batch and total + size > window:
-                    break
-                batch.append(self._pending_predictions.popleft())
-                total += size
-            if self._pending_predictions:
-                self._predict_window = min(window * 2, MAX_BATCH_IMAGES)
-            elif batch and total <= window // 2:
-                self._predict_window = max(window // 2, self.config.min_batch_images)
-        return batch, total
-
-    def _drain_predictions(self) -> None:
-        """Serve pending predictions in one window-bounded micro-batch.
-
-        Whichever worker runs first takes up to one adaptive window's worth
-        of the queue: requests with cached answers resolve from the result
-        cache, requests with cached features from the trunk cache, and the
-        rest are concatenated (per image geometry) and pushed through
-        **one** compiled-trunk forward, then each request runs its own
-        fused heads on its slice.  Every request schedules a drain task, so
-        leftovers beyond the window are served by later tasks; workers that
-        find the queue empty return immediately.
-        """
-        batch, total_images = self._take_drain_batch()
-        if not batch:
-            return
-        coalesced = len(batch) > 1
-        self.metrics.increment("predict_batches")
-        # drain size telemetry (unit: images, not seconds)
-        self.metrics.observe("predict_drain_images", float(total_images))
-        if coalesced:
-            self.metrics.increment("predict_coalesced", len(batch) - 1)
-
-        # id(item) -> ((library version, features)|None, trunk_hit, digest,
-        # admitted) | error
-        resolved: Dict[int, object] = {}
-        # dedupe by content digest: byte-identical request batches share
-        # one representative in the stacked forward (and one cache entry)
-        by_digest: Dict[str, List[_PendingPrediction]] = {}
-        (library,) = self.pool.versions(())
-        for item in batch:
-            digest = array_digest(item.images)
-            key = self._result_key(item.names, digest)
-            # stats-neutral peek: _predict_one does the counted lookup (or,
-            # if the entry is evicted meanwhile, recomputes) — no trunk work
-            if key is not None and self.result_cache.contains(key):
-                resolved[id(item)] = (None, False, digest, None)
-                continue
-            cached = self.trunk_cache.get((library, digest))
-            if cached is not None:
-                # resident, so admitted
-                resolved[id(item)] = ((library, cached), True, digest, True)
-            else:
-                by_digest.setdefault(digest, []).append(item)
-        groups: Dict[Tuple[int, ...], List[str]] = {}
-        for digest, items in by_digest.items():
-            groups.setdefault(items[0].images.shape[1:], []).append(digest)
-        for digests in groups.values():
-            stacked = np.concatenate(
-                [by_digest[d][0].images for d in digests], axis=0
-            )
-            try:
-                trunk, library = self.pool.library_snapshot()
-                features = run_trunk_forward(trunk, stacked, self.metrics)
-            except BaseException as error:
-                for digest in digests:
-                    for item in by_digest[digest]:
-                        resolved[id(item)] = error
-                continue
-            offset = 0
-            for digest in digests:
-                sharers = by_digest[digest]
-                count = sharers[0].images.shape[0]
-                chunk = features[offset : offset + count]
-                if len(digests) > 1:
-                    # own the rows, in their physical layout: a slice would
-                    # pin the whole stacked forward behind a cache entry
-                    # charged for its own bytes only
-                    chunk = chunk.copy(order="K")
-                offset += count
-                # byte-identical requests in one drain are one sighting
-                admitted = self.trunk_cache.admit((library, digest))
-                self.trunk_cache.put((library, digest), chunk, admitted)
-                for item in sharers:
-                    resolved[id(item)] = ((library, chunk), False, digest, admitted)
-
-        for item in batch:
-            entry = resolved[id(item)]
-            if isinstance(entry, BaseException):
-                # the shared trunk forward failed: account these requests
-                # the same way the inline path would (queue + counters)
-                self.metrics.observe("queue", perf_counter() - item.enqueued_at)
-                self.metrics.increment("predictions")
-                self.metrics.increment("errors")
-                item.future.set_exception(entry)
-                continue
-            try:
-                item_features, trunk_hit, digest, admitted = entry
-                response = self._predict_one(
-                    item.images,
-                    item.names,
-                    item.enqueued_at,
-                    features=item_features,
-                    trunk_hit=trunk_hit,
-                    coalesced=coalesced,
-                    digest=digest,
-                    admitted=admitted,
-                )
-            except BaseException as error:
-                item.future.set_exception(error)
-            else:
-                item.future.set_result(response)
 
     # ------------------------------------------------------------------
     def _ensure_executor(self) -> ThreadPoolExecutor:

@@ -18,9 +18,8 @@ shared by :class:`ServingMetrics` and :class:`repro.cluster.metrics.ClusterMetri
       "kind": "serving"|"cluster", # which facade produced it
       "stages": {name: {count, mean, p50, p95, p99, max}},
       "counters": {name: int},
-      # schema 2 additions (absent entries mean "none", so schema-1
-      # snapshots from old peers merge unchanged):
-      "popularity": {task: {"score": float, "count": int}},
+      # schema 2 addition (absent means "none", so schema-1 snapshots
+      # from old peers merge unchanged):
       "health": {source: {...}},   # stamped by the health scorer
       # cluster only:
       "fanout": {width: int}, "shard_requests": {shard: int},
@@ -28,17 +27,16 @@ shared by :class:`ServingMetrics` and :class:`repro.cluster.metrics.ClusterMetri
       "histograms": {name: LatencyHistogram.to_dict()},
     }
 
-Schema 2 adds the per-task **popularity EWMA** (:class:`PopularityEWMA`:
-exponentially-decayed request counts, the online n(Q) frequency estimate
-the LAWS-style cache policies need) and an optional ``"health"`` table
-(per-source verdicts from :class:`repro.obs.health.HealthScorer`; the
-snapshot layer only transports it).
+Schema 2 adds an optional ``"health"`` table (per-source verdicts from
+:class:`repro.obs.health.HealthScorer`; the snapshot layer only
+transports it).  It also added a per-task ``"popularity"`` table, which
+nothing read and no snapshot carries any more; a peer's table is
+ignored like any unknown key.
 
 The Prometheus scrape exporter, the ``BENCH_*.json`` writers, and the
 ``STATS`` wire frame all consume this one shape; :func:`merge_snapshots`
 combines snapshots from multiple shards/workers (counters sum,
-histograms merge when present, popularity scores/counts add, health
-tables union, unknown keys are ignored so the merge is
+histograms merge when present, health tables union, unknown keys are ignored so the merge is
 forward-compatible across schema additions).
 """
 
@@ -57,7 +55,6 @@ from ..obs.trace import TRACER
 __all__ = [
     "percentile",
     "LatencyHistogram",
-    "PopularityEWMA",
     "ServingMetrics",
     "merge_snapshots",
     "SNAPSHOT_SCHEMA",
@@ -65,7 +62,7 @@ __all__ = [
 ]
 
 #: Version of the unified snapshot shape (see module docstring).
-#: 1 → 2 added ``popularity`` (per-task EWMA) and ``health`` — pure
+#: 1 → 2 added ``health`` (and ``popularity``, since dropped) — pure
 #: additions, so schema-1 and schema-2 snapshots merge freely.
 SNAPSHOT_SCHEMA = 2
 
@@ -246,73 +243,6 @@ class LatencyHistogram:
         return hist
 
 
-class PopularityEWMA:
-    """Per-task exponentially-decayed request counts (online n(Q) frequency).
-
-    Each recorded task bumps its score by 1 after decaying it by
-    ``2 ** (-elapsed / halflife_s)``, so a task's score approximates its
-    request rate weighted toward the last ``halflife_s`` seconds — the
-    live popularity estimate the dashboards rank tasks by.
-    Raw lifetime counts ride along for absolute volume.  Not thread-safe
-    on its own; :class:`ServingMetrics` records under its lock.
-    """
-
-    def __init__(self, halflife_s: float = 30.0, clock=perf_counter) -> None:
-        if halflife_s <= 0:
-            raise ValueError("halflife_s must be positive")
-        self.halflife_s = halflife_s
-        self._clock = clock
-        # task -> [score, lifetime_count, last_update_t]
-        self._tasks: Dict[str, List[float]] = {}
-
-    def record(self, names: Sequence[str], weight: float = 1.0) -> None:
-        now = self._clock()
-        for name in names:
-            entry = self._tasks.get(name)
-            if entry is None:
-                self._tasks[name] = [weight, 1, now]
-            else:
-                entry[0] = entry[0] * self._decay(now - entry[2]) + weight
-                entry[1] += 1
-                entry[2] = now
-
-    def _decay(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 1.0
-        return 2.0 ** (-elapsed / self.halflife_s)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """JSON-safe ``{task: {"score", "count"}}``, decayed to now."""
-        now = self._clock()
-        return {
-            name: {
-                "score": entry[0] * self._decay(now - entry[2]),
-                "count": int(entry[1]),
-            }
-            for name, entry in self._tasks.items()
-        }
-
-    def score(self, name: str) -> float:
-        """One task's decayed-to-now score (``0.0`` when never recorded).
-
-        Cheap single-key read for eviction-score hooks that rank cache
-        entries by live popularity; no state is mutated.
-        """
-        entry = self._tasks.get(name)
-        if entry is None:
-            return 0.0
-        return entry[0] * self._decay(self._clock() - entry[2])
-
-    def top(self, n: int = 10) -> List[Tuple[str, float]]:
-        """The ``n`` hottest tasks as ``(name, score)``, hottest first."""
-        snap = self.snapshot()
-        ranked = sorted(snap.items(), key=lambda kv: -kv[1]["score"])
-        return [(name, entry["score"]) for name, entry in ranked[:n]]
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-
 class ServingMetrics:
     """Thread-safe aggregate of stage histograms and event counters."""
 
@@ -321,7 +251,6 @@ class ServingMetrics:
         self._max_samples = max_samples_per_stage
         self._stages: Dict[str, LatencyHistogram] = {}
         self._counters: Dict[str, int] = {}
-        self.popularity = PopularityEWMA()
 
     # ------------------------------------------------------------------
     def observe(self, stage: str, seconds: float) -> None:
@@ -352,11 +281,6 @@ class ServingMetrics:
         with self._lock:
             self._counters[counter] = self._counters.get(counter, 0) + by
 
-    def record_tasks(self, names: Sequence[str]) -> None:
-        """Bump the popularity EWMA for one request's task set."""
-        with self._lock:
-            self.popularity.record(names)
-
     def counter(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
@@ -381,8 +305,6 @@ class ServingMetrics:
                 "stages": {name: h.summary() for name, h in self._stages.items()},
                 "counters": dict(self._counters),
             }
-            if len(self.popularity):
-                snap["popularity"] = self.popularity.snapshot()
             if include_histograms:
                 snap["histograms"] = {
                     name: h.to_dict() for name, h in self._stages.items()
@@ -401,12 +323,9 @@ class ServingMetrics:
             )
             for name in sorted(stages):
                 s = stages[name]
-                # stages named *_images record sizes, not seconds (e.g. the
-                # micro-batch drain histogram) — print them as plain counts
-                fmt = _fmt_size if name.endswith("_images") else _fmt_latency
                 lines.append(
                     f"  {name:<12} {int(s['count']):>7} "
-                    + " ".join(fmt(s[k]) for k in ("mean", "p50", "p95", "p99", "max"))
+                    + " ".join(_fmt_latency(s[k]) for k in ("mean", "p50", "p95", "p99", "max"))
                 )
         counters = snap["counters"]
         if counters:
@@ -429,9 +348,8 @@ def merge_snapshots(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]
     max across contributors (a conservative tail estimate, flagged by the
     ``"approx"`` marker in the merged stage entry).  Fanout/shard-request
     tallies re-key to ``int`` — a JSON round trip (the STATS frame)
-    stringifies dict keys.  Schema-2 popularity tables add score/count
-    per task; ``"health"`` tables union (later contributors win on a
-    source collision).  Both are pure additions, so schema-1 snapshots
+    stringifies dict keys.  Schema-2 ``"health"`` tables union (later
+    contributors win on a source collision); a pure addition, so schema-1 snapshots
     from old peers contribute everything they have and nothing breaks.
     Unknown keys are ignored.
     """
@@ -512,21 +430,6 @@ def merge_snapshots(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]
         if present:
             merged[key] = combined
 
-    popularity: Dict[str, Dict[str, float]] = {}
-    for snap in snapshots:
-        for task, entry in (snap.get("popularity") or {}).items():
-            prev = popularity.get(task)
-            if prev is None:
-                popularity[task] = {
-                    "score": float(entry.get("score", 0.0)),
-                    "count": int(entry.get("count", 0)),
-                }
-            else:
-                prev["score"] += float(entry.get("score", 0.0))
-                prev["count"] += int(entry.get("count", 0))
-    if popularity:
-        merged["popularity"] = popularity
-
     health: Dict[str, object] = {}
     for snap in snapshots:
         table = snap.get("health")
@@ -535,10 +438,6 @@ def merge_snapshots(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]
     if health:
         merged["health"] = health
     return merged
-
-
-def _fmt_size(value: float) -> str:
-    return f"{value:>9.1f}"
 
 
 def _fmt_latency(seconds: float) -> str:

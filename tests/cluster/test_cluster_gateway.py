@@ -150,11 +150,6 @@ class TestCountedOnce:
         "serve": ("requests", "total", lambda c, x, q: c.serve(q)),
         "submit": ("requests", "total", lambda c, x, q: c.submit(q).result(timeout=60)),
         "predict": ("predictions", "predict_total", lambda c, x, q: c.predict(x, q)),
-        "submit_predict": (
-            "predictions",
-            "predict_total",
-            lambda c, x, q: c.submit_predict(x, q).result(timeout=60),
-        ),
     }
 
     @pytest.mark.parametrize("cross", [False, True], ids=["single", "cross"])
@@ -176,7 +171,7 @@ class TestCountedOnce:
             raise RuntimeError("shard down")
 
         for shard in cluster.shards:  # nothing below the front end answers any more
-            for method in ("serve", "predict", "submit_predict", "fetch_heads"):
+            for method in ("serve", "predict", "fetch_heads"):
                 monkeypatch.setattr(shard, method, boom)
         for cache in (
             cluster.model_cache,
@@ -402,23 +397,6 @@ class TestShardErrorContext:
         monkeypatch.setattr(cluster.shards[shard_id].gateway, "predict", boom)
         with pytest.raises(RuntimeError, match=rf"\[shard {shard_id}\] fused bank"):
             cluster.predict(data.test.images[:4], (task,))
-
-    def test_submit_predict_failure_names_the_shard(
-        self, cluster, wide_pool, monkeypatch
-    ):
-        pool, data = wide_pool
-        task = sorted(cluster.available_tasks())[0]
-        (shard_id,) = cluster.shards_of(task)
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("drain died")
-
-        # the micro-batched path resolves requests through _predict_one;
-        # breaking it surfaces the error through the relayed future
-        monkeypatch.setattr(cluster.shards[shard_id].gateway, "_predict_one", boom)
-        future = cluster.submit_predict(data.test.images[:4], (task,))
-        with pytest.raises(RuntimeError, match=rf"\[shard {shard_id}\] drain died"):
-            future.result(timeout=30)
 
     def test_fetch_failure_names_the_source_shard(self, cluster, monkeypatch):
         query = _cross_shard_query(cluster)

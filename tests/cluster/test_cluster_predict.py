@@ -1,5 +1,7 @@
 """Cluster prediction tier and the version-keyed remote-head LRU."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -87,18 +89,42 @@ class TestClusterPredict:
             assert len(cluster.trunk_cache) == 1 and len(cluster.result_cache) == 1
             assert cluster.predict(x, [elsewhere]).trunk_cache_hit  # another shard
 
-    def test_submit_predict_matches_inline(self, wide_pool):
+    def test_concurrent_predicts_match_sequential(self, wide_pool):
+        """Threads predicting single-shard and cross-shard composites at once,
+        on the same and on different batches, answer what sequential calls
+        answer, and no tier outgrows its budget."""
         pool, data = wide_pool
+        batches = [data.test.images[i * 8 : (i + 1) * 8] for i in range(2)]
         with _make(pool) as cluster:
-            query = _cross_shard_query(cluster)
-            single = sorted(cluster.available_tasks())[0]
-            futures = [
-                cluster.submit_predict(data.test.images[:8], [single]),
-                cluster.submit_predict(data.test.images[8:16], query),
-            ]
-            first, second = (f.result(timeout=30) for f in futures)
-        _assert_matches_reference(first.class_ids, pool, (single,), data.test.images[:8])
-        _assert_matches_reference(second.class_ids, pool, query, data.test.images[8:16])
+            single = (sorted(cluster.available_tasks())[0],)
+            cross = _cross_shard_query(cluster)
+            queries = [(batches[i % 2], (single, cross)[i // 2 % 2]) for i in range(8)]
+            sequential = [cluster.predict(x, q).class_ids for x, q in queries]
+        start = threading.Barrier(len(queries))
+        answers = [None] * len(queries)
+
+        def ask(i):
+            x, query = queries[i]
+            start.wait(timeout=30)
+            answers[i] = shared.predict(x, query).class_ids
+
+        # model tiers that hold about one consolidated model each
+        tight = dict(shard_model_cache_bytes=200 << 10, composite_model_cache_bytes=200 << 10)
+        with _make(pool, **tight) as shared:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(queries))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = shared.cache_stats()
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(answer is not None for answer in answers)
+        for seq, got in zip(sequential, answers):
+            assert np.array_equal(seq, got)
+        for tier, tier_stats in stats.items():
+            assert tier_stats.current_bytes <= tier_stats.budget_bytes, tier
+        _assert_matches_reference(answers[0], pool, single, batches[0])
+        _assert_matches_reference(answers[2], pool, cross, batches[0])
 
     def test_unknown_task_raises(self, wide_pool):
         pool, data = wide_pool

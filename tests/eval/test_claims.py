@@ -122,30 +122,50 @@ class TestRegistryConsistency:
         )
 
 
+#: Each ratcheted track and the paper-shaped summary standing in for it.
+RATCHETED = {"synth-cifar-fast": "cifar", "synth-tiny-fast": "tiny"}
+
+
 class TestPaperRatchet:
     def test_every_listed_id_is_a_registered_claim(self):
         registered = {c.id for a in ARTIFACTS.values() for c in a.claims}
-        assert len(set(paper_ratchet.HOLDING)) == len(paper_ratchet.HOLDING)
-        assert set(paper_ratchet.HOLDING) <= registered
+        assert set(paper_ratchet.HOLDING) == set(RATCHETED)
+        for holding in paper_ratchet.HOLDING.values():
+            assert len(set(holding)) == len(holding)
+            assert set(holding) <= registered
 
     def test_a_listed_claim_that_stops_holding_fails(self, paper_summary, tmp_path, capsys):
-        summary = paper_summary("cifar")
-        path = tmp_path / "summary.json"
-        path.write_text(json.dumps(summary))
-        assert paper_ratchet.main([str(path)]) == 0
-        summary["table3"] = _with_method(summary["table3"], "poe", accuracy_mean=0.3)
-        del summary["figure7"]
-        path.write_text(json.dumps(summary))
-        assert paper_ratchet.main([str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "stopped holding: table3.poe_above_sd_scratch: fails (poe=[0.3000" in out
-        assert "stopped holding: figure7.poe_flat: missing from the summary" in out
-        # two table3 claims read PoE's row, three figure7 claims are gone
-        assert f"{len(paper_ratchet.HOLDING) - 5} of {len(paper_ratchet.HOLDING)} " in out
+        paths = {}
+        for track, kind in RATCHETED.items():
+            summary = dict(paper_summary(kind), track=track)
+            paths[track] = tmp_path / f"{kind}.json"
+            paths[track].write_text(json.dumps(summary))
+        assert paper_ratchet.main([str(p) for p in paths.values()]) == 0
+        capsys.readouterr()
+        for track, kind in RATCHETED.items():
+            summary = dict(paper_summary(kind), track=track)
+            summary["table3"] = _with_method(summary["table3"], "poe", accuracy_mean=0.3)
+            del summary["figure7"]
+            paths[track].write_text(json.dumps(summary))
+            # one broken track fails the run, whichever the other is
+            assert paper_ratchet.main([str(p) for p in paths.values()]) == 1
+            out = capsys.readouterr().out
+            assert f"{track}: stopped holding: table3.poe_above_sd_scratch: fails (poe=[0.3000" in out
+            assert f"{track}: stopped holding: figure7.poe_flat: missing from the summary" in out
+            # two table3 claims read PoE's row, three figure7 claims are gone
+            listed = len(paper_ratchet.HOLDING[track])
+            assert f"{track}: {listed - 5} of {listed} " in out
+            paths[track].write_text(json.dumps(dict(paper_summary(kind), track=track)))
 
-    def test_an_unlisted_failure_does_not_fail(self, paper_summary):
-        summary = paper_summary("cifar")
-        ckd = next(r for r in summary["table2"] if r["method"] == "ckd")["accuracy_mean"]
-        summary["table2"] = _with_method(summary["table2"], "kd", accuracy_mean=ckd)
-        assert "table2.ckd_above_kd" not in paper_ratchet.HOLDING
-        assert paper_ratchet.broken(summary) == []
+    def test_an_unlisted_failure_does_not_fail(self, paper_summary, tmp_path, capsys):
+        for track, kind in RATCHETED.items():
+            summary = dict(paper_summary(kind), track=track)
+            ckd = next(r for r in summary["table2"] if r["method"] == "ckd")["accuracy_mean"]
+            summary["table2"] = _with_method(summary["table2"], "kd", accuracy_mean=ckd)
+            assert "table2.ckd_above_kd" not in paper_ratchet.HOLDING[track]
+            assert paper_ratchet.broken(summary) == []
+        # a summary of a track with no list fails rather than passing unjudged
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(dict(paper_summary("cifar"), track="synth-cifar")))
+        assert paper_ratchet.main([str(path)]) == 1
+        assert "no ratchet list for track 'synth-cifar'" in capsys.readouterr().out

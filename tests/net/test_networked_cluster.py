@@ -197,16 +197,6 @@ def test_predict_bit_identical(networked, in_process, net_pool):
         assert np.array_equal(remote.class_ids, local.class_ids)
 
 
-def test_submit_predict_through_worker(networked, in_process, net_pool):
-    _pool, data = net_pool
-    x = data.test.images[:8]
-    task = sorted(in_process.available_tasks())[0]
-    response = networked.gateway.submit_predict(x, (task,)).result(timeout=60)
-    assert np.array_equal(
-        response.class_ids, in_process.predict(x, (task,)).class_ids
-    )
-
-
 def test_single_shard_repeat_hits_on_third_request(networked, net_pool):
     """A worker's gateway gates its own tiers: stored on the second sighting."""
     _pool, data = net_pool
@@ -304,19 +294,24 @@ def test_rebalance_requires_the_mutations_feature(networked):
 # ----------------------------------------------------------------------
 # submit(): the cluster executor over remote shards
 # ----------------------------------------------------------------------
-def test_submitted_serves_feed_task_popularity(net_pool, in_process):
-    """Submitted serves, single-shard and cross-shard, feed the front
-    end's per-task popularity."""
+def test_submitted_serves_are_counted_and_merged(net_pool, in_process):
+    """Submitted serves, single-shard and cross-shard, each count one
+    request at the front end, and the shards' counts merge into the
+    deployment's one snapshot."""
     pool, _data = net_pool
     names = sorted(in_process.available_tasks())
     query = _cross_shard_query(in_process)
+    asked = (query, (names[0],), query, tuple(names))
     with NetworkedCluster(pool, CONFIG) as deployment:
         gateway = deployment.gateway
-        for tasks in (query, (names[0],), query, tuple(names)):
+        for tasks in asked:
             gateway.submit(tasks).result(timeout=120)
-        popularity = gateway.metrics.popularity.snapshot()
-    assert sorted(popularity) == names
-    assert popularity[names[0]]["count"] == 2 + 2 * (names[0] in query)
+        front = gateway.metrics.counter("requests")
+        merged = gateway.unified_snapshot()["counters"]["requests"]
+        relayed = sum(shard.stats()["counters"].get("requests", 0) for shard in gateway.shards)
+    assert front == len(asked)
+    # the workers' own counts ride along: whatever reached a shard merges in
+    assert merged == front + relayed
 
 
 @pytest.mark.parametrize("cross", [False, True], ids=["single", "cross"])

@@ -85,12 +85,14 @@ class TestNetworkedTelemetry:
             gateway = deployment.gateway
             task = sorted(gateway.available_tasks())[0]
             gateway.predict(data.test.images[:2], (task,))
-            remote = next(s for s in gateway.shards if s.is_remote())
+            remote = gateway.shards[gateway.shards_of(task)[0]]  # the holder
+            assert remote.is_remote()
             stats = remote.stats()
             assert stats["schema"] == 2
             assert "journal" in stats  # worker journal rides the STATS frame
             assert any(e["kind"] == "worker_start" for e in stats["journal"])
-            # the worker that served the prediction tracks its popularity
+            # the worker that served the prediction counts it, and its
+            # count merges with the front end's into the one snapshot
+            assert stats["counters"]["predictions"] == 1
             merged = gateway.unified_snapshot()
-            assert task in merged.get("popularity", {})
-            assert merged["popularity"][task]["count"] >= 1
+            assert merged["counters"]["predictions"] == 2

@@ -268,6 +268,33 @@ class TestSubmit:
         assert response.queue_seconds >= 0.0
         assert gateway.metrics.stage_summary("queue")["count"] == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_max_workers_bounds_concurrent_builds(self, named_pool, workers):
+        """A build blocked on a worker holds it: a second submit starts
+        beside it only when the pool has a second worker."""
+        pool, _, _ = named_pool
+        release = threading.Event()
+        entered = {"pets": threading.Event(), "fish": threading.Event()}
+
+        class HeldPool(CountingPool):
+            def snapshot(self, query):
+                entered[query[0]].set()
+                if query == ("pets",):
+                    assert release.wait(timeout=60), "the held build was never released"
+                return self._pool.snapshot(query)
+
+        with ServingGateway(HeldPool(pool), GatewayConfig(max_workers=workers)) as gw:
+            held = gw.submit(["pets"])
+            assert entered["pets"].wait(timeout=30)
+            other = gw.submit(["fish"])
+            # a second worker picks "fish" up at once; with one, it waits
+            # behind "pets" for as long as the build is held
+            started = entered["fish"].wait(timeout=30 if workers > 1 else 0.5)
+            release.set()
+            assert started == (workers > 1)
+            assert held.result(timeout=30).tasks == ("pets",)
+            assert other.result(timeout=30).tasks == ("fish",)
+
     def test_submit_after_close_rejected(self, named_pool):
         pool, _, _ = named_pool
         gateway = ServingGateway(pool)

@@ -1,12 +1,12 @@
-"""The prediction serving tier: trunk cache, fused path, micro-batching."""
+"""The prediction serving tier: trunk cache, fused path, concurrent callers."""
 
 import hashlib
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-import repro.serving.gateway as serving_gateway
 from repro.core.features import TrunkFeatureCache, array_digest
 from repro.serving import GatewayConfig, ServingGateway
 from tests.conftest import assert_fused_ids_match
@@ -74,17 +74,10 @@ class TestTrunkFeatureCache:
         assert cache.get("k") is None
 
 
-def _ask(gw, entry, x, tasks):
-    if entry == "inline":
-        return gw.predict(x, tasks)
-    return gw.submit_predict(x, tasks).result(timeout=30)
-
-
 class TestAdmission:
     """Both content-keyed tiers keep an entry from a batch's second sighting on."""
 
-    @pytest.mark.parametrize("entry", ["inline", "drain"])
-    def test_never_repeated_stream_stores_nothing(self, named_pool, entry):
+    def test_never_repeated_stream_stores_nothing(self, named_pool):
         pool, data, _ = named_pool
         stream = [data.test.images[i * 5 : (i + 1) * 5] for i in range(6)]
         off = GatewayConfig(max_workers=1, result_cache_bytes=0)
@@ -92,8 +85,8 @@ class TestAdmission:
             pool, off, trunk_cache=TrunkFeatureCache(0)
         ) as bare:
             for x in stream:
-                gated = _ask(gw, entry, x, ["pets", "birds"])
-                plain = _ask(bare, entry, x, ["pets", "birds"])
+                gated = gw.predict(x, ["pets", "birds"])
+                plain = bare.predict(x, ["pets", "birds"])
                 assert np.array_equal(gated.class_ids, plain.class_ids)
                 assert not gated.trunk_cache_hit and not gated.result_cache_hit
             stats = gw.cache_stats()
@@ -102,20 +95,19 @@ class TestAdmission:
             # every first-sighting refusal is counted
             assert stats[tier].rejections == len(stream)
 
-    @pytest.mark.parametrize("entry", ["inline", "drain"])
-    def test_second_sighting_stores_and_third_hits(self, named_pool, entry):
+    def test_second_sighting_stores_and_third_hits(self, named_pool):
         pool, data, _ = named_pool
         x = data.test.images[:6]
         with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            first = _ask(gw, entry, x, ["pets"])
+            first = gw.predict(x, ["pets"])
             assert len(gw.trunk_cache) == 0 and len(gw.result_cache) == 0
-            second = _ask(gw, entry, x, ["pets"])
+            second = gw.predict(x, ["pets"])
             assert not second.trunk_cache_hit and not second.result_cache_hit
             assert len(gw.trunk_cache) == 1 and len(gw.result_cache) == 1
-            third = _ask(gw, entry, x, ["pets"])
+            third = gw.predict(x, ["pets"])
             assert third.result_cache_hit
             # other composite, same images: the stored features serve it
-            assert _ask(gw, entry, x, ["fish"]).trunk_cache_hit
+            assert gw.predict(x, ["fish"]).trunk_cache_hit
         assert np.array_equal(first.class_ids, third.class_ids)
 
     def test_digest_memory_stays_at_its_bound(self, monkeypatch):
@@ -248,208 +240,47 @@ class TestPredict:
         assert gateway.metrics.counter("fused_trunk_fallback") == 0
 
 
-class TestMicroBatching:
-    def test_submit_matches_sequential(self, named_pool):
-        """Micro-batched futures return the same ids as sequential predicts."""
+class TestConcurrentPredict:
+    def test_threads_match_sequential(self, named_pool):
+        """Threads predicting at once, on the same and on different batches,
+        answer what sequential calls answer, and no tier outgrows its budget."""
         pool, data, _ = named_pool
+        batches = [data.test.images[i * 5 : (i + 1) * 5] for i in range(3)]
         queries = [
-            (data.test.images[i * 5 : (i + 1) * 5], ["pets"] if i % 2 else ["pets", "birds"])
-            for i in range(4)
+            (batches[i % 3], ["pets"] if i % 2 else ["pets", "birds"]) for i in range(12)
         ]
-        with ServingGateway(pool, GatewayConfig(max_workers=2)) as gw:
+        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
             sequential = [gw.predict(x, tasks).class_ids for x, tasks in queries]
-        with ServingGateway(pool, GatewayConfig(max_workers=2)) as gw:
-            futures = [gw.submit_predict(x, tasks) for x, tasks in queries]
-            batched = [f.result(timeout=30).class_ids for f in futures]
-        for seq, bat in zip(sequential, batched):
-            assert np.array_equal(seq, bat)
+        start = threading.Barrier(len(queries))
+        answers = [None] * len(queries)
 
-    def test_concurrent_requests_share_one_trunk_forward(self, named_pool):
-        """Requests enqueued while the worker is blocked drain as ONE batch."""
-        pool, data, _ = named_pool
-        release = threading.Event()
-        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            # occupy the single worker so submissions pile up behind it;
-            # bounded, so a failure before release.set() cannot hang close
-            blocker = gw._ensure_executor().submit(release.wait, 60)
-            futures = [
-                gw.submit_predict(data.test.images[i * 4 : (i + 1) * 4], ["fish"])
-                for i in range(4)
-            ]
-            release.set()
-            results = [f.result(timeout=30) for f in futures]
-            blocker.result(timeout=30)
-            assert gw.metrics.counter("predict_batches") == 1
-            assert gw.metrics.counter("predict_coalesced") == 3
-            assert all(r.coalesced for r in results)
-            # the drain ran the trunk once over the union of images
-            assert gw.metrics.snapshot()["stages"]["predict_trunk_fused"]["count"] == 1
-        model_net, composite = pool.consolidate(["fish"])
-        from repro.distill import batched_forward
+        def ask(i):
+            x, tasks = queries[i]
+            start.wait(timeout=30)
+            answers[i] = shared.predict(x, tasks).class_ids
 
-        for i, result in enumerate(results):
-            x = data.test.images[i * 4 : (i + 1) * 4]
-            assert_fused_ids_match(
-                result.class_ids, batched_forward(model_net, x), composite.classes
-            )
-
-    def test_identical_batches_deduped_within_drain(self, named_pool):
-        """Byte-identical images in one micro-batch share one trunk slice."""
-        pool, data, _ = named_pool
-        same = data.test.images[:6]
-        other = data.test.images[6:12]
-        release = threading.Event()
-        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            for x in (same, other):  # first sightings: the drain is the second
-                gw.predict(x, ["fish"])
-            blocker = gw._ensure_executor().submit(release.wait, 60)
-            futures = [
-                gw.submit_predict(same, ["pets"]),
-                gw.submit_predict(same.copy(), ["birds"]),  # same bytes, new array
-                gw.submit_predict(other, ["pets"]),
-            ]
-            release.set()
-            results = [f.result(timeout=30) for f in futures]
-            blocker.result(timeout=30)
-            # 3 requests, 2 distinct contents: exactly 2 feature insertions
-            assert gw.trunk_cache.stats().insertions == 2
-            assert gw.metrics.counter("predict_batches") == 1
-        for result, (x, tasks) in zip(
-            results, [(same, ["pets"]), (same, ["birds"]), (other, ["pets"])]
-        ):
-            network, composite = pool.consolidate(sorted(tasks))
-            from repro.distill import batched_forward
-
-            assert_fused_ids_match(
-                result.class_ids, batched_forward(network, x), composite.classes
-            )
-
-    def test_coalesced_drain_caches_owned_feature_chunks(self, named_pool):
-        """Each entry owns its bytes: none pins the drain's stacked forward."""
-        pool, data, _ = named_pool
-        batches = [data.test.images[i * 4 : (i + 1) * 4] for i in range(3)]
-        release = threading.Event()
-        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            for x in batches:  # first sightings: the drain is the second
-                gw.predict(x, ["fish"])
-            blocker = gw._ensure_executor().submit(release.wait, 60)
-            futures = [gw.submit_predict(x, ["pets"]) for x in batches]
-            release.set()
-            for future in futures:
-                future.result(timeout=30)
-            blocker.result(timeout=30)
-            assert gw.metrics.counter("predict_batches") == 1
-            (library,) = pool.versions(())
-            cached = [gw.trunk_cache.get((library, array_digest(x))) for x in batches]
-            gw.predict(data.test.images[12:16], ["pets"])
-            alone = gw.predict(data.test.images[12:16], ["pets"])
-            assert not alone.trunk_cache_hit
-            passed_through = gw.trunk_cache.get((library, array_digest(data.test.images[12:16])))
-        for chunk in cached:
-            assert chunk.base is None
-            # a copy keeps the compiled trunk's channels-last memory
-            assert chunk.transpose(0, 2, 3, 1).flags.c_contiguous
-        for i, chunk in enumerate(cached):
-            assert not any(np.shares_memory(chunk, other) for other in cached[i + 1 :])
-        # an unshared forward is cached as it came: nothing to un-pin
-        assert passed_through.transpose(0, 2, 3, 1).flags.c_contiguous
-
-    def test_submit_predict_error_isolated_to_its_future(self, named_pool):
-        pool, data, _ = named_pool
-        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            release = threading.Event()
-            blocker = gw._ensure_executor().submit(release.wait, 60)
-            good = gw.submit_predict(data.test.images[:4], ["pets"])
-            bad = gw.submit_predict(data.test.images[:4], ["dragons"])
-            release.set()
-            assert good.result(timeout=30).tasks == ("pets",)
-            with pytest.raises(KeyError):
-                bad.result(timeout=30)
-            blocker.result(timeout=30)
-
-
-class TestAdaptiveMicroBatching:
-    def _blocked_gateway(self, pool, **config_kwargs):
-        gw = ServingGateway(
-            pool, GatewayConfig(max_workers=1, **config_kwargs)
-        )
-        release = threading.Event()
-        # bounded: an assertion failing before release.set() must not hang
-        # the gateway's close on this blocker
-        blocker = gw._ensure_executor().submit(release.wait, 60)
-        return gw, release, blocker
-
-    def test_drains_capped_at_max_batch_images(self, named_pool, monkeypatch):
-        """No drain gathers more images than MAX_BATCH_IMAGES."""
-        pool, data, _ = named_pool
-        monkeypatch.setattr(serving_gateway, "MAX_BATCH_IMAGES", 8)
-        gw, release, blocker = self._blocked_gateway(pool, min_batch_images=4)
-        with gw:
-            # 24 images: drains of 4 and 8 leave a backlog each, so an
-            # uncapped window would take the last 12 in one drain
-            futures = [
-                gw.submit_predict(data.test.images[i * 4 : (i + 1) * 4], ["fish"])
-                for i in range(6)
-            ]
-            release.set()
-            results = [f.result(timeout=30) for f in futures]
-            blocker.result(timeout=30)
-            assert gw.metrics.counter("predict_batches") >= 3
-            drain_sizes = gw.metrics.snapshot()["stages"]["predict_drain_images"]
-            assert drain_sizes["max"] == 8
-        network, composite = pool.consolidate(["fish"])
-        from repro.distill import batched_forward
-
-        for i, result in enumerate(results):
-            x = data.test.images[i * 4 : (i + 1) * 4]
-            assert_fused_ids_match(
-                result.class_ids, batched_forward(network, x), composite.classes
-            )
-
-    def test_window_grows_under_load(self, named_pool):
-        """A drain that leaves a backlog doubles the window (up to the cap)."""
-        pool, data, _ = named_pool
-        gw, release, blocker = self._blocked_gateway(pool, min_batch_images=4)
-        with gw:
-            assert gw.predict_window == 4
-            futures = [
-                gw.submit_predict(data.test.images[i * 4 : (i + 1) * 4], ["pets"])
-                for i in range(3)  # 12 images > 4-image window -> backlog
-            ]
-            release.set()
-            for f in futures:
-                f.result(timeout=30)
-            blocker.result(timeout=30)
-            assert gw.predict_window > 4
-
-    def test_window_shrinks_when_idle(self, named_pool):
-        """Light drains halve the window back toward min_batch_images."""
-        pool, data, _ = named_pool
-        with ServingGateway(
-            pool,
-            GatewayConfig(max_workers=1, min_batch_images=4),
-        ) as gw:
-            with gw._predict_lock:
-                gw._predict_window = 64  # as if a burst just ended
-            for _ in range(4):  # lone 2-image requests: idle traffic
-                gw.submit_predict(data.test.images[:2], ["pets"]).result(timeout=30)
-            assert gw.predict_window == 4
-
-    def test_oversized_request_still_served_whole(self, named_pool):
-        """A single request larger than the cap cannot be split — it drains alone."""
-        pool, data, _ = named_pool
-        with ServingGateway(
-            pool,
-            GatewayConfig(max_workers=1, min_batch_images=4),
-        ) as gw:
-            response = gw.submit_predict(data.test.images[:12], ["pets"]).result(
-                timeout=30
-            )
-            assert response.batch_size == 12
-
-    def test_config_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError, match="min_batch_images"):
-            GatewayConfig(min_batch_images=serving_gateway.MAX_BATCH_IMAGES + 1)
+        # budgets that hold two of the three batches' features and answers:
+        # the trunk and result tiers evict while threads race to fill them
+        tight = GatewayConfig(model_cache_bytes=1, result_cache_bytes=256)
+        trunk_cache = TrunkFeatureCache(12 << 10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the tiers' critical sections
+        try:
+            with ServingGateway(pool, tight, trunk_cache=trunk_cache) as shared:
+                threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(queries))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                stats = shared.cache_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(answer is not None for answer in answers)
+        for seq, got in zip(sequential, answers):
+            assert np.array_equal(seq, got)
+        for tier, tier_stats in stats.items():
+            assert tier_stats.current_bytes <= tier_stats.budget_bytes, tier
 
 
 class TestResultCache:
@@ -530,22 +361,3 @@ class TestResultCache:
             assert not first.result_cache_hit and not third.result_cache_hit
             assert third.trunk_cache_hit  # the feature tier still works
             assert np.array_equal(first.class_ids, third.class_ids)
-
-    def test_micro_batched_repeat_hits_result_cache(self, named_pool):
-        """A drained request whose answer is cached resolves without trunk work."""
-        pool, data, _ = named_pool
-        x = data.test.images[:6]
-        with ServingGateway(pool, GatewayConfig(max_workers=1)) as gw:
-            gw.predict(x, ["pets"])
-            gw.predict(x, ["pets"])  # the second sighting stores the answer
-            trunk_runs = gw.metrics.snapshot()["stages"]["predict_trunk_fused"]["count"]
-            response = gw.submit_predict(x, ["pets"]).result(timeout=30)
-            assert response.result_cache_hit
-            assert (
-                gw.metrics.snapshot()["stages"]["predict_trunk_fused"]["count"]
-                == trunk_runs
-            )
-            # the drain's presence peek is stats-neutral: exactly one
-            # counted lookup per request (2 misses inline, 1 hit drained)
-            stats = gw.cache_stats()["result"]
-            assert stats.hits == 1 and stats.misses == 2

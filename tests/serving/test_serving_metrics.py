@@ -8,7 +8,6 @@ from repro.serving import (
     DOCUMENTED_STAGES,
     SNAPSHOT_SCHEMA,
     LatencyHistogram,
-    PopularityEWMA,
     ServingMetrics,
     merge_snapshots,
     percentile,
@@ -269,8 +268,9 @@ class TestMergeSnapshots:
         assert total["approx"] is True
 
     def test_schema1_and_schema2_snapshots_merge(self):
-        """An old schema-1 peer (no popularity/health) merges cleanly with
-        a schema-2 snapshot; the additions survive untouched."""
+        """An old schema-1 peer (no health) merges cleanly with a schema-2
+        snapshot; the addition survives untouched, and a peer's retired
+        popularity table is ignored like any unknown key."""
         old = {
             "schema": 1,
             "kind": "serving",
@@ -285,107 +285,16 @@ class TestMergeSnapshots:
         assert merged["schema"] == SNAPSHOT_SCHEMA
         assert merged["counters"]["requests"] == 3
         assert merged["stages"]["total"]["approx"] is True  # neither had hists
-        assert merged["popularity"] == {"taskA": {"score": 1.5, "count": 3}}
+        assert "popularity" not in merged
         assert merged["health"] == {"shard0": {"state": "healthy"}}
 
-    def test_popularity_tables_add_and_health_tables_union(self):
+    def test_health_tables_union(self):
         a = {"kind": "serving", "stages": {}, "counters": {},
-             "popularity": {"t1": {"score": 2.0, "count": 4}},
              "health": {"shard0": {"state": "healthy"}}}
         b = {"kind": "serving", "stages": {}, "counters": {},
-             "popularity": {"t1": {"score": 1.0, "count": 1},
-                            "t2": {"score": 0.5, "count": 2}},
              "health": {"shard1": {"state": "degraded"}}}
         merged = merge_snapshots([a, b])
-        assert merged["popularity"]["t1"] == {"score": 3.0, "count": 5}
-        assert merged["popularity"]["t2"] == {"score": 0.5, "count": 2}
         assert merged["health"] == {
             "shard0": {"state": "healthy"},
             "shard1": {"state": "degraded"},
         }
-
-
-class TestPopularityEWMA:
-    def _ewma(self, halflife=30.0):
-        clock = [0.0]
-        ewma = PopularityEWMA(halflife_s=halflife, clock=lambda: clock[0])
-        return ewma, clock
-
-    def test_scores_accumulate_per_task(self):
-        ewma, _clock = self._ewma()
-        ewma.record(["a", "b"])
-        ewma.record(["a"])
-        snap = ewma.snapshot()
-        assert snap["a"] == {"score": pytest.approx(2.0), "count": 2}
-        assert snap["b"] == {"score": pytest.approx(1.0), "count": 1}
-        assert len(ewma) == 2
-
-    def test_score_halves_per_halflife_but_count_is_lifetime(self):
-        ewma, clock = self._ewma(halflife=10.0)
-        ewma.record(["a"])
-        clock[0] = 10.0
-        snap = ewma.snapshot()
-        assert snap["a"]["score"] == pytest.approx(0.5)
-        assert snap["a"]["count"] == 1  # raw volume never decays
-
-    def test_recency_beats_stale_volume(self):
-        ewma, clock = self._ewma(halflife=10.0)
-        for _ in range(8):
-            ewma.record(["stale"])
-        clock[0] = 100.0  # ten halflives later
-        ewma.record(["fresh"])
-        assert ewma.top(1)[0][0] == "fresh"
-        [(first, _), (second, _)] = ewma.top(2)
-        assert (first, second) == ("fresh", "stale")
-
-    def test_score_accessor_decays_to_now(self):
-        ewma, clock = self._ewma(halflife=10.0)
-        ewma.record(["a"])
-        ewma.record(["a"])
-        assert ewma.score("a") == pytest.approx(2.0)
-        clock[0] = 10.0
-        assert ewma.score("a") == pytest.approx(1.0)
-        # reads never mutate: repeating the call gives the same value
-        assert ewma.score("a") == pytest.approx(1.0)
-
-    def test_score_of_unknown_key_is_zero(self):
-        ewma, _clock = self._ewma()
-        assert ewma.score("never") == 0.0
-
-    def test_zero_elapsed_records_do_not_decay(self):
-        # many records at one instant (e.g. a burst inside one clock tick)
-        # must accumulate linearly, not blow up or decay
-        ewma, _clock = self._ewma(halflife=10.0)
-        for _ in range(5):
-            ewma.record(["a"])
-        assert ewma.score("a") == pytest.approx(5.0)
-
-    def test_long_idle_gap_decays_toward_zero_without_underflow(self):
-        ewma, clock = self._ewma(halflife=1.0)
-        ewma.record(["a"])
-        clock[0] = 1e6  # a million half-lives
-        assert ewma.score("a") == 0.0
-        ewma.record(["a"])  # recording after the gap starts fresh
-        assert ewma.score("a") == pytest.approx(1.0)
-
-    def test_tuple_keys_are_first_class(self):
-        # any hashable is a key, a composite's canonical names tuple included
-        ewma, _clock = self._ewma()
-        ewma.record([("birds", "pets")])
-        assert ewma.score(("birds", "pets")) == pytest.approx(1.0)
-        assert ewma.top(1)[0][0] == ("birds", "pets")
-
-    def test_invalid_halflife_rejected(self):
-        with pytest.raises(ValueError):
-            PopularityEWMA(halflife_s=0.0)
-
-    def test_metrics_facade_snapshot_carries_popularity(self):
-        metrics = ServingMetrics()
-        snap = metrics.snapshot()
-        assert "popularity" not in snap  # empty table stays off the wire
-        metrics.record_tasks(["t1", "t2"])
-        metrics.record_tasks(["t1"])
-        snap = metrics.snapshot()
-        assert snap["schema"] == SNAPSHOT_SCHEMA
-        assert snap["popularity"]["t1"]["count"] == 2
-        assert snap["popularity"]["t2"]["count"] == 1
