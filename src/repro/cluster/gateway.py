@@ -154,8 +154,9 @@ class ClusterConfig:
 
     num_shards: int = 4
     #: Process-level worker replicas per shard slot (networked fleets):
-    #: >1 enables failover and hedged reads.  In-process clusters ignore
-    #: it — a thread crash takes the whole process with it anyway.
+    #: >1 lets a read fail over to a sibling replica.  In-process
+    #: clusters ignore it — a thread crash takes the whole process with
+    #: it anyway.
     replicas_per_shard: int = 1
     #: Every shard gateway's model and payload tiers.
     shard_model_cache_bytes: int = 64 << 20

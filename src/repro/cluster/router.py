@@ -81,7 +81,7 @@ class ShardRouter:
         Process-level redundancy *within* each shard slot: how many
         identical worker replicas serve it.  Orthogonal to ``replication``
         (which spreads a task across *different* shards for locality);
-        this exists for failover/hedging, and :meth:`replica_set` exposes
+        this exists for failover, and :meth:`replica_set` exposes
         it to the transports.
     """
 

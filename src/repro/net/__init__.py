@@ -17,8 +17,8 @@ under that boundary so shard fan-out escapes the GIL:
   over pooled connections, so :class:`~repro.cluster.ClusterGateway`
   runs **bit-identical** against either backend via its
   ``shard_factory``.  It is the one networked client: every request that
-  crosses the wire goes through it, with replica failover, retry and
-  hedging in :mod:`~repro.net.retry`.
+  crosses the wire goes through it, with one retry/failover loop over
+  the replicas and the policies of :mod:`~repro.net.retry`.
 """
 
 from .chaos import ChaosMonkey
@@ -54,8 +54,6 @@ from .frame import (
 from .retry import (
     BreakerOpenError,
     CircuitBreaker,
-    HedgePolicy,
-    LatencyTracker,
     RetryPolicy,
     ShardDrainingError,
     StaleEpochError,
@@ -88,8 +86,6 @@ __all__ = [
     "BreakerOpenError",
     "ChaosMonkey",
     "CircuitBreaker",
-    "HedgePolicy",
-    "LatencyTracker",
     "RetryPolicy",
     "ShardDrainingError",
     "StaleEpochError",

@@ -43,13 +43,6 @@ import select
 import socket
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-    wait as futures_wait,
-)
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -67,7 +60,6 @@ from .frame import (
     FEATURE_TRACE,
     FrameDecoder,
     FrameError,
-    IDEMPOTENT_MSG_TYPES,
     MessageAssembler,
     MsgType,
     PROTOCOL_VERSION,
@@ -86,8 +78,6 @@ from .frame import (
 from .retry import (
     BreakerOpenError,
     CircuitBreaker,
-    HedgePolicy,
-    LatencyTracker,
     RETRYABLE_EXCEPTIONS,
     RetryPolicy,
     ShardDrainingError,
@@ -280,22 +270,14 @@ class _ReplicaEndpoint:
         self.generation = 0
 
 
-def _swallow_future(future: "Future") -> None:
-    """Done-callback for hedge losers: consume the exception, if any."""
-    if not future.cancelled():
-        future.exception()
-
-
 class RemoteShardClient:
     """A :class:`~repro.cluster.shard.PoolShard` look-alike over TCP.
 
     ``address`` is either one ``(host, port)`` pair (a lone worker — the
     pre-replica construction, unchanged) or a list of pairs, one per
     replica of the same shard.  With multiple replicas the client fails
-    idempotent requests over on connection errors/timeouts, keeps a
-    :class:`~repro.net.retry.CircuitBreaker` per replica, and — when the
-    :class:`~repro.net.retry.HedgePolicy` allows — hedges slow reads
-    against a sibling, taking the first answer.
+    idempotent requests over on connection errors/timeouts and keeps a
+    :class:`~repro.net.retry.CircuitBreaker` per replica.
     """
 
     def __init__(
@@ -305,7 +287,6 @@ class RemoteShardClient:
         timeout: float = 120.0,
         metrics=None,
         retry: Optional[RetryPolicy] = None,
-        hedge: Optional[HedgePolicy] = None,
         auth_token: Optional[str] = None,
     ) -> None:
         if address and isinstance(address[0], str):
@@ -321,8 +302,6 @@ class RemoteShardClient:
         # (fed by mutation acks; the snapshot's epoch-skew gauge reads it)
         self._replica_epochs: Dict[int, int] = {}
         self.retry = retry or RetryPolicy()
-        self.hedge = hedge or HedgePolicy()
-        self._latency = LatencyTracker()
         self._replicas = [
             _ReplicaEndpoint(i, addr, CircuitBreaker())
             for i, addr in enumerate(addresses)
@@ -330,8 +309,6 @@ class RemoteShardClient:
         self._max_idle = max(1, connections)
         self._pool_lock = threading.Lock()
         self._info: Optional[Dict] = None
-        self._hedge_executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         self._closed = False
 
     @property
@@ -430,7 +407,7 @@ class RemoteShardClient:
         channel.close()
 
     # ------------------------------------------------------------------
-    # Requests: one attempt, then the retry/failover/hedge layers
+    # Requests: one attempt, then the retry/failover loop
     # ------------------------------------------------------------------
     def _request_on(
         self,
@@ -464,24 +441,18 @@ class RemoteShardClient:
         else:
             self._release(endpoint, channel)
         endpoint.breaker.record_success()
-        elapsed = perf_counter() - start
-        if len(self._replicas) > 1:  # the samples feed only the hedge delay
-            self._latency.observe(elapsed)
         if self.metrics is not None:
+            elapsed = perf_counter() - start
             self.metrics.observe("net_roundtrip", elapsed)  # its count: the requests
             self.metrics.increment("net_bytes_tx", sum(map(len, parts)))
             self.metrics.increment("net_bytes_rx", len(response[2]))
         return response
 
-    def _pick_endpoint(
-        self, offset: int = 0, exclude: Optional[_ReplicaEndpoint] = None
-    ) -> Optional[_ReplicaEndpoint]:
+    def _pick_endpoint(self, offset: int = 0) -> Optional[_ReplicaEndpoint]:
         """First replica (rotated by ``offset``) whose breaker admits us."""
         count = len(self._replicas)
         for step in range(count):
             endpoint = self._replicas[(offset + step) % count]
-            if endpoint is exclude:
-                continue
             if endpoint.breaker.allow():
                 return endpoint
         return None
@@ -489,14 +460,13 @@ class RemoteShardClient:
     def _request(
         self, msg_type: int, parts: Sequence[Buffer], codec: int = CODEC_JSON
     ) -> Tuple[int, int, bytes]:
+        """Deliver one request: attempt ``k`` goes to replica ``k mod N``
+        (rotated past open breakers), so a retryable failure fails over at
+        once; the backoff sleep is paid only when an attempt returns to a
+        replica this request already tried."""
         timeout = self.retry.timeout_for(msg_type)
-        if (
-            self.hedge.enabled
-            and len(self._replicas) > 1
-            and msg_type in IDEMPOTENT_MSG_TYPES
-        ):
-            return self._hedged_request(msg_type, parts, codec, timeout)
         attempts = self.retry.attempts_for(msg_type)
+        tried: List[_ReplicaEndpoint] = []
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):
             endpoint = self._pick_endpoint(attempt)
@@ -506,6 +476,9 @@ class RemoteShardClient:
                 raise BreakerOpenError(
                     f"all {len(self._replicas)} replica breakers are open"
                 )
+            if endpoint in tried:
+                time.sleep(self.retry.backoff(attempt))
+            tried.append(endpoint)
             try:
                 return self._request_on(endpoint, msg_type, parts, codec, timeout)
             except BaseException as error:
@@ -516,82 +489,7 @@ class RemoteShardClient:
                     raise
                 if self.metrics is not None:
                     self.metrics.increment("net_retries")
-                time.sleep(self.retry.backoff(attempt + 1))
         raise last_error  # pragma: no cover - loop always returns or raises
-
-    def _hedged_request(
-        self, msg_type: int, parts: Sequence[Buffer], codec: int, timeout: float
-    ) -> Tuple[int, int, bytes]:
-        """First answer wins: primary attempt, sibling hedge after a delay.
-
-        The hedge fires once the primary has been in flight longer than
-        the policy's trailing-quantile delay.  The loser keeps running on
-        its own thread and releases its channel normally — there is no
-        wire-level cancel — but its result (or error) is discarded.
-        """
-        primary = self._pick_endpoint(0)
-        if primary is None:
-            raise BreakerOpenError(
-                f"all {len(self._replicas)} replica breakers are open"
-            )
-        executor = self._ensure_hedge_executor()
-        first = executor.submit(
-            self._request_on, primary, msg_type, parts, codec, timeout
-        )
-        try:
-            return first.result(timeout=self._latency.hedge_delay(self.hedge))
-        except FutureTimeoutError:
-            pass  # primary is slow: hedge below
-        except BaseException as error:
-            # primary failed fast — this is failover, not hedging
-            if not self.retry.retryable(msg_type, error):
-                raise
-            sibling = self._pick_endpoint(1, exclude=primary)
-            if sibling is None:
-                raise
-            if self.metrics is not None:
-                self.metrics.increment("net_failovers")
-            return self._request_on(sibling, msg_type, parts, codec, timeout)
-        if self.metrics is not None:
-            self.metrics.increment("hedge_fired")
-        sibling = self._pick_endpoint(1, exclude=primary)
-        if sibling is None:
-            return first.result(timeout=timeout)
-        second = executor.submit(
-            self._request_on, sibling, msg_type, parts, codec, timeout
-        )
-        hedges = {second}
-        pending = {first, second}
-        deadline = time.monotonic() + timeout
-        last_error: Optional[BaseException] = None
-        while pending:
-            done, pending = futures_wait(
-                pending,
-                timeout=max(0.0, deadline - time.monotonic()),
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                for future in pending:
-                    future.cancel()
-                    future.add_done_callback(_swallow_future)
-                raise TimeoutError(
-                    f"hedged request (msg type {msg_type}) missed its "
-                    f"{timeout:.0f}s deadline on both replicas"
-                )
-            for future in done:
-                try:
-                    result = future.result()
-                except BaseException as error:
-                    last_error = error
-                    continue
-                if future in hedges and self.metrics is not None:
-                    self.metrics.increment("hedge_won")
-                for loser in pending:
-                    loser.cancel()
-                    loser.add_done_callback(_swallow_future)
-                return result
-        assert last_error is not None  # both attempts failed
-        raise last_error
 
     # ------------------------------------------------------------------
     # PoolShard surface
@@ -752,8 +650,7 @@ class RemoteShardClient:
     ) -> Dict:
         """Deliver one mutation to one replica, retrying until ``deadline``.
 
-        Deliberately *not* ``_request``: mutations never hedge and never
-        fail over (every replica must apply), and they ignore the breaker
+        Deliberately *not* ``_request``: mutations never fail over (every replica must apply), and they ignore the breaker
         — a replica mid-respawn is exactly the one we must keep trying,
         because ``replace_replica`` repoints ``endpoint.address`` under
         us and the next dial reaches the fresh worker.  Duplicates are
@@ -885,10 +782,6 @@ class RemoteShardClient:
                 endpoint.idle = []
         for channel in orphans:
             channel.close()
-        with self._executor_lock:
-            executor, self._hedge_executor = self._hedge_executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     def __enter__(self) -> "RemoteShardClient":
         return self
@@ -906,17 +799,6 @@ class RemoteShardClient:
                 raise FrameError(f"drain got unexpected message type {msg_type}")
         finally:
             channel.close()
-
-    def _ensure_hedge_executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._closed:
-                raise RuntimeError("remote shard client is closed")
-            if self._hedge_executor is None:
-                self._hedge_executor = ThreadPoolExecutor(
-                    max_workers=max(4, 2 * len(self._replicas)),
-                    thread_name_prefix="poe-net-hedge",
-                )
-            return self._hedge_executor
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -60,8 +60,9 @@ frames older than its current epoch with a typed ``StaleEpochError``)
 and a **mutation id** (workers journal applied ids, so a retried or
 replayed frame is acknowledged without re-applying — exactly-once
 application over an at-least-once transport).  They are deliberately
-absent from :data:`IDEMPOTENT_MSG_TYPES` — they must never be hedged —
-but :data:`MUTATION_MSG_TYPES` marks them safely *retryable*, because
+absent from :data:`IDEMPOTENT_MSG_TYPES` — they must never fail over to
+a sibling replica, since every replica must apply them — but
+:data:`MUTATION_MSG_TYPES` marks them safely *retryable*, because
 the id dedup makes a duplicate delivery a no-op.  Servers only accept
 them from peers that negotiated the ``"mutations"`` feature, which is
 granted iff the HELLO carried the server's shared auth token (see
@@ -179,17 +180,17 @@ class MsgType:
     LIBRARY_REFRESHED = 21
 
 
-#: Request types safe to retry / fail over / hedge: re-executing them on
-#: another replica cannot change shard state, so a client may re-issue
-#: them after a connection error or alongside a slow first attempt.
-#: Everything else — DRAIN, and the placement mutations below — must
-#: never be hedged; DRAIN fails fast, mutations retry via id dedup.
+#: Request types safe to retry / fail over: re-executing them on another
+#: replica cannot change shard state, so a client may re-issue them after
+#: a connection error.  Everything else — DRAIN, and the placement
+#: mutations below — never fails over; DRAIN fails fast, mutations retry
+#: on their own replica via id dedup.
 IDEMPOTENT_MSG_TYPES = frozenset(
     {MsgType.PING, MsgType.FETCH_HEADS, MsgType.SERVE, MsgType.PREDICT, MsgType.STATS}
 )
 
-#: The write path: frames that mutate worker state.  Never hedged (a
-#: hedge races two applications of one mutation), but safely retryable —
+#: The write path: frames that mutate worker state.  Never failed over
+#: (every replica must apply each one), but safely retryable —
 #: every mutation carries an id the worker journals, so a duplicate
 #: delivery is acknowledged as a replay instead of re-applied.
 MUTATION_MSG_TYPES = frozenset(

@@ -1,6 +1,6 @@
-"""Fault-tolerance policy objects shared by the sync and async clients.
+"""Fault-tolerance policy objects of the networked shard client.
 
-Three small, independently testable pieces sit between a shard client
+Two small, independently testable pieces sit between a shard client
 and its replica endpoints:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
@@ -10,8 +10,8 @@ and its replica endpoints:
   idempotency-aware: the message types in
   :data:`~repro.net.frame.IDEMPOTENT_MSG_TYPES` are retried and failed
   over freely; :data:`~repro.net.frame.MUTATION_MSG_TYPES` are retried
-  (their mutation-id dedup makes duplicates safe) but never hedged or
-  failed over mid-flight; everything else gets exactly one delivery
+  (their mutation-id dedup makes duplicates safe) but never failed over
+  mid-flight; everything else gets exactly one delivery
   attempt.  A :class:`StaleEpochError` is a *fencing* rejection — the
   frame lost a topology race — and is deliberately not retryable:
   re-sending the same stale epoch can never succeed.
@@ -20,11 +20,6 @@ and its replica endpoints:
   breaker opens and the replica stops soaking requests; after
   ``cooldown`` seconds one half-open probe is admitted, and its outcome
   either closes the breaker or re-opens it for another cooldown.
-* :class:`HedgePolicy` + :class:`LatencyTracker` — hedged reads fire a
-  second attempt on a sibling replica once the first has been in flight
-  longer than a trailing latency quantile (clamped to
-  ``[min_delay, max_delay]``), absorbing tail latency without doubling
-  steady-state load.
 
 Everything here is transport-agnostic policy and state;
 :class:`~repro.net.client.RemoteShardClient` drives it with threads.  See
@@ -49,8 +44,6 @@ __all__ = [
     "DEFAULT_OP_TIMEOUTS",
     "RetryPolicy",
     "CircuitBreaker",
-    "HedgePolicy",
-    "LatencyTracker",
 ]
 
 
@@ -112,9 +105,6 @@ DEFAULT_OP_TIMEOUTS: Mapping[int, float] = {
 DEFAULT_TIMEOUT = 30.0
 #: Backoff ceiling (seconds) before the first retry; it doubles per retry.
 BASE_DELAY = 0.05
-#: Latency observations a hedge delay needs before it follows their
-#: quantile; until then it is the policy's ``min_delay``.
-HEDGE_MIN_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -256,64 +246,3 @@ class CircuitBreaker:
     def reset(self) -> None:
         """Force-close (e.g. after the replica was respawned)."""
         self.record_success()
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When and how to hedge an idempotent read.
-
-    The hedge fires once the first attempt has been in flight longer
-    than the ``quantile`` of recently observed latencies (clamped to
-    ``[min_delay, max_delay]``); before :data:`HEDGE_MIN_SAMPLES`
-    observations the clamp floor is used.  ``enabled=False`` turns
-    hedging off without ripping out the call sites.
-    """
-
-    enabled: bool = True
-    quantile: float = 0.95
-    min_delay: float = 0.01
-    max_delay: float = 1.0
-
-
-class LatencyTracker:
-    """Bounded ring of recent latencies with cheap quantile reads.
-
-    Feeds the hedge delay: :meth:`hedge_delay` answers the policy's
-    quantile over the last ``capacity`` observations.  Thread-safe.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = max(8, capacity)
-        self._lock = threading.Lock()
-        self._samples: list = []
-        self._cursor = 0
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            if len(self._samples) < self.capacity:
-                self._samples.append(float(seconds))
-            else:
-                self._samples[self._cursor] = float(seconds)
-                self._cursor = (self._cursor + 1) % self.capacity
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-    def quantile(self, q: float) -> Optional[float]:
-        with self._lock:
-            if not self._samples:
-                return None
-            ordered = sorted(self._samples)
-        q = min(1.0, max(0.0, q))
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
-    def hedge_delay(self, policy: HedgePolicy) -> float:
-        """The in-flight duration after which a hedge should fire."""
-        if len(self) < HEDGE_MIN_SAMPLES:
-            return policy.min_delay
-        value = self.quantile(policy.quantile)
-        if value is None:
-            return policy.min_delay
-        return min(policy.max_delay, max(policy.min_delay, value))

@@ -67,7 +67,6 @@ from ..serving.gateway import GatewayConfig
 from .client import RemoteShardClient
 from .retry import (
     DEFAULT_OP_TIMEOUTS,
-    HedgePolicy,
     RetryPolicy,
     ShardDrainingError,
     StaleEpochError,
@@ -852,8 +851,7 @@ class ShardWorkerFleet:
     handing over each shard's task assignment), so the fleet needs no
     routing knowledge of its own.  With ``replicas_per_shard > 1`` each
     shard slot gets N identical worker processes and the returned client
-    holds one connection pool per replica, failing over and hedging
-    between them.  A supervisor thread (started on first spawn) watches
+    holds one connection pool per replica, failing over between them.  A supervisor thread (started on first spawn) watches
     child processes: a worker that dies without being asked is journaled
     as ``worker_death`` and respawned from its stored spawn spec (fork of
     the same pool + task assignment — the pool *is* the serialized shard
@@ -873,7 +871,6 @@ class ShardWorkerFleet:
         metrics: Optional[ClusterMetrics] = None,
         replicas_per_shard: int = 1,
         retry: Optional[RetryPolicy] = None,
-        hedge: Optional[HedgePolicy] = None,
         supervise: bool = True,
         supervision_interval: float = 0.1,
         auth_token: Optional[str] = None,
@@ -894,7 +891,6 @@ class ShardWorkerFleet:
         self.metrics = metrics
         self.replicas_per_shard = replicas_per_shard
         self.retry = retry
-        self.hedge = hedge
         self.supervise = supervise
         self.supervision_interval = supervision_interval
         self.auth_token = auth_token
@@ -995,7 +991,6 @@ class ShardWorkerFleet:
             connections=self.connections_per_shard,
             metrics=self.metrics,
             retry=self.retry,
-            hedge=self.hedge,
             auth_token=self.auth_token,
         )
         self._clients.append(client)
@@ -1212,7 +1207,6 @@ class NetworkedCluster:
         connections_per_shard: int = 2,
         startup_timeout: float = 60.0,
         retry: Optional[RetryPolicy] = None,
-        hedge: Optional[HedgePolicy] = None,
         auth_token: Optional[str] = None,
     ) -> None:
         self.metrics = ClusterMetrics()
@@ -1228,7 +1222,6 @@ class NetworkedCluster:
             metrics=self.metrics,
             replicas_per_shard=replicas,
             retry=retry,
-            hedge=hedge,
             auth_token=self.auth_token,
         )
         try:

@@ -129,13 +129,6 @@ def render_dashboard(
         )
     if fanout is not None:
         extras.append(f"fan-out {fanout:.2f}")
-    hedge_fired = store.last("cluster.rate.hedge_fired")
-    hedge_won = store.last("cluster.rate.hedge_won")
-    if hedge_fired is not None or hedge_won is not None:
-        extras.append(
-            f"hedges {_fmt_rate(hedge_fired).strip()}/s "
-            f"won {_fmt_rate(hedge_won).strip()}/s"
-        )
     open_breakers = store.last("cluster.breakers.open")
     if open_breakers is not None:
         extras.append(

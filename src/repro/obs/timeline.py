@@ -47,10 +47,7 @@ KEY_COUNTERS = (
     "cross_shard",
     "net_bytes_tx",
     "net_bytes_rx",
-    "hedge_fired",
-    "hedge_won",
     "net_retries",
-    "net_failovers",
 )
 
 #: Stages whose quantile gauges are tracked per poll.

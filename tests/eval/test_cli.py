@@ -24,12 +24,21 @@ class TestReshard:
         with pytest.raises(SystemExit):
             main(["reshard", "--shards", "2"])
 
-    def test_grow_under_load_keeps_payloads_bit_identical(self, capsys):
-        argv = ["reshard", "--shards", "2", "--to", "3", "--micro-tasks", "4", "--clients", "2"]
-        assert main(argv) == 0
+    ARGV = ["reshard", "--shards", "2", "--to", "3", "--micro-tasks", "4", "--clients", "2"]
+
+    def _grows_bit_identically(self, capsys, *extra):
+        assert main(self.ARGV + list(extra)) == 0
         out = capsys.readouterr().out
         assert "reshard 2 -> 3: epoch" in out
         assert "all 4 task payloads bit-identical; zero client-visible errors" in out
+
+    def test_grow_under_load_keeps_payloads_bit_identical(self, capsys):
+        self._grows_bit_identically(capsys)
+
+    def test_networked_grow_over_replicas_keeps_payloads_bit_identical(self, capsys):
+        # the replicated networked path: every read crosses the client's
+        # one retry/failover loop over two worker processes per shard
+        self._grows_bit_identically(capsys, "--networked", "--replicas", "2")
 
 
 class TestInfo:

@@ -1,11 +1,13 @@
-"""Fault tolerance: replica failover, hedged reads, chaos kills, drain.
+"""Fault tolerance: replica failover, chaos kills, drain.
 
 The robustness contract of ``repro.net``: with ``replicas_per_shard > 1``
 a SIGKILLed worker is invisible to clients — queries across the kill
 window complete with **bit-identical** payloads, the supervisor journals
-``worker_death``/``worker_respawn`` and refills the slot, hedged reads
-absorb a slow replica's tail latency, and a draining replica sheds new
-requests onto its sibling while in-flight work completes.
+``worker_death``/``worker_respawn`` and refills the slot, a read fails
+over to a replica it has not tried without sleeping, and a draining
+replica sheds new requests onto its sibling while in-flight work
+completes.  Every test uses the client's defaults: one retry/failover
+loop carries every request.
 """
 
 from __future__ import annotations
@@ -28,20 +30,17 @@ from repro.core import heap
 from repro.net import (
     BreakerOpenError,
     ChaosMonkey,
-    HedgePolicy,
     NetworkedCluster,
     RemoteShardClient,
     ShardDrainingError,
     ShardServer,
 )
+from repro.net import client as net_client
 from repro.net import server as net_server
 from repro.net.frame import MsgType, encode_frame, json_payload
+from repro.net.retry import BASE_DELAY
 from repro.obs import JOURNAL
 from repro.serving import GatewayConfig
-
-#: Hedging off + no delays: tests that target a specific replica must not
-#: have a hedge race them to the sibling.
-NO_HEDGE = HedgePolicy(enabled=False)
 
 
 class SlowShardServer(ShardServer):
@@ -62,6 +61,18 @@ class SlowShardServer(ShardServer):
         time.sleep(self.delay)
         super()._run_request(*args, **kwargs)
         self.finished.set()
+
+
+class RecordingShardServer(ShardServer):
+    """A replica that logs the type of every message it receives."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.received = []
+
+    def _dispatch(self, conn, write_lock, msg_type, *args) -> None:
+        self.received.append(msg_type)
+        super()._dispatch(conn, write_lock, msg_type, *args)
 
 
 @pytest.fixture()
@@ -116,13 +127,51 @@ def test_failover_to_sibling_when_primary_dies(shard_setup):
     sibling = start(replica_id=1)
     metrics = ClusterMetrics()
     with RemoteShardClient(
-        [primary.address, sibling.address], metrics=metrics, hedge=NO_HEDGE
+        [primary.address, sibling.address], metrics=metrics
     ) as client:
         expected = shard.fetch_heads((names[0],), "raw+zlib")
         assert client.fetch_heads((names[0],), "raw+zlib") == expected
         primary.close()  # hard kill: dialing it now gets connection refused
         assert client.fetch_heads((names[0],), "raw+zlib") == expected
         assert metrics.counter("net_retries") >= 1
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Every ``time.sleep`` the client asks for, instead of sleeping."""
+    calls = []
+    monkeypatch.setattr(net_client.time, "sleep", calls.append)
+    return calls
+
+
+def test_failover_to_a_fresh_replica_does_not_sleep(shard_setup, sleeps):
+    shard, names, start = shard_setup
+    dead = start(replica_id=0)
+    dead.close()  # a dial now is refused or answered "draining"
+    sibling = start(replica_id=1)
+    metrics = ClusterMetrics()
+    with RemoteShardClient(
+        [dead.address, sibling.address], metrics=metrics
+    ) as client:
+        expected = shard.fetch_heads((names[0],), "raw+zlib")
+        assert client.fetch_heads((names[0],), "raw+zlib") == expected
+    assert metrics.counter("net_retries") == 1
+    assert sleeps == []
+
+
+def test_retry_to_a_tried_replica_backs_off(shard_setup, sleeps):
+    _shard, names, start = shard_setup
+    dead = start()
+    dead.close()
+    metrics = ClusterMetrics()
+    with RemoteShardClient(dead.address, metrics=metrics) as client:
+        with pytest.raises((ConnectionError, ShardDrainingError)):
+            client.fetch_heads((names[0],), "raw+zlib")
+        attempts = client.retry.attempts_for(MsgType.FETCH_HEADS)
+        # one backoff before every attempt after the first, each within
+        # its full-jitter ceiling (the second retry's ceiling doubles)
+        assert len(sleeps) == attempts - 1 == metrics.counter("net_retries")
+        assert all(0.0 <= s <= BASE_DELAY * 2**k for k, s in enumerate(sleeps))
 
 
 def test_sync_pool_evicts_corpse_channels(shard_setup):
@@ -192,31 +241,19 @@ def test_all_breakers_open_raises_typed_error(shard_setup):
 
 
 # ----------------------------------------------------------------------
-# Hedged reads
+# A slow replica is not a failed one
 # ----------------------------------------------------------------------
-def test_hedged_read_beats_slow_primary(shard_setup):
+def test_slow_primary_answers_alone(shard_setup):
     shard, names, start = shard_setup
     slow = start(SlowShardServer, replica_id=0, delay=0.15)
-    fast = start(replica_id=1)
-    metrics = ClusterMetrics()
-    hedge = HedgePolicy(min_delay=0.02, max_delay=0.05)
-    with RemoteShardClient(
-        [slow.address, fast.address], metrics=metrics, hedge=hedge
-    ) as client:
+    sibling = start(RecordingShardServer, replica_id=1)
+    with RemoteShardClient([slow.address, sibling.address]) as client:
         expected = shard.fetch_heads((names[0],), "raw+zlib")
-        elapsed = []
         for _ in range(3):
-            slow.finished.clear()
-            t0 = time.perf_counter()
             assert client.fetch_heads((names[0],), "raw+zlib") == expected
-            elapsed.append(time.perf_counter() - t0)
-            # the losing slow attempt drains before the next read
-            assert slow.finished.wait(timeout=10.0)
-        # every read finished well under the slow replica's 150 ms floor:
-        # the hedge fired and the sibling's answer won
-        assert min(elapsed) < 0.12
-        assert metrics.counter("hedge_fired") >= 1
-        assert metrics.counter("hedge_won") >= 1
+        assert slow.finished.is_set()
+    # no duplicate read went to the sibling: it was never even dialed
+    assert sibling.received == []
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +265,7 @@ def test_drain_waits_for_inflight_and_sheds_new_requests(shard_setup):
     sibling = start(replica_id=1)
     metrics = ClusterMetrics()
     with RemoteShardClient(
-        [primary.address, sibling.address], metrics=metrics, hedge=NO_HEDGE
+        [primary.address, sibling.address], metrics=metrics
     ) as client:
         expected = shard.fetch_heads((names[0],), "raw+zlib")
         inflight_result = []
@@ -284,7 +321,7 @@ def test_peer_that_never_reads_loses_its_connection_not_the_worker(
                 hostile.sendall(encode_frame(msg_type, request_id, body))
         except BlockingIOError:
             pass  # our own send buffer filled: the server stopped reading us
-        with RemoteShardClient(server.address, hedge=NO_HEDGE) as client:
+        with RemoteShardClient(server.address) as client:
             client.ping()
             cold = client.serve(names[1:3], "raw+zlib")  # a miss: through the pool
             assert not cold.payload_cache_hit

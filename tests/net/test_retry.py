@@ -14,9 +14,7 @@ import pytest
 from repro.net import (
     BreakerOpenError,
     CircuitBreaker,
-    HedgePolicy,
     IDEMPOTENT_MSG_TYPES,
-    LatencyTracker,
     MsgType,
     RetryPolicy,
     ShardDrainingError,
@@ -26,7 +24,6 @@ from repro.net.retry import (
     BASE_DELAY,
     DEFAULT_OP_TIMEOUTS,
     DEFAULT_TIMEOUT,
-    HEDGE_MIN_SAMPLES,
     RETRYABLE_EXCEPTIONS,
 )
 
@@ -186,44 +183,10 @@ def test_breaker_rejects_bad_threshold():
 
 
 # ----------------------------------------------------------------------
-# HedgePolicy + LatencyTracker
-# ----------------------------------------------------------------------
-def test_hedge_delay_uses_floor_until_enough_samples():
-    tracker = LatencyTracker()
-    policy = HedgePolicy(min_delay=0.02)
-    assert tracker.hedge_delay(policy) == 0.02
-    for _ in range(HEDGE_MIN_SAMPLES - 1):
-        tracker.observe(0.5)
-    assert tracker.hedge_delay(policy) == 0.02  # still below HEDGE_MIN_SAMPLES
-
-
-def test_hedge_delay_tracks_quantile_clamped():
-    tracker = LatencyTracker()
-    for value in [0.01] * 90 + [0.2] * 10:
-        tracker.observe(value)
-    policy = HedgePolicy(quantile=0.5, min_delay=0.005, max_delay=1.0)
-    assert tracker.hedge_delay(policy) == pytest.approx(0.01)
-    high = HedgePolicy(quantile=0.99, min_delay=0.005, max_delay=0.05)
-    assert tracker.hedge_delay(high) == 0.05  # clamped to max_delay
-
-
-def test_latency_tracker_ring_is_bounded():
-    tracker = LatencyTracker(capacity=16)
-    for i in range(100):
-        tracker.observe(float(i))
-    assert len(tracker) == 16
-    assert tracker.quantile(1.0) is not None
-
-
-def test_quantile_of_empty_tracker_is_none():
-    assert LatencyTracker().quantile(0.95) is None
-
-
-# ----------------------------------------------------------------------
-# Mutation frames: dedup-retryable, never hedged, fenced
+# Mutation frames: dedup-retryable, never failed over, fenced
 # ----------------------------------------------------------------------
 def test_mutation_msg_types_are_not_idempotent():
-    """Mutations must never qualify for hedging/failover (IDEMPOTENT set);
+    """Mutations must never qualify for failover (IDEMPOTENT set);
     their retry budget comes from mutation-id dedup instead."""
     from repro.net import MUTATION_MSG_TYPES
 

@@ -136,7 +136,7 @@ class TestSnapshotRates:
         # a KEY_COUNTERS zero-rate series still appears, so dashboards show
         # "0/s" rather than a missing line; other counters wait until they move
         rates = snapshot_rates(_snap(), _snap(), dt=1.0)
-        for name in ("hedge_fired", "net_failovers"):
+        for name in ("net_bytes_tx", "net_retries"):
             assert rates[f"rate.{name}"] == 0.0
         assert "rate.remote_fetches" not in rates
 

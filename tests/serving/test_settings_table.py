@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.net import HedgePolicy, RetryPolicy
+from repro.net import RetryPolicy
 from repro.obs import HealthPolicy
 from repro.serving import GatewayConfig
 
 ROOT = Path(__file__).resolve().parents[2]
-CONFIGS = (GatewayConfig, ClusterConfig, RetryPolicy, HedgePolicy, HealthPolicy)
+CONFIGS = (GatewayConfig, ClusterConfig, RetryPolicy, HealthPolicy)
 
 
 def _rows():
