@@ -47,6 +47,13 @@ _BOTH_TRACKS = (
     "figure7.poe_10x_faster",
     "figure7.poe_fast_at_nq5",
     "figure7.poe_flat",
+    "ext_compression.uint8_payload_smaller",
+    "ext_compression.uint8_state_3_5x_smaller",
+    "ext_compression.uint8_predictions_agree",
+    "ext_pruning.sparse_bytes_shrink",
+    "ext_pruning.accuracy_within_15_points",
+    "ext_library_level.shallower_library_bigger_models",
+    "ext_library_level.both_levels_work",
 )
 
 #: Track name (a summary's ``"track"``) → every claim that holds on it.

@@ -2,7 +2,8 @@
 
 The paper notes KD/quantization/pruning are complementary; these tools
 apply the other two axes to PoE's experts and library, extending the
-Table 4 storage accounting (see ``benchmarks/bench_ext_compression.py``).
+Table 4 storage accounting (artifacts ``ext_compression`` and ``ext_pruning``,
+built by :mod:`repro.eval.extensions`).
 """
 
 from .prune import magnitude_prune, sparse_nbytes, sparsity

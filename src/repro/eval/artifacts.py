@@ -7,6 +7,8 @@ track's cache key) and persists:
 
 * ``models/<key>/oracle.npz``      — oracle weights + metadata JSON
 * ``models/<key>/pool/``           — the PoE library + experts (ExpertStore)
+* ``models/<key>/pool-level2/``    — the same at library depth ℓ=2
+* ``models/<key>/pool-<variant>/`` — loss-ablated experts over the main library
 * ``models/<key>/teacher_<t>.npz`` — per-primitive Scratch teachers (SD/UHC)
 * ``results/<key>/summary.json``   — every table/figure of the track
 * ``results/<key>/v2/...json``     — per-experiment result records; ``v2``
@@ -115,9 +117,14 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # PoE pool (library + experts)
     # ------------------------------------------------------------------
-    def pool(self, track: TrackConfig) -> PoolOfExperts:
-        """Return the preprocessed pool for the track (building if needed)."""
-        key = track.cache_key()
+    def pool(self, track: TrackConfig, library_level: Optional[int] = None) -> PoolOfExperts:
+        """Return the preprocessed pool for the track (building if needed).
+
+        ``library_level`` builds the pool at another ℓ over the track's own
+        oracle (the pool only reads the oracle's logits), kept under
+        ``pool-level<ℓ>/``; the default is the track's ``library_level``."""
+        level = track.library_level if library_level is None else library_level
+        key = (track.cache_key(), level)
         if key in self._pools:
             return self._pools[key]
         data = self.dataset(track)
@@ -126,7 +133,7 @@ class ArtifactStore:
             library_depth=track.depth,
             library_k=track.library_k,
             expert_ks=track.expert_ks,
-            library_level=track.library_level,
+            library_level=level,
             temperature=track.temperature,
             alpha=track.alpha,
             library_train=track.train_config(track.library_epochs),
@@ -134,9 +141,9 @@ class ArtifactStore:
             seed=track.seed,
         )
         pool = PoolOfExperts(oracle_model, data.hierarchy, config)
-        store = ExpertStore(self._pool_dir(track))
-        manifest = os.path.join(self._pool_dir(track), ExpertStore.MANIFEST)
-        if os.path.exists(manifest):
+        directory = self.pool_dir(track, level)
+        store = ExpertStore(directory)
+        if os.path.exists(os.path.join(directory, ExpertStore.MANIFEST)):
             pool = store.load(oracle_model, data.hierarchy)
             pool.oracle = oracle_model
             pool.config = config
@@ -294,8 +301,11 @@ class ArtifactStore:
     def _result_dir(self, track: TrackConfig) -> str:
         return os.path.join(self.root, "results", track.cache_key(), f"v{RESULT_FORMAT}")
 
-    def _pool_dir(self, track: TrackConfig) -> str:
-        return os.path.join(self._model_dir(track), "pool")
+    def pool_dir(self, track: TrackConfig, library_level: Optional[int] = None) -> str:
+        """Where :meth:`pool` persists the track's pool at ``library_level``."""
+        if library_level in (None, track.library_level):
+            return os.path.join(self._model_dir(track), "pool")
+        return os.path.join(self._model_dir(track), f"pool-level{library_level}")
 
     def _oracle_path(self, track: TrackConfig) -> str:
         return os.path.join(self._model_dir(track), "oracle.npz")

@@ -1,11 +1,12 @@
-"""The paper's §5 claims, stated once: numbers, renderers and shape checks.
+"""The paper's §5 claims, stated once: builders, numbers, renderers and checks.
 
 :data:`ARTIFACTS` holds one entry per table/figure, keyed as
-``summary.json`` stores its result: the paper's numbers, the one renderer
-of the result and its claims (``docs/paper-claims.md`` lists them).  The
-paper benches call :func:`check`, ``repro tables`` renders through
-:func:`render_tracks`, and ``python -m repro.eval.claims`` regenerates the
-doc, so a bench and the report reach one verdict by construction.
+``summary.json`` stores its result: the function that builds the result,
+the paper's numbers, the one renderer of the result and its claims
+(``docs/paper-claims.md`` lists them).  ``repro build`` builds every entry
+(:func:`repro.eval.runner.build_track`), ``repro tables`` judges each
+built summary through :func:`verdicts` (:func:`render_tracks`), and
+``python -m repro.eval.claims`` regenerates the doc.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ import numpy as np
 
 from ..core import estimate_all_specialists_volume
 from .artifacts import ArtifactStore
-from .experiments import get_track
+from .experiments import TrackConfig, get_track
+from .extensions import compression_result, library_level_table, pruning_result, volume_table
+from .service import (
+    ablation_table,
+    consolidation_times,
+    learning_curves,
+    scale_norm_table,
+    service_table,
+)
+from .specialization import confidence_figure, library_table, specialization_table
 from .tables import format_count
 
 __all__ = ["ARTIFACTS", "Claim", "check", "render", "render_tracks", "claims_doc"]
@@ -44,10 +54,10 @@ class Claim:
 
 @dataclass(frozen=True)
 class Artifact:
-    """One table or figure: its bench, renderer, claims and paper numbers."""
+    """One table or figure: its builder, renderer, claims and paper numbers."""
 
     title: str
-    bench: str  # the benchmarks/ file that computes and checks it
+    build: Callable[[TrackConfig, ArtifactStore], Any]  # what `repro build` stores
     table: Callable[[Any], List[List[str]]]  # result -> rows, header first
     values: Callable[[Any], Dict[str, Any]] = dict  # result -> what predicates read
     claims: Tuple[Claim, ...] = ()
@@ -131,7 +141,7 @@ def _figure6(result: Dict) -> List[List[str]]:
 
 
 def _fields(result: Dict) -> List[List[str]]:
-    """The extension benches' results: one row of measured values per record."""
+    """The extension artifacts' results: one row of measured values per record."""
     records = result.get("levels", [result])
     return [list(records[0])] + [[_fmt(v) for v in r.values()] for r in records]
 
@@ -157,7 +167,7 @@ _TABLE5 = {  # variant: (CIFAR-100, Tiny-ImageNet); `poe` is L_soft + L_scale
 
 ARTIFACTS: Dict[str, Artifact] = {
     "table1": Artifact(
-        "Table 1 — oracle vs library student", "bench_table1_oracle_library.py", _table1,
+        "Table 1 — oracle vs library student", library_table, _table1,
         lambda r: {f"{m}_{k}": r[m][f] for m in ("oracle", "library")
                    for k, f in (("acc", "test_accuracy"), ("params", "params"))},
         (Claim("table1.library_smaller_less_accurate",
@@ -171,7 +181,7 @@ ARTIFACTS: Dict[str, Artifact] = {
     ),
     "table2": Artifact(
         "Table 2 — model specialization (mean±std over 6 primitive tasks)",
-        "bench_table2_specialization.py", _table2,
+        specialization_table, _table2,
         lambda r: {**{x["method"]: x["accuracy_mean"] for x in r},
                    **{x["method"] + "_params": x["params"] for x in r}},
         (Claim("table2.ckd_above_scratch", "CKD specialists beat Scratch", "ckd > scratch"),
@@ -193,7 +203,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         "accuracy %",
     ),
     "figure5": Artifact(
-        "Figure 5 — OOD confidence of specialists", "bench_fig5_confidence.py", _figure5,
+        "Figure 5 — OOD confidence of specialists", confidence_figure, _figure5,
         lambda r: {f"{m}_{k}": r[m][f] for m in ("scratch", "transfer", "ckd")
                    for k, f in (("mean", "mean"), ("overconfident", "overconfident_rate"))},
         (Claim("figure5.ckd_below_scratch", "CKD experts are less confident than Scratch on "
@@ -206,7 +216,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         "mode of the OOD max-confidence histogram",
     ),
     "table3": Artifact(
-        "Table 3 — consolidation accuracy by n(Q)", "bench_table3_consolidation.py",
+        "Table 3 — consolidation accuracy by n(Q)", service_table,
         _matrix(lambda r: f"{_acc(r)} ({format_count(r['params'])})"),
         lambda r: {**_series(r), **_series(r, "params", "_params")},
         (Claim("table3.poe_above_sd_scratch", "PoE beats SD over Scratch teachers at every "
@@ -225,7 +235,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         "accuracy % at n(Q) = 2, 3, 4, 5",
     ),
     "table4": Artifact(
-        "Table 4 — storage volumes", "bench_table4_volumes.py", _table4,
+        "Table 4 — storage volumes", volume_table, _table4,
         lambda r: {**r, "estimate_20": estimate_all_specialists_volume(
             20, int(r["mean_expert_bytes"]) + r["library_bytes"])},
         (Claim("table4.pool_below_oracle", "the whole pool (library + every expert) is "
@@ -241,7 +251,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         "bytes; the pool is 20-30x smaller than the oracle",
     ),
     "table5": Artifact(
-        "Table 5 — L_soft / L_scale ablation", "bench_table5_loss_ablation.py", _matrix(_acc),
+        "Table 5 — L_soft / L_scale ablation", ablation_table, _matrix(_acc),
         _series,
         (Claim("table5.both_not_below_soft", "L_soft + L_scale is at most 1 point below L_soft "
                "alone on average", "mean(poe) >= mean(poe_soft) - 0.01"),
@@ -255,12 +265,12 @@ ARTIFACTS: Dict[str, Artifact] = {
         "accuracy % at n(Q) = 2, 3, 4, 5; `poe` is L_soft + L_scale",
     ),
     "table5_l2": Artifact(
-        "Design ablation — L1 (paper) vs L2 scale regularizer", "bench_table5_loss_ablation.py",
-        _matrix(_acc),
+        "Design ablation — L1 (paper) vs L2 scale regularizer",
+        scale_norm_table, _matrix(_acc),
     ),
     "figure6": Artifact(
         "Figure 6 — learning curves at n(Q)=5 (paper: 50-250 GPU-seconds, PoE ~0)",
-        "bench_fig6_learning_curves.py", _figure6,
+        learning_curves, _figure6,
         lambda r: {"poe_seconds": r["poe"][0][0], "poe_acc": r["poe"][0][1],
                    "sd_scratch_best": max(acc for _, acc in r["sd+scratch"]),
                    "uhc_scratch_best": max(acc for _, acc in r["uhc+scratch"]),
@@ -274,7 +284,7 @@ ARTIFACTS: Dict[str, Artifact] = {
                "PoE's time", "scratch_seconds > 10 * poe_seconds")),
     ),
     "figure7": Artifact(
-        "Figure 7 — time to best accuracy by n(Q)", "bench_fig7_query_time.py",
+        "Figure 7 — time to best accuracy by n(Q)", consolidation_times,
         _matrix(lambda r: f"{r['time_to_best_mean']:.2f}s"),
         lambda r: {"poe": _series(r, "time_to_best_mean")["poe"], "fastest_training": np.min(
             [v for m, v in _series(r, "time_to_best_mean").items() if m != "poe"], axis=0)},
@@ -286,7 +296,7 @@ ARTIFACTS: Dict[str, Artifact] = {
     ),
     "ext_compression": Artifact(
         "Extension — quantization stacked on PoE (paper §2: KD is orthogonal)",
-        "bench_ext_compression.py", _fields, dict,
+        compression_result, _fields, dict,
         (Claim("ext_compression.uint8_payload_smaller", "a uint8 payload is smaller than the "
                "float32 one", "uint8_bytes < float32_bytes"),
          Claim("ext_compression.uint8_state_3_5x_smaller", "an expert's uint8 state is over "
@@ -295,7 +305,7 @@ ARTIFACTS: Dict[str, Artifact] = {
                "over 90% of predictions", "agreement > 0.9")),
     ),
     "ext_pruning": Artifact(
-        "Extension — magnitude pruning on one expert", "bench_ext_compression.py", _fields, dict,
+        "Extension — magnitude pruning on one expert", pruning_result, _fields, dict,
         (Claim("ext_pruning.sparse_bytes_shrink", "50% magnitude pruning shrinks the expert's "
                "sparse encoding", "sparse_bytes < dense_bytes"),
          Claim("ext_pruning.accuracy_within_15_points", "the pruned expert loses under 15 "
@@ -303,7 +313,7 @@ ARTIFACTS: Dict[str, Artifact] = {
     ),
     "ext_library_level": Artifact(
         "Extension — library depth l, size/accuracy tradeoff (paper §4.1)",
-        "bench_ext_library_level.py", _fields,
+        library_level_table, _fields,
         lambda r: {f"l{x['level']}_{k}": x[k] for x in r["levels"]
                    for k in ("accuracy", "model_params")},
         (Claim("ext_library_level.shallower_library_bigger_models", "a shallower library (l=2) "
@@ -411,8 +421,12 @@ substrate is replaced as a whole:
 
 What must match are the paper's **shapes**: orderings, size ratios and
 the train-free property.  Each claim below is one shape, a predicate over
-values named from its artifact's result; a bench's `AssertionError` names
-every failed claim, and a known deviation is rendered, never asserted.
+values named from its artifact's result.  `python -m repro.cli build`
+builds every artifact below into each track's `summary.json`, and
+`python -m repro.cli tables` judges every claim from it: a judged claim
+prints as holding or **FAILS**, and a known deviation is rendered, never
+judged.  CI's ratchet (`benchmarks/paper_ratchet.py`) fails when a claim
+that holds on a fast track stops holding.
 """
 
 
@@ -438,13 +452,15 @@ def claims_doc() -> str:
              RECORDS]
     for key, artifact in ARTIFACTS.items():
         lines += [f"## {artifact.title}", "",
-                  f"Artifact `{key}`, checked by `benchmarks/{artifact.bench}`.", ""]
+                  f"Artifact `{key}`, built by `repro build` "
+                  f"(`{artifact.build.__module__}.{artifact.build.__name__}`) "
+                  "and judged by `repro tables`.", ""]
         if artifact.paper:
             lines += _md(_paper_rows(artifact, list(DATASETS))) + [""]
         if artifact.claims:
             lines += _md([["Claim", "Statement", "Predicate", "Gate"]] + [
                 [f"`{c.id}`", c.statement, f"`{c.predicate}`",
-                 f"known deviation: {c.deviation}" if c.deviation else "asserted"]
+                 f"known deviation: {c.deviation}" if c.deviation else "judged"]
                 for c in artifact.claims
             ]) + [""]
     return "\n".join(lines).rstrip() + "\n"

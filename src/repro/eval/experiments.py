@@ -15,8 +15,10 @@ specialization/consolidation experiments are run over them.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,14 +143,11 @@ class TrackConfig:
         )
 
     def cache_key(self) -> str:
-        """Stable identifier for artifact caching."""
-        return (
-            f"{self.name}-d{self.depth}-ok{self.oracle_k:g}-lk{self.library_k:g}"
-            f"-ek{self.expert_ks:g}-n{self.num_classes}-s{self.image_size}"
-            f"-tr{self.train_per_class}-ns{self.noise_std:g}-cs{self.class_strength:g}"
-            f"-oe{self.oracle_epochs}-le{self.library_epochs}"
-            f"-ee{self.expert_epochs}-se{self.service_epochs}-sd{self.seed}"
-        )
+        """Stable identifier for artifact caching: the track's name and a
+        digest of every field, so two configs that differ anywhere never
+        share an oracle, a pool or a result record."""
+        fields = json.dumps(asdict(self), sort_keys=True)
+        return f"{self.name}-{hashlib.sha256(fields.encode()).hexdigest()[:16]}"
 
 
 def cifar_track(fast: Optional[bool] = None) -> TrackConfig:

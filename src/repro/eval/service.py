@@ -39,6 +39,7 @@ __all__ = [
     "run_service_method",
     "service_table",
     "ablation_table",
+    "scale_norm_table",
     "learning_curves",
     "consolidation_times",
 ]
@@ -208,6 +209,12 @@ def ablation_table(
 ) -> List[Dict]:
     """Table 5: L_soft / L_scale / both, with Table 3's row fields."""
     return _sweep(track, store, variants, n_q_values, TABLE_FIELDS)
+
+
+def scale_norm_table(track: TrackConfig, store: ArtifactStore) -> List[Dict]:
+    """Design ablation: L_scale with the paper's L1 norm against L2, at
+    n(Q) = 3 and 5."""
+    return ablation_table(track, store, (3, 5), ("poe-l2", "poe"))
 
 
 def learning_curves(

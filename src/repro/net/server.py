@@ -230,9 +230,7 @@ class ShardServer:
                 replica=self.replica_id,
                 pid=os.getpid(),
             )
-        if self._listener is not None:
-            with suppress(OSError):  # already closed
-                self._listener.close()
+        self._stop_accepting()
         with self._inflight_cond:
             while self._inflight > 0:
                 self._inflight_cond.wait(timeout=0.5)
@@ -247,9 +245,9 @@ class ShardServer:
         self._closed = True
         self._draining.set()
         self._drained.set()
-        if self._listener is not None:
-            with suppress(OSError):
-                self._listener.close()
+        self._stop_accepting()
+        for thread in self._threads:  # none can add to _connections after
+            thread.join()
         with self._conn_lock:
             conns, self._connections = self._connections, []
         for conn in conns:
@@ -258,6 +256,16 @@ class ShardServer:
             with suppress(OSError):
                 conn.close()
         self._executor.shutdown(wait=True)
+
+    def _stop_accepting(self) -> None:
+        """Refuse every later dial and end the acceptor: on Linux, closing
+        the listener alone leaves a blocked ``accept()`` waiting (and still
+        accepting); shutting it down first wakes it."""
+        if self._listener is not None:
+            with suppress(OSError):  # already shut down
+                self._listener.shutdown(socket.SHUT_RDWR)
+            with suppress(OSError):
+                self._listener.close()
 
     # ------------------------------------------------------------------
     # Accept / read loops

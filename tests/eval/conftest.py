@@ -2,7 +2,7 @@
 
 ``paper_summary(kind)`` returns one result per registered artifact: the
 paper's reported numbers where it has them (``repro.eval.claims``), and
-paper-shaped stand-ins (PoE at ~0 s, extension benches in their expected
+paper-shaped stand-ins (PoE at ~0 s, extension artifacts in their expected
 direction) where it does not.
 """
 

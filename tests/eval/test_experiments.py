@@ -55,6 +55,20 @@ class TestTracks:
         assert base.cache_key() != replace(base, oracle_epochs=99).cache_key()
         assert base.cache_key() != replace(base, seed=5).cache_key()
 
+    def test_cache_key_covers_every_field(self):
+        """Two tracks that differ in any one field share no cached oracle,
+        pool or result record."""
+        from dataclasses import fields, replace
+
+        base = cifar_track(fast=True)
+        bumped = {int: lambda v: v + 1, float: lambda v: v + 0.5, str: lambda v: v + "x",
+                  tuple: lambda v: v + (3,)}
+        keys = {base.cache_key()}
+        for field in fields(base):
+            value = getattr(base, field.name)
+            keys.add(replace(base, **{field.name: bumped[type(value)](value)}).cache_key())
+        assert len(keys) == len(fields(base)) + 1
+
     def test_train_config_passthrough(self):
         track = cifar_track(fast=False)
         cfg = track.train_config(7, seed_offset=3)

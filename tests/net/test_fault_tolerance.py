@@ -13,10 +13,12 @@ loop carries every request.
 from __future__ import annotations
 
 import fcntl
+import os
 import random
 import resource
 import select
 import socket
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -136,6 +138,44 @@ def test_failover_to_sibling_when_primary_dies(shard_setup):
         assert metrics.counter("net_retries") >= 1
 
 
+def _wait_until_accepting(server) -> None:
+    """Until the acceptor thread is blocked in ``accept()``, as it is in any
+    server that has been up for a moment: one client connects and pings
+    (the acceptor has come back round to ``accept()`` by its answer), then
+    a bounded wait that yields and never sleeps."""
+    with RemoteShardClient(server.address) as client:
+        client.ping()
+    [acceptor] = server._threads
+    deadline = time.monotonic() + 5
+    while sys._current_frames()[acceptor.ident].f_code.co_name != "accept":
+        assert time.monotonic() < deadline, "the acceptor never reached accept()"
+        os.sched_yield()
+
+
+def test_close_refuses_every_later_dial(shard_setup):
+    """close() wakes the acceptor blocked in accept(): every dial after it
+    is refused, and no late connection is left in ``_connections``."""
+    _shard, _names, start = shard_setup
+    server = start()
+    _wait_until_accepting(server)
+    server.close()
+    for _ in range(3):
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(server.address, timeout=5).close()
+    assert server._connections == []
+
+
+def test_drain_refuses_every_later_dial(shard_setup):
+    """A draining replica accepts no new connection: a client dialing it
+    fails over at once instead of being handed a draining answer."""
+    _shard, _names, start = shard_setup
+    server = start()
+    _wait_until_accepting(server)
+    server.drain()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(server.address, timeout=5).close()
+
+
 @pytest.fixture()
 def sleeps(monkeypatch):
     """Every ``time.sleep`` the client asks for, instead of sleeping."""
@@ -147,7 +187,7 @@ def sleeps(monkeypatch):
 def test_failover_to_a_fresh_replica_does_not_sleep(shard_setup, sleeps):
     shard, names, start = shard_setup
     dead = start(replica_id=0)
-    dead.close()  # a dial now is refused or answered "draining"
+    dead.close()  # a dial now is refused
     sibling = start(replica_id=1)
     metrics = ClusterMetrics()
     with RemoteShardClient(
@@ -165,7 +205,7 @@ def test_retry_to_a_tried_replica_backs_off(shard_setup, sleeps):
     dead.close()
     metrics = ClusterMetrics()
     with RemoteShardClient(dead.address, metrics=metrics) as client:
-        with pytest.raises((ConnectionError, ShardDrainingError)):
+        with pytest.raises(ConnectionError):
             client.fetch_heads((names[0],), "raw+zlib")
         attempts = client.retry.attempts_for(MsgType.FETCH_HEADS)
         # one backoff before every attempt after the first, each within
