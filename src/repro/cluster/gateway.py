@@ -13,11 +13,11 @@ keys, doorkeeper).  A payload-tier miss is answered one of two ways:
   keeps the answer, its segments shared with the parent pool's, under
   the versions the shard reports for it.
 * **cross-shard snapshot** — the plan spans shards, and the front
-  tier's snapshot step is this class's — pick the *home* shard
-  (largest task group), fetch the other shards' expert heads as
-  serialized payloads (the UniPool view: any expert is queryable
-  regardless of placement), rebuild them, and select them over the
-  shared library in canonical task order: one
+  tier's snapshot step is this class's — take every group's expert
+  heads from the remote-head tier, else fetch them from their shard as
+  serialized payloads (the UniPool view: any expert is reachable the
+  same way wherever it is placed), rebuild them, and select them over
+  the shared library in canonical task order: one
   :class:`~repro.core.pool.PoolSnapshot` holding each head at the version
   its shard reports, serialized as it is for a payload and assembled
   into a :class:`~repro.models.BranchedSpecialistNet` only for a model.
@@ -35,7 +35,7 @@ one staleness rule: an entry is stored under the versions of the modules
 it was built from and looked up under the pool's current ones, so nothing
 is dropped on an update.  The cluster registers one listener on the source
 pool, to resync the shards: when an expert is re-extracted (version bump),
-the holding shards install the new head at the pool's version.
+the holding shards install the serialized new head at the pool's version.
 :meth:`rebalance` migrates experts to the router's current placement
 (after :meth:`~ShardRouter.pin` / :meth:`~ShardRouter.replicate` changes);
 a migrated head keeps its version and its bytes, so every entry stays
@@ -54,12 +54,14 @@ shards live: the default builds in-process
 :class:`~repro.cluster.shard.PoolShard`\\ s; wiring it to
 :meth:`repro.net.server.ShardWorkerFleet.shard_factory` puts each shard
 in a forked worker process behind a socket
-(:class:`~repro.net.client.RemoteShardClient`).  The gateway only uses
-the narrow surface both implement — ``is_remote()`` is the capability
-probe, ``local_snapshot()`` the home-shard fast path — everything else,
-including bit-exact cross-shard consolidation, is backend-agnostic.  Errors raised while a shard
-executes a request carry a ``[shard N]`` prefix so a failure inside a
-remote worker is attributable from the front end.
+(:class:`~repro.net.client.RemoteShardClient`).  Both have the same calls
+with the same return shapes, and this class never asks which one it
+holds: every mutation is serialized once and sent as the same
+``install_heads`` / ``drop_heads`` / ``push_library`` call to every shard,
+every head a cross-shard build needs is fetched, and every stats read is
+one ``stats()`` or ``cache_stats()`` per shard.  Errors raised while a
+shard executes a request carry a ``[shard N]`` prefix so a failure inside
+a remote worker is attributable from the front end.
 
 **Thread safety.**  All public methods are safe to call from any number
 of threads: cache tiers are individually locked
@@ -68,15 +70,14 @@ take ``_placement_lock``, and the front tier brings ``ServingGateway``'s
 single flight and versioned keys.  Mutating entry points (:meth:`rebalance`,
 :meth:`reshard`, a pool re-extraction firing ``_on_expert_update``) may
 run concurrently with serving: readers see the old or the new placement,
-never a torn one.  Networked backends mutate through the fenced wire
-frames (``INSTALL_HEADS`` / ``DROP_HEADS`` / ``REFRESH_LIBRARY``) as a
-**two-phase plan** — prepare installs on every destination, then a
-commit that bumps the topology epoch and drops from the sources — so a
-crash between phases leaves only duplicated heads, never missing ones
-(see ``docs/resharding.md``).  Remote workers that did not negotiate the
-``"mutations"`` feature degrade to the old behavior: mutation attempts
-raise :class:`~repro.net.client.RemoteOperationUnsupported` and pool
-updates poison the gateway until the fleet restarts.
+never a torn one.  Placement changes run as a **two-phase plan** —
+prepare installs on every destination, then a commit that bumps the
+topology epoch and drops from the sources — so a crash between phases
+leaves only duplicated heads, never missing ones (see
+``docs/resharding.md``).  Remote workers that did not negotiate the
+``"mutations"`` feature make mutation attempts raise
+:class:`~repro.net.client.RemoteOperationUnsupported`, and a pool update
+that cannot reach every shard poisons the gateway.
 """
 
 from __future__ import annotations
@@ -260,9 +261,8 @@ class ClusterGateway:
             )
             for shard_id in range(self.config.num_shards)
         ]
-        #: Set to the mutated task name when the pool changed under a
-        #: networked backend whose workers cannot accept mutation frames;
-        #: every serving entry point refuses until the fleet is restarted.
+        #: Set to the mutated task name when a pool update could not reach
+        #: every shard; every serving entry point refuses from then on.
         self._remote_stale: Optional[str] = None
         #: Topology epoch: bumped by every committed rebalance/reshard and
         #: carried on every mutation frame so a worker can fence out frames
@@ -322,9 +322,8 @@ class ClusterGateway:
     def attach_fleet(self, fleet) -> None:
         """Wire the worker fleet so :meth:`reshard` can grow/shrink slots.
 
-        Called by :class:`~repro.net.server.NetworkedCluster`; optional —
-        without it, rebalance still works over remote shards, but reshard
-        of a networked cluster has no way to spawn or retire processes.
+        Called by :class:`~repro.net.server.NetworkedCluster`.  Without a
+        fleet, a retired shard is only closed.
         """
         self._fleet = fleet
 
@@ -333,16 +332,12 @@ class ClusterGateway:
         return f"{kind}-{next(self._mutation_seq)}-{secrets.token_hex(4)}"
 
     def _lagging_shards(self) -> List[int]:
-        """Remote shards without the mutation frames (feature negotiation
-        said no, or the worker predates the protocol)."""
-        return [
-            shard.shard_id
-            for shard in self.shards
-            if shard.is_remote() and not getattr(shard, "supports_mutations", False)
-        ]
+        """Shards without the mutation frames (a remote worker whose
+        feature negotiation said no, or that predates the protocol)."""
+        return [shard.shard_id for shard in self.shards if not shard.supports_mutations]
 
     def _require_mutation_capable(self, operation: str) -> None:
-        """Raise the typed capability error if any remote shard lags."""
+        """Raise the typed capability error if any shard lags."""
         lagging = self._lagging_shards()
         if lagging:
             from ..net.client import RemoteOperationUnsupported
@@ -371,17 +366,11 @@ class ClusterGateway:
         return self._ensure_executor().submit(self._serve, tasks, transport, enqueued_at)
 
     def get_model(self, tasks: TaskQuery) -> TaskSpecificModel:
-        """The consolidated (possibly cross-shard) model, canonical order."""
+        """The consolidated model, canonical order: a front-tier entry
+        assembled from the heads the plan gathers."""
         names = canonical_tasks(tasks)
-        plan = self._plan(names)
-        if len(plan) == 1:
-            (shard_id,) = plan
-            shard = self.shards[shard_id]
-            if not shard.is_remote():
-                return shard.get_model(names)
-            # remote shard: assemble at the front end from fetched heads
-            # (the composite builder handles a one-group plan fine)
-        return self._front.get_model(names)
+        snapshot = partial(self._snapshot, plan=self._plan(names))
+        return self._front._model_for(names, snapshot)[0]
 
     def predict(self, images: np.ndarray, tasks: TaskQuery) -> PredictionResponse:
         """Prediction through the fused fast path, routed like :meth:`serve`.
@@ -419,24 +408,20 @@ class ClusterGateway:
         return response
 
     def cache_stats(self) -> Dict[str, CacheStats]:
-        """Aggregated tiers (``model``/``payload``) plus the cluster tiers.
-
-        Works over the narrow shard surface (one ``cache_stats()`` per
-        shard — a STATS round trip when the shard is remote).
-        """
+        """Aggregated tiers (``model``/``payload``) plus the cluster tiers:
+        one ``cache_stats()`` per shard (a STATS round trip when the shard
+        is remote)."""
         return self._merge_cache_stats([shard.cache_stats() for shard in self.shards])
 
     def _merge_cache_stats(self, shard_stats) -> Dict[str, CacheStats]:
         """Aggregate already-collected per-shard tiers with the cluster's."""
         composite_model = self.model_cache.stats()
         composite_payload = self.payload_cache.stats()
-        # the in-process trunk cache is ONE instance shared by every local
-        # shard gateway — merging those copies would double-count it; a
-        # remote worker's trunk cache is its own instance, so it does merge
+        # a shard reports a trunk tier only when it owns one: an in-process
+        # shard sharing this cluster's trunk cache reports none, so that
+        # cache counts once
         trunk_parts = [self.trunk_cache.stats()]
-        for shard, stats in zip(self.shards, shard_stats):
-            if shard.is_remote() and "trunk" in stats:
-                trunk_parts.append(stats["trunk"])
+        trunk_parts += [stats["trunk"] for stats in shard_stats if "trunk" in stats]
         return {
             "model": merge_cache_stats(
                 [s["model"] for s in shard_stats] + [composite_model]
@@ -457,34 +442,28 @@ class ClusterGateway:
         """One merged unified-schema snapshot for the whole deployment.
 
         Combines the cluster front end's own metrics with every shard's
-        (a STATS round trip per remote shard, a direct metrics read for
-        in-process shards) via
+        ``stats()`` (a STATS round trip per remote shard) via
         :func:`~repro.serving.metrics.merge_snapshots` — the scrape
         exporter consumes this for networked and local clusters alike.
         """
         parts = [self.metrics.snapshot(include_histograms=True)]
-        for shard in self.shards:
-            if shard.is_remote():
-                parts.append(shard.stats())
-            else:
-                parts.append(shard.gateway.metrics.snapshot(include_histograms=True))
-        merged = merge_snapshots(parts)
+        merged = merge_snapshots(parts + [shard.stats() for shard in self.shards])
         # front-end state attaches *after* the merge (merge_snapshots drops
         # keys it doesn't know): the committed epoch, breaker states, and the
         # client-observed epoch acks (skew across replicas of one shard = a
         # mutation only partially landed — the health scorer flags it)
         merged["epoch"] = self._epoch
-        for key, reader in (("breakers", "breaker_states"), ("epochs", "replica_epochs")):
-            table: Dict[str, Dict[str, object]] = {}
-            for shard in self.shards:
-                read = getattr(shard, reader, None)
-                observed = read() if callable(read) else None
+        tables: Dict[str, Dict[str, Dict[str, object]]] = {"breakers": {}, "epochs": {}}
+        for shard in self.shards:
+            for key, observed in (
+                ("breakers", shard.breaker_states()),
+                ("epochs", shard.replica_epochs()),
+            ):
                 if observed:
-                    table[str(shard.shard_id)] = {
+                    tables[key][str(shard.shard_id)] = {
                         str(replica): value for replica, value in observed.items()
                     }
-            if table:
-                merged[key] = table
+        merged.update((key, table) for key, table in tables.items() if table)
         return merged
 
     def render_stats(self) -> str:
@@ -585,10 +564,10 @@ class ClusterGateway:
             raise _tag_shard_error(error, shard_id)
 
     def _check_remote_stale(self) -> None:
-        """Refuse to serve once the pool diverged from networked workers.
+        """Refuse to serve once the pool diverged from its shards.
 
         Set by the pool listener when a pool mutation could not be
-        pushed into running worker processes; failing at the serving
+        pushed into every shard; failing at the serving
         boundary (instead of raising from inside the listener loop, which
         would skip later listeners) keeps every other gateway on the pool
         consistent while making this one loudly unusable.
@@ -596,8 +575,8 @@ class ClusterGateway:
         stale = self._remote_stale
         if stale is not None:
             raise RuntimeError(
-                f"pool update for {stale!r} could not propagate to networked "
-                "shard workers; this gateway refuses to serve potentially "
+                f"pool update for {stale!r} could not propagate to every "
+                "shard; this gateway refuses to serve potentially "
                 "inconsistent answers — restart the worker fleet to recover "
                 "(see docs/fault-tolerance.md)"
             )
@@ -652,27 +631,18 @@ class ClusterGateway:
             )
 
     def _gather_heads(self, plan: Plan) -> Dict[str, Tuple[WRNHead, int]]:
-        """Collect every planned expert head with its version, local or over
-        the wire.
+        """Collect every planned expert head with its version.
 
-        The home shard (largest task group, ties → lowest id) contributes
-        a snapshot of its own references when it is in-process; every
-        other group — and the home group too, when the shard is remote —
-        comes out of the remote-head LRU at the pool's current version,
-        else a ``fetch_heads`` round trip in the float-exact ``raw+zlib``
-        codec.  The LRU is keyed ``(task, version)``: a version bump can
-        never hit a stale entry, so repeat cross-shard builds skip the
-        refetch without staleness risk.  A fetched head is held (and kept
-        in the LRU) at the version the worker reports for it.
+        Each group comes out of the remote-head LRU at the pool's current
+        version, else a ``fetch_heads`` round trip to its shard in the
+        float-exact ``raw+zlib`` codec.  The LRU is keyed ``(task,
+        version)``: a version bump can never hit a stale entry, so repeat
+        cross-shard builds skip the refetch without staleness risk.  A
+        fetched head is held (and kept in the LRU) at the version its shard
+        reports for it.
         """
-        home = max(plan, key=lambda shard_id: (len(plan[shard_id]), -shard_id))
         heads: Dict[str, Tuple[WRNHead, int]] = {}
         for shard_id, group in plan.items():
-            shard = self.shards[shard_id]
-            local = shard.local_snapshot(group) if shard_id == home else None
-            if local is not None:
-                heads.update(zip(local.head_names, zip(local.heads, local.versions)))
-                continue
             missing: List[str] = []
             for name, version in zip(group, self.pool.versions(group)):
                 head = self.remote_head_cache.get((name, version))
@@ -684,7 +654,7 @@ class ClusterGateway:
             if not missing:
                 continue
             try:
-                raw = shard.fetch_heads(list(missing), _FETCH_TRANSPORT)
+                raw = self.shards[shard_id].fetch_heads(missing, _FETCH_TRANSPORT)
             except BaseException as error:
                 raise _tag_shard_error(error, shard_id)
             self.metrics.increment("remote_fetches")
@@ -701,121 +671,78 @@ class ClusterGateway:
     # Pool updates + rebalance
     # ------------------------------------------------------------------
     def _on_expert_update(self, name: str, version: int) -> None:
-        """Source pool re-extracted (or removed) an expert: resync shards."""
-        has_remote = any(shard.is_remote() for shard in self.shards)
-        # Legacy networked backend: a pool mutation cannot propagate into
-        # workers that lack the mutation frames.  Do the only safe thing —
-        # POISON the gateway, WITHOUT touching the placement map or the
-        # workers and without raising here: an exception from inside the
-        # pool's listener loop would skip every listener registered after
-        # this one.  The next serving call fails loudly instead (see
-        # _check_remote_stale); restart the fleet to recover.
-        poisoned = has_remote and bool(self._lagging_shards())
+        """Source pool re-extracted (or removed) an expert: resync shards.
+
+        A change that cannot reach every shard — one lacks the mutation
+        frames, or a push raised after its retries — POISONS the gateway
+        instead, without raising here: an exception from inside the pool's
+        listener loop would skip every listener registered after this one.
+        The next serving call fails loudly instead (see
+        _check_remote_stale); restart the fleet to recover.
+        """
+        poisoned = bool(self._lagging_shards())
         if not poisoned:
             try:
-                self._resync_shards(name, version)
+                self._resync_shards(name)
             except Exception:
-                if not has_remote:
-                    raise
-                poisoned = True  # a wire push failed after retries: same contract
+                poisoned = True
         self.metrics.increment("invalidations")
         if poisoned:
             self.metrics.increment("remote_updates_unapplied")
             self._remote_stale = name
 
-    def _resync_shards(self, name: str, version: int) -> None:
-        """Apply one pool update to the shards that hold (or should hold) it.
+    def _resync_shards(self, name: str) -> None:
+        """Push one pool update to the shards that hold (or should hold) it.
 
-        In-process shards mutate directly; mutation-capable remote workers
-        receive the same change through the fenced wire frames at the
-        *current* epoch (the placement didn't move, so no bump — the worker
-        fence admits epoch >= its own).
+        The change is serialized once and sent to each shard as a fenced
+        frame at the *current* epoch (the placement didn't move, so no
+        bump — a worker's fence admits epoch >= its own); each shard
+        installs it at the version the payload carries.
         """
+        epoch = self._epoch
         if name == LIBRARY_TASK:
-            # the trunk changed: repoint every shard view at the new library,
-            # at the pool's version
-            payload = None
+            # the trunk changed: every shard repoints at the new library
+            payload = serialize_library_state(
+                self.pool, _FETCH_TRANSPORT, store=self.pool.segments
+            )
             for shard in self.shards:
-                if shard.is_remote():
-                    if payload is None:
-                        payload = serialize_library_state(
-                            self.pool, _FETCH_TRANSPORT, store=self.pool.segments
-                        )
-                    shard.push_library(
-                        payload,
-                        epoch=self._epoch,
-                        mutation_id=self._mutation_id("library"),
-                    )
-                    self.metrics.increment("remote_updates_pushed")
-                else:
-                    shard.refresh_library(
-                        self.pool.library, self.pool.library_student, version
-                    )
+                shard.push_library(payload, epoch=epoch, mutation_id=self._mutation_id("library"))
+                self.metrics.increment("remote_updates_pushed")
             return
-        head = self.pool.experts.get(name)
+        present = name in self.pool.experts
         with self._placement_lock:
             placed = self._placement.get(name)
-            if head is not None and placed is None:
+            if present and placed is None:
                 # brand-new expert: place it per the router
                 placed = self.router.shards_for(name)
                 self._placement[name] = placed
-            elif head is None and placed is not None:
+            elif not present and placed is not None:
                 del self._placement[name]
-        if head is not None:
-            payload = None
-            for shard_id in placed:
-                shard = self.shards[shard_id]
-                if shard.is_remote():
-                    if payload is None:
-                        payload = serialize_expert_heads(
-                            self.pool, (name,), _FETCH_TRANSPORT, store=self.pool.segments
-                        )
-                    shard.install_heads(
-                        payload,
-                        epoch=self._epoch,
-                        mutation_id=self._mutation_id("install"),
-                    )
-                    self.metrics.increment("remote_updates_pushed")
-                else:
-                    shard.install_expert(name, head, version)
-        elif placed is not None:
-            for shard_id in placed:
-                shard = self.shards[shard_id]
-                if shard.is_remote():
-                    shard.drop_heads(
-                        [name],
-                        epoch=self._epoch,
-                        mutation_id=self._mutation_id("drop"),
-                    )
-                    self.metrics.increment("remote_updates_pushed")
-                else:
-                    shard.drop_expert(name)
+        if present:
+            payload = serialize_expert_heads(
+                self.pool, (name,), _FETCH_TRANSPORT, store=self.pool.segments
+            )
+        for shard_id in placed or ():
+            shard = self.shards[shard_id]
+            if present:
+                shard.install_heads(payload, epoch=epoch, mutation_id=self._mutation_id("install"))
+            else:
+                shard.drop_heads([name], epoch=epoch, mutation_id=self._mutation_id("drop"))
+            self.metrics.increment("remote_updates_pushed")
 
-    def _serialize_migration_heads(
-        self, source_id: Optional[int], names: Tuple[str, ...]
-    ) -> bytes:
-        """Bulk-serialize ``names`` off their source for a migration.
+    def _serialize_migration_heads(self, names: Tuple[str, ...]) -> bytes:
+        """Bulk-serialize ``names`` off the parent pool for a migration.
 
         This is the shard-to-shard wire boundary: one float-exact payload
-        (``raw+zlib``) per (source, destination) pair, joined
-        from the source pool's already-encoded head segments.  A remote destination receives the
-        bytes verbatim inside an ``INSTALL_HEADS`` frame; a local one
-        rebuilds head *copies* from them.  The codec is float-exact, so a
-        migrated expert answers bit-identically to the original.  Migrated
-        payload bytes are counted in :class:`ClusterMetrics`
-        (``migrated_bytes``/``expert_migrations``).  Falls back to the
-        parent pool when the source shard is remote (no in-process pool to
-        read) or no longer holds a task (a re-extraction raced the move).
+        (``raw+zlib``) per (source, destination) route, joined from the
+        parent pool's already-encoded head segments, that the destination
+        receives verbatim as an ``install_heads`` payload.  The codec is
+        float-exact, so a migrated expert answers bit-identically to the
+        original.  Migrated payload bytes are counted in
+        :class:`ClusterMetrics` (``migrated_bytes``/``expert_migrations``).
         """
-        source_pool = self.pool
-        if source_id is not None:
-            shard_pool = getattr(self.shards[source_id], "pool", None)
-            if shard_pool is not None and all(
-                name in shard_pool.experts for name in names
-            ):
-                source_pool = shard_pool
         payload = serialize_expert_heads(
-            source_pool, names, _FETCH_TRANSPORT, store=source_pool.segments
+            self.pool, names, _FETCH_TRANSPORT, store=self.pool.segments
         )
         self.metrics.increment("migrated_bytes", len(payload))
         self.metrics.increment("expert_migrations", len(names))
@@ -873,7 +800,7 @@ class ClusterGateway:
 
         **Commit** bumps the gateway epoch, repoints the placement, drops
         from the sources in per-shard batches, and fences every untouched
-        remote shard forward with an empty ``DROP_HEADS`` so a frame from
+        shard forward with an empty ``DROP_HEADS`` so a frame from
         a superseded plan can never land anywhere in the fleet.  Shards in
         ``retiring`` are skipped for drops and fences — they close right
         after commit.
@@ -890,25 +817,13 @@ class ClusterGateway:
             return moved, installs, drops, migrated_bytes, 0
         next_epoch = self._epoch + 1
         # ---- prepare -------------------------------------------------
-        for route, names in transfers.items():
-            payload = self._serialize_migration_heads(route[0], tuple(names))
+        for (_source, dest), names in transfers.items():
+            payload = self._serialize_migration_heads(tuple(names))
             migrated_bytes += len(payload)
-            dest = self.shards[route[1]]
-            if dest.is_remote():
-                dest.install_heads(
-                    payload,
-                    epoch=next_epoch,
-                    mutation_id=self._mutation_id("install"),
-                )
-                installs += len(names)
-            else:
-                # local installs are rebuilt copies, never references into
-                # the parent pool: the wire boundary holds on every backend
-                rebuilt = deserialize_expert_heads(payload)
-                for name in names:
-                    remote = rebuilt[name]
-                    dest.install_expert(name, remote.head, remote.version)
-                    installs += 1
+            self.shards[dest].install_heads(
+                payload, epoch=next_epoch, mutation_id=self._mutation_id("install")
+            )
+            installs += len(names)
         # ---- commit --------------------------------------------------
         self._epoch = next_epoch
         drop_batches: Dict[int, List[str]] = {}
@@ -925,22 +840,13 @@ class ClusterGateway:
                     drop_batches.setdefault(shard_id, []).append(name)
         for shard_id in sorted(drop_batches):
             names = drop_batches[shard_id]
-            shard = self.shards[shard_id]
-            if shard.is_remote():
-                shard.drop_heads(
-                    names, epoch=next_epoch, mutation_id=self._mutation_id("drop")
-                )
-            else:
-                for name in names:
-                    shard.drop_expert(name)
+            self.shards[shard_id].drop_heads(
+                names, epoch=next_epoch, mutation_id=self._mutation_id("drop")
+            )
             drops += len(names)
         touched = {route[1] for route in transfers} | set(drop_batches)
         for shard in self.shards:
-            if (
-                shard.is_remote()
-                and shard.shard_id not in touched
-                and shard.shard_id not in retiring
-            ):
+            if shard.shard_id not in touched and shard.shard_id not in retiring:
                 shard.drop_heads(
                     [], epoch=next_epoch, mutation_id=self._mutation_id("fence")
                 )
@@ -976,11 +882,10 @@ class ClusterGateway:
         so answers never change: a moved expert keeps its version, and
         every cache entry built from it stays valid.
 
-        Works over in-process shards and networked workers alike: remote
-        destinations receive ``INSTALL_HEADS``/``DROP_HEADS`` frames under
-        the two-phase epoch fence (see :meth:`_apply_two_phase` and
-        ``docs/resharding.md``).  Remote workers that did not negotiate the
-        mutation frames raise
+        Every shard receives the same ``install_heads``/``drop_heads``
+        calls under the two-phase epoch fence (see :meth:`_apply_two_phase`
+        and ``docs/resharding.md``); remote workers that did not negotiate
+        the mutation frames raise
         :class:`~repro.net.client.RemoteOperationUnsupported`.
         """
         self._require_mutation_capable("rebalance()")
@@ -1031,24 +936,15 @@ class ClusterGateway:
         (the server drains before exit) or replan via the epoch-gated
         retry in :meth:`_serve`.
 
-        Networked clusters need the worker fleet attached
-        (:meth:`attach_fleet` — :class:`~repro.net.server.NetworkedCluster`
-        does this) so slots can be spawned and retired as processes.
+        A networked cluster retires a worker slot through its attached
+        fleet (:meth:`attach_fleet`); any other shard is closed.
         """
         if new_num_shards < 1:
             raise ValueError("new_num_shards must be >= 1")
         old_n = len(self.shards)
         if new_num_shards == old_n:
             return RebalanceReport(moved=(), installs=0, drops=0)
-        has_remote = any(shard.is_remote() for shard in self.shards)
-        if has_remote:
-            self._require_mutation_capable("reshard()")
-            if self._fleet is None:
-                raise RuntimeError(
-                    "reshard() over networked shards needs the worker fleet "
-                    "attached (ClusterGateway.attach_fleet) to spawn and "
-                    "retire worker processes"
-                )
+        self._require_mutation_capable("reshard()")
         new_replication = min(self.router.replication, new_num_shards)
         new_router = ShardRouter(
             new_num_shards,
@@ -1095,7 +991,7 @@ class ClusterGateway:
         # self.shards index-aligned with shard ids throughout
         for shard_id in sorted(retiring, reverse=True):
             shard = self.shards.pop(shard_id)
-            if shard.is_remote() and self._fleet is not None:
+            if self._fleet is not None:
                 self._fleet.retire_shard(shard_id)
             else:
                 shard.close()

@@ -139,16 +139,6 @@ class ShardRouter:
     def pins(self) -> Mapping[str, int]:
         return dict(self._pins)
 
-    @property
-    def hot(self) -> Mapping[str, int]:
-        """Per-task replication overrides (``task -> copies``).
-
-        Installed by :meth:`replicate` (an operator's call, carried across
-        a :meth:`~repro.cluster.ClusterGateway.reshard`).  Read-only
-        snapshot for introspection.
-        """
-        return dict(self._hot)
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------

@@ -5,35 +5,41 @@ pool (:meth:`repro.core.PoolOfExperts.subset` — shared library, a slice of
 the expert heads) and a private :class:`~repro.serving.ServingGateway`
 with its own caches, worker budget and metrics.  Single-shard queries are
 served entirely inside the shard; cross-shard queries fetch this shard's
-heads as a serialized payload (:meth:`fetch_heads`) — the same wire
-boundary a networked deployment would cross.
+heads as a serialized payload (:meth:`fetch_heads`).
 
-This class is also the reference implementation of the **shard backend
-surface** :class:`~repro.cluster.gateway.ClusterGateway` consumes —
-``task_names``/``holds``, ``serve``/``predict``/``get_model``,
-``fetch_heads``, ``cache_stats`` and ``local_snapshot`` —
-which :class:`repro.net.client.RemoteShardClient` mirrors over a socket
-(its ``serve`` answers a :class:`~repro.serving.gateway.Served`: no query).
-A gateway built with a networked ``shard_factory`` runs the same code
-paths against worker processes; :meth:`local_snapshot` returning a real
-snapshot (vs. ``None`` remotely) is the home-shard fast path.
+This class is the **shard surface** :class:`~repro.cluster.gateway.ClusterGateway`
+drives, and :class:`repro.net.client.RemoteShardClient` has the same calls
+with the same signatures and return shapes over a socket: ``task_names``,
+``serve`` / ``predict``, ``fetch_heads``, ``cache_stats`` / ``stats``,
+``supports_mutations`` and the three mutations.  So the gateway never asks
+where a shard lives.
 
-Expert migration (rebalance) and re-extraction flow through
-:meth:`install_expert` / :meth:`drop_expert` / :meth:`refresh_library`,
-which install into the view pool at the parent's versions.  The shard
-gateway's tiers key on the view's versions, so a refreshed expert's old
-entries can never answer again; a migrated one keeps its version and its
-bytes, so its entries stay valid.
+Every mutation arrives as bytes, exactly as a worker receives it:
+:meth:`install_heads` takes ``serialize_expert_heads`` output,
+:meth:`drop_heads` names, :meth:`push_library` ``serialize_library_state``
+output.  A worker's :class:`~repro.net.server.ShardServer` fences, dedups
+and digest-checks a frame, then calls these same methods, so the apply
+code exists once.  An in-process shard receives its frames in order and
+never sees a replay, so it ignores ``epoch`` and ``mutation_id``.  The
+shard installs what the payload carries at the versions it names, so the
+shard gateway's tiers key exactly like the parent's: a refreshed expert's
+old entries can never answer again, and a migrated one keeps its version
+and its bytes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+import dataclasses
+import os
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.features import TrunkFeatureCache
-from ..core.pool import PoolOfExperts, PoolSnapshot
-from ..core.server import serialize_expert_heads
-from ..models import WRNHead
+from ..core.pool import PoolOfExperts
+from ..core.server import (
+    deserialize_expert_heads,
+    deserialize_library_state,
+    serialize_expert_heads,
+)
 from ..serving.cache import CacheStats
 from ..serving.gateway import (
     Found,
@@ -47,7 +53,6 @@ from ..serving.metrics import ServingMetrics
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from ..core.query import TaskSpecificModel
     from ..serving.canonical import TaskQuery
 
 __all__ = ["PoolShard"]
@@ -55,6 +60,9 @@ __all__ = ["PoolShard"]
 
 class PoolShard:
     """An expert subset of the pool plus its private serving gateway."""
+
+    #: An in-process shard applies every mutation it is handed.
+    supports_mutations = True
 
     def __init__(
         self,
@@ -65,7 +73,6 @@ class PoolShard:
         trunk_cache: Optional[TrunkFeatureCache] = None,
     ) -> None:
         self.shard_id = shard_id
-        self.parent = parent
         self.pool = parent.subset(task_names)
         # every shard view shares the parent's frozen library, so the
         # cluster hands all shards one trunk-feature cache: features
@@ -73,13 +80,12 @@ class PoolShard:
         self.gateway = ServingGateway(
             self.pool, gateway_config, metrics=ServingMetrics(), trunk_cache=trunk_cache
         )
+        # a trunk cache handed in is the cluster's, which counts it itself
+        self._reports_trunk = trunk_cache is None
 
     # ------------------------------------------------------------------
     def task_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.pool.experts))
-
-    def holds(self, task: str) -> bool:
-        return task in self.pool.experts
 
     def fetch_heads(self, names: Iterable[str], transport: str = "raw+zlib") -> bytes:
         """Serialize this shard's heads for a remote consolidation.
@@ -92,19 +98,6 @@ class PoolShard:
         )
         self.gateway.metrics.increment("head_fetches")
         return payload
-
-    def local_snapshot(self, names: Iterable[str]) -> PoolSnapshot:
-        """In-process head references with their versions (``None`` on a
-        remote shard client).
-
-        The cluster's composite builder uses this as its home-shard fast
-        path: local references need no serialization round trip.
-        """
-        return self.pool.snapshot(tuple(names))
-
-    def is_remote(self) -> bool:
-        """Capability probe: does reaching this shard cross a socket?"""
-        return False
 
     # ------------------------------------------------------------------
     # Serving surface (delegated to the private gateway)
@@ -125,28 +118,70 @@ class PoolShard:
         """Run one prediction through this shard's fused fast path."""
         return self.gateway.predict(images, tasks)
 
-    def get_model(self, tasks: "TaskQuery") -> "TaskSpecificModel":
-        """The consolidated model for ``tasks`` from this shard's caches."""
-        return self.gateway.get_model(tasks)
-
     def cache_stats(self) -> Dict[str, CacheStats]:
-        """This shard's cache tiers (model/payload/trunk/result)."""
-        return self.gateway.cache_stats()
+        """This shard's cache tiers: model, payload and result, plus trunk
+        when the trunk-feature cache is its own."""
+        stats = self.gateway.cache_stats()
+        if not self._reports_trunk:
+            del stats["trunk"]
+        return stats
+
+    def stats(self, journal_since: int = 0) -> Dict:
+        """This shard's unified metrics snapshot with its identity and cache
+        tiers: the body of a worker's ``STATS`` answer.
+
+        ``journal_since`` is ignored: a shard's events go to its process's
+        journal, which a worker ships itself and which an in-process
+        cluster already shares.
+        """
+        snapshot = self.gateway.metrics.snapshot(include_histograms=True)
+        snapshot.update(
+            shard_id=self.shard_id,
+            pid=os.getpid(),
+            tasks=list(self.task_names()),
+            cache_stats={
+                tier: dataclasses.asdict(s) for tier, s in self.cache_stats().items()
+            },
+        )
+        return snapshot
+
+    def breaker_states(self) -> Dict[int, str]:
+        """No circuit breaker stands between a cluster and its in-process shard."""
+        return {}
+
+    def replica_epochs(self) -> Dict[int, int]:
+        """An in-process shard acknowledges no epochs."""
+        return {}
 
     # ------------------------------------------------------------------
-    # Membership changes (rebalance / re-extraction)
+    # Mutations: serialized payloads in, one ack per replica out
     # ------------------------------------------------------------------
-    def install_expert(self, name: str, head: WRNHead, version: int) -> None:
-        """Place (or refresh) one expert on this shard at ``version``."""
-        self.pool.attach_expert(name, head, version)
+    def install_heads(self, payload: bytes, *, epoch: int, mutation_id: str) -> List[Dict]:
+        """Install (or refresh) the serialized heads at the versions they
+        carry; an existing head of the same name is overwritten, so a
+        retried install converges."""
+        heads = deserialize_expert_heads(payload)
+        for name, remote in heads.items():
+            self.pool.attach_expert(name, remote.head, remote.version)
+        return [{"installed": list(heads)}]
 
-    def drop_expert(self, name: str) -> None:
-        """Remove one expert from this shard (its version bumps)."""
-        self.pool.detach_expert(name)
+    def drop_heads(self, names: Sequence[str], *, epoch: int, mutation_id: str) -> List[Dict]:
+        """Drop the named heads this shard holds.  Absent names are skipped
+        (a respawned worker may have forked past the drop already), and an
+        empty list is a pure epoch fence."""
+        dropped = [name for name in names if name in self.pool.experts]
+        for name in dropped:
+            self.pool.detach_expert(name)
+        return [{"dropped": dropped}]
 
-    def refresh_library(self, library, library_student, version: int) -> None:
-        """Repoint the view at a re-extracted library trunk, at ``version``."""
-        self.pool.install_library(library, library_student, version)
+    def push_library(self, payload: bytes, *, epoch: int, mutation_id: str) -> List[Dict]:
+        """Repoint the view at a serialized library trunk, at its version.
+
+        The distillation student stays behind: serving only runs the trunk.
+        """
+        library, version = deserialize_library_state(payload)
+        self.pool.install_library(library, None, version)
+        return [{"version": version}]
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -154,9 +154,6 @@ class TrunkFeatureCache:
     def stats(self):
         return self._lru.stats()
 
-    def reset_stats(self) -> None:
-        self._lru.reset_stats()
-
     def __len__(self) -> int:
         return len(self._lru)
 

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import Module, ModuleList
-from ..nn.fused import FusedTrunk, fused_trunk_for, invalidate_fused_trunk
+from ..nn.fused import invalidate_fused_trunk
 from ..tensor import Tensor
 from .fused_head import FusedHeadBank
 from .wrn import WRNHead, WRNTrunk
@@ -94,18 +94,6 @@ class BranchedSpecialistNet(Module):
         if self._fused is None:
             self._fused = FusedHeadBank(list(self.heads))
         return self._fused
-
-    def fused_trunk(self) -> FusedTrunk:
-        """The compiled eval-mode trunk program (memoized on the trunk).
-
-        Memoization lives on the shared trunk *module*, not on this
-        wrapper: every composite model over one library shares a single
-        compiled program, and a library re-extraction (which installs a
-        new trunk object and bumps ``LIBRARY_TASK``) invalidates it by
-        construction.  Verified ``allclose`` against the autograd trunk
-        at compile time.
-        """
-        return fused_trunk_for(self.trunk)
 
     def invalidate_fused(self) -> None:
         """Drop the stacked bank (and the trunk compile) so the next

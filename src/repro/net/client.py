@@ -1,14 +1,16 @@
 """The client half of ``repro.net``: a shard you talk to over a socket.
 
-:class:`RemoteShardClient` implements the same surface the
-:class:`~repro.cluster.gateway.ClusterGateway` consumes from an
-in-process :class:`~repro.cluster.shard.PoolShard` — ``task_names`` /
-``holds``, ``fetch_heads``, ``serve``, ``predict`` and ``cache_stats`` —
-by translating each call into one frame-protocol request against a
-:class:`~repro.net.server.ShardServer`.  Because head
-payloads travel in the same float-exact codecs the in-process boundary
-already uses, a cluster running on remote shards is **bit-identical** to
-one running on local shards; only the process hosting the work changes.
+:class:`RemoteShardClient` has the calls of an in-process
+:class:`~repro.cluster.shard.PoolShard`, with the same signatures and
+return shapes — ``task_names``, ``fetch_heads``, ``serve``, ``predict``,
+``cache_stats`` / ``stats``, ``supports_mutations`` and the three
+mutations — and translates each into frame-protocol requests against a
+:class:`~repro.net.server.ShardServer`.  So the
+:class:`~repro.cluster.gateway.ClusterGateway` drives either backend
+through the same calls.  Because head payloads travel in the same
+float-exact codecs the in-process boundary already uses, a cluster running
+on remote shards is **bit-identical** to one running on local shards; only
+the process hosting the work changes.
 
 Thread safety: a client is safe to call from many gateway worker threads
 at once.  Each request takes a pooled TCP connection exclusively (a small
@@ -26,14 +28,10 @@ Placement mutations travel as wire-native batch frames —
 and :meth:`~RemoteShardClient.push_library` — each **broadcast to every
 replica** of the shard (each worker owns its own pool copy), fenced by a
 topology epoch and deduplicated worker-side by mutation id, so the
-per-replica retry loop here may deliver duplicates freely.  The
-in-process-shaped single-head methods (``install_expert`` / ``drop_expert``
-/ ``refresh_library``) still raise :class:`RemoteOperationUnsupported`:
-they take live objects, which do not cross a socket — the gateway
-serializes from its parent pool and uses the batch frames instead.
-Mutations require the server's shared auth token (sent in ``HELLO``);
-without it the peer is read-only and ``"mutations"`` is absent from the
-negotiated features.
+per-replica retry loop here may deliver duplicates freely.  Mutations
+require the server's shared auth token (sent in ``HELLO``); without it the
+peer is read-only and ``"mutations"`` is absent from the negotiated
+features.
 """
 
 from __future__ import annotations
@@ -117,10 +115,9 @@ class RemoteShardError(RuntimeError):
 class RemoteOperationUnsupported(RuntimeError):
     """The remote worker cannot perform the requested mutation.
 
-    Raised by the in-process-shaped signatures (live objects do not
-    cross a socket — use the serialized batch frames instead) and by the
-    gateway when a worker did not negotiate the ``"mutations"`` feature
-    (old server, or this client holds no auth token).
+    Raised by the gateway when a worker did not negotiate the
+    ``"mutations"`` feature (old server, or this client holds no auth
+    token).
     """
 
 
@@ -514,17 +511,6 @@ class RemoteShardClient:
     def task_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.info["tasks"]))
 
-    def holds(self, task: str) -> bool:
-        return task in self.info["tasks"]
-
-    def local_snapshot(self, names) -> None:
-        """Remote shards have no in-process head references (see gateway)."""
-        return None
-
-    def is_remote(self) -> bool:
-        """Capability probe: this shard lives behind a socket."""
-        return True
-
     def ping(self) -> float:
         """Health probe: one PING round trip, returns its latency."""
         start = perf_counter()
@@ -602,15 +588,36 @@ class RemoteShardClient:
     def stats(self, journal_since: int = 0) -> Dict:
         """The worker's raw stats payload (cache tiers, counters, pid).
 
-        ``journal_since`` is a cursor into the worker's event journal:
-        only events with a strictly greater ``seq`` ride back under the
-        payload's ``"journal"`` key (0 — the default — ships the whole
-        bounded ring).  Old servers simply omit the key.
+        One replica answers, as for any read.  ``journal_since`` is a
+        cursor into each worker's event journal: every replica's events
+        with a strictly greater ``seq`` ride back under the payload's
+        ``"journal"`` key (0 — the default — ships each whole bounded
+        ring), each stamped with the ``replica`` that recorded it, since
+        replicas number their events independently.  A replica that does
+        not answer ships its events on a later call.  Old servers omit
+        the key.
         """
-        _msg, _codec, payload = self._request(
-            MsgType.STATS, (json_payload({"journal_since": int(journal_since)}),)
-        )
+        body = (json_payload({"journal_since": int(journal_since)}),)
+        _msg, _codec, payload = self._request(MsgType.STATS, body)
         info = parse_json(payload)
+        events = info.get("journal")
+        if events is not None:
+            answered = info.get("replica", 0)
+            for event in events:
+                event.setdefault("replica", answered)
+            timeout = self.retry.timeout_for(MsgType.STATS)
+            for endpoint in self._replicas:
+                if endpoint.replica_id == answered or not endpoint.breaker.allow():
+                    continue
+                try:
+                    _msg, _codec, other = self._request_on(
+                        endpoint, MsgType.STATS, body, CODEC_JSON, timeout
+                    )
+                except RETRYABLE_EXCEPTIONS:
+                    continue
+                for event in parse_json(other).get("journal", ()):
+                    event.setdefault("replica", endpoint.replica_id)
+                    events.append(event)
         with self._pool_lock:
             # negotiated features (and the replica id) come from the
             # handshake, not STATS — carry them over so tracing keeps
@@ -748,29 +755,6 @@ class RemoteShardClient:
             "digest": payload_digest(payload),
         }
         return self._broadcast_mutation(msg_type, pack_body_parts(meta, payload), CODEC_BINARY)
-
-    # ------------------------------------------------------------------
-    # In-process-shaped mutation signatures: still unsupported — they
-    # take live objects, which do not cross a socket.  The gateway
-    # serializes from its parent pool and calls the batch frames above.
-    # ------------------------------------------------------------------
-    def install_expert(self, name: str, head, version: int) -> None:
-        raise RemoteOperationUnsupported(
-            f"install_expert({name!r}) takes a live head object; remote "
-            "shards install serialized payloads via install_heads()"
-        )
-
-    def drop_expert(self, name: str) -> None:
-        raise RemoteOperationUnsupported(
-            f"drop_expert({name!r}) is the in-process signature; remote "
-            "shards drop heads via the fenced drop_heads() frame"
-        )
-
-    def refresh_library(self, library, library_student, version: int) -> None:
-        raise RemoteOperationUnsupported(
-            "refresh_library takes live trunk objects; remote shards "
-            "install serialized library state via push_library()"
-        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -60,7 +60,6 @@ from ..cluster.gateway import ClusterConfig, ClusterGateway
 from ..cluster.metrics import ClusterMetrics
 from ..cluster.shard import PoolShard
 from ..core.heap import release_freed_heap
-from ..core.server import deserialize_expert_heads, deserialize_library_state
 from ..obs.journal import JOURNAL
 from ..obs.trace import TRACER
 from ..serving.gateway import GatewayConfig
@@ -663,11 +662,12 @@ class ShardServer:
                 replica=self.replica_id,
             )
 
-    def _mutate(self, conn, write_lock, request_id, meta, blob, kind, reply, apply) -> None:
+    def _mutate(self, conn, write_lock, request_id, meta, kind, reply, apply, *args) -> None:
         """Apply one fenced, idempotent mutation and ack it with ``reply``:
-        unless ``meta``'s id is a replay, ``apply(blob)`` runs under the
-        mutation lock after the blob's digest check (if ``meta`` names one)
-        and answers ``(ack fields, journal detail)``; a replay acks only the
+        unless ``meta``'s id is a replay, ``apply(*args, epoch=…,
+        mutation_id=…)`` (a :class:`PoolShard` mutation) runs under the
+        mutation lock after the payload's digest check (if ``meta`` names
+        one), and its ack fields are journaled; a replay acks only the
         flags and the epoch."""
         mutation_id, epoch = str(meta["mutation_id"]), int(meta["epoch"])
         fields: Dict[str, object] = {}
@@ -677,93 +677,51 @@ class ShardServer:
                 self._record_replayed(mutation_id, kind)
             else:
                 digest = meta.get("digest")
-                if digest is not None and payload_digest(blob) != digest:
+                if digest is not None and payload_digest(args[0]) != digest:
                     raise FrameError(
                         f"{kind} payload digest mismatch: refusing to apply a corrupted payload"
                     )
-                fields, detail = apply(blob)
-                self._record_applied(mutation_id, epoch, kind, **detail)
+                (fields,) = apply(*args, epoch=epoch, mutation_id=mutation_id)
+                self._record_applied(mutation_id, epoch, kind, **fields)
             out = {"applied": not replayed, "replayed": replayed, "epoch": self.epoch, **fields}
         self._send(conn, write_lock, reply, request_id, json_payload(out))
 
     def _handle_install_heads(self, conn, write_lock, request_id, payload, codec) -> None:
         self._require_mutation_auth(conn)
-
-        def install(blob):
-            heads = deserialize_expert_heads(blob)
-            for name, remote in heads.items():
-                # attach overwrites an existing head of the same name,
-                # so a crash-and-retry mid-apply converges (idempotent)
-                self.shard.install_expert(name, remote.head, remote.version)
-            return {"installed": list(heads)}, {"tasks": len(heads)}
-
         meta, blob = unpack_body(payload)
         self._mutate(
-            conn, write_lock, request_id, meta, blob, "install_heads",
-            MsgType.HEADS_INSTALLED, install,
+            conn, write_lock, request_id, meta, "install_heads",
+            MsgType.HEADS_INSTALLED, self.shard.install_heads, blob,
         )
 
     def _handle_drop_heads(self, conn, write_lock, request_id, payload, codec) -> None:
         self._require_mutation_auth(conn)
         request = parse_json(payload)
         names = [str(n) for n in request.get("names", ())]
-
-        def drop(_blob):
-            # tolerate absent names: a respawned worker may have forked past
-            # the drop already, and the commit broadcast uses an empty list
-            # as a pure epoch fence
-            held = set(self.shard.task_names())
-            dropped = [name for name in names if name in held]
-            for name in dropped:
-                self.shard.drop_expert(name)
-            return {"dropped": dropped}, {"tasks": len(dropped), "requested": len(names)}
-
         self._mutate(
-            conn, write_lock, request_id, request, None, "drop_heads",
-            MsgType.HEADS_DROPPED, drop,
+            conn, write_lock, request_id, request, "drop_heads",
+            MsgType.HEADS_DROPPED, self.shard.drop_heads, names,
         )
 
     def _handle_refresh_library(self, conn, write_lock, request_id, payload, codec) -> None:
         self._require_mutation_auth(conn)
-
-        def refresh(blob):
-            library, version = deserialize_library_state(blob)
-            # the student stays behind the gateway that distilled it;
-            # workers only ever serve through the consolidated trunk
-            self.shard.refresh_library(library, None, version)
-            return {"version": version}, {"version": version}
-
         meta, blob = unpack_body(payload)
         self._mutate(
-            conn, write_lock, request_id, meta, blob, "refresh_library",
-            MsgType.LIBRARY_REFRESHED, refresh,
+            conn, write_lock, request_id, meta, "refresh_library",
+            MsgType.LIBRARY_REFRESHED, self.shard.push_library, blob,
         )
 
     def _handle_stats(self, conn, write_lock, request_id, payload, codec) -> None:
         request = parse_json(payload) if payload else {}
-        journal_since = int(request.get("journal_since", 0) or 0)
-        stats = {
-            tier: dataclasses.asdict(s) for tier, s in self.shard.cache_stats().items()
-        }
-        # the full unified snapshot (schema/kind/stages/counters + full
-        # histogram state) rides at the top level so the cluster front end
-        # can merge per-worker snapshots losslessly; the identity keys and
-        # "cache_stats"/"counters" stay where existing clients expect them
-        response = self.shard.gateway.metrics.snapshot(include_histograms=True)
-        response.update(
-            {
-                "shard_id": self.shard.shard_id,
-                "pid": os.getpid(),
-                "tasks": list(self.shard.task_names()),
-                "cache_stats": stats,
-                "epoch": self.epoch,
-            }
-        )
-        # journal events ride in the response like trace_spans do: the
-        # worker's bounded ring, cursored by seq so a poller that passes
-        # ``journal_since`` ships each event across the wire once
+        # the shard's unified snapshot (full histogram state, so the front
+        # end merges per-worker snapshots losslessly) plus what only the
+        # worker knows: its replica, its epoch and its journal ring
+        response = self.shard.stats()
+        response.update(replica=self.replica_id, epoch=self.epoch)
+        # journal events ride in the response like trace_spans do, cursored
+        # by seq so a poller that passes ``journal_since`` ships each once
         if JOURNAL.enabled:
-            response["journal"] = JOURNAL.since(journal_since)
+            response["journal"] = JOURNAL.since(int(request.get("journal_since", 0) or 0))
         self._send(conn, write_lock, MsgType.STATS_OK, request_id, json_payload(response))
 
     _HANDLERS = {
@@ -1184,12 +1142,6 @@ class ShardWorkerFleet:
     def leaked_processes(self) -> List["multiprocessing.process.BaseProcess"]:
         """Workers still alive (should be empty after :meth:`shutdown`)."""
         return [h.process for h in self.workers if h.process.is_alive()]
-
-    def __enter__(self) -> "ShardWorkerFleet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ShardWorkerFleet(workers={len(self.workers)}, host={self.host!r})"

@@ -68,9 +68,6 @@ class SeriesWindow:
         if len(self._points) > self.capacity:
             del self._points[: len(self._points) - self.capacity]
 
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
-
     def values(self) -> List[float]:
         return [v for _, v in self._points]
 
@@ -247,7 +244,7 @@ class TelemetryPoller:
         self.journal = journal if journal is not None else JOURNAL
         self._clock = clock
         self._prev: Dict[str, Tuple[float, Dict[str, object]]] = {}
-        self._journal_cursor: Dict[str, int] = {}
+        self._journal_cursor: Dict[Tuple[str, object], int] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.polls = 0
@@ -260,11 +257,9 @@ class TelemetryPoller:
 
         * anything with ``unified_snapshot()`` contributes a ``cluster``
           source (the merged front-end view);
-        * each entry of a ``shards`` sequence contributes ``shard<N>``:
-          remote shards (``is_remote``) answer via their ``stats()``
-          STATS round trip — which also carries ``cache_stats`` and the
-          worker's journal ring — while in-process shards snapshot their
-          gateway directly;
+        * each entry of a ``shards`` sequence contributes ``shard<N>``,
+          answered by its ``stats()`` (a STATS round trip for a networked
+          shard, which also carries the workers' journal rings);
         * a bare :class:`~repro.serving.gateway.ServingGateway` (has
           ``metrics`` but no shards) becomes a single ``serving`` source.
         """
@@ -275,13 +270,7 @@ class TelemetryPoller:
         shards: Sequence[object] = getattr(gateway, "shards", ()) or ()
         for index, shard in enumerate(shards):
             label = f"shard{getattr(shard, 'shard_id', index)}"
-            remote = getattr(shard, "is_remote", False)
-            if callable(remote):  # PoolShard exposes it as a method
-                remote = remote()
-            if remote:
-                sources[label] = shard.stats  # type: ignore[attr-defined]
-            else:
-                sources[label] = _local_shard_source(shard)
+            sources[label] = shard.stats  # type: ignore[attr-defined]
         if not sources:
             metrics = getattr(gateway, "metrics", None)
             if metrics is None:
@@ -330,15 +319,20 @@ class TelemetryPoller:
         return produced
 
     def _ingest_journal(self, label: str, snap: Dict[str, object]) -> None:
+        """Fold a source's fresh events into the journal: one ``seq``
+        cursor per (source, replica), since each replica of a shard
+        numbers its events on its own."""
         events = snap.get("journal")
         if not isinstance(events, list) or not events:
             return
-        cursor = self._journal_cursor.get(label, 0)
-        fresh = [e for e in events if int(e.get("seq", 0)) > cursor]
-        if not fresh:
-            return
-        self._journal_cursor[label] = max(int(e.get("seq", 0)) for e in fresh)
-        self.journal.ingest(fresh)
+        cursor, fresh = self._journal_cursor, []
+        for event in events:  # each replica's events come in seq order
+            key, seq = (label, event.get("replica", 0)), int(event.get("seq", 0))
+            if seq > cursor.get(key, 0):
+                cursor[key] = seq
+                fresh.append(event)
+        if fresh:
+            self.journal.ingest(fresh)
 
     # ------------------------------------------------------------------
     def start(self) -> "TelemetryPoller":
@@ -371,22 +365,6 @@ class TelemetryPoller:
     def __exit__(self, *exc_info) -> bool:
         self.stop()
         return False
-
-
-def _local_shard_source(shard: object) -> Callable[[], Dict[str, object]]:
-    """Snapshot an in-process shard: gateway metrics + cache stats."""
-
-    def source() -> Dict[str, object]:
-        snap = shard.gateway.metrics.snapshot(  # type: ignore[attr-defined]
-            include_histograms=True
-        )
-        snap["cache_stats"] = {
-            tier: _stats_dict(s)
-            for tier, s in shard.cache_stats().items()  # type: ignore[attr-defined]
-        }
-        return snap
-
-    return source
 
 
 def _serving_source(

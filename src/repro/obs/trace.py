@@ -167,14 +167,6 @@ class SpanCollector:
         with self._lock:
             return list(self._spans)
 
-    def drain(self) -> List[Dict[str, object]]:
-        """Remove and return everything buffered."""
-        with self._lock:
-            out = list(self._spans)
-            self._spans.clear()
-            self._ids.clear()
-            return out
-
     def trace(self, trace_id: str) -> List[Dict[str, object]]:
         """Non-destructive view of one trace's buffered spans."""
         with self._lock:

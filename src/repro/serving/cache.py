@@ -195,11 +195,6 @@ class ByteBudgetLRU:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Non-mutating membership test (no recency/stat side effects)."""
-        with self._lock:
-            return key in self._entries
-
     def keys(self) -> List[Hashable]:
         """Keys from least- to most-recently used."""
         with self._lock:

@@ -161,13 +161,6 @@ class Tensor:
         """Return a new tensor sharing data but cut from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype) -> "Tensor":
-        out = Tensor(self.data.astype(dtype), requires_grad=False)
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -351,12 +344,6 @@ class Tensor:
             np.maximum(self.data, 0.0), (self,), "relu", lambda g, x=self.data: (g * (x > 0),)
         )
 
-    def clip(self, low: float, high: float) -> "Tensor":
-        def backward(g: np.ndarray, x=self.data) -> tuple:
-            return (g * ((x >= low) & (x <= high)),)
-
-        return Tensor._make(np.clip(self.data, low, high), (self,), "clip", backward)
-
     # ------------------------------------------------------------------
     # Linear algebra
     # ------------------------------------------------------------------
@@ -518,16 +505,10 @@ class Tensor:
         return Tensor._make(np.stack([t.data for t in parts], axis=axis), parts, "stack", backward)
 
     # ------------------------------------------------------------------
-    # Comparison (no grad) and misc
+    # Misc (no grad)
     # ------------------------------------------------------------------
     def argmax(self, axis=None) -> np.ndarray:
         return self.data.argmax(axis=axis)
-
-    def __gt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data > _as_array(other, self.dtype)
-
-    def __lt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data < _as_array(other, self.dtype)
 
     # ------------------------------------------------------------------
     # Constructors

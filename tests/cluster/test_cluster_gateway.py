@@ -221,8 +221,8 @@ class TestRebalance:
             report = cluster.rebalance()
             assert any(m[0] == task for m in report.moved)
             assert cluster.shards_of(task)[0] == new_primary
-            assert cluster.shards[new_primary].holds(task)
-            assert not cluster.shards[old_primary].holds(task)
+            assert task in cluster.shards[new_primary].task_names()
+            assert task not in cluster.shards[old_primary].task_names()
             after_response = cluster.serve(query)
             assert after_response.payload_cache_hit  # a move keeps versions and bytes
             cluster.payload_cache.clear()  # rebuilt from the moved head
@@ -295,6 +295,33 @@ class TestRebalance:
             cluster.rebalance(ShardRouter(num_shards=2))
 
 
+class TestReshard:
+    def test_in_process_grow_then_shrink_keeps_every_answer(self, wide_pool):
+        """An in-process cluster grows to 3 shards and shrinks back to 2
+        through the same mutation calls networked workers receive: each
+        shard then holds exactly its placement, and every composite,
+        rebuilt from the shards, serves the bytes it served before."""
+        pool, _ = wide_pool
+        cluster = _make(pool, num_shards=2)
+        try:
+            names = cluster.available_tasks()
+            queries = [names[:1], names[:3], names[-2:], names]
+            before = {query: cluster.serve(query).payload for query in queries}
+            for size, epoch in ((3, 1), (2, 2)):
+                report = cluster.reshard(size)
+                assert report.epoch == cluster.epoch == epoch
+                assert [shard.shard_id for shard in cluster.shards] == list(range(size))
+                for shard in cluster.shards:
+                    placed = {name for name in names if shard.shard_id in cluster.shards_of(name)}
+                    assert set(shard.task_names()) == placed
+                cluster.payload_cache.clear()
+                cluster.remote_head_cache.clear()
+                for query in queries:
+                    assert cluster.serve(query).payload == before[query]
+        finally:
+            cluster.close()
+
+
 class TestInvalidation:
     def test_reextraction_drops_dependent_entries_everywhere(self, wide_pool):
         pool, data = wide_pool
@@ -325,6 +352,23 @@ class TestInvalidation:
         finally:
             cluster.close()
             pool.attach_expert(task, original)  # undo for other tests
+
+    def test_a_push_that_raises_poisons_the_in_process_gateway(self, cluster, monkeypatch):
+        """A pool update that an in-process shard fails to apply poisons the
+        gateway as on a networked one: the listener returns normally, and
+        every serving entry point refuses from then on."""
+        task = cluster.available_tasks()[0]
+        holder = cluster.shards[cluster.shards_of(task)[0]]
+
+        def refuse(*_args, **_kwargs):
+            raise RuntimeError("install failed")
+
+        monkeypatch.setattr(holder, "install_heads", refuse)
+        cluster._on_expert_update(task, cluster.pool.expert_version(task))
+        assert cluster.metrics.counter("remote_updates_unapplied") == 1
+        for call in (cluster.serve, cluster.get_model):
+            with pytest.raises(RuntimeError, match="restart the worker fleet"):
+                call((task,))
 
 
 class TestMigrationPayloads:

@@ -70,6 +70,20 @@ class TestClusterPredict:
             assert warm.trunk_cache_hit
             assert cluster.cache_stats()["trunk"].hits >= 1
 
+    def test_merged_trunk_stats_are_the_one_shared_cache(self, wide_pool):
+        """In-process shards share the cluster's trunk cache and report no
+        trunk tier of their own, so the merged ``trunk`` stats count that
+        one cache once, whichever shard or the front end used it."""
+        pool, data = wide_pool
+        x = data.test.images[:12]
+        with _make(pool) as cluster:
+            for names in ([sorted(cluster.available_tasks())[0]], _cross_shard_query(cluster)):
+                for _ in range(2):
+                    cluster.predict(x, names)
+            assert all("trunk" not in shard.cache_stats() for shard in cluster.shards)
+            assert cluster.cache_stats()["trunk"] == cluster.trunk_cache.stats()
+            assert cluster.trunk_cache.stats().hits >= 1
+
     def test_shards_and_front_end_share_one_digest_memory(self, wide_pool):
         """A sighting on one shard counts for every other shard and the front end."""
         pool, data = wide_pool
@@ -182,8 +196,9 @@ class TestRemoteHeadCache:
             )
 
     def test_library_reextraction_resyncs_shards_and_clears_tiers(self, tiny_hierarchy):
-        """A trunk swap repoints every shard view and takes every tier's
-        entries out of service (they are keyed on the old library version)."""
+        """A trunk swap reaches every shard view as a pushed copy of the new
+        trunk, and takes every tier's entries out of service (they are
+        keyed on the old library version)."""
         from tests.conftest import build_micro_pool
 
         pool, data, _ = build_micro_pool(tiny_hierarchy, seed=8, train_per_class=15)
@@ -194,8 +209,11 @@ class TestRemoteHeadCache:
             cluster.predict(x, query)  # the second sighting stores the features
             assert len(cluster.trunk_cache) >= 1
             pool.extract_library(data.train.images)  # new frozen trunk
+            expected = pool.library.state_dict()
             for shard in cluster.shards:
-                assert shard.pool.library is pool.library
+                copied = shard.pool.library.state_dict()
+                assert copied.keys() == expected.keys()
+                assert all(np.array_equal(copied[key], expected[key]) for key in expected)
                 assert shard.pool.versions(()) == pool.versions(())
             response = cluster.predict(x, query)
             assert not (response.result_cache_hit or response.trunk_cache_hit)

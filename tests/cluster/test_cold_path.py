@@ -160,7 +160,7 @@ def installs(wide_pool, names):
     wider_trunk = WRNTrunk(
         config.library_depth, 2 * config.library_k, config.expert_ks, config.library_level
     )
-    shard.refresh_library(wider_trunk, None, 99)
+    view.install_library(wider_trunk, None, 99)
     yield view, stale, stale_charge
     shard.close()
 

@@ -13,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import deserialize_task_model
+from repro.data import task_subset
 from repro.eval import ArtifactStore, cifar_track, unpack_correct
 from repro.eval.claims import ARTIFACTS, verdicts
 from repro.eval.runner import build_track
+from repro.serving import ServingGateway
 
 MICRO = replace(
     cifar_track(fast=True),
@@ -78,3 +81,21 @@ def test_every_record_bits_average_to_its_accuracy(built):
         for row in summary[key]:
             means = [_bit_mean(b, n) for b, n in zip(row["correct"], row["n_images"])]
             assert float(np.asarray(means).mean()) == row["accuracy_mean"], (key, row["method"])
+
+
+def test_served_poe_models_reproduce_the_scored_bits(built):
+    """Every Table 3 PoE combo, served through a gateway over the track's
+    pool and rebuilt from its payload, predicts each test image right or
+    wrong exactly as the Table 3 scorer recorded: the paper's PoE numbers
+    describe the bytes serving ships."""
+    store, summary = built
+    data = store.dataset(MICRO)
+    rows = [row for row in summary["table3"] if row["method"] == "poe"]
+    assert rows
+    with ServingGateway(store.pool(MICRO)) as gateway:
+        for row in rows:
+            for combo, bits, n_images in zip(row["combos"], row["correct"], row["n_images"]):
+                model = deserialize_task_model(gateway.serve(combo).payload)
+                test = task_subset(data.test, data.hierarchy.composite(combo), remap=False)
+                served = model.predict(test.images) == test.labels
+                assert np.array_equal(served, unpack_correct(bits, n_images)), combo

@@ -244,18 +244,6 @@ def test_unknown_task_raises_keyerror_at_front_end(networked):
         networked.gateway.serve(("no-such-task",))
 
 
-def test_in_process_mutation_signatures_point_at_batch_frames(networked):
-    """Live-object signatures still cannot cross a socket; the typed
-    error names the serialized batch frame to use instead."""
-    client = networked.gateway.shards[0]
-    with pytest.raises(RemoteOperationUnsupported, match="drop_heads"):
-        client.drop_expert("task0")
-    with pytest.raises(RemoteOperationUnsupported, match="install_heads"):
-        client.install_expert("task0", object(), 1)
-    with pytest.raises(RemoteOperationUnsupported, match="push_library"):
-        client.refresh_library(object(), None, 1)
-
-
 def test_networked_rebalance_moves_experts_over_the_wire(networked, in_process):
     """rebalance() now works against mutation-capable workers: pin a task
     to the other shard and the move lands bit-identically."""

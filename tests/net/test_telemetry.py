@@ -58,6 +58,28 @@ class TestNetworkedTelemetry:
             frame = render_dashboard(poller.store, scorer, journal)
             assert "worker_start" in frame and "shard1" in frame
 
+    def test_one_poll_brings_every_replicas_journal(self, net_pool):
+        """With two replicas per shard, one poll ingests each replica's own
+        ``worker_start``.  Replicas number their events independently, so
+        the poller keeps one cursor per replica, and a second poll ingests
+        nothing twice."""
+        pool, _data = net_pool
+        journal = EventJournal()
+        journal.enable(service="frontend")
+        config = ClusterConfig(num_shards=2, replicas_per_shard=2)
+        with NetworkedCluster(pool, config) as deployment:
+            poller = TelemetryPoller.for_gateway(deployment.gateway, journal=journal)
+            poller.poll_once()
+            starts = [
+                (event["shard_id"], event["replica"])
+                for event in journal.events()
+                if event["kind"] == "worker_start"
+            ]
+            assert sorted(starts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            poller.poll_once()
+            kinds = [event["kind"] for event in journal.events()]
+            assert kinds.count("worker_start") == 4
+
     def test_dead_worker_scores_unreachable(self, net_pool):
         pool, _data = net_pool
         journal = EventJournal()
@@ -86,7 +108,6 @@ class TestNetworkedTelemetry:
             task = sorted(gateway.available_tasks())[0]
             gateway.predict(data.test.images[:2], (task,))
             remote = gateway.shards[gateway.shards_of(task)[0]]  # the holder
-            assert remote.is_remote()
             stats = remote.stats()
             assert stats["schema"] == 2
             assert "journal" in stats  # worker journal rides the STATS frame

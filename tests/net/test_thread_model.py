@@ -79,9 +79,9 @@ class _RecordingShard:
         self._enter("fetch_heads")
         return self._shard.fetch_heads(names, transport)
 
-    def cache_stats(self):
+    def stats(self, journal_since=0):
         self._enter("stats")
-        return self._shard.cache_stats()
+        return self._shard.stats(journal_since)
 
 
 class _RecordingServer(ShardServer):

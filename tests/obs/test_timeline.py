@@ -254,27 +254,20 @@ class TestTelemetryPoller:
 
 class TestForGateway:
     def test_cluster_with_remote_and_local_shards(self):
+        """Every shard, in process or behind a socket, answers through
+        the one ``stats()`` call."""
+
         class RemoteShard:
             shard_id = 1
-            is_remote = True
 
             def stats(self):
                 return _snap(counters={"requests": 1})
 
-        class LocalMetrics:
-            def snapshot(self, include_histograms=False):
-                return _snap(counters={"requests": 2})
-
-        class LocalGateway:
-            metrics = LocalMetrics()
-
         class LocalShard:
             shard_id = 0
-            is_remote = False
-            gateway = LocalGateway()
 
-            def cache_stats(self):
-                return {"model": {"hits": 1, "misses": 0}}
+            def stats(self):
+                return _snap(counters={"requests": 2})
 
         class Cluster:
             shards = [LocalShard(), RemoteShard()]

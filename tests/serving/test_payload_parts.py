@@ -94,10 +94,14 @@ def test_cluster_composite_entry_holds_the_stores_segments(named_pool):
 # The oracle: every path's bytes equal a fresh, store-less serialization
 # ----------------------------------------------------------------------
 _TASKS = ("birds", "fish", "pets")
-#: A step is ``(kind, task names, transport)``; a mutation takes the first name.
+#: A step is ``(kind, task names, transport)``; a mutation takes the first
+#: name.  ``rebalance`` pins that name to the other shard first;
+#: ``reshard`` grows the cluster to 3 shards and shrinks it back to 2.
 _STEP = st.tuples(
     st.sampled_from(
-        ("serve",) * 3 + ("model", "predict", "extract", "detach", "attach", "library")
+        ("serve",) * 3
+        + ("model", "predict", "extract", "detach", "attach", "library")
+        + ("rebalance", "reshard")
     ),
     st.lists(st.sampled_from(_TASKS), min_size=1, max_size=3, unique=True),
     st.sampled_from(TRANSPORTS),
@@ -231,6 +235,13 @@ def test_served_bytes_follow_every_mutation(named_pool, steps):
                 pool.attach_expert(name, detached.pop(name))
             elif kind == "library":
                 pool.extract_library(images)
+            elif kind == "rebalance" and name in pool.experts:
+                (held, *_) = cluster.shards_of(name)
+                cluster.router.pin(name, 1 - held)
+                cluster.rebalance()
+            elif kind == "reshard":
+                cluster.reshard(3)
+                cluster.reshard(2)
             holders = [pool, *(shard.pool for shard in cluster.shards)]
             _assert_pool_frozen(holders)
             _assert_memos_fresh(holders, probe)

@@ -238,7 +238,7 @@ class TestSegmentStore:
         try:
             before = shard.serve(["fish"], transport).payload
             trunk = _perturbed(pool.library).requires_grad_(True)  # as trained
-            shard.refresh_library(trunk, None, 99)
+            shard.pool.install_library(trunk, None, 99)
             # held like every pool module from here on: frozen
             assert not any(p.requires_grad for p in shard.pool.library.parameters())
             after = shard.serve(["fish"], transport).payload

@@ -77,10 +77,6 @@ class TestElementwiseFunctions:
         a = rng.standard_normal((3, 3))
         assert np.allclose(Tensor(a).relu().numpy(), np.maximum(a, 0))
 
-    def test_clip(self, rng):
-        a = rng.standard_normal(10)
-        assert np.allclose(Tensor(a).clip(-0.5, 0.5).numpy(), np.clip(a, -0.5, 0.5))
-
 
 class TestLinearAlgebra:
     def test_matmul_2d(self, rng):
